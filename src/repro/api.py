@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Tuple
 
-from .core.config import ClustererConfig
+from .core.config import DEFAULT_PATH, ClustererConfig
 from .core.incremental import IncrementalClusterer
 from .corpus.document import Document
 from .durability.checkpointer import Checkpointer
@@ -63,8 +63,8 @@ def build_clusterer(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = None,
-    engine: str = "dense",
-    statistics_backend: str = "dict",
+    engine: str = DEFAULT_PATH.engine,
+    statistics_backend: str = DEFAULT_PATH.statistics_backend,
     warm_start: bool = True,
     rescue_outliers: bool = True,
     recorder: Optional[Recorder] = None,
@@ -110,8 +110,8 @@ def open_stream(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = None,
-    engine: str = "dense",
-    statistics_backend: str = "dict",
+    engine: str = DEFAULT_PATH.engine,
+    statistics_backend: str = DEFAULT_PATH.statistics_backend,
     warm_start: bool = True,
     rescue_outliers: bool = True,
     recorder: Optional[Recorder] = None,

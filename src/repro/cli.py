@@ -35,6 +35,7 @@ from .api import build_clusterer, open_stream
 from .corpus.loaders import load_jsonl, save_jsonl
 from .corpus.streams import replay
 from .corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
+from .core.config import DEFAULT_PATH
 from .core.engines import available_engines
 from .core.labeling import label_clustering
 from .eval.metrics import evaluate_clustering
@@ -81,15 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--engine", choices=sorted(available_engines()),
                          default=None,
                          help="numerical engine for the extended K-means "
-                              "(default: dense; 'pruned' is fastest at "
-                              "large K and vocabulary, 'matrix' on "
-                              "mid-size streams; on --resume the "
-                              "checkpointed engine unless overridden)")
+                              f"(default: {DEFAULT_PATH.engine}, the "
+                              "fastest end to end on paper-scale "
+                              "streams; every engine gives the same "
+                              "clusters; on --resume the checkpointed "
+                              "engine unless overridden)")
     cluster.add_argument("--stats-backend",
                          choices=sorted(available_backends()),
                          default=None,
                          help="corpus-statistics storage backend "
-                              "(default: dict; on --resume the "
+                              "(default: "
+                              f"{DEFAULT_PATH.statistics_backend}; "
+                              "on --resume the "
                               "checkpointed backend unless overridden)")
     cluster.add_argument("--jobs", type=int, default=None,
                          help="worker processes for the text front-end "
@@ -134,10 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "are batched into")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--engine", choices=sorted(available_engines()),
-                       default=None)
+                       default=None,
+                       help=f"default: {DEFAULT_PATH.engine}")
     serve.add_argument("--stats-backend",
                        choices=sorted(available_backends()),
-                       default=None)
+                       default=None,
+                       help=f"default: {DEFAULT_PATH.statistics_backend}")
     serve.add_argument("--checkpoint", default=None,
                        help="journal every committed batch and keep a "
                             "crash-safe checkpoint at this path; "
@@ -270,8 +276,9 @@ def _run_cluster(
         clusterer = build_clusterer(
             k=args.k, seed=args.seed,
             half_life=args.half_life, life_span=args.life_span,
-            engine=args.engine or "dense",
-            statistics_backend=args.stats_backend or "dict",
+            engine=args.engine or DEFAULT_PATH.engine,
+            statistics_backend=(args.stats_backend
+                                or DEFAULT_PATH.statistics_backend),
             recorder=recorder,
         )
 
@@ -396,8 +403,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session = open_stream(
             k=args.k, seed=args.seed,
             half_life=args.half_life, life_span=args.life_span,
-            engine=args.engine or "dense",
-            statistics_backend=args.stats_backend or "dict",
+            engine=args.engine or DEFAULT_PATH.engine,
+            statistics_backend=(args.stats_backend
+                                or DEFAULT_PATH.statistics_backend),
             checkpoint=args.checkpoint,
             checkpoint_every=args.checkpoint_every or 1,
             window_days=args.batch_days,

@@ -6,7 +6,7 @@ run with *identical* K-means settings. :class:`ClustererConfig` captures
 the parameters common to both pipelines in one value object that can be
 built once and handed to each::
 
-    config = ClustererConfig(k=32, seed=1998, engine="matrix")
+    config = ClustererConfig(k=32, seed=1998)
     incremental = IncrementalClusterer(model, config)
     baseline = NonIncrementalClusterer(model, config)
 
@@ -18,10 +18,26 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..obs import Recorder
+
+
+class FastPath(NamedTuple):
+    """The production (engine, statistics backend) pair."""
+
+    engine: str
+    statistics_backend: str
+
+
+#: The defaults of every construction path: :class:`ClustererConfig`,
+#: :func:`repro.api.build_clusterer`/:func:`~repro.api.open_stream`,
+#: :class:`~repro.core.NoveltyKMeans`, :func:`~repro.core.estimate_k`,
+#: the experiment configs and the CLI. ``"matrix"`` (CSR sweeps, needs
+#: scipy) plus ``"columnar"`` is the fastest pair end to end; the
+#: other registered engines and backends give identical decisions.
+DEFAULT_PATH = FastPath(engine="matrix", statistics_backend="columnar")
 
 
 @dataclass(frozen=True)
@@ -42,27 +58,28 @@ class ClustererConfig:
         randomness per fit).
     ``engine``
         Name of a registered numerical engine
-        (see :mod:`repro.core.engines`): ``"sparse"``, ``"dense"``
-        (default), ``"matrix"``, or ``"pruned"``. All four are
+        (see :mod:`repro.core.engines`): ``"sparse"``, ``"dense"``,
+        ``"matrix"`` (default), or ``"pruned"``. All four are
         assignment-identical; they differ only in speed and
         dependencies.
     ``statistics_backend``
         Name of a registered corpus-statistics storage backend
-        (see :mod:`repro.forgetting.backends`).
+        (see :mod:`repro.forgetting.backends`): ``"columnar"``
+        (default) or ``"dict"``.
     ``recorder``
         Observability sink shared by the pipeline and its K-means.
 
     Use :func:`dataclasses.replace` to derive variants::
 
-        fast = dataclasses.replace(config, engine="matrix")
+        reference = dataclasses.replace(config, engine="dense")
     """
 
     k: int
     delta: float = 0.01
     max_iterations: int = 30
     seed: Optional[int] = None
-    engine: str = "dense"
-    statistics_backend: str = "dict"
+    engine: str = DEFAULT_PATH.engine
+    statistics_backend: str = DEFAULT_PATH.statistics_backend
     recorder: Optional[Recorder] = None
 
 

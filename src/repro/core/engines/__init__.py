@@ -11,15 +11,16 @@ protocol, selected by name through a registry:
 ``"sparse"``  Reference implementation over :class:`~repro.core.Cluster`
               dict-backed vectors; mirrors the paper line-by-line.
 ``"dense"``   numpy K×V representative matrix; per-document gains as one
-              fancy-indexed matrix-vector product. The default.
+              fancy-indexed matrix-vector product.
 ``"matrix"``  CSR document matrix + blockwise sweep matmuls; answers an
               entire assignment pass with matrix products (requires
-              scipy). The fastest on stream-scale corpora.
+              scipy). The default (:data:`~repro.core.config.
+              DEFAULT_PATH`) and the fastest end to end.
 ``"pruned"``  Inverted term→cluster index with exact upper-bound
               candidate pruning over column-major representatives;
               skips every cluster that provably cannot win a document
               before its dot product is taken. Assignment-identical to
-              the exact path; the fastest at large K × large
+              the exact path; pays off only at very large K × large
               vocabulary (numpy only).
 ============  ==========================================================
 

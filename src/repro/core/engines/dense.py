@@ -13,15 +13,13 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from ..._typing import FloatArray, IntArray
+from ...vectors.arrays import WeightedVectorArrays
 from ...vectors.sparse import SparseVector
 from .base import EngineBase
 
 
 class DenseEngine(EngineBase):
     """numpy backend: K×V representative matrix, vectorised gains."""
-
-    #: advertises the CSR construction fast path to NoveltyKMeans
-    accepts_arrays = True
 
     def __init__(
         self, k: int, vectors: Mapping[str, SparseVector], criterion: str
@@ -31,20 +29,19 @@ class DenseEngine(EngineBase):
         self._doc_ids: Dict[str, IntArray] = {}
         self._doc_vals: Dict[str, FloatArray] = {}
         self._doc_w2: Dict[str, float] = {}
-        csr_parts = getattr(vectors, "csr_parts", None)
-        if callable(csr_parts):
-            # CSR batch: compact the columns and sort terms within each
-            # row in one global argsort — same column map and per-row
-            # order (terms ascending) as the per-document sorted()
-            # build below, so per-doc arrays and w2 are bit-identical
-            doc_id_list, indptr, raw_terms, raw_vals = csr_parts()
+        if isinstance(vectors, WeightedVectorArrays):
+            # CSR batch: take its compact columns and sort terms within
+            # each row in one global argsort — same column map and
+            # per-row order (terms ascending) as the per-document
+            # sorted() build below, so per-doc arrays and w2 are
+            # bit-identical
+            doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
             n_docs = len(doc_id_list)
-            term_id_arr = np.unique(raw_terms)
+            term_id_arr, cols = vectors.columns()
             self._column = {
                 t: i for i, t in enumerate(term_id_arr.tolist())
             }
             n_terms = max(1, int(term_id_arr.size))
-            cols = np.searchsorted(term_id_arr, raw_terms)
             lens = np.diff(indptr)
             row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
             order = np.argsort(row_of * n_terms + cols, kind="stable")

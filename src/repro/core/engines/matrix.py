@@ -26,8 +26,9 @@ The arithmetic is exactly the reference recurrence — same additions,
 same order of membership moves — so assignments match the dense engine
 (G agrees to float-summation-order, like dense vs sparse).
 
-Requires :mod:`scipy` (the only engine that does); construction fails
-with a clear message when it is missing.
+Requires :mod:`scipy` (the only engine that does; it is a declared
+dependency of the package because this is the default engine);
+construction fails with a clear message when it is missing.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 
 from ..._typing import FloatArray, IntArray
 from ...exceptions import ConfigurationError
+from ...vectors.arrays import WeightedVectorArrays
 from ...vectors.sparse import SparseVector
 from .base import NO_GAIN, EngineBase, affine_gain_coefficients
 
@@ -64,9 +66,6 @@ SPECULATE_WINDOW = 64
 class MatrixEngine(EngineBase):
     """CSR document matrix + dense representatives, blockwise sweeps."""
 
-    #: advertises the CSR construction fast path to NoveltyKMeans
-    accepts_arrays = True
-
     def __init__(
         self,
         k: int,
@@ -76,19 +75,22 @@ class MatrixEngine(EngineBase):
     ) -> None:
         if _sp is None:
             raise ConfigurationError(
-                "the 'matrix' engine requires scipy, which is not "
-                "installed; use engine='dense' or install scipy"
+                "the 'matrix' engine (the default) requires scipy, a "
+                "declared dependency of repro that is not installed; "
+                "install it with `pip install scipy` (or reinstall "
+                "repro with its dependencies)"
             )
         super().__init__(k, vectors)
         self._criterion = criterion
         self._block_size = max(1, int(block_size))
 
-        csr_parts = getattr(vectors, "csr_parts", None)
-        if callable(csr_parts):
-            # CSR batch from the vectoriser: the flat arrays are already
-            # exactly what the extraction below produces, minus the
-            # per-term Python iteration
-            doc_id_list, indptr, raw_terms, raw_vals = csr_parts()
+        if isinstance(vectors, WeightedVectorArrays):
+            # CSR batch from the vectoriser: the flat arrays and the
+            # compact column map are already exactly what the
+            # extraction below produces, minus the per-term Python
+            # iteration and the sort
+            doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
+            term_ids, cols = vectors.columns()
             n_docs = len(doc_id_list)
             self._row: Dict[str, int] = {
                 doc_id: row for row, doc_id in enumerate(doc_id_list)
@@ -115,12 +117,12 @@ class MatrixEngine(EngineBase):
                 chain.from_iterable(v.values() for v in vectors.values()),
                 dtype=np.float64, count=total_nnz,
             )
-        # compact the columns and sort terms within each row in one
-        # global argsort — same column map and per-row order as the
+            term_ids = np.unique(raw_terms)
+            cols = np.searchsorted(term_ids, raw_terms)
+        # sort terms within each row in one global argsort over the
+        # compact columns — same column map and per-row order as the
         # dense engine's per-document sorted() build
-        term_ids = np.unique(raw_terms)
         n_terms = max(1, len(term_ids))
-        cols = np.searchsorted(term_ids, raw_terms)
         row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
         order = np.argsort(row_of * n_terms + cols, kind="stable")
         indices = cols[order]

@@ -20,6 +20,7 @@ from .._validation import require_in_open_interval
 from ..corpus.document import Document
 from ..exceptions import ClusteringError, ConfigurationError
 from ..forgetting.statistics import CorpusStatistics
+from .config import DEFAULT_PATH
 from .kmeans import NoveltyKMeans
 
 
@@ -56,7 +57,7 @@ def estimate_k(
     seed: Optional[int] = 0,
     delta: float = 0.01,
     max_iterations: int = 30,
-    engine: str = "dense",
+    engine: str = DEFAULT_PATH.engine,
 ) -> KEstimate:
     """Pick K by the knee of the clustering-index curve.
 

@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import random
 import time as time_module
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from .._typing import BoolArray, FloatArray, IntArray
 from .._validation import (
     require_in_open_interval,
     require_positive_int,
@@ -35,9 +38,9 @@ from ..corpus.document import Document
 from ..exceptions import ClusteringError, ConfigurationError
 from ..forgetting.statistics import CorpusStatistics
 from ..obs import SPAN, Event, Recorder, Span, resolve
-from ..vectors.sparse import SparseVector
+from ..vectors.arrays import WeightedVectorArrays
 from ..vectors.tfidf import NoveltyTfidfWeighter
-from .cluster import Cluster
+from .config import DEFAULT_PATH
 from .engines import DenseEngine, Engine, SparseEngine, resolve_engine
 from .result import ClusteringResult
 
@@ -46,20 +49,6 @@ from .result import ClusteringResult
 _SparseBackend = SparseEngine
 _DenseBackend = DenseEngine
 _BACKENDS = {"sparse": SparseEngine, "dense": DenseEngine}
-
-
-def _empty_doc_set(vectors: Mapping[str, SparseVector]) -> Set[str]:
-    """Doc ids with zero-component vectors, without materialising rows.
-
-    A CSR batch (``WeightedVectorArrays``) answers this from its row
-    pointers; asking ``len(vectors[doc_id])`` per document would build
-    the per-document dicts the array path exists to avoid.
-    """
-    empties = getattr(vectors, "empty_doc_ids", None)
-    if callable(empties):
-        return set(empties())
-    return {doc_id for doc_id, vector in vectors.items()
-            if not len(vector)}
 
 
 class NoveltyKMeans:
@@ -78,11 +67,12 @@ class NoveltyKMeans:
         Seed for the random initial seed-document selection.
     engine:
         Name of a registered engine (see :mod:`repro.core.engines`):
-        ``"dense"`` (numpy, default), ``"sparse"`` (reference),
-        ``"matrix"`` (vectorised CSR, requires scipy), ``"pruned"``
-        (inverted-index candidate pruning, fastest at large K ×
-        vocabulary), or any name added via
-        :func:`~repro.core.engines.register_engine`.
+        ``"matrix"`` (vectorised CSR sweeps, needs scipy; the default,
+        :data:`~repro.core.config.DEFAULT_PATH`), ``"dense"`` (numpy,
+        one document at a time), ``"sparse"`` (dict reference),
+        ``"pruned"`` (inverted-index candidate pruning), or any name
+        added via :func:`~repro.core.engines.register_engine`. All
+        give the same clusters; they differ only in speed.
     reseed_empty:
         When True (default), a cluster that lost all members is
         re-seeded with the strongest outlier at the end of the pass,
@@ -137,7 +127,7 @@ class NoveltyKMeans:
         delta: float = 0.01,
         max_iterations: int = 30,
         seed: Optional[int] = None,
-        engine: str = "dense",
+        engine: str = DEFAULT_PATH.engine,
         reseed_empty: bool = True,
         criterion: str = "g",
         rescue_outliers: bool = False,
@@ -188,13 +178,10 @@ class NoveltyKMeans:
         factory = resolve_engine(self.engine)
         with Span(recorder, "kmeans.vectorise",
                   {"docs": len(docs)}) as vectorise_span:
-            weighter = NoveltyTfidfWeighter(statistics)
-            if getattr(factory, "accepts_arrays", False):
-                # engines that consume CSR rows directly skip the
-                # per-document dict construction entirely
-                vectors = weighter.weighted_arrays(docs)
-            else:
-                vectors = weighter.weighted_vectors(docs)
+            # one CSR batch: the dense and matrix engines consume its
+            # flat rows, the others read it as a doc_id -> SparseVector
+            # Mapping; rescue and split repair work on its rows
+            vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
 
         backend = factory(self.k, vectors, self.criterion)
         assignment: Dict[str, int] = {}
@@ -274,12 +261,12 @@ class NoveltyKMeans:
         self,
         backend: Engine,
         docs: Sequence[Document],
-        vectors: Mapping[str, SparseVector],
+        vectors: WeightedVectorArrays,
         assignment: Dict[str, int],
     ) -> None:
         """Initial process step 1: K random singleton clusters."""
         rng = random.Random(self.seed)
-        empty = _empty_doc_set(vectors)
+        empty = set(vectors.empty_doc_ids())
         candidates = [d.doc_id for d in docs if d.doc_id not in empty]
         if not candidates:
             raise ClusteringError(
@@ -294,13 +281,13 @@ class NoveltyKMeans:
         self,
         backend: Engine,
         docs: Sequence[Document],
-        vectors: Mapping[str, SparseVector],
+        vectors: WeightedVectorArrays,
         initial_assignment: Dict[str, int],
         assignment: Dict[str, int],
     ) -> None:
         """Section 5.2 step 3: previous clusters as initial clusters."""
         known = {doc.doc_id for doc in docs}
-        empty = _empty_doc_set(vectors)
+        empty = set(vectors.empty_doc_ids())
         for doc_id, cluster_id in initial_assignment.items():
             if doc_id not in known:
                 continue
@@ -378,7 +365,7 @@ class NoveltyKMeans:
     def _rescue_outliers(
         self,
         backend: Engine,
-        vectors: Mapping[str, SparseVector],
+        vectors: WeightedVectorArrays,
         outliers: List[str],
         assignment: Dict[str, int],
     ) -> bool:
@@ -389,7 +376,6 @@ class NoveltyKMeans:
         only when the candidate's ``G`` contribution beats the weakest
         live cluster's. Returns True when a swap happened.
         """
-        candidate = Cluster(-1)
         ranked = sorted(
             (doc_id for doc_id in outliers
              if backend.self_similarity(doc_id) > 0.0),
@@ -398,12 +384,8 @@ class NoveltyKMeans:
         )
         if len(ranked) < 2:
             return False
-        for doc_id in ranked:
-            if candidate.is_empty:
-                candidate.add(doc_id, vectors[doc_id])
-            elif candidate.g_gain_if_added(vectors[doc_id]) > 0.0:
-                candidate.add(doc_id, vectors[doc_id])
-        if candidate.size < 2:
+        candidate, contribution = self._grow_candidate(vectors, ranked)
+        if len(candidate) < 2:
             return False
 
         sizes = backend.sizes()
@@ -412,25 +394,69 @@ class NoveltyKMeans:
         if not live:
             return False
         weakest = min(live, key=lambda cid: contributions[cid])
-        if candidate.index_contribution() <= contributions[weakest]:
+        if contribution <= contributions[weakest]:
             return False
 
         evicted = list(backend.members()[weakest])
         for doc_id in evicted:
             backend.remove(weakest, doc_id)
             del assignment[doc_id]
-        rescued = set(candidate.member_ids())
-        for doc_id in candidate.member_ids():
+        rescued = set(candidate)
+        for doc_id in candidate:
             backend.add(weakest, doc_id)
             assignment[doc_id] = weakest
         # one linear rebuild instead of a list.remove per rescued doc
         outliers[:] = [d for d in outliers if d not in rescued] + evicted
         return True
 
+    @staticmethod
+    def _grow_candidate(
+        vectors: WeightedVectorArrays, ranked: List[str]
+    ) -> Tuple[List[str], float]:
+        """Grow the rescue candidate over ``ranked``: the first document
+        seeds it, every later one joins when its ΔG gain is positive.
+
+        The candidate is one dense representative over the batch's
+        columns (Eq. 19-20) with ``crpp``/``ss`` (Eq. 21-23) kept by the
+        append update of :class:`~repro.core.cluster.Cluster`; each gain
+        is the ``"g"`` criterion of Eq. 25-26 from one row dot product.
+        Returns the members and their ``|C|·avg_sim`` contribution.
+        """
+        terms, cols = vectors.columns()
+        self_dots = vectors.self_similarities().tolist()
+        indptr = vectors.indptr.tolist()
+        data = vectors.data
+        representative = np.zeros(terms.size, dtype=np.float64)
+        crpp = ss = 0.0
+        members: List[str] = []
+        for doc_id, row in zip(ranked, vectors.rows(ranked).tolist()):
+            lo, hi = indptr[row], indptr[row + 1]
+            row_cols = cols[lo:hi]
+            row_data = data[lo:hi]
+            s = 0.0
+            if members:
+                s = float(np.dot(row_data, representative[row_cols]))
+                n = len(members)
+                pair_sum = (crpp - ss) / 2.0
+                gain = 2.0 * s if n == 1 else (
+                    2.0 * (s * (n - 1) - pair_sum) / (n * (n - 1))
+                )
+                if gain <= 0.0:
+                    continue
+            w2 = self_dots[row]
+            crpp += 2.0 * s + w2
+            ss += w2
+            representative[row_cols] += row_data
+            members.append(doc_id)
+        n = len(members)
+        if n < 2:
+            return members, 0.0
+        return members, n * ((crpp - ss) / (n * (n - 1)))
+
     def _split_repair(
         self,
         backend: Engine,
-        vectors: Mapping[str, SparseVector],
+        vectors: WeightedVectorArrays,
         assignment: Dict[str, int],
     ) -> bool:
         """Fill an empty slot by splitting a low-cohesion cluster.
@@ -449,25 +475,9 @@ class NoveltyKMeans:
         empty = [cid for cid, size in enumerate(sizes) if size == 0]
         if not empty:
             return False
-        contributions = backend.contributions()
-        all_members = backend.members()
-        best: Optional[Tuple[float, int, List[str]]] = None
-        for cid, size in enumerate(sizes):
-            if size < 2:
-                continue
-            members = all_members[cid]
-            moved = self._propose_split(members, vectors)
-            if not moved or len(moved) == len(members):
-                continue
-            moved_set = set(moved)
-            keep = [m for m in members if m not in moved_set]
-            delta = (
-                self._scratch_contribution(keep, vectors)
-                + self._scratch_contribution(moved, vectors)
-                - contributions[cid]
-            )
-            if delta > 1e-18 and (best is None or delta > best[0]):
-                best = (delta, cid, moved)
+        best = self._best_split(
+            vectors, backend.members(), backend.contributions()
+        )
         if best is None:
             return False
         _, cid, moved = best
@@ -478,47 +488,113 @@ class NoveltyKMeans:
             assignment[doc_id] = target
         return True
 
+    @classmethod
+    def _best_split(
+        cls,
+        vectors: WeightedVectorArrays,
+        members: List[List[str]],
+        contributions: Sequence[float],
+    ) -> Optional[Tuple[float, int, List[str]]]:
+        """``(ΔG, cluster, moved members)`` of the best positive-ΔG
+        proposed split, or None. Ties go to the lowest cluster id."""
+        best: Optional[Tuple[float, int, List[str]]] = None
+        for cid, ids in enumerate(members):
+            if len(ids) < 2:
+                continue
+            rows = vectors.rows(ids)
+            owner, cols, data = vectors.gather(rows)
+            moved = cls._propose_split(vectors, rows, owner, cols, data)
+            if moved is None:
+                continue
+            n_moved = int(np.count_nonzero(moved))
+            if n_moved == len(ids):
+                continue
+            moved_part = moved[owner]
+            kept_part = ~moved_part
+            delta = (
+                cls._scratch_contribution(
+                    vectors, cols[kept_part], data[kept_part],
+                    len(ids) - n_moved,
+                )
+                + cls._scratch_contribution(
+                    vectors, cols[moved_part], data[moved_part], n_moved,
+                )
+                - contributions[cid]
+            )
+            if delta > 1e-18 and (best is None or delta > best[0]):
+                best = (delta, cid,
+                        [ids[i] for i in np.flatnonzero(moved).tolist()])
+        return best
+
     @staticmethod
     def _propose_split(
-        members: List[str], vectors: Mapping[str, SparseVector]
-    ) -> List[str]:
-        """Members to move out: the half closer to the 'odd one out'.
+        vectors: WeightedVectorArrays,
+        rows: IntArray,
+        owner: IntArray,
+        cols: IntArray,
+        data: FloatArray,
+    ) -> Optional[BoolArray]:
+        """Which of a cluster's ``rows`` to move out: the half closer to
+        the 'odd one out' (None when the two seeds coincide).
 
         Seed A is the member least similar to the cluster
         representative; seed B the member least similar to A. Each
         member goes with the seed it is more similar to; the group
-        holding seed A (the outsiders) is returned.
+        holding seed A (the outsiders) is returned as a mask over
+        ``rows``. ``owner``/``cols``/``data`` are the rows' components
+        (:meth:`WeightedVectorArrays.gather`); every similarity is a
+        ``np.bincount`` over them, ties resolve to the first member.
         """
-        representative = SparseVector()
-        for doc_id in members:
-            representative.add_scaled(vectors[doc_id], 1.0)
-        seed_a = min(
-            members,
-            key=lambda m: representative.dot(vectors[m])
-            - vectors[m].dot(vectors[m]),
+        n_columns = vectors.columns()[0].size
+        size = rows.size
+        representative = np.bincount(cols, weights=data,
+                                     minlength=n_columns)
+        to_rest = (
+            np.bincount(owner, weights=data * representative[cols],
+                        minlength=size)
+            - vectors.self_similarities()[rows]
         )
-        seed_b = min(
-            members, key=lambda m: vectors[seed_a].dot(vectors[m])
-        )
+        seed_a = int(np.argmin(to_rest))
+
+        def similarity_to(seed: int) -> FloatArray:
+            dense = np.zeros(n_columns, dtype=np.float64)
+            seed_cols, seed_data = vectors.row(int(rows[seed]))
+            dense[seed_cols] = seed_data
+            return np.bincount(owner, weights=data * dense[cols],
+                               minlength=size).astype(np.float64, copy=False)
+
+        sim_a = similarity_to(seed_a)
+        seed_b = int(np.argmin(sim_a))
         if seed_a == seed_b:
-            return []
-        moved: List[str] = []
-        for doc_id in members:
-            sim_a = vectors[seed_a].dot(vectors[doc_id])
-            sim_b = vectors[seed_b].dot(vectors[doc_id])
-            if doc_id == seed_a or sim_a > sim_b:
-                moved.append(doc_id)
+            return None
+        moved = sim_a > similarity_to(seed_b)
+        moved[seed_a] = True
         return moved
 
     @staticmethod
     def _scratch_contribution(
-        member_ids: List[str], vectors: Mapping[str, SparseVector]
+        vectors: WeightedVectorArrays,
+        cols: IntArray,
+        data: FloatArray,
+        size: int,
     ) -> float:
-        """``|C|·avg_sim`` of a hypothetical cluster over ``member_ids``."""
-        scratch = Cluster(-1)
-        for doc_id in member_ids:
-            scratch.add(doc_id, vectors[doc_id])
-        return scratch.index_contribution()
+        """``|C|·avg_sim`` (Eq. 17, 24) of a hypothetical cluster of
+        ``size`` members whose components are ``cols``/``data``.
+
+        ``crpp - ss`` (Eq. 21-23) is summed per column as the
+        representative's square minus its members' squares, so a term
+        only one member carries adds exactly zero, as it does to the
+        pairwise similarity sum the two quantities differ by.
+        """
+        if size < 2:
+            return 0.0
+        n_columns = vectors.columns()[0].size
+        representative = np.bincount(cols, weights=data,
+                                     minlength=n_columns)
+        squares = np.bincount(cols, weights=data * data,
+                              minlength=n_columns)
+        pairs = float(np.sum(representative * representative - squares))
+        return size * (pairs / (size * (size - 1)))
 
     def _converged(self, g_old: float, g_new: float) -> bool:
         """Section 4.3 step 4: ``(G_new - G_old)/G_old < δ``."""

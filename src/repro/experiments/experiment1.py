@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
+from ..core.config import DEFAULT_PATH
 from ..core.incremental import IncrementalClusterer, NonIncrementalClusterer
 from ..forgetting.model import ForgettingModel
 from .reporting import format_seconds, render_table
@@ -45,7 +46,7 @@ class ExperimentOneConfig:
     life_span: float = 14.0
     delta: float = 0.01
     max_iterations: int = 30
-    engine: str = "dense"
+    engine: str = DEFAULT_PATH.engine
     unlabeled_per_day: float = 0.0
     corpus: Optional[SyntheticCorpusConfig] = None
 

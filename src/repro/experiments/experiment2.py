@@ -24,6 +24,7 @@ from ..corpus.synthetic import (
     TDT2Generator,
 )
 from ..corpus.timewindow import TimeWindow, split_into_windows
+from ..core.config import DEFAULT_PATH
 from ..core.kmeans import NoveltyKMeans
 from ..core.result import ClusteringResult
 from ..eval.metrics import WindowEvaluation, evaluate_clustering
@@ -62,7 +63,7 @@ class ExperimentTwoConfig:
     life_span: float = 30.0
     delta: float = 0.01
     max_iterations: int = 30
-    engine: str = "dense"
+    engine: str = DEFAULT_PATH.engine
     clustering_seed: int = 3
     pipeline: str = "non-incremental"
     batch_days: float = 1.0
@@ -194,7 +195,7 @@ def run_window(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = 3,
-    engine: str = "dense",
+    engine: str = DEFAULT_PATH.engine,
 ) -> Tuple[ClusteringResult, WindowEvaluation]:
     """Cluster one window non-incrementally and evaluate it.
 
@@ -203,7 +204,10 @@ def run_window(
     window's news has arrived").
     """
     model = ForgettingModel(half_life=beta, life_span=life_span)
-    statistics = CorpusStatistics.from_scratch(model, documents, at_time)
+    statistics = CorpusStatistics.from_scratch(
+        model, documents, at_time,
+        backend=DEFAULT_PATH.statistics_backend,
+    )
     kmeans = NoveltyKMeans(
         k=k,
         delta=delta,
@@ -226,7 +230,7 @@ def run_window_incremental(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = 3,
-    engine: str = "dense",
+    engine: str = DEFAULT_PATH.engine,
     batch_days: float = 1.0,
 ) -> Tuple[ClusteringResult, WindowEvaluation]:
     """Cluster one window *on-line*: daily batches with warm starts.

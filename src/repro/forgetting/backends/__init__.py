@@ -13,7 +13,9 @@ Public surface:
   property-tested against).
 * ``"columnar"`` — :class:`ColumnarStatisticsBackend`, numpy arrays
   with interned term ids: decay is two scalar multiplies, batch insert
-  one scatter-add, expiry one threshold mask.
+  one scatter-add, expiry one threshold mask. The pipelines' default
+  (:data:`repro.core.config.DEFAULT_PATH`); a bare ``CorpusStatistics``
+  still defaults to ``"dict"``.
 """
 
 from .base import SCALE_FLOOR, StatisticsBackend

@@ -48,6 +48,13 @@ from .backends import StatisticsBackend, resolve_backend
 from .frozen import FrozenStatistics
 from .model import ForgettingModel
 
+#: Relative slack of the backend's expiry pre-scan. A backend's decayed
+#: weight carries rounding from every decay step (eager multiplies or a
+#: folded scale factor), far below this; documents the scan returns are
+#: then confirmed on their exact age, so the slack only has to cover
+#: that rounding for the scan to miss none.
+EXPIRY_SCAN_SLACK = 1e-9
+
 
 class CorpusStatistics:
     """Time-decayed corpus statistics with incremental maintenance."""
@@ -266,6 +273,14 @@ class CorpusStatistics:
     def expire(self) -> List[Document]:
         """Remove and return all documents with ``dw < ε`` (§5.2 step 2).
 
+        ``dw`` is judged at its exact value ``λ^(τ - T_i)`` (Eq. 1), the
+        expression :meth:`observe` and :meth:`from_scratch` evaluate,
+        not at the backend's incrementally decayed copy: a document
+        whose age is exactly the life span sits on ``ε`` itself, and
+        the eager and lazy decays round it to opposite sides. The
+        backend's scan, widened by :data:`EXPIRY_SCAN_SLACK`, only
+        picks the candidates.
+
         Documents whose weight has underflowed to exactly 0.0 are
         dropped even when expiry is disabled (``life_span=None``):
         they carry no probability mass, and keeping them would let
@@ -280,8 +295,18 @@ class CorpusStatistics:
                 and self._backend.min_weight_bound > 0.0):
             return []
         with Span(self.recorder, "statistics.expire"):
-            expired_ids = self._backend.expired_doc_ids(self.model.epsilon)
-            expired = [self._docs.pop(doc_id) for doc_id in expired_ids]
+            epsilon = self.model.epsilon
+            candidates = self._backend.expired_doc_ids(
+                epsilon * (1.0 + EXPIRY_SCAN_SLACK)
+            )
+            decay = self.model.decay_factor
+            # no document is tracked before the first update sets τ
+            now = 0.0 if self._now is None else self._now
+            expired = [
+                self._docs.pop(doc_id) for doc_id in candidates
+                if self._backend.dw(doc_id) == 0.0
+                or decay ** (now - self._docs[doc_id].timestamp) < epsilon
+            ]
             tdw_clamped = self._backend.remove_batch(expired)
             if tdw_clamped and self.recorder.enabled:
                 self.recorder.counter("statistics.tdw_clamped")

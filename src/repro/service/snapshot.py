@@ -177,9 +177,8 @@ class ClusterSnapshot:
 
             weighter = NoveltyTfidfWeighter(statistics)
             arrays = weighter.weighted_arrays(documents)
-            doc_ids, indptr, nnz_terms, data = arrays.csr_parts()
-            snapshot_terms = np.unique(nnz_terms)
-            columns = np.searchsorted(snapshot_terms, nnz_terms)
+            doc_ids, indptr, _, data = arrays.csr_parts()
+            snapshot_terms, columns = arrays.columns()
             idf = frozen.idf_array(snapshot_terms)
 
             n_docs = len(doc_ids)
@@ -197,10 +196,7 @@ class ClusterSnapshot:
                 (nnz_cluster[assigned_nnz], columns[assigned_nnz]),
                 data[assigned_nnz],
             )
-            row_index = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-            row_self = np.bincount(
-                row_index, weights=data * data, minlength=n_docs
-            )
+            row_self = arrays.self_similarities()
             assigned_rows = row_cluster >= 0
             ss = np.bincount(
                 row_cluster[assigned_rows],

@@ -4,19 +4,22 @@
 ``{doc_id: SparseVector}`` mapping produced by
 :meth:`~repro.vectors.tfidf.NoveltyTfidfWeighter.weighted_vectors`:
 one flat ``(indptr, term_ids, data)`` CSR layout over the whole batch
-instead of one dict per document. Engines that declare
-``accepts_arrays = True`` consume the flat arrays directly (no
-per-term Python loop between vectorisation and the engine's matrix
-build); everything else still works, because the class is a read-only
-``Mapping[str, SparseVector]`` that materialises individual rows
-lazily — the K-means split/rescue paths touch only a handful of rows,
-so almost no dicts are ever built.
+instead of one dict per document. It is what every K-means fit
+vectorises into. The dense and matrix engines consume the flat arrays
+directly (no per-term Python loop between vectorisation and the
+engine's matrix build); every other engine still works, because the
+class is a read-only ``Mapping[str, SparseVector]`` that materialises
+individual rows lazily. The K-means outlier rescue and split repair
+read whole clusters' rows on most passes, so they work on the flat
+arrays too (:meth:`~WeightedVectorArrays.gather` and
+:meth:`~WeightedVectorArrays.row` over the batch's compact
+:meth:`~WeightedVectorArrays.columns`) and never build a dict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +43,13 @@ class WeightedVectorArrays(Mapping[str, SparseVector]):
     data:
         float64 component values (never 0.0 — zero components are
         dropped at construction, matching ``SparseVector`` semantics).
+    columns:
+        Optional precomputed :meth:`columns` (the vectoriser already
+        has them from its idf lookup); computed on first use otherwise.
     """
 
     __slots__ = ("doc_ids", "indptr", "term_ids", "data", "_index",
-                 "_row_cache")
+                 "_row_cache", "_columns", "_self_dots")
 
     def __init__(
         self,
@@ -51,6 +57,7 @@ class WeightedVectorArrays(Mapping[str, SparseVector]):
         indptr: IntArray,
         term_ids: IntArray,
         data: FloatArray,
+        columns: Optional[Tuple[IntArray, IntArray]] = None,
     ) -> None:
         self.doc_ids: List[str] = list(doc_ids)
         self.indptr = indptr
@@ -60,6 +67,8 @@ class WeightedVectorArrays(Mapping[str, SparseVector]):
             doc_id: row for row, doc_id in enumerate(self.doc_ids)
         }
         self._row_cache: Dict[str, SparseVector] = {}
+        self._columns = columns
+        self._self_dots: Optional[FloatArray] = None
 
     # -- Mapping protocol ------------------------------------------------
 
@@ -98,3 +107,51 @@ class WeightedVectorArrays(Mapping[str, SparseVector]):
         lengths = np.diff(self.indptr)
         return [self.doc_ids[row]
                 for row in np.flatnonzero(lengths == 0).tolist()]
+
+    def rows(self, doc_ids: Sequence[str]) -> IntArray:
+        """Row index of each of ``doc_ids``, in order."""
+        index = self._index
+        return np.fromiter((index[doc_id] for doc_id in doc_ids),
+                           dtype=np.int64, count=len(doc_ids))
+
+    def columns(self) -> Tuple[IntArray, IntArray]:
+        """``(terms, cols)``: the batch's distinct term ids, ascending,
+        which number its compact columns, and the column of every stored
+        component. Computed once per batch."""
+        if self._columns is None:
+            terms, cols = np.unique(self.term_ids, return_inverse=True)
+            self._columns = (terms, cols.reshape(-1))
+        return self._columns
+
+    def self_similarities(self) -> FloatArray:
+        """``w⃗_d · w⃗_d`` per row (the Eq. 23 summands), summed in
+        stored order like :meth:`SparseVector.dot`. Computed once."""
+        if self._self_dots is None:
+            n = len(self.doc_ids)
+            owner = np.repeat(np.arange(n, dtype=np.int64),
+                              np.diff(self.indptr))
+            self._self_dots = np.bincount(
+                owner, weights=self.data * self.data, minlength=n
+            ).astype(np.float64, copy=False)
+        return self._self_dots
+
+    def row(self, row: int) -> Tuple[IntArray, FloatArray]:
+        """``(cols, data)`` of one row's stored components."""
+        lo = int(self.indptr[row])
+        hi = int(self.indptr[row + 1])
+        return self.columns()[1][lo:hi], self.data[lo:hi]
+
+    def gather(
+        self, rows: IntArray
+    ) -> Tuple[IntArray, IntArray, FloatArray]:
+        """``(owner, cols, data)`` of the stored components of ``rows``,
+        row after row in stored order; ``owner[i]`` is the position in
+        ``rows`` of the row component ``i`` belongs to."""
+        starts = self.indptr[rows]
+        lens = self.indptr[rows + 1] - starts
+        total = int(lens.sum())
+        offsets = np.cumsum(lens) - lens
+        index = (np.repeat(starts - offsets, lens)
+                 + np.arange(total, dtype=np.int64))
+        owner = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
+        return owner, self.columns()[1][index], self.data[index]

@@ -22,7 +22,7 @@ the clustering layer rebuilds them per run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -164,6 +164,11 @@ class NoveltyTfidfWeighter:
         unique_terms, inverse = np.unique(terms, return_inverse=True)
         idf_unique = self._statistics.idf_array(unique_terms)
         data = counts * idf_unique[inverse] * np.repeat(scales, lens)
+        # the unique terms number the batch's compact columns; engines
+        # and the K-means repairs reuse them instead of re-sorting
+        columns: Optional[Tuple[IntArray, IntArray]] = (
+            unique_terms, inverse.reshape(-1)
+        )
         if idf_unique.size and (idf_unique == 0.0).any():
             # same pathological-underflow filter as the dict path:
             # only terms the statistics no longer carry produce zeros
@@ -172,9 +177,10 @@ class NoveltyTfidfWeighter:
             data = data[keep]
             rows = np.repeat(np.arange(n, dtype=np.int64), lens)[keep]
             lens = np.bincount(rows, minlength=n)
+            columns = None
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
-        return WeightedVectorArrays(doc_ids, indptr, terms, data)
+        return WeightedVectorArrays(doc_ids, indptr, terms, data, columns)
 
     def representative(
         self,

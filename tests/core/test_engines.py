@@ -95,6 +95,18 @@ class TestRegistry:
         register_engine("dense", DenseEngine, overwrite=True)
         assert resolve_engine("dense") is DenseEngine
 
+    def test_missing_scipy_points_to_the_declared_dependency(
+        self, monkeypatch
+    ):
+        from repro.core.engines import matrix
+
+        monkeypatch.setattr(matrix, "_sp", None)
+        with pytest.raises(ConfigurationError) as excinfo:
+            matrix.MatrixEngine(2, {}, "g")
+        message = str(excinfo.value)
+        assert "declared dependency" in message
+        assert "pip install scipy" in message
+
 
 @needs_scipy
 class TestEngineParity:

@@ -203,6 +203,30 @@ class TestExpireFastPath:
             assert stats.size == 0
 
 
+class TestExpiryAtTheLifeSpan:
+    def test_age_exactly_gamma_decides_alike_on_both_backends(self, model):
+        """A document whose age is exactly γ has ``dw == ε`` (Eq. 1);
+        the eager (dict) and lazy (columnar) decays round it to
+        opposite sides of ε on this daily stream, so expiry must judge
+        the exact weight, as from_scratch does, on both backends."""
+        t0 = 30.0080904691673
+        kept = {}
+        for backend in BACKENDS:
+            stats = CorpusStatistics(model, backend=backend)
+            stats.observe([make_document(f"w{i}", 16.0 + i, {1: 1})
+                           for i in range(14)], at_time=30.0)
+            at = t0 + 1.0
+            stats.observe([make_document("a", t0, {2: 1})], at_time=at)
+            for day in range(13):
+                at += 1.0
+                stats.observe([make_document(f"f{day}", at - 0.5, {3: 1})],
+                              at_time=at)
+                stats.expire()
+            kept[backend] = "a" in stats
+        assert model.weight(t0, at) == model.epsilon
+        assert kept == {"dict": True, "columnar": True}
+
+
 class TestRemoveClampCounter:
     def test_clamp_emits_counter(self):
         """Satellite: tdw clamped to 0.0 on remove must be observable."""
