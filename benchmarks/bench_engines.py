@@ -1,6 +1,8 @@
-"""Engine comparison — sparse vs dense vs matrix on the Table 1 workload.
+"""Engine comparison — matrix vs the dense oracle on the Table 1 workload.
 
-Times every built-in engine on the Experiment 1 stream (the same
+Times the ``matrix`` engine against the tests' ``dense`` oracle
+(``tests/oracles/dense.py``, registered by this directory's conftest)
+on the Experiment 1 stream (the same
 ~4.3k-document, K=32 corpus as ``bench_table1_timing.py``) at two
 granularities:
 
@@ -12,7 +14,7 @@ granularities:
 
 Besides the human-readable table, the module writes
 ``benchmarks/reports/BENCH_engines.json`` — a machine-readable
-trajectory point perf PRs diff against — and asserts the engines stay
+trajectory point perf PRs diff against — and asserts the two stay
 *assignment-identical* under the shared seed (the same invariant the CI
 parity job checks on a smaller stream). ``REPRO_BENCH_QUICK=1`` shrinks
 the stream and the rounds so CI can smoke-run the module on every push.
@@ -35,21 +37,13 @@ from repro.corpus.synthetic import TDT2Generator
 from repro.experiments import ExperimentOneConfig, render_table
 from repro.vectors.tfidf import NoveltyTfidfWeighter
 
-ENGINES = ("sparse", "dense", "matrix")
+ENGINES = ("dense", "matrix")
 BENCH_ENGINES_PATH = Path(__file__).parent / "reports" / "BENCH_engines.json"
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 K = 32
 SEED = 3
 FIT_ROUNDS = 1 if QUICK else 3
 PASS_ROUNDS = 1 if QUICK else 3
-
-
-def _engine_list():
-    try:
-        import scipy.sparse  # noqa: F401
-        return ENGINES
-    except ImportError:  # pragma: no cover - env without scipy
-        return tuple(e for e in ENGINES if e != "matrix")
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +95,7 @@ def _time_pass(stats, engine, rounds):
 
 
 def bench_engine_comparison(table1_stats, reporter):
-    engines = _engine_list()
+    engines = ENGINES
     fit_seconds = {}
     pass_seconds = {}
     results = {}

@@ -5,7 +5,9 @@ Replays the Experiment 1 stream (the same Table 1 workload as
 times the two halves of ingestion the columnar PR accelerates:
 
 * ``statistics`` — per-batch ``observe`` + decay + ``expire`` under the
-  ``dict`` reference backend vs the ``columnar`` array backend, and
+  tests' ``dict`` oracle backend (``tests/oracles/dict_backend.py``,
+  registered by this directory's conftest) vs the ``columnar`` array
+  backend, and
 * ``combined`` — the same replay with per-batch vectorisation included
   (``weighted_vectors`` dict construction vs the ``weighted_arrays``
   CSR batch), i.e. everything a pipeline does per batch except the
@@ -13,8 +15,9 @@ times the two halves of ingestion the columnar PR accelerates:
 
 The module writes ``benchmarks/reports/BENCH_ingest.json`` with the
 measured speedups and asserts — timing-free, so CI can run it on noisy
-machines — that both backends produce *identical* clusterings under
-every engine at a fixed seed. ``REPRO_BENCH_QUICK=1`` shrinks the
+machines — that the production pair (``columnar`` statistics, ``matrix``
+engine) clusters *identically* to the oracle pair (``dict``, ``dense``)
+at a fixed seed. ``REPRO_BENCH_QUICK=1`` shrinks the
 stream and the rounds for smoke runs.
 """
 
@@ -37,20 +40,12 @@ from repro.vectors.tfidf import NoveltyTfidfWeighter
 BENCH_INGEST_PATH = Path(__file__).parent / "reports" / "BENCH_ingest.json"
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 BACKENDS = ("dict", "columnar")
+#: (statistics backend, engine): the oracle pair, then the production one
+PAIRS = (("dict", "dense"), ("columnar", "matrix"))
 BATCH_DAYS = 7.0
 K = 32
 SEED = 3
 ROUNDS = 1 if QUICK else 5
-
-
-def _engine_list():
-    engines = ["sparse", "dense"]
-    try:
-        import scipy.sparse  # noqa: F401
-        engines.append("matrix")
-    except ImportError:  # pragma: no cover - env without scipy
-        pass
-    return tuple(engines)
 
 
 @pytest.fixture(scope="module")
@@ -140,25 +135,21 @@ def bench_ingest_fast_path(workload, reporter):
         )), ROUNDS,
     )
 
-    # -- parity: every backend x engine, identical clusterings -------
-    engines = _engine_list()
+    # -- parity: production pair vs oracle pair, identical clusterings
     reference = None
-    parity = {}
-    for backend in BACKENDS:
-        for engine in engines:
-            kmeans = NoveltyKMeans(k=K, seed=SEED, engine=engine)
-            result = kmeans.fit(
-                final_stats[backend].documents(), final_stats[backend]
-            )
-            if reference is None:
-                reference = result
-            label = f"{backend}/{engine}"
-            assert result.assignments() == reference.assignments(), label
-            assert math.isclose(
-                result.clustering_index, reference.clustering_index,
-                rel_tol=1e-9,
-            ), label
-            parity[label] = result.clustering_index
+    for backend, engine in PAIRS:
+        kmeans = NoveltyKMeans(k=K, seed=SEED, engine=engine)
+        result = kmeans.fit(
+            final_stats[backend].documents(), final_stats[backend]
+        )
+        if reference is None:
+            reference = result
+        label = f"{backend}/{engine}"
+        assert result.assignments() == reference.assignments(), label
+        assert math.isclose(
+            result.clustering_index, reference.clustering_index,
+            rel_tol=1e-9,
+        ), label
 
     stats_speedup = stats_seconds["dict"] / stats_seconds["columnar"]
     combined_speedup = combined_seconds["dict"] / combined_seconds["columnar"]
@@ -185,8 +176,8 @@ def bench_ingest_fast_path(workload, reporter):
             rows,
             title=f"Ingestion on the Table 1 workload ({len(docs)} docs, "
                   f"{BATCH_DAYS:.0f}-day batches, K={K}, seed={SEED}; "
-                  f"identical clusterings asserted for "
-                  f"{len(BACKENDS) * len(engines)} backend x engine runs)",
+                  f"identical clusterings asserted for the "
+                  f"production and oracle pairs)",
         ),
     )
 
@@ -219,8 +210,8 @@ def bench_ingest_fast_path(workload, reporter):
             "speedup": combined_speedup,
         },
         "parity": {
-            "engines": list(engines),
-            "backends": list(BACKENDS),
+            "engines": [engine for _, engine in PAIRS],
+            "backends": [backend for backend, _ in PAIRS],
             "assignments_identical": True,
             "g_rel_tol": 1e-9,
             "clustering_index": reference.clustering_index,

@@ -15,12 +15,20 @@ PRs diff against (see ``pytest_sessionfinish``).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict, List
 
 import pytest
 
 from repro import SyntheticCorpusConfig, TDT2Generator, split_into_windows
+
+# the oracles live in the test package at the repository root
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import register_oracles  # noqa: E402
+
+# the engine/ingest benchmarks compare against the oracles by name
+register_oracles()
 
 REPORTS_DIR = Path(__file__).parent / "reports"
 BENCH_PIPELINE_PATH = REPORTS_DIR / "BENCH_pipeline.json"

@@ -20,27 +20,19 @@ if TYPE_CHECKING:
     from typing import Callable, Mapping, Tuple
 
     from .core.engines import Engine
-    from .core.engines.dense import DenseEngine
     from .core.engines.matrix import MatrixEngine
-    from .core.engines.sparse import SparseEngine
     from .forgetting.backends import StatisticsBackend
     from .forgetting.backends.columnar import ColumnarStatisticsBackend
-    from .forgetting.backends.dict_backend import DictStatisticsBackend
     from .vectors.sparse import SparseVector
 
     # factory(k, vectors, criterion) -> Engine: the registration-time
     # signature every engine class must satisfy
     _EngineCtor = Callable[[int, Mapping[str, SparseVector], str], Engine]
 
-    _ENGINE_CONFORMANCE: Tuple[_EngineCtor, ...] = (
-        SparseEngine,
-        DenseEngine,
-        MatrixEngine,
-    )
+    _ENGINE_CONFORMANCE: Tuple[_EngineCtor, ...] = (MatrixEngine,)
 
     _BackendCtor = Callable[[], StatisticsBackend]
 
     _BACKEND_CONFORMANCE: Tuple[_BackendCtor, ...] = (
-        DictStatisticsBackend,
         ColumnarStatisticsBackend,
     )

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Tuple
 
-from .core.config import DEFAULT_PATH, ClustererConfig
+from .core.config import ClustererConfig
 from .core.incremental import IncrementalClusterer
 from .corpus.document import Document
 from .durability.checkpointer import Checkpointer
@@ -63,8 +63,6 @@ def build_clusterer(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = None,
-    engine: str = DEFAULT_PATH.engine,
-    statistics_backend: str = DEFAULT_PATH.statistics_backend,
     warm_start: bool = True,
     rescue_outliers: bool = True,
     recorder: Optional[Recorder] = None,
@@ -85,7 +83,6 @@ def build_clusterer(
             raise ConfigurationError("k is required (or pass config=)")
         config = ClustererConfig(
             k=k, delta=delta, max_iterations=max_iterations, seed=seed,
-            engine=engine, statistics_backend=statistics_backend,
             recorder=recorder,
         )
     elif recorder is not None and config.recorder is None:
@@ -110,8 +107,6 @@ def open_stream(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = None,
-    engine: str = DEFAULT_PATH.engine,
-    statistics_backend: str = DEFAULT_PATH.statistics_backend,
     warm_start: bool = True,
     rescue_outliers: bool = True,
     recorder: Optional[Recorder] = None,
@@ -163,10 +158,7 @@ def open_stream(
                 "resume= restores the pipeline from the checkpoint; "
                 "do not also pass config=/k=/model="
             )
-        result = recover(
-            resume, vocabulary=vocabulary,
-            statistics_backend=None, recorder=recorder,
-        )
+        result = recover(resume, vocabulary=vocabulary, recorder=recorder)
         clusterer = result.clusterer
         sequence = result.sequence
         if checkpoint is None:
@@ -175,7 +167,6 @@ def open_stream(
         clusterer = build_clusterer(
             config, model=model, half_life=half_life, life_span=life_span,
             k=k, delta=delta, max_iterations=max_iterations, seed=seed,
-            engine=engine, statistics_backend=statistics_backend,
             warm_start=warm_start, rescue_outliers=rescue_outliers,
             recorder=recorder,
         )

@@ -5,7 +5,7 @@
     repro generate --output stream.jsonl [--seed N] [--total-docs N]
     repro cluster  --input stream.jsonl [--k N] [--half-life D]
                    [--life-span D] [--batch-days D]
-                   [--engine NAME] [--stats-backend NAME] [--jobs N]
+                   [--jobs N]
                    [--checkpoint state.json] [--checkpoint-every N]
                    [--resume state.json] [--trace trace.jsonl]
     repro serve    --input stream.jsonl [--k N] [--batch-days D]
@@ -35,11 +35,8 @@ from .api import build_clusterer, open_stream
 from .corpus.loaders import load_jsonl, save_jsonl
 from .corpus.streams import replay
 from .corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
-from .core.config import DEFAULT_PATH
-from .core.engines import available_engines
 from .core.labeling import label_clustering
 from .eval.metrics import evaluate_clustering
-from .forgetting.backends import available_backends
 from .durability import Checkpointer, recover
 from .durability.atomic import prepare_checkpoint_path
 from .text.vocabulary import Vocabulary
@@ -79,22 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--life-span", type=float, default=14.0)
     cluster.add_argument("--batch-days", type=float, default=7.0)
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--engine", choices=sorted(available_engines()),
-                         default=None,
-                         help="numerical engine for the extended K-means "
-                              f"(default: {DEFAULT_PATH.engine}, the "
-                              "fastest end to end on paper-scale "
-                              "streams; every engine gives the same "
-                              "clusters; on --resume the checkpointed "
-                              "engine unless overridden)")
-    cluster.add_argument("--stats-backend",
-                         choices=sorted(available_backends()),
-                         default=None,
-                         help="corpus-statistics storage backend "
-                              "(default: "
-                              f"{DEFAULT_PATH.statistics_backend}; "
-                              "on --resume the "
-                              "checkpointed backend unless overridden)")
     cluster.add_argument("--jobs", type=int, default=None,
                          help="worker processes for the text front-end "
                               "when the input carries raw text bodies "
@@ -137,13 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="width of the ingestion windows documents "
                             "are batched into")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--engine", choices=sorted(available_engines()),
-                       default=None,
-                       help=f"default: {DEFAULT_PATH.engine}")
-    serve.add_argument("--stats-backend",
-                       choices=sorted(available_backends()),
-                       default=None,
-                       help=f"default: {DEFAULT_PATH.statistics_backend}")
     serve.add_argument("--checkpoint", default=None,
                        help="journal every committed batch and keep a "
                             "crash-safe checkpoint at this path; "
@@ -242,20 +216,9 @@ def _run_cluster(
     vocabulary = Vocabulary()
     sequence = 0
     if args.resume:
-        # like --engine, the statistics backend only changes *how* the
-        # numbers are stored, so it is safe to swap when resuming
-        recovery = recover(
-            args.resume, vocabulary,
-            statistics_backend=args.stats_backend,
-            recorder=recorder,
-        )
+        recovery = recover(args.resume, vocabulary, recorder=recorder)
         clusterer = recovery.clusterer
         sequence = recovery.sequence
-        if args.engine is not None:
-            # the engine only changes *how* the numbers are computed,
-            # never the clustering state, so unlike k/seed it is safe
-            # to swap when resuming
-            clusterer.kmeans.engine = args.engine
         recovered = ""
         if recovery.used_backup:
             recovered += (f" (primary checkpoint unreadable; recovered "
@@ -265,8 +228,7 @@ def _run_cluster(
                           f"journaled batches)")
         print(f"resumed from {args.resume}: "
               f"{clusterer.statistics.size} active documents at "
-              f"t={clusterer.statistics.now} "
-              f"using engine '{clusterer.kmeans.engine}'"
+              f"t={clusterer.statistics.now}"
               f"{recovered} "
               f"(checkpoint parameters take precedence over "
               f"--k/--half-life/--life-span/--seed; documents older "
@@ -276,9 +238,6 @@ def _run_cluster(
         clusterer = build_clusterer(
             k=args.k, seed=args.seed,
             half_life=args.half_life, life_span=args.life_span,
-            engine=args.engine or DEFAULT_PATH.engine,
-            statistics_backend=(args.stats_backend
-                                or DEFAULT_PATH.statistics_backend),
             recorder=recorder,
         )
 
@@ -403,9 +362,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session = open_stream(
             k=args.k, seed=args.seed,
             half_life=args.half_life, life_span=args.life_span,
-            engine=args.engine or DEFAULT_PATH.engine,
-            statistics_backend=(args.stats_backend
-                                or DEFAULT_PATH.statistics_backend),
             checkpoint=args.checkpoint,
             checkpoint_every=args.checkpoint_every or 1,
             window_days=args.batch_days,

@@ -18,26 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
+from ..forgetting.backends import DEFAULT_BACKEND
 from ..obs import Recorder
-
-
-class FastPath(NamedTuple):
-    """The production (engine, statistics backend) pair."""
-
-    engine: str
-    statistics_backend: str
-
-
-#: The defaults of every construction path: :class:`ClustererConfig`,
-#: :func:`repro.api.build_clusterer`/:func:`~repro.api.open_stream`,
-#: :class:`~repro.core.NoveltyKMeans`, :func:`~repro.core.estimate_k`,
-#: the experiment configs and the CLI. ``"matrix"`` (CSR sweeps, needs
-#: scipy) plus ``"columnar"`` is the fastest pair end to end; the
-#: other registered engines and backends give identical decisions.
-DEFAULT_PATH = FastPath(engine="matrix", statistics_backend="columnar")
+from .engines import DEFAULT_ENGINE
 
 
 @dataclass(frozen=True)
@@ -58,28 +44,27 @@ class ClustererConfig:
         randomness per fit).
     ``engine``
         Name of a registered numerical engine
-        (see :mod:`repro.core.engines`): ``"sparse"``, ``"dense"``,
-        ``"matrix"`` (default), or ``"pruned"``. All four are
-        assignment-identical; they differ only in speed and
-        dependencies.
+        (see :mod:`repro.core.engines`); the library registers only
+        ``"matrix"``. A seam for the parity suites, which register
+        their reference engine and select it here.
     ``statistics_backend``
         Name of a registered corpus-statistics storage backend
-        (see :mod:`repro.forgetting.backends`): ``"columnar"``
-        (default) or ``"dict"``.
+        (see :mod:`repro.forgetting.backends`); the library registers
+        only ``"columnar"``. The same test seam as ``engine``.
     ``recorder``
         Observability sink shared by the pipeline and its K-means.
 
     Use :func:`dataclasses.replace` to derive variants::
 
-        reference = dataclasses.replace(config, engine="dense")
+        reseeded = dataclasses.replace(config, seed=7)
     """
 
     k: int
     delta: float = 0.01
     max_iterations: int = 30
     seed: Optional[int] = None
-    engine: str = DEFAULT_PATH.engine
-    statistics_backend: str = DEFAULT_PATH.statistics_backend
+    engine: str = DEFAULT_ENGINE
+    statistics_backend: str = DEFAULT_BACKEND
     recorder: Optional[Recorder] = None
 
 

@@ -1,28 +1,18 @@
-"""repro.core.engines — pluggable backends for the extended K-means.
+"""repro.core.engines — the numerical backend of the extended K-means.
 
 The clustering *algorithm* (Section 4.3's initial/repetition process,
 outlier handling, convergence on ``G``) lives once, in
 :class:`~repro.core.NoveltyKMeans`. The *numerics* — cluster
 representatives, the Eq. 21-26 incremental accounting, and the
 assignment-sweep gain queries — live behind the :class:`Engine`
-protocol, selected by name through a registry:
+protocol, selected by name through a registry.
 
-============  ==========================================================
-``"sparse"``  Reference implementation over :class:`~repro.core.Cluster`
-              dict-backed vectors; mirrors the paper line-by-line.
-``"dense"``   numpy K×V representative matrix; per-document gains as one
-              fancy-indexed matrix-vector product.
-``"matrix"``  CSR document matrix + blockwise sweep matmuls; answers an
-              entire assignment pass with matrix products (requires
-              scipy). The default (:data:`~repro.core.config.
-              DEFAULT_PATH`) and the fastest end to end.
-``"pruned"``  Inverted term→cluster index with exact upper-bound
-              candidate pruning over column-major representatives;
-              skips every cluster that provably cannot win a document
-              before its dot product is taken. Assignment-identical to
-              the exact path; pays off only at very large K × large
-              vocabulary (numpy only).
-============  ==========================================================
+The library registers one engine, ``"matrix"``
+(:class:`MatrixEngine`, :data:`DEFAULT_ENGINE`): a CSR document matrix
+whose assignment passes are answered by blockwise matrix products
+(requires scipy). The paper's one-document-at-a-time reference lives
+with the tests as an oracle, and the parity suites hold the two to
+identical decisions.
 
 Register your own with :func:`register_engine`::
 
@@ -36,32 +26,25 @@ Register your own with :func:`register_engine`::
 """
 
 from .base import NO_GAIN, Engine, EngineBase, affine_gain_coefficients
-from .dense import DenseEngine
 from .matrix import MatrixEngine
-from .pruned import PrunedEngine
 from .registry import (
+    DEFAULT_ENGINE,
     EngineFactory,
     available_engines,
     register_engine,
     resolve_engine,
     unregister_engine,
 )
-from .sparse import SparseEngine
 
-register_engine("sparse", SparseEngine)
-register_engine("dense", DenseEngine)
-register_engine("matrix", MatrixEngine)
-register_engine("pruned", PrunedEngine)
+register_engine(DEFAULT_ENGINE, MatrixEngine)
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "NO_GAIN",
     "Engine",
     "EngineBase",
     "EngineFactory",
-    "SparseEngine",
-    "DenseEngine",
     "MatrixEngine",
-    "PrunedEngine",
     "affine_gain_coefficients",
     "register_engine",
     "unregister_engine",

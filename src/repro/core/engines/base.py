@@ -23,8 +23,7 @@ the weighted document vector ``w⃗_d = (Pr(d)/len_d)·d⃗`` (Eq. 12-16) and
 ``criterion`` is ``"g"`` or ``"avg"`` (see
 :class:`~repro.core.NoveltyKMeans`). Register a factory under a name
 with :func:`~repro.core.engines.register_engine` to make it selectable
-via ``NoveltyKMeans(engine=...)``, the pipeline clusterers, and the
-``repro cluster --engine`` command line.
+via ``NoveltyKMeans(engine=...)`` and ``ClustererConfig(engine=...)``.
 """
 
 from __future__ import annotations
@@ -62,9 +61,7 @@ def affine_gain_coefficients(
     (Eq. 23), with the ``n ∈ {0, 1}`` degeneracies of Eq. 24 folded in
     (an empty cluster gains nothing: ``a = b = 0``). Because weighted
     vectors are non-negative, ``a >= 0`` always — the gain is
-    non-decreasing in ``cr``, which is what makes upper bounds on
-    ``cr`` usable as exact pruning bounds (see
-    :mod:`repro.core.engines.pruned`).
+    non-decreasing in ``cr``.
     """
     if size <= 0:
         return 0.0, 0.0

@@ -2,9 +2,10 @@
 
 The assignment pass (Section 4.3 step 1) is the hot path of the
 extended K-means: for every document it needs ``cr_sim(C_p, d_q) =
-c⃗_p · w⃗_q`` against every cluster representative (Eq. 26). The dense
-engine answers that with one fancy-indexed gather per document; this
-engine batches the *whole sweep*:
+c⃗_p · w⃗_q`` against every cluster representative (Eq. 26). The
+paper's reference loop (kept with the tests as the ``"dense"`` oracle)
+answers that with one gather per document; this engine batches the
+*whole sweep*:
 
 * all weighted document vectors live in one CSR matrix ``X`` (N×V)
   with cached self-similarities ``w⃗_d·w⃗_d`` (the Eq. 23 summands, which
@@ -23,11 +24,10 @@ engine batches the *whole sweep*:
   coefficient vectors instead of the full Eq. 24 recomputation.
 
 The arithmetic is exactly the reference recurrence — same additions,
-same order of membership moves — so assignments match the dense engine
-(G agrees to float-summation-order, like dense vs sparse).
+same order of membership moves — so assignments match the dense oracle
+(G agrees to float-summation-order).
 
-Requires :mod:`scipy` (the only engine that does; it is a declared
-dependency of the package because this is the default engine);
+Requires :mod:`scipy`, a declared dependency of the package;
 construction fails with a clear message when it is missing.
 """
 
@@ -121,7 +121,7 @@ class MatrixEngine(EngineBase):
             cols = np.searchsorted(term_ids, raw_terms)
         # sort terms within each row in one global argsort over the
         # compact columns — same column map and per-row order as the
-        # dense engine's per-document sorted() build
+        # dense oracle's per-document sorted() build
         n_terms = max(1, len(term_ids))
         row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
         order = np.argsort(row_of * n_terms + cols, kind="stable")
@@ -130,7 +130,7 @@ class MatrixEngine(EngineBase):
         self._X = _sp.csr_matrix(
             (data, indices, indptr), shape=(n_docs, n_terms)
         )
-        # per-row self similarity, bit-equal to the dense engine's
+        # per-row self similarity, bit-equal to the dense oracle's
         # (same values, same order, same contiguous np.dot)
         self._w2 = [
             float(np.dot(data[indptr[r]:indptr[r + 1]],
@@ -509,7 +509,7 @@ class MatrixEngine(EngineBase):
         gain_out[i0:i0 + stop] = g_seg
         # the reference loop's remove+re-add cycles a stationary doc to
         # the end of its cluster's member dict; preserve that order so
-        # members() stays identical to the dense engine's
+        # members() stays identical to the dense oracle's
         members = self._members
         cur_l = cur[:stop].tolist()
         for off in range(stop):

@@ -3,9 +3,8 @@
 The registry is what makes the engine layer *pluggable*: anything
 callable as ``factory(k, vectors, criterion)`` and returning an
 :class:`~repro.core.engines.Engine` can be registered under a name and
-then selected by string everywhere an ``engine=`` parameter exists
-(:class:`~repro.core.NoveltyKMeans`, both pipeline clusterers,
-checkpoints, and ``repro cluster --engine``).
+then selected by string through ``NoveltyKMeans(engine=...)`` or
+``ClustererConfig(engine=...)``.
 
 >>> from repro.core.engines import register_engine, available_engines
 >>> def my_engine(k, vectors, criterion):  # doctest: +SKIP
@@ -29,6 +28,10 @@ if TYPE_CHECKING:
 EngineFactory = Callable[..., "Engine"]
 
 _REGISTRY: Dict[str, EngineFactory] = {}
+
+#: The engine every construction path uses unless a
+#: :class:`~repro.core.ClustererConfig` names another.
+DEFAULT_ENGINE = "matrix"
 
 
 def register_engine(

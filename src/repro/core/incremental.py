@@ -79,8 +79,6 @@ class IncrementalClusterer:
         delta: Any = _UNSET,
         max_iterations: Any = _UNSET,
         seed: Any = _UNSET,
-        engine: Any = _UNSET,
-        statistics_backend: Any = _UNSET,
         warm_start: Any = _UNSET,
         rescue_outliers: Any = _UNSET,
         recorder: Any = _UNSET,
@@ -91,9 +89,7 @@ class IncrementalClusterer:
             config,
             {
                 "k": k, "delta": delta, "max_iterations": max_iterations,
-                "seed": seed, "engine": engine,
-                "statistics_backend": statistics_backend,
-                "warm_start": warm_start,
+                "seed": seed, "warm_start": warm_start,
                 "rescue_outliers": rescue_outliers, "recorder": recorder,
             },
             LEGACY_INCREMENTAL_ORDER,
@@ -260,8 +256,6 @@ class NonIncrementalClusterer:
         delta: Any = _UNSET,
         max_iterations: Any = _UNSET,
         seed: Any = _UNSET,
-        engine: Any = _UNSET,
-        statistics_backend: Any = _UNSET,
         recorder: Any = _UNSET,
     ) -> None:
         params = resolve_clusterer_config(
@@ -270,9 +264,7 @@ class NonIncrementalClusterer:
             config,
             {
                 "k": k, "delta": delta, "max_iterations": max_iterations,
-                "seed": seed, "engine": engine,
-                "statistics_backend": statistics_backend,
-                "recorder": recorder,
+                "seed": seed, "recorder": recorder,
             },
             LEGACY_NONINCREMENTAL_ORDER,
         )

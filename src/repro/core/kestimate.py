@@ -20,7 +20,6 @@ from .._validation import require_in_open_interval
 from ..corpus.document import Document
 from ..exceptions import ClusteringError, ConfigurationError
 from ..forgetting.statistics import CorpusStatistics
-from .config import DEFAULT_PATH
 from .kmeans import NoveltyKMeans
 
 
@@ -57,7 +56,6 @@ def estimate_k(
     seed: Optional[int] = 0,
     delta: float = 0.01,
     max_iterations: int = 30,
-    engine: str = DEFAULT_PATH.engine,
 ) -> KEstimate:
     """Pick K by the knee of the clustering-index curve.
 
@@ -95,7 +93,7 @@ def estimate_k(
     for k in ks:
         kmeans = NoveltyKMeans(
             k=k, delta=delta, max_iterations=max_iterations,
-            seed=seed, engine=engine,
+            seed=seed,
         )
         result = kmeans.fit(documents, statistics)
         curve[k] = result.clustering_index

@@ -12,13 +12,12 @@ Algorithm (paper Section 4.3):
   Terminate when ``(G_new - G_old)/G_old < δ``.
 
 The numerical backend is an :class:`~repro.core.engines.Engine`
-resolved by name from the engine registry (``"sparse"``, ``"dense"``,
-``"matrix"``, or anything registered via
-:func:`~repro.core.engines.register_engine`); the algorithm logic
-exists exactly once here and drives whichever engine is selected. Each
-iteration's assignment sweep goes through the engine's batched
-``best_gains`` so vectorised engines can answer a whole pass with
-matrix products.
+resolved by name from the engine registry (``"matrix"``, or anything
+registered via :func:`~repro.core.engines.register_engine`); the
+algorithm logic exists exactly once here and drives whichever engine
+is selected. Each iteration's assignment sweep goes through the
+engine's batched ``best_gains`` so the engine can answer a whole pass
+with matrix products.
 """
 
 from __future__ import annotations
@@ -40,15 +39,8 @@ from ..forgetting.statistics import CorpusStatistics
 from ..obs import SPAN, Event, Recorder, Span, resolve
 from ..vectors.arrays import WeightedVectorArrays
 from ..vectors.tfidf import NoveltyTfidfWeighter
-from .config import DEFAULT_PATH
-from .engines import DenseEngine, Engine, SparseEngine, resolve_engine
+from .engines import DEFAULT_ENGINE, Engine, resolve_engine
 from .result import ClusteringResult
-
-# Backwards-compatible aliases for the engine classes that used to be
-# private to this module (PR 1 and earlier).
-_SparseBackend = SparseEngine
-_DenseBackend = DenseEngine
-_BACKENDS = {"sparse": SparseEngine, "dense": DenseEngine}
 
 
 class NoveltyKMeans:
@@ -67,12 +59,10 @@ class NoveltyKMeans:
         Seed for the random initial seed-document selection.
     engine:
         Name of a registered engine (see :mod:`repro.core.engines`):
-        ``"matrix"`` (vectorised CSR sweeps, needs scipy; the default,
-        :data:`~repro.core.config.DEFAULT_PATH`), ``"dense"`` (numpy,
-        one document at a time), ``"sparse"`` (dict reference),
-        ``"pruned"`` (inverted-index candidate pruning), or any name
-        added via :func:`~repro.core.engines.register_engine`. All
-        give the same clusters; they differ only in speed.
+        ``"matrix"`` (vectorised CSR sweeps, the only one the library
+        registers) or any name added via
+        :func:`~repro.core.engines.register_engine` — the parity suites
+        select their reference engine here.
     reseed_empty:
         When True (default), a cluster that lost all members is
         re-seeded with the strongest outlier at the end of the pass,
@@ -127,7 +117,7 @@ class NoveltyKMeans:
         delta: float = 0.01,
         max_iterations: int = 30,
         seed: Optional[int] = None,
-        engine: str = DEFAULT_PATH.engine,
+        engine: str = DEFAULT_ENGINE,
         reseed_empty: bool = True,
         criterion: str = "g",
         rescue_outliers: bool = False,
@@ -178,9 +168,8 @@ class NoveltyKMeans:
         factory = resolve_engine(self.engine)
         with Span(recorder, "kmeans.vectorise",
                   {"docs": len(docs)}) as vectorise_span:
-            # one CSR batch: the dense and matrix engines consume its
-            # flat rows, the others read it as a doc_id -> SparseVector
-            # Mapping; rescue and split repair work on its rows
+            # one CSR batch: the engine consumes its flat rows, and
+            # rescue and split repair work on them too
             vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
 
         backend = factory(self.k, vectors, self.criterion)

@@ -117,7 +117,6 @@ def recover(
     checkpoint_path: PathLike,
     vocabulary: Optional[Vocabulary] = None,
     journal_path: Optional[PathLike] = None,
-    statistics_backend: Optional[str] = None,
     recorder: Optional[Recorder] = None,
 ) -> RecoveryResult:
     """Restore the newest recoverable state for ``checkpoint_path``.
@@ -162,9 +161,7 @@ def recover(
         if used_backup and rec.enabled:
             rec.counter("durability.checkpoint_fallback")
 
-        clusterer, vocabulary = load_checkpoint(
-            chosen, vocabulary, statistics_backend=statistics_backend
-        )
+        clusterer, vocabulary = load_checkpoint(chosen, vocabulary)
         if recorder is not None:
             clusterer.set_recorder(rec)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
-from ..core.config import DEFAULT_PATH
 from ..core.incremental import IncrementalClusterer, NonIncrementalClusterer
 from ..forgetting.model import ForgettingModel
 from .reporting import format_seconds, render_table
@@ -46,7 +45,6 @@ class ExperimentOneConfig:
     life_span: float = 14.0
     delta: float = 0.01
     max_iterations: int = 30
-    engine: str = DEFAULT_PATH.engine
     unlabeled_per_day: float = 0.0
     corpus: Optional[SyntheticCorpusConfig] = None
 
@@ -150,7 +148,6 @@ def run_experiment1(
         delta=config.delta,
         max_iterations=config.max_iterations,
         seed=config.seed,
-        engine=config.engine,
     )
     non_incremental.process_batch(docs, at_time=float(config.days))
     non_result = non_incremental.last_result
@@ -163,7 +160,6 @@ def run_experiment1(
         delta=config.delta,
         max_iterations=config.max_iterations,
         seed=config.seed,
-        engine=config.engine,
     )
     warm_stats = warm_cluster = 0.0
     for day in range(last_day):

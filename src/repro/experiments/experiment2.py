@@ -24,7 +24,6 @@ from ..corpus.synthetic import (
     TDT2Generator,
 )
 from ..corpus.timewindow import TimeWindow, split_into_windows
-from ..core.config import DEFAULT_PATH
 from ..core.kmeans import NoveltyKMeans
 from ..core.result import ClusteringResult
 from ..eval.metrics import WindowEvaluation, evaluate_clustering
@@ -63,7 +62,6 @@ class ExperimentTwoConfig:
     life_span: float = 30.0
     delta: float = 0.01
     max_iterations: int = 30
-    engine: str = DEFAULT_PATH.engine
     clustering_seed: int = 3
     pipeline: str = "non-incremental"
     batch_days: float = 1.0
@@ -195,7 +193,6 @@ def run_window(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = 3,
-    engine: str = DEFAULT_PATH.engine,
 ) -> Tuple[ClusteringResult, WindowEvaluation]:
     """Cluster one window non-incrementally and evaluate it.
 
@@ -204,16 +201,12 @@ def run_window(
     window's news has arrived").
     """
     model = ForgettingModel(half_life=beta, life_span=life_span)
-    statistics = CorpusStatistics.from_scratch(
-        model, documents, at_time,
-        backend=DEFAULT_PATH.statistics_backend,
-    )
+    statistics = CorpusStatistics.from_scratch(model, documents, at_time)
     kmeans = NoveltyKMeans(
         k=k,
         delta=delta,
         max_iterations=max_iterations,
         seed=seed,
-        engine=engine,
     )
     result = kmeans.fit(statistics.documents(), statistics)
     truth = {doc.doc_id: doc.topic_id for doc in documents}
@@ -230,7 +223,6 @@ def run_window_incremental(
     delta: float = 0.01,
     max_iterations: int = 30,
     seed: Optional[int] = 3,
-    engine: str = DEFAULT_PATH.engine,
     batch_days: float = 1.0,
 ) -> Tuple[ClusteringResult, WindowEvaluation]:
     """Cluster one window *on-line*: daily batches with warm starts.
@@ -245,7 +237,7 @@ def run_window_incremental(
     model = ForgettingModel(half_life=beta, life_span=life_span)
     clusterer = IncrementalClusterer(
         model, k=k, delta=delta, max_iterations=max_iterations,
-        seed=seed, engine=engine,
+        seed=seed,
     )
     results = replay(
         clusterer, documents, batch_days=batch_days, origin=window_start
@@ -292,7 +284,6 @@ def run_experiment2(
                     delta=config.delta,
                     max_iterations=config.max_iterations,
                     seed=config.clustering_seed,
-                    engine=config.engine,
                     batch_days=config.batch_days,
                 )
             else:
@@ -305,7 +296,6 @@ def run_experiment2(
                     delta=config.delta,
                     max_iterations=config.max_iterations,
                     seed=config.clustering_seed,
-                    engine=config.engine,
                 )
             result.runs[(window.index, beta)] = WindowRun(
                 window_index=window.index,

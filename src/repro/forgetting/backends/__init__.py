@@ -8,20 +8,17 @@ Public surface:
 * :func:`register_backend` / :func:`unregister_backend` /
   :func:`available_backends` / :func:`resolve_backend` — the registry
   that maps names to factories.
-* ``"dict"`` — :class:`DictStatisticsBackend`, the plain-Python
-  reference implementation (the semantics every other backend is
-  property-tested against).
-* ``"columnar"`` — :class:`ColumnarStatisticsBackend`, numpy arrays
-  with interned term ids: decay is two scalar multiplies, batch insert
-  one scatter-add, expiry one threshold mask. The pipelines' default
-  (:data:`repro.core.config.DEFAULT_PATH`); a bare ``CorpusStatistics``
-  still defaults to ``"dict"``.
+* ``"columnar"`` — :class:`ColumnarStatisticsBackend`
+  (:data:`DEFAULT_BACKEND`), numpy arrays with interned term ids:
+  decay is two scalar multiplies, batch insert one scatter-add, expiry
+  one threshold mask. The paper's eager-decay dict store lives with
+  the tests as the oracle it is property-tested against.
 """
 
 from .base import SCALE_FLOOR, StatisticsBackend
 from .columnar import ColumnarStatisticsBackend
-from .dict_backend import DictStatisticsBackend
 from .registry import (
+    DEFAULT_BACKEND,
     available_backends,
     register_backend,
     resolve_backend,
@@ -29,9 +26,9 @@ from .registry import (
 )
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "SCALE_FLOOR",
     "StatisticsBackend",
-    "DictStatisticsBackend",
     "ColumnarStatisticsBackend",
     "register_backend",
     "unregister_backend",
@@ -39,5 +36,4 @@ __all__ = [
     "resolve_backend",
 ]
 
-register_backend("dict", DictStatisticsBackend)
-register_backend("columnar", ColumnarStatisticsBackend)
+register_backend(DEFAULT_BACKEND, ColumnarStatisticsBackend)

@@ -14,8 +14,8 @@ split the clustering layer uses for its engines.
 
 Backends are constructed with no arguments via a factory registered in
 :mod:`repro.forgetting.backends.registry` and selected by name through
-``CorpusStatistics(model, backend="columnar")``, the pipeline
-clusterers, checkpoints, and ``repro cluster --stats-backend``.
+``CorpusStatistics(model, backend=...)`` and
+``ClustererConfig(statistics_backend=...)``.
 
 All mutating calls keep Eq. 27-29's incremental bookkeeping exact:
 

@@ -1,11 +1,12 @@
 """The ``"columnar"`` array backend.
 
 Stores document weights and term masses in flat numpy arrays with
-interned term ids, so every maintenance step the dict backend runs as
-an interpreted per-entry loop becomes a handful of vectorised array
+interned term ids, so every maintenance step the ``"dict"`` oracle (the
+paper's plain-Python store, kept with the tests) runs as an
+interpreted per-entry loop becomes a handful of vectorised array
 operations:
 
-* **decay** (Eq. 27-28) — the dict backend already keeps *term* masses
+* **decay** (Eq. 27-28) — the dict oracle already keeps *term* masses
   under one lazy global scale factor; here the same trick is extended
   to the document weights: ``λ^Δτ`` multiplies two scalars instead of
   every entry, and each scale is folded back into its raw array before
@@ -18,7 +19,7 @@ operations:
   of a Python loop over every active document.
 
 ``tdw`` stays an eagerly-updated scalar with the exact per-document
-add/subtract order of the dict backend, so the two backends' ``tdw``
+add/subtract order of the dict oracle, so the two stores' ``tdw``
 match bit-for-bit on identical histories; per-document weights and
 term masses agree to float rounding (the property suite asserts 1e-9).
 

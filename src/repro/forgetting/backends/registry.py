@@ -3,10 +3,9 @@
 The registry is what makes the statistics layer *pluggable*: anything
 callable as ``factory()`` and returning a
 :class:`~repro.forgetting.backends.StatisticsBackend` can be registered
-under a name and then selected by string everywhere a
-``backend=``/``statistics_backend=`` parameter exists
-(:class:`~repro.forgetting.CorpusStatistics`, both pipeline clusterers,
-checkpoints, and ``repro cluster --stats-backend``).
+under a name and then selected by string through
+``CorpusStatistics(model, backend=...)`` or
+``ClustererConfig(statistics_backend=...)``.
 
 >>> from repro.forgetting.backends import (
 ...     register_backend, available_backends)
@@ -31,6 +30,10 @@ if TYPE_CHECKING:
 BackendFactory = Callable[[], "StatisticsBackend"]
 
 _REGISTRY: Dict[str, BackendFactory] = {}
+
+#: The backend every construction path uses unless a caller names
+#: another, a bare ``CorpusStatistics(model)`` included.
+DEFAULT_BACKEND = "columnar"
 
 
 def register_backend(

@@ -19,14 +19,13 @@ Two update paths exist and must agree (a hypothesis test asserts this):
   non-incremental baseline in Experiment 1.
 
 The *state* lives in a pluggable backend
-(:mod:`repro.forgetting.backends`): ``"dict"`` is the plain-Python
-reference (eager O(m) weight decay, lazily scaled term-mass dict) and
-``"columnar"`` keeps both weights and masses in numpy arrays so decay
-is two scalar multiplies and batch insert is one scatter-add. A second
-hypothesis suite interleaves every mutation on both backends and
-asserts they agree to 1e-9. This class owns everything backends do
-not: the clock, batch validation and atomicity, expiry policy, and
-observability.
+(:mod:`repro.forgetting.backends`): ``"columnar"`` keeps both weights
+and masses in numpy arrays so decay is two scalar multiplies and batch
+insert is one scatter-add. A second hypothesis suite interleaves every
+mutation on it and on the tests' plain-Python ``"dict"`` oracle (eager
+O(m) weight decay) and asserts they agree to 1e-9. This class owns
+everything backends do not: the clock, batch validation and
+atomicity, expiry policy, and observability.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from ..exceptions import (
     UnknownDocumentError,
 )
 from ..obs import Recorder, Span, resolve
-from .backends import StatisticsBackend, resolve_backend
+from .backends import DEFAULT_BACKEND, StatisticsBackend, resolve_backend
 from .frozen import FrozenStatistics
 from .model import ForgettingModel
 
@@ -63,7 +62,7 @@ class CorpusStatistics:
         self,
         model: ForgettingModel,
         recorder: Optional[Recorder] = None,
-        backend: Union[str, StatisticsBackend] = "dict",
+        backend: Union[str, StatisticsBackend] = DEFAULT_BACKEND,
     ) -> None:
         self.model = model
         self._now: Optional[float] = None
@@ -85,7 +84,7 @@ class CorpusStatistics:
         documents: Iterable[Document],
         at_time: float,
         recorder: Optional[Recorder] = None,
-        backend: Union[str, StatisticsBackend] = "dict",
+        backend: Union[str, StatisticsBackend] = DEFAULT_BACKEND,
     ) -> "CorpusStatistics":
         """Non-incremental rebuild: recompute every statistic in one pass.
 

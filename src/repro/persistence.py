@@ -12,7 +12,7 @@ Format: a single JSON document, versioned::
     {"format": "repro-checkpoint", "version": 1,
      "model": {"half_life": 7.0, "life_span": 14.0},
      "kmeans": {"k": 24, "delta": 0.01, ...},
-     "now": 42.0, "warm_start": true, "statistics_backend": "dict",
+     "now": 42.0, "warm_start": true, "statistics_backend": "columnar",
      "sequence": 6, "checksum": "sha256:...",
      "documents": [{"doc_id": ..., "timestamp": ..., "topic_id": ...,
                     "source": ..., "title": ..., "terms": {"word": n}}],
@@ -197,16 +197,18 @@ def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
 def load_checkpoint(
     path: PathLike,
     vocabulary: Optional[Vocabulary] = None,
-    statistics_backend: Optional[str] = None,
 ) -> Tuple[IncrementalClusterer, Vocabulary]:
     """Restore a clusterer (and its vocabulary) from ``path``.
 
     Pass the live ``vocabulary`` to re-intern terms into an existing
     repository's id space; with ``None`` a fresh vocabulary is grown.
-    ``statistics_backend`` overrides the backend recorded in the
-    checkpoint (statistics are rebuilt from the documents, so the two
-    storage layouts restore to equal state; pre-backend checkpoints
-    default to ``"dict"``). Returns ``(clusterer, vocabulary)``.
+    Returns ``(clusterer, vocabulary)``.
+
+    The clusterer always runs on the library's engine and statistics
+    backend. Statistics are rebuilt from the documents, so a checkpoint
+    that names another engine or backend (one since removed, a test
+    oracle, or none at all) restores to the same state; such a load is
+    counted on the ambient recorder (``checkpoint.path_migrated``).
 
     The payload checksum (when present) is verified, and every
     assignment entry is validated against the checkpointed ``k`` —
@@ -237,12 +239,6 @@ def load_checkpoint(
                 delta=kmeans_state["delta"],
                 max_iterations=kmeans_state["max_iterations"],
                 seed=kmeans_state["seed"],
-                engine=kmeans_state["engine"],
-                statistics_backend=(
-                    statistics_backend
-                    if statistics_backend is not None
-                    else state.get("statistics_backend", "dict")
-                ),
                 warm_start=state.get("warm_start", True),
                 rescue_outliers=kmeans_state.get("rescue_outliers", True),
             )
@@ -252,6 +248,9 @@ def load_checkpoint(
                     f"{path}: unknown criterion {criterion!r} in checkpoint"
                 )
             clusterer.kmeans.criterion = criterion
+            recorded_path = (
+                kmeans_state.get("engine"), state.get("statistics_backend")
+            )
 
             documents = [
                 record_to_document(record, vocabulary)
@@ -266,6 +265,13 @@ def load_checkpoint(
                 f"{path}: malformed checkpoint ({exc!r})"
             ) from exc
 
+        if recorder.enabled and recorded_path != (
+            clusterer.kmeans.engine, clusterer.statistics.backend_name
+        ):
+            recorder.counter(
+                "checkpoint.path_migrated",
+                engine=recorded_path[0], backend=recorded_path[1],
+            )
         k = clusterer.kmeans.k
         for doc_id, cluster_id in assignment.items():
             if not 0 <= cluster_id < k:

@@ -5,11 +5,11 @@
 :meth:`~repro.vectors.tfidf.NoveltyTfidfWeighter.weighted_vectors`:
 one flat ``(indptr, term_ids, data)`` CSR layout over the whole batch
 instead of one dict per document. It is what every K-means fit
-vectorises into. The dense and matrix engines consume the flat arrays
-directly (no per-term Python loop between vectorisation and the
-engine's matrix build); every other engine still works, because the
-class is a read-only ``Mapping[str, SparseVector]`` that materialises
-individual rows lazily. The K-means outlier rescue and split repair
+vectorises into. The engine consumes the flat arrays directly (no
+per-term Python loop between vectorisation and the engine's matrix
+build); an engine that wants dicts still works, because the class is a
+read-only ``Mapping[str, SparseVector]`` that materialises individual
+rows lazily. The K-means outlier rescue and split repair
 read whole clusters' rows on most passes, so they work on the flat
 arrays too (:meth:`~WeightedVectorArrays.gather` and
 :meth:`~WeightedVectorArrays.row` over the batch's compact

@@ -21,7 +21,7 @@ def model():
 class TestClustererConfig:
     def test_shared_config_builds_both_pipelines(self, model):
         config = ClustererConfig(
-            k=6, delta=0.05, max_iterations=12, seed=42, engine="sparse"
+            k=6, delta=0.05, max_iterations=12, seed=42, engine="dense"
         )
         incremental = IncrementalClusterer(model, config)
         baseline = NonIncrementalClusterer(model, config)
@@ -30,13 +30,13 @@ class TestClustererConfig:
             assert clusterer.kmeans.delta == 0.05
             assert clusterer.kmeans.max_iterations == 12
             assert clusterer.kmeans.seed == 42
-            assert clusterer.kmeans.engine == "sparse"
+            assert clusterer.kmeans.engine == "dense"
 
     def test_config_keyword_and_replace(self, model):
-        config = ClustererConfig(k=4)
-        fast = dataclasses.replace(config, engine="dense")
+        config = ClustererConfig(k=4, engine="dense")
+        fast = dataclasses.replace(config, engine="matrix")
         clusterer = IncrementalClusterer(model, config=fast)
-        assert clusterer.kmeans.engine == "dense"
+        assert clusterer.kmeans.engine == "matrix"
 
     def test_explicit_keywords_override_config(self, model):
         config = ClustererConfig(k=4, seed=1)
@@ -83,7 +83,7 @@ class TestLegacyPositional:
 
     def test_incremental_positionals_raise_with_migration_hint(self, model):
         with pytest.raises(TypeError) as excinfo:
-            IncrementalClusterer(model, 5, 0.02, 10, 3, "sparse", False)
+            IncrementalClusterer(model, 5, 0.02, 10, 3, "matrix", False)
         message = str(excinfo.value)
         assert "no longer accepts positional arguments" in message
         # the hint names the keywords the stray positionals map to

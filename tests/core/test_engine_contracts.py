@@ -1,4 +1,4 @@
-"""Cross-engine contract regressions for the assignment sweep.
+"""Engine contract regressions for the assignment sweep.
 
 Pins the three engine-contract guarantees this layer makes to the
 clustering loop:
@@ -8,7 +8,7 @@ clustering loop:
   document subsets cannot grow it without bound;
 * exactly the *empty-vector* documents decide ``(-1, NO_GAIN)`` — a
   non-empty vector whose self-similarity underflows to 0.0 is still
-  scored, identically on every engine;
+  scored, identically by the matrix engine and the dense oracle;
 * a novelty decision (``gain <= 0``) removes the document from its
   cluster without re-adding it, and nothing else: no document is ever
   silently dropped from, or duplicated in, the membership accounting.
@@ -19,13 +19,12 @@ import math
 import pytest
 
 from repro import CorpusStatistics, ForgettingModel, NoveltyKMeans
-from repro.core.engines import NO_GAIN, resolve_engine
+from repro.core.engines import DEFAULT_ENGINE, NO_GAIN, resolve_engine
 from repro.vectors.sparse import SparseVector
 from tests.conftest import make_document
+from tests.oracles import ORACLE_ENGINE
 
-ENGINES = ("sparse", "dense", "matrix", "pruned")
-
-pytest.importorskip("scipy.sparse", reason="matrix engine requires scipy")
+ENGINES = (ORACLE_ENGINE, DEFAULT_ENGINE)
 
 
 class TestBlockCacheBound:
@@ -82,7 +81,7 @@ class TestEmptyDocContract:
             engine.add(0, "topical")
             engine.add(1, "other")
             decisions[name] = engine.best_gains(order)
-        reference = decisions["dense"]
+        reference = decisions[ORACLE_ENGINE]
         assert reference[0] == (-1, NO_GAIN)
         assert reference[1][0] == 0 and reference[1][1] > 0.0
         for name in ENGINES:
@@ -109,7 +108,7 @@ class TestEmptyDocContract:
             # is what the speculation path accelerates
             engine.best_gains(order)
             decisions[name] = engine.best_gains(order)
-        reference = decisions["dense"]
+        reference = decisions[ORACLE_ENGINE]
         assert reference[order.index("empty")] == (-1, NO_GAIN)
         assert reference[order.index("tiny")][0] != -1
         for name in ENGINES:

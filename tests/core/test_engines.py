@@ -1,9 +1,10 @@
-"""Tests for the pluggable engine layer (registry + cross-engine parity).
+"""Tests for the engine layer (registry + fast-vs-oracle parity).
 
-The three built-in engines implement the same Eq. 19-26 accounting with
-different data structures, so under a fixed seed they must produce the
-*same clustering*: identical assignments, identical member sets, and a
-clustering index ``G`` equal up to float associativity.
+The ``matrix`` engine and the tests' ``dense`` oracle
+(``tests/oracles/dense.py``) implement the same Eq. 19-26 accounting
+with different data structures, so under a fixed seed they must
+produce the *same clustering*: identical assignments, identical member
+sets, and a clustering index ``G`` equal up to float associativity.
 """
 
 import math
@@ -15,31 +16,21 @@ from repro import (
     IncrementalClusterer,
     NoveltyKMeans,
 )
+from repro.core.config import ClustererConfig
 from repro.core.engines import (
+    DEFAULT_ENGINE,
     available_engines,
     register_engine,
     resolve_engine,
     unregister_engine,
 )
-from repro.core.engines.dense import DenseEngine
 from repro.exceptions import ConfigurationError
 from repro.forgetting.statistics import CorpusStatistics
 from tests.conftest import build_topic_repository
+from tests.oracles import ORACLE_ENGINE
+from tests.oracles.dense import DenseEngine
 
-ENGINES = ("sparse", "dense", "matrix", "pruned")
-
-
-def _has_scipy():
-    try:
-        import scipy.sparse  # noqa: F401
-        return True
-    except ImportError:  # pragma: no cover - env without scipy
-        return False
-
-
-needs_scipy = pytest.mark.skipif(
-    not _has_scipy(), reason="matrix engine requires scipy"
-)
+ENGINES = (ORACLE_ENGINE, DEFAULT_ENGINE)
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +99,8 @@ class TestRegistry:
         assert "pip install scipy" in message
 
 
-@needs_scipy
 class TestEngineParity:
-    """dense / sparse / matrix / pruned must agree document-for-document."""
+    """matrix must agree with the dense oracle document-for-document."""
 
     @pytest.mark.parametrize("criterion", ["g", "avg"])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -121,16 +111,14 @@ class TestEngineParity:
             kmeans = NoveltyKMeans(k=4, seed=seed, engine=engine)
             kmeans.criterion = criterion
             results[engine] = kmeans.fit(docs, statistics)
-        reference = results["dense"]
-        for engine in ("sparse", "matrix", "pruned"):
-            result = results[engine]
-            assert result.assignments() == reference.assignments(), engine
-            assert result.clusters == reference.clusters, engine
-            assert math.isclose(
-                result.clustering_index,
-                reference.clustering_index,
-                rel_tol=1e-9,
-            ), engine
+        reference, result = results[ORACLE_ENGINE], results[DEFAULT_ENGINE]
+        assert result.assignments() == reference.assignments()
+        assert result.clusters == reference.clusters
+        assert math.isclose(
+            result.clustering_index,
+            reference.clustering_index,
+            rel_tol=1e-9,
+        )
 
     def test_multi_window_warm_start_parity(self):
         repo = build_topic_repository(
@@ -141,7 +129,9 @@ class TestEngineParity:
         ]
         model = ForgettingModel(half_life=7.0, life_span=14.0)
         clusterers = {
-            engine: IncrementalClusterer(model, k=4, seed=1, engine=engine)
+            engine: IncrementalClusterer(
+                model, ClustererConfig(k=4, seed=1, engine=engine)
+            )
             for engine in ENGINES
         }
         for day, batch in enumerate(batches):
@@ -150,17 +140,15 @@ class TestEngineParity:
                 window[engine] = clusterer.process_batch(
                     batch, at_time=float(day + 1)
                 )
-            reference = window["dense"]
-            for engine in ("sparse", "matrix", "pruned"):
-                result = window[engine]
-                assert result.assignments() == reference.assignments(), (
-                    f"{engine} diverged in window {day}"
-                )
-                assert math.isclose(
-                    result.clustering_index,
-                    reference.clustering_index,
-                    rel_tol=1e-9,
-                ), f"{engine} G diverged in window {day}"
+            reference, result = window[ORACLE_ENGINE], window[DEFAULT_ENGINE]
+            assert result.assignments() == reference.assignments(), (
+                f"diverged in window {day}"
+            )
+            assert math.isclose(
+                result.clustering_index,
+                reference.clustering_index,
+                rel_tol=1e-9,
+            ), f"G diverged in window {day}"
 
     def test_outlier_parity(self, corpus):
         # k close to the document count forces outliers + empty slots,
@@ -172,15 +160,11 @@ class TestEngineParity:
             )
             for engine in ENGINES
         }
-        reference = results["dense"]
-        for engine in ("sparse", "matrix", "pruned"):
-            assert set(results[engine].outliers) == set(reference.outliers)
-            assert (
-                results[engine].assignments() == reference.assignments()
-            )
+        reference, result = results[ORACLE_ENGINE], results[DEFAULT_ENGINE]
+        assert set(result.outliers) == set(reference.outliers)
+        assert result.assignments() == reference.assignments()
 
 
-@needs_scipy
 class TestMatrixEngine:
     def test_checkpoint_roundtrips_engine_name(self, tmp_path):
         from repro.persistence import load_checkpoint, save_checkpoint
@@ -189,9 +173,7 @@ class TestMatrixEngine:
             days=3, docs_per_topic_per_day=2, seed=9
         )
         model = ForgettingModel(half_life=7.0, life_span=14.0)
-        clusterer = IncrementalClusterer(
-            model, k=3, seed=0, engine="matrix"
-        )
+        clusterer = IncrementalClusterer(model, k=3, seed=0)
         clusterer.process_batch(repo.documents(), at_time=3.0)
         path = tmp_path / "ck.json"
         save_checkpoint(clusterer, repo.vocabulary, path)

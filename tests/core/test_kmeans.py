@@ -99,7 +99,7 @@ class TestResultShape:
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("criterion", ["g", "avg"])
-    def test_sparse_and_dense_agree(self, criterion):
+    def test_matrix_and_dense_agree(self, criterion):
         repo = build_topic_repository(days=4, docs_per_topic_per_day=2,
                                       seed=3)
         model = ForgettingModel(half_life=7.0)
@@ -108,15 +108,15 @@ class TestEngineEquivalence:
         )
         docs = stats.documents()
         results = {}
-        for engine in ("sparse", "dense"):
+        for engine in ("matrix", "dense"):
             km = NoveltyKMeans(k=3, seed=11, engine=engine,
                                criterion=criterion)
             results[engine] = km.fit(docs, stats)
-        sparse, dense = results["sparse"], results["dense"]
-        assert sparse.assignments() == dense.assignments()
-        assert set(sparse.outliers) == set(dense.outliers)
+        matrix, dense = results["matrix"], results["dense"]
+        assert matrix.assignments() == dense.assignments()
+        assert set(matrix.outliers) == set(dense.outliers)
         assert math.isclose(
-            sparse.clustering_index, dense.clustering_index,
+            matrix.clustering_index, dense.clustering_index,
             rel_tol=1e-9, abs_tol=1e-15,
         )
 

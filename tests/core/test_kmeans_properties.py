@@ -62,8 +62,9 @@ class TestKMeansInvariants:
     @given(corpora, st.integers(min_value=1, max_value=4))
     def test_backends_numerically_agree(self, stats_docs, k):
         """The engine-equivalence contract, stated precisely: for any
-        fixed assignment, both backends report the same clustering
-        index and the same *best gain value* for every document.
+        fixed assignment, the matrix engine and the dense oracle report
+        the same clustering index and the same *best gain value* for
+        every document.
 
         (Full-run assignment equality is NOT an invariant: exact gain
         ties — symmetric documents, disjoint documents — are broken by
@@ -71,26 +72,27 @@ class TestKMeansInvariants:
         can cascade to different local optima. The fixed-seed
         equivalence tests in test_kmeans.py cover realistic,
         tie-free inputs end to end.)"""
-        from repro.core.kmeans import _DenseBackend, _SparseBackend
+        from repro.core.engines import MatrixEngine
         from repro.vectors.tfidf import NoveltyTfidfWeighter
+        from tests.oracles.dense import DenseEngine
 
         docs, stats = build(stats_docs)
         k = min(k, len(docs))
         vectors = NoveltyTfidfWeighter(stats).weighted_vectors(docs)
-        sparse = _SparseBackend(k, vectors, "g")
-        dense = _DenseBackend(k, vectors, "g")
+        matrix = MatrixEngine(k, vectors, "g")
+        dense = DenseEngine(k, vectors, "g")
         for i, doc in enumerate(docs):
             if i % 2 == 0:  # half assigned round-robin, half loose
-                sparse.add(i % k, doc.doc_id)
+                matrix.add(i % k, doc.doc_id)
                 dense.add(i % k, doc.doc_id)
         assert math.isclose(
-            sparse.clustering_index(), dense.clustering_index(),
+            matrix.clustering_index(), dense.clustering_index(),
             rel_tol=1e-9, abs_tol=1e-15,
         )
         for doc in docs:
-            gain_sparse = sparse.best_gain(doc.doc_id)[1]
+            gain_matrix = matrix.best_gain(doc.doc_id)[1]
             gain_dense = dense.best_gain(doc.doc_id)[1]
-            assert math.isclose(gain_sparse, gain_dense,
+            assert math.isclose(gain_matrix, gain_dense,
                                 rel_tol=1e-9, abs_tol=1e-15)
 
     @settings(max_examples=25, deadline=None)

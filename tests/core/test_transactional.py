@@ -18,6 +18,7 @@ be re-sendable.
 import pytest
 
 from repro import (
+    ClustererConfig,
     ForgettingModel,
     IncrementalClusterer,
     NonIncrementalClusterer,
@@ -222,7 +223,7 @@ class TestNonIncrementalRollback:
 
 
 class TestEngineParityThroughPipeline:
-    """Seeded sparse-vs-dense parity, warm starts included."""
+    """Seeded matrix-vs-dense-oracle parity, warm starts included."""
 
     @pytest.mark.parametrize("criterion", ["g", "avg"])
     def test_engines_agree_across_batches(self, model, criterion):
@@ -233,19 +234,20 @@ class TestEngineParityThroughPipeline:
             for day in range(4)
         ]
         runs = {}
-        for engine in ("sparse", "dense"):
-            clusterer = IncrementalClusterer(model, k=3, seed=13,
-                                             engine=engine)
+        for engine in ("matrix", "dense"):
+            clusterer = IncrementalClusterer(
+                model, ClustererConfig(k=3, seed=13, engine=engine)
+            )
             clusterer.kmeans.criterion = criterion
             for day, batch in enumerate(batches):
                 clusterer.process_batch(batch, at_time=float(day + 1))
             runs[engine] = clusterer
         for day in range(4):
-            sparse = runs["sparse"].history[day]
+            matrix = runs["matrix"].history[day]
             dense = runs["dense"].history[day]
-            assert sparse.assignments() == dense.assignments(), (
+            assert matrix.assignments() == dense.assignments(), (
                 f"engines diverge at batch {day} "
                 f"(criterion={criterion!r})"
             )
-            assert set(sparse.outliers) == set(dense.outliers)
-        assert runs["sparse"].assignments() == runs["dense"].assignments()
+            assert set(matrix.outliers) == set(dense.outliers)
+        assert runs["matrix"].assignments() == runs["dense"].assignments()

@@ -22,6 +22,7 @@ import pytest
 
 from repro import (
     Checkpointer,
+    ClustererConfig,
     Document,
     ForgettingModel,
     IncrementalClusterer,
@@ -54,10 +55,12 @@ def build_batches(
 
 
 def make_clusterer(**kwargs: Any) -> IncrementalClusterer:
+    """The durability suites' clusterer; ``kwargs`` are
+    :class:`ClustererConfig` fields."""
     model = ForgettingModel(half_life=7.0, life_span=14.0)
     defaults: Dict[str, Any] = {"k": 3, "seed": 1}
     defaults.update(kwargs)
-    return IncrementalClusterer(model, **defaults)
+    return IncrementalClusterer(model, ClustererConfig(**defaults))
 
 
 def fingerprint(clusterer: IncrementalClusterer) -> Fingerprint:

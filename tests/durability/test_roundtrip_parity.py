@@ -1,9 +1,10 @@
-"""Checkpoint round-trip parity across the storage/engine matrix.
+"""Checkpoint round-trip parity: oracle and production live runs.
 
-Every combination of statistics backend (dict, columnar) and numerical
-engine (dense, matrix) must round-trip through a checkpoint onto a
-state whose assignment is exact and whose statistics and clustering
-index G agree with the live run to 1e-9 relative.
+A live run on any combination of statistics backend (the ``dict``
+oracle, ``columnar``) and numerical engine (the ``dense`` oracle,
+``matrix``) must round-trip through a checkpoint onto the production
+pair, with an exact assignment and statistics and clustering index G
+that agree with the live run to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -12,12 +13,15 @@ import math
 
 import pytest
 
+from repro.core.engines import DEFAULT_ENGINE
+from repro.forgetting.backends import DEFAULT_BACKEND
 from repro.persistence import load_checkpoint, save_checkpoint
 
 from tests.durability.conftest import build_batches, make_clusterer
+from tests.oracles import ORACLE_BACKEND, ORACLE_ENGINE
 
-BACKENDS = ("dict", "columnar")
-ENGINES = ("dense", "matrix")
+BACKENDS = (ORACLE_BACKEND, DEFAULT_BACKEND)
+ENGINES = (ORACLE_ENGINE, DEFAULT_ENGINE)
 REL_TOL = 1e-9
 
 
@@ -35,10 +39,6 @@ class TestParityMatrix:
     def test_round_trip_matches_live_state(
         self, backend, engine, tmp_path
     ):
-        if engine == "matrix":
-            pytest.importorskip(
-                "scipy.sparse", reason="matrix engine requires scipy"
-            )
         vocabulary, batches = build_batches(days=6)
         clusterer = make_clusterer(
             engine=engine, statistics_backend=backend
@@ -51,11 +51,9 @@ class TestParityMatrix:
         save_checkpoint(clusterer, vocabulary, path)
         # a fresh vocabulary: restores must not depend on the original
         # term-id numbering
-        restored, restored_vocabulary = load_checkpoint(
-            path, statistics_backend=backend
-        )
-        assert restored.kmeans.engine == engine
-        assert restored.statistics.backend_name == backend
+        restored, restored_vocabulary = load_checkpoint(path)
+        assert restored.kmeans.engine == DEFAULT_ENGINE
+        assert restored.statistics.backend_name == DEFAULT_BACKEND
 
         # structural state: exact
         assert restored.assignments() == clusterer.assignments()

@@ -1,10 +1,10 @@
 """Statistics-backend registry and dict/columnar equivalence.
 
-The columnar backend stores the same Eq. 27-29 state as the dict
-reference in flat numpy arrays. These tests pin the registry surface
-and — the load-bearing property — that the two layouts stay
-numerically interchangeable under arbitrary interleavings of
-observe/advance/expire/remove.
+The columnar backend stores the same Eq. 27-29 state as the ``dict``
+oracle (``tests/oracles/dict_backend.py``) in flat numpy arrays. These
+tests pin the registry surface and — the load-bearing property — that
+the two layouts stay numerically interchangeable under arbitrary
+interleavings of observe/advance/expire/remove.
 """
 
 import math
@@ -17,13 +17,13 @@ from repro import CorpusStatistics, ForgettingModel
 from repro.exceptions import ConfigurationError
 from repro.forgetting.backends import (
     ColumnarStatisticsBackend,
-    DictStatisticsBackend,
     available_backends,
     register_backend,
     resolve_backend,
     unregister_backend,
 )
 from tests.conftest import make_document
+from tests.oracles.dict_backend import DictStatisticsBackend
 
 BACKENDS = ("dict", "columnar")
 

@@ -1,9 +1,10 @@
 """Full-pipeline parity: the statistics backend must never change results.
 
 Both clusterers are pure functions of (documents, parameters, seed); the
-backend only changes the storage layout of Eq. 27-29, so assignments
-must be *identical* and the clustering index G equal to float tolerance
-across every engine.
+backend only changes the storage layout of Eq. 27-29, so the
+``columnar`` backend and the ``dict`` oracle must give *identical*
+assignments and a clustering index G equal to float tolerance, under
+the ``matrix`` engine and under the ``dense`` oracle alike.
 """
 
 import math
@@ -11,9 +12,14 @@ import math
 import pytest
 
 from repro import ForgettingModel, IncrementalClusterer
-from repro.core.engines import available_engines
+from repro.core.config import ClustererConfig
+from repro.core.engines import DEFAULT_ENGINE
 from repro.core.incremental import NonIncrementalClusterer
+from repro.forgetting.backends import DEFAULT_BACKEND
 from tests.conftest import build_topic_repository
+from tests.oracles import ORACLE_BACKEND, ORACLE_ENGINE
+
+BACKENDS = (ORACLE_BACKEND, DEFAULT_BACKEND)
 
 
 def _replay(clusterer, repo, days):
@@ -25,16 +31,15 @@ def _replay(clusterer, repo, days):
     return result
 
 
-@pytest.mark.parametrize("engine", sorted(available_engines()))
+@pytest.mark.parametrize("engine", (ORACLE_ENGINE, DEFAULT_ENGINE))
 def test_incremental_backends_agree(engine):
     repo = build_topic_repository(days=8, docs_per_topic_per_day=3, seed=11)
     results = {}
-    for backend in ("dict", "columnar"):
+    for backend in BACKENDS:
         model = ForgettingModel(half_life=4.0, life_span=8.0)
-        clusterer = IncrementalClusterer(
-            model, k=4, seed=2, engine=engine,
-            statistics_backend=backend,
-        )
+        clusterer = IncrementalClusterer(model, ClustererConfig(
+            k=4, seed=2, engine=engine, statistics_backend=backend,
+        ))
         results[backend] = _replay(clusterer, repo, days=8)
     dict_result, columnar_result = results["dict"], results["columnar"]
     assert columnar_result.assignments() == dict_result.assignments()
@@ -47,11 +52,11 @@ def test_incremental_backends_agree(engine):
 def test_nonincremental_backends_agree():
     repo = build_topic_repository(days=6, docs_per_topic_per_day=3, seed=5)
     results = {}
-    for backend in ("dict", "columnar"):
+    for backend in BACKENDS:
         model = ForgettingModel(half_life=4.0, life_span=8.0)
-        clusterer = NonIncrementalClusterer(
-            model, k=4, seed=2, statistics_backend=backend,
-        )
+        clusterer = NonIncrementalClusterer(model, ClustererConfig(
+            k=4, seed=2, statistics_backend=backend,
+        ))
         results[backend] = _replay(clusterer, repo, days=6)
     assert results["columnar"].assignments() == results["dict"].assignments()
     assert math.isclose(

@@ -1,29 +1,36 @@
-"""The default construction path decides exactly as the reference pair.
+"""The default construction path decides exactly as the oracle pair.
 
-``open_stream`` with its defaults runs ``DEFAULT_PATH`` (the ``matrix``
-engine over ``columnar`` statistics); ``build_clusterer(engine="dense",
-statistics_backend="dict")`` is the per-document numpy engine over the
-plain-Python statistics. Both drive the one K-means loop (outlier
-rescue and split repair included), so on a seeded TDT2-like stream
-every batch must yield identical clusters and outliers, with G equal
-to 1e-9.
+``open_stream`` runs the library's one engine/backend pair (the
+``matrix`` engine over ``columnar`` statistics); a
+``ClustererConfig(engine="dense", statistics_backend="dict")`` selects
+the tests' oracles (``tests/oracles``): the per-document numpy engine
+over the plain-Python statistics. Both drive the one K-means loop
+(outlier rescue and split repair included), so on a seeded TDT2-like
+stream every batch must yield identical clusters and outliers, with G
+equal to 1e-9.
 """
 
 import dataclasses
 import inspect
 import math
+import subprocess
+import sys
 
-from repro import build_clusterer, open_stream
+from repro import CorpusStatistics, build_clusterer, open_stream, recover
 from repro.core import estimate_k
-from repro.core.config import DEFAULT_PATH, ClustererConfig
+from repro.core.config import ClustererConfig
+from repro.core.engines import DEFAULT_ENGINE
 from repro.core.kmeans import NoveltyKMeans
 from repro.corpus.streams import iter_batches
 from repro.corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
 from repro.experiments.experiment1 import ExperimentOneConfig
 from repro.experiments.experiment2 import ExperimentTwoConfig
+from repro.forgetting.backends import DEFAULT_BACKEND
 from repro.obs import InMemoryRecorder
+from repro.persistence import load_checkpoint
 
-KNOBS = {"k": 16, "half_life": 7.0, "life_span": 14.0, "seed": 1998}
+MODEL = {"half_life": 7.0, "life_span": 14.0}
+KMEANS = {"k": 16, "seed": 1998}
 
 
 def _digest(clusters, outliers, g):
@@ -31,30 +38,40 @@ def _digest(clusters, outliers, g):
             tuple(sorted(outliers)), g)
 
 
+def test_plain_import_registers_only_the_production_pair():
+    code = ("import repro, repro.forgetting.backends as b; "
+            "print(repro.available_engines(), b.available_backends())")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["('matrix',)", "('columnar',)"]
+
+
 def test_every_entry_point_reads_the_one_default_pair():
+    assert (DEFAULT_ENGINE, DEFAULT_BACKEND) == ("matrix", "columnar")
     fields = {f.name: f.default for f in dataclasses.fields(ClustererConfig)}
-    assert fields["engine"] is DEFAULT_PATH.engine
-    assert fields["statistics_backend"] is DEFAULT_PATH.statistics_backend
-    for function in (build_clusterer, open_stream):
+    assert fields["engine"] is DEFAULT_ENGINE
+    assert fields["statistics_backend"] is DEFAULT_BACKEND
+    assert (inspect.signature(NoveltyKMeans).parameters["engine"].default
+            is DEFAULT_ENGINE)
+    for function in (CorpusStatistics, CorpusStatistics.from_scratch):
         parameters = inspect.signature(function).parameters
-        assert parameters["engine"].default is DEFAULT_PATH.engine
-        assert (parameters["statistics_backend"].default
-                is DEFAULT_PATH.statistics_backend)
-    for function in (NoveltyKMeans, estimate_k):
+        assert parameters["backend"].default is DEFAULT_BACKEND
+    # the seams above are the only ones: no entry point takes a knob
+    for function in (build_clusterer, open_stream, estimate_k,
+                     load_checkpoint, recover):
         parameters = inspect.signature(function).parameters
-        assert parameters["engine"].default is DEFAULT_PATH.engine
-    assert ExperimentOneConfig().engine is DEFAULT_PATH.engine
-    assert ExperimentTwoConfig().engine is DEFAULT_PATH.engine
-    assert DEFAULT_PATH == ("matrix", "columnar")
+        assert "engine" not in parameters, function
+        assert "statistics_backend" not in parameters, function
+    for config in (ExperimentOneConfig(), ExperimentTwoConfig()):
+        assert not hasattr(config, "engine")
 
     clusterer = build_clusterer(k=2)
-    assert clusterer.kmeans.engine == DEFAULT_PATH.engine
-    assert (clusterer.statistics.backend_name
-            == DEFAULT_PATH.statistics_backend)
+    assert clusterer.kmeans.engine == DEFAULT_ENGINE
+    assert clusterer.statistics.backend_name == DEFAULT_BACKEND
     with open_stream(k=2) as session:
-        assert session.clusterer.kmeans.engine == DEFAULT_PATH.engine
+        assert session.clusterer.kmeans.engine == DEFAULT_ENGINE
         assert (session.clusterer.statistics.backend_name
-                == DEFAULT_PATH.statistics_backend)
+                == DEFAULT_BACKEND)
 
 
 def test_default_stream_matches_dense_dict_on_every_batch():
@@ -65,8 +82,9 @@ def test_default_stream_matches_dense_dict_on_every_batch():
 
     recorder = InMemoryRecorder()
     reference = build_clusterer(
-        **KNOBS, engine="dense", statistics_backend="dict",
-        recorder=recorder,
+        ClustererConfig(**KMEANS, engine="dense", statistics_backend="dict",
+                        recorder=recorder),
+        **MODEL,
     )
     expected = []
     for at_time, batch in batches:
@@ -77,7 +95,7 @@ def test_default_stream_matches_dense_dict_on_every_batch():
     assert recorder.select(name="kmeans.rescues")
     assert recorder.select(name="kmeans.splits")
 
-    with open_stream(**KNOBS) as session:
+    with open_stream(**KMEANS, **MODEL) as session:
         for (at_time, batch), (clusters, outliers, g) in zip(
             batches, expected
         ):

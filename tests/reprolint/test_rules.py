@@ -70,7 +70,7 @@ def test_rep002_allows_zero_sentinel():
 
 def test_rep002_allows_decay_noop_in_forgetting_layer():
     source = "skip = factor == 1.0\n"
-    assert codes("src/repro/forgetting/backends/dict_backend.py", source) == []
+    assert codes("src/repro/forgetting/backends/columnar.py", source) == []
 
 
 def test_rep002_fires_on_one_outside_decay_allowlist():
@@ -91,8 +91,8 @@ def test_rep002_suppression_comment():
 
 def test_rep003_fires_on_direct_engine_instantiation():
     source = (
-        "from repro.core.engines.dense import DenseEngine\n"
-        "engine = DenseEngine(3, {})\n"
+        "from repro.core.engines.matrix import MatrixEngine\n"
+        "engine = MatrixEngine(3, {}, 'g')\n"
     )
     assert "REP003" in codes(CORE_PATH, source)
 
@@ -105,20 +105,22 @@ def test_rep003_fires_on_direct_backend_instantiation():
 def test_rep003_allows_resolve_calls():
     source = (
         "from repro.core.engines import resolve_engine\n"
-        "engine = resolve_engine('dense', 3, {})\n"
+        "engine = resolve_engine('matrix')(3, {}, 'g')\n"
     )
     assert codes(CORE_PATH, source) == []
 
 
 def test_rep003_allows_home_package_and_tests():
-    source = "engine = DenseEngine(3, {})\n"
+    source = "engine = MatrixEngine(3, {}, 'g')\n"
     assert codes(ENGINES_PATH, source) == []
-    assert codes(BACKENDS_PATH, "b = DictStatisticsBackend()\n") == []
+    assert codes(BACKENDS_PATH, "b = ColumnarStatisticsBackend()\n") == []
     assert codes(TEST_PATH, source) == []
 
 
 def test_rep003_suppression_comment():
-    source = "engine = DenseEngine(3, {})  # reprolint: disable=REP003\n"
+    source = (
+        "engine = MatrixEngine(3, {}, 'g')  # reprolint: disable=REP003\n"
+    )
     assert codes(CORE_PATH, source) == []
 
 

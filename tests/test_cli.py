@@ -66,13 +66,12 @@ class TestCluster:
 
     def test_engine_flag_roundtrips_checkpoint(self, stream_file, tmp_path,
                                                capsys):
-        pytest.importorskip("scipy")
         import json
 
         state = tmp_path / "state.json"
         code = main([
             "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "3", "--engine", "matrix",
+            "--k", "4", "--batch-days", "3",
             "--checkpoint", str(state), "--quiet",
         ])
         assert code == 0
@@ -82,22 +81,7 @@ class TestCluster:
             "--resume", str(state), "--batch-days", "3", "--quiet",
         ])
         assert code == 0
-        assert "engine 'matrix'" in capsys.readouterr().out
-
-    def test_engine_override_on_resume(self, stream_file, tmp_path, capsys):
-        state = tmp_path / "state.json"
-        main([
-            "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "3",
-            "--checkpoint", str(state), "--quiet",
-        ])
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--resume", str(state), "--engine", "sparse",
-            "--batch-days", "3", "--quiet",
-        ])
-        assert code == 0
-        assert "engine 'sparse'" in capsys.readouterr().out
+        assert "resumed from" in capsys.readouterr().out
 
     def test_unknown_engine_rejected(self, stream_file):
         with pytest.raises(SystemExit):
@@ -427,7 +411,7 @@ class TestStatsBackendFlag:
         code = main([
             "cluster", "--input", str(stream_file),
             "--k", "4", "--batch-days", "2", "--quiet",
-            "--stats-backend", "columnar", "--checkpoint", str(state),
+            "--checkpoint", str(state),
         ])
         assert code == 0
         assert json.load(open(state))["statistics_backend"] == "columnar"
@@ -437,35 +421,6 @@ class TestStatsBackendFlag:
             "--resume", str(state), "--quiet",
         ])
         assert code == 0
-
-    def test_backend_override_on_resume(self, stream_file, tmp_path,
-                                        capsys):
-        state = tmp_path / "state.json"
-        main([
-            "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "2", "--quiet",
-            "--checkpoint", str(state),
-        ])
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--resume", str(state), "--stats-backend", "columnar",
-            "--quiet",
-        ])
-        assert code == 0
-
-    def test_backends_give_identical_reports(self, stream_file, capsys):
-        main([
-            "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "2", "--seed", "7",
-        ])
-        dict_out = capsys.readouterr().out
-        main([
-            "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "2", "--seed", "7",
-            "--stats-backend", "columnar",
-        ])
-        columnar_out = capsys.readouterr().out
-        assert columnar_out == dict_out
 
     def test_unknown_backend_rejected(self, stream_file, capsys):
         with pytest.raises(SystemExit):

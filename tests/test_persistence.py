@@ -13,6 +13,7 @@ from repro import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.obs import InMemoryRecorder, use_recorder
 from tests.conftest import build_topic_repository
 
 
@@ -98,7 +99,7 @@ class TestRoundTrip:
         model = ForgettingModel(half_life=4.0, life_span=8.0)
         clusterer = IncrementalClusterer(
             model, k=5, delta=0.02, max_iterations=17, seed=9,
-            engine="sparse", warm_start=False, rescue_outliers=False,
+            warm_start=False, rescue_outliers=False,
         )
         run_stream(clusterer, stream, days=3)
         path = tmp_path / "state.json"
@@ -106,7 +107,7 @@ class TestRoundTrip:
         restored, _ = load_checkpoint(path, stream.vocabulary)
         km = restored.kmeans
         assert (km.k, km.delta, km.max_iterations, km.seed, km.engine) == (
-            5, 0.02, 17, 9, "sparse",
+            5, 0.02, 17, 9, "matrix",
         )
         assert restored.warm_start is False
         assert km.rescue_outliers is False
@@ -224,48 +225,83 @@ class TestFreshClustererCheckpoint:
 class TestStatisticsBackendField:
     def test_backend_name_round_trips(self, stream, tmp_path):
         model = ForgettingModel(half_life=4.0, life_span=8.0)
-        clusterer = IncrementalClusterer(
-            model, k=3, seed=1, statistics_backend="columnar"
-        )
-        run_stream(clusterer, stream, days=6)
-        path = tmp_path / "state.json"
-        save_checkpoint(clusterer, stream.vocabulary, path)
-        assert json.load(open(path))["statistics_backend"] == "columnar"
-
-        restored, _ = load_checkpoint(path, stream.vocabulary)
-        assert restored.statistics.backend_name == "columnar"
-        assert math.isclose(
-            restored.statistics.tdw, clusterer.statistics.tdw,
-            rel_tol=1e-12,
-        )
-
-    def test_load_override_swaps_backend(self, stream, tmp_path):
-        model = ForgettingModel(half_life=4.0, life_span=8.0)
         clusterer = IncrementalClusterer(model, k=3, seed=1)
         run_stream(clusterer, stream, days=6)
         path = tmp_path / "state.json"
         save_checkpoint(clusterer, stream.vocabulary, path)
-
-        restored, _ = load_checkpoint(
-            path, stream.vocabulary, statistics_backend="columnar"
-        )
-        assert restored.statistics.backend_name == "columnar"
-        assert math.isclose(
-            restored.statistics.tdw, clusterer.statistics.tdw,
-            rel_tol=1e-12,
-        )
-
-    def test_pre_backend_checkpoint_defaults_to_dict(self, stream,
-                                                     tmp_path):
-        model = ForgettingModel(half_life=4.0, life_span=8.0)
-        clusterer = IncrementalClusterer(model, k=3, seed=1)
-        run_stream(clusterer, stream, days=6)
-        path = tmp_path / "state.json"
-        save_checkpoint(clusterer, stream.vocabulary, path)
+        # both names stay in the file, so older readers still load it
         state = json.load(open(path))
-        del state["statistics_backend"]  # checkpoints written before PR 3
-        del state["checksum"]            # ... carried no checksum either
-        json.dump(state, open(path, "w"))
+        assert state["statistics_backend"] == "columnar"
+        assert state["kmeans"]["engine"] == "matrix"
 
         restored, _ = load_checkpoint(path, stream.vocabulary)
-        assert restored.statistics.backend_name == "dict"
+        assert restored.statistics.backend_name == "columnar"
+        assert math.isclose(
+            restored.statistics.tdw, clusterer.statistics.tdw,
+            rel_tol=1e-12,
+        )
+
+
+def _rewrite(path, edit):
+    from repro.durability.atomic import atomic_write_json
+
+    state = json.load(open(path))
+    del state["checksum"]
+    edit(state)
+    atomic_write_json(state, path, add_checksum=True)
+
+
+def _load_counting(path, vocabulary):
+    recorder = InMemoryRecorder()
+    with use_recorder(recorder):
+        restored, _ = load_checkpoint(path, vocabulary)
+    return restored, recorder.counters().get("checkpoint.path_migrated", 0)
+
+
+class TestRemovedPathMigration:
+    """Checkpoints naming a removed engine or backend, or none, load onto
+    the production pair with a ``checkpoint.path_migrated`` count."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda state: state["kmeans"].update(engine="sparse"),
+        lambda state: state["kmeans"].update(engine="pruned"),
+        lambda state: state["kmeans"].update(engine="dense"),
+        lambda state: state.update(statistics_backend="dict"),
+        # checkpoints written before the statistics-backend field
+        lambda state: state.pop("statistics_backend"),
+    ], ids=["engine-sparse", "engine-pruned", "engine-dense",
+            "backend-dict", "backend-missing"])
+    def test_loads_onto_the_default_path(self, stream, tmp_path, edit):
+        model = ForgettingModel(half_life=4.0, life_span=8.0)
+        clusterer = IncrementalClusterer(model, k=3, seed=1)
+        run_stream(clusterer, stream, days=6)
+        fresh_path = tmp_path / "fresh.json"
+        save_checkpoint(clusterer, stream.vocabulary, fresh_path)
+        old_path = tmp_path / "old.json"
+        save_checkpoint(clusterer, stream.vocabulary, old_path)
+        _rewrite(old_path, edit)
+
+        fresh, fresh_migrations = _load_counting(fresh_path,
+                                                 stream.vocabulary)
+        old, migrations = _load_counting(old_path, stream.vocabulary)
+        assert (fresh_migrations, migrations) == (0, 1)
+        assert old.kmeans.engine == "matrix"
+        assert old.statistics.backend_name == "columnar"
+
+        assert old.assignments() == fresh.assignments()
+        assert old.statistics.now == fresh.statistics.now
+        assert math.isclose(old.statistics.tdw, fresh.statistics.tdw,
+                            rel_tol=1e-9)
+        for doc_id in fresh.statistics.doc_ids():
+            assert math.isclose(old.statistics.dw(doc_id),
+                                fresh.statistics.dw(doc_id), rel_tol=1e-9)
+        for term_id in fresh.statistics.term_ids():
+            assert math.isclose(old.statistics.pr_term(term_id),
+                                fresh.statistics.pr_term(term_id),
+                                rel_tol=1e-9)
+        at_time = fresh.statistics.now
+        again = old.process_batch([], at_time=at_time)
+        expected = fresh.process_batch([], at_time=at_time)
+        assert again.clusters == expected.clusters
+        assert math.isclose(again.clustering_index,
+                            expected.clustering_index, rel_tol=1e-9)

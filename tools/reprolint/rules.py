@@ -114,7 +114,6 @@ class WallClockRule(Rule):
 #: (λ^Δτ == 1.0 iff Δτ == 0, which ** produces exactly).
 _DECAY_NOOP_FILES: Tuple[str, ...] = (
     "repro/forgetting/statistics.py",
-    "repro/forgetting/backends/dict_backend.py",
     "repro/forgetting/backends/columnar.py",
 )
 
@@ -185,17 +184,11 @@ class FloatEqualityRule(Rule):
 # REP003 — registry-only construction
 # ---------------------------------------------------------------------------
 
-#: Concrete engine/backend classes (and their legacy aliases) that must
-#: be built through resolve_engine()/resolve_backend() everywhere else.
+#: Concrete engine/backend classes that must be built through
+#: resolve_engine()/resolve_backend() everywhere else.
 _REGISTERED_CLASSES: Tuple[str, ...] = (
-    "SparseEngine",
-    "DenseEngine",
     "MatrixEngine",
-    "PrunedEngine",
-    "DictStatisticsBackend",
     "ColumnarStatisticsBackend",
-    "_SparseBackend",
-    "_DenseBackend",
 )
 
 #: Packages allowed to instantiate their own classes directly.
@@ -219,11 +212,12 @@ class RegistryOnlyRule(Rule):
     code = "REP003"
     name = "registry-only-construction"
     rationale = (
-        "Three engines and two statistics backends implement the same "
-        "Eq. 19-26 / Eq. 27-29 recurrences; the parity guarantees hold "
+        "The matrix engine and the columnar statistics backend implement "
+        "the Eq. 19-26 / Eq. 27-29 recurrences that the parity suites "
+        "hold to the tests' reference oracles; those guarantees hold "
         "only for instances produced by the registries, where the "
         "factory signature and the Engine/StatisticsBackend protocols "
-        "are type-checked. A direct `DenseEngine(...)` call outside "
+        "are type-checked. A direct `MatrixEngine(...)` call outside "
         "repro.core.engines / repro.forgetting.backends bypasses "
         "resolve_engine()/resolve_backend() name validation and "
         "freezes the call site to one implementation. The same logic "
@@ -282,7 +276,6 @@ _SPAN_ENTRY_POINTS: Tuple[Tuple[str, str], ...] = (
     ("repro/core/incremental.py", "IncrementalClusterer.process_batch"),
     ("repro/core/incremental.py", "NonIncrementalClusterer.process_batch"),
     ("repro/core/kmeans.py", "NoveltyKMeans.fit"),
-    ("repro/core/engines/pruned.py", "PrunedEngine.best_gains"),
     ("repro/forgetting/statistics.py", "CorpusStatistics.observe"),
     ("repro/forgetting/statistics.py", "CorpusStatistics.expire"),
     ("repro/forgetting/statistics.py", "CorpusStatistics.from_scratch"),
