@@ -25,7 +25,14 @@ Register your own with :func:`register_engine`::
     NoveltyKMeans(k=8, engine="mine")
 """
 
-from .base import NO_GAIN, Engine, EngineBase, affine_gain_coefficients
+from .base import (
+    NO_GAIN,
+    Engine,
+    EngineBase,
+    EngineView,
+    affine_gain_coefficients,
+    best_affine_gain,
+)
 from .matrix import MatrixEngine
 from .registry import (
     DEFAULT_ENGINE,
@@ -44,8 +51,10 @@ __all__ = [
     "Engine",
     "EngineBase",
     "EngineFactory",
+    "EngineView",
     "MatrixEngine",
     "affine_gain_coefficients",
+    "best_affine_gain",
     "register_engine",
     "unregister_engine",
     "available_engines",

@@ -11,11 +11,12 @@ Section 4.4's efficient calculation —
 
 from which the intra-cluster average similarity (Eq. 24) and the
 *what-if-appended* gain (Eq. 25-26, one dot product against the
-representative) follow in O(1) per cluster. The clustering loop itself
-lives exactly once in :class:`~repro.core.NoveltyKMeans`; engines only
-answer state queries and apply membership mutations, so a new engine
-(GPU, distributed, approximate) plugs in without touching the
-algorithm.
+representative) follow in O(1) per cluster, and which
+:meth:`Engine.freeze` copies into an :class:`EngineView` for readers.
+The clustering loop itself lives exactly once in
+:class:`~repro.core.NoveltyKMeans`; engines only answer state queries
+and apply membership mutations, so a new engine (GPU, distributed,
+approximate) plugs in without touching the algorithm.
 
 Engines are constructed per ``fit`` call with the signature
 ``factory(k, vectors, criterion)`` where ``vectors`` maps ``doc_id`` to
@@ -28,8 +29,12 @@ via ``NoveltyKMeans(engine=...)`` and ``ClustererConfig(engine=...)``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
+import numpy as np
+
+from ..._typing import FloatArray, IntArray
 from ...vectors.sparse import SparseVector
 
 #: Gain reported for a document whose vector is empty: it is similar to
@@ -78,6 +83,55 @@ def affine_gain_coefficients(
     return 2.0 / denominator, diff / denominator - avg_cur
 
 
+def best_affine_gain(
+    gain_a: FloatArray,
+    gain_b: FloatArray,
+    cr: FloatArray,
+    out: Optional[FloatArray] = None,
+) -> Tuple[int, float]:
+    """``(p, gain)`` maximising ``a_p·cr_p + b_p`` (Eq. 25-26), ties to
+    the lowest ``p``; ``cr[p] = cr_sim(C_p, d_q)``, ``out`` an optional
+    K-sized buffer. The assignment sweep and snapshot queries both
+    decide through it."""
+    gains = np.multiply(gain_a, cr, out=out)
+    gains += gain_b
+    best = int(np.argmax(gains))
+    return best, float(gains[best])
+
+
+@dataclass(frozen=True)
+class EngineView:
+    """Read-only copy of an engine's per-cluster state (:meth:`Engine.freeze`):
+    representatives (Eq. 19-20), Eq. 21-23 aggregates, Eq. 25-26 gain
+    coefficients, Eq. 17/24 contributions and ``G``."""
+
+    criterion: str
+    #: Sorted term ids numbering the representative columns.
+    term_ids: IntArray
+    #: ``K × len(term_ids)`` cluster representatives ``c⃗_p``.
+    representatives: FloatArray
+    sizes: IntArray
+    crpp: FloatArray
+    ss: FloatArray
+    gain_a: FloatArray
+    gain_b: FloatArray
+    #: Per-cluster ``|C_p|·avg_sim(C_p)`` terms of ``G`` (Eq. 17, 24).
+    contributions: FloatArray
+    #: The clustering index ``G`` (Eq. 17).
+    clustering_index: float
+
+    def __post_init__(self) -> None:
+        for array in (
+            self.term_ids, self.representatives, self.sizes, self.crpp,
+            self.ss, self.gain_a, self.gain_b, self.contributions,
+        ):
+            array.setflags(write=False)
+
+    @property
+    def k(self) -> int:
+        return int(self.sizes.size)
+
+
 @runtime_checkable
 class Engine(Protocol):
     """The state backend consumed by the extended K-means loop.
@@ -85,6 +139,9 @@ class Engine(Protocol):
     All mutating calls keep Eq. 21-23's incremental bookkeeping exact:
     ``add``/``remove`` are O(nnz of the document vector), and the gain
     queries are O(K) plus one representative dot product (Eq. 26).
+    :meth:`freeze` hands the state to readers as an :class:`EngineView`
+    in O(K·T); the service's published snapshots are such views, so
+    nothing outside the engine rebuilds representatives or aggregates.
     """
 
     def add(self, cluster_id: int, doc_id: str) -> None:
@@ -130,6 +187,9 @@ class Engine(Protocol):
 
     def self_similarity(self, doc_id: str) -> float:
         """``sim(d, d) = w⃗_d · w⃗_d`` (the Eq. 23 summand)."""
+
+    def freeze(self) -> EngineView:
+        """Copy the per-cluster state for readers (after :meth:`refresh`)."""
 
 
 class EngineBase:

@@ -42,7 +42,13 @@ from ..._typing import FloatArray, IntArray
 from ...exceptions import ConfigurationError
 from ...vectors.arrays import WeightedVectorArrays
 from ...vectors.sparse import SparseVector
-from .base import NO_GAIN, EngineBase, affine_gain_coefficients
+from .base import (
+    NO_GAIN,
+    EngineBase,
+    EngineView,
+    affine_gain_coefficients,
+    best_affine_gain,
+)
 
 # typed Any rather than a module so both the ImportError fallback and
 # the attribute accesses below type-check with or without scipy stubs
@@ -119,6 +125,7 @@ class MatrixEngine(EngineBase):
             )
             term_ids = np.unique(raw_terms)
             cols = np.searchsorted(term_ids, raw_terms)
+        self._term_ids = np.asarray(term_ids, dtype=np.int64)
         # sort terms within each row in one global argsort over the
         # compact columns — same column map and per-row order as the
         # dense oracle's per-document sorted() build
@@ -211,10 +218,9 @@ class MatrixEngine(EngineBase):
 
     def best_gain(self, doc_id: str) -> Tuple[int, float]:
         ids, vals = self._doc_slice(doc_id)
-        cr = self._rep[:, ids] @ vals
-        gains = self._gain_a * cr + self._gain_b
-        best = int(np.argmax(gains))
-        return best, float(gains[best])
+        return best_affine_gain(
+            self._gain_a, self._gain_b, self._rep[:, ids] @ vals
+        )
 
     def best_gains(
         self, doc_ids: Sequence[str]
@@ -307,7 +313,7 @@ class MatrixEngine(EngineBase):
         empty_docs = self._empty_docs
         w2s = self._w2
         gain_a, gain_b = self._gain_a, self._gain_b
-        is_g = self._criterion == "g"
+        refresh_coeffs = self._refresh_coeffs
         w2_blk = [w2s[r] for r in block_rows.tolist()]
         i = 0
         spec_fails = 0
@@ -333,28 +339,13 @@ class MatrixEngine(EngineBase):
                 dot = float(ST[current, i])
                 crpp[current] += -2.0 * dot + w2
                 ss[current] -= w2
-                n = sizes[current] - 1
-                sizes[current] = n
+                sizes[current] -= 1
                 del members[current][doc_id]
-                if n == 0:
+                if sizes[current] == 0:
                     crpp[current] = 0.0
                     ss[current] = 0.0
                     emptied.add(current)
-                    gain_a[current] = 0.0
-                    gain_b[current] = 0.0
-                elif is_g:
-                    if n == 1:
-                        gain_a[current] = 2.0
-                        gain_b[current] = 0.0
-                    else:
-                        gain_a[current] = 2.0 / n
-                        gain_b[current] = \
-                            -(crpp[current] - ss[current]) / (n * (n - 1))
-                else:
-                    diff = crpp[current] - ss[current]
-                    gain_a[current] = 2.0 / (n * (n + 1))
-                    avg_cur = diff / (n * (n - 1)) if n > 1 else 0.0
-                    gain_b[current] = diff / (n * (n + 1)) - avg_cur
+                refresh_coeffs(current)
                 ST[current, i] = dot - w2
                 ST[current, i + 1:] -= Gb[i, i + 1:]
                 move_cluster.append(current)
@@ -370,33 +361,17 @@ class MatrixEngine(EngineBase):
                 gain_out[i] = NO_GAIN
                 i += 1
                 continue
-            np.multiply(gain_a, ST[:, i], out=gains)
-            gains += gain_b
-            best = int(np.argmax(gains))
-            gain = float(gains[best])
+            best, gain = best_affine_gain(gain_a, gain_b, ST[:, i], gains)
             best_out[i] = best
             gain_out[i] = gain
             if gain > 0.0:
                 dot = float(ST[best, i])
                 crpp[best] += 2.0 * dot + w2
                 ss[best] += w2
-                n = sizes[best] + 1
-                sizes[best] = n
+                sizes[best] += 1
                 members[best][doc_id] = None
                 assigned[doc_id] = best
-                if is_g:
-                    if n == 1:
-                        gain_a[best] = 2.0
-                        gain_b[best] = 0.0
-                    else:
-                        gain_a[best] = 2.0 / n
-                        gain_b[best] = \
-                            -(crpp[best] - ss[best]) / (n * (n - 1))
-                else:
-                    diff = crpp[best] - ss[best]
-                    gain_a[best] = 2.0 / (n * (n + 1))
-                    avg_cur = diff / (n * (n - 1)) if n > 1 else 0.0
-                    gain_b[best] = diff / (n * (n + 1)) - avg_cur
+                refresh_coeffs(best)
                 ST[best, i + 1:] += Gb[i, i + 1:]
                 move_cluster.append(best)
                 move_idx.append(i)
@@ -553,3 +528,19 @@ class MatrixEngine(EngineBase):
 
     def self_similarity(self, doc_id: str) -> float:
         return self._w2[self._row[doc_id]]
+
+    def freeze(self) -> EngineView:
+        contributions = self.contributions()
+        return EngineView(
+            criterion=self._criterion,
+            term_ids=self._term_ids.copy(),
+            # an empty term space is padded to one column; the view is not
+            representatives=self._rep[:, :self._term_ids.size].copy(),
+            sizes=np.array(self._sizes, dtype=np.int64),
+            crpp=np.array(self._crpp, dtype=np.float64),
+            ss=np.array(self._ss, dtype=np.float64),
+            gain_a=self._gain_a.copy(),
+            gain_b=self._gain_b.copy(),
+            contributions=np.array(contributions, dtype=np.float64),
+            clustering_index=float(sum(contributions)),
+        )

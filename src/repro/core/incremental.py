@@ -46,6 +46,7 @@ from .config import (
     ClustererConfig,
     resolve_clusterer_config,
 )
+from .engines import EngineView
 from .kmeans import NoveltyKMeans
 from .result import ClusteringResult
 
@@ -117,6 +118,9 @@ class IncrementalClusterer:
         )
         self.history: List[ClusteringResult] = []
         self._assignment: Dict[str, int] = {}
+        # the last committed fit's final engine state; kept here rather
+        # than on ClusteringResult so history pins no K×T matrices
+        self._view: Optional[EngineView] = None
         self._commit_hooks: List[CommitHook] = []
 
     @property
@@ -212,7 +216,9 @@ class IncrementalClusterer:
                 )
             with Span(self.recorder, "pipeline.clustering",
                       {"docs": len(active)}):
-                result = self.kmeans.fit(active, self.statistics, initial)
+                result, view = self.kmeans.fit_frozen(
+                    active, self.statistics, initial
+                )
         except Exception:
             # roll the whole batch back: statistics, clock, and
             # assignments return to their pre-batch state
@@ -222,6 +228,7 @@ class IncrementalClusterer:
                 self.recorder.counter("pipeline.batches_rejected")
             raise
         self._assignment = result.assignments()
+        self._view = view
 
         timings = dict(result.timings)
         timings["statistics"] = stats_span.duration
@@ -236,6 +243,16 @@ class IncrementalClusterer:
     def assignments(self) -> Dict[str, int]:
         """Current ``doc_id -> cluster_id`` map (copy)."""
         return dict(self._assignment)
+
+    def view(self) -> EngineView:
+        """Frozen engine state of the committed clustering: the last
+        fit's, or — never fed, or restored from a checkpoint — the
+        current assignment's, frozen through the engine."""
+        if self._view is not None:
+            return self._view
+        return self.kmeans.freeze_assignment(
+            self.statistics.documents(), self.statistics, self._assignment
+        )
 
 
 class NonIncrementalClusterer:

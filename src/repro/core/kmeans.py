@@ -36,10 +36,10 @@ from .._validation import (
 from ..corpus.document import Document
 from ..exceptions import ClusteringError, ConfigurationError
 from ..forgetting.statistics import CorpusStatistics
-from ..obs import SPAN, Event, Recorder, Span, resolve
+from ..obs import Recorder, Span, resolve
 from ..vectors.arrays import WeightedVectorArrays
 from ..vectors.tfidf import NoveltyTfidfWeighter
-from .engines import DEFAULT_ENGINE, Engine, resolve_engine
+from .engines import DEFAULT_ENGINE, Engine, EngineView, resolve_engine
 from .result import ClusteringResult
 
 
@@ -155,6 +155,45 @@ class NoveltyKMeans:
         clusters and unlisted ones start unassigned. Without it, K
         random documents seed singleton clusters (Section 4.3).
         """
+        with Span(self.recorder, "kmeans.fit") as span:
+            return self._fit(documents, statistics, initial_assignment, span)[0]
+
+    def fit_frozen(
+        self,
+        documents: Sequence[Document],
+        statistics: CorpusStatistics,
+        initial_assignment: Optional[Dict[str, int]] = None,
+    ) -> Tuple[ClusteringResult, EngineView]:
+        """:meth:`fit`, plus the final engine state frozen after the
+        last pass's ``refresh()`` — the state ``G`` was computed from."""
+        with Span(self.recorder, "kmeans.fit") as span:
+            result, backend = self._fit(documents, statistics,
+                                        initial_assignment, span)
+            return result, backend.freeze()
+
+    def freeze_assignment(
+        self,
+        documents: Sequence[Document],
+        statistics: CorpusStatistics,
+        assignment: Dict[str, int],
+    ) -> EngineView:
+        """Freeze ``assignment`` over ``documents`` without fitting
+        (vectorise, warm-start, ``refresh()``): the view of state no fit
+        produced, built the one way a fit builds it."""
+        docs = list(documents)
+        vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
+        backend = resolve_engine(self.engine)(self.k, vectors, self.criterion)
+        self._warm_start(backend, docs, vectors, assignment, {})
+        backend.refresh()
+        return backend.freeze()
+
+    def _fit(
+        self,
+        documents: Sequence[Document],
+        statistics: CorpusStatistics,
+        initial_assignment: Optional[Dict[str, int]],
+        span: Span,
+    ) -> Tuple[ClusteringResult, Engine]:
         start = time_module.perf_counter()
         docs = list(documents)
         if not docs:
@@ -225,14 +264,9 @@ class NoveltyKMeans:
             g_old = g_new
 
         elapsed = time_module.perf_counter() - start
-        if recorder.enabled:
-            recorder.emit(Event("kmeans.fit", SPAN, elapsed, {
-                "engine": self.engine,
-                "criterion": self.criterion,
-                "docs": len(docs),
-                "iterations": iterations,
-                "converged": converged,
-            }))
+        span.tags.update(engine=self.engine, criterion=self.criterion,
+                         docs=len(docs), iterations=iterations,
+                         converged=converged)
         return ClusteringResult(
             clusters=tuple(tuple(m) for m in backend.members()),
             outliers=tuple(outliers),
@@ -242,7 +276,7 @@ class NoveltyKMeans:
             converged=converged,
             timings={"clustering": elapsed,
                      "vectorisation": vectorise_span.duration},
-        )
+        ), backend
 
     # -- phases ------------------------------------------------------------
 

@@ -21,7 +21,8 @@ IncrementalClusterer` in a long-running single-writer loop:
 * **Reads** (:meth:`snapshot`, :meth:`assign`, :meth:`top_clusters`,
   :meth:`members`, :meth:`stats`) grab the current snapshot reference
   and answer from its frozen arrays. They share nothing mutable with
-  the writer and never block it (or each other).
+  the writer and never block it; the only lock a reader takes guards
+  the query counter for one increment.
 
 Construct services through :func:`repro.api.open_stream`, which wires
 the clusterer, durability, and the text front-end; this class is the
@@ -137,7 +138,10 @@ class ClusterService:
             version, clusterer, vocabulary=vocabulary, pipeline=pipeline
         )
         self._published_monotonic = time.monotonic()
-        self._reader_queries = 0  # best-effort count; races are fine
+        # `+= 1` is a read-modify-write; unguarded, concurrent readers
+        # lose increments
+        self._reader_lock = threading.Lock()
+        self._reader_queries = 0
         self._batches_ingested = 0
         self._errors: List[BaseException] = []
 
@@ -482,30 +486,35 @@ class ClusterService:
 
     # -- read API (lock-free) ---------------------------------------------
 
+    def _count_read(self) -> None:
+        """Count one read; the writer never takes this lock."""
+        with self._reader_lock:
+            self._reader_queries += 1
+
     def snapshot(self) -> ClusterSnapshot:
         """The latest published snapshot (immutable; keep it as long as
         you like — it never changes under you)."""
-        self._reader_queries += 1
+        self._count_read()
         return self._snapshot
 
     def assign(self, query: Query) -> QueryAssignment:
         """Score ``query`` against the latest snapshot. Lock-free."""
-        self._reader_queries += 1
+        self._count_read()
         return self._snapshot.assign(query)
 
     def top_clusters(self, n: int = 10) -> List[ClusterInfo]:
         """Largest clusters of the latest snapshot. Lock-free."""
-        self._reader_queries += 1
+        self._count_read()
         return self._snapshot.top_clusters(n)
 
     def members(self, cluster_id: int) -> Tuple[str, ...]:
         """Members of one cluster in the latest snapshot. Lock-free."""
-        self._reader_queries += 1
+        self._count_read()
         return self._snapshot.members(cluster_id)
 
     def stats(self) -> SnapshotStats:
         """Stats of the latest snapshot; also emits service gauges."""
-        self._reader_queries += 1
+        self._count_read()
         snapshot = self._snapshot
         if self._recorder.enabled:
             self._recorder.gauge(
@@ -558,7 +567,7 @@ class ClusterService:
 
     @property
     def reader_queries(self) -> int:
-        """Best-effort count of read-side queries answered."""
+        """Number of read-side queries answered (exact)."""
         return self._reader_queries
 
     @property

@@ -1,19 +1,19 @@
 """Immutable versioned cluster snapshots — the service's read side.
 
 A :class:`ClusterSnapshot` is everything a reader needs to answer
-queries against one committed batch, precomputed into plain numpy
-arrays at publish time:
+queries against one committed batch:
 
-* the compacted snapshot term space (sorted unique term ids of the
-  active documents) with the novelty idf (Eq. 14) of every term,
-* a dense ``K × n_terms`` matrix of cluster representatives
-  ``c⃗_p = Σ_{d∈C_p} w⃗_d`` (Eq. 19-20) aggregated from the batch CSR
-  rows of :meth:`~repro.vectors.tfidf.NoveltyTfidfWeighter.weighted_arrays`,
-* the per-cluster ``cr_sim(C_p, C_p)`` / ``ss(C_p)`` aggregates
-  (Eq. 21-23) and the affine gain coefficients ``(a_p, b_p)`` of
-  Eq. 25-26, so :meth:`assign` is one dense mat-vec plus an argmax,
+* the :class:`~repro.core.engines.EngineView` the committing fit froze
+  (representatives, Eq. 19-20; ``cr_sim``/``ss``, Eq. 21-23; the
+  Eq. 25-26 gain coefficients; the contributions and ``G``), shared
+  rather than rebuilt, so publishing never re-vectorises a document;
 * a :class:`~repro.forgetting.FrozenStatistics` view of the decayed
-  probability tables, so idf queries never touch live statistics.
+  probability tables and the novelty idf (Eq. 14) of the view's terms,
+  so queries never touch live statistics;
+* the sorted member and outlier tuples.
+
+:meth:`ClusterSnapshot.assign` scores a query with the assignment
+sweep's own :func:`~repro.core.engines.best_affine_gain`.
 
 Snapshots are *immutable* (frozen dataclass, numpy arrays marked
 read-only) and *versioned*: ``version`` equals the durability journal's
@@ -26,6 +26,7 @@ builds its successor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -39,13 +40,12 @@ from typing import (
 
 import numpy as np
 
-from .._typing import FloatArray, IntArray
-from ..core.engines.base import affine_gain_coefficients
+from .._typing import FloatArray
+from ..core.engines import EngineView, best_affine_gain
 from ..corpus.document import Document
 from ..exceptions import ConfigurationError
 from ..forgetting.frozen import FrozenStatistics
 from ..obs import Span
-from ..vectors.tfidf import NoveltyTfidfWeighter
 
 if TYPE_CHECKING:
     from ..core.incremental import IncrementalClusterer
@@ -54,7 +54,7 @@ if TYPE_CHECKING:
 
 #: Things :meth:`ClusterSnapshot.assign` scores: a Document, a raw
 #: ``{term_id: count}`` mapping, or text (needs a pipeline+vocabulary).
-Query = Union[Document, Mapping[int, int], str]
+Query = Union[Document, Mapping[int, float], str]
 
 
 @dataclass(frozen=True)
@@ -112,34 +112,30 @@ class ClusterSnapshot:
     version: int
     #: Logical clock τ of the state (``None`` for a never-fed state).
     at_time: Optional[float]
-    k: int
-    criterion: str
     #: Member doc ids per cluster slot (sorted within each cluster).
     clusters: Tuple[Tuple[str, ...], ...]
+    #: Active documents no cluster holds (sorted).
     outliers: Tuple[str, ...]
-    clustering_index: float
     frozen: FrozenStatistics
-    #: Sorted unique term ids of the snapshot column space.
-    term_ids: IntArray
-    #: Novelty idf per snapshot term (aligned with ``term_ids``).
+    #: The engine's cluster state the committing fit ended with.
+    view: EngineView
+    #: Novelty idf per view term (aligned with ``view.term_ids``).
     idf: FloatArray
-    #: Dense ``k × n_terms`` representative matrix (Eq. 19-20).
-    representatives: FloatArray
-    sizes: IntArray
-    crpp: FloatArray
-    ss: FloatArray
-    gain_a: FloatArray
-    gain_b: FloatArray
     #: Optional text front-end for ``assign("raw text")`` queries.
     vocabulary: Optional["Vocabulary"] = None
     pipeline: Optional["TextPipeline"] = None
 
     def __post_init__(self) -> None:
-        for array in (
-            self.term_ids, self.idf, self.representatives,
-            self.sizes, self.crpp, self.ss, self.gain_a, self.gain_b,
-        ):
-            array.setflags(write=False)
+        self.idf.setflags(write=False)
+
+    @property
+    def k(self) -> int:
+        return self.view.k
+
+    @property
+    def clustering_index(self) -> float:
+        """``G`` (Eq. 17) of the committed clustering."""
+        return self.view.clustering_index
 
     # -- construction ----------------------------------------------------
 
@@ -154,108 +150,37 @@ class ClusterSnapshot:
         """Freeze ``clusterer``'s committed state as snapshot ``version``.
 
         Must be called from the (single) writer with no batch in
-        flight — the commit hook is exactly that point. The build cost
-        is one pass over the active documents (the same CSR
-        vectorisation a clustering run starts with) plus a dense
-        scatter-add into the representative matrix.
+        flight — the commit hook is exactly that point. The cluster
+        state is the clusterer's :meth:`~repro.core.incremental.
+        IncrementalClusterer.view`, shared as is; the build adds the
+        frozen statistics, the idf of the view's terms, and the sorted
+        member and outlier tuples.
         """
         with Span(clusterer.recorder, "service.snapshot_build",
                   {"version": version}):
             statistics = clusterer.statistics
             frozen = statistics.freeze()
+            view = clusterer.view()
             assignment = clusterer.assignments()
-            k = clusterer.kmeans.k
-            criterion = clusterer.kmeans.criterion
-            documents = statistics.documents()
-
-            member_lists: List[List[str]] = [[] for _ in range(k)]
+            member_lists: List[List[str]] = [[] for _ in range(view.k)]
             for doc_id, cluster_id in assignment.items():
                 member_lists[cluster_id].append(doc_id)
-            clusters = tuple(
-                tuple(sorted(members)) for members in member_lists
+            return cls(
+                version=int(version),
+                at_time=statistics.now,
+                clusters=tuple(
+                    tuple(sorted(members)) for members in member_lists
+                ),
+                outliers=tuple(sorted(
+                    doc_id for doc_id in statistics.doc_ids()
+                    if doc_id not in assignment
+                )),
+                frozen=frozen,
+                view=view,
+                idf=frozen.idf_array(view.term_ids),
+                vocabulary=vocabulary,
+                pipeline=pipeline,
             )
-
-            weighter = NoveltyTfidfWeighter(statistics)
-            arrays = weighter.weighted_arrays(documents)
-            doc_ids, indptr, _, data = arrays.csr_parts()
-            snapshot_terms, columns = arrays.columns()
-            idf = frozen.idf_array(snapshot_terms)
-
-            n_docs = len(doc_ids)
-            n_terms = int(snapshot_terms.size)
-            lens = np.diff(indptr)
-            row_cluster = np.fromiter(
-                (assignment.get(doc_id, -1) for doc_id in doc_ids),
-                dtype=np.int64, count=n_docs,
-            )
-            representatives = np.zeros((k, n_terms), dtype=np.float64)
-            nnz_cluster = np.repeat(row_cluster, lens)
-            assigned_nnz = nnz_cluster >= 0
-            np.add.at(
-                representatives,
-                (nnz_cluster[assigned_nnz], columns[assigned_nnz]),
-                data[assigned_nnz],
-            )
-            row_self = arrays.self_similarities()
-            assigned_rows = row_cluster >= 0
-            ss = np.bincount(
-                row_cluster[assigned_rows],
-                weights=row_self[assigned_rows],
-                minlength=k,
-            )
-            sizes = np.bincount(
-                row_cluster[assigned_rows], minlength=k
-            ).astype(np.int64)
-            crpp = np.einsum("ij,ij->i", representatives, representatives)
-
-            gain_a = np.zeros(k, dtype=np.float64)
-            gain_b = np.zeros(k, dtype=np.float64)
-            for cluster_id in range(k):
-                a, b = affine_gain_coefficients(
-                    criterion,
-                    int(sizes[cluster_id]),
-                    float(crpp[cluster_id]),
-                    float(ss[cluster_id]),
-                )
-                gain_a[cluster_id] = a
-                gain_b[cluster_id] = b
-
-            last = clusterer.last_result
-            if last is not None:
-                clustering_index = last.clustering_index
-                outliers = last.outliers
-            else:
-                # recovered/fresh state without a fit in history: G from
-                # the rebuilt aggregates (the engines' post-refresh sum)
-                multi = sizes > 1
-                contributions = np.where(
-                    multi,
-                    (crpp - ss) / np.maximum(sizes - 1, 1),
-                    0.0,
-                )
-                clustering_index = float(contributions.sum())
-                outliers = ()
-
-        return cls(
-            version=int(version),
-            at_time=statistics.now,
-            k=k,
-            criterion=criterion,
-            clusters=clusters,
-            outliers=tuple(outliers),
-            clustering_index=clustering_index,
-            frozen=frozen,
-            term_ids=np.ascontiguousarray(snapshot_terms),
-            idf=np.ascontiguousarray(idf),
-            representatives=representatives,
-            sizes=sizes,
-            crpp=np.ascontiguousarray(crpp),
-            ss=np.ascontiguousarray(ss),
-            gain_a=gain_a,
-            gain_b=gain_b,
-            vocabulary=vocabulary,
-            pipeline=pipeline,
-        )
 
     # -- queries ---------------------------------------------------------
 
@@ -268,29 +193,33 @@ class ClusterSnapshot:
         and the snapshot's frozen idf table (terms unseen at freeze
         time contribute nothing, exactly as in a live fit). The winning
         cluster maximises the affine gain ``a_p·(c⃗_p·w⃗_q) + b_p``
-        (Eq. 25-26, ties to the lowest cluster id like every engine);
-        a non-positive best gain means outlier.
+        (Eq. 25-26, through the engine's own
+        :func:`~repro.core.engines.best_affine_gain`); a non-positive
+        best gain means outlier.
+
+        Mapping queries follow :class:`~repro.corpus.Document`'s rule:
+        zero counts are dropped, and a negative or non-finite count
+        raises :class:`~repro.exceptions.ConfigurationError`.
         """
         counts, length = self._query_counts(query)
         outlier = QueryAssignment(
             cluster_id=None, gain=0.0, version=self.version
         )
+        term_ids = self.view.term_ids
         if (
             not counts
             or length <= 0
             or self.frozen.tdw <= 0.0
-            or self.term_ids.size == 0
+            or term_ids.size == 0
         ):
             return outlier
         ids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
         values = np.fromiter(
             counts.values(), dtype=np.float64, count=len(counts)
         )
-        positions = np.searchsorted(self.term_ids, ids)
-        positions = np.minimum(positions, self.term_ids.size - 1)
-        found = self.term_ids[positions] == ids
-        if not found.any():
-            return outlier
+        positions = np.searchsorted(term_ids, ids)
+        positions = np.minimum(positions, term_ids.size - 1)
+        found = term_ids[positions] == ids
         scale = (1.0 / self.frozen.tdw) / length
         components = (
             values[found] * self.idf[positions[found]] * scale
@@ -298,10 +227,12 @@ class ClusterSnapshot:
         live = components != 0.0
         if not live.any():
             return outlier
-        cr = self.representatives[:, positions[found][live]] @ components[live]
-        gains = self.gain_a * cr + self.gain_b
-        best = int(np.argmax(gains))
-        gain = float(gains[best])
+        view = self.view
+        best, gain = best_affine_gain(
+            view.gain_a, view.gain_b,
+            view.representatives[:, positions[found][live]]
+            @ components[live],
+        )
         if gain <= 0.0:
             return outlier
         return QueryAssignment(
@@ -310,25 +241,13 @@ class ClusterSnapshot:
 
     def top_clusters(self, n: int = 10) -> List[ClusterInfo]:
         """The ``n`` largest non-empty clusters (size desc, id asc)."""
-        multi = self.sizes > 1
-        contributions = np.where(
-            multi,
-            (self.crpp - self.ss) / np.maximum(self.sizes - 1, 1),
-            0.0,
-        )
-        ranked = sorted(
-            (
-                ClusterInfo(
-                    cluster_id=cluster_id,
-                    size=int(self.sizes[cluster_id]),
-                    contribution=float(contributions[cluster_id]),
-                )
-                for cluster_id in range(self.k)
-                if self.sizes[cluster_id] > 0
-            ),
-            key=lambda info: (-info.size, info.cluster_id),
-        )
-        return ranked[: max(n, 0)]
+        sizes, contributions = self.view.sizes, self.view.contributions
+        # a stable sort of the ascending ids keeps ties in id order
+        ranked = sorted(np.flatnonzero(sizes).tolist(), key=lambda p: -sizes[p])
+        return [
+            ClusterInfo(p, int(sizes[p]), float(contributions[p]))
+            for p in ranked[: max(n, 0)]
+        ]
 
     def members(self, cluster_id: int) -> Tuple[str, ...]:
         """Member doc ids of one cluster slot (sorted)."""
@@ -344,11 +263,11 @@ class ClusterSnapshot:
             version=self.version,
             at_time=self.at_time,
             active_documents=self.frozen.size,
-            non_empty_clusters=int((self.sizes > 0).sum()),
+            non_empty_clusters=int((self.view.sizes > 0).sum()),
             outliers=len(self.outliers),
             clustering_index=self.clustering_index,
             tdw=self.frozen.tdw,
-            terms=int(self.term_ids.size),
+            terms=int(self.view.term_ids.size),
             k=self.k,
         )
 
@@ -364,11 +283,8 @@ class ClusterSnapshot:
         document whose unseen terms carry idf 0.
         """
         if isinstance(query, Document):
-            return (
-                {t: float(c) for t, c in query.term_counts.items()},
-                float(query.length),
-            )
-        if isinstance(query, str):
+            query = query.term_counts
+        elif isinstance(query, str):
             if self.pipeline is None or self.vocabulary is None:
                 raise ConfigurationError(
                     "text queries need the snapshot's text front-end; "
@@ -383,13 +299,22 @@ class ClusterSnapshot:
                 if term_id >= 0:
                     counts[term_id] = counts.get(term_id, 0.0) + count
             return counts, length
-        counts = {int(t): float(c) for t, c in query.items()}
+        counts = {}
+        for term_id, count in query.items():
+            value = float(count)
+            if not math.isfinite(value) or value < 0.0:
+                raise ConfigurationError(
+                    f"term count {count!r} for term {term_id} must be a "
+                    f"finite non-negative number"
+                )
+            if value > 0.0:
+                counts[int(term_id)] = value
         return counts, float(sum(counts.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ClusterSnapshot(version={self.version}, "
             f"t={self.at_time}, docs={self.frozen.size}, "
-            f"clusters={int((self.sizes > 0).sum())}/{self.k}, "
+            f"clusters={int((self.view.sizes > 0).sum())}/{self.k}, "
             f"G={self.clustering_index:.3e})"
         )

@@ -100,7 +100,15 @@ def _make_handler(service: "ClusterService") -> type:
             self._reply(status, {"error": message})
 
         def _read_json(self) -> Optional[Dict[str, Any]]:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up
+                self._error(400, f"invalid Content-Length {header!r}")
+                return None
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8") or "{}")

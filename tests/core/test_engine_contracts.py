@@ -175,3 +175,45 @@ class TestMembershipConservation:
             d.doc_id for d in docs
         }
         assert "blank" in result.outliers
+
+
+class TestFreeze:
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_view_is_a_read_only_copy(self, engine_name):
+        vectors = {
+            "a": SparseVector({3: 1.0, 8: 0.5}),
+            "b": SparseVector({3: 0.5, 11: 1.0}),
+            "c": SparseVector({20: 2.0}),
+        }
+        engine = resolve_engine(engine_name)(2, vectors, "g")
+        engine.add(0, "a")
+        engine.add(0, "b")
+        engine.add(1, "c")
+        engine.refresh()
+        view = engine.freeze()
+        assert view.term_ids.tolist() == [3, 8, 11, 20]
+        assert view.representatives.shape == (2, 4)
+        assert view.representatives[0].tolist() == [1.5, 0.5, 1.0, 0.0]
+        assert view.sizes.tolist() == [2, 1]
+        assert view.clustering_index == engine.clustering_index()
+        assert view.contributions.tolist() == engine.contributions()
+        for array in (
+            view.term_ids, view.representatives, view.sizes, view.crpp,
+            view.ss, view.gain_a, view.gain_b, view.contributions,
+        ):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[..., 0] = 1
+        # later engine mutations do not reach the view
+        engine.remove(0, "b")
+        assert view.sizes.tolist() == [2, 1]
+        assert view.representatives[0].tolist() == [1.5, 0.5, 1.0, 0.0]
+
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_empty_term_space_is_not_padded(self, engine_name):
+        engine = resolve_engine(engine_name)(3, {}, "g")
+        view = engine.freeze()
+        assert view.term_ids.size == 0
+        assert view.representatives.shape == (3, 0)
+        assert view.k == 3
+        assert view.clustering_index == 0.0

@@ -14,7 +14,11 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro._typing import FloatArray, IntArray
-from repro.core.engines.base import EngineBase
+from repro.core.engines.base import (
+    EngineBase,
+    EngineView,
+    affine_gain_coefficients,
+)
 from repro.vectors.arrays import WeightedVectorArrays
 from repro.vectors.sparse import SparseVector
 
@@ -39,6 +43,7 @@ class DenseEngine(EngineBase):
             doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
             n_docs = len(doc_id_list)
             term_id_arr, cols = vectors.columns()
+            self._term_ids = np.array(term_id_arr, dtype=np.int64)
             self._column = {
                 t: i for i, t in enumerate(term_id_arr.tolist())
             }
@@ -59,6 +64,7 @@ class DenseEngine(EngineBase):
             term_ids = sorted(
                 {t for v in vectors.values() for t in v.keys()}
             )
+            self._term_ids = np.array(term_ids, dtype=np.int64)
             self._column = {t: i for i, t in enumerate(term_ids)}
             n_terms = max(1, len(term_ids))
             for doc_id, vector in vectors.items():
@@ -164,3 +170,24 @@ class DenseEngine(EngineBase):
 
     def self_similarity(self, doc_id: str) -> float:
         return self._doc_w2[doc_id]
+
+    def freeze(self) -> EngineView:
+        coefficients = [
+            affine_gain_coefficients(
+                self._criterion, int(self._sizes[cid]),
+                float(self._crpp[cid]), float(self._ss[cid]),
+            )
+            for cid in range(self.k)
+        ]
+        return EngineView(
+            criterion=self._criterion,
+            term_ids=self._term_ids.copy(),
+            representatives=self._rep[:, :self._term_ids.size].copy(),
+            sizes=self._sizes.copy(),
+            crpp=self._crpp.copy(),
+            ss=self._ss.copy(),
+            gain_a=np.array([a for a, _ in coefficients], dtype=np.float64),
+            gain_b=np.array([b for _, b in coefficients], dtype=np.float64),
+            contributions=np.array(self.contributions(), dtype=np.float64),
+            clustering_index=self.clustering_index(),
+        )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -398,6 +400,39 @@ class TestHTTP:
             error = post_error("/assign", {"terms": ["not", "a", "dict"]})
             assert error.code == 400
 
+            # a negative count is rejected, not scored
+            error = post_error("/assign", {"terms": {"5": -3, "6": 3}})
+            assert error.code == 400
+            assert "non-negative" in json.loads(error.read())["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+    def test_bad_content_length_is_400(self, stream, length):
+        # a non-integer length used to kill the handler without a
+        # reply; a negative one blocked it reading until hang-up
+        with make_service() as service:
+            server = service.serve_http(port=0)
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as conn:
+                conn.sendall(
+                    b"POST /assign HTTP/1.1\r\n"
+                    b"Host: localhost\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n"
+                    b"\r\n"
+                    b'{"terms": {}}'
+                )
+                reply = b""
+                while b"\r\n\r\n" not in reply:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+            status_line = reply.split(b"\r\n", 1)[0]
+            assert status_line.split()[1] == b"400", reply
+            # the server is still healthy afterwards
+            with urllib.request.urlopen(server.url + "/stats") as response:
+                assert json.loads(response.read())["version"] == 0
+
 
 class TestInterning:
     def test_concurrent_interning_stays_bijective(self, stream):
@@ -479,6 +514,34 @@ class TestShutdown:
         service.close()
         # the partial window was submitted and committed during close
         assert service.version == 1
+
+
+class TestReaderCounter:
+    def test_concurrent_reads_are_counted_exactly(self, stream):
+        # more reader threads than cores, switching as often as the
+        # interpreter allows: an unguarded `+= 1` would lose counts
+        threads, reads = 8, 500
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_service() as service:
+                barrier = threading.Barrier(threads, timeout=30)
+
+                def reader(index):
+                    barrier.wait()
+                    for i in range(reads):
+                        if (index + i) % 2:
+                            service.snapshot()
+                        else:
+                            service.top_clusters(1)
+
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    futures = [pool.submit(reader, i) for i in range(threads)]
+                    for future in futures:
+                        future.result(timeout=60)
+                assert service.reader_queries == threads * reads
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestObservability:

@@ -10,8 +10,9 @@ import pytest
 
 from repro import ClusterSnapshot, Document
 from repro.api import build_clusterer
-from repro.core.engines.base import affine_gain_coefficients
+from repro.core.engines import affine_gain_coefficients, best_affine_gain
 from repro.exceptions import ConfigurationError
+from repro.vectors.tfidf import NoveltyTfidfWeighter
 
 from .conftest import SERVICE_KWARGS, assert_snapshot_parity, probe_like
 
@@ -39,22 +40,68 @@ class TestConstruction:
         assert set(snapshot.outliers) == set(result.outliers)
         assert snapshot.frozen.size == clusterer.statistics.size
         sizes = [len(members) for members in snapshot.clusters]
-        np.testing.assert_array_equal(snapshot.sizes, sizes)
+        np.testing.assert_array_equal(snapshot.view.sizes, sizes)
 
     def test_gain_coefficients_match_engine_formula(self, stream):
         _, batches = stream
-        snapshot = ClusterSnapshot.from_clusterer(
+        view = ClusterSnapshot.from_clusterer(
             1, run_clusterer(batches)
-        )
-        for p in range(snapshot.k):
+        ).view
+        for p in range(view.k):
             a, b = affine_gain_coefficients(
-                snapshot.criterion,
-                int(snapshot.sizes[p]),
-                float(snapshot.crpp[p]),
-                float(snapshot.ss[p]),
+                view.criterion,
+                int(view.sizes[p]),
+                float(view.crpp[p]),
+                float(view.ss[p]),
             )
-            assert snapshot.gain_a[p] == a
-            assert snapshot.gain_b[p] == b
+            assert view.gain_a[p] == a
+            assert view.gain_b[p] == b
+
+    def test_publishes_the_fits_own_view(self, stream):
+        # the snapshot shares the committing fit's frozen engine state
+        # instead of rebuilding a second copy of it
+        _, batches = stream
+        clusterer = run_clusterer(batches)
+        snapshot = ClusterSnapshot.from_clusterer(1, clusterer)
+        assert snapshot.view is clusterer.view()
+        assert snapshot.clustering_index == \
+            clusterer.last_result.clustering_index
+        np.testing.assert_array_equal(
+            snapshot.idf, snapshot.frozen.idf_array(snapshot.view.term_ids)
+        )
+
+    def test_view_matches_a_from_scratch_rebuild(self, stream):
+        # representatives, sizes and the Eq. 21-23 aggregates agree with
+        # a direct sum over the members' weighted vectors
+        _, batches = stream
+        clusterer = run_clusterer(batches)
+        view = ClusterSnapshot.from_clusterer(1, clusterer).view
+        arrays = NoveltyTfidfWeighter(clusterer.statistics).weighted_arrays(
+            clusterer.statistics.documents()
+        )
+        terms, columns = arrays.columns()
+        np.testing.assert_array_equal(view.term_ids, terms)
+        assignment = clusterer.assignments()
+        representatives = np.zeros((view.k, terms.size))
+        ss = np.zeros(view.k)
+        sizes = np.zeros(view.k, dtype=np.int64)
+        for row, doc_id in enumerate(arrays.doc_ids):
+            cluster_id = assignment.get(doc_id)
+            if cluster_id is None:
+                continue
+            lo, hi = arrays.indptr[row], arrays.indptr[row + 1]
+            representatives[cluster_id, columns[lo:hi]] += arrays.data[lo:hi]
+            ss[cluster_id] += arrays.data[lo:hi] @ arrays.data[lo:hi]
+            sizes[cluster_id] += 1
+        np.testing.assert_array_equal(view.sizes, sizes)
+        np.testing.assert_allclose(
+            view.representatives, representatives, rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(view.ss, ss, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(
+            view.crpp, (representatives ** 2).sum(axis=1),
+            rtol=1e-9, atol=1e-15,
+        )
 
     def test_never_fed_clusterer_snapshots_empty(self):
         snapshot = ClusterSnapshot.from_clusterer(
@@ -62,8 +109,11 @@ class TestConstruction:
         )
         assert snapshot.version == 0
         assert snapshot.at_time is None
-        assert snapshot.term_ids.size == 0
+        assert snapshot.view.term_ids.size == 0
+        assert snapshot.view.representatives.shape == (3, 0)
         assert snapshot.clusters == ((), (), ())
+        assert snapshot.outliers == ()
+        assert snapshot.clustering_index == 0.0
         assert snapshot.top_clusters() == []
         assert snapshot.assign({1: 2}).is_outlier
 
@@ -82,10 +132,11 @@ class TestImmutability:
         snapshot = ClusterSnapshot.from_clusterer(
             1, run_clusterer(batches)
         )
+        view = snapshot.view
         for array in (
-            snapshot.term_ids, snapshot.idf, snapshot.representatives,
-            snapshot.sizes, snapshot.crpp, snapshot.ss,
-            snapshot.gain_a, snapshot.gain_b,
+            view.term_ids, snapshot.idf, view.representatives,
+            view.sizes, view.crpp, view.ss,
+            view.gain_a, view.gain_b, view.contributions,
             snapshot.frozen.term_ids, snapshot.frozen.term_masses,
         ):
             with pytest.raises(ValueError):
@@ -147,7 +198,7 @@ class TestAssign:
         snapshot = ClusterSnapshot.from_clusterer(
             1, run_clusterer(batches)
         )
-        unseen = int(snapshot.term_ids.max()) + 1000
+        unseen = int(snapshot.view.term_ids.max()) + 1000
         answer = snapshot.assign({unseen: 3})
         assert answer.is_outlier
         assert answer.cluster_id is None
@@ -161,6 +212,53 @@ class TestAssign:
         assert snapshot.assign(
             Document(doc_id="e", timestamp=9.0, term_counts={})
         ).is_outlier
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -3, -0.5]
+    )
+    def test_hostile_counts_raise(self, stream, bad):
+        _, batches = stream
+        snapshot = ClusterSnapshot.from_clusterer(
+            1, run_clusterer(batches)
+        )
+        term = int(snapshot.view.term_ids[0])
+        with pytest.raises(ConfigurationError, match="finite non-negative"):
+            snapshot.assign({term: bad, term + 1: 3})
+
+    def test_zero_counts_are_dropped(self, stream):
+        _, batches = stream
+        snapshot = ClusterSnapshot.from_clusterer(
+            1, run_clusterer(batches)
+        )
+        counts = dict(batches[-1][1][1].term_counts)
+        unseen = int(snapshot.view.term_ids.max()) + 7
+        assert snapshot.assign({**counts, unseen: 0}) == \
+            snapshot.assign(counts)
+        assert snapshot.assign({1: 0, 2: 0.0}).is_outlier
+
+    def test_query_scored_like_the_engine_scores_a_document(self, stream):
+        # an active document's terms, weighted at the snapshot clock,
+        # are scored by the same argmax the assignment sweep uses
+        _, batches = stream
+        clusterer = run_clusterer(batches)
+        snapshot = ClusterSnapshot.from_clusterer(1, clusterer)
+        view = snapshot.view
+        doc = batches[-1][1][0]
+        answer = snapshot.assign(doc)
+        weights = np.zeros(view.term_ids.size)
+        for term_id, count in doc.term_counts.items():
+            column = int(np.searchsorted(view.term_ids, term_id))
+            if column < view.term_ids.size and \
+                    view.term_ids[column] == term_id:
+                weights[column] = (
+                    count * snapshot.idf[column]
+                    / snapshot.frozen.tdw / doc.length
+                )
+        expected = best_affine_gain(
+            view.gain_a, view.gain_b, view.representatives @ weights
+        )
+        assert answer.cluster_id == expected[0]
+        assert math.isclose(answer.gain, expected[1], rel_tol=1e-12)
 
     def test_text_query_without_front_end_raises(self, stream):
         _, batches = stream
@@ -212,5 +310,5 @@ class TestReads:
         assert stats.non_empty_clusters == sum(
             1 for members in snapshot.clusters if members
         )
-        assert stats.terms == snapshot.term_ids.size
+        assert stats.terms == snapshot.view.term_ids.size
         assert stats.clustering_index == snapshot.clustering_index
