@@ -14,12 +14,12 @@ import math
 import pytest
 
 from repro import (
-    Cluster,
     CorpusStatistics,
     ForgettingModel,
     NoveltyTfidfWeighter,
 )
 from repro.experiments import render_table
+from tests.oracles import Cluster
 
 
 @pytest.fixture(scope="module")

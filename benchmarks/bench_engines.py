@@ -78,7 +78,7 @@ def _time_fit(stats, engine, rounds):
 def _time_pass(stats, engine, rounds):
     """Steady-state ``best_gains`` sweep over every active document."""
     docs = stats.documents()
-    vectors = NoveltyTfidfWeighter(stats).weighted_vectors(docs)
+    vectors = NoveltyTfidfWeighter(stats).weighted_arrays(docs)
     doc_ids = [doc.doc_id for doc in docs]
     backend = resolve_engine(engine)(K, vectors, "g")
     rng = random.Random(SEED)

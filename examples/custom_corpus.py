@@ -103,8 +103,7 @@ def main():
     # 4. label each cluster and show its medoid story
     active = clusterer.statistics.documents()
     by_id = {d.doc_id: d for d in active}
-    labels = label_clustering(result, active, vocabulary,
-                              statistics=clusterer.statistics)
+    labels = label_clustering(clusterer.view(), vocabulary)
     for label in sorted(labels, key=lambda l: -l.size):
         members = [
             by_id[m] for m in result.clusters[label.cluster_id]

@@ -55,10 +55,7 @@ def main():
             clusterer.statistics.advance_to(end)
             continue
         result = clusterer.process_batch(batch, at_time=end)
-        snapshot = tracker.update(
-            result, clusterer.statistics.documents(),
-            clusterer.statistics, at_time=end,
-        )
+        snapshot = tracker.update(clusterer.view(), at_time=end)
         for cluster_id, thread_id in snapshot.cluster_to_thread.items():
             thread_members[thread_id] = result.clusters[cluster_id]
         events = []

@@ -58,7 +58,6 @@ from .corpus import (
 )
 from .forgetting import CorpusStatistics, ForgettingModel, FrozenStatistics
 from .core import (
-    Cluster,
     ClusterLabel,
     ClustererConfig,
     ClusteringResult,
@@ -67,8 +66,6 @@ from .core import (
     KEstimate,
     NonIncrementalClusterer,
     NoveltyKMeans,
-    NoveltySimilarity,
-    ClusterSearcher,
     TopicThread,
     TopicTracker,
     available_engines,
@@ -77,6 +74,7 @@ from .core import (
     register_engine,
     resolve_engine,
 )
+from .baselines.similarity import NoveltySimilarity
 from .persistence import CheckpointError, load_checkpoint, save_checkpoint
 from .durability import (
     BatchJournal,
@@ -91,6 +89,7 @@ from .service import (
     ClusterService,
     ClusterSnapshot,
     QueryAssignment,
+    SearchHit,
     ServiceHTTPServer,
     SnapshotStats,
 )
@@ -160,7 +159,6 @@ __all__ = [
     "FrozenStatistics",
     # core
     "NoveltySimilarity",
-    "Cluster",
     "ClustererConfig",
     "ClusteringResult",
     "Engine",
@@ -176,7 +174,6 @@ __all__ = [
     "label_clustering",
     "TopicTracker",
     "TopicThread",
-    "ClusterSearcher",
     # eval
     "ContingencyTable",
     "MarkedCluster",
@@ -214,6 +211,7 @@ __all__ = [
     "ClusterSnapshot",
     "ClusterInfo",
     "QueryAssignment",
+    "SearchHit",
     "SnapshotStats",
     "ServiceHTTPServer",
     # analysis

@@ -17,17 +17,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from typing import Callable, Mapping, Tuple
+    from typing import Callable, Tuple
 
     from .core.engines import Engine
     from .core.engines.matrix import MatrixEngine
     from .forgetting.backends import StatisticsBackend
     from .forgetting.backends.columnar import ColumnarStatisticsBackend
-    from .vectors.sparse import SparseVector
+    from .vectors.arrays import WeightedVectorArrays
 
     # factory(k, vectors, criterion) -> Engine: the registration-time
     # signature every engine class must satisfy
-    _EngineCtor = Callable[[int, Mapping[str, SparseVector], str], Engine]
+    _EngineCtor = Callable[[int, WeightedVectorArrays, str], Engine]
 
     _ENGINE_CONFORMANCE: Tuple[_EngineCtor, ...] = (MatrixEngine,)
 

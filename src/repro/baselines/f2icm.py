@@ -23,9 +23,9 @@ from typing import List, Sequence
 from .._validation import require_positive_int, require_probability
 from ..corpus.document import Document
 from ..core.result import ClusteringResult
-from ..core.similarity import NoveltySimilarity
 from ..exceptions import ClusteringError
 from ..forgetting.statistics import CorpusStatistics
+from .similarity import NoveltySimilarity
 
 
 class F2ICMClusterer:

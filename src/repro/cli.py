@@ -314,8 +314,7 @@ def _run_cluster(
     print("\nfinal clusters:")
     active = clusterer.statistics.documents()
     labels = label_clustering(
-        result, active, vocabulary, statistics=clusterer.statistics,
-        limit=args.top_terms,
+        clusterer.view(), vocabulary, limit=args.top_terms
     )
     for label in sorted(labels, key=lambda l: -l.size):
         print(f"  [{label.size:5d} docs] {label}")

@@ -1,9 +1,8 @@
-"""The paper's primary contribution: novelty-based similarity, the
-extended K-means with cluster representatives, and the incremental
-clustering pipeline."""
+"""The paper's primary contribution: the extended K-means with cluster
+representatives over novelty-based similarity, and the incremental
+clustering pipeline, plus the readers of its frozen views (labels,
+topic threads)."""
 
-from .similarity import NoveltySimilarity
-from .cluster import Cluster
 from .config import ClustererConfig
 from .engines import (
     Engine,
@@ -15,7 +14,6 @@ from .result import ClusteringResult
 from .kmeans import NoveltyKMeans
 from .incremental import IncrementalClusterer, NonIncrementalClusterer
 from .kestimate import KEstimate, estimate_k
-from .search import ClusterSearcher, SearchHit
 from .tracking import ThreadEvent, TopicThread, TopicTracker, TrackingSnapshot
 from .labeling import (
     ClusterLabel,
@@ -27,8 +25,6 @@ from .labeling import (
 )
 
 __all__ = [
-    "NoveltySimilarity",
-    "Cluster",
     "ClustererConfig",
     "ClusteringResult",
     "Engine",
@@ -50,6 +46,4 @@ __all__ = [
     "TopicThread",
     "ThreadEvent",
     "TrackingSnapshot",
-    "ClusterSearcher",
-    "SearchHit",
 ]

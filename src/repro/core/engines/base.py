@@ -19,8 +19,9 @@ and apply membership mutations, so a new engine (GPU, distributed,
 approximate) plugs in without touching the algorithm.
 
 Engines are constructed per ``fit`` call with the signature
-``factory(k, vectors, criterion)`` where ``vectors`` maps ``doc_id`` to
-the weighted document vector ``w⃗_d = (Pr(d)/len_d)·d⃗`` (Eq. 12-16) and
+``factory(k, vectors, criterion)`` where ``vectors`` is the fit's CSR
+batch (:class:`~repro.vectors.arrays.WeightedVectorArrays`) of weighted
+document vectors ``w⃗_d = (Pr(d)/len_d)·d⃗`` (Eq. 12-16) and
 ``criterion`` is ``"g"`` or ``"avg"`` (see
 :class:`~repro.core.NoveltyKMeans`). Register a factory under a name
 with :func:`~repro.core.engines.register_engine` to make it selectable
@@ -30,12 +31,12 @@ via ``NoveltyKMeans(engine=...)`` and ``ClustererConfig(engine=...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from ..._typing import FloatArray, IntArray
-from ...vectors.sparse import SparseVector
+from ...vectors.arrays import WeightedVectorArrays
 
 #: Gain reported for a document whose vector is empty: it is similar to
 #: nothing (including itself), so no cluster can ever gain from it.
@@ -131,6 +132,19 @@ class EngineView:
     def k(self) -> int:
         return int(self.sizes.size)
 
+    @classmethod
+    def empty(cls, k: int, criterion: str) -> "EngineView":
+        """The view of ``k`` empty clusters over no terms."""
+        zeros = np.zeros(k, dtype=np.float64)
+        return cls(
+            criterion=criterion,
+            term_ids=np.zeros(0, dtype=np.int64),
+            representatives=np.zeros((k, 0), dtype=np.float64),
+            sizes=np.zeros(k, dtype=np.int64),
+            crpp=zeros, ss=zeros, gain_a=zeros, gain_b=zeros,
+            contributions=zeros, clustering_index=0.0,
+        )
+
 
 @runtime_checkable
 class Engine(Protocol):
@@ -203,20 +217,10 @@ class EngineBase:
     :meth:`best_gains` wholesale.
     """
 
-    def __init__(self, k: int, vectors: Mapping[str, SparseVector]) -> None:
+    def __init__(self, k: int, vectors: WeightedVectorArrays) -> None:
         self.k = int(k)
         self._assigned: Dict[str, int] = {}
-        # a CSR batch (WeightedVectorArrays) answers emptiness for the
-        # whole batch from its row pointers; asking row by row would
-        # materialise every SparseVector it exists to avoid
-        empties = getattr(vectors, "empty_doc_ids", None)
-        if callable(empties):
-            self._empty_docs = set(empties())
-        else:
-            self._empty_docs = {
-                doc_id for doc_id, vector in vectors.items()
-                if not len(vector)
-            }
+        self._empty_docs = set(vectors.empty_doc_ids())
 
     # -- membership -----------------------------------------------------
 

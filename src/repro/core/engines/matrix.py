@@ -33,15 +33,13 @@ construction fails with a clear message when it is missing.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..._typing import FloatArray, IntArray
+from ..._typing import BoolArray, FloatArray, IntArray
 from ...exceptions import ConfigurationError
 from ...vectors.arrays import WeightedVectorArrays
-from ...vectors.sparse import SparseVector
 from .base import (
     NO_GAIN,
     EngineBase,
@@ -75,7 +73,7 @@ class MatrixEngine(EngineBase):
     def __init__(
         self,
         k: int,
-        vectors: Mapping[str, SparseVector],
+        vectors: WeightedVectorArrays,
         criterion: str,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> None:
@@ -90,45 +88,20 @@ class MatrixEngine(EngineBase):
         self._criterion = criterion
         self._block_size = max(1, int(block_size))
 
-        if isinstance(vectors, WeightedVectorArrays):
-            # CSR batch from the vectoriser: the flat arrays and the
-            # compact column map are already exactly what the
-            # extraction below produces, minus the per-term Python
-            # iteration and the sort
-            doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
-            term_ids, cols = vectors.columns()
-            n_docs = len(doc_id_list)
-            self._row: Dict[str, int] = {
-                doc_id: row for row, doc_id in enumerate(doc_id_list)
-            }
-            indptr = np.asarray(indptr, dtype=np.int64)
-            lens = np.diff(indptr)
-        else:
-            n_docs = len(vectors)
-            self._row = {
-                doc_id: row for row, doc_id in enumerate(vectors)
-            }
-            lens = np.fromiter(
-                (len(v) for v in vectors.values()), dtype=np.int64,
-                count=n_docs,
-            )
-            total_nnz = int(lens.sum())
-            indptr = np.zeros(n_docs + 1, dtype=np.int64)
-            np.cumsum(lens, out=indptr[1:])
-            raw_terms = np.fromiter(
-                chain.from_iterable(v.keys() for v in vectors.values()),
-                dtype=np.int64, count=total_nnz,
-            )
-            raw_vals = np.fromiter(
-                chain.from_iterable(v.values() for v in vectors.values()),
-                dtype=np.float64, count=total_nnz,
-            )
-            term_ids = np.unique(raw_terms)
-            cols = np.searchsorted(term_ids, raw_terms)
+        # the vectoriser's flat arrays and compact column map are
+        # already the matrix layout, minus the within-row term order
+        doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
+        term_ids, cols = vectors.columns()
+        n_docs = len(doc_id_list)
+        self._row: Dict[str, int] = {
+            doc_id: row for row, doc_id in enumerate(doc_id_list)
+        }
+        indptr = np.asarray(indptr, dtype=np.int64)
+        lens = np.diff(indptr)
         self._term_ids = np.asarray(term_ids, dtype=np.int64)
         # sort terms within each row in one global argsort over the
-        # compact columns — same column map and per-row order as the
-        # dense oracle's per-document sorted() build
+        # compact columns — terms ascending per document, the order the
+        # dense oracle stores too
         n_terms = max(1, len(term_ids))
         row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
         order = np.argsort(row_of * n_terms + cols, kind="stable")
@@ -529,13 +502,40 @@ class MatrixEngine(EngineBase):
     def self_similarity(self, doc_id: str) -> float:
         return self._w2[self._row[doc_id]]
 
+    def _support(self) -> BoolArray:
+        """``K × T`` mask of the terms some member of each cluster
+        carries: the membership matrix times ``X``'s sparsity pattern."""
+        counts = [len(members) for members in self._members]
+        clusters = np.repeat(np.arange(self.k, dtype=np.int64), counts)
+        rows = np.fromiter(
+            (self._row[doc_id] for members in self._members
+             for doc_id in members),
+            dtype=np.int64, count=clusters.size,
+        )
+        membership = _sp.csr_matrix(
+            (np.ones(rows.size), (clusters, rows)),
+            shape=(self.k, self._X.shape[0]),
+        )
+        X = self._X
+        pattern = _sp.csr_matrix(
+            (np.ones(X.nnz), X.indices, X.indptr), shape=X.shape
+        )
+        support: BoolArray = (membership @ pattern).toarray() > 0.0
+        return support
+
     def freeze(self) -> EngineView:
         contributions = self.contributions()
+        # an empty term space is padded to one column; the view is not
+        n_terms = self._term_ids.size
+        # _remove subtracts in place, leaving float residue on terms no
+        # remaining member carries; readers see those as exact zeros
+        representatives = np.where(
+            self._support()[:, :n_terms], self._rep[:, :n_terms], 0.0
+        )
         return EngineView(
             criterion=self._criterion,
             term_ids=self._term_ids.copy(),
-            # an empty term space is padded to one column; the view is not
-            representatives=self._rep[:, :self._term_ids.size].copy(),
+            representatives=representatives,
             sizes=np.array(self._sizes, dtype=np.int64),
             crpp=np.array(self._crpp, dtype=np.float64),
             ss=np.array(self._ss, dtype=np.float64),

@@ -19,13 +19,15 @@ from typing import TYPE_CHECKING, Callable, Dict, Tuple
 from ...exceptions import ConfigurationError
 
 if TYPE_CHECKING:
+    from ...vectors.arrays import WeightedVectorArrays
     from .base import Engine
 
-#: ``factory(k, vectors, criterion) -> Engine`` — returning the protocol
-#: type makes ``register_engine(name, SomeEngine)`` a conformance check:
-#: a concrete class whose methods drift from :class:`Engine` stops being
-#: assignable to this alias and fails mypy at the registration site.
-EngineFactory = Callable[..., "Engine"]
+#: ``factory(k, vectors, criterion) -> Engine`` over the fit's CSR batch
+#: — typing the protocol makes ``register_engine(name, SomeEngine)`` a
+#: conformance check: a concrete class whose constructor or methods
+#: drift from :class:`Engine` stops being assignable to this alias and
+#: fails mypy at the registration site.
+EngineFactory = Callable[[int, "WeightedVectorArrays", str], "Engine"]
 
 _REGISTRY: Dict[str, EngineFactory] = {}
 

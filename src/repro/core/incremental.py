@@ -246,12 +246,16 @@ class IncrementalClusterer:
 
     def view(self) -> EngineView:
         """Frozen engine state of the committed clustering: the last
-        fit's, or — never fed, or restored from a checkpoint — the
-        current assignment's, frozen through the engine."""
+        fit's; K empty clusters when never fed; or — restored from a
+        checkpoint — the current assignment's, frozen through the
+        engine."""
         if self._view is not None:
             return self._view
+        documents = self.statistics.documents()
+        if not documents:
+            return EngineView.empty(self.kmeans.k, self.kmeans.criterion)
         return self.kmeans.freeze_assignment(
-            self.statistics.documents(), self.statistics, self._assignment
+            documents, self.statistics, self._assignment
         )
 
 

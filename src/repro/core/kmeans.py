@@ -441,7 +441,7 @@ class NoveltyKMeans:
 
         The candidate is one dense representative over the batch's
         columns (Eq. 19-20) with ``crpp``/``ss`` (Eq. 21-23) kept by the
-        append update of :class:`~repro.core.cluster.Cluster`; each gain
+        engines' append update; each gain
         is the ``"g"`` criterion of Eq. 25-26 from one row dot product.
         Returns the members and their ``|C|·avg_sim`` contribution.
         """

@@ -4,16 +4,16 @@ The paper presents clustering results as "recent topics", which needs a
 label per cluster. Two scorers are provided:
 
 * :func:`representative_terms` — the top components of the cluster
-  representative ``c⃗_p`` (Eq. 19-20). Since ``c⃗_p`` sums
-  ``Pr(d)·tf·idf/len`` over members, its largest coordinates are the
-  terms that are frequent *in the cluster's recent documents* and rare
-  in the corpus — a novelty-weighted label, for free.
+  representative ``c⃗_p`` (Eq. 19-20), read from the
+  :class:`~repro.core.engines.EngineView` the fit froze. Since ``c⃗_p``
+  sums ``Pr(d)·tf·idf/len`` over members, its largest coordinates are
+  the terms that are frequent *in the cluster's recent documents* and
+  rare in the corpus — a novelty-weighted label, for free.
 * :func:`discriminative_terms` — frequency²/corpus-frequency scoring
   with no statistics dependency; useful for labelling baseline results
   that have no forgetting model.
 
-:func:`label_clustering` applies either to a whole
-:class:`~repro.core.ClusteringResult`.
+:func:`label_clustering` labels every non-empty cluster of a view.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .._validation import require_positive_int
 from ..corpus.document import Document
 from ..forgetting.statistics import CorpusStatistics
 from ..text.vocabulary import Vocabulary
-from ..vectors.sparse import SparseVector
 from ..vectors.tfidf import NoveltyTfidfWeighter
-from .result import ClusteringResult
+from .engines import EngineView
 
 
 @dataclass(frozen=True)
@@ -44,24 +45,26 @@ class ClusterLabel:
 
 
 def representative_terms(
-    members: Sequence[Document],
-    statistics: CorpusStatistics,
+    view: EngineView,
+    cluster_id: int,
     vocabulary: Vocabulary,
     limit: int = 5,
 ) -> List[Tuple[str, float]]:
-    """Top-``limit`` components of the cluster representative (Eq. 20).
+    """Top-``limit`` components of cluster ``cluster_id``'s
+    representative (Eq. 20) in ``view``.
 
-    Returns ``(term, weight)`` pairs sorted by descending weight.
+    Returns ``(term, weight)`` pairs sorted by descending weight, ties
+    by ascending term id.
     """
     require_positive_int("limit", limit)
-    weighter = NoveltyTfidfWeighter(statistics)
-    representative = weighter.representative(members)
-    ranked = sorted(
-        representative.items(), key=lambda item: item[1], reverse=True
-    )
+    row = view.representatives[cluster_id]
+    carried = np.flatnonzero(row)
+    # the columns ascend with the term ids, so the stable sort breaks
+    # weight ties by term id
+    top = carried[np.argsort(-row[carried], kind="stable")[:limit]]
     return [
-        (vocabulary.term(term_id), weight)
-        for term_id, weight in ranked[:limit]
+        (vocabulary.term(int(view.term_ids[col])), float(row[col]))
+        for col in top.tolist()
     ]
 
 
@@ -110,64 +113,42 @@ def medoid_document(
     """The cluster's most central document (max mean similarity).
 
     A one-document extractive summary: the story whose novelty-weighted
-    similarity to the rest of the cluster is highest. ``None`` for
-    empty input; the single member for singletons.
+    similarity to the rest of the cluster is highest — per member,
+    ``Σ_{j≠d} sim(d, d_j) = c⃗·w⃗_d − w⃗_d·w⃗_d`` over the members' CSR
+    batch. ``None`` for empty input; the single member for singletons;
+    ties go to the earlier member.
     """
     if not members:
         return None
     if len(members) == 1:
         return members[0]
-    weighter = NoveltyTfidfWeighter(statistics)
-    vectors = [weighter.weighted_vector(doc) for doc in members]
-    representative = SparseVector()
-    for vector in vectors:
-        representative.add_scaled(vector, 1.0)
-    best_doc = None
-    best_score = float("-inf")
-    for doc, vector in zip(members, vectors):
-        # Σ_j sim(d, d_j) for j != d  ==  c⃗·w⃗ - w⃗·w⃗
-        score = representative.dot(vector) - vector.dot(vector)
-        if score > best_score:
-            best_score = score
-            best_doc = doc
-    return best_doc
+    vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(members)
+    n = len(members)
+    owner, cols, data = vectors.gather(np.arange(n, dtype=np.int64))
+    representative = np.bincount(cols, weights=data,
+                                 minlength=vectors.columns()[0].size)
+    scores = (
+        np.bincount(owner, weights=data * representative[cols], minlength=n)
+        - vectors.self_similarities()
+    )
+    return members[int(np.argmax(scores))]
 
 
 def label_clustering(
-    result: ClusteringResult,
-    documents: Sequence[Document],
+    view: EngineView,
     vocabulary: Vocabulary,
-    statistics: Optional[CorpusStatistics] = None,
     limit: int = 5,
 ) -> List[ClusterLabel]:
-    """Label every non-empty cluster of ``result``.
-
-    Uses :func:`representative_terms` when ``statistics`` is given
-    (novelty-weighted labels), otherwise :func:`discriminative_terms`.
-    Documents listed in ``result`` but missing from ``documents`` are
-    skipped (e.g. expired between clustering and labelling).
-    """
-    by_id = {doc.doc_id: doc for doc in documents}
-    corpus_counts = (
-        corpus_term_counts(documents) if statistics is None else None
-    )
+    """Label every non-empty cluster of ``view`` with its
+    :func:`representative_terms` (novelty-weighted labels)."""
+    require_positive_int("limit", limit)
     labels: List[ClusterLabel] = []
-    for cluster_id, member_ids in result.non_empty_clusters():
-        members = [by_id[m] for m in member_ids if m in by_id]
-        if not members:
-            continue
-        if statistics is not None:
-            ranked = representative_terms(
-                members, statistics, vocabulary, limit
-            )
-        else:
-            ranked = discriminative_terms(
-                members, corpus_counts, vocabulary, limit
-            )
+    for cluster_id in np.flatnonzero(view.sizes).tolist():
+        ranked = representative_terms(view, cluster_id, vocabulary, limit)
         labels.append(
             ClusterLabel(
                 cluster_id=cluster_id,
-                size=len(members),
+                size=int(view.sizes[cluster_id]),
                 terms=tuple(term for term, _ in ranked),
                 scores=tuple(score for _, score in ranked),
             )

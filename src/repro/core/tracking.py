@@ -3,9 +3,11 @@
 The paper produces an independent clustering per time window; a user
 watching the stream also wants to know *which cluster is the same story
 as last week's*. :class:`TopicTracker` links clusters of consecutive
-snapshots into **threads** by cosine similarity of their (normalised)
-representative vectors — the TDT "topic tracking" task built on the
-paper's own cluster representatives (Eq. 19-20).
+snapshots into **threads** by cosine similarity of their representative
+vectors — the TDT "topic tracking" task built on the paper's own
+cluster representatives (Eq. 19-20), read from the
+:class:`~repro.core.engines.EngineView` each fit froze. A
+representative's norm is ``√cr_sim(C_p, C_p)`` (Eq. 21).
 
 Matching is greedy on descending similarity with a threshold; clusters
 that match no existing thread found a new one, and threads unmatched
@@ -17,17 +19,23 @@ swaps and re-seeding reuse slots), so matching is purely content-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from .._typing import FloatArray, IntArray
 from .._validation import (
     require_non_negative_int,
     require_probability,
 )
-from ..corpus.document import Document
-from ..forgetting.statistics import CorpusStatistics
-from ..vectors.sparse import SparseVector
-from ..vectors.tfidf import NoveltyTfidfWeighter
-from .result import ClusteringResult
+from .engines import EngineView
+
+#: A unit-norm representative: ascending term ids and their values.
+UnitRepresentative = Tuple[IntArray, FloatArray]
+
+
+def _no_representative() -> UnitRepresentative:
+    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,10 @@ class TopicThread:
     thread_id: int
     born_at: float
     events: List[ThreadEvent] = field(default_factory=list)
-    representative: SparseVector = field(default_factory=SparseVector)
+    #: Unit representative of the cluster that last carried the thread.
+    representative: UnitRepresentative = field(
+        default_factory=_no_representative
+    )
     misses: int = 0
     retired: bool = False
 
@@ -135,18 +146,10 @@ class TopicTracker:
 
     # -- updates -----------------------------------------------------------
 
-    def update(
-        self,
-        result: ClusteringResult,
-        documents: Sequence[Document],
-        statistics: CorpusStatistics,
-        at_time: float,
-    ) -> TrackingSnapshot:
-        """Ingest one clustering snapshot and link it to the threads.
-
-        ``documents`` must cover the clustered documents (extras are
-        fine); representatives are built against ``statistics``.
-        """
+    def update(self, view: EngineView, at_time: float) -> TrackingSnapshot:
+        """Ingest one clustering snapshot — the engine view a fit froze
+        (:meth:`~repro.core.IncrementalClusterer.view`) — and link its
+        clusters to the threads."""
         if self._last_time is not None and at_time <= self._last_time:
             raise ValueError(
                 f"snapshots must advance in time: {at_time} after "
@@ -154,10 +157,9 @@ class TopicTracker:
             )
         self._last_time = at_time
 
-        representatives = self._representatives(
-            result, documents, statistics
-        )
-        candidates = self._ranked_candidates(representatives)
+        live = np.flatnonzero((view.sizes > 0) & (view.crpp > 0.0))
+        norms = np.sqrt(view.crpp[live])
+        candidates = self._ranked_candidates(view, live, norms)
 
         matched_threads: Dict[int, Tuple[int, float]] = {}
         matched_clusters: Dict[int, int] = {}
@@ -170,7 +172,7 @@ class TopicTracker:
             matched_clusters[cluster_id] = thread_id
 
         born: List[int] = []
-        for cluster_id, representative in representatives.items():
+        for cluster_id in live.tolist():
             if cluster_id in matched_clusters:
                 continue
             thread = TopicThread(
@@ -182,10 +184,7 @@ class TopicTracker:
             matched_clusters[cluster_id] = thread.thread_id
             born.append(thread.thread_id)
 
-        sizes = {
-            cluster_id: len(members)
-            for cluster_id, members in enumerate(result.clusters)
-        }
+        norm_of = dict(zip(live.tolist(), norms.tolist()))
         continued: List[int] = []
         retired: List[int] = []
         for thread_id, thread in self.threads.items():
@@ -196,10 +195,15 @@ class TopicTracker:
                 thread.events.append(ThreadEvent(
                     at_time=at_time,
                     cluster_id=cluster_id,
-                    size=sizes.get(cluster_id, 0),
+                    size=int(view.sizes[cluster_id]),
                     similarity=similarity,
                 ))
-                thread.representative = representatives[cluster_id]
+                row = view.representatives[cluster_id]
+                carried = np.flatnonzero(row)
+                thread.representative = (
+                    view.term_ids[carried],
+                    row[carried] / norm_of[cluster_id],
+                )
                 thread.misses = 0
                 if thread_id not in born:
                     continued.append(thread_id)
@@ -219,34 +223,29 @@ class TopicTracker:
 
     # -- internals -----------------------------------------------------------
 
-    @staticmethod
-    def _representatives(
-        result: ClusteringResult,
-        documents: Sequence[Document],
-        statistics: CorpusStatistics,
-    ) -> Dict[int, SparseVector]:
-        """Normalised representative per non-empty cluster."""
-        by_id = {doc.doc_id: doc for doc in documents}
-        weighter = NoveltyTfidfWeighter(statistics)
-        representatives: Dict[int, SparseVector] = {}
-        for cluster_id, member_ids in result.non_empty_clusters():
-            members = [by_id[m] for m in member_ids if m in by_id]
-            representative = weighter.representative(members,
-                                                     normalized=True)
-            if representative:
-                representatives[cluster_id] = representative
-        return representatives
-
     def _ranked_candidates(
-        self, representatives: Dict[int, SparseVector]
+        self, view: EngineView, live: IntArray, norms: FloatArray
     ) -> List[Tuple[float, int, int]]:
-        """(similarity, thread_id, cluster_id) sorted descending."""
+        """(similarity, thread_id, cluster_id) sorted descending: the
+        cosine of each live thread's unit representative against each
+        ``live`` cluster's row of ``view``."""
         candidates: List[Tuple[float, int, int]] = []
+        term_ids = view.term_ids
+        if live.size == 0:
+            return candidates
+        rows = view.representatives[live]
+        clusters = live.tolist()
         for thread_id, thread in self.threads.items():
-            if thread.retired or not thread.representative:
+            thread_terms, values = thread.representative
+            if thread.retired or not thread_terms.size:
                 continue
-            for cluster_id, representative in representatives.items():
-                similarity = thread.representative.dot(representative)
-                candidates.append((similarity, thread_id, cluster_id))
+            positions = np.minimum(np.searchsorted(term_ids, thread_terms),
+                                   term_ids.size - 1)
+            found = term_ids[positions] == thread_terms
+            similarities = (rows[:, positions[found]] @ values[found]) / norms
+            candidates.extend(
+                zip(similarities.tolist(), [thread_id] * len(clusters),
+                    clusters)
+            )
         candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
         return candidates

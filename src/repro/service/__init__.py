@@ -4,7 +4,7 @@ This package turns the batch pipeline into a long-running service:
 :class:`ClusterService` serializes ingestion through one asyncio writer
 and publishes an immutable, monotonically versioned
 :class:`ClusterSnapshot` after every committed batch. Readers query the
-snapshot — :meth:`~ClusterSnapshot.assign`,
+snapshot — :meth:`~ClusterSnapshot.assign`, :meth:`~ClusterSnapshot.search`,
 :meth:`~ClusterSnapshot.top_clusters`, :meth:`~ClusterSnapshot.members`,
 :meth:`~ClusterSnapshot.stats` — without locks and without ever
 observing a half-committed batch. See ``docs/SERVICE.md`` for the
@@ -17,6 +17,7 @@ from .snapshot import (
     ClusterSnapshot,
     Query,
     QueryAssignment,
+    SearchHit,
     SnapshotStats,
 )
 from .service import ClusterService
@@ -28,6 +29,7 @@ __all__ = [
     "ClusterInfo",
     "Query",
     "QueryAssignment",
+    "SearchHit",
     "SnapshotStats",
     "ServiceHTTPServer",
 ]

@@ -13,7 +13,9 @@ queries against one committed batch:
 * the sorted member and outlier tuples.
 
 :meth:`ClusterSnapshot.assign` scores a query with the assignment
-sweep's own :func:`~repro.core.engines.best_affine_gain`.
+sweep's own :func:`~repro.core.engines.best_affine_gain`;
+:meth:`ClusterSnapshot.search` ranks clusters by the cosine between a
+text query and the same representatives.
 
 Snapshots are *immutable* (frozen dataclass, numpy arrays marked
 read-only) and *versioned*: ``version`` equals the durability journal's
@@ -41,6 +43,7 @@ from typing import (
 import numpy as np
 
 from .._typing import FloatArray
+from .._validation import require_positive_int
 from ..core.engines import EngineView, best_affine_gain
 from ..corpus.document import Document
 from ..exceptions import ConfigurationError
@@ -84,6 +87,18 @@ class ClusterInfo:
 
 
 @dataclass(frozen=True)
+class SearchHit:
+    """One cluster retrieved by :meth:`ClusterSnapshot.search`."""
+
+    cluster_id: int
+    #: Cosine between the query and the representative, in (0, 1].
+    score: float
+    size: int
+    #: Query terms the cluster carries, largest contribution first.
+    matched_terms: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class SnapshotStats:
     """Summary counters of one snapshot (:meth:`ClusterSnapshot.stats`)."""
 
@@ -103,9 +118,9 @@ class ClusterSnapshot:
     """Point-in-time, read-optimized view of the clusterer state.
 
     Build one with :meth:`from_clusterer` (the service does this in its
-    commit hook); query it with :meth:`assign`, :meth:`top_clusters`,
-    :meth:`members`, and :meth:`stats` — all pure reads over the frozen
-    arrays, safe from any thread.
+    commit hook); query it with :meth:`assign`, :meth:`search`,
+    :meth:`top_clusters`, :meth:`members`, and :meth:`stats` — all pure
+    reads over the frozen arrays, safe from any thread.
     """
 
     #: Monotonic publish number == the durability journal sequence.
@@ -238,6 +253,66 @@ class ClusterSnapshot:
         return QueryAssignment(
             cluster_id=best, gain=gain, version=self.version
         )
+
+    def search(self, query: str, limit: int = 5) -> List[SearchHit]:
+        """Top-``limit`` clusters for a text ``query``, best first.
+
+        The query is embedded like a text query to :meth:`assign` (the
+        attached pipeline, terms looked up without interning), weighted
+        ``tf·idf`` with the frozen novelty idf (Eq. 14), unit-normalised
+        over all its known terms, and scored by cosine against each
+        representative ``c⃗_p`` (Eq. 19-20), whose norm is
+        ``√cr_sim(C_p, C_p)`` (Eq. 21). Because the
+        representatives sum ``Pr(d)``-weighted members, recently active
+        clusters score higher for equally matching content. Clusters
+        sharing no term with the query are omitted, so fewer than
+        ``limit`` hits (or none) may return; ties go to the lower
+        cluster id, and matched-term ties to the lower term id.
+        """
+        require_positive_int("limit", limit)
+        counts, _ = self._query_counts(query)
+        if not counts:
+            return []
+        ids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+        order = np.argsort(ids)
+        ids = ids[order]
+        weights = np.fromiter(
+            counts.values(), dtype=np.float64, count=len(counts)
+        )[order] * self.frozen.idf_array(ids)
+        norm = math.sqrt(float(weights @ weights))
+        view = self.view
+        term_ids = view.term_ids
+        if norm <= 0.0 or term_ids.size == 0:
+            return []
+        positions = np.minimum(np.searchsorted(term_ids, ids),
+                               term_ids.size - 1)
+        found = (term_ids[positions] == ids) & (weights > 0.0)
+        cols, q = positions[found], weights[found] / norm
+        # per-term contributions c_pt·q_t; a row sums to the dot product
+        contributions = view.representatives[:, cols] * q
+        scores = contributions.sum(axis=1)
+        live = np.flatnonzero((scores > 0.0) & (view.crpp > 0.0))
+        scores = scores[live] / np.sqrt(view.crpp[live])
+        # a stable sort of the ascending ids keeps ties in id order
+        ranked = np.argsort(-scores, kind="stable")[:limit]
+        assert self.vocabulary is not None  # _query_counts checked it
+        term = self.vocabulary.term
+        matched_ids = ids[found].tolist()
+        hits: List[SearchHit] = []
+        for rank in ranked.tolist():
+            p = int(live[rank])
+            row = contributions[p]
+            # cols ascend with the term ids, so the stable sort keeps
+            # equal contributions in term-id order
+            matched = [c for c in np.argsort(-row, kind="stable").tolist()
+                       if row[c] > 0.0]
+            hits.append(SearchHit(
+                cluster_id=p,
+                score=float(scores[rank]),
+                size=int(view.sizes[p]),
+                matched_terms=tuple(term(matched_ids[c]) for c in matched),
+            ))
+        return hits
 
     def top_clusters(self, n: int = 10) -> List[ClusterInfo]:
         """The ``n`` largest non-empty clusters (size desc, id asc)."""

@@ -5,29 +5,25 @@
 :meth:`~repro.vectors.tfidf.NoveltyTfidfWeighter.weighted_vectors`:
 one flat ``(indptr, term_ids, data)`` CSR layout over the whole batch
 instead of one dict per document. It is what every K-means fit
-vectorises into. The engine consumes the flat arrays directly (no
-per-term Python loop between vectorisation and the engine's matrix
-build); an engine that wants dicts still works, because the class is a
-read-only ``Mapping[str, SparseVector]`` that materialises individual
-rows lazily. The K-means outlier rescue and split repair
-read whole clusters' rows on most passes, so they work on the flat
-arrays too (:meth:`~WeightedVectorArrays.gather` and
+vectorises into, and the only input engines accept: they consume the
+flat arrays directly, with no per-term Python loop between
+vectorisation and the engine's matrix build. The K-means outlier
+rescue and split repair read whole clusters' rows on most passes, so
+they work on the flat arrays too (:meth:`~WeightedVectorArrays.gather` and
 :meth:`~WeightedVectorArrays.row` over the batch's compact
 :meth:`~WeightedVectorArrays.columns`) and never build a dict.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from .sparse import SparseVector
 
 
-class WeightedVectorArrays(Mapping[str, SparseVector]):
+class WeightedVectorArrays:
     """Batch of weighted document vectors in one CSR layout.
 
     Parameters
@@ -49,7 +45,7 @@ class WeightedVectorArrays(Mapping[str, SparseVector]):
     """
 
     __slots__ = ("doc_ids", "indptr", "term_ids", "data", "_index",
-                 "_row_cache", "_columns", "_self_dots")
+                 "_columns", "_self_dots")
 
     def __init__(
         self,
@@ -66,27 +62,10 @@ class WeightedVectorArrays(Mapping[str, SparseVector]):
         self._index: Dict[str, int] = {
             doc_id: row for row, doc_id in enumerate(self.doc_ids)
         }
-        self._row_cache: Dict[str, SparseVector] = {}
         self._columns = columns
         self._self_dots: Optional[FloatArray] = None
 
-    # -- Mapping protocol ------------------------------------------------
-
-    def __getitem__(self, doc_id: str) -> SparseVector:
-        vector = self._row_cache.get(doc_id)
-        if vector is None:
-            row = self._index[doc_id]
-            lo = int(self.indptr[row])
-            hi = int(self.indptr[row + 1])
-            vector = SparseVector._trusted(dict(zip(
-                self.term_ids[lo:hi].tolist(),
-                self.data[lo:hi].tolist(),
-            )))
-            self._row_cache[doc_id] = vector
-        return vector
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.doc_ids)
+    # -- container of doc ids ---------------------------------------------
 
     def __len__(self) -> int:
         return len(self.doc_ids)

@@ -12,8 +12,11 @@ which factorises as a plain dot product of **weighted document vectors**
 
 That factorisation is exactly what makes the paper's cluster
 representatives work: the representative (Eq. 19-20) is the *sum* of the
-member ``w⃗_i`` vectors. :class:`NoveltyTfidfWeighter` builds both forms
-against a statistics snapshot.
+member ``w⃗_i`` vectors, which the engines keep. :class:`NoveltyTfidfWeighter`
+builds the weighted vectors against a statistics snapshot: one CSR batch
+(:meth:`~NoveltyTfidfWeighter.weighted_arrays`, what every fit uses) or
+one ``SparseVector`` per document (the paper-literal reference the
+tests and baselines use).
 
 Because ``Pr(t_k)`` and ``Pr(d_i)`` change at every statistics update,
 weighted vectors are valid only for the snapshot they were built from;
@@ -34,7 +37,7 @@ from .sparse import SparseVector
 
 
 class NoveltyTfidfWeighter:
-    """Build tf·idf and weighted document vectors from statistics.
+    """Build weighted document vectors (Eq. 12-16) from statistics.
 
     The idf table is captured eagerly at construction so that repeated
     vector builds within one clustering run are consistent and cheap.
@@ -56,15 +59,9 @@ class NoveltyTfidfWeighter:
             self._idf_cache[term_id] = cached
         return cached
 
-    def tfidf_vector(self, document: Document) -> SparseVector:
-        """``d⃗_i`` with components ``tf_ik · idf_k`` (Eq. 12-14)."""
-        return SparseVector({
-            term_id: count * self.idf(term_id)
-            for term_id, count in document.term_counts.items()
-        })
-
     def weighted_vector(self, document: Document) -> SparseVector:
-        """``w⃗_i = (Pr(d_i)/len_i) · d⃗_i`` — the similarity-carrying form.
+        """``w⃗_i = (Pr(d_i)/len_i) · d⃗_i`` — the similarity-carrying form,
+        with ``d⃗_i``'s components ``tf_ik · idf_k`` (Eq. 12-14).
 
         Empty documents produce the zero vector (they are similar to
         nothing, including themselves).
@@ -181,34 +178,6 @@ class NoveltyTfidfWeighter:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
         return WeightedVectorArrays(doc_ids, indptr, terms, data, columns)
-
-    def representative(
-        self,
-        documents: Iterable[Document],
-        normalized: bool = False,
-    ) -> SparseVector:
-        """Cluster representative ``c⃗ = Σ w⃗_d`` over ``documents``
-        (Eq. 19-20), optionally unit-normalised.
-
-        The single construction point used by labeling, tracking and
-        search — the vector whose top components name a cluster and
-        whose cosine links clusters across snapshots.
-        """
-        representative = SparseVector()
-        for doc in documents:
-            representative.add_scaled(self.weighted_vector(doc), 1.0)
-        if normalized:
-            return representative.normalized()
-        return representative
-
-    def cosine_vectors(
-        self, documents: Iterable[Document]
-    ) -> Dict[str, SparseVector]:
-        """Unit-normalised tf·idf vectors (for the classic baselines)."""
-        return {
-            doc.doc_id: self.tfidf_vector(doc).normalized()
-            for doc in documents
-        }
 
     def invalidate(self) -> None:
         """Drop the idf cache (call after the statistics were updated)."""

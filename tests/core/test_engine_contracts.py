@@ -23,6 +23,7 @@ from repro.core.engines import DEFAULT_ENGINE, NO_GAIN, resolve_engine
 from repro.vectors.sparse import SparseVector
 from tests.conftest import make_document
 from tests.oracles import ORACLE_ENGINE
+from tests.oracles.vectors import as_arrays
 
 ENGINES = (ORACLE_ENGINE, DEFAULT_ENGINE)
 
@@ -36,7 +37,8 @@ class TestBlockCacheBound:
             f"d{i:03d}": SparseVector({i % 7: 1.0, 7 + i % 5: 0.5})
             for i in range(n_docs)
         }
-        engine = MatrixEngine(4, vectors, "g", block_size=block_size)
+        engine = MatrixEngine(4, as_arrays(vectors), "g",
+                              block_size=block_size)
         limit = math.ceil(n_docs / block_size)
         assert engine._block_cache_limit == limit
         doc_ids = list(vectors)
@@ -57,7 +59,7 @@ class TestBlockCacheBound:
             f"d{i:03d}": SparseVector({i % 7: 1.0})
             for i in range(32)
         }
-        engine = MatrixEngine(4, vectors, "g", block_size=8)
+        engine = MatrixEngine(4, as_arrays(vectors), "g", block_size=8)
         engine.best_gains(list(vectors))
         # the cache exists to serve repeated full sweeps: all four
         # blocks of one pass must be resident at once
@@ -77,7 +79,7 @@ class TestEmptyDocContract:
         order = ["empty", "tiny"]
         decisions = {}
         for name in ENGINES:
-            engine = resolve_engine(name)(2, vectors, "g")
+            engine = resolve_engine(name)(2, as_arrays(vectors), "g")
             engine.add(0, "topical")
             engine.add(1, "other")
             decisions[name] = engine.best_gains(order)
@@ -101,7 +103,7 @@ class TestEmptyDocContract:
         order = list(vectors)
         decisions = {}
         for name in ENGINES:
-            engine = resolve_engine(name)(3, vectors, "g")
+            engine = resolve_engine(name)(3, as_arrays(vectors), "g")
             for i in range(30):
                 engine.add(i % 3, f"d{i:02d}")
             # two identical passes: the second is net-stationary, which
@@ -132,7 +134,7 @@ class TestMembershipConservation:
             "loner": SparseVector({9: 1.0}),
             "empty": SparseVector({}),
         }
-        engine = resolve_engine(engine_name)(2, vectors, "g")
+        engine = resolve_engine(engine_name)(2, as_arrays(vectors), "g")
         engine.add(0, "a")
         engine.add(0, "b")
         engine.add(1, "c")
@@ -185,7 +187,7 @@ class TestFreeze:
             "b": SparseVector({3: 0.5, 11: 1.0}),
             "c": SparseVector({20: 2.0}),
         }
-        engine = resolve_engine(engine_name)(2, vectors, "g")
+        engine = resolve_engine(engine_name)(2, as_arrays(vectors), "g")
         engine.add(0, "a")
         engine.add(0, "b")
         engine.add(1, "c")
@@ -211,7 +213,7 @@ class TestFreeze:
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_empty_term_space_is_not_padded(self, engine_name):
-        engine = resolve_engine(engine_name)(3, {}, "g")
+        engine = resolve_engine(engine_name)(3, as_arrays({}), "g")
         view = engine.freeze()
         assert view.term_ids.size == 0
         assert view.representatives.shape == (3, 0)

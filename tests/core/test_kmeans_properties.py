@@ -78,7 +78,7 @@ class TestKMeansInvariants:
 
         docs, stats = build(stats_docs)
         k = min(k, len(docs))
-        vectors = NoveltyTfidfWeighter(stats).weighted_vectors(docs)
+        vectors = NoveltyTfidfWeighter(stats).weighted_arrays(docs)
         matrix = MatrixEngine(k, vectors, "g")
         dense = DenseEngine(k, vectors, "g")
         for i, doc in enumerate(docs):

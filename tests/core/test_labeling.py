@@ -14,6 +14,7 @@ from repro.core.labeling import (
     representative_terms,
 )
 from repro.exceptions import ConfigurationError
+from repro.vectors.sparse import SparseVector
 from tests.conftest import build_topic_repository
 
 
@@ -24,20 +25,20 @@ def clustered():
     stats = CorpusStatistics.from_scratch(
         model, repo.documents(), at_time=5.0
     )
-    result = NoveltyKMeans(k=4, seed=2).fit(stats.documents(), stats)
-    return repo, stats, result
+    result, view = NoveltyKMeans(k=4, seed=2).fit_frozen(
+        stats.documents(), stats
+    )
+    return repo, stats, result, view
 
 
 class TestRepresentativeTerms:
     def test_topic_words_dominate(self, clustered):
-        repo, stats, result = clustered
+        repo, _, result, view = clustered
         truth = {d.doc_id: d.topic_id for d in repo}
-        by_id = {d.doc_id: d for d in repo}
-        for _, member_ids in result.non_empty_clusters():
+        for cluster_id, member_ids in result.non_empty_clusters():
             topic = truth[member_ids[0]]
-            members = [by_id[m] for m in member_ids]
             ranked = representative_terms(
-                members, stats, repo.vocabulary, limit=3
+                view, cluster_id, repo.vocabulary, limit=3
             )
             from tests.conftest import TOPIC_VOCABULARY
             from repro.text import stem
@@ -47,23 +48,38 @@ class TestRepresentativeTerms:
                 assert score > 0.0
 
     def test_scores_descending(self, clustered):
-        repo, stats, result = clustered
-        by_id = {d.doc_id: d for d in repo}
-        members = [by_id[m] for m in result.non_empty_clusters()[0][1]]
-        ranked = representative_terms(members, stats, repo.vocabulary,
+        repo, _, result, view = clustered
+        cluster_id = result.non_empty_clusters()[0][0]
+        ranked = representative_terms(view, cluster_id, repo.vocabulary,
                                       limit=10)
         scores = [score for _, score in ranked]
         assert scores == sorted(scores, reverse=True)
 
+    def test_ties_break_by_term_id(self):
+        from repro import Vocabulary
+        from tests.oracles import DenseEngine
+        from tests.oracles.vectors import as_arrays
+
+        vocabulary = Vocabulary()
+        for word in ("zero", "one", "two", "three"):
+            vocabulary.add(word)
+        engine = DenseEngine(1, as_arrays({
+            "a": SparseVector({3: 1.0, 1: 1.0, 2: 2.0, 0: 1.0}),
+        }), "g")
+        engine.add(0, "a")
+        ranked = representative_terms(engine.freeze(), 0, vocabulary,
+                                      limit=3)
+        assert ranked == [("two", 2.0), ("zero", 1.0), ("one", 1.0)]
+
     def test_limit_validated(self, clustered):
-        repo, stats, _ = clustered
+        repo, _, _, view = clustered
         with pytest.raises(ConfigurationError):
-            representative_terms([], stats, repo.vocabulary, limit=0)
+            representative_terms(view, 0, repo.vocabulary, limit=0)
 
 
 class TestDiscriminativeTerms:
     def test_background_words_suppressed(self, clustered):
-        repo, _, result = clustered
+        repo, _, result, _ = clustered
         by_id = {d.doc_id: d for d in repo}
         counts = corpus_term_counts(repo.documents())
         members = [by_id[m] for m in result.non_empty_clusters()[0][1]]
@@ -77,7 +93,7 @@ class TestDiscriminativeTerms:
         assert not top & background_stems
 
     def test_corpus_counts_sum(self, clustered):
-        repo, _, _ = clustered
+        repo, _, _, _ = clustered
         counts = corpus_term_counts(repo.documents())
         assert sum(counts.values()) == sum(d.length for d in repo)
 
@@ -86,7 +102,7 @@ class TestMedoidDocument:
     def test_medoid_is_most_central(self, clustered):
         from repro.core import medoid_document
 
-        repo, stats, result = clustered
+        repo, stats, result, _ = clustered
         by_id = {d.doc_id: d for d in repo}
         for _, member_ids in result.non_empty_clusters():
             members = [by_id[m] for m in member_ids]
@@ -108,7 +124,7 @@ class TestMedoidDocument:
     def test_medoid_edge_cases(self, clustered):
         from repro.core import medoid_document
 
-        repo, stats, _ = clustered
+        repo, stats, _, _ = clustered
         only = repo.documents()[0]
         assert medoid_document([], stats) is None
         assert medoid_document([only], stats) is only
@@ -116,27 +132,13 @@ class TestMedoidDocument:
 
 class TestLabelClustering:
     def test_labels_every_non_empty_cluster(self, clustered):
-        repo, stats, result = clustered
-        labels = label_clustering(result, repo.documents(),
-                                  repo.vocabulary, statistics=stats)
+        repo, _, result, view = clustered
+        labels = label_clustering(view, repo.vocabulary)
         assert len(labels) == len(result.non_empty_clusters())
-        for label in labels:
-            assert label.size > 0
-            assert len(label.terms) <= 5
+        for label, (cluster_id, members) in zip(
+            labels, result.non_empty_clusters()
+        ):
+            assert label.cluster_id == cluster_id
+            assert label.size == len(members)
+            assert 0 < len(label.terms) <= 5
             assert str(label) == ", ".join(label.terms)
-
-    def test_without_statistics_uses_discriminative(self, clustered):
-        repo, _, result = clustered
-        labels = label_clustering(result, repo.documents(),
-                                  repo.vocabulary)
-        assert labels
-        assert all(label.terms for label in labels)
-
-    def test_missing_documents_skipped(self, clustered):
-        repo, stats, result = clustered
-        some_docs = repo.documents()[: repo.size // 2]
-        labels = label_clustering(result, some_docs, repo.vocabulary,
-                                  statistics=stats)
-        assert all(
-            label.size <= len(some_docs) for label in labels
-        )

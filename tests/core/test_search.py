@@ -1,13 +1,12 @@
-"""Tests for query -> cluster search."""
+"""Tests for query -> cluster search over a published snapshot."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro import (
-    ClusterSearcher,
-    CorpusStatistics,
-    ForgettingModel,
-    NoveltyKMeans,
-)
+from repro import ClusterSnapshot
+from repro.api import build_clusterer
 from repro.exceptions import ConfigurationError
 from tests.conftest import build_topic_repository
 
@@ -15,13 +14,10 @@ from tests.conftest import build_topic_repository
 @pytest.fixture(scope="module")
 def searcher_setup():
     repo = build_topic_repository(days=5, docs_per_topic_per_day=3, seed=2)
-    model = ForgettingModel(half_life=7.0)
-    stats = CorpusStatistics.from_scratch(
-        model, repo.documents(), at_time=5.0
-    )
-    result = NoveltyKMeans(k=4, seed=2).fit(stats.documents(), stats)
-    searcher = ClusterSearcher(
-        result, repo.documents(), stats, repo.vocabulary
+    clusterer = build_clusterer(k=4, half_life=7.0, seed=2)
+    result = clusterer.process_batch(repo.documents(), at_time=5.0)
+    searcher = ClusterSnapshot.from_clusterer(
+        1, clusterer, vocabulary=repo.vocabulary, pipeline=repo.pipeline
     )
     truth = {d.doc_id: d.topic_id for d in repo}
     cluster_topic = {
@@ -81,6 +77,23 @@ class TestSearch:
             searcher.search("market", limit=0)
 
     def test_query_vector_unit_norm(self, searcher_setup):
+        """Each score is the dot product of the unit tf·idf query vector
+        (frozen idf, Eq. 14) with the unit representative."""
         searcher, _ = searcher_setup
-        vector = searcher.query_vector("stock market rally")
-        assert vector.norm() == pytest.approx(1.0)
+        query = "stock market rally"
+        counts = searcher.pipeline.term_frequencies(query)
+        term_ids = {searcher.vocabulary.get(t): c for t, c in counts.items()}
+        term_ids.pop(-1, None)
+        vector = {t: c * searcher.frozen.idf(t) for t, c in term_ids.items()}
+        norm = math.sqrt(sum(v * v for v in vector.values()))
+        view = searcher.view
+        hits = searcher.search(query, limit=10)
+        assert hits
+        for hit in hits:
+            row = view.representatives[hit.cluster_id]
+            dot = sum(
+                row[np.searchsorted(view.term_ids, t)] * v
+                for t, v in vector.items() if t in view.term_ids
+            )
+            expected = dot / (norm * np.linalg.norm(row))
+            assert hit.score == pytest.approx(expected, rel=1e-12)

@@ -110,17 +110,6 @@ class TestNoveltyBias:
 
 
 class TestBatchHelpers:
-    def test_pairwise_matrix_symmetric_and_complete(self):
-        stats = build_statistics(
-            [{0: 1}, {0: 1, 1: 1}, {1: 2}], [0.0, 1.0, 2.0]
-        )
-        similarity = NoveltySimilarity(stats)
-        matrix = similarity.pairwise_matrix(stats.documents())
-        ids = [d.doc_id for d in stats.documents()]
-        for i in ids:
-            for j in ids:
-                assert matrix[i][j] == matrix[j][i]
-
     def test_vector_cache_and_invalidate(self):
         stats = build_statistics([{0: 1}, {0: 2}], [0.0, 0.0])
         similarity = NoveltySimilarity(stats)

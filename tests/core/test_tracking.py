@@ -22,13 +22,8 @@ def run_tracked_stream(repo, days, k=4, threshold=0.3, patience=1,
         if not batch:
             clusterer.statistics.advance_to(float(day + 1))
             continue
-        result = clusterer.process_batch(batch, at_time=float(day + 1))
-        snapshot = tracker.update(
-            result,
-            clusterer.statistics.documents(),
-            clusterer.statistics,
-            at_time=float(day + 1),
-        )
+        clusterer.process_batch(batch, at_time=float(day + 1))
+        snapshot = tracker.update(clusterer.view(), at_time=float(day + 1))
         snapshots.append(snapshot)
     return clusterer, tracker, snapshots
 
@@ -135,12 +130,10 @@ class TestTrackerValidation:
             ForgettingModel(half_life=7.0), k=2, seed=0
         )
         tracker = TopicTracker()
-        result = clusterer.process_batch(repo.documents(), at_time=2.0)
-        tracker.update(result, clusterer.statistics.documents(),
-                       clusterer.statistics, at_time=2.0)
+        clusterer.process_batch(repo.documents(), at_time=2.0)
+        tracker.update(clusterer.view(), at_time=2.0)
         with pytest.raises(ValueError):
-            tracker.update(result, clusterer.statistics.documents(),
-                           clusterer.statistics, at_time=2.0)
+            tracker.update(clusterer.view(), at_time=2.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):

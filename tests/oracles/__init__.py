@@ -7,8 +7,13 @@ whose production form lives in ``src/repro`` on arrays:
   assignment sweep the ``"matrix"`` engine is compared against;
 * :mod:`.dict_backend` — the ``"dict"`` statistics backend, the
   eager-decay store the ``"columnar"`` backend is compared against;
+* :mod:`.cluster` — :class:`Cluster`, one cluster's representative and
+  Eq. 21-26 accounting over dict vectors, the state the engines keep for
+  all K clusters and freeze into an ``EngineView``;
 * :mod:`.repair` — split repair and outlier rescue over ``Cluster``
-  objects.
+  objects;
+* :mod:`.vectors` — the bridge between the engines' CSR batches and
+  ``{doc_id: SparseVector}`` dicts.
 
 Nothing in the library imports these. :func:`register_oracles` puts the
 two oracles into the library's registries under ``"dense"`` and
@@ -22,8 +27,18 @@ from __future__ import annotations
 from repro.core.engines import register_engine
 from repro.forgetting.backends import register_backend
 
+from .cluster import Cluster
 from .dense import DenseEngine
 from .dict_backend import DictStatisticsBackend
+
+__all__ = [
+    "Cluster",
+    "DenseEngine",
+    "DictStatisticsBackend",
+    "ORACLE_BACKEND",
+    "ORACLE_ENGINE",
+    "register_oracles",
+]
 
 #: Registry names of the oracles.
 ORACLE_ENGINE = "dense"

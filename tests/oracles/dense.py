@@ -9,7 +9,7 @@ winner. The ``"matrix"`` engine must decide exactly as this one does.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -20,66 +20,39 @@ from repro.core.engines.base import (
     affine_gain_coefficients,
 )
 from repro.vectors.arrays import WeightedVectorArrays
-from repro.vectors.sparse import SparseVector
 
 
 class DenseEngine(EngineBase):
     """Oracle engine: K×V representative matrix, per-document gains."""
 
     def __init__(
-        self, k: int, vectors: Mapping[str, SparseVector], criterion: str
+        self, k: int, vectors: WeightedVectorArrays, criterion: str
     ) -> None:
         super().__init__(k, vectors)
         self._criterion = criterion
         self._doc_ids: Dict[str, IntArray] = {}
         self._doc_vals: Dict[str, FloatArray] = {}
         self._doc_w2: Dict[str, float] = {}
-        if isinstance(vectors, WeightedVectorArrays):
-            # CSR batch: take its compact columns and sort terms within
-            # each row in one global argsort — same column map and
-            # per-row order (terms ascending) as the per-document
-            # sorted() build below, so per-doc arrays and w2 are
-            # bit-identical
-            doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
-            n_docs = len(doc_id_list)
-            term_id_arr, cols = vectors.columns()
-            self._term_ids = np.array(term_id_arr, dtype=np.int64)
-            self._column = {
-                t: i for i, t in enumerate(term_id_arr.tolist())
-            }
-            n_terms = max(1, int(term_id_arr.size))
-            lens = np.diff(indptr)
-            row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-            order = np.argsort(row_of * n_terms + cols, kind="stable")
-            all_ids = cols[order]
-            all_vals = raw_vals[order]
-            for row, doc_id in enumerate(doc_id_list):
-                lo, hi = int(indptr[row]), int(indptr[row + 1])
-                ids = all_ids[lo:hi]
-                vals = all_vals[lo:hi]
-                self._doc_ids[doc_id] = ids
-                self._doc_vals[doc_id] = vals
-                self._doc_w2[doc_id] = float(vals @ vals)
-        else:
-            term_ids = sorted(
-                {t for v in vectors.values() for t in v.keys()}
-            )
-            self._term_ids = np.array(term_ids, dtype=np.int64)
-            self._column = {t: i for i, t in enumerate(term_ids)}
-            n_terms = max(1, len(term_ids))
-            for doc_id, vector in vectors.items():
-                items = sorted(vector.items())
-                ids = np.fromiter(
-                    (self._column[t] for t, _ in items), dtype=np.int64,
-                    count=len(items),
-                )
-                vals = np.fromiter(
-                    (v for _, v in items), dtype=np.float64,
-                    count=len(items),
-                )
-                self._doc_ids[doc_id] = ids
-                self._doc_vals[doc_id] = vals
-                self._doc_w2[doc_id] = float(vals @ vals)
+        # take the batch's compact columns and sort terms within each
+        # row in one global argsort (terms ascending per document), the
+        # same column map and per-row order the matrix engine builds
+        doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
+        n_docs = len(doc_id_list)
+        term_id_arr, cols = vectors.columns()
+        self._term_ids = np.array(term_id_arr, dtype=np.int64)
+        n_terms = max(1, int(term_id_arr.size))
+        lens = np.diff(indptr)
+        row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
+        order = np.argsort(row_of * n_terms + cols, kind="stable")
+        all_ids = cols[order]
+        all_vals = raw_vals[order]
+        for row, doc_id in enumerate(doc_id_list):
+            lo, hi = int(indptr[row]), int(indptr[row + 1])
+            ids = all_ids[lo:hi]
+            vals = all_vals[lo:hi]
+            self._doc_ids[doc_id] = ids
+            self._doc_vals[doc_id] = vals
+            self._doc_w2[doc_id] = float(vals @ vals)
         self._rep = np.zeros((k, n_terms), dtype=np.float64)
         self._crpp = np.zeros(k, dtype=np.float64)
         self._ss = np.zeros(k, dtype=np.float64)

@@ -1,6 +1,6 @@
 """Dict-based outlier rescue and split repair (the pre-array versions).
 
-These rebuild scratch clusters with :class:`repro.core.cluster.Cluster`
+These rebuild scratch clusters with :class:`tests.oracles.cluster.Cluster`
 and ``SparseVector`` dot products, one row at a time, exactly as
 ``NoveltyKMeans`` did before it moved both repairs onto the batch's CSR
 rows. ``tests/core/test_repair_parity.py`` holds the array versions to
@@ -9,8 +9,9 @@ them.
 
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.cluster import Cluster
 from repro.vectors.sparse import SparseVector
+
+from .cluster import Cluster
 
 Vectors = Mapping[str, SparseVector]
 

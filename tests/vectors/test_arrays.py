@@ -11,6 +11,7 @@ import pytest
 from repro import CorpusStatistics, ForgettingModel, NoveltyTfidfWeighter
 from repro.vectors.arrays import WeightedVectorArrays
 from tests.conftest import make_document
+from tests.oracles.vectors import as_dicts
 
 
 def _corpus(backend="dict"):
@@ -31,10 +32,10 @@ class TestWeightedArraysEquivalence:
         stats, docs = _corpus(backend)
         weighter = NoveltyTfidfWeighter(stats)
         reference = weighter.weighted_vectors(docs)
-        arrays = weighter.weighted_arrays(docs)
-        assert list(arrays) == list(reference)
+        rows = as_dicts(weighter.weighted_arrays(docs))
+        assert list(rows) == list(reference)
         for doc_id in reference:
-            assert dict(arrays[doc_id]) == dict(reference[doc_id])
+            assert dict(rows[doc_id]) == dict(reference[doc_id])
 
     def test_mapping_protocol(self, backend):
         stats, docs = _corpus(backend)
@@ -52,7 +53,7 @@ class TestWeightedArraysEquivalence:
         stats.observe([docs[-1]], at_time=5.0)
         arrays = NoveltyTfidfWeighter(stats).weighted_arrays(docs)
         assert arrays.empty_doc_ids() == ["empty"]
-        assert len(arrays["empty"]) == 0
+        assert len(as_dicts(arrays)["empty"]) == 0
 
 
 class TestZeroIdfFilter:
@@ -90,7 +91,7 @@ class TestZeroIdfFilter:
         dead_term = next(iter(docs[0].term_counts))
         self._zero_out_term(stats, dead_term)
         arrays = NoveltyTfidfWeighter(stats).weighted_arrays(docs)
-        vector = arrays[docs[0].doc_id]
+        vector = as_dicts(arrays)[docs[0].doc_id]
         assert dead_term not in vector
         assert 0.0 not in vector.values()
         _, _, _, data = arrays.csr_parts()

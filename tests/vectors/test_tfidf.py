@@ -46,20 +46,27 @@ class TestIdf:
 
 class TestVectors:
     def test_tfidf_components(self, stats):
-        weighter = NoveltyTfidfWeighter(stats)
-        doc = stats.document("a")
-        vector = weighter.tfidf_vector(doc)
-        assert math.isclose(vector[0], 2 * weighter.idf(0))
-        assert math.isclose(vector[1], 1 * weighter.idf(1))
-
-    def test_weighted_vector_scaling(self, stats):
+        """Eq. 12-14: ``d⃗``'s components are ``tf_ik · idf_k``, read
+        off ``w⃗ = (Pr(d)/len)·d⃗`` by undoing the document scale."""
         weighter = NoveltyTfidfWeighter(stats)
         doc = stats.document("a")
         scale = stats.pr_document("a") / doc.length
-        tfidf = weighter.tfidf_vector(doc)
-        weighted = weighter.weighted_vector(doc)
-        for term_id in tfidf.keys():
-            assert math.isclose(weighted[term_id], tfidf[term_id] * scale)
+        vector = weighter.weighted_vector(doc)
+        assert math.isclose(vector[0] / scale, 2 * weighter.idf(0))
+        assert math.isclose(vector[1] / scale, 1 * weighter.idf(1))
+
+    def test_weighted_vector_scaling(self, stats):
+        """Every component of ``w⃗`` carries the one document scale
+        ``Pr(d)/len`` (Eq. 16's factorisation)."""
+        weighter = NoveltyTfidfWeighter(stats)
+        for doc in stats.documents():
+            scale = stats.pr_document(doc.doc_id) / doc.length
+            weighted = weighter.weighted_vector(doc)
+            assert set(weighted.keys()) == set(doc.term_counts)
+            for term_id, count in doc.term_counts.items():
+                assert math.isclose(
+                    weighted[term_id], count * weighter.idf(term_id) * scale
+                )
 
     def test_empty_document_gives_zero_vector(self, stats):
         empty = make_document("empty", 2.0, {})
@@ -74,11 +81,6 @@ class TestVectors:
         assert set(batch) == {d.doc_id for d in docs}
         for doc in docs:
             assert batch[doc.doc_id].allclose(weighter.weighted_vector(doc))
-
-    def test_cosine_vectors_unit_norm(self, stats):
-        weighter = NoveltyTfidfWeighter(stats)
-        for vector in weighter.cosine_vectors(stats.documents()).values():
-            assert math.isclose(vector.norm(), 1.0)
 
 
 class TestNoveltyEffect:
