@@ -176,6 +176,7 @@ def open_stream(
         checkpointer = Checkpointer(
             clusterer, vocabulary, checkpoint,
             every=checkpoint_every, sequence=sequence,
+            recorder=recorder,
         )
 
     service = ClusterService(

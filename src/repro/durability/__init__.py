@@ -7,6 +7,9 @@ losing the model. This package makes process death a non-event:
 * :mod:`~repro.durability.atomic` — temp-file + fsync + ``os.replace``
   writes with ``.bak`` rotation and sha256 payload checksums; no crash
   leaves a corrupt or truncated checkpoint.
+* :mod:`~repro.durability.records` — each active document's checkpoint
+  and journal fragments, encoded once for its lifetime, and the
+  composition of both files from them.
 * :mod:`~repro.durability.journal` — an append-only, fsync-per-batch
   JSONL write-ahead log of accepted batches, tied to its base
   checkpoint by a sequence number.

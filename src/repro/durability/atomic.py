@@ -28,7 +28,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from ..exceptions import CheckpointError
 
@@ -41,12 +41,27 @@ CHECKSUM_FIELD = "checksum"
 BACKUP_SUFFIX = ".bak"
 
 
+#: ``json.dumps(value, ensure_ascii=False)``: the layout of the bytes
+#: written, with a prebuilt encoder for per-document use.
+PLAIN_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+#: ``canonical_json``'s encoder: sorted keys, compact separators.
+CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+)
+
+
 def canonical_json(payload: Mapping[str, Any]) -> str:
     """The deterministic JSON serialization checksums are taken over."""
-    return json.dumps(
-        payload, sort_keys=True, ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    return CANONICAL_ENCODER.encode(payload)
+
+
+def chunks_checksum(chunks: Iterable[str]) -> str:
+    """``"sha256:<hex>"`` over a canonical JSON text given in pieces."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode("utf-8"))
+    return f"sha256:{digest.hexdigest()}"
 
 
 def payload_checksum(payload: Mapping[str, Any]) -> str:
@@ -55,10 +70,7 @@ def payload_checksum(payload: Mapping[str, Any]) -> str:
         key: value for key, value in payload.items()
         if key != CHECKSUM_FIELD
     }
-    digest = hashlib.sha256(
-        canonical_json(body).encode("utf-8")
-    ).hexdigest()
-    return f"sha256:{digest}"
+    return chunks_checksum((canonical_json(body),))
 
 
 def checksum_matches(payload: Mapping[str, Any]) -> Optional[bool]:

@@ -36,6 +36,7 @@ from ..persistence import save_checkpoint
 from ..text.vocabulary import Vocabulary
 from .atomic import PathLike, prepare_checkpoint_path
 from .journal import BatchJournal, default_journal_path
+from .records import RecordCache
 
 
 class Checkpointer:
@@ -81,6 +82,9 @@ class Checkpointer:
         # a service shutting down can race its writer's final commit
         self._lock = threading.Lock()
         self._closed = False
+        # the fragments of each active document, encoded once: the
+        # journal adds each batch's, every checkpoint reuses and prunes
+        self._cache = RecordCache(vocabulary)
         self._write_checkpoint()
         self._journal = BatchJournal(
             (
@@ -92,6 +96,7 @@ class Checkpointer:
             base_now=clusterer.statistics.now,
             durable=durable,
             recorder=self.recorder,
+            cache=self._cache,
         )
 
     @property
@@ -129,7 +134,8 @@ class Checkpointer:
     def _write_checkpoint(self) -> None:
         save_checkpoint(
             self.clusterer, self.vocabulary, self.checkpoint_path,
-            sequence=self.sequence,
+            sequence=self.sequence, cache=self._cache,
+            recorder=self.recorder,
         )
         if self.recorder.enabled:
             self.recorder.counter("durability.checkpoints_written")

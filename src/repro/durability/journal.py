@@ -33,23 +33,23 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import IO, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import IO, Any, List, Mapping, Optional, Sequence, Tuple, Type
 
 from ..corpus.document import Document
 from ..exceptions import JournalError
-from ..obs import Recorder, resolve
-from ..persistence import document_record
+from ..obs import Recorder, Span, resolve
 from ..text.vocabulary import Vocabulary
-from .atomic import (
-    CHECKSUM_FIELD,
-    PathLike,
-    atomic_write_text,
-    checksum_matches,
-    payload_checksum,
-)
+from .atomic import PathLike, atomic_write_text, checksum_matches
+from .records import RecordCache, array_member, member, stamped_object
 
 _FORMAT = "repro-journal"
 _VERSION = 1
+
+#: Every field a journal header may carry (see ``read_checkpoint_state``
+#: for why an unknown one is rejected).
+_HEADER_FIELDS = frozenset(
+    {"format", "version", "base_sequence", "base_now", "checksum"}
+)
 
 
 def default_journal_path(checkpoint_path: PathLike) -> Path:
@@ -81,7 +81,8 @@ def read_journal(path: PathLike) -> JournalContents:
     """Parse a journal, tolerating a torn tail.
 
     The header must be intact (it is written atomically, so a bad
-    header means real corruption): :class:`JournalError` otherwise.
+    header means real corruption) and carry no unknown field:
+    :class:`JournalError` otherwise.
     Entries are consumed in order until the first unparsable,
     checksum-failing, or out-of-sequence line — everything from there
     on is a torn append and is discarded, with ``truncated`` set.
@@ -107,6 +108,11 @@ def read_journal(path: PathLike) -> JournalContents:
         raise JournalError(
             f"{path}: unsupported journal version "
             f"{header.get('version')!r} (expected {_VERSION})"
+        )
+    unknown = sorted(set(header) - _HEADER_FIELDS)
+    if unknown:
+        raise JournalError(
+            f"{path}: unknown journal header field(s) {unknown}"
         )
     if checksum_matches(header) is False:
         raise JournalError(f"{path}: journal header checksum mismatch")
@@ -180,27 +186,28 @@ class BatchJournal:
         base_now: Optional[float] = None,
         durable: bool = True,
         recorder: Optional[Recorder] = None,
+        cache: Optional[RecordCache] = None,
     ) -> None:
         self.path = Path(path)
         self.vocabulary = vocabulary
         self.durable = durable
         self.recorder = resolve(recorder)
+        # shared with the owning Checkpointer, whose checkpoints reuse
+        # (and prune) the fragments encoded here; a journal of its own
+        # encodes each batch afresh, so nothing accumulates
+        self.cache = cache
         self.sequence = int(base_sequence)
         self._handle: Optional[IO[str]] = None
         self._start(self.sequence, base_now)
 
     def _start(self, base_sequence: int, base_now: Optional[float]) -> None:
-        header: Dict[str, Any] = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "base_sequence": int(base_sequence),
-            "base_now": base_now,
-        }
-        header[CHECKSUM_FIELD] = payload_checksum(header)
-        atomic_write_text(
-            json.dumps(header, ensure_ascii=False) + "\n",
-            self.path, durable=self.durable,
-        )
+        header = stamped_object([
+            member("format", _FORMAT),
+            member("version", _VERSION),
+            member("base_sequence", int(base_sequence)),
+            member("base_now", base_now),
+        ])
+        atomic_write_text(header + "\n", self.path, durable=self.durable)
         self.sequence = int(base_sequence)
         self._handle = open(self.path, "a", encoding="utf-8")
 
@@ -214,31 +221,18 @@ class BatchJournal:
         """
         if self._handle is None:
             raise JournalError(f"{self.path}: journal is closed")
-        try:
-            record: Dict[str, Any] = {
-                "sequence": self.sequence + 1,
-                "at_time": float(at_time),
-                "documents": [
-                    document_record(doc, self.vocabulary)
-                    for doc in documents
-                ],
-            }
-            record[CHECKSUM_FIELD] = payload_checksum(record)
-            line = json.dumps(record, ensure_ascii=False) + "\n"
-        except Exception as exc:
-            raise JournalError(
-                f"{self.path}: cannot journal batch "
-                f"{self.sequence + 1}: {exc}"
-            ) from exc
-        try:
-            self._handle.write(line)
-            self._handle.flush()
-            if self.durable:
-                os.fsync(self._handle.fileno())
-        except BaseException:
-            # the file may now hold a torn line; stop appending to it
-            self.close()
-            raise
+        with Span(self.recorder, "journal.append",
+                  {"docs": len(documents)}):
+            line = self._line(documents, at_time)
+            try:
+                self._handle.write(line)
+                self._handle.flush()
+                if self.durable:
+                    os.fsync(self._handle.fileno())
+            except BaseException:
+                # the file may now hold a torn line; stop appending to it
+                self.close()
+                raise
         self.sequence += 1
         if self.recorder.enabled:
             self.recorder.counter("durability.journal_batches")
@@ -246,6 +240,22 @@ class BatchJournal:
                 "durability.journal_sequence", self.sequence
             )
         return self.sequence
+
+    def _line(self, documents: Sequence[Document], at_time: float) -> str:
+        cache = self.cache
+        if cache is None:
+            cache = RecordCache(self.vocabulary)
+        try:
+            return stamped_object([
+                member("sequence", self.sequence + 1),
+                member("at_time", float(at_time)),
+                array_member("documents", *cache.fragments(documents)),
+            ]) + "\n"
+        except Exception as exc:
+            raise JournalError(
+                f"{self.path}: cannot journal batch "
+                f"{self.sequence + 1}: {exc}"
+            ) from exc
 
     def rotate(
         self, base_sequence: int, base_now: Optional[float]
@@ -257,8 +267,9 @@ class BatchJournal:
         file is restarted with a fresh header (atomically — see class
         docstring).
         """
-        self.close()
-        self._start(base_sequence, base_now)
+        with Span(self.recorder, "journal.rotate"):
+            self.close()
+            self._start(base_sequence, base_now)
 
     def close(self) -> None:
         if self._handle is not None:

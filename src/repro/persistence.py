@@ -21,33 +21,56 @@ Format: a single JSON document, versioned::
 Term counts are keyed by term *string* so checkpoints are portable
 across vocabularies, exactly like :mod:`repro.corpus.loaders`.
 
-Durability: :func:`save_checkpoint` goes through
-:mod:`repro.durability.atomic` — the JSON is streamed into a sibling
-temp file, fsynced, and renamed over the target, with the previous
-checkpoint rotated to ``<path>.bak`` — so no crash or serialization
-error ever leaves a corrupt or truncated state file. The ``checksum``
-field (sha256 over the canonical JSON of everything else) is verified
-on load; ``sequence`` counts the batches the state reflects and ties
-the checkpoint to its batch journal (see :mod:`repro.durability`).
+Durability: :func:`save_checkpoint` composes the JSON from fragments
+encoded once per document (:mod:`repro.durability.records`) and goes
+through :mod:`repro.durability.atomic` — the text is written into a
+sibling temp file, fsynced, and renamed over the target, with the
+previous checkpoint rotated to ``<path>.bak`` — so no crash or
+serialization error ever leaves a corrupt or truncated state file.
+The ``checksum`` field (sha256 over the canonical JSON of everything
+else) is verified on load; ``sequence`` counts the batches the state
+reflects and ties the checkpoint to its batch journal (see
+:mod:`repro.durability`).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .core.incremental import IncrementalClusterer
 from .corpus.document import Document
 from .exceptions import CheckpointError
 from .forgetting.model import ForgettingModel
-from .obs import Span, resolve
+from .obs import Recorder, Span, resolve
 from .text.vocabulary import Vocabulary
+
+if TYPE_CHECKING:
+    from .durability.records import RecordCache
 
 PathLike = Union[str, Path]
 
 _FORMAT = "repro-checkpoint"
 _VERSION = 1
+
+#: Every top-level field a checkpoint may carry. Anything else — a
+#: ``checksum`` key with a flipped bit, say — is corruption, not a file
+#: without a checksum.
+_FIELDS = frozenset({
+    "format", "version", "model", "kmeans", "warm_start",
+    "statistics_backend", "now", "documents", "assignment", "sequence",
+    "checksum",
+})
 
 
 def document_record(
@@ -102,6 +125,9 @@ def save_checkpoint(
     vocabulary: Vocabulary,
     path: PathLike,
     sequence: Optional[int] = None,
+    *,
+    cache: Optional["RecordCache"] = None,
+    recorder: Optional[Recorder] = None,
 ) -> None:
     """Write ``clusterer``'s full state to ``path`` as JSON, atomically.
 
@@ -112,21 +138,57 @@ def save_checkpoint(
     with its journal. The write never touches the previous checkpoint
     until the new one is fully on disk; the old file survives one
     rotation as ``<path>.bak``.
+
+    The documents come from ``cache``'s per-document fragments (see
+    :mod:`repro.durability.records`), which is then rebuilt from the
+    active set; without one, a throwaway cache encodes them all.
+    ``checkpoint.save`` (covering the serialisation too) and
+    ``checkpoint.bytes`` go to ``recorder``, else the ambient one.
     """
     # imported late: repro.durability builds on this module, so the
     # low-level writer cannot be a top-level import without a cycle
-    from .durability.atomic import atomic_write_json
+    from .durability.atomic import atomic_write_text
+    from .durability.records import RecordCache
+
+    if cache is None:
+        cache = RecordCache(vocabulary)
+    elif cache.vocabulary is not vocabulary:
+        raise CheckpointError(
+            "the record cache was built over another vocabulary"
+        )
+    recorder = resolve(recorder)
+    documents = clusterer.statistics.documents()
+    with Span(recorder, "checkpoint.save", {"docs": len(documents)}):
+        written = atomic_write_text(
+            _checkpoint_text(clusterer, documents, cache, sequence),
+            path, durable=True, backup=True,
+        )
+    if recorder.enabled:
+        recorder.counter("checkpoint.saves")
+        recorder.gauge("checkpoint.bytes", written)
+
+
+def _checkpoint_text(
+    clusterer: IncrementalClusterer,
+    documents: List[Document],
+    cache: "RecordCache",
+    sequence: Optional[int],
+) -> str:
+    """The checkpoint file: only the scalars and the assignment are
+    encoded here, the documents come from ``cache`` (which is rebuilt
+    from ``documents``, the active set)."""
+    from .durability.records import array_member, member, stamped_object
 
     kmeans = clusterer.kmeans
     statistics = clusterer.statistics
-    state: Dict[str, Any] = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "model": {
+    members = [
+        member("format", _FORMAT),
+        member("version", _VERSION),
+        member("model", {
             "half_life": clusterer.model.half_life,
             "life_span": clusterer.model.life_span,
-        },
-        "kmeans": {
+        }),
+        member("kmeans", {
             "k": kmeans.k,
             "delta": kmeans.delta,
             "max_iterations": kmeans.max_iterations,
@@ -134,36 +196,26 @@ def save_checkpoint(
             "engine": kmeans.engine,
             "criterion": kmeans.criterion,
             "rescue_outliers": kmeans.rescue_outliers,
-        },
-        "warm_start": clusterer.warm_start,
-        "statistics_backend": statistics.backend_name,
-        "now": statistics.now,
-        "documents": [
-            document_record(doc, vocabulary)
-            for doc in statistics.documents()
-        ],
-        "assignment": clusterer.assignments(),
-    }
+        }),
+        member("warm_start", clusterer.warm_start),
+        member("statistics_backend", statistics.backend_name),
+        member("now", statistics.now),
+        array_member("documents", *cache.retain(documents)),
+        member("assignment", clusterer.assignments()),
+    ]
     if sequence is not None:
-        state["sequence"] = int(sequence)
-    recorder = resolve(None)
-    with Span(recorder, "checkpoint.save",
-              {"docs": len(state["documents"])}):
-        written = atomic_write_json(
-            state, path, durable=True, backup=True, add_checksum=True
-        )
-    if recorder.enabled:
-        recorder.counter("checkpoint.saves")
-        recorder.gauge("checkpoint.bytes", written)
+        members.append(member("sequence", int(sequence)))
+    return stamped_object(members)
 
 
 def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
     """Parse ``path`` and validate its envelope, returning the raw state.
 
-    Checks JSON well-formedness, the format marker, the version, and —
-    when the file carries one — the payload checksum. Raises
-    :class:`CheckpointError` on any mismatch; the structural fields are
-    validated later by :func:`load_checkpoint`.
+    Checks JSON well-formedness, the format marker, the version, that
+    no top-level field is unknown, and — when the file carries one —
+    the payload checksum. Raises :class:`CheckpointError` on any
+    mismatch; the structural fields are validated later by
+    :func:`load_checkpoint`.
     """
     from .durability.atomic import checksum_matches
 
@@ -184,6 +236,12 @@ def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version "
             f"{state.get('version')!r} (expected {_VERSION})"
+        )
+    unknown = sorted(set(state) - _FIELDS)
+    if unknown:
+        raise CheckpointError(
+            f"{path}: unknown checkpoint field(s) {unknown} — the file "
+            f"is corrupt or was edited by hand"
         )
     if checksum_matches(state) is False:
         raise CheckpointError(

@@ -13,7 +13,10 @@ whose production form lives in ``src/repro`` on arrays:
 * :mod:`.repair` — split repair and outlier rescue over ``Cluster``
   objects;
 * :mod:`.vectors` — the bridge between the engines' CSR batches and
-  ``{doc_id: SparseVector}`` dicts.
+  ``{doc_id: SparseVector}`` dicts;
+* :mod:`.serialisation` — the dict-then-``json.dumps`` writer of
+  checkpoints and journal lines, the byte oracle for the library's
+  composition from per-document fragments.
 
 Nothing in the library imports these. :func:`register_oracles` puts the
 two oracles into the library's registries under ``"dense"`` and

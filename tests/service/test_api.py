@@ -8,7 +8,7 @@ from repro import ClustererConfig, IncrementalClusterer
 from repro.api import StreamSession, build_clusterer, open_stream
 from repro.durability import read_journal
 from repro.exceptions import ConfigurationError
-from repro.obs import InMemoryRecorder
+from repro.obs import InMemoryRecorder, NullRecorder, use_recorder
 
 from .conftest import SERVICE_KWARGS, assert_snapshot_parity, reference_snapshot
 
@@ -110,3 +110,24 @@ class TestOpenStream:
                 session.service._checkpointer.journal_path
             )
             assert journal.base_sequence + len(journal.entries) == 4
+
+    def test_passed_recorder_sees_durability_metrics(self, stream, tmp_path):
+        # the ambient recorder stays the Null one: everything durable
+        # must reach the recorder handed to open_stream
+        vocabulary, batches = stream
+        recorder = InMemoryRecorder()
+        with use_recorder(NullRecorder()):
+            with open_stream(
+                vocabulary=vocabulary, checkpoint=tmp_path / "run.ckpt",
+                recorder=recorder, **SERVICE_KWARGS,
+            ) as session:
+                recorder.clear()
+                at_time, batch = batches[0]
+                session.add(batch, at_time=at_time)
+                session.flush()
+                names = recorder.names()
+        assert {
+            "checkpoint.save", "checkpoint.bytes",
+            "durability.journal_batches", "journal.append",
+            "journal.rotate",
+        } <= names
