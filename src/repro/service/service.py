@@ -219,17 +219,18 @@ class ClusterService:
                             executor, self._ingest, documents, at_time
                         )
                     except Exception as exc:
-                        self._errors.append(exc)
                         if self._degraded:
                             # the batch committed in memory but the
-                            # durability hook failed before publish:
-                            # memory and journal have diverged, so no
-                            # later snapshot may claim a journal
-                            # sequence — ingestion stops here and
-                            # producers get ServiceDegradedError
+                            # durability hook failed before publish
+                            # (_record_batch filed the error): memory
+                            # and journal have diverged, so no later
+                            # snapshot may claim a journal sequence —
+                            # ingestion stops here and producers get
+                            # ServiceDegradedError
                             if self._recorder.enabled:
                                 self._recorder.counter("service.degraded")
                         else:
+                            self._errors.append(exc)
                             # the clusterer rolled the batch back; no
                             # snapshot was (or will be) published for it
                             if self._recorder.enabled:
@@ -264,7 +265,10 @@ class ClusterService:
         assert self._checkpointer is not None
         try:
             self._checkpointer.record_batch(documents, at_time)
-        except BaseException:
+        except BaseException as exc:
+            # file the error first: whoever sees `degraded` must also
+            # see its cause as the last of `errors`
+            self._errors.append(exc)
             self._degraded = True
             raise
 

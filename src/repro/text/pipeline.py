@@ -3,6 +3,11 @@
 :class:`TextPipeline` is the single entry point used by the corpus layer
 to convert document bodies to term-frequency mappings. All stages are
 pluggable so experiments can e.g. disable stemming.
+
+Every configuration runs the same loop: find the surface tokens with
+one regex, map each through a :class:`~repro.text.memo.TermMemo` to its
+final term (or ``""`` when a stage drops it), and count with
+:class:`collections.Counter`.
 """
 
 from __future__ import annotations
@@ -11,12 +16,13 @@ from collections import Counter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from ..obs import Span, resolve
+from .memo import TermMemo
 from .stemmer import MemoizedStemmer
 from .stopwords import DEFAULT_STOPWORDS
-from .tokenizer import Tokenizer
+from .tokenizer import Tokenizer, surface_tokens
 
-#: Shared default stemmer: one LRU memo across every pipeline that does
-#: not bring its own, so the cache warms once per process.
+#: Shared default stemmer: its memos serve every pipeline that does not
+#: bring its own stemmer, so they warm once per process.
 _DEFAULT_STEMMER = MemoizedStemmer()
 
 #: Sentinel distinguishing "use the shared default" from "no stemming".
@@ -53,7 +59,10 @@ class TextPipeline:
     stemmer:
         Callable mapping token -> stem; defaults to a process-wide
         shared :class:`~repro.text.stemmer.MemoizedStemmer`. Pass
-        ``None`` to disable stemming.
+        ``None`` to disable stemming. A ``MemoizedStemmer`` holds the
+        pipeline's term memo, so its ``cache_clear()`` empties it; any
+        other stemmer gets a memo private to the pipeline. Either way a
+        stemmer is called once per surface form the memo has not seen.
     max_ngram:
         Emit word n-grams up to this length in addition to unigrams
         (n-grams join stems with ``_``; they are built over contiguous
@@ -76,9 +85,17 @@ class TextPipeline:
         if not isinstance(max_ngram, int) or max_ngram < 1:
             raise ValueError(f"max_ngram must be an int >= 1, got {max_ngram!r}")
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
-        self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
+        self.stopwords = frozenset(
+            DEFAULT_STOPWORDS if stopwords is None else stopwords
+        )
         self.stemmer = _DEFAULT_STEMMER if stemmer is _USE_DEFAULT else stemmer
         self.max_ngram = max_ngram
+        # the stages are read once, here: the memo holds their results
+        self._memo = (
+            self.stemmer.term_memo(self.tokenizer, self.stopwords)
+            if isinstance(self.stemmer, MemoizedStemmer)
+            else TermMemo(self.tokenizer, self.stopwords, self.stemmer)
+        )
 
     def terms(self, text: str) -> List[str]:
         """Return the processed term sequence for ``text``.
@@ -86,14 +103,7 @@ class TextPipeline:
         Unigrams come first in document order, followed by the
         higher-order n-grams in document order.
         """
-        unigrams: List[str] = []
-        for token in self.tokenizer.iter_tokens(text):
-            if token in self.stopwords:
-                continue
-            if self.stemmer is not None:
-                token = self.stemmer(token)
-            if token:
-                unigrams.append(token)
+        unigrams = list(filter(None, self._memo.lookup(surface_tokens(text))))
         if self.max_ngram == 1:
             return unigrams
         terms = list(unigrams)
@@ -103,8 +113,10 @@ class TextPipeline:
         return terms
 
     def term_frequencies(self, text: str) -> Dict[str, int]:
-        """Return ``{term: count}`` for ``text`` after all stages."""
-        return dict(Counter(self.terms(text)))
+        """Return ``{term: count}`` for ``text`` after all stages, in
+        order of first occurrence; timed as the ``text.terms`` span."""
+        with Span(resolve(None), "text.terms"):
+            return dict(Counter(self.terms(text)))
 
     def batch_term_frequencies(
         self,

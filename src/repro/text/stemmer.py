@@ -22,7 +22,10 @@ The implementation follows the step structure of the original article:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
+
+from .memo import DEFAULT_MAXSIZE, TermMemo
+from .tokenizer import Tokenizer
 
 __all__ = ["MemoizedStemmer", "PorterStemmer", "stem"]
 
@@ -292,6 +295,12 @@ class MemoizedStemmer:
     evicts least-recently-used entries at ``maxsize`` and counts
     hits/misses, which the text pipeline exports as gauges.
 
+    It also owns the :class:`~repro.text.memo.TermMemo` of every
+    :class:`~repro.text.TextPipeline` that stems with it, one per set
+    of filter settings (:meth:`term_memo`). Each is bounded by
+    ``maxsize``; :meth:`cache_info` counts their lookups with its own,
+    and :meth:`cache_clear` empties them all.
+
     Picklable, so a pipeline carrying one can cross a process-pool
     boundary (each worker starts with a copy of the cache as of the
     fork; hit counters are per-process).
@@ -310,7 +319,7 @@ class MemoizedStemmer:
     def __init__(
         self,
         stemmer: Optional[Callable[[str], str]] = None,
-        maxsize: int = 1 << 16,
+        maxsize: int = DEFAULT_MAXSIZE,
     ) -> None:
         if not isinstance(maxsize, int) or maxsize < 1:
             raise ValueError(
@@ -325,6 +334,8 @@ class MemoizedStemmer:
         self.hits = 0
         self.misses = 0
         self._cache: "OrderedDict[str, str]" = OrderedDict()
+        self._memos: Dict[Tuple[Tuple[int, bool, int], FrozenSet[str]],
+                          TermMemo] = {}
 
     def __call__(self, word: str) -> str:
         cache = self._cache
@@ -340,17 +351,36 @@ class MemoizedStemmer:
             cache.popitem(last=False)
         return stemmed
 
+    def term_memo(
+        self, tokenizer: Tokenizer, stopwords: FrozenSet[str]
+    ) -> TermMemo:
+        """The term memo for these filter settings, made on first use.
+
+        Pipelines with equal settings share one memo. It stems with the
+        wrapped callable directly, so each token looked up counts once.
+        """
+        return self._memos.setdefault(
+            (tokenizer.settings, stopwords),
+            TermMemo(tokenizer, stopwords, self.stemmer, self.maxsize),
+        )
+
     def cache_info(self) -> Dict[str, int]:
-        """``{hits, misses, maxsize, currsize}`` — for gauges and tests."""
+        """``{hits, misses, maxsize, currsize}`` — for gauges and tests.
+
+        Counts and sizes cover the term memos too.
+        """
+        memos = list(self._memos.values())
         return {
-            "hits": self.hits,
-            "misses": self.misses,
+            "hits": self.hits + sum(memo.hits for memo in memos),
+            "misses": self.misses + sum(memo.misses for memo in memos),
             "maxsize": self.maxsize,
-            "currsize": len(self._cache),
+            "currsize": len(self._cache) + sum(map(len, memos)),
         }
 
     def cache_clear(self) -> None:
-        """Empty the cache and reset the counters."""
+        """Empty the cache and every term memo, and reset the counters."""
         self._cache.clear()
+        for memo in list(self._memos.values()):
+            memo.clear()
         self.hits = 0
         self.misses = 0

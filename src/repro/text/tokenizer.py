@@ -10,11 +10,21 @@ carry topical signal in news).
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from .._validation import require_positive_int
 
+#: A match starts and ends on ``[a-z0-9]``, so an apostrophe or hyphen
+#: is only ever internal ("o'brien", "mid-east").
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*")
+
+
+def surface_tokens(text: str) -> List[str]:
+    """Every candidate token of ``text`` in document order, lowercased,
+    before the length and number rules."""
+    if not isinstance(text, str):
+        raise TypeError(f"text must be str, got {type(text).__name__}")
+    return _TOKEN_RE.findall(text.lower())
 
 
 class Tokenizer:
@@ -43,24 +53,27 @@ class Tokenizer:
             "min_number_length", min_number_length
         )
 
+    @property
+    def settings(self) -> Tuple[int, bool, int]:
+        """``(min_length, keep_numbers, min_number_length)``."""
+        return (self.min_length, self.keep_numbers, self.min_number_length)
+
+    def keeps(self, token: str) -> bool:
+        """Whether the length and number rules keep a surface token."""
+        if len(token) < self.min_length:
+            return False
+        if token.isdigit():
+            return self.keep_numbers and len(token) >= self.min_number_length
+        return True
+
     def tokens(self, text: str) -> List[str]:
         """Return the list of tokens extracted from ``text``."""
         return list(self.iter_tokens(text))
 
     def iter_tokens(self, text: str) -> Iterator[str]:
         """Yield tokens from ``text`` lazily, in document order."""
-        if not isinstance(text, str):
-            raise TypeError(f"text must be str, got {type(text).__name__}")
-        for match in _TOKEN_RE.finditer(text.lower()):
-            token = match.group(0).strip("'-")
-            if len(token) < self.min_length:
-                continue
-            if token.isdigit():
-                if not self.keep_numbers:
-                    continue
-                if len(token) < self.min_number_length:
-                    continue
-            if token:
+        for token in surface_tokens(text):
+            if self.keeps(token):
                 yield token
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

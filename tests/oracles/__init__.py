@@ -17,6 +17,8 @@ whose production form lives in ``src/repro`` on arrays:
 * :mod:`.serialisation` — the dict-then-``json.dumps`` writer of
   checkpoints and journal lines, the byte oracle for the library's
   composition from per-document fragments.
+* :mod:`.text` — the text pipeline run token by token, the oracle for
+  the memoised ``TextPipeline``.
 
 Nothing in the library imports these. :func:`register_oracles` puts the
 two oracles into the library's registries under ``"dense"`` and
