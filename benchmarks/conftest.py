@@ -23,12 +23,9 @@ import pytest
 
 from repro import SyntheticCorpusConfig, TDT2Generator, split_into_windows
 
-# the oracles live in the test package at the repository root
+# bench_ablation_representatives imports its reference Cluster from the
+# test package at the repository root
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.oracles import register_oracles  # noqa: E402
-
-# the engine/ingest benchmarks compare against the oracles by name
-register_oracles()
 
 REPORTS_DIR = Path(__file__).parent / "reports"
 BENCH_PIPELINE_PATH = REPORTS_DIR / "BENCH_pipeline.json"

@@ -68,11 +68,8 @@ from .core import (
     NoveltyKMeans,
     TopicThread,
     TopicTracker,
-    available_engines,
     estimate_k,
     label_clustering,
-    register_engine,
-    resolve_engine,
 )
 from .baselines.similarity import NoveltySimilarity
 from .persistence import CheckpointError, load_checkpoint, save_checkpoint
@@ -162,9 +159,6 @@ __all__ = [
     "ClustererConfig",
     "ClusteringResult",
     "Engine",
-    "available_engines",
-    "register_engine",
-    "resolve_engine",
     "NoveltyKMeans",
     "IncrementalClusterer",
     "NonIncrementalClusterer",

@@ -8,9 +8,11 @@ parameters the same way.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, TypeVar
 
 from .exceptions import ConfigurationError
+
+T = TypeVar("T")
 
 
 def require_positive(name: str, value: float) -> float:
@@ -59,15 +61,27 @@ def require_non_negative_int(name: str, value: Any) -> int:
     return value
 
 
+def require_finite(name: str, value: float) -> float:
+    """Return ``value`` as float if it is finite (no NaN, no ±inf), else raise."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def require_finite_number(name: str, value: Any) -> float:
     """Return ``value`` as float if it is a finite real number, else raise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(
             f"{name} must be a number, got {type(value).__name__}"
         )
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return require_finite(name, value)
+
+
+def require_callable(name: str, value: T, expected: str) -> T:
+    """Return ``value`` if it is callable, else raise naming ``expected``."""
+    if not callable(value):
+        raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+    return value
 
 
 def require_probability(name: str, value: float) -> float:

@@ -4,12 +4,7 @@ clustering pipeline, plus the readers of its frozen views (labels,
 topic threads)."""
 
 from .config import ClustererConfig
-from .engines import (
-    Engine,
-    available_engines,
-    register_engine,
-    resolve_engine,
-)
+from .engines import Engine
 from .result import ClusteringResult
 from .kmeans import NoveltyKMeans
 from .incremental import IncrementalClusterer, NonIncrementalClusterer
@@ -28,9 +23,6 @@ __all__ = [
     "ClustererConfig",
     "ClusteringResult",
     "Engine",
-    "available_engines",
-    "register_engine",
-    "resolve_engine",
     "NoveltyKMeans",
     "IncrementalClusterer",
     "NonIncrementalClusterer",

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
-from ..forgetting.backends import DEFAULT_BACKEND
+from ..forgetting.backends import ColumnarStatisticsBackend, StatisticsBackend
 from ..obs import Recorder
-from .engines import DEFAULT_ENGINE
+from .engines import EngineClass, MatrixEngine
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,15 @@ class ClustererConfig:
         Seed for the initial random assignment (``None`` = fresh
         randomness per fit).
     ``engine``
-        Name of a registered numerical engine
-        (see :mod:`repro.core.engines`); the library registers only
-        ``"matrix"``. A seam for the parity suites, which register
-        their reference engine and select it here.
+        The numerical engine class (see :mod:`repro.core.engines`);
+        the library has only :class:`~repro.core.engines.MatrixEngine`.
+        A seam for the parity suites, which pass their reference
+        engine here.
     ``statistics_backend``
-        Name of a registered corpus-statistics storage backend
-        (see :mod:`repro.forgetting.backends`); the library registers
-        only ``"columnar"``. The same test seam as ``engine``.
+        The corpus-statistics storage backend class
+        (see :mod:`repro.forgetting.backends`); the library has only
+        :class:`~repro.forgetting.backends.ColumnarStatisticsBackend`.
+        The same test seam as ``engine``.
     ``recorder``
         Observability sink shared by the pipeline and its K-means.
 
@@ -63,8 +64,10 @@ class ClustererConfig:
     delta: float = 0.01
     max_iterations: int = 30
     seed: Optional[int] = None
-    engine: str = DEFAULT_ENGINE
-    statistics_backend: str = DEFAULT_BACKEND
+    engine: EngineClass = MatrixEngine
+    statistics_backend: Callable[[], StatisticsBackend] = (
+        ColumnarStatisticsBackend
+    )
     recorder: Optional[Recorder] = None
 
 

@@ -18,14 +18,14 @@ The clustering loop itself lives exactly once in
 and apply membership mutations, so a new engine (GPU, distributed,
 approximate) plugs in without touching the algorithm.
 
-Engines are constructed per ``fit`` call with the signature
-``factory(k, vectors, criterion)`` where ``vectors`` is the fit's CSR
+Each ``fit`` builds its engine as ``cls(k, vectors, criterion)``,
+where ``cls`` is the engine class and ``vectors`` is the fit's CSR
 batch (:class:`~repro.vectors.arrays.WeightedVectorArrays`) of weighted
 document vectors ``w⃗_d = (Pr(d)/len_d)·d⃗`` (Eq. 12-16) and
 ``criterion`` is ``"g"`` or ``"avg"`` (see
-:class:`~repro.core.NoveltyKMeans`). Register a factory under a name
-with :func:`~repro.core.engines.register_engine` to make it selectable
-via ``NoveltyKMeans(engine=...)`` and ``ClustererConfig(engine=...)``.
+:class:`~repro.core.NoveltyKMeans`). ``NoveltyKMeans(engine=...)`` and
+``ClustererConfig(engine=...)`` take the class itself
+(:class:`EngineClass`); its ``name`` tags spans and checkpoints.
 """
 
 from __future__ import annotations
@@ -204,6 +204,25 @@ class Engine(Protocol):
 
     def freeze(self) -> EngineView:
         """Copy the per-cluster state for readers (after :meth:`refresh`)."""
+
+
+class EngineClass(Protocol):
+    """What ``NoveltyKMeans(engine=...)`` takes: a named engine class.
+
+    An engine class satisfies it as written: its constructor serves as
+    ``__call__`` and a ``name`` class attribute as ``name``. The
+    annotated ``engine`` defaults are therefore the protocol-conformance
+    check ``mypy --strict`` runs.
+    """
+
+    @property
+    def name(self) -> str:
+        """Tag written to ``kmeans`` spans and checkpoints."""
+
+    def __call__(
+        self, k: int, vectors: WeightedVectorArrays, criterion: str
+    ) -> Engine:
+        """Build the engine for one fit over the CSR batch ``vectors``."""
 
 
 class EngineBase:

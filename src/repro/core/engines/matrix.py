@@ -33,7 +33,7 @@ construction fails with a clear message when it is missing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, ClassVar, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -69,6 +69,8 @@ SPECULATE_WINDOW = 64
 
 class MatrixEngine(EngineBase):
     """CSR document matrix + dense representatives, blockwise sweeps."""
+
+    name: ClassVar[str] = "matrix"
 
     def __init__(
         self,

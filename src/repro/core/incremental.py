@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..corpus.document import Document
 from ..exceptions import ClusteringError
+from ..forgetting.backends import StatisticsBackend
 from ..forgetting.model import ForgettingModel
 from ..forgetting.statistics import CorpusStatistics
 from ..obs import Recorder, Span, resolve
@@ -299,7 +300,9 @@ class NonIncrementalClusterer:
             engine=params["engine"],
             recorder=self.recorder,
         )
-        self.statistics_backend = str(params["statistics_backend"])
+        self.statistics_backend: Callable[[], StatisticsBackend] = params[
+            "statistics_backend"
+        ]
         self.archive: List[Document] = []
         self.statistics: Optional[CorpusStatistics] = None
         self.history: List[ClusteringResult] = []

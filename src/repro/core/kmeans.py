@@ -1,4 +1,4 @@
-"""The paper's extended K-means (Section 4.3) over pluggable engines.
+"""The paper's extended K-means (Section 4.3) over an engine.
 
 Algorithm (paper Section 4.3):
 
@@ -11,13 +11,13 @@ Algorithm (paper Section 4.3):
   **outlier list** and re-enter as normal documents next iteration.
   Terminate when ``(G_new - G_old)/G_old < δ``.
 
-The numerical backend is an :class:`~repro.core.engines.Engine`
-resolved by name from the engine registry (``"matrix"``, or anything
-registered via :func:`~repro.core.engines.register_engine`); the
-algorithm logic exists exactly once here and drives whichever engine
-is selected. Each iteration's assignment sweep goes through the
-engine's batched ``best_gains`` so the engine can answer a whole pass
-with matrix products.
+The numerical backend is an :class:`~repro.core.engines.Engine` built
+per fit from the ``engine`` class
+(:class:`~repro.core.engines.MatrixEngine` unless the parity suites
+pass their oracle); the algorithm logic exists exactly once here and
+drives whichever engine it is given. Each iteration's assignment sweep
+goes through the engine's batched ``best_gains`` so the engine can
+answer a whole pass with matrix products.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from .._typing import BoolArray, FloatArray, IntArray
 from .._validation import (
+    require_callable,
     require_in_open_interval,
     require_positive_int,
 )
@@ -39,7 +40,7 @@ from ..forgetting.statistics import CorpusStatistics
 from ..obs import Recorder, Span, resolve
 from ..vectors.arrays import WeightedVectorArrays
 from ..vectors.tfidf import NoveltyTfidfWeighter
-from .engines import DEFAULT_ENGINE, Engine, EngineView, resolve_engine
+from .engines import Engine, EngineClass, EngineView, MatrixEngine
 from .result import ClusteringResult
 
 
@@ -58,11 +59,12 @@ class NoveltyKMeans:
     seed:
         Seed for the random initial seed-document selection.
     engine:
-        Name of a registered engine (see :mod:`repro.core.engines`):
-        ``"matrix"`` (vectorised CSR sweeps, the only one the library
-        registers) or any name added via
-        :func:`~repro.core.engines.register_engine` — the parity suites
-        select their reference engine here.
+        The engine class (see :mod:`repro.core.engines`), called as
+        ``engine(k, vectors, criterion)`` once per fit:
+        :class:`~repro.core.engines.MatrixEngine` (vectorised CSR
+        sweeps, the library's one engine) unless the parity suites pass
+        their reference engine here. Its ``name`` tags spans and
+        checkpoints.
     reseed_empty:
         When True (default), a cluster that lost all members is
         re-seeded with the strongest outlier at the end of the pass,
@@ -117,7 +119,7 @@ class NoveltyKMeans:
         delta: float = 0.01,
         max_iterations: int = 30,
         seed: Optional[int] = None,
-        engine: str = DEFAULT_ENGINE,
+        engine: EngineClass = MatrixEngine,
         reseed_empty: bool = True,
         criterion: str = "g",
         rescue_outliers: bool = False,
@@ -129,8 +131,9 @@ class NoveltyKMeans:
             "max_iterations", max_iterations
         )
         self.seed = seed
-        resolve_engine(engine)  # fail fast with the list of valid names
-        self.engine = engine
+        self.engine = require_callable(
+            "engine", engine, "an engine class such as MatrixEngine"
+        )
         self.reseed_empty = bool(reseed_empty)
         if criterion not in ("g", "avg"):
             raise ConfigurationError(
@@ -182,7 +185,7 @@ class NoveltyKMeans:
         produced, built the one way a fit builds it."""
         docs = list(documents)
         vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
-        backend = resolve_engine(self.engine)(self.k, vectors, self.criterion)
+        backend = self.engine(self.k, vectors, self.criterion)
         self._warm_start(backend, docs, vectors, assignment, {})
         backend.refresh()
         return backend.freeze()
@@ -204,14 +207,13 @@ class NoveltyKMeans:
                 f"initialisation, got {len(docs)}"
             )
         recorder = self.recorder
-        factory = resolve_engine(self.engine)
         with Span(recorder, "kmeans.vectorise",
                   {"docs": len(docs)}) as vectorise_span:
             # one CSR batch: the engine consumes its flat rows, and
             # rescue and split repair work on them too
             vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
 
-        backend = factory(self.k, vectors, self.criterion)
+        backend = self.engine(self.k, vectors, self.criterion)
         assignment: Dict[str, int] = {}
         if initial_assignment is not None:
             self._warm_start(backend, docs, vectors, initial_assignment,
@@ -227,7 +229,8 @@ class NoveltyKMeans:
 
         for iterations in range(1, self.max_iterations + 1):
             with Span(recorder, "kmeans.pass",
-                      {"iteration": iterations, "engine": self.engine}):
+                      {"iteration": iterations,
+                       "engine": self.engine.name}):
                 outliers = self._assignment_pass(backend, docs, assignment)
                 reseeded = 0
                 if self.reseed_empty:
@@ -264,7 +267,7 @@ class NoveltyKMeans:
             g_old = g_new
 
         elapsed = time_module.perf_counter() - start
-        span.tags.update(engine=self.engine, criterion=self.criterion,
+        span.tags.update(engine=self.engine.name, criterion=self.criterion,
                          docs=len(docs), iterations=iterations,
                          converged=converged)
         return ClusteringResult(
@@ -340,7 +343,7 @@ class NoveltyKMeans:
         doc_ids = [doc.doc_id for doc in docs]
         if self.recorder.enabled:
             self.recorder.gauge("kmeans.batch_size", len(doc_ids),
-                                engine=self.engine)
+                                engine=self.engine.name)
         decisions = backend.best_gains(doc_ids)
         outliers: List[str] = []
         for doc_id, (cluster_id, gain) in zip(doc_ids, decisions):

@@ -16,6 +16,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .._typing import FloatArray, IntArray
+from .._validation import require_finite
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class Document:
         Unique identifier within a repository.
     timestamp:
         Acquisition time ``T_i`` in fractional days from the stream
-        origin (day 0 = first day of the corpus).
+        origin (day 0 = first day of the corpus); must be finite.
     term_counts:
         Mapping ``term_id -> frequency`` (``f_ik`` in the paper).
     topic_id:
@@ -50,6 +51,8 @@ class Document:
             raise ValueError("doc_id must be a non-empty string")
         if not isinstance(self.timestamp, (int, float)):
             raise TypeError("timestamp must be a number (fractional days)")
+        require_finite(f"timestamp of document {self.doc_id!r}",
+                       self.timestamp)
         counts: Dict[int, int] = {}
         for term_id, count in dict(self.term_counts).items():
             if count < 0:

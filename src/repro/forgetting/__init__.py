@@ -1,11 +1,5 @@
 """Document forgetting model and incremental corpus statistics (paper §3, §5.1)."""
 
-from .backends import (
-    available_backends,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
 from .frozen import FrozenStatistics
 from .model import ForgettingModel
 from .statistics import CorpusStatistics
@@ -14,8 +8,4 @@ __all__ = [
     "ForgettingModel",
     "CorpusStatistics",
     "FrozenStatistics",
-    "register_backend",
-    "unregister_backend",
-    "available_backends",
-    "resolve_backend",
 ]

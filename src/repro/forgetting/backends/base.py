@@ -12,10 +12,10 @@ mutations, so a new representation (columnar arrays, shared memory,
 out-of-core) plugs in without touching the update logic — the same
 split the clustering layer uses for its engines.
 
-Backends are constructed with no arguments via a factory registered in
-:mod:`repro.forgetting.backends.registry` and selected by name through
 ``CorpusStatistics(model, backend=...)`` and
-``ClustererConfig(statistics_backend=...)``.
+``ClustererConfig(statistics_backend=...)`` take a backend class (any
+zero-argument callable returning a backend); the backend's ``name``
+is written to checkpoints.
 
 All mutating calls keep Eq. 27-29's incremental bookkeeping exact:
 
@@ -61,6 +61,10 @@ class StatisticsBackend(Protocol):
     tdw: float
 
     recorder: "Recorder"
+
+    @property
+    def name(self) -> str:
+        """Tag written to checkpoints (``"columnar"`` for the library's)."""
 
     # -- mutations -------------------------------------------------------
 

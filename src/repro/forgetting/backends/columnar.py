@@ -33,7 +33,7 @@ arrays that are compacted away once they dominate.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ _MIN_CAPACITY = 64
 class ColumnarStatisticsBackend:
     """Array-backed state store (numpy only, no scipy required)."""
 
-    name = "columnar"
+    name: ClassVar[str] = "columnar"
 
     def __init__(self) -> None:
         self.recorder: Recorder = NULL_RECORDER

@@ -18,24 +18,26 @@ Two update paths exist and must agree (a hypothesis test asserts this):
   which recomputes every statistic by a full pass — the paper's
   non-incremental baseline in Experiment 1.
 
-The *state* lives in a pluggable backend
-(:mod:`repro.forgetting.backends`): ``"columnar"`` keeps both weights
-and masses in numpy arrays so decay is two scalar multiplies and batch
-insert is one scatter-add. A second hypothesis suite interleaves every
-mutation on it and on the tests' plain-Python ``"dict"`` oracle (eager
-O(m) weight decay) and asserts they agree to 1e-9. This class owns
-everything backends do not: the clock, batch validation and
-atomicity, expiry policy, and observability.
+The *state* lives in a backend (:mod:`repro.forgetting.backends`):
+:class:`~repro.forgetting.backends.ColumnarStatisticsBackend` keeps
+both weights and masses in numpy arrays so decay is two scalar
+multiplies and batch insert is one scatter-add. A second hypothesis
+suite interleaves every mutation on it and on the tests' plain-Python
+``DictStatisticsBackend`` oracle (eager O(m) weight decay) and asserts
+they agree to 1e-9. This class owns everything backends do not: the
+clock, batch validation and atomicity, expiry policy, and
+observability.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .._typing import FloatArray, IntArray
+from .._validation import require_callable, require_finite
 from ..corpus.document import Document
 from ..exceptions import (
     ConfigurationError,
@@ -43,7 +45,7 @@ from ..exceptions import (
     UnknownDocumentError,
 )
 from ..obs import Recorder, Span, resolve
-from .backends import DEFAULT_BACKEND, StatisticsBackend, resolve_backend
+from .backends import ColumnarStatisticsBackend, StatisticsBackend
 from .frozen import FrozenStatistics
 from .model import ForgettingModel
 
@@ -62,17 +64,15 @@ class CorpusStatistics:
         self,
         model: ForgettingModel,
         recorder: Optional[Recorder] = None,
-        backend: Union[str, StatisticsBackend] = DEFAULT_BACKEND,
+        backend: Callable[[], StatisticsBackend] = ColumnarStatisticsBackend,
     ) -> None:
         self.model = model
         self._now: Optional[float] = None
         self._docs: Dict[str, Document] = {}
-        if isinstance(backend, str):
-            self.backend_name = backend
-            self._backend = resolve_backend(backend)()
-        else:
-            self.backend_name = getattr(backend, "name", type(backend).__name__)
-            self._backend = backend
+        self._backend = require_callable(
+            "backend", backend,
+            "a statistics backend class such as ColumnarStatisticsBackend",
+        )()
         self.recorder = resolve(recorder)
 
     # -- construction ------------------------------------------------------
@@ -84,7 +84,7 @@ class CorpusStatistics:
         documents: Iterable[Document],
         at_time: float,
         recorder: Optional[Recorder] = None,
-        backend: Union[str, StatisticsBackend] = DEFAULT_BACKEND,
+        backend: Callable[[], StatisticsBackend] = ColumnarStatisticsBackend,
     ) -> "CorpusStatistics":
         """Non-incremental rebuild: recompute every statistic in one pass.
 
@@ -93,7 +93,7 @@ class CorpusStatistics:
         below ``ε`` are excluded (expiry applied during the rebuild).
         """
         stats = cls(model, recorder=recorder, backend=backend)
-        stats._now = float(at_time)
+        stats._now = require_finite("at_time", at_time)
         with Span(stats.recorder, "statistics.rebuild") as span:
             entries: List[Tuple[Document, float]] = []
             for doc in documents:
@@ -118,13 +118,16 @@ class CorpusStatistics:
     def clone(self) -> "CorpusStatistics":
         """Deep copy (documents are shared; they are immutable)."""
         other = CorpusStatistics(
-            self.model, recorder=self.recorder,
-            backend=self._backend.clone(),
+            self.model, recorder=self.recorder, backend=self._backend.clone
         )
-        other.backend_name = self.backend_name
         other._now = self._now
         other._docs = dict(self._docs)
         return other
+
+    @property
+    def backend_name(self) -> str:
+        """The backend's ``name``, written to checkpoints."""
+        return self._backend.name
 
     # -- observability -----------------------------------------------------
 
@@ -153,6 +156,7 @@ class CorpusStatistics:
         weight and one for ``tdw``; the columnar backend collapses both
         into per-array scale factors.
         """
+        require_finite("time", time)
         if self._now is None:
             self._now = float(time)
             return 1.0
@@ -210,6 +214,7 @@ class CorpusStatistics:
         self, batch: List[Document], at_time: float
     ) -> None:
         """Reject a bad batch before any mutation (atomicity guard)."""
+        require_finite("at_time", at_time)
         if self._now is not None and at_time < self._now:
             raise ConfigurationError(
                 f"cannot advance clock backwards: now={self._now}, "

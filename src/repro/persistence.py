@@ -193,7 +193,7 @@ def _checkpoint_text(
             "delta": kmeans.delta,
             "max_iterations": kmeans.max_iterations,
             "seed": kmeans.seed,
-            "engine": kmeans.engine,
+            "engine": kmeans.engine.name,
             "criterion": kmeans.criterion,
             "rescue_outliers": kmeans.rescue_outliers,
         }),
@@ -324,7 +324,7 @@ def load_checkpoint(
             ) from exc
 
         if recorder.enabled and recorded_path != (
-            clusterer.kmeans.engine, clusterer.statistics.backend_name
+            clusterer.kmeans.engine.name, clusterer.statistics.backend_name
         ):
             recorder.counter(
                 "checkpoint.path_migrated",

@@ -50,6 +50,7 @@ from typing import (
     Union,
 )
 
+from .._validation import require_finite
 from ..corpus.document import Document
 from ..exceptions import (
     ConfigurationError,
@@ -311,9 +312,11 @@ class ClusterService:
         """Enqueue one batch for ingestion at logical time ``at_time``.
 
         Returns as soon as the batch is queued (or blocks briefly under
-        backpressure); call :meth:`flush` to wait for it to commit.
+        backpressure); call :meth:`flush` to wait for it to commit. A
+        non-finite ``at_time`` is rejected here, before it is queued.
         """
         self._require_open()
+        at_time = require_finite("at_time", at_time)
         batch = tuple(documents)
         if not batch:
             return

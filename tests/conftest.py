@@ -14,11 +14,6 @@ from repro import (
     ForgettingModel,
 )
 
-from tests.oracles import register_oracles
-
-# the parity suites select the reference engine/backend by name
-register_oracles()
-
 TOPIC_VOCABULARY: Dict[str, str] = {
     "sports": "game team score player win match coach league goal season",
     "finance": "market stock bank trade economy price investor fund profit rate",

@@ -10,7 +10,9 @@ from repro import (
     IncrementalClusterer,
     NonIncrementalClusterer,
 )
+from repro.core.engines import MatrixEngine
 from repro.exceptions import ConfigurationError
+from tests.oracles import DenseEngine
 
 
 @pytest.fixture
@@ -21,7 +23,7 @@ def model():
 class TestClustererConfig:
     def test_shared_config_builds_both_pipelines(self, model):
         config = ClustererConfig(
-            k=6, delta=0.05, max_iterations=12, seed=42, engine="dense"
+            k=6, delta=0.05, max_iterations=12, seed=42, engine=DenseEngine
         )
         incremental = IncrementalClusterer(model, config)
         baseline = NonIncrementalClusterer(model, config)
@@ -30,13 +32,13 @@ class TestClustererConfig:
             assert clusterer.kmeans.delta == 0.05
             assert clusterer.kmeans.max_iterations == 12
             assert clusterer.kmeans.seed == 42
-            assert clusterer.kmeans.engine == "dense"
+            assert clusterer.kmeans.engine is DenseEngine
 
     def test_config_keyword_and_replace(self, model):
-        config = ClustererConfig(k=4, engine="dense")
-        fast = dataclasses.replace(config, engine="matrix")
+        config = ClustererConfig(k=4, engine=DenseEngine)
+        fast = dataclasses.replace(config, engine=MatrixEngine)
         clusterer = IncrementalClusterer(model, config=fast)
-        assert clusterer.kmeans.engine == "matrix"
+        assert clusterer.kmeans.engine is MatrixEngine
 
     def test_explicit_keywords_override_config(self, model):
         config = ClustererConfig(k=4, seed=1)

@@ -19,19 +19,18 @@ import math
 import pytest
 
 from repro import CorpusStatistics, ForgettingModel, NoveltyKMeans
-from repro.core.engines import DEFAULT_ENGINE, NO_GAIN, resolve_engine
+from repro.core.engines import NO_GAIN, MatrixEngine
 from repro.vectors.sparse import SparseVector
 from tests.conftest import make_document
-from tests.oracles import ORACLE_ENGINE
+from tests.oracles import DenseEngine
 from tests.oracles.vectors import as_arrays
 
-ENGINES = (ORACLE_ENGINE, DEFAULT_ENGINE)
+ENGINES = (DenseEngine, MatrixEngine)
+NAMES = [engine.name for engine in ENGINES]
 
 
 class TestBlockCacheBound:
     def test_cache_stays_bounded_under_shifting_subsets(self):
-        from repro.core.engines.matrix import MatrixEngine
-
         n_docs, block_size = 40, 8
         vectors = {
             f"d{i:03d}": SparseVector({i % 7: 1.0, 7 + i % 5: 0.5})
@@ -53,8 +52,6 @@ class TestBlockCacheBound:
         assert len(engine._block_cache) <= limit
 
     def test_full_sweep_blocks_all_cached(self):
-        from repro.core.engines.matrix import MatrixEngine
-
         vectors = {
             f"d{i:03d}": SparseVector({i % 7: 1.0})
             for i in range(32)
@@ -78,18 +75,18 @@ class TestEmptyDocContract:
         }
         order = ["empty", "tiny"]
         decisions = {}
-        for name in ENGINES:
-            engine = resolve_engine(name)(2, as_arrays(vectors), "g")
+        for engine_class in ENGINES:
+            engine = engine_class(2, as_arrays(vectors), "g")
             engine.add(0, "topical")
             engine.add(1, "other")
-            decisions[name] = engine.best_gains(order)
-        reference = decisions[ORACLE_ENGINE]
+            decisions[engine_class] = engine.best_gains(order)
+        reference = decisions[DenseEngine]
         assert reference[0] == (-1, NO_GAIN)
         assert reference[1][0] == 0 and reference[1][1] > 0.0
-        for name in ENGINES:
-            assert [d[0] for d in decisions[name]] == [
+        for engine_class in ENGINES:
+            assert [d[0] for d in decisions[engine_class]] == [
                 d[0] for d in reference
-            ], name
+            ], engine_class.name
 
     def test_underflow_doc_survives_speculation(self):
         # enough documents that the matrix engine's vectorised
@@ -102,27 +99,27 @@ class TestEmptyDocContract:
         vectors["empty"] = SparseVector({})
         order = list(vectors)
         decisions = {}
-        for name in ENGINES:
-            engine = resolve_engine(name)(3, as_arrays(vectors), "g")
+        for engine_class in ENGINES:
+            engine = engine_class(3, as_arrays(vectors), "g")
             for i in range(30):
                 engine.add(i % 3, f"d{i:02d}")
             # two identical passes: the second is net-stationary, which
             # is what the speculation path accelerates
             engine.best_gains(order)
-            decisions[name] = engine.best_gains(order)
-        reference = decisions[ORACLE_ENGINE]
+            decisions[engine_class] = engine.best_gains(order)
+        reference = decisions[DenseEngine]
         assert reference[order.index("empty")] == (-1, NO_GAIN)
         assert reference[order.index("tiny")][0] != -1
-        for name in ENGINES:
-            assert [d[0] for d in decisions[name]] == [
+        for engine_class in ENGINES:
+            assert [d[0] for d in decisions[engine_class]] == [
                 d[0] for d in reference
-            ], name
+            ], engine_class.name
 
 
 class TestMembershipConservation:
-    @pytest.mark.parametrize("engine_name", ENGINES)
+    @pytest.mark.parametrize("engine_class", ENGINES, ids=NAMES)
     def test_novelty_decision_drops_doc_from_members_only(
-        self, engine_name
+        self, engine_class
     ):
         # "loner" shares no vocabulary with any cluster: every gain is
         # 0.0 (novel document), so the sweep must leave it unassigned —
@@ -134,7 +131,7 @@ class TestMembershipConservation:
             "loner": SparseVector({9: 1.0}),
             "empty": SparseVector({}),
         }
-        engine = resolve_engine(engine_name)(2, as_arrays(vectors), "g")
+        engine = engine_class(2, as_arrays(vectors), "g")
         engine.add(0, "a")
         engine.add(0, "b")
         engine.add(1, "c")
@@ -156,8 +153,8 @@ class TestMembershipConservation:
                 assert engine.cluster_of(doc_id) is None
         assert set(flat) | {"loner", "empty"} == set(order)
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_fit_partitions_docs_with_novelty_outliers(self, engine_name):
+    @pytest.mark.parametrize("engine_class", ENGINES, ids=NAMES)
+    def test_fit_partitions_docs_with_novelty_outliers(self, engine_class):
         docs = [
             make_document("s1", 0.0, {0: 3, 1: 1}),
             make_document("s2", 0.5, {0: 2, 1: 2}),
@@ -168,7 +165,7 @@ class TestMembershipConservation:
         ]
         model = ForgettingModel(half_life=7.0, life_span=14.0)
         stats = CorpusStatistics.from_scratch(model, docs, at_time=2.0)
-        result = NoveltyKMeans(k=2, seed=0, engine=engine_name).fit(
+        result = NoveltyKMeans(k=2, seed=0, engine=engine_class).fit(
             docs, stats
         )
         clustered = [d for members in result.clusters for d in members]
@@ -180,14 +177,14 @@ class TestMembershipConservation:
 
 
 class TestFreeze:
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_view_is_a_read_only_copy(self, engine_name):
+    @pytest.mark.parametrize("engine_class", ENGINES, ids=NAMES)
+    def test_view_is_a_read_only_copy(self, engine_class):
         vectors = {
             "a": SparseVector({3: 1.0, 8: 0.5}),
             "b": SparseVector({3: 0.5, 11: 1.0}),
             "c": SparseVector({20: 2.0}),
         }
-        engine = resolve_engine(engine_name)(2, as_arrays(vectors), "g")
+        engine = engine_class(2, as_arrays(vectors), "g")
         engine.add(0, "a")
         engine.add(0, "b")
         engine.add(1, "c")
@@ -211,9 +208,9 @@ class TestFreeze:
         assert view.sizes.tolist() == [2, 1]
         assert view.representatives[0].tolist() == [1.5, 0.5, 1.0, 0.0]
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_empty_term_space_is_not_padded(self, engine_name):
-        engine = resolve_engine(engine_name)(3, as_arrays({}), "g")
+    @pytest.mark.parametrize("engine_class", ENGINES, ids=NAMES)
+    def test_empty_term_space_is_not_padded(self, engine_class):
+        engine = engine_class(3, as_arrays({}), "g")
         view = engine.freeze()
         assert view.term_ids.size == 0
         assert view.representatives.shape == (3, 0)

@@ -1,6 +1,6 @@
-"""Tests for the engine layer (registry + fast-vs-oracle parity).
+"""Tests for the engine layer (the engine seam + fast-vs-oracle parity).
 
-The ``matrix`` engine and the tests' ``dense`` oracle
+:class:`MatrixEngine` and the tests' :class:`DenseEngine` oracle
 (``tests/oracles/dense.py``) implement the same Eq. 19-26 accounting
 with different data structures, so under a fixed seed they must
 produce the *same clustering*: identical assignments, identical member
@@ -17,20 +17,13 @@ from repro import (
     NoveltyKMeans,
 )
 from repro.core.config import ClustererConfig
-from repro.core.engines import (
-    DEFAULT_ENGINE,
-    available_engines,
-    register_engine,
-    resolve_engine,
-    unregister_engine,
-)
+from repro.core.engines import MatrixEngine
 from repro.exceptions import ConfigurationError
 from repro.forgetting.statistics import CorpusStatistics
 from tests.conftest import build_topic_repository
-from tests.oracles import ORACLE_ENGINE
-from tests.oracles.dense import DenseEngine
+from tests.oracles import DenseEngine
 
-ENGINES = (ORACLE_ENGINE, DEFAULT_ENGINE)
+ENGINES = (DenseEngine, MatrixEngine)
 
 
 @pytest.fixture(scope="module")
@@ -43,48 +36,42 @@ def corpus():
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        for name in ENGINES:
-            assert name in available_engines()
+    """Engine selection: ``engine=`` takes the class itself, and
+    anything else fails at construction."""
 
     def test_unknown_name_lists_valid_names(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            resolve_engine("no-such-engine")
+            NoveltyKMeans(k=4, engine="no-such-engine")
         message = str(excinfo.value)
         assert "no-such-engine" in message
-        for name in ENGINES:
-            assert name in message
+        assert "MatrixEngine" in message
 
     def test_kmeans_rejects_unknown_engine_eagerly(self):
-        with pytest.raises(ConfigurationError, match="available engines"):
-            NoveltyKMeans(k=4, engine="typo")
+        # a stale caller still passing a former registry name gets a
+        # ConfigurationError naming the class, not a TypeError from fit
+        for stale in ("matrix", "dense", "typo", None):
+            with pytest.raises(ConfigurationError, match="MatrixEngine"):
+                NoveltyKMeans(k=4, engine=stale)
+        model = ForgettingModel(half_life=7.0)
+        with pytest.raises(ConfigurationError, match="MatrixEngine"):
+            IncrementalClusterer(model, ClustererConfig(k=4, engine="matrix"))
 
     def test_custom_engine_registration(self, corpus):
         docs, statistics = corpus
         calls = []
 
-        def factory(k, vectors, criterion):
-            calls.append((k, criterion))
-            return DenseEngine(k, vectors, criterion)
+        class CustomEngine(DenseEngine):
+            name = "custom-test"
 
-        register_engine("custom-test", factory)
-        try:
-            kmeans = NoveltyKMeans(k=4, seed=0, engine="custom-test")
-            result = kmeans.fit(docs, statistics)
-            assert calls and calls[0] == (4, "g")
-            assert result.n_documents > 0
-        finally:
-            unregister_engine("custom-test")
-        with pytest.raises(ConfigurationError):
-            resolve_engine("custom-test")
+            def __init__(self, k, vectors, criterion):
+                calls.append((k, criterion))
+                super().__init__(k, vectors, criterion)
 
-    def test_duplicate_registration_refused(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_engine("dense", DenseEngine)
-
-    def test_duplicate_registration_with_overwrite(self):
-        register_engine("dense", DenseEngine, overwrite=True)
-        assert resolve_engine("dense") is DenseEngine
+        kmeans = NoveltyKMeans(k=4, seed=0, engine=CustomEngine)
+        assert kmeans.engine is CustomEngine
+        result = kmeans.fit(docs, statistics)
+        assert calls and calls[0] == (4, "g")
+        assert result.n_documents > 0
 
     def test_missing_scipy_points_to_the_declared_dependency(
         self, monkeypatch
@@ -111,7 +98,7 @@ class TestEngineParity:
             kmeans = NoveltyKMeans(k=4, seed=seed, engine=engine)
             kmeans.criterion = criterion
             results[engine] = kmeans.fit(docs, statistics)
-        reference, result = results[ORACLE_ENGINE], results[DEFAULT_ENGINE]
+        reference, result = results[DenseEngine], results[MatrixEngine]
         assert result.assignments() == reference.assignments()
         assert result.clusters == reference.clusters
         assert math.isclose(
@@ -140,7 +127,7 @@ class TestEngineParity:
                 window[engine] = clusterer.process_batch(
                     batch, at_time=float(day + 1)
                 )
-            reference, result = window[ORACLE_ENGINE], window[DEFAULT_ENGINE]
+            reference, result = window[DenseEngine], window[MatrixEngine]
             assert result.assignments() == reference.assignments(), (
                 f"diverged in window {day}"
             )
@@ -160,7 +147,7 @@ class TestEngineParity:
             )
             for engine in ENGINES
         }
-        reference, result = results[ORACLE_ENGINE], results[DEFAULT_ENGINE]
+        reference, result = results[DenseEngine], results[MatrixEngine]
         assert set(result.outliers) == set(reference.outliers)
         assert result.assignments() == reference.assignments()
 
@@ -178,7 +165,7 @@ class TestMatrixEngine:
         path = tmp_path / "ck.json"
         save_checkpoint(clusterer, repo.vocabulary, path)
         restored, _ = load_checkpoint(path, repo.vocabulary)
-        assert restored.kmeans.engine == "matrix"
+        assert restored.kmeans.engine is MatrixEngine
         # the restored pipeline keeps clustering with the same engine
         result = restored.process_batch([], at_time=3.5)
         assert result.n_documents > 0

@@ -9,13 +9,15 @@ from repro import (
     ForgettingModel,
     NoveltyKMeans,
 )
+from repro.core.engines import MatrixEngine
 from repro.exceptions import ClusteringError, ConfigurationError
 from tests.conftest import build_topic_repository, make_document
+from tests.oracles import DenseEngine
 
 
 @pytest.fixture(scope="module")
 def fitted():
-    """One shared clustering of the 4-topic stream (dense engine)."""
+    """One shared clustering of the 4-topic stream (default engine)."""
     repo = build_topic_repository(days=6, docs_per_topic_per_day=3)
     model = ForgettingModel(half_life=7.0, life_span=30.0)
     stats = CorpusStatistics.from_scratch(
@@ -108,10 +110,10 @@ class TestEngineEquivalence:
         )
         docs = stats.documents()
         results = {}
-        for engine in ("matrix", "dense"):
+        for engine in (MatrixEngine, DenseEngine):
             km = NoveltyKMeans(k=3, seed=11, engine=engine,
                                criterion=criterion)
-            results[engine] = km.fit(docs, stats)
+            results[engine.name] = km.fit(docs, stats)
         matrix, dense = results["matrix"], results["dense"]
         assert matrix.assignments() == dense.assignments()
         assert set(matrix.outliers) == set(dense.outliers)

@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 
 from repro import CorpusStatistics, ForgettingModel
 from repro.core.kmeans import NoveltyKMeans
+from repro.forgetting.backends import ColumnarStatisticsBackend
 from repro.vectors.tfidf import NoveltyTfidfWeighter
 from tests.conftest import make_document
 from tests.oracles import repair as oracle
+from tests.oracles.dict_backend import DictStatisticsBackend
 
 TIE = 1e-12
 REL = 1e-9
@@ -46,7 +48,10 @@ corpora = st.lists(
 )
 
 
-def batch(corpus, backend="columnar"):
+BACKENDS = st.sampled_from([DictStatisticsBackend, ColumnarStatisticsBackend])
+
+
+def batch(corpus, backend=ColumnarStatisticsBackend):
     """(arrays, dict vectors, member lists) of a random partition."""
     docs = [
         make_document(f"d{i}", t, counts)
@@ -77,7 +82,7 @@ def close(a, b, scale):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corpus=corpora, backend=st.sampled_from(["dict", "columnar"]))
+@given(corpus=corpora, backend=BACKENDS)
 def test_best_split_matches_dict_oracle(corpus, backend):
     arrays, vectors, members = batch(corpus, backend)
     contributions = [oracle.scratch_contribution(ids, vectors)
@@ -114,7 +119,7 @@ def test_best_split_matches_dict_oracle(corpus, backend):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corpus=corpora, backend=st.sampled_from(["dict", "columnar"]))
+@given(corpus=corpora, backend=BACKENDS)
 def test_proposals_match_dict_oracle_per_cluster(corpus, backend):
     arrays, vectors, members = batch(corpus, backend)
     scale = noise_scale(vectors)
@@ -134,7 +139,7 @@ def test_proposals_match_dict_oracle_per_cluster(corpus, backend):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corpus=corpora, backend=st.sampled_from(["dict", "columnar"]))
+@given(corpus=corpora, backend=BACKENDS)
 def test_rescue_candidate_matches_dict_oracle(corpus, backend):
     arrays, vectors, _ = batch(corpus, backend)
     ranked = sorted(vectors, key=lambda d: vectors[d].dot(vectors[d]),

@@ -15,6 +15,8 @@ In every failure mode the state must be exactly the pre-batch state —
 be re-sendable.
 """
 
+import math
+
 import pytest
 
 from repro import (
@@ -23,8 +25,10 @@ from repro import (
     IncrementalClusterer,
     NonIncrementalClusterer,
 )
+from repro.core.engines import MatrixEngine
 from repro.exceptions import ClusteringError, ConfigurationError
 from tests.conftest import build_topic_repository, make_document
+from tests.oracles import DenseEngine
 
 
 @pytest.fixture
@@ -88,6 +92,26 @@ class TestObserveAtomicity:
         assert stats.size == 1
         assert "b" not in stats
         assert stats.now == 0.0
+        stats.validate()
+
+    @pytest.mark.parametrize("at_time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_before_mutation(self, model, at_time):
+        from repro import CorpusStatistics
+
+        stats = CorpusStatistics(model)
+        stats.observe(fresh_docs("old", 3, 0.0), at_time=0.0)
+        tdw_before = stats.tdw
+        with pytest.raises(ConfigurationError, match="finite"):
+            stats.observe(fresh_docs("new", 2, 0.0), at_time=at_time)
+        with pytest.raises(ConfigurationError, match="finite"):
+            stats.advance_to(at_time)
+        with pytest.raises(ConfigurationError, match="finite"):
+            CorpusStatistics.from_scratch(model, fresh_docs("x", 2, 0.0),
+                                          at_time=at_time)
+        assert (stats.size, stats.tdw, stats.now) == (3, tdw_before, 0.0)
+        # the clock was never poisoned: a real batch time still works
+        stats.observe(fresh_docs("new", 2, 1.0), at_time=1.0)
+        assert math.isfinite(stats.tdw) and stats.tdw > 0.0
         stats.validate()
 
     def test_rejected_batch_is_resendable(self, model):
@@ -180,6 +204,32 @@ class TestIncrementalColdStartGuard:
         assert result is clusterer.last_result
 
 
+class TestNonFiniteBatchTime:
+    def test_nan_batch_time_is_rolled_back(self, model):
+        clusterer = IncrementalClusterer(model, k=2, seed=0)
+        clusterer.process_batch(fresh_docs("a", 4, 0.0), at_time=0.0)
+        before = clusterer.history[-1].clustering_index
+        with pytest.raises(ConfigurationError, match="finite"):
+            clusterer.process_batch(fresh_docs("b", 4, 0.5),
+                                    at_time=math.nan)
+        assert clusterer.statistics.now == 0.0
+        assert math.isfinite(clusterer.statistics.tdw)
+        result = clusterer.process_batch(fresh_docs("b", 4, 1.0),
+                                         at_time=1.0)
+        assert math.isfinite(clusterer.statistics.tdw)
+        assert result.clustering_index > 0.0
+        assert before > 0.0
+
+    def test_nonincremental_rejects_nan_batch_time(self, model):
+        clusterer = NonIncrementalClusterer(model, k=2, seed=0)
+        clusterer.process_batch(fresh_docs("a", 4, 0.0), at_time=0.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            clusterer.process_batch(fresh_docs("b", 4, 0.5),
+                                    at_time=math.nan)
+        assert clusterer.statistics.now == 0.0
+        assert len(clusterer.archive) == 4
+
+
 class TestNonIncrementalRollback:
     def test_statistics_restored_on_failure(self, model):
         repo = build_topic_repository(days=2, docs_per_topic_per_day=2,
@@ -234,14 +284,14 @@ class TestEngineParityThroughPipeline:
             for day in range(4)
         ]
         runs = {}
-        for engine in ("matrix", "dense"):
+        for engine in (MatrixEngine, DenseEngine):
             clusterer = IncrementalClusterer(
                 model, ClustererConfig(k=3, seed=13, engine=engine)
             )
             clusterer.kmeans.criterion = criterion
             for day, batch in enumerate(batches):
                 clusterer.process_batch(batch, at_time=float(day + 1))
-            runs[engine] = clusterer
+            runs[engine.name] = clusterer
         for day in range(4):
             matrix = runs["matrix"].history[day]
             dense = runs["dense"].history[day]

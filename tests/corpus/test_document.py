@@ -48,6 +48,13 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Document("d", "today", {0: 1})  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, timestamp):
+        # a NaN T_i would make every later λ^(τ-T) NaN: tdw and the term
+        # masses would stay NaN for the rest of the stream
+        with pytest.raises(ValueError, match="finite"):
+            Document("d", timestamp, {0: 1})
+
     def test_immutable(self):
         doc = make_document("d", 0.0, {0: 1})
         with pytest.raises(AttributeError):

@@ -1,8 +1,9 @@
 """Checkpoint round-trip parity: oracle and production live runs.
 
-A live run on any combination of statistics backend (the ``dict``
-oracle, ``columnar``) and numerical engine (the ``dense`` oracle,
-``matrix``) must round-trip through a checkpoint onto the production
+A live run on any combination of statistics backend (the
+``DictStatisticsBackend`` oracle, ``ColumnarStatisticsBackend``) and
+numerical engine (the ``DenseEngine`` oracle, ``MatrixEngine``) must
+round-trip through a checkpoint onto the production
 pair, with an exact assignment and statistics and clustering index G
 that agree with the live run to 1e-9 relative.
 """
@@ -13,15 +14,15 @@ import math
 
 import pytest
 
-from repro.core.engines import DEFAULT_ENGINE
-from repro.forgetting.backends import DEFAULT_BACKEND
+from repro.core.engines import MatrixEngine
+from repro.forgetting.backends import ColumnarStatisticsBackend
 from repro.persistence import load_checkpoint, save_checkpoint
 
 from tests.durability.conftest import build_batches, make_clusterer
-from tests.oracles import ORACLE_BACKEND, ORACLE_ENGINE
+from tests.oracles import DenseEngine, DictStatisticsBackend
 
-BACKENDS = (ORACLE_BACKEND, DEFAULT_BACKEND)
-ENGINES = (ORACLE_ENGINE, DEFAULT_ENGINE)
+BACKENDS = (DictStatisticsBackend, ColumnarStatisticsBackend)
+ENGINES = (DenseEngine, MatrixEngine)
 REL_TOL = 1e-9
 
 
@@ -33,8 +34,8 @@ def term_probability_by_string(clusterer, vocabulary):
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.name)
 class TestParityMatrix:
     def test_round_trip_matches_live_state(
         self, backend, engine, tmp_path
@@ -52,8 +53,8 @@ class TestParityMatrix:
         # a fresh vocabulary: restores must not depend on the original
         # term-id numbering
         restored, restored_vocabulary = load_checkpoint(path)
-        assert restored.kmeans.engine == DEFAULT_ENGINE
-        assert restored.statistics.backend_name == DEFAULT_BACKEND
+        assert restored.kmeans.engine is MatrixEngine
+        assert restored.statistics.backend_name == "columnar"
 
         # structural state: exact
         assert restored.assignments() == clusterer.assignments()

@@ -1,8 +1,8 @@
-"""Statistics-backend registry and dict/columnar equivalence.
+"""The statistics-backend seam and dict/columnar equivalence.
 
-The columnar backend stores the same Eq. 27-29 state as the ``dict``
+The columnar backend stores the same Eq. 27-29 state as the dict
 oracle (``tests/oracles/dict_backend.py``) in flat numpy arrays. These
-tests pin the registry surface and — the load-bearing property — that
+tests pin the ``backend=`` seam and — the load-bearing property — that
 the two layouts stay numerically interchangeable under arbitrary
 interleavings of observe/advance/expire/remove.
 """
@@ -13,19 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CorpusStatistics, ForgettingModel
+from repro import CorpusStatistics, ForgettingModel, IncrementalClusterer
+from repro.core.config import ClustererConfig
 from repro.exceptions import ConfigurationError
-from repro.forgetting.backends import (
-    ColumnarStatisticsBackend,
-    available_backends,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.forgetting.backends import ColumnarStatisticsBackend
 from tests.conftest import make_document
-from tests.oracles.dict_backend import DictStatisticsBackend
+from tests.oracles import DictStatisticsBackend
 
-BACKENDS = ("dict", "columnar")
+BACKENDS = (DictStatisticsBackend, ColumnarStatisticsBackend)
 
 
 @pytest.fixture
@@ -34,32 +29,25 @@ def model():
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert set(BACKENDS) <= set(available_backends())
+    """Backend selection: ``backend=`` takes the class itself, and
+    anything else fails at construction."""
 
-    def test_resolve_returns_factories(self):
-        assert resolve_backend("dict") is DictStatisticsBackend
-        assert resolve_backend("columnar") is ColumnarStatisticsBackend
-
-    def test_unknown_name_lists_alternatives(self):
-        with pytest.raises(ConfigurationError, match="columnar"):
-            resolve_backend("no-such-backend")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("dict", DictStatisticsBackend)
-
-    def test_register_unregister_roundtrip(self):
-        register_backend("test-tmp", DictStatisticsBackend)
-        try:
-            assert "test-tmp" in available_backends()
-        finally:
-            unregister_backend("test-tmp")
-        assert "test-tmp" not in available_backends()
-
-    def test_statistics_accepts_instance(self, model):
-        stats = CorpusStatistics(model, backend=ColumnarStatisticsBackend())
-        assert stats.backend_name == "columnar"
+    def test_unknown_name_lists_alternatives(self, model):
+        # a stale caller still passing a former registry name, or an
+        # instance, gets a ConfigurationError naming the class
+        for stale in ("no-such-backend", "columnar", "dict",
+                      ColumnarStatisticsBackend()):
+            with pytest.raises(ConfigurationError,
+                               match="ColumnarStatisticsBackend"):
+                CorpusStatistics(model, backend=stale)
+        with pytest.raises(ConfigurationError,
+                           match="ColumnarStatisticsBackend"):
+            CorpusStatistics.from_scratch(model, [], at_time=0.0,
+                                          backend="columnar")
+        with pytest.raises(ConfigurationError,
+                           match="ColumnarStatisticsBackend"):
+            IncrementalClusterer(model, ClustererConfig(
+                k=4, statistics_backend="columnar"))
 
 
 # -- property: dict and columnar agree under any interleaving -----------
@@ -147,25 +135,26 @@ class TestDictColumnarParity:
     @settings(max_examples=120, deadline=None)
     @given(steps=_STEPS)
     def test_interleaving_parity_with_lifespan(self, steps):
-        a = _run_program(steps, "dict", life_span=14.0)
-        b = _run_program(steps, "columnar", life_span=14.0)
+        a = _run_program(steps, DictStatisticsBackend, life_span=14.0)
+        b = _run_program(steps, ColumnarStatisticsBackend, life_span=14.0)
         _assert_parity(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(steps=_STEPS)
     def test_interleaving_parity_without_lifespan(self, steps):
-        a = _run_program(steps, "dict", life_span=None)
-        b = _run_program(steps, "columnar", life_span=None)
+        a = _run_program(steps, DictStatisticsBackend, life_span=None)
+        b = _run_program(steps, ColumnarStatisticsBackend, life_span=None)
         _assert_parity(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(steps=_STEPS)
     def test_columnar_survives_its_own_validate(self, steps):
-        stats = _run_program(steps, "columnar", life_span=14.0)
+        stats = _run_program(steps, ColumnarStatisticsBackend,
+                             life_span=14.0)
         stats.validate()
 
     def test_clone_is_independent(self, model):
-        stats = CorpusStatistics(model, backend="columnar")
+        stats = CorpusStatistics(model)
         stats.observe([make_document("d0", 0.0, {0: 2, 1: 1})], 0.0)
         fork = stats.clone()
         assert fork.backend_name == "columnar"
@@ -222,7 +211,7 @@ class TestExpiryAtTheLifeSpan:
                 stats.observe([make_document(f"f{day}", at - 0.5, {3: 1})],
                               at_time=at)
                 stats.expire()
-            kept[backend] = "a" in stats
+            kept[backend.name] = "a" in stats
         assert model.weight(t0, at) == model.epsilon
         assert kept == {"dict": True, "columnar": True}
 

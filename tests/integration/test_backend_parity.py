@@ -1,25 +1,37 @@
 """Full-pipeline parity: the statistics backend must never change results.
 
 Both clusterers are pure functions of (documents, parameters, seed); the
-backend only changes the storage layout of Eq. 27-29, so the
-``columnar`` backend and the ``dict`` oracle must give *identical*
-assignments and a clustering index G equal to float tolerance, under
-the ``matrix`` engine and under the ``dense`` oracle alike.
+backend only changes the storage layout of Eq. 27-29, so
+``ColumnarStatisticsBackend`` and the ``DictStatisticsBackend`` oracle
+must give *identical* assignments and a clustering index G equal to
+float tolerance, under ``MatrixEngine`` and under the ``DenseEngine``
+oracle alike.
+
+The last case runs the paper-scale configuration: the Experiment 1
+stream replayed through the statistics layer in 7-day batches, then one
+K=32 fit on each pair.
 """
 
 import math
 
 import pytest
 
-from repro import ForgettingModel, IncrementalClusterer
+from repro import CorpusStatistics, ForgettingModel, IncrementalClusterer
 from repro.core.config import ClustererConfig
-from repro.core.engines import DEFAULT_ENGINE
+from repro.core.engines import MatrixEngine
 from repro.core.incremental import NonIncrementalClusterer
-from repro.forgetting.backends import DEFAULT_BACKEND
+from repro.core.kmeans import NoveltyKMeans
+from repro.corpus.streams import iter_batches
+from repro.corpus.synthetic import TDT2Generator
+from repro.experiments import ExperimentOneConfig
+from repro.forgetting.backends import ColumnarStatisticsBackend
 from tests.conftest import build_topic_repository
-from tests.oracles import ORACLE_BACKEND, ORACLE_ENGINE
+from tests.oracles import DenseEngine, DictStatisticsBackend
 
-BACKENDS = (ORACLE_BACKEND, DEFAULT_BACKEND)
+BACKENDS = (DictStatisticsBackend, ColumnarStatisticsBackend)
+#: (statistics backend, engine): the oracle pair, then the production one
+PAIRS = ((DictStatisticsBackend, DenseEngine),
+         (ColumnarStatisticsBackend, MatrixEngine))
 
 
 def _replay(clusterer, repo, days):
@@ -31,7 +43,8 @@ def _replay(clusterer, repo, days):
     return result
 
 
-@pytest.mark.parametrize("engine", (ORACLE_ENGINE, DEFAULT_ENGINE))
+@pytest.mark.parametrize("engine", (DenseEngine, MatrixEngine),
+                         ids=lambda engine: engine.name)
 def test_incremental_backends_agree(engine):
     repo = build_topic_repository(days=8, docs_per_topic_per_day=3, seed=11)
     results = {}
@@ -40,7 +53,7 @@ def test_incremental_backends_agree(engine):
         clusterer = IncrementalClusterer(model, ClustererConfig(
             k=4, seed=2, engine=engine, statistics_backend=backend,
         ))
-        results[backend] = _replay(clusterer, repo, days=8)
+        results[backend.name] = _replay(clusterer, repo, days=8)
     dict_result, columnar_result = results["dict"], results["columnar"]
     assert columnar_result.assignments() == dict_result.assignments()
     assert math.isclose(
@@ -57,10 +70,42 @@ def test_nonincremental_backends_agree():
         clusterer = NonIncrementalClusterer(model, ClustererConfig(
             k=4, seed=2, statistics_backend=backend,
         ))
-        results[backend] = _replay(clusterer, repo, days=6)
+        results[backend.name] = _replay(clusterer, repo, days=6)
     assert results["columnar"].assignments() == results["dict"].assignments()
     assert math.isclose(
         results["columnar"].clustering_index,
         results["dict"].clustering_index,
         rel_tol=1e-9,
     )
+
+
+def test_experiment1_stream_pairs_agree():
+    config = ExperimentOneConfig(seed=1998, unlabeled_per_day=20.0)
+    repo = TDT2Generator(config.corpus_config()).generate()
+    docs = sorted(
+        (d for d in repo.documents() if d.timestamp < config.days),
+        key=lambda d: (d.timestamp, d.doc_id),
+    )
+    model = ForgettingModel(config.half_life, config.life_span)
+    batches = list(iter_batches(docs, 7.0))
+
+    final = {}
+    for backend in BACKENDS:
+        stats = CorpusStatistics(model, backend=backend)
+        for at_time, batch in batches:
+            stats.observe(batch, at_time=at_time)
+            stats.expire()
+        final[backend] = stats
+    oracle, production = (final[backend] for backend in BACKENDS)
+    assert production.doc_ids() == oracle.doc_ids()
+    assert math.isclose(production.tdw, oracle.tdw, rel_tol=1e-9)
+
+    reference, result = (
+        NoveltyKMeans(k=config.k, seed=3, engine=engine).fit(
+            final[backend].documents(), final[backend]
+        )
+        for backend, engine in PAIRS
+    )
+    assert result.assignments() == reference.assignments()
+    assert math.isclose(result.clustering_index,
+                        reference.clustering_index, rel_tol=1e-9)

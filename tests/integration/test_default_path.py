@@ -1,10 +1,11 @@
 """The default construction path decides exactly as the oracle pair.
 
-``open_stream`` runs the library's one engine/backend pair (the
-``matrix`` engine over ``columnar`` statistics); a
-``ClustererConfig(engine="dense", statistics_backend="dict")`` selects
-the tests' oracles (``tests/oracles``): the per-document numpy engine
-over the plain-Python statistics. Both drive the one K-means loop
+``open_stream`` runs the library's one engine/backend pair
+(``MatrixEngine`` over ``ColumnarStatisticsBackend``); a
+``ClustererConfig(engine=DenseEngine,
+statistics_backend=DictStatisticsBackend)`` passes in the tests'
+oracles (``tests/oracles``): the per-document numpy engine over the
+plain-Python statistics. Both drive the one K-means loop
 (outlier rescue and split repair included), so on a seeded TDT2-like
 stream every batch must yield identical clusters and outliers, with G
 equal to 1e-9.
@@ -13,21 +14,20 @@ equal to 1e-9.
 import dataclasses
 import inspect
 import math
-import subprocess
-import sys
 
 from repro import CorpusStatistics, build_clusterer, open_stream, recover
 from repro.core import estimate_k
 from repro.core.config import ClustererConfig
-from repro.core.engines import DEFAULT_ENGINE
+from repro.core.engines import MatrixEngine
 from repro.core.kmeans import NoveltyKMeans
 from repro.corpus.streams import iter_batches
 from repro.corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
 from repro.experiments.experiment1 import ExperimentOneConfig
 from repro.experiments.experiment2 import ExperimentTwoConfig
-from repro.forgetting.backends import DEFAULT_BACKEND
+from repro.forgetting.backends import ColumnarStatisticsBackend
 from repro.obs import InMemoryRecorder
 from repro.persistence import load_checkpoint
+from tests.oracles import DenseEngine, DictStatisticsBackend
 
 MODEL = {"half_life": 7.0, "life_span": 14.0}
 KMEANS = {"k": 16, "seed": 1998}
@@ -38,24 +38,17 @@ def _digest(clusters, outliers, g):
             tuple(sorted(outliers)), g)
 
 
-def test_plain_import_registers_only_the_production_pair():
-    code = ("import repro, repro.forgetting.backends as b; "
-            "print(repro.available_engines(), b.available_backends())")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["('matrix',)", "('columnar',)"]
-
-
 def test_every_entry_point_reads_the_one_default_pair():
-    assert (DEFAULT_ENGINE, DEFAULT_BACKEND) == ("matrix", "columnar")
+    assert (MatrixEngine.name, ColumnarStatisticsBackend.name) == (
+        "matrix", "columnar")
     fields = {f.name: f.default for f in dataclasses.fields(ClustererConfig)}
-    assert fields["engine"] is DEFAULT_ENGINE
-    assert fields["statistics_backend"] is DEFAULT_BACKEND
+    assert fields["engine"] is MatrixEngine
+    assert fields["statistics_backend"] is ColumnarStatisticsBackend
     assert (inspect.signature(NoveltyKMeans).parameters["engine"].default
-            is DEFAULT_ENGINE)
+            is MatrixEngine)
     for function in (CorpusStatistics, CorpusStatistics.from_scratch):
         parameters = inspect.signature(function).parameters
-        assert parameters["backend"].default is DEFAULT_BACKEND
+        assert parameters["backend"].default is ColumnarStatisticsBackend
     # the seams above are the only ones: no entry point takes a knob
     for function in (build_clusterer, open_stream, estimate_k,
                      load_checkpoint, recover):
@@ -66,12 +59,11 @@ def test_every_entry_point_reads_the_one_default_pair():
         assert not hasattr(config, "engine")
 
     clusterer = build_clusterer(k=2)
-    assert clusterer.kmeans.engine == DEFAULT_ENGINE
-    assert clusterer.statistics.backend_name == DEFAULT_BACKEND
+    assert clusterer.kmeans.engine is MatrixEngine
+    assert clusterer.statistics.backend_name == "columnar"
     with open_stream(k=2) as session:
-        assert session.clusterer.kmeans.engine == DEFAULT_ENGINE
-        assert (session.clusterer.statistics.backend_name
-                == DEFAULT_BACKEND)
+        assert session.clusterer.kmeans.engine is MatrixEngine
+        assert session.clusterer.statistics.backend_name == "columnar"
 
 
 def test_default_stream_matches_dense_dict_on_every_batch():
@@ -82,7 +74,8 @@ def test_default_stream_matches_dense_dict_on_every_batch():
 
     recorder = InMemoryRecorder()
     reference = build_clusterer(
-        ClustererConfig(**KMEANS, engine="dense", statistics_backend="dict",
+        ClustererConfig(**KMEANS, engine=DenseEngine,
+                        statistics_backend=DictStatisticsBackend,
                         recorder=recorder),
         **MODEL,
     )

@@ -3,10 +3,13 @@
 Each module here is the paper's line-by-line version of a computation
 whose production form lives in ``src/repro`` on arrays:
 
-* :mod:`.dense` — the ``"dense"`` engine, the one-document-at-a-time
-  assignment sweep the ``"matrix"`` engine is compared against;
-* :mod:`.dict_backend` — the ``"dict"`` statistics backend, the
-  eager-decay store the ``"columnar"`` backend is compared against;
+* :mod:`.dense` — :class:`DenseEngine`, the one-document-at-a-time
+  assignment sweep :class:`~repro.core.engines.MatrixEngine` is
+  compared against;
+* :mod:`.dict_backend` — :class:`DictStatisticsBackend`, the
+  eager-decay store
+  :class:`~repro.forgetting.backends.ColumnarStatisticsBackend` is
+  compared against;
 * :mod:`.cluster` — :class:`Cluster`, one cluster's representative and
   Eq. 21-26 accounting over dict vectors, the state the engines keep for
   all K clusters and freeze into an ``EngineView``;
@@ -20,17 +23,15 @@ whose production form lives in ``src/repro`` on arrays:
 * :mod:`.text` — the text pipeline run token by token, the oracle for
   the memoised ``TextPipeline``.
 
-Nothing in the library imports these. :func:`register_oracles` puts the
-two oracles into the library's registries under ``"dense"`` and
-``"dict"`` so the parity suites can select them by name, through
-``ClustererConfig(engine=..., statistics_backend=...)``,
-``NoveltyKMeans(engine=...)`` and ``CorpusStatistics(backend=...)``.
+Nothing in the library imports these. The parity suites pass the two
+oracle classes in where the library takes an engine or a backend:
+``ClustererConfig(engine=DenseEngine,
+statistics_backend=DictStatisticsBackend)``,
+``NoveltyKMeans(engine=DenseEngine)`` and
+``CorpusStatistics(backend=DictStatisticsBackend)``.
 """
 
 from __future__ import annotations
-
-from repro.core.engines import register_engine
-from repro.forgetting.backends import register_backend
 
 from .cluster import Cluster
 from .dense import DenseEngine
@@ -40,17 +41,4 @@ __all__ = [
     "Cluster",
     "DenseEngine",
     "DictStatisticsBackend",
-    "ORACLE_BACKEND",
-    "ORACLE_ENGINE",
-    "register_oracles",
 ]
-
-#: Registry names of the oracles.
-ORACLE_ENGINE = "dense"
-ORACLE_BACKEND = "dict"
-
-
-def register_oracles() -> None:
-    """Register the oracle engine and backend (idempotent)."""
-    register_engine(ORACLE_ENGINE, DenseEngine, overwrite=True)
-    register_backend(ORACLE_BACKEND, DictStatisticsBackend, overwrite=True)

@@ -1,10 +1,11 @@
-"""The ``"dense"`` oracle engine: K×V representatives, one doc at a time.
+"""The dense oracle engine: K×V representatives, one doc at a time.
 
 Representatives live in a dense K×V matrix and the assignment sweep is
 the sequential reference loop of :class:`~repro.core.engines.EngineBase`:
 each document leaves its cluster, its gain against *all* clusters
 (Eq. 26) is one fancy-indexed matrix-vector product, and it joins the
-winner. The ``"matrix"`` engine must decide exactly as this one does.
+winner. :class:`~repro.core.engines.MatrixEngine` must decide exactly
+as this one does.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro.vectors.arrays import WeightedVectorArrays
 
 class DenseEngine(EngineBase):
     """Oracle engine: K×V representative matrix, per-document gains."""
+
+    name = "dense"
 
     def __init__(
         self, k: int, vectors: WeightedVectorArrays, criterion: str

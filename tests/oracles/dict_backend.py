@@ -1,4 +1,4 @@
-"""The ``"dict"`` reference backend.
+"""The dict reference backend.
 
 Plain-Python state exactly as :class:`CorpusStatistics` kept it before
 the backend split: per-document weights in a dict decayed eagerly (an
@@ -8,7 +8,8 @@ describes), term masses in a dict under one lazy global scale factor
 vocabulary entry), folded back into the raw table before the scalar
 underflows.
 
-This is the semantic reference the ``"columnar"`` backend is
+This is the semantic reference
+:class:`~repro.forgetting.backends.ColumnarStatisticsBackend` is
 property-tested against; keep its arithmetic — including the exact
 expression groupings — unchanged.
 """

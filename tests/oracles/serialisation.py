@@ -45,7 +45,7 @@ def checkpoint_text(
             "delta": kmeans.delta,
             "max_iterations": kmeans.max_iterations,
             "seed": kmeans.seed,
-            "engine": kmeans.engine,
+            "engine": kmeans.engine.name,
             "criterion": kmeans.criterion,
             "rescue_outliers": kmeans.rescue_outliers,
         },

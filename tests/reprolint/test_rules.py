@@ -12,8 +12,6 @@ from reprolint import lint_source
 
 CORE_PATH = "src/repro/core/example.py"
 FORGETTING_PATH = "src/repro/forgetting/example.py"
-ENGINES_PATH = "src/repro/core/engines/example.py"
-BACKENDS_PATH = "src/repro/forgetting/backends/example.py"
 NEUTRAL_PATH = "src/repro/eval/example.py"
 TEST_PATH = "tests/core/test_example.py"
 
@@ -87,41 +85,13 @@ def test_rep002_suppression_comment():
     assert codes(NEUTRAL_PATH, source) == []
 
 
-# -- REP003: registry-only construction -----------------------------------
-
-def test_rep003_fires_on_direct_engine_instantiation():
-    source = (
-        "from repro.core.engines.matrix import MatrixEngine\n"
-        "engine = MatrixEngine(3, {}, 'g')\n"
-    )
-    assert "REP003" in codes(CORE_PATH, source)
-
-
-def test_rep003_fires_on_direct_backend_instantiation():
-    source = "backend = ColumnarStatisticsBackend()\n"
-    assert "REP003" in codes(NEUTRAL_PATH, source)
-
-
-def test_rep003_allows_resolve_calls():
-    source = (
-        "from repro.core.engines import resolve_engine\n"
-        "engine = resolve_engine('matrix')(3, {}, 'g')\n"
-    )
-    assert codes(CORE_PATH, source) == []
-
-
-def test_rep003_allows_home_package_and_tests():
-    source = "engine = MatrixEngine(3, {}, 'g')\n"
-    assert codes(ENGINES_PATH, source) == []
-    assert codes(BACKENDS_PATH, "b = ColumnarStatisticsBackend()\n") == []
-    assert codes(TEST_PATH, source) == []
-
+# -- REP003: api-only pipeline construction -------------------------------
 
 def test_rep003_suppression_comment():
     source = (
-        "engine = MatrixEngine(3, {}, 'g')  # reprolint: disable=REP003\n"
+        "c = IncrementalClusterer(model, k=4)  # reprolint: disable=REP003\n"
     )
-    assert codes(CORE_PATH, source) == []
+    assert codes("apps/indexer/main.py", source) == []
 
 
 def test_rep003_fires_on_pipeline_construction_outside_library():

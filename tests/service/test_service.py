@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import socket
 import sys
 import threading
@@ -404,6 +405,54 @@ class TestHTTP:
             error = post_error("/assign", {"terms": {"5": -3, "6": 3}})
             assert error.code == 400
             assert "non-negative" in json.loads(error.read())["error"]
+
+    def test_non_finite_time_is_400(self, stream):
+        # float("NaN") accepts the string and json.loads a bare NaN; a
+        # NaN batch time or timestamp would poison tdw for good, so the
+        # boundary refuses both before anything is queued
+        vocabulary, batches = stream
+        clusterer = build_clusterer(**SERVICE_KWARGS)
+        with ClusterService(clusterer, vocabulary=vocabulary) as service:
+            server = service.serve_http(port=0)
+
+            def post(payload):
+                request = urllib.request.Request(
+                    server.url + "/add", data=payload.encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                try:
+                    with urllib.request.urlopen(request) as response:
+                        return response.status, json.loads(response.read())
+                except urllib.error.HTTPError as error:
+                    return error.code, json.loads(error.read())
+
+            record = json.dumps(document_record(batches[0][1][0],
+                                                vocabulary))
+            for at_time in ('"NaN"', "NaN", '"inf"', "-Infinity"):
+                status, body = post(
+                    f'{{"documents": [{record}], "at_time": {at_time}}}'
+                )
+                assert status == 400, at_time
+                assert "finite" in body["error"]
+            bad_record = json.dumps({"doc_id": "nan-doc", "timestamp": "NaN",
+                                     "terms": {"a": 1}})
+            status, body = post(
+                f'{{"documents": [{bad_record}], "at_time": 1.0}}'
+            )
+            assert status == 400
+            assert "finite" in body["error"]
+
+            at_time, batch = batches[0]
+            records = json.dumps([document_record(d, vocabulary)
+                                  for d in batch])
+            status, _ = post(
+                f'{{"documents": {records}, "at_time": {at_time!r}}}'
+            )
+            assert status == 202
+            snapshot = service.flush()
+            assert snapshot.version == 1
+            assert math.isfinite(snapshot.stats().tdw)
+            assert not service.errors
 
     @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
     def test_bad_content_length_is_400(self, stream, length):

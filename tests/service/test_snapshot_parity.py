@@ -4,7 +4,7 @@ Published snapshots carry the committing fit's
 :class:`~repro.core.engines.EngineView` rather than a state of their
 own, so two properties pin them down:
 
-* the ``matrix`` engine and the ``dense`` oracle publish the same
+* ``MatrixEngine`` and the ``DenseEngine`` oracle publish the same
   clusters and outliers after every batch of one seeded stream, with
   representatives, ``crpp``, ``ss`` and ``G`` within 1e-9;
 * a pipeline restored from a checkpoint — whose view is frozen from its
@@ -22,15 +22,15 @@ import pytest
 from repro import ClusterSnapshot
 from repro.api import build_clusterer
 from repro.core.config import ClustererConfig
-from repro.core.engines import DEFAULT_ENGINE
+from repro.core.engines import MatrixEngine
 from repro.exceptions import ReproError
 from repro.persistence import load_checkpoint, save_checkpoint
-from tests.oracles import ORACLE_ENGINE
+from tests.oracles import DenseEngine
 
 from .conftest import PARITY_TOL, SERVICE_KWARGS, probe_like
 
 
-def clusterer_on(engine: str):
+def clusterer_on(engine):
     config = ClustererConfig(
         k=SERVICE_KWARGS["k"], seed=SERVICE_KWARGS["seed"], engine=engine
     )
@@ -64,8 +64,8 @@ def assert_views_close(observed: ClusterSnapshot,
 class TestOracleParity:
     def test_matrix_and_dense_publish_the_same_snapshots(self, stream):
         _, batches = stream
-        fast = clusterer_on(DEFAULT_ENGINE)
-        oracle = clusterer_on(ORACLE_ENGINE)
+        fast = clusterer_on(MatrixEngine)
+        oracle = clusterer_on(DenseEngine)
         for version, (at_time, batch) in enumerate(batches, start=1):
             fast.process_batch(list(batch), at_time=at_time)
             oracle.process_batch(list(batch), at_time=at_time)
@@ -75,8 +75,8 @@ class TestOracleParity:
             )
 
     def test_never_fed_views_agree(self):
-        fast = ClusterSnapshot.from_clusterer(0, clusterer_on(DEFAULT_ENGINE))
-        oracle = ClusterSnapshot.from_clusterer(0, clusterer_on(ORACLE_ENGINE))
+        fast = ClusterSnapshot.from_clusterer(0, clusterer_on(MatrixEngine))
+        oracle = ClusterSnapshot.from_clusterer(0, clusterer_on(DenseEngine))
         assert_views_close(fast, oracle)
         assert fast.view.representatives.shape == (SERVICE_KWARGS["k"], 0)
 

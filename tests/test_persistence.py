@@ -106,7 +106,8 @@ class TestRoundTrip:
         save_checkpoint(clusterer, stream.vocabulary, path)
         restored, _ = load_checkpoint(path, stream.vocabulary)
         km = restored.kmeans
-        assert (km.k, km.delta, km.max_iterations, km.seed, km.engine) == (
+        assert (km.k, km.delta, km.max_iterations, km.seed,
+                km.engine.name) == (
             5, 0.02, 17, 9, "matrix",
         )
         assert restored.warm_start is False
@@ -285,7 +286,7 @@ class TestRemovedPathMigration:
                                                  stream.vocabulary)
         old, migrations = _load_counting(old_path, stream.vocabulary)
         assert (fresh_migrations, migrations) == (0, 1)
-        assert old.kmeans.engine == "matrix"
+        assert old.kmeans.engine.name == "matrix"
         assert old.statistics.backend_name == "columnar"
 
         assert old.assignments() == fresh.assignments()

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from repro import CorpusStatistics, ForgettingModel, NoveltyTfidfWeighter
+from repro.forgetting.backends import ColumnarStatisticsBackend
 from repro.vectors.arrays import WeightedVectorArrays
 from tests.conftest import make_document
+from tests.oracles import DictStatisticsBackend
 from tests.oracles.vectors import as_dicts
 
 
-def _corpus(backend="dict"):
+def _corpus(backend=DictStatisticsBackend):
     model = ForgettingModel(half_life=7.0, life_span=30.0)
     docs = [
         make_document(f"d{i}", float(i % 5),
@@ -26,7 +28,10 @@ def _corpus(backend="dict"):
     return stats, docs
 
 
-@pytest.mark.parametrize("backend", ["dict", "columnar"])
+@pytest.mark.parametrize(
+    "backend", [DictStatisticsBackend, ColumnarStatisticsBackend],
+    ids=lambda backend: backend.name,
+)
 class TestWeightedArraysEquivalence:
     def test_rows_bitwise_equal_to_dict_path(self, backend):
         stats, docs = _corpus(backend)

@@ -14,9 +14,8 @@ REP001    No wall-clock timestamps in ``core``/``forgetting`` numerics
 REP002    No ``==``/``!=`` float-literal comparisons outside the
           allowlisted exact sentinels (0.0 everywhere; the ``λ^Δτ ==
           1.0`` decay no-op in the forgetting layer).
-REP003    Engines and statistics backends are obtained via their
-          registries (``resolve_engine``/``resolve_backend``), never
-          direct-instantiated outside their own packages and tests.
+REP003    Pipelines (``IncrementalClusterer``/``NonIncrementalClusterer``)
+          are built through ``repro.api`` outside the library and tests.
 REP004    Public pipeline entry points open an ``repro.obs`` span.
 REP005    ``CorpusStatistics`` internals are never mutated outside the
           forgetting package.

@@ -181,21 +181,8 @@ class FloatEqualityRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REP003 — registry-only construction
+# REP003 — api-only pipeline construction
 # ---------------------------------------------------------------------------
-
-#: Concrete engine/backend classes that must be built through
-#: resolve_engine()/resolve_backend() everywhere else.
-_REGISTERED_CLASSES: Tuple[str, ...] = (
-    "MatrixEngine",
-    "ColumnarStatisticsBackend",
-)
-
-#: Packages allowed to instantiate their own classes directly.
-_REGISTRY_HOME_PACKAGES: Tuple[str, ...] = (
-    "repro/core/engines",
-    "repro/forgetting/backends",
-)
 
 #: Pipeline classes applications must build through repro.api
 #: (open_stream()/build_clusterer()) instead of constructing directly.
@@ -208,34 +195,21 @@ _PIPELINE_CLASSES: Tuple[str, ...] = (
 _PIPELINE_HOME_PACKAGE = "repro"
 
 
-class RegistryOnlyRule(Rule):
+class ApiOnlyRule(Rule):
     code = "REP003"
-    name = "registry-only-construction"
+    name = "api-only-pipeline-construction"
     rationale = (
-        "The matrix engine and the columnar statistics backend implement "
-        "the Eq. 19-26 / Eq. 27-29 recurrences that the parity suites "
-        "hold to the tests' reference oracles; those guarantees hold "
-        "only for instances produced by the registries, where the "
-        "factory signature and the Engine/StatisticsBackend protocols "
-        "are type-checked. A direct `MatrixEngine(...)` call outside "
-        "repro.core.engines / repro.forgetting.backends bypasses "
-        "resolve_engine()/resolve_backend() name validation and "
-        "freezes the call site to one implementation. The same logic "
-        "covers the pipelines themselves: direct "
-        "IncrementalClusterer(...) construction outside the library "
-        "bypasses repro.api (open_stream()/build_clusterer()), the "
-        "documented entry point that wires configuration, durability "
-        "and the service layer consistently. Tests and benchmarks are "
-        "exempt — parity suites construct concrete classes on purpose."
+        "Direct IncrementalClusterer(...) construction outside the "
+        "library bypasses repro.api (open_stream()/build_clusterer()), "
+        "the documented entry point that wires configuration, "
+        "durability and the service layer consistently. Tests and "
+        "benchmarks are exempt — parity suites construct pipelines on "
+        "purpose."
     )
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        if context.is_test_code:
+        if context.is_test_code or context.in_path(_PIPELINE_HOME_PACKAGE):
             return
-        in_registry_home = any(
-            context.in_path(pkg) for pkg in _REGISTRY_HOME_PACKAGES
-        )
-        in_library = context.in_path(_PIPELINE_HOME_PACKAGE)
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -246,17 +220,7 @@ class RegistryOnlyRule(Rule):
                 called = func.id
             else:
                 continue
-            if called in _REGISTERED_CLASSES and not in_registry_home:
-                kind = (
-                    "resolve_backend" if "Backend" in called
-                    else "resolve_engine"
-                )
-                yield self.violation(
-                    context, node,
-                    f"direct instantiation of {called}; obtain it via "
-                    f"{kind}() so the registry contract stays checked",
-                )
-            elif called in _PIPELINE_CLASSES and not in_library:
+            if called in _PIPELINE_CLASSES:
                 yield self.violation(
                     context, node,
                     f"direct construction of {called} outside the "
@@ -591,7 +555,7 @@ class AtomicCheckpointWritesRule(Rule):
 ALL_RULES: Sequence[Rule] = (
     WallClockRule(),
     FloatEqualityRule(),
-    RegistryOnlyRule(),
+    ApiOnlyRule(),
     SpanRequiredRule(),
     StatisticsEncapsulationRule(),
     AtomicCheckpointWritesRule(),
