@@ -59,7 +59,6 @@ from .corpus import (
 from .forgetting import CorpusStatistics, ForgettingModel, FrozenStatistics
 from .core import (
     ClusterLabel,
-    ClustererConfig,
     ClusteringResult,
     Engine,
     IncrementalClusterer,
@@ -156,7 +155,6 @@ __all__ = [
     "FrozenStatistics",
     # core
     "NoveltySimilarity",
-    "ClustererConfig",
     "ClusteringResult",
     "Engine",
     "NoveltyKMeans",

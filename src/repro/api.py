@@ -2,10 +2,10 @@
 
 :func:`open_stream` is how applications are expected to construct the
 on-line clustering pipeline: it assembles the forgetting model, the
-:class:`~repro.core.ClustererConfig`, the optional durability sidecar,
-and the text front-end, then hands back a :class:`StreamSession` — a
-thin facade over :class:`repro.service.ClusterService` whose writer
-owns ingestion and whose readers query immutable versioned snapshots::
+clusterer, the optional durability sidecar, and the text front-end,
+then hands back a :class:`StreamSession` — a thin facade over
+:class:`repro.service.ClusterService` whose writer owns ingestion and
+whose readers query immutable versioned snapshots::
 
     import repro
 
@@ -25,14 +25,13 @@ Resuming a durable stream after a crash or restart::
 Ad-hoc construction of ``IncrementalClusterer``/``NonIncrementalClusterer``
 outside the library is linted against (reprolint REP003); batch
 experiments that genuinely need a bare clusterer should use
-:func:`build_clusterer`, which applies the same defaulting rules.
+:func:`build_clusterer`, which takes the same keywords.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Tuple
 
-from .core.config import ClustererConfig
 from .core.incremental import IncrementalClusterer
 from .corpus.document import Document
 from .durability.checkpointer import Checkpointer
@@ -54,9 +53,7 @@ from .text.vocabulary import Vocabulary
 
 
 def build_clusterer(
-    config: Optional[ClustererConfig] = None,
     *,
-    model: Optional[ForgettingModel] = None,
     half_life: float = 7.0,
     life_span: Optional[float] = None,
     k: Optional[int] = None,
@@ -69,38 +66,22 @@ def build_clusterer(
 ) -> IncrementalClusterer:
     """Construct an :class:`IncrementalClusterer` the supported way.
 
-    Either pass a ready :class:`ClustererConfig` (and optionally a
-    ``model``), or the individual knobs — ``k`` is required in that
-    case. Mixing ``config`` with k-means keywords is rejected rather
-    than silently preferring one side.
+    ``half_life``/``life_span`` build the
+    :class:`~repro.forgetting.ForgettingModel`; the other keywords go to
+    the clusterer unchanged. ``k`` is required.
     """
-    if config is not None and k is not None:
-        raise ConfigurationError(
-            "pass either config= or k= (and friends), not both"
-        )
-    if config is None:
-        if k is None:
-            raise ConfigurationError("k is required (or pass config=)")
-        config = ClustererConfig(
-            k=k, delta=delta, max_iterations=max_iterations, seed=seed,
-            recorder=recorder,
-        )
-    elif recorder is not None and config.recorder is None:
-        import dataclasses
-
-        config = dataclasses.replace(config, recorder=recorder)
-    if model is None:
-        model = ForgettingModel(half_life=half_life, life_span=life_span)
+    if k is None:
+        raise ConfigurationError("k is required")
     return IncrementalClusterer(
-        model, config,
+        ForgettingModel(half_life=half_life, life_span=life_span),
+        k=k, delta=delta, max_iterations=max_iterations, seed=seed,
         warm_start=warm_start, rescue_outliers=rescue_outliers,
+        recorder=recorder,
     )
 
 
 def open_stream(
-    config: Optional[ClustererConfig] = None,
     *,
-    model: Optional[ForgettingModel] = None,
     half_life: float = 7.0,
     life_span: Optional[float] = None,
     k: Optional[int] = None,
@@ -122,9 +103,10 @@ def open_stream(
 
     Parameters
     ----------
-    config / model / k / ... :
+    half_life / life_span / k / ... :
         Pipeline construction knobs, as in :func:`build_clusterer`.
-        Ignored (and rejected when contradictory) with ``resume=``.
+        With ``resume=`` the checkpoint supplies the pipeline and
+        ``k`` is rejected.
     vocabulary / pipeline:
         Text front-end. A vocabulary is always created if absent (the
         durability layer and ``assign("text")`` both need one); the
@@ -153,10 +135,10 @@ def open_stream(
 
     sequence = 0
     if resume is not None:
-        if config is not None or k is not None or model is not None:
+        if k is not None:
             raise ConfigurationError(
                 "resume= restores the pipeline from the checkpoint; "
-                "do not also pass config=/k=/model="
+                "do not also pass k="
             )
         result = recover(resume, vocabulary=vocabulary, recorder=recorder)
         clusterer = result.clusterer
@@ -165,7 +147,7 @@ def open_stream(
             checkpoint = resume
     else:
         clusterer = build_clusterer(
-            config, model=model, half_life=half_life, life_span=life_span,
+            half_life=half_life, life_span=life_span,
             k=k, delta=delta, max_iterations=max_iterations, seed=seed,
             warm_start=warm_start, rescue_outliers=rescue_outliers,
             recorder=recorder,

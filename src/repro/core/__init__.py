@@ -3,7 +3,6 @@ representatives over novelty-based similarity, and the incremental
 clustering pipeline, plus the readers of its frozen views (labels,
 topic threads)."""
 
-from .config import ClustererConfig
 from .engines import Engine
 from .result import ClusteringResult
 from .kmeans import NoveltyKMeans
@@ -20,7 +19,6 @@ from .labeling import (
 )
 
 __all__ = [
-    "ClustererConfig",
     "ClusteringResult",
     "Engine",
     "NoveltyKMeans",

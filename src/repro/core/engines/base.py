@@ -24,7 +24,7 @@ batch (:class:`~repro.vectors.arrays.WeightedVectorArrays`) of weighted
 document vectors ``w⃗_d = (Pr(d)/len_d)·d⃗`` (Eq. 12-16) and
 ``criterion`` is ``"g"`` or ``"avg"`` (see
 :class:`~repro.core.NoveltyKMeans`). ``NoveltyKMeans(engine=...)`` and
-``ClustererConfig(engine=...)`` take the class itself
+the clusterers' ``engine=`` take the class itself
 (:class:`EngineClass`); its ``name`` tags spans and checkpoints.
 """
 

@@ -32,22 +32,15 @@ pass ``recorder=`` or install an ambient recorder to collect them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..corpus.document import Document
 from ..exceptions import ClusteringError
-from ..forgetting.backends import StatisticsBackend
+from ..forgetting.backends import ColumnarStatisticsBackend, StatisticsBackend
 from ..forgetting.model import ForgettingModel
 from ..forgetting.statistics import CorpusStatistics
 from ..obs import Recorder, Span, resolve
-from .config import (
-    _UNSET,
-    LEGACY_INCREMENTAL_ORDER,
-    LEGACY_NONINCREMENTAL_ORDER,
-    ClustererConfig,
-    resolve_clusterer_config,
-)
-from .engines import EngineView
+from .engines import EngineClass, EngineView, MatrixEngine
 from .kmeans import NoveltyKMeans
 from .result import ClusteringResult
 
@@ -62,60 +55,49 @@ class IncrementalClusterer:
     >>> clusterer = IncrementalClusterer(model, k=4, seed=0)  # doctest: +SKIP
     >>> result = clusterer.process_batch(monday_docs, at_time=0.0)  # doctest: +SKIP
 
-    The K-means parameters shared with the non-incremental baseline can
-    be packaged once in a :class:`~repro.core.ClustererConfig` and
-    passed as the second argument (or ``config=``); pipeline-specific
-    switches (``warm_start``, ``rescue_outliers``) stay keywords.
-    Positional arguments beyond ``model`` (the pre-config signature)
-    are no longer accepted and raise :class:`TypeError`; applications
-    should construct pipelines via :func:`repro.api.open_stream` (or
+    The K-means settings (``k`` through ``seed``) mean the same as on
+    :class:`~repro.core.NoveltyKMeans` and are shared with
+    :class:`NonIncrementalClusterer`, so the two pipelines run with
+    identical settings when given the same keywords. ``engine`` and
+    ``statistics_backend`` are the classes the parity suites replace
+    with their reference implementations. Applications should
+    construct pipelines via :func:`repro.api.open_stream` (or
     :func:`repro.api.build_clusterer` for batch experiments).
     """
 
     def __init__(
         self,
         model: ForgettingModel,
-        *args: Any,
-        config: Optional[ClustererConfig] = None,
-        k: Any = _UNSET,
-        delta: Any = _UNSET,
-        max_iterations: Any = _UNSET,
-        seed: Any = _UNSET,
-        warm_start: Any = _UNSET,
-        rescue_outliers: Any = _UNSET,
-        recorder: Any = _UNSET,
+        *,
+        k: int,
+        delta: float = 0.01,
+        max_iterations: int = 30,
+        seed: Optional[int] = None,
+        warm_start: bool = True,
+        rescue_outliers: bool = True,
+        engine: EngineClass = MatrixEngine,
+        statistics_backend: Callable[[], StatisticsBackend] = (
+            ColumnarStatisticsBackend
+        ),
+        recorder: Optional[Recorder] = None,
     ) -> None:
-        params = resolve_clusterer_config(
-            "IncrementalClusterer",
-            args,
-            config,
-            {
-                "k": k, "delta": delta, "max_iterations": max_iterations,
-                "seed": seed, "warm_start": warm_start,
-                "rescue_outliers": rescue_outliers, "recorder": recorder,
-            },
-            LEGACY_INCREMENTAL_ORDER,
-            extra_defaults={"warm_start": True, "rescue_outliers": True},
-        )
         self.model = model
-        self.recorder = resolve(params["recorder"])
+        self.recorder = resolve(recorder)
         # rescue_outliers defaults on here (unlike NoveltyKMeans): under
         # warm starts an emerging topic would otherwise never obtain a
         # cluster slot; see NoveltyKMeans for the mechanism.
         self.kmeans = NoveltyKMeans(
-            k=params["k"],
-            delta=params["delta"],
-            max_iterations=params["max_iterations"],
-            seed=params["seed"],
-            engine=params["engine"],
-            rescue_outliers=params["rescue_outliers"],
+            k=k,
+            delta=delta,
+            max_iterations=max_iterations,
+            seed=seed,
+            engine=engine,
+            rescue_outliers=rescue_outliers,
             recorder=self.recorder,
         )
-        self.warm_start = bool(params["warm_start"])
+        self.warm_start = bool(warm_start)
         self.statistics = CorpusStatistics(
-            model,
-            recorder=self.recorder,
-            backend=params["statistics_backend"],
+            model, recorder=self.recorder, backend=statistics_backend
         )
         self.history: List[ClusteringResult] = []
         self._assignment: Dict[str, int] = {}
@@ -272,37 +254,28 @@ class NonIncrementalClusterer:
     def __init__(
         self,
         model: ForgettingModel,
-        *args: Any,
-        config: Optional[ClustererConfig] = None,
-        k: Any = _UNSET,
-        delta: Any = _UNSET,
-        max_iterations: Any = _UNSET,
-        seed: Any = _UNSET,
-        recorder: Any = _UNSET,
+        *,
+        k: int,
+        delta: float = 0.01,
+        max_iterations: int = 30,
+        seed: Optional[int] = None,
+        engine: EngineClass = MatrixEngine,
+        statistics_backend: Callable[[], StatisticsBackend] = (
+            ColumnarStatisticsBackend
+        ),
+        recorder: Optional[Recorder] = None,
     ) -> None:
-        params = resolve_clusterer_config(
-            "NonIncrementalClusterer",
-            args,
-            config,
-            {
-                "k": k, "delta": delta, "max_iterations": max_iterations,
-                "seed": seed, "recorder": recorder,
-            },
-            LEGACY_NONINCREMENTAL_ORDER,
-        )
         self.model = model
-        self.recorder = resolve(params["recorder"])
+        self.recorder = resolve(recorder)
         self.kmeans = NoveltyKMeans(
-            k=params["k"],
-            delta=params["delta"],
-            max_iterations=params["max_iterations"],
-            seed=params["seed"],
-            engine=params["engine"],
+            k=k,
+            delta=delta,
+            max_iterations=max_iterations,
+            seed=seed,
+            engine=engine,
             recorder=self.recorder,
         )
-        self.statistics_backend: Callable[[], StatisticsBackend] = params[
-            "statistics_backend"
-        ]
+        self.statistics_backend = statistics_backend
         self.archive: List[Document] = []
         self.statistics: Optional[CorpusStatistics] = None
         self.history: List[ClusteringResult] = []

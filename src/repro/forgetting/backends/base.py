@@ -12,8 +12,8 @@ mutations, so a new representation (columnar arrays, shared memory,
 out-of-core) plugs in without touching the update logic — the same
 split the clustering layer uses for its engines.
 
-``CorpusStatistics(model, backend=...)`` and
-``ClustererConfig(statistics_backend=...)`` take a backend class (any
+``CorpusStatistics(model, backend=...)`` and the clusterers'
+``statistics_backend=`` take a backend class (any
 zero-argument callable returning a backend); the backend's ``name``
 is written to checkpoints.
 

@@ -1,9 +1,8 @@
 """Aggregation of raw event streams into a report-friendly summary.
 
-The benchmark harness uses :func:`summarize` to turn an
-:class:`~repro.obs.recorder.InMemoryRecorder`'s event list into the
-machine-readable ``BENCH_pipeline.json`` seed point; it is equally
-useful for ad-hoc inspection of a traced run.
+:func:`summarize` turns an :class:`~repro.obs.recorder.InMemoryRecorder`'s
+event list into counter totals, gauge ranges and span timings, for
+ad-hoc inspection of a traced run.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from typing import (
     Union,
 )
 
-from .._validation import require_finite
+from .._validation import require_finite, require_positive
 from ..corpus.document import Document
 from ..exceptions import (
     ConfigurationError,
@@ -121,8 +121,8 @@ class ClusterService:
     ) -> None:
         if queue_size < 1:
             raise ConfigurationError("queue_size must be >= 1")
-        if window_days is not None and window_days <= 0:
-            raise ConfigurationError("window_days must be positive")
+        if window_days is not None:
+            window_days = require_positive("window_days", window_days)
         self._clusterer = clusterer
         self._checkpointer = checkpointer
         self._vocabulary = vocabulary

@@ -16,7 +16,6 @@ from repro import (
     IncrementalClusterer,
     NoveltyKMeans,
 )
-from repro.core.config import ClustererConfig
 from repro.core.engines import MatrixEngine
 from repro.exceptions import ConfigurationError
 from repro.forgetting.statistics import CorpusStatistics
@@ -54,7 +53,7 @@ class TestRegistry:
                 NoveltyKMeans(k=4, engine=stale)
         model = ForgettingModel(half_life=7.0)
         with pytest.raises(ConfigurationError, match="MatrixEngine"):
-            IncrementalClusterer(model, ClustererConfig(k=4, engine="matrix"))
+            IncrementalClusterer(model, k=4, engine="matrix")
 
     def test_custom_engine_registration(self, corpus):
         docs, statistics = corpus
@@ -116,9 +115,7 @@ class TestEngineParity:
         ]
         model = ForgettingModel(half_life=7.0, life_span=14.0)
         clusterers = {
-            engine: IncrementalClusterer(
-                model, ClustererConfig(k=4, seed=1, engine=engine)
-            )
+            engine: IncrementalClusterer(model, k=4, seed=1, engine=engine)
             for engine in ENGINES
         }
         for day, batch in enumerate(batches):

@@ -20,7 +20,6 @@ import math
 import pytest
 
 from repro import (
-    ClustererConfig,
     ForgettingModel,
     IncrementalClusterer,
     NonIncrementalClusterer,
@@ -286,7 +285,7 @@ class TestEngineParityThroughPipeline:
         runs = {}
         for engine in (MatrixEngine, DenseEngine):
             clusterer = IncrementalClusterer(
-                model, ClustererConfig(k=3, seed=13, engine=engine)
+                model, k=3, seed=13, engine=engine
             )
             clusterer.kmeans.criterion = criterion
             for day, batch in enumerate(batches):

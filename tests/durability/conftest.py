@@ -22,12 +22,13 @@ import pytest
 
 from repro import (
     Checkpointer,
-    ClustererConfig,
     Document,
     ForgettingModel,
     IncrementalClusterer,
     Vocabulary,
 )
+from repro.corpus.streams import iter_batches
+from repro.corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
 from tests.conftest import build_topic_repository
 
 Batch = Tuple[float, List[Document]]
@@ -54,13 +55,26 @@ def build_batches(
     return repo.vocabulary, batches
 
 
+def build_tdt2_batches(
+    total_documents: int = 400, batch_days: float = 7.0
+) -> Tuple[Vocabulary, List[Batch]]:
+    """A small seeded TDT2-generator stream cut into ``(at_time, batch)``
+    windows of ``batch_days`` — the many-topic counterpart of
+    :func:`build_batches`."""
+    repo = TDT2Generator(
+        SyntheticCorpusConfig(seed=1998, total_documents=total_documents)
+    ).generate()
+    documents = sorted(repo.documents(), key=lambda d: (d.timestamp, d.doc_id))
+    return repo.vocabulary, list(iter_batches(documents, batch_days))
+
+
 def make_clusterer(**kwargs: Any) -> IncrementalClusterer:
     """The durability suites' clusterer; ``kwargs`` are
-    :class:`ClustererConfig` fields."""
+    :class:`IncrementalClusterer` keywords."""
     model = ForgettingModel(half_life=7.0, life_span=14.0)
     defaults: Dict[str, Any] = {"k": 3, "seed": 1}
     defaults.update(kwargs)
-    return IncrementalClusterer(model, ClustererConfig(**defaults))
+    return IncrementalClusterer(model, **defaults)
 
 
 def fingerprint(clusterer: IncrementalClusterer) -> Fingerprint:
@@ -146,6 +160,11 @@ def crash_images(
 @pytest.fixture(scope="module")
 def stream() -> Tuple[Vocabulary, List[Batch]]:
     return build_batches()
+
+
+@pytest.fixture(scope="module")
+def tdt2_stream() -> Tuple[Vocabulary, List[Batch]]:
+    return build_tdt2_batches()
 
 
 @pytest.fixture(scope="module")

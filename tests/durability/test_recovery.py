@@ -18,18 +18,24 @@ from tests.durability.conftest import (
     assert_state_matches,
     crash_images,
     make_clusterer,
+    reference_states,
 )
 
 
 class TestCrashAtEveryCommit:
-    @pytest.mark.parametrize("every", [1, 3, 100])
+    @pytest.mark.parametrize(
+        "every, source",
+        [(1, "stream"), (3, "stream"), (100, "stream"), (3, "tdt2_stream")],
+        ids=["1", "3", "100", "tdt2"],
+    )
     def test_recovery_lands_on_the_exact_prefix(
-        self, stream, references, tmp_path, every
+        self, request, tmp_path, every, source
     ):
         """Crash right after any batch commit: nothing acknowledged is
         lost, whatever the checkpoint cadence — the journal holds the
         tail the checkpoint hasn't absorbed."""
-        vocabulary, batches = stream
+        vocabulary, batches = request.getfixturevalue(source)
+        references = reference_states(batches)
         images = crash_images(
             tmp_path, vocabulary, batches, every=every
         )

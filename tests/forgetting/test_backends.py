@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CorpusStatistics, ForgettingModel, IncrementalClusterer
-from repro.core.config import ClustererConfig
 from repro.exceptions import ConfigurationError
 from repro.forgetting.backends import ColumnarStatisticsBackend
 from tests.conftest import make_document
@@ -46,8 +45,7 @@ class TestRegistry:
                                           backend="columnar")
         with pytest.raises(ConfigurationError,
                            match="ColumnarStatisticsBackend"):
-            IncrementalClusterer(model, ClustererConfig(
-                k=4, statistics_backend="columnar"))
+            IncrementalClusterer(model, k=4, statistics_backend="columnar")
 
 
 # -- property: dict and columnar agree under any interleaving -----------

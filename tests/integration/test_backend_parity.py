@@ -17,7 +17,6 @@ import math
 import pytest
 
 from repro import CorpusStatistics, ForgettingModel, IncrementalClusterer
-from repro.core.config import ClustererConfig
 from repro.core.engines import MatrixEngine
 from repro.core.incremental import NonIncrementalClusterer
 from repro.core.kmeans import NoveltyKMeans
@@ -50,9 +49,9 @@ def test_incremental_backends_agree(engine):
     results = {}
     for backend in BACKENDS:
         model = ForgettingModel(half_life=4.0, life_span=8.0)
-        clusterer = IncrementalClusterer(model, ClustererConfig(
-            k=4, seed=2, engine=engine, statistics_backend=backend,
-        ))
+        clusterer = IncrementalClusterer(
+            model, k=4, seed=2, engine=engine, statistics_backend=backend,
+        )
         results[backend.name] = _replay(clusterer, repo, days=8)
     dict_result, columnar_result = results["dict"], results["columnar"]
     assert columnar_result.assignments() == dict_result.assignments()
@@ -67,9 +66,9 @@ def test_nonincremental_backends_agree():
     results = {}
     for backend in BACKENDS:
         model = ForgettingModel(half_life=4.0, life_span=8.0)
-        clusterer = NonIncrementalClusterer(model, ClustererConfig(
-            k=4, seed=2, statistics_backend=backend,
-        ))
+        clusterer = NonIncrementalClusterer(
+            model, k=4, seed=2, statistics_backend=backend,
+        )
         results[backend.name] = _replay(clusterer, repo, days=6)
     assert results["columnar"].assignments() == results["dict"].assignments()
     assert math.isclose(

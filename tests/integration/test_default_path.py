@@ -1,8 +1,8 @@
 """The default construction path decides exactly as the oracle pair.
 
 ``open_stream`` runs the library's one engine/backend pair
-(``MatrixEngine`` over ``ColumnarStatisticsBackend``); a
-``ClustererConfig(engine=DenseEngine,
+(``MatrixEngine`` over ``ColumnarStatisticsBackend``); an
+``IncrementalClusterer(model, ..., engine=DenseEngine,
 statistics_backend=DictStatisticsBackend)`` passes in the tests'
 oracles (``tests/oracles``): the per-document numpy engine over the
 plain-Python statistics. Both drive the one K-means loop
@@ -11,13 +11,19 @@ stream every batch must yield identical clusters and outliers, with G
 equal to 1e-9.
 """
 
-import dataclasses
 import inspect
 import math
 
-from repro import CorpusStatistics, build_clusterer, open_stream, recover
+from repro import (
+    CorpusStatistics,
+    ForgettingModel,
+    IncrementalClusterer,
+    NonIncrementalClusterer,
+    build_clusterer,
+    open_stream,
+    recover,
+)
 from repro.core import estimate_k
-from repro.core.config import ClustererConfig
 from repro.core.engines import MatrixEngine
 from repro.core.kmeans import NoveltyKMeans
 from repro.corpus.streams import iter_batches
@@ -41,9 +47,11 @@ def _digest(clusters, outliers, g):
 def test_every_entry_point_reads_the_one_default_pair():
     assert (MatrixEngine.name, ColumnarStatisticsBackend.name) == (
         "matrix", "columnar")
-    fields = {f.name: f.default for f in dataclasses.fields(ClustererConfig)}
-    assert fields["engine"] is MatrixEngine
-    assert fields["statistics_backend"] is ColumnarStatisticsBackend
+    for cls in (IncrementalClusterer, NonIncrementalClusterer):
+        parameters = inspect.signature(cls).parameters
+        assert parameters["engine"].default is MatrixEngine
+        assert (parameters["statistics_backend"].default
+                is ColumnarStatisticsBackend)
     assert (inspect.signature(NoveltyKMeans).parameters["engine"].default
             is MatrixEngine)
     for function in (CorpusStatistics, CorpusStatistics.from_scratch):
@@ -73,11 +81,9 @@ def test_default_stream_matches_dense_dict_on_every_batch():
     batches = list(iter_batches(list(repository.documents()), 7.0))
 
     recorder = InMemoryRecorder()
-    reference = build_clusterer(
-        ClustererConfig(**KMEANS, engine=DenseEngine,
-                        statistics_backend=DictStatisticsBackend,
-                        recorder=recorder),
-        **MODEL,
+    reference = IncrementalClusterer(
+        ForgettingModel(**MODEL), **KMEANS, engine=DenseEngine,
+        statistics_backend=DictStatisticsBackend, recorder=recorder,
     )
     expected = []
     for at_time, batch in batches:

@@ -25,7 +25,7 @@ whose production form lives in ``src/repro`` on arrays:
 
 Nothing in the library imports these. The parity suites pass the two
 oracle classes in where the library takes an engine or a backend:
-``ClustererConfig(engine=DenseEngine,
+``IncrementalClusterer(model, k=..., engine=DenseEngine,
 statistics_backend=DictStatisticsBackend)``,
 ``NoveltyKMeans(engine=DenseEngine)`` and
 ``CorpusStatistics(backend=DictStatisticsBackend)``.

@@ -15,11 +15,12 @@ import pytest
 
 from repro import ClusterSnapshot, Document, Vocabulary
 from repro.api import build_clusterer
-from tests.durability.conftest import Batch, build_batches
+from tests.durability.conftest import Batch, build_batches, build_tdt2_batches
 
 __all__ = [
     "Batch",
     "build_batches",
+    "build_tdt2_batches",
     "SERVICE_KWARGS",
     "PARITY_TOL",
     "reference_snapshot",

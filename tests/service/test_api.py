@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ClustererConfig, IncrementalClusterer
+from repro import IncrementalClusterer
 from repro.api import StreamSession, build_clusterer, open_stream
 from repro.durability import read_journal
 from repro.exceptions import ConfigurationError
@@ -20,25 +20,9 @@ class TestBuildClusterer:
         assert clusterer.kmeans.k == 4
         assert clusterer.model.half_life == 3.0
 
-    def test_builds_from_config(self):
-        config = ClustererConfig(k=5, seed=9)
-        clusterer = build_clusterer(config)
-        assert clusterer.kmeans.k == 5
-
-    def test_config_and_k_conflict(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            build_clusterer(ClustererConfig(k=5), k=5)
-
     def test_k_required_without_config(self):
         with pytest.raises(ConfigurationError, match="k is required"):
             build_clusterer()
-
-    def test_recorder_grafted_onto_config(self):
-        recorder = InMemoryRecorder()
-        clusterer = build_clusterer(
-            ClustererConfig(k=3), recorder=recorder
-        )
-        assert clusterer.recorder is recorder
 
 
 class TestOpenStream:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +23,21 @@ from .conftest import (
     SERVICE_KWARGS,
     assert_snapshot_parity,
     build_batches,
+    build_tdt2_batches,
     probe_like,
     reference_snapshot,
 )
 
 READERS = 4
+
+#: The streams the isolation properties run on, by number of days: the
+#: two-topic daily stream, and a small seeded TDT2-generator stream in
+#: 14-day windows (its length is fixed; a longer one slows the writer
+#: too much under four spinning readers).
+STREAMS = {
+    "topics": lambda days: build_batches(days=days),
+    "tdt2": lambda days: build_tdt2_batches(150, batch_days=14.0),
+}
 
 
 class SnapshotObserver:
@@ -87,8 +98,9 @@ class SnapshotObserver:
 
 
 class TestSnapshotIsolation:
-    def test_readers_only_see_committed_prefixes(self):
-        vocabulary, batches = build_batches(days=8)
+    @pytest.mark.parametrize("source", STREAMS)
+    def test_readers_only_see_committed_prefixes(self, source):
+        vocabulary, batches = STREAMS[source](8)
         probe = probe_like(batches[0][1][0])
         clusterer = build_clusterer(**SERVICE_KWARGS)
         with ClusterService(clusterer, vocabulary=vocabulary) as service:
@@ -119,8 +131,9 @@ class TestSnapshotIsolation:
                 reference_snapshot(batches, version),
             )
 
-    def test_reader_versions_monotonic_per_thread(self):
-        vocabulary, batches = build_batches(days=6)
+    @pytest.mark.parametrize("source", STREAMS)
+    def test_reader_versions_monotonic_per_thread(self, source):
+        vocabulary, batches = STREAMS[source](6)
         clusterer = build_clusterer(**SERVICE_KWARGS)
         per_thread: dict = {}
         stop = threading.Event()

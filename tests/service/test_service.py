@@ -97,6 +97,17 @@ class TestIngestion:
             with pytest.raises(ConfigurationError, match="window_days"):
                 service.feed(batches[0][1][0])
 
+    @pytest.mark.parametrize(
+        "window_days", [0, -1.0, float("nan"), float("inf")]
+    )
+    def test_rejects_non_positive_or_non_finite_window_days(
+        self, window_days
+    ):
+        # a nan/inf window would buffer every fed document and never
+        # release a batch
+        with pytest.raises(ConfigurationError, match="window_days"):
+            make_service(window_days=window_days)
+
     def test_feed_jumps_far_future_gap(self, stream):
         # a single epoch-milliseconds-style timestamp used to advance
         # the window one step per iteration — billions of iterations;

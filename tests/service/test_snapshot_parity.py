@@ -19,9 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from repro import ClusterSnapshot
+from repro import ClusterSnapshot, ForgettingModel, IncrementalClusterer
 from repro.api import build_clusterer
-from repro.core.config import ClustererConfig
 from repro.core.engines import MatrixEngine
 from repro.exceptions import ReproError
 from repro.persistence import load_checkpoint, save_checkpoint
@@ -31,13 +30,13 @@ from .conftest import PARITY_TOL, SERVICE_KWARGS, probe_like
 
 
 def clusterer_on(engine):
-    config = ClustererConfig(
-        k=SERVICE_KWARGS["k"], seed=SERVICE_KWARGS["seed"], engine=engine
-    )
-    return build_clusterer(
-        config,
+    model = ForgettingModel(
         half_life=SERVICE_KWARGS["half_life"],
         life_span=SERVICE_KWARGS["life_span"],
+    )
+    return IncrementalClusterer(
+        model, k=SERVICE_KWARGS["k"], seed=SERVICE_KWARGS["seed"],
+        engine=engine,
     )
 
 
