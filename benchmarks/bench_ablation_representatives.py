@@ -13,13 +13,10 @@ import math
 
 import pytest
 
-from repro import (
-    CorpusStatistics,
-    ForgettingModel,
-    NoveltyTfidfWeighter,
-)
+from repro import CorpusStatistics, ForgettingModel
 from repro.experiments import render_table
 from tests.oracles import Cluster
+from tests.oracles.vectors import weighted_vector
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +27,7 @@ def cluster_and_vectors(repository):
     ][:200]
     model = ForgettingModel(half_life=7.0)
     stats = CorpusStatistics.from_scratch(model, docs, at_time=60.0)
-    weighter = NoveltyTfidfWeighter(stats)
-    vectors = weighter.weighted_vectors(docs)
+    vectors = {doc.doc_id: weighted_vector(stats, doc) for doc in docs}
     cluster = Cluster(0)
     candidates = []
     for i, doc in enumerate(docs):

@@ -40,7 +40,7 @@ from .exceptions import (
     VocabularyFrozenError,
 )
 from .text import PorterStemmer, TextPipeline, Tokenizer, Vocabulary
-from .vectors import NoveltyTfidfWeighter, SparseVector
+from .vectors import NoveltyTfidfWeighter
 from .corpus import (
     Document,
     DocumentRepository,
@@ -75,9 +75,7 @@ from .persistence import CheckpointError, load_checkpoint, save_checkpoint
 from .durability import (
     BatchJournal,
     Checkpointer,
-    FollowedBatch,
     RecoveryResult,
-    follow,
     recover,
 )
 from .service import (
@@ -133,7 +131,6 @@ __all__ = [
     "TextPipeline",
     "Vocabulary",
     # vectors
-    "SparseVector",
     "NoveltyTfidfWeighter",
     # corpus
     "Document",
@@ -193,8 +190,6 @@ __all__ = [
     "Checkpointer",
     "RecoveryResult",
     "recover",
-    "FollowedBatch",
-    "follow",
     # service / api
     "open_stream",
     "build_clusterer",

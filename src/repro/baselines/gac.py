@@ -38,8 +38,7 @@ from .._validation import (
 from ..corpus.document import Document
 from ..core.result import ClusteringResult
 from ..exceptions import ClusteringError
-from ..vectors.sparse import SparseVector
-from ._vectorize import unit_tfidf_vectors
+from ._vectorize import Vector, add_into, dot, unit_tfidf_vectors
 
 
 class _Unit:
@@ -55,7 +54,7 @@ class _Unit:
     def __init__(
         self,
         doc_ids: List[str],
-        vector_sum: SparseVector,
+        vector_sum: Vector,
         first_timestamp: float,
         norm_sq: Optional[float] = None,
     ) -> None:
@@ -64,7 +63,7 @@ class _Unit:
         self.first_timestamp = first_timestamp
         self.norm_sq = (
             norm_sq if norm_sq is not None
-            else vector_sum.dot(vector_sum)
+            else dot(vector_sum, vector_sum)
         )
 
     @property
@@ -72,10 +71,12 @@ class _Unit:
         return len(self.doc_ids)
 
     def merged_with(self, other: "_Unit") -> "_Unit":
-        cross = self.vector_sum.dot(other.vector_sum)
+        cross = dot(self.vector_sum, other.vector_sum)
+        vector_sum = dict(self.vector_sum)
+        add_into(vector_sum, other.vector_sum)
         return _Unit(
             self.doc_ids + other.doc_ids,
-            self.vector_sum + other.vector_sum,
+            vector_sum,
             min(self.first_timestamp, other.first_timestamp),
             norm_sq=self.norm_sq + 2.0 * cross + other.norm_sq,
         )
@@ -133,7 +134,7 @@ class GACClusterer:
             raise ClusteringError("no non-empty documents to cluster")
         vectors = unit_tfidf_vectors(docs)
         units = [
-            _Unit([doc.doc_id], vectors[doc.doc_id].copy(), doc.timestamp)
+            _Unit([doc.doc_id], vectors[doc.doc_id], doc.timestamp)
             for doc in docs
         ]
 
@@ -202,12 +203,12 @@ class GACClusterer:
         n = first.size + second.size
         if n < 2:
             return 0.0
-        cross = first.vector_sum.dot(second.vector_sum)
+        cross = dot(first.vector_sum, second.vector_sum)
         norm_sq = first.norm_sq + 2.0 * cross + second.norm_sq
         return (norm_sq - n) / (n * (n - 1))
 
     def _recluster(
-        self, units: List[_Unit], vectors: Dict[str, SparseVector]
+        self, units: List[_Unit], vectors: Dict[str, Vector]
     ) -> List[_Unit]:
         """Flatten to leaf documents and regrow to the same unit count.
 
@@ -219,7 +220,7 @@ class GACClusterer:
         goal = len(units)
         doc_ids = [doc_id for unit in units for doc_id in unit.doc_ids]
         leaves = [
-            _Unit([doc_id], vectors[doc_id].copy(), 0.0)
+            _Unit([doc_id], vectors[doc_id], 0.0)
             for doc_id in doc_ids
         ]
         regrown = leaves

@@ -25,29 +25,28 @@ from .._validation import require_positive, require_positive_int
 from ..corpus.document import Document
 from ..core.result import ClusteringResult
 from ..exceptions import ClusteringError
-from ..vectors.sparse import SparseVector
-from ._vectorize import unit_tfidf_vectors
+from ._vectorize import Vector, add_into, dot, normalized, unit_tfidf_vectors
 
 
 class _IncrCluster:
     __slots__ = ("members", "prototype_sum", "last_index", "_prototype")
 
-    def __init__(self, doc_id: str, vector: SparseVector, index: int) -> None:
+    def __init__(self, doc_id: str, vector: Vector, index: int) -> None:
         self.members: List[str] = [doc_id]
-        self.prototype_sum = vector.copy()
+        self.prototype_sum = dict(vector)
         self.last_index = index
-        self._prototype: Optional[SparseVector] = None
+        self._prototype: Optional[Vector] = None
 
-    def prototype(self) -> SparseVector:
+    def prototype(self) -> Vector:
         """Normalised prototype, cached until the next absorb (the
         normalisation copy dominated the single-pass cost otherwise)."""
         if self._prototype is None:
-            self._prototype = self.prototype_sum.normalized()
+            self._prototype = normalized(self.prototype_sum)
         return self._prototype
 
-    def absorb(self, doc_id: str, vector: SparseVector, index: int) -> None:
+    def absorb(self, doc_id: str, vector: Vector, index: int) -> None:
         self.members.append(doc_id)
-        self.prototype_sum.add_scaled(vector, 1.0)
+        add_into(self.prototype_sum, vector)
         self.last_index = index
         self._prototype = None
 
@@ -100,7 +99,7 @@ class INCRClusterer:
                     # scanning it for every later document
                     continue
                 still_active.append(cluster)
-                score = cluster.prototype().dot(vector) * decay
+                score = dot(cluster.prototype(), vector) * decay
                 if score > best_score:
                     best_score = score
                     best_cluster = cluster

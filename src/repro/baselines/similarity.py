@@ -3,10 +3,12 @@
 Two equivalent computations are provided:
 
 * :meth:`NoveltySimilarity.similarity` — the factorised form of Eq. 16,
-  a dot product of weighted vectors ``w⃗_i · w⃗_j``. This is the form the
-  clustering algorithm uses (its engines take the same products over a
-  whole CSR batch); :class:`~repro.baselines.F2ICMClusterer` uses it
-  pair by pair.
+  a dot product of weighted vectors ``w⃗_i · w⃗_j``, each read from its
+  document's row of
+  :meth:`~repro.vectors.NoveltyTfidfWeighter.weighted_arrays`. This is
+  the form the clustering algorithm uses (its engines take the same
+  products over a whole CSR batch);
+  :class:`~repro.baselines.F2ICMClusterer` uses it pair by pair.
 * :meth:`NoveltySimilarity.similarity_probabilistic` — the direct
   probabilistic form of Eq. 11,
 
@@ -27,8 +29,8 @@ from typing import Dict, Optional
 
 from ..corpus.document import Document
 from ..forgetting.statistics import CorpusStatistics
-from ..vectors.sparse import SparseVector
 from ..vectors.tfidf import NoveltyTfidfWeighter
+from ._vectorize import Vector, dot
 
 
 class NoveltySimilarity:
@@ -44,26 +46,30 @@ class NoveltySimilarity:
             weighter if weighter is not None
             else NoveltyTfidfWeighter(statistics)
         )
-        self._vector_cache: Dict[str, SparseVector] = {}
+        self._vector_cache: Dict[str, Vector] = {}
 
     # -- factorised form (Eq. 16) ------------------------------------------
 
-    def weighted_vector(self, document: Document) -> SparseVector:
-        """Cached ``w⃗_i``; see :class:`NoveltyTfidfWeighter`."""
+    def _vector(self, document: Document) -> Vector:
+        """Cached ``w⃗_i``: the document's CSR row, keyed by term id in
+        ``term_counts`` order."""
         vector = self._vector_cache.get(document.doc_id)
         if vector is None:
-            vector = self.weighter.weighted_vector(document)
+            _, _, term_ids, data = self.weighter.weighted_arrays(
+                [document]
+            ).csr_parts()
+            vector = dict(zip(term_ids.tolist(), data.tolist()))
             self._vector_cache[document.doc_id] = vector
         return vector
 
     def similarity(self, first: Document, second: Document) -> float:
         """``sim(d_i, d_j) = w⃗_i · w⃗_j`` (Eq. 16, factorised)."""
-        return self.weighted_vector(first).dot(self.weighted_vector(second))
+        return dot(self._vector(first), self._vector(second))
 
     def self_similarity(self, document: Document) -> float:
         """``sim(d_i, d_i)`` — a term of ``ss(C_p)`` (Eq. 23)."""
-        vector = self.weighted_vector(document)
-        return vector.dot(vector)
+        vector = self._vector(document)
+        return dot(vector, vector)
 
     # -- direct probabilistic form (Eq. 11) ---------------------------------
 
@@ -94,4 +100,3 @@ class NoveltySimilarity:
     def invalidate(self) -> None:
         """Drop caches after the underlying statistics changed."""
         self._vector_cache.clear()
-        self.weighter.invalidate()

@@ -26,7 +26,7 @@ class Document:
     Parameters
     ----------
     doc_id:
-        Unique identifier within a repository.
+        Unique non-empty string identifier within a repository.
     timestamp:
         Acquisition time ``T_i`` in fractional days from the stream
         origin (day 0 = first day of the corpus); must be finite.
@@ -47,6 +47,10 @@ class Document:
     _length: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.doc_id, str):
+            raise TypeError(
+                f"doc_id must be a string, got {self.doc_id!r}"
+            )
         if not self.doc_id:
             raise ValueError("doc_id must be a non-empty string")
         if not isinstance(self.timestamp, (int, float)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Any, Iterable, List, Mapping, Optional, Union
 
 from ..text import TextPipeline, Vocabulary
 from .document import Document
@@ -42,6 +42,42 @@ def save_jsonl(
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
             count += 1
     return count
+
+
+def record_to_document(
+    record: Mapping[str, Any], vocabulary: Vocabulary
+) -> Document:
+    """Decode one record (the line format above), interning its terms.
+
+    The one decoder of document records: ``POST /add`` bodies, tailed
+    and loaded JSONL lines, checkpoints and journal entries all come
+    through it. ``doc_id`` must be a non-empty string and the timestamp
+    finite (:class:`Document` checks both); each term must be a
+    non-empty string and each count an ``int`` — not a ``bool``, and
+    not a float such as 2.9, which would otherwise be truncated.
+    Raises ``KeyError`` for a missing field, ``ValueError`` or
+    ``TypeError`` for a malformed one.
+    """
+    terms = record["terms"]
+    if not isinstance(terms, Mapping):
+        raise ValueError(f"terms must be an object, got {terms!r}")
+    for term, count in terms.items():
+        if not isinstance(term, str) or not term:
+            raise ValueError(f"term {term!r} is not a non-empty string")
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ValueError(
+                f"count {count!r} of term {term!r} is not an integer"
+            )
+    return Document(
+        doc_id=record["doc_id"],
+        timestamp=float(record["timestamp"]),
+        term_counts={
+            vocabulary.add(term): count for term, count in terms.items()
+        },
+        topic_id=record.get("topic_id"),
+        source=record.get("source"),
+        title=record.get("title"),
+    )
 
 
 def load_jsonl(
@@ -75,35 +111,23 @@ def load_jsonl(
                 raise ValueError(
                     f"{path}:{line_number}: invalid JSON: {exc}"
                 ) from exc
-            for required in ("doc_id", "timestamp"):
-                if required not in record:
+            if "terms" not in record:
+                if "text" not in record:
                     raise ValueError(
-                        f"{path}:{line_number}: missing field {required!r}"
+                        f"{path}:{line_number}: missing field 'terms' or 'text'"
                     )
-            if "terms" in record:
-                term_counts = {
-                    vocabulary.add(term): int(count)
-                    for term, count in record["terms"].items()
-                }
-            elif "text" in record:
                 # counts are filled in after the batched text pass below
-                term_counts = {}
                 raw_texts.append(str(record["text"]))
                 raw_slots.append(len(documents))
-            else:
+                record = {**record, "terms": {}}
+            try:
+                documents.append(record_to_document(record, vocabulary))
+            except KeyError as exc:
                 raise ValueError(
-                    f"{path}:{line_number}: missing field 'terms' or 'text'"
-                )
-            documents.append(
-                Document(
-                    doc_id=record["doc_id"],
-                    timestamp=float(record["timestamp"]),
-                    term_counts=term_counts,
-                    topic_id=record.get("topic_id"),
-                    source=record.get("source"),
-                    title=record.get("title"),
-                )
-            )
+                    f"{path}:{line_number}: missing field {exc.args[0]!r}"
+                ) from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from exc
     if raw_texts:
         if pipeline is None:
             pipeline = TextPipeline()

@@ -17,12 +17,7 @@ losing the model. This package makes process death a non-event:
   run (``repro cluster --checkpoint-every N``); registered as a commit
   hook so only committed batches are ever journaled.
 * :mod:`~repro.durability.recovery` — :func:`recover`: newest valid
-  checkpoint (falling back to ``.bak``) + exact journal replay. The
-  returned :class:`RecoveryResult` is resumable: ``result.follow()``
-  keeps yielding batches a live writer commits, ``result.apply(batch)``
-  absorbs them — a warm-standby replica in four lines.
-* :mod:`~repro.durability.follow` — :func:`follow`: public iterator
-  over committed journal batches, polling for new ones.
+  checkpoint (falling back to ``.bak``) + exact journal replay.
 
 Quickstart::
 
@@ -46,7 +41,6 @@ from .atomic import (
     prepare_checkpoint_path,
 )
 from .checkpointer import Checkpointer
-from .follow import FollowedBatch, follow
 from .journal import (
     BatchJournal,
     JournalContents,
@@ -72,8 +66,6 @@ __all__ = [
     "default_journal_path",
     "read_journal",
     "Checkpointer",
-    "FollowedBatch",
-    "follow",
     "RecoveryResult",
     "recover",
 ]

@@ -23,35 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional
+from typing import List, Optional
 
 from ..core.incremental import IncrementalClusterer
+from ..corpus.loaders import record_to_document
 from ..exceptions import CheckpointError, JournalError
 from ..obs import Recorder, Span, resolve
-from ..persistence import (
-    load_checkpoint,
-    read_checkpoint_state,
-    record_to_document,
-)
+from ..persistence import load_checkpoint, read_checkpoint_state
 from ..text.vocabulary import Vocabulary
 from .atomic import PathLike, backup_path
-from .follow import FollowedBatch, follow
 from .journal import default_journal_path, read_journal
 
 
 @dataclass
 class RecoveryResult:
-    """What :func:`recover` restored and how it got there.
-
-    The result is a *resumable handle*, not just a report: a recovered
-    process can keep absorbing batches another writer commits by
-    iterating :meth:`follow` and feeding each batch to :meth:`apply` —
-    the warm-standby replica loop::
-
-        replica = recover("state.json")
-        for batch in replica.follow(stop=lambda: shutting_down):
-            replica.apply(batch)   # replica.sequence tracks the writer
-    """
+    """What :func:`recover` restored and how it got there."""
 
     clusterer: IncrementalClusterer
     vocabulary: Vocabulary
@@ -59,7 +45,7 @@ class RecoveryResult:
     sequence: int
     #: The checkpoint file actually loaded (primary or its ``.bak``).
     checkpoint_path: Path
-    #: The journal the replay read (and :meth:`follow` continues from).
+    #: The journal the replay read.
     journal_path: Path
     #: Journal entries replayed through ``process_batch``.
     replayed_batches: int
@@ -67,50 +53,6 @@ class RecoveryResult:
     used_backup: bool
     #: True when a torn journal tail was discarded during replay.
     journal_truncated: bool
-
-    def follow(
-        self,
-        poll_interval: float = 0.5,
-        stop: Optional[Callable[[], bool]] = None,
-        timeout: Optional[float] = None,
-    ) -> Iterator[FollowedBatch]:
-        """Tail the journal for batches *beyond* the recovered state.
-
-        Starts exactly after :attr:`sequence` with the recovered
-        vocabulary, so documents decode into the same id space the
-        restored clusterer uses. Feed each yielded batch to
-        :meth:`apply` to stay bit-equal with the writer. Raises
-        :class:`~repro.exceptions.JournalError` if the journal rotates
-        past this handle (re-run :func:`recover` then).
-        """
-        return follow(
-            self.journal_path,
-            poll_interval,
-            vocabulary=self.vocabulary,
-            after=self.sequence,
-            stop=stop,
-            timeout=timeout,
-        )
-
-    def apply(self, batch: FollowedBatch) -> None:
-        """Absorb one :meth:`follow`-ed batch into the recovered state.
-
-        Replays the batch through ``process_batch`` at its journaled
-        time (the same exact-replay argument :func:`recover` rests on)
-        and advances :attr:`sequence`; out-of-order application is
-        rejected — the handle must absorb every batch, in order.
-        """
-        if batch.sequence != self.sequence + 1:
-            raise JournalError(
-                f"cannot apply batch {batch.sequence} to recovered "
-                f"state at sequence {self.sequence}; batches must be "
-                f"applied in order, gaplessly"
-            )
-        self.clusterer.process_batch(
-            list(batch.documents), at_time=batch.at_time
-        )
-        self.sequence = batch.sequence
-        self.replayed_batches += 1
 
 
 def recover(

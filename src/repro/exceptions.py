@@ -58,11 +58,12 @@ class ServiceClosedError(ReproError, RuntimeError):
 
 
 class ServiceDegradedError(ServiceClosedError):
-    """A durability hook failed after its batch committed in memory.
+    """A commit hook failed after its batch committed in memory.
 
-    The in-memory state and the journal have diverged, so the service
-    stops ingesting (reads keep answering from the last published
-    snapshot, which is still journal-consistent). Subclasses
+    The hook journals the batch or publishes its snapshot, so the
+    in-memory state has diverged from the journal or from what readers
+    see. The service stops ingesting (reads keep answering from the
+    last published snapshot). Subclasses
     :class:`ServiceClosedError` so producers treating the service as
     unavailable keep working unchanged.
     """

@@ -50,6 +50,7 @@ from typing import (
 
 from .core.incremental import IncrementalClusterer
 from .corpus.document import Document
+from .corpus.loaders import record_to_document
 from .exceptions import CheckpointError
 from .forgetting.model import ForgettingModel
 from .obs import Recorder, Span, resolve
@@ -101,23 +102,6 @@ def document_record(
         "title": doc.title,
         "terms": terms,
     }
-
-
-def record_to_document(
-    record: Mapping[str, Any], vocabulary: Vocabulary
-) -> Document:
-    """Rebuild a :class:`Document` from a record, interning its terms."""
-    return Document(
-        doc_id=record["doc_id"],
-        timestamp=float(record["timestamp"]),
-        term_counts={
-            vocabulary.add(term): int(count)
-            for term, count in record["terms"].items()
-        },
-        topic_id=record.get("topic_id"),
-        source=record.get("source"),
-        title=record.get("title"),
-    )
 
 
 def save_checkpoint(

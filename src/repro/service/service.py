@@ -52,6 +52,7 @@ from typing import (
 
 from .._validation import require_finite, require_positive
 from ..corpus.document import Document
+from ..corpus.loaders import record_to_document
 from ..exceptions import (
     ConfigurationError,
     ServiceClosedError,
@@ -221,13 +222,12 @@ class ClusterService:
                         )
                     except Exception as exc:
                         if self._degraded:
-                            # the batch committed in memory but the
-                            # durability hook failed before publish
-                            # (_record_batch filed the error): memory
-                            # and journal have diverged, so no later
-                            # snapshot may claim a journal sequence —
-                            # ingestion stops here and producers get
-                            # ServiceDegradedError
+                            # the batch committed in memory but a
+                            # commit hook failed (_record_batch or
+                            # _publish filed the error): memory and the
+                            # journal or the published snapshot have
+                            # diverged, so ingestion stops here and
+                            # producers get ServiceDegradedError
                             if self._recorder.enabled:
                                 self._recorder.counter("service.degraded")
                         else:
@@ -279,15 +279,25 @@ class ClusterService:
         Runs on the writer thread, after the checkpointer's hook — so
         ``checkpointer.sequence`` already names this batch and the
         published version equals the journal sequence.
+
+        A failure here is not a rollback either: the batch stays
+        committed while readers would silently stay on the previous
+        version. It degrades the service exactly as a journal failure
+        does (see :meth:`_record_batch`).
         """
         if self._checkpointer is not None:
             version = self._checkpointer.sequence
         else:
             version = self._snapshot.version + 1
-        snapshot = ClusterSnapshot.from_clusterer(
-            version, self._clusterer,
-            vocabulary=self._vocabulary, pipeline=self._pipeline,
-        )
+        try:
+            snapshot = ClusterSnapshot.from_clusterer(
+                version, self._clusterer,
+                vocabulary=self._vocabulary, pipeline=self._pipeline,
+            )
+        except BaseException as exc:
+            self._errors.append(exc)
+            self._degraded = True
+            raise
         # the atomic publish: a single reference assignment
         self._snapshot = snapshot
         self._published_monotonic = time.monotonic()
@@ -432,8 +442,6 @@ class ClusterService:
         racing producers could otherwise assign the same term_id to
         different terms.
         """
-        from ..persistence import record_to_document
-
         assert self._vocabulary is not None
         with self._intern_lock:
             return record_to_document(record, self._vocabulary)
@@ -550,18 +558,20 @@ class ClusterService:
         """Exceptions from rejected batches and producer threads.
 
         Each rejected batch rolled back — unless :attr:`degraded` is
-        set, in which case the last error is the durability-hook
-        failure that stopped ingestion.
+        set, in which case the last error is the commit-hook failure
+        that stopped ingestion.
         """
         return tuple(self._errors)
 
     @property
     def degraded(self) -> bool:
-        """True once a durability hook failed after its batch committed.
+        """True once a commit hook failed after its batch committed.
 
-        Memory and journal have diverged: ingestion is stopped (raises
+        The hook either journals the batch or publishes its snapshot;
+        either way memory has moved past what the journal or readers
+        see. Ingestion is stopped (raises
         :class:`~repro.exceptions.ServiceDegradedError`), reads keep
-        answering from the last snapshot that matches the journal, and
+        answering from the last published snapshot, and
         :meth:`close` aborts instead of writing a final checkpoint so
         recovery replays the journal-consistent prefix.
         """
@@ -584,7 +594,7 @@ class ClusterService:
     def _require_open(self) -> None:
         if self._degraded:
             raise ServiceDegradedError(
-                "service is degraded: a durability hook failed after "
+                "service is degraded: a commit hook failed after "
                 "its batch committed (see .errors); ingestion is "
                 "stopped to keep snapshots journal-consistent"
             )

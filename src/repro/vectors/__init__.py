@@ -1,6 +1,5 @@
-"""Sparse vector algebra used by document vectors and cluster representatives."""
+"""Novelty tf·idf weighting into CSR batches of weighted vectors."""
 
-from .sparse import SparseVector
 from .tfidf import NoveltyTfidfWeighter
 
-__all__ = ["SparseVector", "NoveltyTfidfWeighter"]
+__all__ = ["NoveltyTfidfWeighter"]

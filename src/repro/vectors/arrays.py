@@ -1,13 +1,11 @@
 """CSR-backed weighted-vector batches.
 
-:class:`WeightedVectorArrays` is the array twin of the
-``{doc_id: SparseVector}`` mapping produced by
-:meth:`~repro.vectors.tfidf.NoveltyTfidfWeighter.weighted_vectors`:
-one flat ``(indptr, term_ids, data)`` CSR layout over the whole batch
-instead of one dict per document. It is what every K-means fit
-vectorises into, and the only input engines accept: they consume the
-flat arrays directly, with no per-term Python loop between
-vectorisation and the engine's matrix build. The K-means outlier
+:class:`WeightedVectorArrays` holds the weighted vectors ``w⃗_i`` that
+:meth:`~repro.vectors.tfidf.NoveltyTfidfWeighter.weighted_arrays`
+builds: one flat ``(indptr, term_ids, data)`` CSR layout over the whole
+batch. It is what every K-means fit vectorises into, and the only input
+engines accept: they consume the flat arrays directly, with no per-term
+Python loop between vectorisation and the engine's matrix build. The K-means outlier
 rescue and split repair read whole clusters' rows on most passes, so
 they work on the flat arrays too (:meth:`~WeightedVectorArrays.gather` and
 :meth:`~WeightedVectorArrays.row` over the batch's compact
@@ -38,7 +36,7 @@ class WeightedVectorArrays:
         a row; engines re-map them to dense columns themselves).
     data:
         float64 component values (never 0.0 — zero components are
-        dropped at construction, matching ``SparseVector`` semantics).
+        dropped at construction).
     columns:
         Optional precomputed :meth:`columns` (the vectoriser already
         has them from its idf lookup); computed on first use otherwise.
@@ -104,7 +102,7 @@ class WeightedVectorArrays:
 
     def self_similarities(self) -> FloatArray:
         """``w⃗_d · w⃗_d`` per row (the Eq. 23 summands), summed in
-        stored order like :meth:`SparseVector.dot`. Computed once."""
+        stored order. Computed once."""
         if self._self_dots is None:
             n = len(self.doc_ids)
             owner = np.repeat(np.arange(n, dtype=np.int64),

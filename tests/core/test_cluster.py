@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SparseVector
 from repro.exceptions import UnknownDocumentError
 from tests.oracles import Cluster
+from tests.oracles.sparse import SparseVector
 
 vector_strategy = st.dictionaries(
     st.integers(min_value=0, max_value=30),

@@ -20,9 +20,9 @@ import pytest
 
 from repro import CorpusStatistics, ForgettingModel, NoveltyKMeans
 from repro.core.engines import NO_GAIN, MatrixEngine
-from repro.vectors.sparse import SparseVector
 from tests.conftest import make_document
 from tests.oracles import DenseEngine
+from tests.oracles.sparse import SparseVector
 from tests.oracles.vectors import as_arrays
 
 ENGINES = (DenseEngine, MatrixEngine)

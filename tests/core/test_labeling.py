@@ -14,8 +14,8 @@ from repro.core.labeling import (
     representative_terms,
 )
 from repro.exceptions import ConfigurationError
-from repro.vectors.sparse import SparseVector
 from tests.conftest import build_topic_repository
+from tests.oracles.sparse import SparseVector
 
 
 @pytest.fixture(scope="module")

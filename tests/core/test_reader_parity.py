@@ -30,8 +30,8 @@ from repro import (
 from repro.core import medoid_document
 from repro.core.engines import EngineView, affine_gain_coefficients
 from repro.corpus.streams import iter_batches
-from repro.vectors.tfidf import NoveltyTfidfWeighter
 from tests.oracles import Cluster
+from tests.oracles.vectors import weighted_vector
 
 K = 16
 TOL = 1e-9
@@ -43,9 +43,10 @@ TIE = 1e-12
 def oracle_view(clusterer):
     """The clusterer's committed state rebuilt from its members alone."""
     statistics = clusterer.statistics
-    vectors = NoveltyTfidfWeighter(statistics).weighted_vectors(
-        statistics.documents()
-    )
+    vectors = {
+        doc.doc_id: weighted_vector(statistics, doc)
+        for doc in statistics.documents()
+    }
     term_ids = np.array(
         sorted({t for vector in vectors.values() for t in vector.keys()}),
         dtype=np.int64,
@@ -114,9 +115,10 @@ def stream():
             p: [statistics.document(d) for d in snapshot.clusters[p]]
             for p in range(K) if snapshot.clusters[p]
         }
-        vectors = NoveltyTfidfWeighter(statistics).weighted_vectors(
-            statistics.documents()
-        )
+        vectors = {
+            doc.doc_id: weighted_vector(statistics, doc)
+            for doc in statistics.documents()
+        }
         medoids = {
             p: (medoid_document(docs, statistics),
                 oracle_medoid(docs, vectors))

@@ -28,6 +28,7 @@ from repro.vectors.tfidf import NoveltyTfidfWeighter
 from tests.conftest import make_document
 from tests.oracles import repair as oracle
 from tests.oracles.dict_backend import DictStatisticsBackend
+from tests.oracles.vectors import weighted_vector
 
 TIE = 1e-12
 REL = 1e-9
@@ -64,8 +65,8 @@ def batch(corpus, backend=ColumnarStatisticsBackend):
     members = [[] for _ in range(6)]
     for doc, (_, _, cluster) in zip(docs, corpus):
         members[cluster].append(doc.doc_id)
-    return (weighter.weighted_arrays(docs), weighter.weighted_vectors(docs),
-            members)
+    vectors = {doc.doc_id: weighted_vector(stats, doc) for doc in docs}
+    return weighter.weighted_arrays(docs), vectors, members
 
 
 def noise_scale(vectors, contributions=()):

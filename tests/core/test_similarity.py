@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import CorpusStatistics, ForgettingModel, NoveltySimilarity
 from tests.conftest import make_document
+from tests.oracles.vectors import weighted_vector
 
 term_counts = st.dictionaries(
     st.integers(min_value=0, max_value=25),
@@ -51,6 +52,22 @@ class TestEquivalence:
                 assert math.isclose(
                     factored, direct, rel_tol=1e-9, abs_tol=1e-15
                 )
+
+    def test_dot_is_the_paper_literal_one_bit_for_bit(self):
+        """``w⃗`` comes from the weighter's CSR rows; the dot product of
+        the paper-literal dict vectors gives the same float."""
+        stats = build_statistics(
+            [{0: 2, 1: 1, 4: 3}, {1: 3, 2: 2, 4: 1}, {0: 1, 2: 1}],
+            [0.0, 1.0, 2.0],
+        )
+        similarity = NoveltySimilarity(stats)
+        docs = stats.documents()
+        for a in docs:
+            for b in docs:
+                expected = weighted_vector(stats, a).dot(
+                    weighted_vector(stats, b)
+                )
+                assert similarity.similarity(a, b) == expected
 
     def test_symmetry(self):
         stats = build_statistics(
@@ -114,7 +131,8 @@ class TestBatchHelpers:
         stats = build_statistics([{0: 1}, {0: 2}], [0.0, 0.0])
         similarity = NoveltySimilarity(stats)
         doc = stats.documents()[0]
-        first = similarity.weighted_vector(doc)
-        assert similarity.weighted_vector(doc) is first  # cached
+        before = similarity.self_similarity(doc)
+        stats.observe([make_document("d2", 3.0, {0: 5})], at_time=3.0)
+        assert similarity.self_similarity(doc) == before  # cached
         similarity.invalidate()
-        assert similarity.weighted_vector(doc) is not first
+        assert similarity.self_similarity(doc) != before

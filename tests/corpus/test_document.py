@@ -44,6 +44,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_document("", 0.0, {0: 1})
 
+    @pytest.mark.parametrize("doc_id", [7, None, b"d1"])
+    def test_non_string_id_rejected(self, doc_id):
+        # 7 and "7" would be two distinct documents, and sorting mixed
+        # ids breaks every snapshot built while the document is active
+        with pytest.raises(TypeError, match="doc_id must be a string"):
+            Document(doc_id, 0.0, {0: 1})
+
     def test_non_numeric_timestamp_rejected(self):
         with pytest.raises(TypeError):
             Document("d", "today", {0: 1})  # type: ignore[arg-type]

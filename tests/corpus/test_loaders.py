@@ -67,6 +67,19 @@ class TestErrors:
         with pytest.raises(ValueError, match="missing field 'terms'"):
             load_jsonl(path, Vocabulary())
 
+    @pytest.mark.parametrize("record", [
+        {"doc_id": "d", "timestamp": 0.0, "terms": {"x": 2.9}},
+        {"doc_id": "d", "timestamp": 0.0, "terms": {"x": True}},
+        {"doc_id": 7, "timestamp": 0.0, "terms": {"x": 1}},
+    ], ids=["float-count", "bool-count", "int-doc-id"])
+    def test_malformed_record_reports_line(self, tmp_path, record):
+        # 2.9 used to be truncated to 2 and true counted as 1
+        path = tmp_path / "bad.jsonl"
+        good = {"doc_id": "ok", "timestamp": 0.0, "terms": {"x": 1}}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
+            load_jsonl(path, Vocabulary())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_jsonl(tmp_path / "nope.jsonl", Vocabulary())

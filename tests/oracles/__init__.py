@@ -15,7 +15,12 @@ whose production form lives in ``src/repro`` on arrays:
   all K clusters and freeze into an ``EngineView``;
 * :mod:`.repair` — split repair and outlier rescue over ``Cluster``
   objects;
-* :mod:`.vectors` — the bridge between the engines' CSR batches and
+* :mod:`.sparse` — :class:`~.sparse.SparseVector`, the dict vector
+  the oracles and hand-written test cases speak;
+* :mod:`.vectors` — the paper-literal ``w⃗_i`` one term at a time
+  (:func:`~.vectors.weighted_vector`, the oracle for
+  :meth:`~repro.vectors.NoveltyTfidfWeighter.weighted_arrays`), and
+  the bridge between the engines' CSR batches and
   ``{doc_id: SparseVector}`` dicts;
 * :mod:`.serialisation` — the dict-then-``json.dumps`` writer of
   checkpoints and journal lines, the byte oracle for the library's
@@ -23,7 +28,7 @@ whose production form lives in ``src/repro`` on arrays:
 * :mod:`.text` — the text pipeline run token by token, the oracle for
   the memoised ``TextPipeline``.
 
-Nothing in the library imports these. The parity suites pass the two
+Nothing in the library imports these (reprolint REP007 checks it). The parity suites pass the two
 oracle classes in where the library takes an engine or a backend:
 ``IncrementalClusterer(model, k=..., engine=DenseEngine,
 statistics_backend=DictStatisticsBackend)``,

@@ -27,7 +27,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.exceptions import UnknownDocumentError
-from repro.vectors.sparse import SparseVector
+
+from .sparse import SparseVector
 
 
 class Cluster:

@@ -9,9 +9,8 @@ them.
 
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.vectors.sparse import SparseVector
-
 from .cluster import Cluster
+from .sparse import SparseVector
 
 Vectors = Mapping[str, SparseVector]
 

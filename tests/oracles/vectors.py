@@ -1,16 +1,39 @@
-"""Conversions between the engines' CSR batches and dict vectors.
+"""Dict vectors for the oracles: the paper-literal ``w⃗_i``, and the
+bridge between the engines' CSR batches and ``{doc_id: SparseVector}``.
 
 Engines take only :class:`~repro.vectors.arrays.WeightedVectorArrays`;
 the paper-literal oracles and hand-written test cases speak
-``{doc_id: SparseVector}``. These two functions are the one bridge.
+``{doc_id: SparseVector}``. :func:`as_arrays` and :func:`as_dicts` are
+the one bridge between the two.
 """
 
 from typing import Dict, Mapping
 
 import numpy as np
 
+from repro.corpus.document import Document
+from repro.forgetting.statistics import CorpusStatistics
 from repro.vectors.arrays import WeightedVectorArrays
-from repro.vectors.sparse import SparseVector
+
+from .sparse import SparseVector
+
+
+def weighted_vector(
+    statistics: CorpusStatistics, document: Document
+) -> SparseVector:
+    """``w⃗_i = (Pr(d_i)/len_i) · d⃗_i`` (Eq. 16), with ``d⃗_i``'s
+    components ``tf_ik · idf_k`` (Eq. 12-14), one term at a time.
+
+    Empty documents produce the zero vector (they are similar to
+    nothing, including themselves).
+    """
+    if document.length == 0:
+        return SparseVector()
+    scale = statistics.pr_document(document.doc_id) / document.length
+    return SparseVector({
+        term_id: count * statistics.idf(term_id) * scale
+        for term_id, count in document.term_counts.items()
+    })
 
 
 def as_arrays(vectors: Mapping[str, SparseVector]) -> WeightedVectorArrays:

@@ -62,8 +62,8 @@ def test_rep002_fires_on_not_equal_and_negative_literal():
 
 
 def test_rep002_allows_zero_sentinel():
-    # the structural invariant of vectors/sparse.py: zeros are dropped
-    assert codes("src/repro/vectors/sparse.py", "ok = value == 0.0\n") == []
+    # the structural invariant of sparse vectors: zeros are dropped
+    assert codes("src/repro/vectors/arrays.py", "ok = value == 0.0\n") == []
 
 
 def test_rep002_allows_decay_noop_in_forgetting_layer():
@@ -286,6 +286,44 @@ def test_rep006_suppression_comment():
     source = (
         "h = open(checkpoint_path, 'w')  # reprolint: disable=REP006\n"
     )
+    assert codes(NEUTRAL_PATH, source) == []
+
+
+# -- REP007: the library never imports test code ---------------------------
+
+def test_rep007_fires_on_import_of_tests_package():
+    assert "REP007" in codes(NEUTRAL_PATH, "import tests.oracles\n")
+    assert "REP007" in codes(NEUTRAL_PATH, "import tests\n")
+
+
+def test_rep007_fires_on_from_import_of_an_oracle():
+    source = "from tests.oracles.sparse import SparseVector\n"
+    assert "REP007" in codes(CORE_PATH, source)
+    assert "REP007" in codes(NEUTRAL_PATH, "from tests import oracles\n")
+
+
+def test_rep007_fires_on_nested_import():
+    source = "def f():\n    from tests.oracles import DenseEngine\n"
+    assert "REP007" in codes(NEUTRAL_PATH, source)
+
+
+def test_rep007_allows_lookalike_and_relative_imports():
+    source = (
+        "import testscenarios\n"
+        "from .tests import helper\n"
+        "from repro.tests_support import x\n"
+    )
+    assert codes(NEUTRAL_PATH, source) == []
+
+
+def test_rep007_ignores_code_outside_src():
+    source = "from tests.oracles import DenseEngine\n"
+    assert codes(TEST_PATH, source) == []
+    assert codes("benchmarks/bench_example.py", source) == []
+
+
+def test_rep007_suppression_comment():
+    source = "import tests.oracles  # reprolint: disable=REP007\n"
     assert codes(NEUTRAL_PATH, source) == []
 
 

