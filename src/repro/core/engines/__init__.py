@@ -18,7 +18,6 @@ decisions.
 from .base import (
     NO_GAIN,
     Engine,
-    EngineBase,
     EngineClass,
     EngineView,
     affine_gain_coefficients,
@@ -29,7 +28,6 @@ from .matrix import MatrixEngine
 __all__ = [
     "NO_GAIN",
     "Engine",
-    "EngineBase",
     "EngineClass",
     "EngineView",
     "MatrixEngine",

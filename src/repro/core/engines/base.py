@@ -1,4 +1,4 @@
-"""The :class:`Engine` protocol and the shared :class:`EngineBase` helper.
+"""The :class:`Engine` protocol and the gain arithmetic engines share.
 
 An *engine* is the numerical backend of the extended K-means
 (:class:`~repro.core.NoveltyKMeans`): it owns the per-cluster state of
@@ -26,12 +26,15 @@ document vectors ``w⃗_d = (Pr(d)/len_d)·d⃗`` (Eq. 12-16) and
 :class:`~repro.core.NoveltyKMeans`). ``NoveltyKMeans(engine=...)`` and
 the clusterers' ``engine=`` take the class itself
 (:class:`EngineClass`); its ``name`` tags spans and checkpoints.
+Inside a fit a document *is* its row of that batch: every engine call
+takes and returns rows, and doc ids come back only when the fit builds
+its :class:`~repro.core.ClusteringResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -158,30 +161,29 @@ class Engine(Protocol):
     nothing outside the engine rebuilds representatives or aggregates.
     """
 
-    def add(self, cluster_id: int, doc_id: str) -> None:
-        """Append ``doc_id`` to cluster ``cluster_id`` (Eq. 19-23 update)."""
+    def add(self, cluster_id: int, row: int) -> None:
+        """Append batch row ``row`` to cluster ``cluster_id`` (Eq. 19-23
+        update)."""
 
-    def remove(self, cluster_id: int, doc_id: str) -> None:
-        """Delete ``doc_id`` from cluster ``cluster_id`` (Eq. 19-23 update)."""
+    def remove(self, cluster_id: int, row: int) -> None:
+        """Delete ``row`` from cluster ``cluster_id`` (Eq. 19-23 update)."""
 
-    def cluster_of(self, doc_id: str) -> Optional[int]:
-        """Cluster currently holding ``doc_id`` (None when unassigned)."""
+    def cluster_of(self, row: int) -> Optional[int]:
+        """Cluster currently holding ``row`` (None when unassigned)."""
 
-    def best_gain(self, doc_id: str) -> Tuple[int, float]:
+    def best_gain(self, row: int) -> Tuple[int, float]:
         """``(cluster_id, gain)`` of the largest-gain cluster (Eq. 25-26)."""
 
-    def best_gains(
-        self, doc_ids: Sequence[str]
-    ) -> List[Tuple[int, float]]:
+    def best_gains(self, rows: IntArray) -> Tuple[IntArray, FloatArray]:
         """Run one batched assignment sweep (Section 4.3 step 1).
 
-        Equivalent to, for each ``doc_id`` in order: remove it from its
+        Equivalent to, for each of ``rows`` in order: remove it from its
         current cluster (if any), compute :meth:`best_gain`, and append
         it to the winning cluster when the gain is positive. Returns
-        the ``(cluster_id, gain)`` decision per document
-        (``(-1, -inf)`` for empty-vector documents). Batching the
-        whole sweep lets vectorised engines answer it with matrix
-        products instead of per-document dot products.
+        the int64 winning cluster and float64 gain per row (``-1`` and
+        ``-inf`` for empty-vector rows). Batching the whole sweep lets
+        vectorised engines answer it with matrix products instead of
+        per-document dot products.
         """
 
     def sizes(self) -> List[int]:
@@ -196,10 +198,10 @@ class Engine(Protocol):
     def contributions(self) -> List[float]:
         """Per-cluster ``|C_p|·avg_sim(C_p)`` terms of ``G`` (Eq. 17, 24)."""
 
-    def members(self) -> List[List[str]]:
-        """Member doc ids per cluster, in insertion order."""
+    def members(self) -> List[IntArray]:
+        """Member rows per cluster, in insertion order."""
 
-    def self_similarity(self, doc_id: str) -> float:
+    def self_similarity(self, row: int) -> float:
         """``sim(d, d) = w⃗_d · w⃗_d`` (the Eq. 23 summand)."""
 
     def freeze(self) -> EngineView:
@@ -223,63 +225,3 @@ class EngineClass(Protocol):
         self, k: int, vectors: WeightedVectorArrays, criterion: str
     ) -> Engine:
         """Build the engine for one fit over the CSR batch ``vectors``."""
-
-
-class EngineBase:
-    """Shared plumbing for engines: membership map + default batch sweep.
-
-    Subclasses implement the per-cluster accounting via ``_add`` /
-    ``_remove`` and the single-document gain query ``best_gain``; this
-    base keeps the ``doc_id -> cluster_id`` map consistent and derives
-    :meth:`best_gains` from them with exactly the semantics the
-    sequential reference loop had. Vectorised engines override
-    :meth:`best_gains` wholesale.
-    """
-
-    def __init__(self, k: int, vectors: WeightedVectorArrays) -> None:
-        self.k = int(k)
-        self._assigned: Dict[str, int] = {}
-        self._empty_docs = set(vectors.empty_doc_ids())
-
-    # -- membership -----------------------------------------------------
-
-    def add(self, cluster_id: int, doc_id: str) -> None:
-        self._add(cluster_id, doc_id)
-        self._assigned[doc_id] = cluster_id
-
-    def remove(self, cluster_id: int, doc_id: str) -> None:
-        self._remove(cluster_id, doc_id)
-        self._assigned.pop(doc_id, None)
-
-    def cluster_of(self, doc_id: str) -> Optional[int]:
-        return self._assigned.get(doc_id)
-
-    # -- batched sweep ---------------------------------------------------
-
-    def best_gains(
-        self, doc_ids: Sequence[str]
-    ) -> List[Tuple[int, float]]:
-        decisions: List[Tuple[int, float]] = []
-        for doc_id in doc_ids:
-            current = self.cluster_of(doc_id)
-            if current is not None:
-                self.remove(current, doc_id)
-            if doc_id in self._empty_docs:
-                decisions.append((-1, NO_GAIN))
-                continue
-            cluster_id, gain = self.best_gain(doc_id)
-            if gain > 0.0:
-                self.add(cluster_id, doc_id)
-            decisions.append((cluster_id, gain))
-        return decisions
-
-    # -- hooks ----------------------------------------------------------
-
-    def _add(self, cluster_id: int, doc_id: str) -> None:
-        raise NotImplementedError
-
-    def _remove(self, cluster_id: int, doc_id: str) -> None:
-        raise NotImplementedError
-
-    def best_gain(self, doc_id: str) -> Tuple[int, float]:
-        raise NotImplementedError

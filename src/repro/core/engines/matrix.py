@@ -33,7 +33,7 @@ construction fails with a clear message when it is missing.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, List, Sequence, Set, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from ...exceptions import ConfigurationError
 from ...vectors.arrays import WeightedVectorArrays
 from .base import (
     NO_GAIN,
-    EngineBase,
     EngineView,
     affine_gain_coefficients,
     best_affine_gain,
@@ -67,8 +66,15 @@ DEFAULT_BLOCK_SIZE = 256
 SPECULATE_WINDOW = 64
 
 
-class MatrixEngine(EngineBase):
-    """CSR document matrix + dense representatives, blockwise sweeps."""
+class MatrixEngine:
+    """CSR document matrix + dense representatives, blockwise sweeps.
+
+    All per-document state is an array over the batch's rows: the
+    cluster holding each row (``-1`` when unassigned), its
+    self-similarity, whether its vector is empty, and the stamp of its
+    last append. A cluster's members are its rows in stamp order, which
+    is the order the dense oracle's member dicts keep.
+    """
 
     name: ClassVar[str] = "matrix"
 
@@ -86,19 +92,16 @@ class MatrixEngine(EngineBase):
                 "install it with `pip install scipy` (or reinstall "
                 "repro with its dependencies)"
             )
-        super().__init__(k, vectors)
+        self.k = int(k)
         self._criterion = criterion
         self._block_size = max(1, int(block_size))
 
         # the vectoriser's flat arrays and compact column map are
         # already the matrix layout, minus the within-row term order
-        doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
+        indptr = np.asarray(vectors.indptr, dtype=np.int64)
+        raw_vals = vectors.data
         term_ids, cols = vectors.columns()
-        n_docs = len(doc_id_list)
-        self._row: Dict[str, int] = {
-            doc_id: row for row, doc_id in enumerate(doc_id_list)
-        }
-        indptr = np.asarray(indptr, dtype=np.int64)
+        n_docs = len(vectors)
         lens = np.diff(indptr)
         self._term_ids = np.asarray(term_ids, dtype=np.int64)
         # sort terms within each row in one global argsort over the
@@ -114,24 +117,31 @@ class MatrixEngine(EngineBase):
         )
         # per-row self similarity, bit-equal to the dense oracle's
         # (same values, same order, same contiguous np.dot)
-        self._w2 = [
-            float(np.dot(data[indptr[r]:indptr[r + 1]],
-                         data[indptr[r]:indptr[r + 1]]))
+        self._w2 = np.array([
+            np.dot(data[indptr[r]:indptr[r + 1]],
+                   data[indptr[r]:indptr[r + 1]])
             for r in range(n_docs)
-        ]
+        ], dtype=np.float64)
+        # exactly the empty-vector rows decide (-1, NO_GAIN); gating on
+        # the stored length rather than `w2 <= 0.0` keeps parity with
+        # the dense oracle for non-empty vectors whose self-similarity
+        # underflows to 0.0
+        self._empty: BoolArray = lens == 0
+        self._assigned = np.full(n_docs, -1, dtype=np.int64)
+        self._stamp = np.zeros(n_docs, dtype=np.int64)
+        self._clock = 0
 
         self._rep = np.zeros((k, n_terms), dtype=np.float64)
         self._crpp: List[float] = [0.0] * k
         self._ss: List[float] = [0.0] * k
         self._sizes: List[int] = [0] * k
-        self._members: List[Dict[str, None]] = [{} for _ in range(k)]
         # gain(q, p) = a[p] * cr_sim(C_p, d_q) + b[p]  (Eq. 25-26)
         self._gain_a = np.zeros(k, dtype=np.float64)
         self._gain_b = np.zeros(k, dtype=np.float64)
         # (rows, Xb, Gb) per block-start row: X never changes within a
         # fit, so block slices and their Gram matrices are reused by
         # every assignment pass. LRU-bounded to the number of blocks of
-        # one full sweep — callers that probe shifting doc subsets
+        # one full sweep — callers that probe shifting row subsets
         # (streaming fits, ad-hoc best_gains calls) would otherwise
         # accumulate one dense Gram block per distinct block start.
         self._block_cache: Dict[int, Tuple[IntArray, Any, FloatArray]] = {}
@@ -158,54 +168,53 @@ class MatrixEngine(EngineBase):
 
     # -- membership (direct path: warm start, reseed, rescue, split) -----
 
-    def _doc_slice(self, doc_id: str) -> Tuple[IntArray, FloatArray]:
-        row = self._row[doc_id]
+    def _row_slice(self, row: int) -> Tuple[IntArray, FloatArray]:
         start, stop = self._X.indptr[row], self._X.indptr[row + 1]
         return self._X.indices[start:stop], self._X.data[start:stop]
 
-    def _add(self, cluster_id: int, doc_id: str) -> None:
-        ids, vals = self._doc_slice(doc_id)
-        w2 = self._w2[self._row[doc_id]]
+    def add(self, cluster_id: int, row: int) -> None:
+        ids, vals = self._row_slice(row)
+        w2 = float(self._w2[row])
         dot = float(self._rep[cluster_id, ids] @ vals)
         self._crpp[cluster_id] += 2.0 * dot + w2
         self._ss[cluster_id] += w2
         self._rep[cluster_id, ids] += vals
         self._sizes[cluster_id] += 1
-        self._members[cluster_id][doc_id] = None
+        self._assigned[row] = cluster_id
+        self._stamp[row] = self._clock
+        self._clock += 1
         self._refresh_coeffs(cluster_id)
 
-    def _remove(self, cluster_id: int, doc_id: str) -> None:
-        del self._members[cluster_id][doc_id]
-        ids, vals = self._doc_slice(doc_id)
-        w2 = self._w2[self._row[doc_id]]
+    def remove(self, cluster_id: int, row: int) -> None:
+        ids, vals = self._row_slice(row)
+        w2 = float(self._w2[row])
         dot = float(self._rep[cluster_id, ids] @ vals)
         self._crpp[cluster_id] += -2.0 * dot + w2
         self._ss[cluster_id] -= w2
         self._rep[cluster_id, ids] -= vals
         self._sizes[cluster_id] -= 1
+        self._assigned[row] = -1
         if self._sizes[cluster_id] == 0:
             self._rep[cluster_id, :] = 0.0
             self._crpp[cluster_id] = 0.0
             self._ss[cluster_id] = 0.0
         self._refresh_coeffs(cluster_id)
 
+    def cluster_of(self, row: int) -> Optional[int]:
+        cluster_id = int(self._assigned[row])
+        return None if cluster_id < 0 else cluster_id
+
     # -- gain queries -----------------------------------------------------
 
-    def best_gain(self, doc_id: str) -> Tuple[int, float]:
-        ids, vals = self._doc_slice(doc_id)
+    def best_gain(self, row: int) -> Tuple[int, float]:
+        ids, vals = self._row_slice(row)
         return best_affine_gain(
             self._gain_a, self._gain_b, self._rep[:, ids] @ vals
         )
 
-    def best_gains(
-        self, doc_ids: Sequence[str]
-    ) -> List[Tuple[int, float]]:
-        n = len(doc_ids)
-        if n == 0:
-            return []
-        rows = np.fromiter(
-            (self._row[d] for d in doc_ids), dtype=np.int64, count=n
-        )
+    def best_gains(self, rows: IntArray) -> Tuple[IntArray, FloatArray]:
+        rows = np.asarray(rows, dtype=np.int64)
+        n = rows.size
         best_out = np.empty(n, dtype=np.int64)
         gain_out = np.empty(n, dtype=np.float64)
         gains = np.empty(self.k, dtype=np.float64)
@@ -213,10 +222,10 @@ class MatrixEngine(EngineBase):
         for start in range(0, n, block):
             stop = min(start + block, n)
             self._sweep_block(
-                doc_ids[start:stop], rows[start:stop], gains,
+                rows[start:stop], gains,
                 best_out[start:stop], gain_out[start:stop],
             )
-        return list(zip(best_out.tolist(), gain_out.tolist()))
+        return best_out, gain_out
 
     def _block(
         self, block_rows: IntArray
@@ -256,7 +265,6 @@ class MatrixEngine(EngineBase):
 
     def _sweep_block(
         self,
-        block_ids: Sequence[str],
         block_rows: IntArray,
         gains: FloatArray,
         best_out: IntArray,
@@ -272,7 +280,7 @@ class MatrixEngine(EngineBase):
         themselves are updated once per block from the accumulated
         moves (one sparse product), not per document.
         """
-        nb = len(block_ids)
+        nb = len(block_rows)
         Xb, Gb = self._block(block_rows)
         # cluster-major layout: the per-move correction touches one
         # contiguous row slice, and Gb is exactly symmetric (sorted
@@ -282,14 +290,14 @@ class MatrixEngine(EngineBase):
         move_idx: List[int] = []
         move_sign: List[float] = []
         emptied: Set[int] = set()
-        assigned = self._assigned
+        assigned, stamp = self._assigned, self._stamp
         crpp, ss, sizes = self._crpp, self._ss, self._sizes
-        members = self._members
-        empty_docs = self._empty_docs
-        w2s = self._w2
         gain_a, gain_b = self._gain_a, self._gain_b
         refresh_coeffs = self._refresh_coeffs
-        w2_blk = [w2s[r] for r in block_rows.tolist()]
+        rows_l = block_rows.tolist()
+        w2_blk = self._w2[block_rows]
+        w2_l = w2_blk.tolist()
+        empty_l = self._empty[block_rows].tolist()
         i = 0
         spec_fails = 0
         while i < nb:
@@ -298,7 +306,7 @@ class MatrixEngine(EngineBase):
             # misses (e.g. the first pass, where every document moves)
             if spec_fails < 3 and nb - i > 16:
                 advanced = self._speculate(
-                    block_ids, i, ST, w2_blk, best_out, gain_out
+                    block_rows, i, ST, w2_blk, best_out, gain_out
                 )
                 if advanced:
                     spec_fails = 0
@@ -307,15 +315,15 @@ class MatrixEngine(EngineBase):
                         break
                 else:
                     spec_fails += 1
-            doc_id = block_ids[i]
-            w2 = w2_blk[i]
-            current = assigned.pop(doc_id, None)
-            if current is not None:
+            row = rows_l[i]
+            w2 = w2_l[i]
+            current = int(assigned[row])
+            if current >= 0:
+                assigned[row] = -1
                 dot = float(ST[current, i])
                 crpp[current] += -2.0 * dot + w2
                 ss[current] -= w2
                 sizes[current] -= 1
-                del members[current][doc_id]
                 if sizes[current] == 0:
                     crpp[current] = 0.0
                     ss[current] = 0.0
@@ -326,12 +334,7 @@ class MatrixEngine(EngineBase):
                 move_cluster.append(current)
                 move_idx.append(i)
                 move_sign.append(-1.0)
-            # the EngineBase contract (base.py): empty-vector documents
-            # — and exactly those — decide (-1, NO_GAIN). Gating on the
-            # membership set rather than `w2 <= 0.0` keeps parity with
-            # the sequential engines for pathological non-empty vectors
-            # whose self-similarity underflows to 0.0.
-            if doc_id in empty_docs:
+            if empty_l[i]:
                 best_out[i] = -1
                 gain_out[i] = NO_GAIN
                 i += 1
@@ -344,8 +347,9 @@ class MatrixEngine(EngineBase):
                 crpp[best] += 2.0 * dot + w2
                 ss[best] += w2
                 sizes[best] += 1
-                members[best][doc_id] = None
-                assigned[doc_id] = best
+                assigned[row] = best
+                stamp[row] = self._clock
+                self._clock += 1
                 refresh_coeffs(best)
                 ST[best, i + 1:] += Gb[i, i + 1:]
                 move_cluster.append(best)
@@ -378,10 +382,10 @@ class MatrixEngine(EngineBase):
 
     def _speculate(
         self,
-        block_ids: Sequence[str],
+        block_rows: IntArray,
         i0: int,
         ST: FloatArray,
-        w2_blk: List[float],
+        w2_blk: FloatArray,
         best_out: IntArray,
         gain_out: FloatArray,
     ) -> int:
@@ -398,15 +402,12 @@ class MatrixEngine(EngineBase):
         takes over at the first net mover. Returns 0 when the very next
         document moves.
         """
-        assigned = self._assigned
         stop_at = min(i0 + SPECULATE_WINDOW, ST.shape[1])
         STv = ST[:, i0:stop_at]
         m = STv.shape[1]
-        ids = block_ids[i0:stop_at]
-        cur = np.fromiter(
-            (assigned.get(d, -1) for d in ids), dtype=np.int64, count=m
-        )
-        w2v = np.asarray(w2_blk[i0:stop_at], dtype=np.float64)
+        rows = block_rows[i0:stop_at]
+        cur = self._assigned[rows]
+        w2v = w2_blk[i0:stop_at]
         G = self._gain_a[:, None] * STv
         G += self._gain_b[:, None]
         asg = cur >= 0
@@ -438,11 +439,8 @@ class MatrixEngine(EngineBase):
             G[c, j] = g_own
         best0 = np.argmax(G, axis=0)
         gain0 = G[best0, np.arange(m)]
-        # same membership-set gate as the sequential path (base.py)
-        empty_docs = self._empty_docs
-        empty = np.fromiter(
-            (d in empty_docs for d in ids), dtype=bool, count=m
-        )
+        # same empty-vector gate as the sequential path
+        empty = self._empty[rows]
         join = gain0 > 0.0
         moved = np.where(asg, (best0 != cur) | ~join, join & ~empty)
         movers = np.flatnonzero(moved)
@@ -458,17 +456,13 @@ class MatrixEngine(EngineBase):
         best_out[i0:i0 + stop] = b_seg
         gain_out[i0:i0 + stop] = g_seg
         # the reference loop's remove+re-add cycles a stationary doc to
-        # the end of its cluster's member dict; preserve that order so
-        # members() stays identical to the dense oracle's
-        members = self._members
-        cur_l = cur[:stop].tolist()
-        for off in range(stop):
-            cluster_id = cur_l[off]
-            if cluster_id >= 0:
-                doc_id = ids[off]
-                cluster_members = members[cluster_id]
-                del cluster_members[doc_id]
-                cluster_members[doc_id] = None
+        # the end of its cluster's members, in sweep order; new stamps
+        # keep members() identical to the dense oracle's
+        stationary = rows[:stop][asg[:stop]]
+        self._stamp[stationary] = np.arange(
+            self._clock, self._clock + stationary.size, dtype=np.int64
+        )
+        self._clock += stationary.size
         return stop
 
     # -- global queries ---------------------------------------------------
@@ -498,24 +492,22 @@ class MatrixEngine(EngineBase):
     def clustering_index(self) -> float:
         return float(sum(self.contributions()))
 
-    def members(self) -> List[List[str]]:
-        return [list(members.keys()) for members in self._members]
+    def members(self) -> List[IntArray]:
+        rows = np.flatnonzero(self._assigned >= 0)
+        clusters = self._assigned[rows]
+        rows = rows[np.lexsort((self._stamp[rows], clusters))]
+        sizes = np.bincount(clusters, minlength=self.k)
+        return np.split(rows, np.cumsum(sizes)[:-1])
 
-    def self_similarity(self, doc_id: str) -> float:
-        return self._w2[self._row[doc_id]]
+    def self_similarity(self, row: int) -> float:
+        return float(self._w2[row])
 
     def _support(self) -> BoolArray:
         """``K × T`` mask of the terms some member of each cluster
         carries: the membership matrix times ``X``'s sparsity pattern."""
-        counts = [len(members) for members in self._members]
-        clusters = np.repeat(np.arange(self.k, dtype=np.int64), counts)
-        rows = np.fromiter(
-            (self._row[doc_id] for members in self._members
-             for doc_id in members),
-            dtype=np.int64, count=clusters.size,
-        )
+        rows = np.flatnonzero(self._assigned >= 0)
         membership = _sp.csr_matrix(
-            (np.ones(rows.size), (clusters, rows)),
+            (np.ones(rows.size), (self._assigned[rows], rows)),
             shape=(self.k, self._X.shape[0]),
         )
         X = self._X

@@ -18,13 +18,18 @@ pass their oracle); the algorithm logic exists exactly once here and
 drives whichever engine it is given. Each iteration's assignment sweep
 goes through the engine's batched ``best_gains`` so the engine can
 answer a whole pass with matrix products.
+
+Inside a fit a document is its row of the fit's CSR batch: the engine,
+the outlier list and the repair moves all hold rows. Doc ids are mapped
+to rows once on entry (the warm start's ``initial_assignment``) and
+back once, when the :class:`~repro.core.ClusteringResult` is built.
 """
 
 from __future__ import annotations
 
 import random
 import time as time_module
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -65,10 +70,6 @@ class NoveltyKMeans:
         sweeps, the library's one engine) unless the parity suites pass
         their reference engine here. Its ``name`` tags spans and
         checkpoints.
-    reseed_empty:
-        When True (default), a cluster that lost all members is
-        re-seeded with the strongest outlier at the end of the pass,
-        keeping K live clusters as the paper assumes.
     criterion:
         Assignment gain criterion for step 1(b) of Section 4.3:
 
@@ -109,8 +110,9 @@ class NoveltyKMeans:
     recorder:
         Observability sink (:mod:`repro.obs`). Defaults to the ambient
         recorder (a no-op unless one was installed). When enabled,
-        every fit emits vectorisation/per-pass spans, per-iteration
-        ``G`` and outlier gauges, and reseed/rescue/split counters.
+        every fit emits vectorisation, engine-build, warm-start and
+        per-pass spans, per-iteration ``G`` and outlier gauges, and
+        reseed/rescue/split counters.
     """
 
     def __init__(
@@ -120,7 +122,6 @@ class NoveltyKMeans:
         max_iterations: int = 30,
         seed: Optional[int] = None,
         engine: EngineClass = MatrixEngine,
-        reseed_empty: bool = True,
         criterion: str = "g",
         rescue_outliers: bool = False,
         recorder: Optional[Recorder] = None,
@@ -134,7 +135,6 @@ class NoveltyKMeans:
         self.engine = require_callable(
             "engine", engine, "an engine class such as MatrixEngine"
         )
-        self.reseed_empty = bool(reseed_empty)
         if criterion not in ("g", "avg"):
             raise ConfigurationError(
                 f"criterion must be 'g' or 'avg', got {criterion!r}"
@@ -186,7 +186,7 @@ class NoveltyKMeans:
         docs = list(documents)
         vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
         backend = self.engine(self.k, vectors, self.criterion)
-        self._warm_start(backend, docs, vectors, assignment, {})
+        self._warm_start(backend, vectors, assignment)
         backend.refresh()
         return backend.freeze()
 
@@ -194,7 +194,7 @@ class NoveltyKMeans:
         self,
         documents: Sequence[Document],
         statistics: CorpusStatistics,
-        initial_assignment: Optional[Dict[str, int]],
+        initial_assignment: Optional[Mapping[str, int]],
         span: Span,
     ) -> Tuple[ClusteringResult, Engine]:
         start = time_module.perf_counter()
@@ -213,17 +213,17 @@ class NoveltyKMeans:
             # rescue and split repair work on them too
             vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
 
-        backend = self.engine(self.k, vectors, self.criterion)
-        assignment: Dict[str, int] = {}
-        if initial_assignment is not None:
-            self._warm_start(backend, docs, vectors, initial_assignment,
-                             assignment)
-        else:
-            self._random_seeds(backend, docs, vectors, assignment)
+        with Span(recorder, "kmeans.engine_build"):
+            backend = self.engine(self.k, vectors, self.criterion)
+        with Span(recorder, "kmeans.warm_start"):
+            if initial_assignment is not None:
+                self._warm_start(backend, vectors, initial_assignment)
+            else:
+                self._random_seeds(backend, vectors)
 
         g_old = backend.clustering_index()
         history: List[float] = []
-        outliers: List[str] = []
+        outliers: List[int] = []
         converged = False
         iterations = 0
 
@@ -231,22 +231,16 @@ class NoveltyKMeans:
             with Span(recorder, "kmeans.pass",
                       {"iteration": iterations,
                        "engine": self.engine.name}):
-                outliers = self._assignment_pass(backend, docs, assignment)
-                reseeded = 0
-                if self.reseed_empty:
-                    reseeded = self._reseed_empty_clusters(
-                        backend, outliers, assignment
-                    )
+                outliers = self._assignment_pass(backend, len(docs))
+                reseeded = self._reseed_empty_clusters(backend, outliers)
                 rescued = split = False
                 if self.rescue_outliers:
                     if outliers:
                         rescued = self._rescue_outliers(
-                            backend, vectors, outliers, assignment
+                            backend, vectors, outliers
                         )
                     if not rescued:
-                        split = self._split_repair(
-                            backend, vectors, assignment
-                        )
+                        split = self._split_repair(backend, vectors)
                 backend.refresh()
                 g_new = backend.clustering_index()
             history.append(g_new)
@@ -270,9 +264,13 @@ class NoveltyKMeans:
         span.tags.update(engine=self.engine.name, criterion=self.criterion,
                          docs=len(docs), iterations=iterations,
                          converged=converged)
+        doc_ids = vectors.doc_ids
         return ClusteringResult(
-            clusters=tuple(tuple(m) for m in backend.members()),
-            outliers=tuple(outliers),
+            clusters=tuple(
+                tuple(doc_ids[row] for row in rows.tolist())
+                for rows in backend.members()
+            ),
+            outliers=tuple(doc_ids[row] for row in outliers),
             clustering_index=history[-1] if history else g_old,
             index_history=tuple(history),
             iterations=iterations,
@@ -284,81 +282,60 @@ class NoveltyKMeans:
     # -- phases ------------------------------------------------------------
 
     def _random_seeds(
-        self,
-        backend: Engine,
-        docs: Sequence[Document],
-        vectors: WeightedVectorArrays,
-        assignment: Dict[str, int],
+        self, backend: Engine, vectors: WeightedVectorArrays
     ) -> None:
         """Initial process step 1: K random singleton clusters."""
         rng = random.Random(self.seed)
-        empty = set(vectors.empty_doc_ids())
-        candidates = [d.doc_id for d in docs if d.doc_id not in empty]
+        candidates = np.flatnonzero(np.diff(vectors.indptr) > 0).tolist()
         if not candidates:
             raise ClusteringError(
                 "no document has a non-zero vector; nothing to cluster"
             )
         seeds = rng.sample(candidates, min(self.k, len(candidates)))
-        for cluster_id, doc_id in enumerate(seeds):
-            backend.add(cluster_id, doc_id)
-            assignment[doc_id] = cluster_id
+        for cluster_id, row in enumerate(seeds):
+            backend.add(cluster_id, row)
 
     def _warm_start(
         self,
         backend: Engine,
-        docs: Sequence[Document],
         vectors: WeightedVectorArrays,
-        initial_assignment: Dict[str, int],
-        assignment: Dict[str, int],
+        initial_assignment: Mapping[str, int],
     ) -> None:
         """Section 5.2 step 3: previous clusters as initial clusters."""
-        known = {doc.doc_id for doc in docs}
-        empty = set(vectors.empty_doc_ids())
+        row_of = {doc_id: row
+                  for row, doc_id in enumerate(vectors.doc_ids)}
+        empty = (np.diff(vectors.indptr) == 0).tolist()
         for doc_id, cluster_id in initial_assignment.items():
-            if doc_id not in known:
+            row = row_of.get(doc_id)
+            if row is None:
                 continue
             if not 0 <= cluster_id < self.k:
                 raise ConfigurationError(
                     f"initial assignment of {doc_id!r} to cluster "
                     f"{cluster_id} outside [0, {self.k})"
                 )
-            if doc_id in empty:
-                continue
-            backend.add(cluster_id, doc_id)
-            assignment[doc_id] = cluster_id
+            if not empty[row]:
+                backend.add(cluster_id, row)
 
-    def _assignment_pass(
-        self,
-        backend: Engine,
-        docs: Sequence[Document],
-        assignment: Dict[str, int],
-    ) -> List[str]:
-        """Repetition-process step 1 over all documents; returns outliers.
+    def _assignment_pass(self, backend: Engine, n_rows: int) -> List[int]:
+        """Repetition-process step 1 over all rows; returns the outliers.
 
         The whole sweep is handed to the engine as one batched
         ``best_gains`` call (each document: leave its cluster, probe
         Eq. 26 against every cluster, join the best positive-gain one)
         so vectorised engines can answer it with matrix products.
         """
-        doc_ids = [doc.doc_id for doc in docs]
         if self.recorder.enabled:
-            self.recorder.gauge("kmeans.batch_size", len(doc_ids),
+            self.recorder.gauge("kmeans.batch_size", n_rows,
                                 engine=self.engine.name)
-        decisions = backend.best_gains(doc_ids)
-        outliers: List[str] = []
-        for doc_id, (cluster_id, gain) in zip(doc_ids, decisions):
-            if cluster_id >= 0 and gain > 0.0:
-                assignment[doc_id] = cluster_id
-            else:
-                assignment.pop(doc_id, None)
-                outliers.append(doc_id)
+        best, gain = backend.best_gains(np.arange(n_rows, dtype=np.int64))
+        outliers: List[int] = np.flatnonzero(
+            ~((best >= 0) & (gain > 0.0))
+        ).tolist()
         return outliers
 
     def _reseed_empty_clusters(
-        self,
-        backend: Engine,
-        outliers: List[str],
-        assignment: Dict[str, int],
+        self, backend: Engine, outliers: List[int]
     ) -> int:
         """Seed emptied clusters with the strongest remaining outliers.
 
@@ -367,33 +344,22 @@ class NoveltyKMeans:
         empty = [cid for cid, size in enumerate(backend.sizes()) if size == 0]
         if not empty or not outliers:
             return 0
-        ranked = sorted(
-            outliers,
-            key=lambda doc_id: backend.self_similarity(doc_id),
-            reverse=True,
-        )
-        seeded: Set[str] = set()
-        next_rank = 0
-        for cluster_id in empty:
-            if next_rank >= len(ranked):
+        ranked = sorted(outliers, key=backend.self_similarity, reverse=True)
+        seeded: Set[int] = set()
+        for cluster_id, row in zip(empty, ranked):
+            if backend.self_similarity(row) <= 0.0:
                 break
-            doc_id = ranked[next_rank]
-            next_rank += 1
-            if backend.self_similarity(doc_id) <= 0.0:
-                break
-            backend.add(cluster_id, doc_id)
-            assignment[doc_id] = cluster_id
-            seeded.add(doc_id)
+            backend.add(cluster_id, row)
+            seeded.add(row)
         if seeded:
-            outliers[:] = [d for d in outliers if d not in seeded]
+            outliers[:] = [r for r in outliers if r not in seeded]
         return len(seeded)
 
     def _rescue_outliers(
         self,
         backend: Engine,
         vectors: WeightedVectorArrays,
-        outliers: List[str],
-        assignment: Dict[str, int],
+        outliers: List[int],
     ) -> bool:
         """Swap the weakest cluster for a cluster grown from outliers.
 
@@ -403,9 +369,8 @@ class NoveltyKMeans:
         live cluster's. Returns True when a swap happened.
         """
         ranked = sorted(
-            (doc_id for doc_id in outliers
-             if backend.self_similarity(doc_id) > 0.0),
-            key=lambda doc_id: backend.self_similarity(doc_id),
+            (row for row in outliers if backend.self_similarity(row) > 0.0),
+            key=backend.self_similarity,
             reverse=True,
         )
         if len(ranked) < 2:
@@ -423,23 +388,21 @@ class NoveltyKMeans:
         if contribution <= contributions[weakest]:
             return False
 
-        evicted = list(backend.members()[weakest])
-        for doc_id in evicted:
-            backend.remove(weakest, doc_id)
-            del assignment[doc_id]
+        evicted: List[int] = backend.members()[weakest].tolist()
+        for row in evicted:
+            backend.remove(weakest, row)
+        for row in candidate:
+            backend.add(weakest, row)
+        # one linear rebuild instead of a list.remove per rescued row
         rescued = set(candidate)
-        for doc_id in candidate:
-            backend.add(weakest, doc_id)
-            assignment[doc_id] = weakest
-        # one linear rebuild instead of a list.remove per rescued doc
-        outliers[:] = [d for d in outliers if d not in rescued] + evicted
+        outliers[:] = [r for r in outliers if r not in rescued] + evicted
         return True
 
     @staticmethod
     def _grow_candidate(
-        vectors: WeightedVectorArrays, ranked: List[str]
-    ) -> Tuple[List[str], float]:
-        """Grow the rescue candidate over ``ranked``: the first document
+        vectors: WeightedVectorArrays, ranked: List[int]
+    ) -> Tuple[List[int], float]:
+        """Grow the rescue candidate over the rows ``ranked``: the first
         seeds it, every later one joins when its ΔG gain is positive.
 
         The candidate is one dense representative over the batch's
@@ -454,8 +417,8 @@ class NoveltyKMeans:
         data = vectors.data
         representative = np.zeros(terms.size, dtype=np.float64)
         crpp = ss = 0.0
-        members: List[str] = []
-        for doc_id, row in zip(ranked, vectors.rows(ranked).tolist()):
+        members: List[int] = []
+        for row in ranked:
             lo, hi = indptr[row], indptr[row + 1]
             row_cols = cols[lo:hi]
             row_data = data[lo:hi]
@@ -473,7 +436,7 @@ class NoveltyKMeans:
             crpp += 2.0 * s + w2
             ss += w2
             representative[row_cols] += row_data
-            members.append(doc_id)
+            members.append(row)
         n = len(members)
         if n < 2:
             return members, 0.0
@@ -483,7 +446,6 @@ class NoveltyKMeans:
         self,
         backend: Engine,
         vectors: WeightedVectorArrays,
-        assignment: Dict[str, int],
     ) -> bool:
         """Fill an empty slot by splitting a low-cohesion cluster.
 
@@ -508,39 +470,38 @@ class NoveltyKMeans:
             return False
         _, cid, moved = best
         target = empty[0]
-        for doc_id in moved:
-            backend.remove(cid, doc_id)
-            backend.add(target, doc_id)
-            assignment[doc_id] = target
+        for row in moved.tolist():
+            backend.remove(cid, row)
+            backend.add(target, row)
         return True
 
     @classmethod
     def _best_split(
         cls,
         vectors: WeightedVectorArrays,
-        members: List[List[str]],
+        members: Sequence[IntArray],
         contributions: Sequence[float],
-    ) -> Optional[Tuple[float, int, List[str]]]:
-        """``(ΔG, cluster, moved members)`` of the best positive-ΔG
-        proposed split, or None. Ties go to the lowest cluster id."""
-        best: Optional[Tuple[float, int, List[str]]] = None
-        for cid, ids in enumerate(members):
-            if len(ids) < 2:
+    ) -> Optional[Tuple[float, int, IntArray]]:
+        """``(ΔG, cluster, moved member rows)`` of the best positive-ΔG
+        proposed split of the clusters' member ``rows``, or None. Ties
+        go to the lowest cluster id."""
+        best: Optional[Tuple[float, int, IntArray]] = None
+        for cid, rows in enumerate(members):
+            if rows.size < 2:
                 continue
-            rows = vectors.rows(ids)
             owner, cols, data = vectors.gather(rows)
             moved = cls._propose_split(vectors, rows, owner, cols, data)
             if moved is None:
                 continue
             n_moved = int(np.count_nonzero(moved))
-            if n_moved == len(ids):
+            if n_moved == rows.size:
                 continue
             moved_part = moved[owner]
             kept_part = ~moved_part
             delta = (
                 cls._scratch_contribution(
                     vectors, cols[kept_part], data[kept_part],
-                    len(ids) - n_moved,
+                    rows.size - n_moved,
                 )
                 + cls._scratch_contribution(
                     vectors, cols[moved_part], data[moved_part], n_moved,
@@ -548,8 +509,7 @@ class NoveltyKMeans:
                 - contributions[cid]
             )
             if delta > 1e-18 and (best is None or delta > best[0]):
-                best = (delta, cid,
-                        [ids[i] for i in np.flatnonzero(moved).tolist()])
+                best = (delta, cid, rows[moved])
         return best
 
     @staticmethod

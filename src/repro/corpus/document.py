@@ -19,6 +19,18 @@ from .._typing import FloatArray, IntArray
 from .._validation import require_finite
 
 
+def check_identity(doc_id: object, timestamp: object) -> None:
+    """Raise unless ``doc_id`` is a non-empty string and ``timestamp`` a
+    finite number: the checks :class:`Document` makes of its fields."""
+    if not isinstance(doc_id, str):
+        raise TypeError(f"doc_id must be a string, got {doc_id!r}")
+    if not doc_id:
+        raise ValueError("doc_id must be a non-empty string")
+    if not isinstance(timestamp, (int, float)):
+        raise TypeError("timestamp must be a number (fractional days)")
+    require_finite(f"timestamp of document {doc_id!r}", timestamp)
+
+
 @dataclass(frozen=True)
 class Document:
     """An immutable timestamped document.
@@ -47,16 +59,7 @@ class Document:
     _length: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.doc_id, str):
-            raise TypeError(
-                f"doc_id must be a string, got {self.doc_id!r}"
-            )
-        if not self.doc_id:
-            raise ValueError("doc_id must be a non-empty string")
-        if not isinstance(self.timestamp, (int, float)):
-            raise TypeError("timestamp must be a number (fractional days)")
-        require_finite(f"timestamp of document {self.doc_id!r}",
-                       self.timestamp)
+        check_identity(self.doc_id, self.timestamp)
         counts: Dict[int, int] = {}
         for term_id, count in dict(self.term_counts).items():
             if count < 0:

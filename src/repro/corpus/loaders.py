@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Iterable, List, Mapping, Optional, Union
 
 from ..text import TextPipeline, Vocabulary
-from .document import Document
+from .document import Document, check_identity
 
 PathLike = Union[str, Path]
 
@@ -53,10 +53,12 @@ def record_to_document(
     and loaded JSONL lines, checkpoints and journal entries all come
     through it. ``doc_id`` must be a non-empty string and the timestamp
     finite (:class:`Document` checks both); each term must be a
-    non-empty string and each count an ``int`` — not a ``bool``, and
-    not a float such as 2.9, which would otherwise be truncated.
-    Raises ``KeyError`` for a missing field, ``ValueError`` or
-    ``TypeError`` for a malformed one.
+    non-empty string and each count an ``int`` of at least 1 — not a
+    ``bool``, and not a float such as 2.9, which would otherwise be
+    truncated. Terms are interned only once every field has passed, so
+    a rejected record leaves ``vocabulary`` as it was. Raises
+    ``KeyError`` for a missing field, ``ValueError`` or ``TypeError``
+    for a malformed one.
     """
     terms = record["terms"]
     if not isinstance(terms, Mapping):
@@ -68,9 +70,16 @@ def record_to_document(
             raise ValueError(
                 f"count {count!r} of term {term!r} is not an integer"
             )
+        if count < 1:
+            raise ValueError(
+                f"count {count!r} of term {term!r} is not positive"
+            )
+    doc_id = record["doc_id"]
+    timestamp = float(record["timestamp"])
+    check_identity(doc_id, timestamp)
     return Document(
-        doc_id=record["doc_id"],
-        timestamp=float(record["timestamp"]),
+        doc_id=doc_id,
+        timestamp=timestamp,
         term_counts={
             vocabulary.add(term): count for term, count in terms.items()
         },

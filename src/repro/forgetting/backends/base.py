@@ -80,20 +80,14 @@ class StatisticsBackend(Protocol):
         ``weight · f_ik / len_i`` per Eq. 10's numerator.
         """
 
-    def remove(self, doc: Document) -> Tuple[float, bool]:
-        """Reverse one document's contributions.
-
-        Returns ``(weight_removed, tdw_clamped)`` — the flag is True
-        when float residue drove ``tdw`` negative and it was clamped
-        back to 0.0 (the owner emits an obs counter for that).
-        """
-
     def remove_batch(self, docs: Sequence[Document]) -> bool:
-        """Reverse many documents' contributions in one pass.
+        """Reverse ``docs``' contributions (the expiry path passes a
+        whole cohort, :meth:`CorpusStatistics.remove` a cohort of one).
 
-        Semantically ``any(remove(doc)[1] for doc in docs)`` — returns
-        whether any ``tdw`` clamp fired — but lets array backends batch
-        the term-mass reversal (the expiry path removes whole cohorts).
+        ``tdw`` is reduced one document at a time, in order. Returns
+        True when float residue drove it negative and it was clamped
+        back to 0.0 (the owner emits an obs counter for that). Array
+        backends batch the term-mass reversal.
         """
 
     def expired_doc_ids(self, epsilon: float) -> List[str]:

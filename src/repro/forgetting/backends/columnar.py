@@ -173,6 +173,37 @@ class ColumnarStatisticsBackend:
             if doc_id is not None
         }
 
+    def _term_runs(
+        self, docs: Sequence[Document], weights: FloatArray
+    ) -> Optional[Tuple[IntArray, FloatArray]]:
+        """``(term_ids, values)`` of ``docs``' term runs, concatenated:
+        each count times ``weight / (scale · len)`` (Eq. 10's numerator
+        under the lazy mass scale), elementwise — the exact grouping of
+        the dict reference's per-term update. None when no document
+        has terms."""
+        lengths = np.fromiter(
+            (doc.length for doc in docs), dtype=np.float64, count=len(docs)
+        )
+        has_terms = lengths > 0.0
+        if not has_terms.any():
+            return None
+        if has_terms.all():
+            inv_scales = weights / (self._mass_scale * lengths)
+            parts = [doc.term_arrays() for doc in docs]
+        else:
+            keep = np.flatnonzero(has_terms)
+            inv_scales = weights[keep] / (self._mass_scale * lengths[keep])
+            parts = [docs[i].term_arrays() for i in keep.tolist()]
+        lens = np.fromiter(
+            (term_ids.size for term_ids, _ in parts),
+            dtype=np.int64, count=len(parts),
+        )
+        all_terms = np.concatenate([term_ids for term_ids, _ in parts])
+        all_values = np.concatenate(
+            [counts for _, counts in parts]
+        ) * np.repeat(inv_scales, lens)
+        return all_terms, all_values
+
     # -- mutations ---------------------------------------------------------
 
     def decay(self, factor: float) -> None:
@@ -228,83 +259,27 @@ class ColumnarStatisticsBackend:
         lowest = float(weights.min())
         if lowest < self._min_dw:
             self._min_dw = lowest
-        lengths = np.fromiter(
-            (doc.length for doc, _ in entries), dtype=np.float64, count=n
-        )
-        has_terms = lengths > 0.0
-        if not has_terms.any():
+        runs = self._term_runs([doc for doc, _ in entries], weights)
+        if runs is None:
             return
-        if has_terms.all():
-            # weight / (scale * length) elementwise — the exact
-            # expression grouping of the dict reference, batched
-            inv_scales = weights / (self._mass_scale * lengths)
-            parts = [doc.term_arrays() for doc, _ in entries]
-        else:
-            keep = np.flatnonzero(has_terms)
-            inv_scales = weights[keep] / (self._mass_scale * lengths[keep])
-            parts = [entries[i][0].term_arrays() for i in keep.tolist()]
-        term_parts = [term_ids for term_ids, _ in parts]
-        lens = np.fromiter(
-            (term_ids.size for term_ids in term_parts),
-            dtype=np.int64, count=len(term_parts),
-        )
-        all_terms = np.concatenate(term_parts)
-        # count * inv_scale elementwise — the same product as the
-        # dict reference's per-term add, batched over the whole run
-        all_values = np.concatenate(
-            [counts for _, counts in parts]
-        ) * np.repeat(inv_scales, lens)
+        all_terms, all_values = runs
         cols = self._intern(all_terms)
         np.add.at(self._mass_raw, cols, all_values)
-
-    def remove(self, doc: Document) -> Tuple[float, bool]:
-        row = self._doc_row.pop(doc.doc_id)
-        weight = float(self._dw_raw[row]) * self._dw_scale
-        self._row_doc[row] = None
-        self._dw_raw[row] = 0.0
-        self._active[row] = False
-        self.tdw -= weight
-        clamped = False
-        if self.tdw < 0.0:
-            self.tdw = 0.0
-            clamped = True
-        if doc.length:
-            term_ids, counts = doc.term_arrays()
-            cols = self._lookup_cols(term_ids)
-            known = cols >= 0
-            if not known.all():
-                cols = cols[known]
-                counts = counts[known]
-            inv_scale = weight / (self._mass_scale * doc.length)
-            np.subtract.at(self._mass_raw, cols, counts * inv_scale)
-            # the dict reference deletes masses driven <= 0 by float
-            # residue; zeroing the column is the array equivalent
-            residues = self._mass_raw[cols]
-            negative = residues <= 0.0
-            if negative.any():
-                self._mass_raw[cols[negative]] = 0.0
-        if not self._doc_row:
-            self._reset_empty()
-        else:
-            self._maybe_compact_rows()
-        return weight, clamped
 
     def remove_batch(self, docs: Sequence[Document]) -> bool:
         """Reverse many documents in one pass; True if ``tdw`` clamped.
 
         The expiry path removes whole cohorts at once, so the term-mass
-        reversal is batched into a single scatter-subtract instead of
-        one column lookup per document. ``tdw`` keeps the per-document
-        scalar subtraction order of :meth:`remove`.
+        reversal is batched into a single scatter-subtract. ``tdw``
+        keeps the per-document scalar subtraction order of the dict
+        reference.
         """
         if not docs:
             return False
-        n = len(docs)
         pop_row = self._doc_row.pop
         rows = [pop_row(doc.doc_id) for doc in docs]
         row_arr = np.asarray(rows, dtype=np.int64)
-        # raw * scale elementwise — the same product remove() computes
-        # per document, so weights match the one-at-a-time path exactly
+        # raw * scale elementwise, the dict reference's weights exactly
         weights = self._dw_raw[row_arr] * self._dw_scale
         row_doc = self._row_doc
         for row in rows:
@@ -312,7 +287,7 @@ class ColumnarStatisticsBackend:
         self._dw_raw[row_arr] = 0.0
         self._active[row_arr] = False
         # scalar subtractions in document order keep tdw (and the
-        # clamp points) bit-identical to repeated remove() calls
+        # clamp points) bit-identical to one removal at a time
         clamped = False
         tdw = self.tdw
         for weight in weights.tolist():
@@ -321,35 +296,17 @@ class ColumnarStatisticsBackend:
                 tdw = 0.0
                 clamped = True
         self.tdw = tdw
-        lengths = np.fromiter(
-            (doc.length for doc in docs), dtype=np.float64, count=n
-        )
-        has_terms = lengths > 0.0
-        if has_terms.any():
-            if has_terms.all():
-                inv_scales = weights / (self._mass_scale * lengths)
-                parts = [doc.term_arrays() for doc in docs]
-            else:
-                keep = np.flatnonzero(has_terms)
-                inv_scales = (
-                    weights[keep] / (self._mass_scale * lengths[keep])
-                )
-                parts = [docs[i].term_arrays() for i in keep.tolist()]
-            term_parts = [term_ids for term_ids, _ in parts]
-            lens = np.fromiter(
-                (term_ids.size for term_ids in term_parts),
-                dtype=np.int64, count=len(term_parts),
-            )
-            all_terms = np.concatenate(term_parts)
-            all_values = np.concatenate(
-                [counts for _, counts in parts]
-            ) * np.repeat(inv_scales, lens)
+        runs = self._term_runs(docs, weights)
+        if runs is not None:
+            all_terms, all_values = runs
             cols = self._lookup_cols(all_terms)
             known = cols >= 0
             if not known.all():
                 cols = cols[known]
                 all_values = all_values[known]
             np.subtract.at(self._mass_raw, cols, all_values)
+            # the dict reference deletes masses driven <= 0 by float
+            # residue; zeroing the column is the array equivalent
             residues = self._mass_raw[cols]
             negative = residues <= 0.0
             if negative.any():

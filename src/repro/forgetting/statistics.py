@@ -266,7 +266,7 @@ class CorpusStatistics:
             raise UnknownDocumentError(
                 f"document {doc_id!r} not tracked"
             ) from None
-        _, tdw_clamped = self._backend.remove(doc)
+        tdw_clamped = self._backend.remove_batch([doc])
         if tdw_clamped and self.recorder.enabled:
             # float residue drove tdw negative; the clamp keeps the
             # probabilities well-defined but is worth counting — a

@@ -5,16 +5,21 @@
 builds: one flat ``(indptr, term_ids, data)`` CSR layout over the whole
 batch. It is what every K-means fit vectorises into, and the only input
 engines accept: they consume the flat arrays directly, with no per-term
-Python loop between vectorisation and the engine's matrix build. The K-means outlier
-rescue and split repair read whole clusters' rows on most passes, so
-they work on the flat arrays too (:meth:`~WeightedVectorArrays.gather` and
+Python loop between vectorisation and the engine's matrix build.
+
+Inside a fit a document is its row: engines, outlier rescue and split
+repair all speak row numbers, and ``doc_ids`` turns them back into ids
+once, when the result is built. The batch therefore keeps no
+id-to-row index. Rescue and split repair read whole clusters' rows on
+most passes, so they work on the flat arrays too
+(:meth:`~WeightedVectorArrays.gather` and
 :meth:`~WeightedVectorArrays.row` over the batch's compact
 :meth:`~WeightedVectorArrays.columns`) and never build a dict.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +47,8 @@ class WeightedVectorArrays:
         has them from its idf lookup); computed on first use otherwise.
     """
 
-    __slots__ = ("doc_ids", "indptr", "term_ids", "data", "_index",
-                 "_columns", "_self_dots")
+    __slots__ = ("doc_ids", "indptr", "term_ids", "data", "_columns",
+                 "_self_dots")
 
     def __init__(
         self,
@@ -57,39 +62,19 @@ class WeightedVectorArrays:
         self.indptr = indptr
         self.term_ids = term_ids
         self.data = data
-        self._index: Dict[str, int] = {
-            doc_id: row for row, doc_id in enumerate(self.doc_ids)
-        }
         self._columns = columns
         self._self_dots: Optional[FloatArray] = None
 
-    # -- container of doc ids ---------------------------------------------
-
     def __len__(self) -> int:
         return len(self.doc_ids)
-
-    def __contains__(self, doc_id: object) -> bool:
-        return doc_id in self._index
 
     # -- array access ----------------------------------------------------
 
     def csr_parts(
         self,
     ) -> Tuple[List[str], IntArray, IntArray, FloatArray]:
-        """``(doc_ids, indptr, term_ids, data)`` — the engine fast path."""
+        """``(doc_ids, indptr, term_ids, data)`` in one call."""
         return self.doc_ids, self.indptr, self.term_ids, self.data
-
-    def empty_doc_ids(self) -> List[str]:
-        """Ids of documents with zero stored components."""
-        lengths = np.diff(self.indptr)
-        return [self.doc_ids[row]
-                for row in np.flatnonzero(lengths == 0).tolist()]
-
-    def rows(self, doc_ids: Sequence[str]) -> IntArray:
-        """Row index of each of ``doc_ids``, in order."""
-        index = self._index
-        return np.fromiter((index[doc_id] for doc_id in doc_ids),
-                           dtype=np.int64, count=len(doc_ids))
 
     def columns(self) -> Tuple[IntArray, IntArray]:
         """``(terms, cols)``: the batch's distinct term ids, ascending,

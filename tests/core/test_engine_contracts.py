@@ -16,6 +16,7 @@ clustering loop:
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import CorpusStatistics, ForgettingModel, NoveltyKMeans
@@ -27,6 +28,20 @@ from tests.oracles.vectors import as_arrays
 
 ENGINES = (DenseEngine, MatrixEngine)
 NAMES = [engine.name for engine in ENGINES]
+
+
+def row_index(vectors):
+    """``{doc_id: row}`` of the batch ``as_arrays(vectors)`` builds."""
+    return {doc_id: row for row, doc_id in enumerate(vectors)}
+
+
+def sweep(engine, vectors, doc_ids):
+    """``engine.best_gains`` over ``doc_ids``, as (cluster, gain) pairs."""
+    index = row_index(vectors)
+    best, gain = engine.best_gains(
+        np.array([index[d] for d in doc_ids], dtype=np.int64)
+    )
+    return list(zip(best.tolist(), gain.tolist()))
 
 
 class TestBlockCacheBound:
@@ -44,10 +59,10 @@ class TestBlockCacheBound:
         # 25 distinct window starts → 25 distinct block keys; an
         # unbounded cache would hold one dense Gram block per key
         for start in range(25):
-            engine.best_gains(doc_ids[start:start + 16])
+            sweep(engine, vectors, doc_ids[start:start + 16])
             assert len(engine._block_cache) <= limit
         # the steady-state full sweep still fits and still works
-        decisions = engine.best_gains(doc_ids)
+        decisions = sweep(engine, vectors, doc_ids)
         assert len(decisions) == n_docs
         assert len(engine._block_cache) <= limit
 
@@ -57,7 +72,7 @@ class TestBlockCacheBound:
             for i in range(32)
         }
         engine = MatrixEngine(4, as_arrays(vectors), "g", block_size=8)
-        engine.best_gains(list(vectors))
+        sweep(engine, vectors, list(vectors))
         # the cache exists to serve repeated full sweeps: all four
         # blocks of one pass must be resident at once
         assert len(engine._block_cache) == 4
@@ -74,12 +89,13 @@ class TestEmptyDocContract:
             "tiny": SparseVector({0: 1e-200, 2: 1e-200}),
         }
         order = ["empty", "tiny"]
+        row = row_index(vectors)
         decisions = {}
         for engine_class in ENGINES:
             engine = engine_class(2, as_arrays(vectors), "g")
-            engine.add(0, "topical")
-            engine.add(1, "other")
-            decisions[engine_class] = engine.best_gains(order)
+            engine.add(0, row["topical"])
+            engine.add(1, row["other"])
+            decisions[engine_class] = sweep(engine, vectors, order)
         reference = decisions[DenseEngine]
         assert reference[0] == (-1, NO_GAIN)
         assert reference[1][0] == 0 and reference[1][1] > 0.0
@@ -98,15 +114,16 @@ class TestEmptyDocContract:
         vectors["tiny"] = SparseVector({0: 1e-200})
         vectors["empty"] = SparseVector({})
         order = list(vectors)
+        row = row_index(vectors)
         decisions = {}
         for engine_class in ENGINES:
             engine = engine_class(3, as_arrays(vectors), "g")
             for i in range(30):
-                engine.add(i % 3, f"d{i:02d}")
+                engine.add(i % 3, row[f"d{i:02d}"])
             # two identical passes: the second is net-stationary, which
             # is what the speculation path accelerates
-            engine.best_gains(order)
-            decisions[engine_class] = engine.best_gains(order)
+            sweep(engine, vectors, order)
+            decisions[engine_class] = sweep(engine, vectors, order)
         reference = decisions[DenseEngine]
         assert reference[order.index("empty")] == (-1, NO_GAIN)
         assert reference[order.index("tiny")][0] != -1
@@ -131,26 +148,29 @@ class TestMembershipConservation:
             "loner": SparseVector({9: 1.0}),
             "empty": SparseVector({}),
         }
+        row = row_index(vectors)
         engine = engine_class(2, as_arrays(vectors), "g")
-        engine.add(0, "a")
-        engine.add(0, "b")
-        engine.add(1, "c")
-        engine.add(1, "loner")  # warm-started into the wrong cluster
+        engine.add(0, row["a"])
+        engine.add(0, row["b"])
+        engine.add(1, row["c"])
+        engine.add(1, row["loner"])  # warm-started into the wrong cluster
         order = ["a", "b", "c", "loner", "empty"]
-        decisions = engine.best_gains(order)
-        members = engine.members()
+        decisions = sweep(engine, vectors, order)
+        doc_ids = list(vectors)
+        members = [[doc_ids[r] for r in rows.tolist()]
+                   for rows in engine.members()]
         flat = [doc for cluster in members for doc in cluster]
         assert len(flat) == len(set(flat)), "document in two clusters"
         for doc_id, (cluster_id, gain) in zip(order, decisions):
             if gain > 0.0:
                 assert doc_id in members[cluster_id]
-                assert engine.cluster_of(doc_id) == cluster_id
+                assert engine.cluster_of(row[doc_id]) == cluster_id
             else:
                 assert all(doc_id not in c for c in members), (
                     f"{doc_id} kept a stale membership after a "
                     f"novelty decision"
                 )
-                assert engine.cluster_of(doc_id) is None
+                assert engine.cluster_of(row[doc_id]) is None
         assert set(flat) | {"loner", "empty"} == set(order)
 
     @pytest.mark.parametrize("engine_class", ENGINES, ids=NAMES)
@@ -184,10 +204,11 @@ class TestFreeze:
             "b": SparseVector({3: 0.5, 11: 1.0}),
             "c": SparseVector({20: 2.0}),
         }
+        row = row_index(vectors)
         engine = engine_class(2, as_arrays(vectors), "g")
-        engine.add(0, "a")
-        engine.add(0, "b")
-        engine.add(1, "c")
+        engine.add(0, row["a"])
+        engine.add(0, row["b"])
+        engine.add(1, row["c"])
         engine.refresh()
         view = engine.freeze()
         assert view.term_ids.tolist() == [3, 8, 11, 20]
@@ -204,7 +225,7 @@ class TestFreeze:
             with pytest.raises(ValueError):
                 array[..., 0] = 1
         # later engine mutations do not reach the view
-        engine.remove(0, "b")
+        engine.remove(0, row["b"])
         assert view.sizes.tolist() == [2, 1]
         assert view.representatives[0].tolist() == [1.5, 0.5, 1.0, 0.0]
 

@@ -159,7 +159,7 @@ class TestConvergence:
 
 
 class TestOutliers:
-    def test_disconnected_document_becomes_outlier(self):
+    def test_disconnected_document_joins_no_topical_cluster(self):
         repo = build_topic_repository(days=3, docs_per_topic_per_day=2,
                                       topics=["sports", "finance"])
         # a document sharing no vocabulary with anything else
@@ -169,9 +169,13 @@ class TestOutliers:
         stats = CorpusStatistics.from_scratch(
             model, repo.documents(), at_time=3.0
         )
-        km = NoveltyKMeans(k=2, seed=2, reseed_empty=False)
-        result = km.fit(stats.documents(), stats)
-        assert "loner" in result.outliers
+        result = NoveltyKMeans(k=2, seed=2).fit(stats.documents(), stats)
+        # its gain against every topical cluster is 0.0, so it stays an
+        # outlier, unless an emptied cluster is reseeded with it: then
+        # it is alone there
+        holding = [members for members in result.clusters
+                   if "loner" in members]
+        assert "loner" in result.outliers or holding == [("loner",)]
 
     def test_empty_document_always_outlier(self):
         repo = build_topic_repository(days=3, topics=["sports"])

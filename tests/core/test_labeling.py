@@ -66,7 +66,7 @@ class TestRepresentativeTerms:
         engine = DenseEngine(1, as_arrays({
             "a": SparseVector({3: 1.0, 1: 1.0, 2: 2.0, 0: 1.0}),
         }), "g")
-        engine.add(0, "a")
+        engine.add(0, 0)  # row of "a"
         ranked = representative_terms(engine.freeze(), 0, vocabulary,
                                       limit=3)
         assert ranked == [("two", 2.0), ("zero", 1.0), ("one", 1.0)]

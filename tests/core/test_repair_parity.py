@@ -18,6 +18,7 @@ Every ΔG and contribution must agree within 1e-9 relative.
 
 import math
 
+import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,17 @@ def batch(corpus, backend=ColumnarStatisticsBackend):
     return weighter.weighted_arrays(docs), vectors, members
 
 
+def rows_of(arrays, ids):
+    """Batch rows of the doc ids ``ids``, in order."""
+    index = {doc_id: row for row, doc_id in enumerate(arrays.doc_ids)}
+    return np.array([index[doc_id] for doc_id in ids], dtype=np.int64)
+
+
+def ids_of(arrays, rows):
+    """Doc ids of the batch rows ``rows``, in order."""
+    return [arrays.doc_ids[row] for row in np.asarray(rows).tolist()]
+
+
 def noise_scale(vectors, contributions=()):
     """The magnitude float noise is measured against: the largest
     self-similarity or cluster contribution in play."""
@@ -91,7 +103,9 @@ def test_best_split_matches_dict_oracle(corpus, backend):
     scale = noise_scale(vectors, contributions)
     proposals = oracle.split_deltas(members, vectors, contributions)
     expected = oracle.best_split(members, vectors, contributions)
-    result = NoveltyKMeans._best_split(arrays, members, contributions)
+    result = NoveltyKMeans._best_split(
+        arrays, [rows_of(arrays, ids) for ids in members], contributions
+    )
 
     if result is None or expected is None:
         # only a ΔG tied with the "no split" threshold may disagree
@@ -102,6 +116,7 @@ def test_best_split_matches_dict_oracle(corpus, backend):
         return
 
     delta, cid, moved = result
+    moved = ids_of(arrays, moved)
     if cid != expected[1]:
         event("split: tie between two clusters")
         assert proposals[cid] is not None
@@ -127,7 +142,7 @@ def test_proposals_match_dict_oracle_per_cluster(corpus, backend):
     for ids in members:
         if len(ids) < 2:
             continue
-        rows = arrays.rows(ids)
+        rows = rows_of(arrays, ids)
         owner, cols, data = arrays.gather(rows)
         mask = NoveltyKMeans._propose_split(arrays, rows, owner, cols, data)
         moved = [] if mask is None else [
@@ -145,7 +160,10 @@ def test_rescue_candidate_matches_dict_oracle(corpus, backend):
     arrays, vectors, _ = batch(corpus, backend)
     ranked = sorted(vectors, key=lambda d: vectors[d].dot(vectors[d]),
                     reverse=True)
-    members, contribution = NoveltyKMeans._grow_candidate(arrays, ranked)
+    members, contribution = NoveltyKMeans._grow_candidate(
+        arrays, rows_of(arrays, ranked).tolist()
+    )
+    members = ids_of(arrays, members)
     expected, expected_contribution, gains = oracle.grow_candidate(
         vectors, ranked
     )

@@ -55,6 +55,8 @@ class TestPipelinePhases:
             "statistics.tdw",
             "statistics.vocabulary_size",
             "kmeans.vectorise",        # vectorisation span
+            "kmeans.engine_build",     # engine construction span
+            "kmeans.warm_start",       # warm start / random seeding span
             "kmeans.pass",             # one span per K-means iteration
             "kmeans.fit",
             "kmeans.g",
@@ -73,6 +75,17 @@ class TestPipelinePhases:
             == iterations
         assert len(recorder.select(name="kmeans.g", kind=GAUGE)) \
             == iterations
+
+    def test_fit_setup_spans_nest_in_each_fit(self, stream):
+        _, batches = stream
+        recorder = InMemoryRecorder()
+        clusterer = run_incremental(recorder, batches)
+        setup = ("kmeans.engine_build", "kmeans.warm_start", "kmeans.fit")
+        # a span is emitted when it closes: each fit's two setup spans
+        # close, in order, before the fit itself does
+        closed = [event.name for event in recorder.select(kind=SPAN)
+                  if event.name in setup]
+        assert closed == list(setup) * len(clusterer.history)
 
     def test_docs_observed_counts_whole_stream(self, stream):
         repo, batches = stream

@@ -1,29 +1,32 @@
 """The dense oracle engine: K×V representatives, one doc at a time.
 
 Representatives live in a dense K×V matrix and the assignment sweep is
-the sequential reference loop of :class:`~repro.core.engines.EngineBase`:
-each document leaves its cluster, its gain against *all* clusters
-(Eq. 26) is one fancy-indexed matrix-vector product, and it joins the
-winner. :class:`~repro.core.engines.MatrixEngine` must decide exactly
-as this one does.
+the paper's sequential reference loop: each document leaves its
+cluster, its gain against *all* clusters (Eq. 26) is one fancy-indexed
+matrix-vector product, and it joins the winner.
+:class:`~repro.core.engines.MatrixEngine` must decide exactly as this
+one does. Like every engine it names documents by their row of the
+batch; membership is one plain ``{row: None}`` dict per cluster, so a
+document removed and re-added moves to the end of its cluster's
+members.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro._typing import FloatArray, IntArray
 from repro.core.engines.base import (
-    EngineBase,
+    NO_GAIN,
     EngineView,
     affine_gain_coefficients,
 )
 from repro.vectors.arrays import WeightedVectorArrays
 
 
-class DenseEngine(EngineBase):
+class DenseEngine:
     """Oracle engine: K×V representative matrix, per-document gains."""
 
     name = "dense"
@@ -31,51 +34,55 @@ class DenseEngine(EngineBase):
     def __init__(
         self, k: int, vectors: WeightedVectorArrays, criterion: str
     ) -> None:
-        super().__init__(k, vectors)
+        self.k = int(k)
         self._criterion = criterion
-        self._doc_ids: Dict[str, IntArray] = {}
-        self._doc_vals: Dict[str, FloatArray] = {}
-        self._doc_w2: Dict[str, float] = {}
+        self._assigned: Dict[int, int] = {}
+        indptr = vectors.indptr
+        lens = np.diff(indptr)
+        self._empty_rows = set(np.flatnonzero(lens == 0).tolist())
         # take the batch's compact columns and sort terms within each
         # row in one global argsort (terms ascending per document), the
         # same column map and per-row order the matrix engine builds
-        doc_id_list, indptr, _, raw_vals = vectors.csr_parts()
-        n_docs = len(doc_id_list)
+        n_docs = len(vectors)
         term_id_arr, cols = vectors.columns()
         self._term_ids = np.array(term_id_arr, dtype=np.int64)
         n_terms = max(1, int(term_id_arr.size))
-        lens = np.diff(indptr)
         row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
         order = np.argsort(row_of * n_terms + cols, kind="stable")
         all_ids = cols[order]
-        all_vals = raw_vals[order]
-        for row, doc_id in enumerate(doc_id_list):
+        all_vals = vectors.data[order]
+        self._doc_ids: List[IntArray] = []
+        self._doc_vals: List[FloatArray] = []
+        self._doc_w2: List[float] = []
+        for row in range(n_docs):
             lo, hi = int(indptr[row]), int(indptr[row + 1])
-            ids = all_ids[lo:hi]
             vals = all_vals[lo:hi]
-            self._doc_ids[doc_id] = ids
-            self._doc_vals[doc_id] = vals
-            self._doc_w2[doc_id] = float(vals @ vals)
+            self._doc_ids.append(all_ids[lo:hi])
+            self._doc_vals.append(vals)
+            self._doc_w2.append(float(vals @ vals))
         self._rep = np.zeros((k, n_terms), dtype=np.float64)
         self._crpp = np.zeros(k, dtype=np.float64)
         self._ss = np.zeros(k, dtype=np.float64)
         self._sizes = np.zeros(k, dtype=np.int64)
-        self._members: List[Dict[str, None]] = [{} for _ in range(k)]
+        self._members: List[Dict[int, None]] = [{} for _ in range(k)]
 
-    def _add(self, cluster_id: int, doc_id: str) -> None:
-        ids, vals = self._doc_ids[doc_id], self._doc_vals[doc_id]
-        w2 = self._doc_w2[doc_id]
+    # -- membership -----------------------------------------------------
+
+    def add(self, cluster_id: int, row: int) -> None:
+        ids, vals = self._doc_ids[row], self._doc_vals[row]
+        w2 = self._doc_w2[row]
         dot = float(self._rep[cluster_id, ids] @ vals)
         self._crpp[cluster_id] += 2.0 * dot + w2
         self._ss[cluster_id] += w2
         self._rep[cluster_id, ids] += vals
         self._sizes[cluster_id] += 1
-        self._members[cluster_id][doc_id] = None
+        self._members[cluster_id][row] = None
+        self._assigned[row] = cluster_id
 
-    def _remove(self, cluster_id: int, doc_id: str) -> None:
-        del self._members[cluster_id][doc_id]
-        ids, vals = self._doc_ids[doc_id], self._doc_vals[doc_id]
-        w2 = self._doc_w2[doc_id]
+    def remove(self, cluster_id: int, row: int) -> None:
+        del self._members[cluster_id][row]
+        ids, vals = self._doc_ids[row], self._doc_vals[row]
+        w2 = self._doc_w2[row]
         dot = float(self._rep[cluster_id, ids] @ vals)
         self._crpp[cluster_id] += -2.0 * dot + w2
         self._ss[cluster_id] -= w2
@@ -85,9 +92,37 @@ class DenseEngine(EngineBase):
             self._rep[cluster_id, :] = 0.0
             self._crpp[cluster_id] = 0.0
             self._ss[cluster_id] = 0.0
+        self._assigned.pop(row, None)
 
-    def best_gain(self, doc_id: str) -> Tuple[int, float]:
-        ids, vals = self._doc_ids[doc_id], self._doc_vals[doc_id]
+    def cluster_of(self, row: int) -> Optional[int]:
+        return self._assigned.get(row)
+
+    # -- gain queries ---------------------------------------------------
+
+    def best_gains(self, rows: IntArray) -> Tuple[IntArray, FloatArray]:
+        """The sequential reference sweep: each row leaves its cluster,
+        probes every cluster and joins the best when its gain is
+        positive; exactly the empty-vector rows decide ``(-1, NO_GAIN)``."""
+        best_out: List[int] = []
+        gain_out: List[float] = []
+        for row in np.asarray(rows, dtype=np.int64).tolist():
+            current = self.cluster_of(row)
+            if current is not None:
+                self.remove(current, row)
+            if row in self._empty_rows:
+                best_out.append(-1)
+                gain_out.append(NO_GAIN)
+                continue
+            cluster_id, gain = self.best_gain(row)
+            if gain > 0.0:
+                self.add(cluster_id, row)
+            best_out.append(cluster_id)
+            gain_out.append(gain)
+        return (np.array(best_out, dtype=np.int64),
+                np.array(gain_out, dtype=np.float64))
+
+    def best_gain(self, row: int) -> Tuple[int, float]:
+        ids, vals = self._doc_ids[row], self._doc_vals[row]
         n = self._sizes
         cr_pq = self._rep[:, ids] @ vals
         if self._criterion == "g":
@@ -113,6 +148,8 @@ class DenseEngine(EngineBase):
             gains = avg_new - avg_cur
         best = int(np.argmax(gains))
         return best, float(gains[best])
+
+    # -- global queries -------------------------------------------------
 
     def sizes(self) -> List[int]:
         return [int(s) for s in self._sizes]
@@ -141,11 +178,12 @@ class DenseEngine(EngineBase):
                 )
         return result
 
-    def members(self) -> List[List[str]]:
-        return [list(members.keys()) for members in self._members]
+    def members(self) -> List[IntArray]:
+        return [np.array(list(members), dtype=np.int64)
+                for members in self._members]
 
-    def self_similarity(self, doc_id: str) -> float:
-        return self._doc_w2[doc_id]
+    def self_similarity(self, row: int) -> float:
+        return self._doc_w2[row]
 
     def freeze(self) -> EngineView:
         coefficients = [

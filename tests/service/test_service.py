@@ -455,8 +455,11 @@ class TestHTTP:
         {"doc_id": "d", "timestamp": 0.5, "terms": {"a": 2.9}},
         {"doc_id": "d", "timestamp": 0.5, "terms": {"a": True}},
         {"doc_id": "d", "timestamp": 0.5, "terms": {"": 1}},
+        {"doc_id": "d", "timestamp": 0.5, "terms": {"a": 0}},
+        {"doc_id": "d", "timestamp": 0.5, "terms": {"a": -1}},
+        {"doc_id": "d", "timestamp": float("nan"), "terms": {"a": 1}},
     ], ids=["int-doc-id", "empty-doc-id", "float-count", "bool-count",
-            "empty-term"])
+            "empty-term", "zero-count", "negative-count", "nan-timestamp"])
     def test_undecodable_record_is_400_and_commits_nothing(
         self, stream, record
     ):
@@ -468,6 +471,9 @@ class TestHTTP:
             server = service.serve_http(port=0)
             at_time, batch = batches[0]
             records = [document_record(d, vocabulary) for d in batch]
+            # a rejected record must not intern its terms either
+            assert "a" not in vocabulary
+            terms_before = len(service.vocabulary)
             request = urllib.request.Request(
                 server.url + "/add",
                 data=json.dumps({"documents": records + [record],
@@ -480,6 +486,7 @@ class TestHTTP:
             assert service.flush().version == 0
             assert service.batches_ingested == 0
             assert not service.errors
+            assert len(service.vocabulary) == terms_before
 
     def test_non_finite_time_is_400(self, stream):
         # float("NaN") accepts the string and json.loads a bare NaN; a

@@ -47,7 +47,7 @@ class TestWeightedArraysEquivalence:
         arrays = NoveltyTfidfWeighter(stats).weighted_arrays(docs)
         assert isinstance(arrays, WeightedVectorArrays)
         assert len(arrays) == len(docs)
-        assert docs[0].doc_id in arrays
+        assert docs[0].doc_id in arrays.doc_ids
         doc_ids, indptr, term_ids, data = arrays.csr_parts()
         assert len(indptr) == len(docs) + 1
         assert indptr[-1] == len(term_ids) == len(data)
@@ -57,7 +57,8 @@ class TestWeightedArraysEquivalence:
         docs = docs + [make_document("empty", 5.0, {})]
         stats.observe([docs[-1]], at_time=5.0)
         arrays = NoveltyTfidfWeighter(stats).weighted_arrays(docs)
-        assert arrays.empty_doc_ids() == ["empty"]
+        empty_rows = np.flatnonzero(np.diff(arrays.indptr) == 0)
+        assert [arrays.doc_ids[row] for row in empty_rows] == ["empty"]
         assert len(as_dicts(arrays)["empty"]) == 0
 
 
