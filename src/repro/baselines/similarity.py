@@ -51,14 +51,18 @@ class NoveltySimilarity:
     # -- factorised form (Eq. 16) ------------------------------------------
 
     def _vector(self, document: Document) -> Vector:
-        """Cached ``w⃗_i``: the document's CSR row, keyed by term id in
-        ``term_counts`` order."""
+        """Cached ``w⃗_i``: the document's CSR row (terms ascending),
+        keyed by term id in ``term_counts`` order, the order this
+        baseline's dot products have always summed in."""
         vector = self._vector_cache.get(document.doc_id)
         if vector is None:
             _, _, term_ids, data = self.weighter.weighted_arrays(
                 [document]
             ).csr_parts()
-            vector = dict(zip(term_ids.tolist(), data.tolist()))
+            row = dict(zip(term_ids.tolist(), data.tolist()))
+            vector = {term_id: row[term_id]
+                      for term_id in document.term_counts
+                      if term_id in row}
             self._vector_cache[document.doc_id] = vector
         return vector
 

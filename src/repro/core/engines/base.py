@@ -168,6 +168,14 @@ class Engine(Protocol):
     def remove(self, cluster_id: int, row: int) -> None:
         """Delete ``row`` from cluster ``cluster_id`` (Eq. 19-23 update)."""
 
+    def load(self, rows: IntArray, clusters: IntArray) -> None:
+        """Bulk warm start (Section 5.2 step 3) of an engine holding no
+        member: the state of one :meth:`add` of ``rows[i]`` to
+        ``clusters[i]`` per ``i``, in order, followed by
+        :meth:`refresh` — the same representatives, ``ss``, sizes and
+        member order. Raises ``ConfigurationError``, changing nothing,
+        for a cluster id outside ``[0, k)``."""
+
     def cluster_of(self, row: int) -> Optional[int]:
         """Cluster currently holding ``row`` (None when unassigned)."""
 

@@ -7,17 +7,21 @@ paper's reference loop (kept with the tests as the ``"dense"`` oracle)
 answers that with one gather per document; this engine batches the
 *whole sweep*:
 
-* all weighted document vectors live in one CSR matrix ``X`` (N×V)
-  with cached self-similarities ``w⃗_d·w⃗_d`` (the Eq. 23 summands, which
-  already fold in the ``Pr(d)/len_d`` novelty weights of Eq. 12-16),
+* all weighted document vectors live in one CSR matrix ``X`` (N×V),
+  taken as the vectoriser built it (rows already hold their terms
+  ascending), with cached self-similarities ``w⃗_d·w⃗_d`` (the Eq. 23
+  summands, which already fold in the ``Pr(d)/len_d`` novelty weights
+  of Eq. 12-16),
 * cluster representatives are dense accumulator rows ``R`` (K×V,
-  Eq. 19-20),
+  Eq. 19-20); the warm start (Section 5.2 step 3) loads them in bulk
+  as the one-hot assignment matrix times ``X`` (:meth:`MatrixEngine.load`),
 * per block of documents the representative dot products arrive as one
-  sparse-dense product ``S = X_blk · Rᵀ`` plus one intra-block Gram
-  matrix ``X_blk · X_blkᵀ`` that replays the sweep's own membership
-  moves into ``S`` exactly (when document j left/joined cluster p, the
-  later rows' similarity to p changes by ∓``w⃗_i·w⃗_j`` — a column of
-  the Gram matrix),
+  sparse-dense product ``S = X_blk · Rᵀ``, and the sweep's own
+  membership moves are replayed into ``S`` exactly from rows of the
+  intra-block Gram matrix ``X_blk · X_blkᵀ`` (when document j
+  left/joined cluster p, the later rows' similarity to p changes by
+  ∓``w⃗_i·w⃗_j``). Only movers need their Gram row, so a row is paid
+  for when its document first moves, and kept for later passes,
 * the Eq. 25-26 gain of document q against cluster p is affine in
   ``cr_sim(C_p, d_q)``, so per document the K gains are one
   fused multiply-add ``a ⊙ cr + b`` over incrementally maintained
@@ -61,9 +65,78 @@ else:
 #: small enough that the b×b Gram matrix stays cache-resident.
 DEFAULT_BLOCK_SIZE = 256
 
+#: A sweep pays a mover's Gram row with one sparse mat-vec, at about
+#: twice the cost per row of one sparse product over many rows. Every
+#: ``GRAM_CHECK_EVERY`` rows paid one by one, when more than
+#: ``GRAM_BULK_SHARE`` of the block's rows so far have needed theirs
+#: (a first pass over a reshuffled window), the block's later rows get
+#: theirs from one product instead.
+GRAM_CHECK_EVERY = 16
+GRAM_BULK_SHARE = 0.3
+
 #: Lookahead of the net-stationary fast path: bounds the work thrown
 #: away when a mover interrupts a stationary run.
 SPECULATE_WINDOW = 64
+
+
+def _row_dots(indptr: IntArray, data: FloatArray) -> FloatArray:
+    """``x⃗_r · x⃗_r`` of every CSR row, bit-equal to ``np.dot`` of the
+    row on its own (the dense oracle's self-similarity).
+
+    ``np.dot`` of two vectors is one BLAS dot whose rounding depends on
+    the vector's length, so rows are grouped by length and each group
+    is one stacked ``matmul`` of row times column, which numpy answers
+    with that same dot per row. The loop runs over distinct lengths,
+    not over rows.
+    """
+    lens = np.diff(indptr)
+    out = np.zeros(lens.size, dtype=np.float64)
+    if lens.size == 0:
+        return out
+    order = np.argsort(lens, kind="stable")
+    sorted_lens = lens[order]
+    cuts = (np.flatnonzero(np.diff(sorted_lens)) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [lens.size]):
+        length = int(sorted_lens[lo])
+        if length == 0:
+            continue
+        rows = order[lo:hi]
+        group = data[indptr[rows][:, None] + np.arange(length)]
+        out[rows] = np.matmul(group[:, None, :], group[:, :, None]).ravel()
+    return out
+
+
+class _Block:
+    """One sweep block: its rows, its slice ``Xb`` of ``X`` and the rows
+    of its Gram matrix ``Xb · Xbᵀ`` computed so far.
+
+    A Gram row is paid only for a row that moves: the sweep replays a
+    mover's Gram row into the later rows' similarities, and a row that
+    stays where it is needs none. Every row is computed as a whole and
+    is bit-equal to that row of the full product.
+    """
+
+    __slots__ = ("rows", "X", "XT", "gram", "have")
+
+    def __init__(self, rows: IntArray, X: Any) -> None:
+        self.rows = rows.copy()
+        self.X = X
+        # Xbᵀ as CSR, the operand every product below converts to;
+        # kept for one sweep of the block only (later passes seldom
+        # fill, and a block's Xbᵀ is as large as its slice of X)
+        self.XT: Any = None
+        self.gram: FloatArray = np.empty((rows.size, rows.size),
+                                         dtype=np.float64)
+        self.have: BoolArray = np.zeros(rows.size, dtype=bool)
+
+    def fill(self, positions: IntArray) -> None:
+        """Compute the Gram rows of ``positions`` in one sparse product."""
+        todo = positions[~self.have[positions]]
+        if todo.size:
+            if self.XT is None:
+                self.XT = self.X.T.tocsr()
+            self.gram[todo] = (self.X[todo] @ self.XT).toarray()
+            self.have[todo] = True
 
 
 class MatrixEngine:
@@ -97,31 +170,17 @@ class MatrixEngine:
         self._block_size = max(1, int(block_size))
 
         # the vectoriser's flat arrays and compact column map are
-        # already the matrix layout, minus the within-row term order
+        # already the matrix layout: rows hold their terms ascending
         indptr = np.asarray(vectors.indptr, dtype=np.int64)
-        raw_vals = vectors.data
         term_ids, cols = vectors.columns()
         n_docs = len(vectors)
         lens = np.diff(indptr)
         self._term_ids = np.asarray(term_ids, dtype=np.int64)
-        # sort terms within each row in one global argsort over the
-        # compact columns — terms ascending per document, the order the
-        # dense oracle stores too
         n_terms = max(1, len(term_ids))
-        row_of = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-        order = np.argsort(row_of * n_terms + cols, kind="stable")
-        indices = cols[order]
-        data = raw_vals[order]
         self._X = _sp.csr_matrix(
-            (data, indices, indptr), shape=(n_docs, n_terms)
+            (vectors.data, cols, indptr), shape=(n_docs, n_terms)
         )
-        # per-row self similarity, bit-equal to the dense oracle's
-        # (same values, same order, same contiguous np.dot)
-        self._w2 = np.array([
-            np.dot(data[indptr[r]:indptr[r + 1]],
-                   data[indptr[r]:indptr[r + 1]])
-            for r in range(n_docs)
-        ], dtype=np.float64)
+        self._w2 = _row_dots(indptr, vectors.data)
         # exactly the empty-vector rows decide (-1, NO_GAIN); gating on
         # the stored length rather than `w2 <= 0.0` keeps parity with
         # the dense oracle for non-empty vectors whose self-similarity
@@ -138,13 +197,16 @@ class MatrixEngine:
         # gain(q, p) = a[p] * cr_sim(C_p, d_q) + b[p]  (Eq. 25-26)
         self._gain_a = np.zeros(k, dtype=np.float64)
         self._gain_b = np.zeros(k, dtype=np.float64)
-        # (rows, Xb, Gb) per block-start row: X never changes within a
-        # fit, so block slices and their Gram matrices are reused by
-        # every assignment pass. LRU-bounded to the number of blocks of
-        # one full sweep — callers that probe shifting row subsets
+        # one _Block per block-start row: X never changes within a
+        # fit, so block slices and the Gram rows paid so far are reused
+        # by every assignment pass. LRU-bounded to the number of blocks
+        # of one full sweep — callers that probe shifting row subsets
         # (streaming fits, ad-hoc best_gains calls) would otherwise
         # accumulate one dense Gram block per distinct block start.
-        self._block_cache: Dict[int, Tuple[IntArray, Any, FloatArray]] = {}
+        self._block_cache: Dict[int, _Block] = {}
+        # a zero column of length T: one row of X scattered into it at
+        # a time gives that row's Gram row as one sparse mat-vec
+        self._dense_row = np.zeros(n_terms, dtype=np.float64)
         self._block_cache_limit = max(
             1, -(-max(1, n_docs) // self._block_size)
         )
@@ -200,6 +262,64 @@ class MatrixEngine:
             self._ss[cluster_id] = 0.0
         self._refresh_coeffs(cluster_id)
 
+    def load(self, rows: IntArray, clusters: IntArray) -> None:
+        """Append ``rows[i]`` to ``clusters[i]`` for every ``i``, in
+        order, on an engine holding no member: the warm start's bulk
+        form of one :meth:`add` per row followed by :meth:`refresh`.
+
+        The representatives are one product of the K×N one-hot
+        assignment matrix with ``X``. Its CSR rows list each cluster's
+        members in assignment order (a COO build would sort them), so
+        every representative entry is the sum of its members' values in
+        the order the adds would make it; ``sizes`` and ``ss`` are
+        ``np.bincount``s over the same order and ``cr_sim(C_p, C_p)``
+        is :meth:`refresh`'s. Nothing is changed when an argument is
+        rejected.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        clusters = np.asarray(clusters, dtype=np.int64)
+        n_docs = self._X.shape[0]
+        if rows.ndim != 1 or rows.shape != clusters.shape:
+            raise ConfigurationError(
+                "load needs one cluster id per row, as two 1-d arrays"
+            )
+        outside = (clusters < 0) | (clusters >= self.k)
+        if outside.any():
+            raise ConfigurationError(
+                f"cluster id {int(clusters[outside][0])} outside "
+                f"[0, {self.k})"
+            )
+        if rows.size and (
+            rows.min() < 0 or rows.max() >= n_docs
+            or np.bincount(rows, minlength=n_docs).max() > 1
+        ):
+            raise ConfigurationError(
+                f"load needs distinct rows in [0, {n_docs})"
+            )
+        if (self._assigned >= 0).any():
+            raise ConfigurationError("load needs an engine with no member")
+        sizes = np.bincount(clusters, minlength=self.k)
+        indptr = np.zeros(self.k + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        by_cluster = rows[np.argsort(clusters, kind="stable")]
+        membership = _sp.csr_matrix(
+            (np.ones(rows.size), by_cluster, indptr),
+            shape=(self.k, n_docs),
+        )
+        self._rep = np.ascontiguousarray(
+            (membership @ self._X).toarray(), dtype=np.float64
+        )
+        self._ss = np.bincount(
+            clusters, weights=self._w2[rows], minlength=self.k
+        ).tolist()
+        self._sizes = sizes.tolist()
+        self._assigned[rows] = clusters
+        self._stamp[rows] = np.arange(
+            self._clock, self._clock + rows.size, dtype=np.int64
+        )
+        self._clock += rows.size
+        self.refresh()
+
     def cluster_of(self, row: int) -> Optional[int]:
         cluster_id = int(self._assigned[row])
         return None if cluster_id < 0 else cluster_id
@@ -227,25 +347,23 @@ class MatrixEngine:
             )
         return best_out, gain_out
 
-    def _block(
-        self, block_rows: IntArray
-    ) -> Tuple[Any, FloatArray]:
-        """Block slice ``Xb`` and its Gram matrix, cached across passes.
+    def _block(self, block_rows: IntArray) -> _Block:
+        """The block of ``block_rows``, cached across passes.
 
         ``X`` is immutable for the engine's lifetime and every
-        assignment pass sweeps the documents in the same order, so the
-        (sparse-sparse, and therefore expensive) Gram products are paid
-        once per fit instead of once per iteration. The cache is LRU —
-        bounded to one full sweep's block count — so probing shifting
-        document subsets over a long-lived engine recycles entries
-        instead of accumulating a dense Gram block per block start.
+        assignment pass sweeps the documents in the same order, so a
+        block's slice and the Gram rows its movers have paid for are
+        reused by every later pass. The cache is LRU — bounded to one
+        full sweep's block count — so probing shifting document
+        subsets over a long-lived engine recycles entries instead of
+        accumulating a dense Gram block per block start.
         """
         nb = len(block_rows)
         first = int(block_rows[0])
         cached = self._block_cache.get(first)
-        if cached is not None and np.array_equal(cached[0], block_rows):
+        if cached is not None and np.array_equal(cached.rows, block_rows):
             self._block_cache[first] = self._block_cache.pop(first)
-            return cached[1], cached[2]
+            return cached
         if first + nb - 1 == int(block_rows[-1]) and np.array_equal(
             block_rows, np.arange(first, first + nb, dtype=np.int64)
         ):
@@ -254,14 +372,26 @@ class MatrixEngine:
             Xb = self._X[first:first + nb]
         else:
             Xb = self._X[block_rows]
-        Gb = (Xb @ Xb.T).toarray()
         while (
             first not in self._block_cache
             and len(self._block_cache) >= self._block_cache_limit
         ):
             self._block_cache.pop(next(iter(self._block_cache)))
-        self._block_cache[first] = (block_rows.copy(), Xb, Gb)
-        return Xb, Gb
+        block = _Block(block_rows, Xb)
+        self._block_cache[first] = block
+        return block
+
+    def _gram_row(self, block: _Block, i: int) -> None:
+        """Compute row ``i`` of the block's Gram matrix as ``Xb · x⃗_i``:
+        one sparse mat-vec whose every entry sums the same products in
+        the same (ascending term) order as the full ``Xb · Xbᵀ``, plus
+        exact zeros."""
+        ids, vals = self._row_slice(int(block.rows[i]))
+        dense = self._dense_row
+        dense[ids] = vals
+        block.gram[i] = block.X @ dense
+        dense[ids] = 0.0
+        block.have[i] = True
 
     def _sweep_block(
         self,
@@ -270,21 +400,45 @@ class MatrixEngine:
         best_out: IntArray,
         gain_out: FloatArray,
     ) -> None:
-        """One block of the assignment sweep, answered by two matmuls.
+        """One block of the assignment sweep, answered by matmuls.
 
         ``ST[p, i]`` starts as ``c⃗_p · w⃗_i`` against the block-entry
-        representatives; every membership move inside the block folds
-        the corresponding Gram row into the not-yet-processed columns,
-        so each document sees exactly the representative state the
-        sequential reference loop would have seen. Representative rows
-        themselves are updated once per block from the accumulated
-        moves (one sparse product), not per document.
+        representatives (one product); every membership move inside the
+        block folds the mover's Gram row into the not-yet-processed
+        columns, so each document sees exactly the representative state
+        the sequential reference loop would have seen. Gram rows are
+        paid per mover: the rows entering the block unassigned (they
+        join unless they are outliers) get theirs from one product up
+        front, any other row on its first move (:meth:`_gram_row`, or
+        one product for the block's later rows once most rows have
+        moved); the block keeps them for later passes. Representative
+        rows themselves are updated once per block from the
+        accumulated moves (one sparse product), not per document.
         """
         nb = len(block_rows)
-        Xb, Gb = self._block(block_rows)
+        block = self._block(block_rows)
+        Xb = block.X
+        empty_blk = self._empty[block_rows]
+        block.fill(np.flatnonzero(
+            (self._assigned[block_rows] < 0) & ~empty_blk
+        ))
+        gram, have = block.gram, block.have
+        paid = 0
+
+        def pay_gram_row(i: int) -> None:
+            # the first move of a row whose Gram row is not yet paid
+            nonlocal paid
+            paid += 1
+            if (paid % GRAM_CHECK_EVERY == 0
+                    and paid > GRAM_BULK_SHARE * (i + 1)):
+                block.fill(i + np.flatnonzero(~empty_blk[i:]))
+            if not have[i]:
+                self._gram_row(block, i)
+
         # cluster-major layout: the per-move correction touches one
-        # contiguous row slice, and Gb is exactly symmetric (sorted
-        # CSR indices), so its rows stand in for its columns
+        # contiguous row slice, and the Gram matrix is exactly
+        # symmetric (sorted CSR indices), so its rows stand in for its
+        # columns
         ST = np.ascontiguousarray(np.asarray(Xb @ self._rep.T).T)
         move_cluster: List[int] = []
         move_idx: List[int] = []
@@ -297,7 +451,7 @@ class MatrixEngine:
         rows_l = block_rows.tolist()
         w2_blk = self._w2[block_rows]
         w2_l = w2_blk.tolist()
-        empty_l = self._empty[block_rows].tolist()
+        empty_l = empty_blk.tolist()
         i = 0
         spec_fails = 0
         while i < nb:
@@ -330,7 +484,10 @@ class MatrixEngine:
                     emptied.add(current)
                 refresh_coeffs(current)
                 ST[current, i] = dot - w2
-                ST[current, i + 1:] -= Gb[i, i + 1:]
+                if i + 1 < nb:
+                    if not have[i]:
+                        pay_gram_row(i)
+                    ST[current, i + 1:] -= gram[i, i + 1:]
                 move_cluster.append(current)
                 move_idx.append(i)
                 move_sign.append(-1.0)
@@ -351,7 +508,10 @@ class MatrixEngine:
                 stamp[row] = self._clock
                 self._clock += 1
                 refresh_coeffs(best)
-                ST[best, i + 1:] += Gb[i, i + 1:]
+                if i + 1 < nb:
+                    if not have[i]:
+                        pay_gram_row(i)
+                    ST[best, i + 1:] += gram[i, i + 1:]
                 move_cluster.append(best)
                 move_idx.append(i)
                 move_sign.append(1.0)
@@ -379,6 +539,7 @@ class MatrixEngine:
             if sizes[cluster_id] == 0:
                 # clear the float residue, as the direct path does
                 self._rep[cluster_id, :] = 0.0
+        block.XT = None
 
     def _speculate(
         self,

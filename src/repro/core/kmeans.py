@@ -29,7 +29,17 @@ from __future__ import annotations
 
 import random
 import time as time_module
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import islice, repeat
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -301,21 +311,36 @@ class NoveltyKMeans:
         vectors: WeightedVectorArrays,
         initial_assignment: Mapping[str, int],
     ) -> None:
-        """Section 5.2 step 3: previous clusters as initial clusters."""
-        row_of = {doc_id: row
-                  for row, doc_id in enumerate(vectors.doc_ids)}
-        empty = (np.diff(vectors.indptr) == 0).tolist()
-        for doc_id, cluster_id in initial_assignment.items():
-            row = row_of.get(doc_id)
-            if row is None:
-                continue
-            if not 0 <= cluster_id < self.k:
-                raise ConfigurationError(
-                    f"initial assignment of {doc_id!r} to cluster "
-                    f"{cluster_id} outside [0, {self.k})"
-                )
-            if not empty[row]:
-                backend.add(cluster_id, row)
+        """Section 5.2 step 3: previous clusters as initial clusters.
+
+        Ids are mapped to rows and cluster ids checked as arrays, then
+        the listed non-empty rows go to the engine in one bulk
+        :meth:`~repro.core.engines.Engine.load`, in the assignment's
+        order.
+        """
+        n = len(initial_assignment)
+        # the row of each listed id, -1 when it is not in the batch
+        row_of: Callable[[str, int], int] = dict(
+            zip(vectors.doc_ids, range(len(vectors)))
+        ).get
+        rows = np.fromiter(
+            map(row_of, initial_assignment.keys(), repeat(-1)),
+            dtype=np.int64, count=n,
+        )
+        clusters = np.fromiter(initial_assignment.values(),
+                               dtype=np.int64, count=n)
+        listed = rows >= 0
+        outside = listed & ((clusters < 0) | (clusters >= self.k))
+        if outside.any():
+            index = int(np.argmax(outside))
+            doc_id = next(islice(initial_assignment.keys(), index, None))
+            raise ConfigurationError(
+                f"initial assignment of {doc_id!r} to cluster "
+                f"{int(clusters[index])} outside [0, {self.k})"
+            )
+        keep = listed.copy()
+        keep[listed] = np.diff(vectors.indptr)[rows[listed]] > 0
+        backend.load(rows[keep], clusters[keep])
 
     def _assignment_pass(self, backend: Engine, n_rows: int) -> List[int]:
         """Repetition-process step 1 over all rows; returns the outliers.

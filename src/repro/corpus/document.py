@@ -11,11 +11,8 @@ ground-truth topic label. Everything time-varying about a document
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-import numpy as np
-
-from .._typing import FloatArray, IntArray
 from .._validation import require_finite
 
 
@@ -81,27 +78,6 @@ class Document:
     def is_empty(self) -> bool:
         """True when the document has no terms after preprocessing."""
         return self._length == 0
-
-    def term_arrays(self) -> Tuple[IntArray, FloatArray]:
-        """``(term_ids, counts)`` as numpy arrays, lazily cached.
-
-        Entries follow ``term_counts`` iteration order (ids are *not*
-        sorted). The arrays are shared between callers and must be
-        treated as read-only — they back the columnar statistics
-        scatter-adds and the batched vectorisation path.
-        """
-        cached: Optional[Tuple[IntArray, FloatArray]] = getattr(
-            self, "_term_arrays", None
-        )
-        if cached is None:
-            cached = (
-                np.fromiter(self.term_counts.keys(), dtype=np.int64,
-                            count=len(self.term_counts)),
-                np.fromiter(self.term_counts.values(), dtype=np.float64,
-                            count=len(self.term_counts)),
-            )
-            object.__setattr__(self, "_term_arrays", cached)
-        return cached
 
     def term_probability(self, term_id: int) -> float:
         """``Pr(t_k | d_i) = f_ik / len_i`` (Eq. 8); 0 for empty docs."""

@@ -33,7 +33,16 @@ backend.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from ..._typing import FloatArray, IntArray
 from ...corpus.document import Document
@@ -46,6 +55,21 @@ if TYPE_CHECKING:
 #: underflows (a huge time jump can reach 0.0 in one multiply, which
 #: would poison every later insert with a division by zero).
 SCALE_FLOOR = 1e-150
+
+
+class TermRows(NamedTuple):
+    """The held term rows of some tracked documents, in the order asked
+    for (:meth:`StatisticsBackend.term_rows`): row ``i`` owns
+    ``term_ids[indptr[i]:indptr[i+1]]`` (ascending) and the matching
+    ``counts`` ``f_ik``, and ``weights[i]``/``lengths[i]`` are its
+    ``dw_i`` and ``len_i`` (Eq. 1, 15) — every per-document factor of
+    the weighted vector of Eq. 12-16."""
+
+    indptr: IntArray
+    term_ids: IntArray
+    counts: IntArray
+    weights: FloatArray
+    lengths: FloatArray
 
 
 @runtime_checkable
@@ -111,6 +135,12 @@ class StatisticsBackend(Protocol):
         """A lower bound on the smallest active weight (``inf`` when
         empty). Conservative: may under-estimate after removals, never
         over-estimates — the expiry fast path relies on that."""
+
+    def term_rows(self, doc_ids: Sequence[str]) -> TermRows:
+        """The held term rows, weights and lengths of ``doc_ids``, in
+        order; raises ``KeyError`` for an id not tracked. Each
+        document's ``(term_id, count)`` row is held from insert to
+        removal, so a caller never re-reads it from the document."""
 
     def term_mass(self, term_id: int) -> float:
         """Scaled term mass ``S_k`` (0.0 when absent or non-positive)."""

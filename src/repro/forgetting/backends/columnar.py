@@ -12,9 +12,13 @@ operations:
   every entry, and each scale is folded back into its raw array before
   it underflows (same ``SCALE_FLOOR`` threshold, same
   ``statistics.scale_folds`` counter);
-* **batch insert** — the batch's term contributions are concatenated
-  into one CSR-style ``(term_id, value)`` run and scatter-added with
-  ``np.add.at`` after a vectorised intern lookup;
+* **held term rows** — every active document's ``(term_id, count)``
+  row, sorted by term once on insert, lives in one flat CSR store over
+  the row slots. Insert and removal scatter-add and scatter-subtract
+  the rows' term contributions with ``np.add.at``/``np.subtract.at``
+  after a vectorised intern lookup, and :meth:`term_rows` hands a
+  fit's window to the vectoriser as one gather, so no document's terms
+  are re-read from its ``Document`` while it is active;
 * **expiry scan** — one threshold mask over the weight array instead
   of a Python loop over every active document.
 
@@ -27,12 +31,14 @@ Term ids are interned to dense columns through a direct-index table
 (``term_id -> column``, -1 when absent) — vocabulary ids are small
 dense integers, so one fancy-indexing gather replaces a
 ``searchsorted`` per lookup; removed documents leave holes in the row
-arrays that are compacted away once they dominate.
+arrays and the row store that are compacted away once they dominate.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import attrgetter, methodcaller
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +46,7 @@ import numpy as np
 from ..._typing import FloatArray, IntArray
 from ...corpus.document import Document
 from ...obs import NULL_RECORDER, Recorder
-from .base import SCALE_FLOOR
+from .base import SCALE_FLOOR, TermRows
 
 _MIN_CAPACITY = 64
 
@@ -61,6 +67,16 @@ class ColumnarStatisticsBackend:
         self._active = np.zeros(0, dtype=bool)
         self._dw_scale = 1.0
         self._min_dw = math.inf
+        # the held term rows: slot r owns components
+        # _indptr[r]:_indptr[r + 1] of _terms (ascending) and _counts,
+        # and _length[r] is its len_i; a removed slot keeps its run
+        # until compaction. Rows are never rewritten, so a clone shares
+        # _terms/_counts (not owning them) until it first inserts
+        self._length = np.zeros(0, dtype=np.float64)
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._terms = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int32)
+        self._store_owned = True
         # columns: one slot per interned term id
         self._mass_raw = np.zeros(0, dtype=np.float64)
         self._mass_scale = 1.0
@@ -79,10 +95,30 @@ class ColumnarStatisticsBackend:
         if need <= capacity:
             return
         new_capacity = max(_MIN_CAPACITY, 2 * capacity, need)
-        for attr, dtype in (("_dw_raw", np.float64), ("_active", bool)):
+        for attr, dtype in (("_dw_raw", np.float64), ("_active", bool),
+                            ("_length", np.float64)):
             fresh = np.zeros(new_capacity, dtype=dtype)
             fresh[:capacity] = getattr(self, attr)
             setattr(self, attr, fresh)
+        indptr = np.zeros(new_capacity + 1, dtype=np.int64)
+        indptr[:capacity + 1] = self._indptr
+        self._indptr = indptr
+
+    def _grow_store(self, used: int, need: int) -> None:
+        """Room for ``need`` components, the first ``used`` of them
+        kept, in a store this backend owns (a clone copies the one it
+        shares on its first insert)."""
+        capacity = self._terms.size
+        if need <= capacity and self._store_owned:
+            return
+        if need > capacity:
+            capacity = max(_MIN_CAPACITY, 2 * capacity, need)
+        for attr in ("_terms", "_counts"):
+            old = getattr(self, attr)
+            fresh = np.zeros(capacity, dtype=old.dtype)
+            fresh[:used] = old[:used]
+            setattr(self, attr, fresh)
+        self._store_owned = True
 
     def _grow_cols(self, need: int) -> None:
         capacity = self._mass_raw.size
@@ -148,11 +184,26 @@ class ColumnarStatisticsBackend:
         self._active = np.zeros(0, dtype=bool)
         self._dw_scale = 1.0
         self._min_dw = math.inf
+        self._length = np.zeros(0, dtype=np.float64)
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._terms = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int32)
+        self._store_owned = True
         self._mass_raw = np.zeros(0, dtype=np.float64)
         self._mass_scale = 1.0
         self._n_terms = 0
         self._col_term = np.zeros(0, dtype=np.int64)
         self._term_col = np.zeros(0, dtype=np.int64)
+
+    def _gather(self, slots: IntArray) -> Tuple[IntArray, IntArray]:
+        """``(lens, index)``: the held row length of each of ``slots``
+        and the store positions of their components, row after row."""
+        starts = self._indptr[slots]
+        lens = self._indptr[slots + 1] - starts
+        offsets = np.cumsum(lens) - lens
+        index = (np.repeat(starts - offsets, lens)
+                 + np.arange(int(lens.sum()), dtype=np.int64))
+        return lens, index
 
     def _maybe_compact_rows(self) -> None:
         used = self._rows_used
@@ -160,12 +211,24 @@ class ColumnarStatisticsBackend:
             return
         keep = np.flatnonzero(self._active[:used])
         survivors = [self._row_doc[row] for row in keep.tolist()]
-        values = self._dw_raw[keep]
+        lens, index = self._gather(keep)
         capacity = max(_MIN_CAPACITY, 2 * keep.size)
-        self._dw_raw = np.zeros(capacity, dtype=np.float64)
-        self._dw_raw[:keep.size] = values
+        for attr, values in (("_dw_raw", self._dw_raw[keep]),
+                             ("_length", self._length[keep])):
+            fresh = np.zeros(capacity, dtype=np.float64)
+            fresh[:keep.size] = values
+            setattr(self, attr, fresh)
         self._active = np.zeros(capacity, dtype=bool)
         self._active[:keep.size] = True
+        self._indptr = np.zeros(capacity + 1, dtype=np.int64)
+        np.cumsum(lens, out=self._indptr[1:keep.size + 1])
+        store = max(_MIN_CAPACITY, 2 * index.size)
+        for attr in ("_terms", "_counts"):
+            old = getattr(self, attr)
+            fresh = np.zeros(store, dtype=old.dtype)
+            fresh[:index.size] = old[index]
+            setattr(self, attr, fresh)
+        self._store_owned = True
         self._row_doc = survivors
         # active rows always hold a doc id; the None filter only narrows
         self._doc_row = {
@@ -173,36 +236,22 @@ class ColumnarStatisticsBackend:
             if doc_id is not None
         }
 
-    def _term_runs(
-        self, docs: Sequence[Document], weights: FloatArray
-    ) -> Optional[Tuple[IntArray, FloatArray]]:
-        """``(term_ids, values)`` of ``docs``' term runs, concatenated:
-        each count times ``weight / (scale · len)`` (Eq. 10's numerator
-        under the lazy mass scale), elementwise — the exact grouping of
-        the dict reference's per-term update. None when no document
-        has terms."""
-        lengths = np.fromiter(
-            (doc.length for doc in docs), dtype=np.float64, count=len(docs)
+    def _contributions(
+        self, slots: IntArray, weights: FloatArray
+    ) -> Tuple[IntArray, FloatArray]:
+        """``(term_ids, values)`` of the held rows of ``slots``, row
+        after row: each count times ``weight / (scale · len)`` (Eq. 10's
+        numerator under the lazy mass scale), elementwise — the exact
+        grouping of the dict reference's per-term update. Every term
+        occurs once per row, so a scatter over them adds each term's
+        contributions in slot order, whatever the order within rows."""
+        lens, index = self._gather(slots)
+        lengths = self._length[slots]
+        inv_scales = weights / (
+            self._mass_scale * np.where(lengths > 0.0, lengths, 1.0)
         )
-        has_terms = lengths > 0.0
-        if not has_terms.any():
-            return None
-        if has_terms.all():
-            inv_scales = weights / (self._mass_scale * lengths)
-            parts = [doc.term_arrays() for doc in docs]
-        else:
-            keep = np.flatnonzero(has_terms)
-            inv_scales = weights[keep] / (self._mass_scale * lengths[keep])
-            parts = [docs[i].term_arrays() for i in keep.tolist()]
-        lens = np.fromiter(
-            (term_ids.size for term_ids, _ in parts),
-            dtype=np.int64, count=len(parts),
-        )
-        all_terms = np.concatenate([term_ids for term_ids, _ in parts])
-        all_values = np.concatenate(
-            [counts for _, counts in parts]
-        ) * np.repeat(inv_scales, lens)
-        return all_terms, all_values
+        return (self._terms[index],
+                self._counts[index] * np.repeat(inv_scales, lens))
 
     # -- mutations ---------------------------------------------------------
 
@@ -245,9 +294,10 @@ class ColumnarStatisticsBackend:
         weights = np.fromiter(
             (weight for _, weight in entries), dtype=np.float64, count=n
         )
+        docs = [doc for doc, _ in entries]
         self._dw_raw[start:start + n] = weights / self._dw_scale
         self._active[start:start + n] = True
-        doc_ids = [doc.doc_id for doc, _ in entries]
+        doc_ids = list(map(attrgetter("doc_id"), docs))
         self._row_doc.extend(doc_ids)
         self._doc_row.update(zip(doc_ids, range(start, start + n)))
         # scalar adds in document order keep tdw bit-identical to the
@@ -259,12 +309,38 @@ class ColumnarStatisticsBackend:
         lowest = float(weights.min())
         if lowest < self._min_dw:
             self._min_dw = lowest
-        runs = self._term_runs([doc for doc, _ in entries], weights)
-        if runs is None:
-            return
-        all_terms, all_values = runs
-        cols = self._intern(all_terms)
-        np.add.at(self._mass_raw, cols, all_values)
+        # hold the batch's term rows, each sorted by term once here
+        counts = [doc.term_counts for doc in docs]
+        lens = np.fromiter(map(len, counts), dtype=np.int64, count=n)
+        total = int(lens.sum())
+        terms = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
+                            count=total)
+        values = np.fromiter(
+            chain.from_iterable(map(methodcaller("values"), counts)),
+            dtype=np.int32, count=total,
+        )
+        # one key per component, unique within the batch: (row, term)
+        # in row-major order (ids are small, as the intern table is
+        # sized by the largest)
+        span = int(terms.max()) + 1 if total else 1
+        order = np.argsort(
+            np.repeat(np.arange(n, dtype=np.int64) * span, lens) + terms
+        )
+        base = int(self._indptr[start])
+        self._grow_store(base, base + total)
+        self._terms[base:base + total] = terms[order]
+        self._counts[base:base + total] = values[order]
+        np.cumsum(lens, out=self._indptr[start + 1:start + n + 1])
+        self._indptr[start + 1:start + n + 1] += base
+        self._length[start:start + n] = np.fromiter(
+            map(attrgetter("length"), docs), dtype=np.float64, count=n
+        )
+        if total:
+            all_terms, all_values = self._contributions(
+                np.arange(start, start + n, dtype=np.int64), weights
+            )
+            cols = self._intern(all_terms)
+            np.add.at(self._mass_raw, cols, all_values)
 
     def remove_batch(self, docs: Sequence[Document]) -> bool:
         """Reverse many documents in one pass; True if ``tdw`` clamped.
@@ -296,9 +372,8 @@ class ColumnarStatisticsBackend:
                 tdw = 0.0
                 clamped = True
         self.tdw = tdw
-        runs = self._term_runs(docs, weights)
-        if runs is not None:
-            all_terms, all_values = runs
+        all_terms, all_values = self._contributions(row_arr, weights)
+        if all_terms.size:
             cols = self._lookup_cols(all_terms)
             known = cols >= 0
             if not known.all():
@@ -350,6 +425,20 @@ class ColumnarStatisticsBackend:
     def min_weight_bound(self) -> float:
         return self._min_dw
 
+    def term_rows(self, doc_ids: Sequence[str]) -> TermRows:
+        slots = np.fromiter(map(self._doc_row.__getitem__, doc_ids),
+                            dtype=np.int64, count=len(doc_ids))
+        lens, index = self._gather(slots)
+        indptr = np.zeros(slots.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        return TermRows(
+            indptr=indptr,
+            term_ids=self._terms[index],
+            counts=self._counts[index],
+            weights=self._dw_raw[slots] * self._dw_scale,
+            lengths=self._length[slots],
+        )
+
     def term_mass(self, term_id: int) -> float:
         cols = self._lookup_cols(np.asarray([term_id], dtype=np.int64))
         col = int(cols[0])
@@ -389,6 +478,13 @@ class ColumnarStatisticsBackend:
         other._active = self._active.copy()
         other._dw_scale = self._dw_scale
         other._min_dw = self._min_dw
+        other._length = self._length.copy()
+        other._indptr = self._indptr.copy()
+        # shared, not copied: this backend only appends past the rows
+        # the clone can see, and the clone copies before it appends
+        other._terms = self._terms
+        other._counts = self._counts
+        other._store_owned = False
         other._mass_raw = self._mass_raw.copy()
         other._mass_scale = self._mass_scale
         other._n_terms = self._n_terms

@@ -32,7 +32,16 @@ observability.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -45,7 +54,7 @@ from ..exceptions import (
     UnknownDocumentError,
 )
 from ..obs import Recorder, Span, resolve
-from .backends import ColumnarStatisticsBackend, StatisticsBackend
+from .backends import ColumnarStatisticsBackend, StatisticsBackend, TermRows
 from .frozen import FrozenStatistics
 from .model import ForgettingModel
 
@@ -365,6 +374,18 @@ class CorpusStatistics:
         if tdw <= 0.0:
             raise EmptyCorpusError("no document weight in the corpus")
         return self.dw(doc_id) / tdw
+
+    def term_rows(self, doc_ids: Sequence[str]) -> TermRows:
+        """The held ``(term_id, count)`` rows of ``doc_ids`` (terms
+        ascending), with their ``dw_i`` and ``len_i``, in order: what
+        the vectoriser builds Eq. 12-16 from, without re-reading any
+        document."""
+        try:
+            return self._backend.term_rows(doc_ids)
+        except KeyError as missing:
+            raise UnknownDocumentError(
+                f"document {missing.args[0]!r} not tracked"
+            ) from None
 
     def pr_term(self, term_id: int) -> float:
         """Occurrence probability ``Pr(t_k)`` (Eq. 10); 0.0 if unseen."""

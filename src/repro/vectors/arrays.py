@@ -26,6 +26,20 @@ import numpy as np
 from .._typing import FloatArray, IntArray
 
 
+def compact_columns(term_ids: IntArray) -> Tuple[IntArray, IntArray]:
+    """``(terms, cols)``: the distinct (non-negative) ids of
+    ``term_ids`` ascending, and the index in ``terms`` of every entry —
+    what ``np.unique(term_ids, return_inverse=True)`` returns, from one
+    presence mask over the id space instead of a sort over the entries
+    (vocabulary ids are small dense integers)."""
+    if term_ids.size == 0:
+        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    seen = np.zeros(int(term_ids.max()) + 1, dtype=bool)
+    seen[term_ids] = True
+    rank = np.cumsum(seen, dtype=np.int64) - 1
+    return np.flatnonzero(seen).astype(np.int64, copy=False), rank[term_ids]
+
+
 class WeightedVectorArrays:
     """Batch of weighted document vectors in one CSR layout.
 
@@ -37,8 +51,9 @@ class WeightedVectorArrays:
     indptr:
         int64 array of ``len(doc_ids) + 1`` row boundaries.
     term_ids:
-        int64 vocabulary term ids per stored component (unsorted within
-        a row; engines re-map them to dense columns themselves).
+        int64 vocabulary term ids per stored component, ascending within
+        each row (the statistics store holds rows that way, and engines
+        take the rows as their CSR rows).
     data:
         float64 component values (never 0.0 — zero components are
         dropped at construction).
@@ -81,8 +96,7 @@ class WeightedVectorArrays:
         which number its compact columns, and the column of every stored
         component. Computed once per batch."""
         if self._columns is None:
-            terms, cols = np.unique(self.term_ids, return_inverse=True)
-            self._columns = (terms, cols.reshape(-1))
+            self._columns = compact_columns(self.term_ids)
         return self._columns
 
     def self_similarities(self) -> FloatArray:

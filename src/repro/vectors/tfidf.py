@@ -24,14 +24,16 @@ the clustering layer rebuilds them per run.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .._typing import FloatArray, IntArray
+from .._typing import IntArray
 from ..corpus.document import Document
+from ..exceptions import EmptyCorpusError
 from ..forgetting.statistics import CorpusStatistics
-from .arrays import WeightedVectorArrays
+from .arrays import WeightedVectorArrays, compact_columns
 
 
 class NoveltyTfidfWeighter:
@@ -51,56 +53,48 @@ class NoveltyTfidfWeighter:
         CSR batch, with ``d⃗_i``'s components ``tf_ik · idf_k``
         (Eq. 12-14), each computed as ``count · idf · scale``.
 
-        Built with a handful of numpy expressions over the batch's
-        concatenated term runs; each row keeps its document's
-        ``term_counts`` order. Empty documents get empty rows (they are
+        The documents' term rows come from the statistics store, which
+        holds each active document's row sorted by term
+        (:meth:`~repro.forgetting.CorpusStatistics.term_rows`), so the
+        batch is a handful of numpy expressions over its components:
+        ``count · idf[column] · (dw/tdw/len)[row]``. Rows keep their
+        terms ascending. Empty documents get empty rows (they are
         similar to nothing, including themselves).
         """
-        documents = list(documents)
-        n = len(documents)
-        pr_document = self._statistics.pr_document
-        doc_ids = [doc.doc_id for doc in documents]
-        lens = np.zeros(n, dtype=np.int64)
+        doc_ids = list(map(attrgetter("doc_id"), documents))
+        n = len(doc_ids)
+        statistics = self._statistics
+        rows = statistics.term_rows(doc_ids)
+        lens = np.diff(rows.indptr)
+        has_terms = rows.lengths > 0.0
         scales = np.zeros(n, dtype=np.float64)
-        id_parts: List[IntArray] = []
-        count_parts: List[FloatArray] = []
-        for row, doc in enumerate(documents):
-            length = doc.length
-            if length == 0:
-                continue
-            scale = pr_document(doc.doc_id) / length
-            if scale == 0.0:
-                continue
-            term_ids, counts = doc.term_arrays()
-            scales[row] = scale
-            lens[row] = term_ids.size
-            id_parts.append(term_ids)
-            count_parts.append(counts)
-        if id_parts:
-            terms = np.concatenate(id_parts)
-            counts = np.concatenate(count_parts)
-        else:
-            terms = np.zeros(0, dtype=np.int64)
-            counts = np.zeros(0, dtype=np.float64)
-        unique_terms, inverse = np.unique(terms, return_inverse=True)
-        idf_unique = self._statistics.idf_array(unique_terms)
-        data = counts * idf_unique[inverse] * np.repeat(scales, lens)
+        if has_terms.any():
+            tdw = statistics.tdw
+            if tdw <= 0.0:
+                raise EmptyCorpusError("no document weight in the corpus")
+            # Pr(d_i) / len_i, grouped as the scalar path groups it
+            scales[has_terms] = (
+                rows.weights[has_terms] / tdw / rows.lengths[has_terms]
+            )
+        terms = rows.term_ids
+        unique_terms, inverse = compact_columns(terms)
+        idf_unique = statistics.idf_array(unique_terms)
+        data = rows.counts * idf_unique[inverse] * np.repeat(scales, lens)
         # the unique terms number the batch's compact columns; engines
         # and the K-means repairs reuse them instead of re-sorting
         columns: Optional[Tuple[IntArray, IntArray]] = (
-            unique_terms, inverse.reshape(-1)
+            unique_terms, inverse
         )
-        if idf_unique.size and (idf_unique == 0.0).any():
-            # a component is 0.0 only when its idf is: a positive idf
-            # is >= 1 and the positive document scale cannot multiply
-            # it down to zero, so only terms the statistics no longer
-            # carry (their mass underflowed) produce zeros; drop them
+        indptr = rows.indptr
+        if not data.all():
+            # zero components come from terms the statistics no longer
+            # carry (their mass underflowed, so their idf is 0.0) and
+            # from documents whose weight underflowed; drop them
             keep = data != 0.0
             terms = terms[keep]
             data = data[keep]
-            rows = np.repeat(np.arange(n, dtype=np.int64), lens)[keep]
-            lens = np.bincount(rows, minlength=n)
+            owner = np.repeat(np.arange(n, dtype=np.int64), lens)[keep]
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
             columns = None
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
         return WeightedVectorArrays(doc_ids, indptr, terms, data, columns)

@@ -11,7 +11,14 @@ clustering loop:
   scored, identically by the matrix engine and the dense oracle;
 * a novelty decision (``gain <= 0``) removes the document from its
   cluster without re-adding it, and nothing else: no document is ever
-  silently dropped from, or duplicated in, the membership accounting.
+  silently dropped from, or duplicated in, the membership accounting;
+* the bulk warm start (``load``) leaves exactly the state of one
+  ``add`` per row, in the listed order, followed by ``refresh``, and
+  the matrix engine's self-similarities are the dense oracle's per-row
+  ``np.dot`` bit for bit;
+* every Gram row the matrix engine's sweep reads, whether paid one
+  mover at a time or for many rows at once, is bit-equal to that row
+  of the block's full Gram matrix.
 """
 
 import math
@@ -19,8 +26,18 @@ import math
 import numpy as np
 import pytest
 
-from repro import CorpusStatistics, ForgettingModel, NoveltyKMeans
+from repro import (
+    CorpusStatistics,
+    ForgettingModel,
+    IncrementalClusterer,
+    NoveltyKMeans,
+    NoveltyTfidfWeighter,
+)
 from repro.core.engines import NO_GAIN, MatrixEngine
+from repro.corpus.repository import DocumentRepository
+from repro.corpus.streams import iter_batches
+from repro.corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
+from repro.exceptions import ConfigurationError
 from tests.conftest import make_document
 from tests.oracles import DenseEngine
 from tests.oracles.sparse import SparseVector
@@ -237,3 +254,122 @@ class TestFreeze:
         assert view.representatives.shape == (3, 0)
         assert view.k == 3
         assert view.clustering_index == 0.0
+
+
+def wide_batch(n_docs=60, seed=5):
+    """A weighted batch whose rows hold 1 to 60 terms, so self-similarity
+    dots run both the short and the vectorised BLAS paths."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_docs):
+        size = 1 + (i * 7) % 60
+        terms = rng.choice(150, size=size, replace=False)
+        counts = rng.integers(1, 6, size=size)
+        docs.append(make_document(
+            f"d{i:03d}", float(rng.uniform(0.0, 5.0)),
+            dict(zip(terms.tolist(), counts.tolist())),
+        ))
+    model = ForgettingModel(half_life=7.0, life_span=30.0)
+    stats = CorpusStatistics.from_scratch(model, docs, at_time=5.0)
+    return NoveltyTfidfWeighter(stats).weighted_arrays(docs)
+
+
+class TestBulkLoad:
+    def test_load_equals_per_row_adds_bit_for_bit(self):
+        vectors = wide_batch()
+        rng = np.random.default_rng(11)
+        # out of row order, and not every row listed
+        rows = rng.permutation(len(vectors))[:45]
+        clusters = rng.integers(0, 5, size=rows.size)
+        matrix = MatrixEngine(5, vectors, "g")
+        matrix.load(rows, clusters)
+        dense = DenseEngine(5, vectors, "g")
+        for row, cluster_id in zip(rows.tolist(), clusters.tolist()):
+            dense.add(cluster_id, row)
+        dense.refresh()
+        got, want = matrix.freeze(), dense.freeze()
+        assert np.array_equal(got.representatives, want.representatives)
+        assert np.array_equal(got.ss, want.ss)
+        assert np.array_equal(got.crpp, want.crpp)
+        assert got.sizes.tolist() == want.sizes.tolist()
+        assert np.array_equal(got.gain_a, want.gain_a)
+        assert np.array_equal(got.gain_b, want.gain_b)
+        assert matrix.clustering_index() == dense.clustering_index()
+        assert [m.tolist() for m in matrix.members()] == [
+            m.tolist() for m in dense.members()
+        ]
+        # both engines then decide alike from the loaded state
+        order = np.arange(len(vectors), dtype=np.int64)
+        got_best, got_gain = matrix.best_gains(order)
+        want_best, want_gain = dense.best_gains(order)
+        assert got_best.tolist() == want_best.tolist()
+        assert np.allclose(got_gain, want_gain, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("engine_class", ENGINES, ids=NAMES)
+    def test_out_of_range_cluster_leaves_engine_empty(self, engine_class):
+        vectors = wide_batch(n_docs=8)
+        engine = engine_class(3, vectors, "g")
+        with pytest.raises(ConfigurationError):
+            engine.load(np.array([0, 1, 2]), np.array([0, 3, 1]))
+        with pytest.raises(ConfigurationError):
+            engine.load(np.array([4]), np.array([-1]))
+        assert engine.sizes() == [0, 0, 0]
+        assert all(m.size == 0 for m in engine.members())
+        assert engine.clustering_index() == 0.0
+        assert not engine.freeze().representatives.any()
+        engine.load(np.array([2, 0]), np.array([1, 1]))
+        assert [m.tolist() for m in engine.members()] == [[], [2, 0], []]
+
+    def test_self_similarities_are_per_row_dots(self):
+        vectors = wide_batch()
+        engine = MatrixEngine(2, vectors, "g")
+        for row in range(len(vectors)):
+            _, data = vectors.row(row)
+            assert engine.self_similarity(row) == float(np.dot(data, data))
+
+
+class GramCheckedEngine(MatrixEngine):
+    """The matrix engine in blocks of 32, checking after every sweep of
+    a block that each Gram row it holds — every row the sweep can have
+    read — equals that row of the block's full ``Xb @ Xb.T``."""
+
+    name = "gram-checked"
+    paid = {"one by one": 0, "in bulk": 0}
+
+    def __init__(self, k, vectors, criterion):
+        super().__init__(k, vectors, criterion, block_size=32)
+
+    def _gram_row(self, block, i):
+        GramCheckedEngine.paid["one by one"] += 1
+        super()._gram_row(block, i)
+
+    def _sweep_block(self, block_rows, *args):
+        block = self._block(block_rows)
+        had = int(block.have.sum())
+        one_by_one = GramCheckedEngine.paid["one by one"]
+        super()._sweep_block(block_rows, *args)
+        GramCheckedEngine.paid["in bulk"] += (
+            int(block.have.sum()) - had
+            - (GramCheckedEngine.paid["one by one"] - one_by_one)
+        )
+        full = (block.X @ block.X.T).toarray()
+        assert np.array_equal(block.gram[block.have], full[block.have])
+
+
+class TestGramRows:
+    def test_every_gram_row_read_equals_the_full_product(self):
+        repository = DocumentRepository()
+        TDT2Generator(
+            SyntheticCorpusConfig(seed=1998, total_documents=1500)
+        ).generate(repository=repository)
+        documents = [d for d in repository.documents() if d.timestamp < 60]
+        clusterer = IncrementalClusterer(
+            ForgettingModel(half_life=7.0, life_span=14.0),
+            k=8, seed=1998, engine=GramCheckedEngine,
+        )
+        GramCheckedEngine.paid = {"one by one": 0, "in bulk": 0}
+        for at_time, batch in iter_batches(documents, 7.0):
+            clusterer.process_batch(batch, at_time)
+        # both ways of paying for a Gram row were exercised
+        assert GramCheckedEngine.paid["one by one"] > 0
+        assert GramCheckedEngine.paid["in bulk"] > 0

@@ -189,3 +189,19 @@ class TestSummarize:
 
     def test_empty_stream(self):
         assert summarize([]) == {"counters": {}, "gauges": {}, "spans": {}}
+
+    def test_span_percentiles_are_nearest_rank(self):
+        # 1..20 s in shuffled order: the nearest-rank p of 20 values is
+        # value number ceil(p/100 · 20)
+        durations = (7, 19, 3, 12, 20, 1, 15, 9, 4, 18,
+                     11, 2, 16, 6, 13, 8, 17, 5, 14, 10)
+        summary = summarize(Event("phase", SPAN, float(value))
+                            for value in durations)
+        span = summary["spans"]["phase"]
+        assert span["p50"] == 10.0
+        assert span["p90"] == 18.0
+        assert span["p99"] == 20.0
+
+    def test_single_span_percentiles_are_its_duration(self):
+        span = summarize([Event("once", SPAN, 0.25)])["spans"]["once"]
+        assert span["p50"] == span["p90"] == span["p99"] == 0.25

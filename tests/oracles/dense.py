@@ -23,6 +23,7 @@ from repro.core.engines.base import (
     EngineView,
     affine_gain_coefficients,
 )
+from repro.exceptions import ConfigurationError
 from repro.vectors.arrays import WeightedVectorArrays
 
 
@@ -93,6 +94,21 @@ class DenseEngine:
             self._crpp[cluster_id] = 0.0
             self._ss[cluster_id] = 0.0
         self._assigned.pop(row, None)
+
+    def load(self, rows: IntArray, clusters: IntArray) -> None:
+        """The reference bulk warm start: one :meth:`add` per row, in
+        order, then :meth:`refresh`."""
+        clusters = np.asarray(clusters, dtype=np.int64)
+        outside = (clusters < 0) | (clusters >= self.k)
+        if outside.any():
+            raise ConfigurationError(
+                f"cluster id {int(clusters[outside][0])} outside "
+                f"[0, {self.k})"
+            )
+        for row, cluster_id in zip(np.asarray(rows).tolist(),
+                                   clusters.tolist()):
+            self.add(cluster_id, row)
+        self.refresh()
 
     def cluster_of(self, row: int) -> Optional[int]:
         return self._assigned.get(row)

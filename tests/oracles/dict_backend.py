@@ -23,7 +23,7 @@ import numpy as np
 
 from repro._typing import FloatArray, IntArray
 from repro.corpus.document import Document
-from repro.forgetting.backends.base import SCALE_FLOOR
+from repro.forgetting.backends.base import SCALE_FLOOR, TermRows
 from repro.obs import NULL_RECORDER, Recorder
 
 
@@ -36,6 +36,8 @@ class DictStatisticsBackend:
         self.recorder: Recorder = NULL_RECORDER
         self.tdw = 0.0
         self._dw: Dict[str, float] = {}
+        # each tracked document's term-sorted (term_id, count) row
+        self._rows: Dict[str, Tuple[Tuple[int, int], ...]] = {}
         self._term_mass_raw: Dict[int, float] = {}
         self._term_scale = 1.0
         # conservative lower bound on the smallest active weight; only
@@ -77,6 +79,7 @@ class DictStatisticsBackend:
     ) -> None:
         for doc, weight in entries:
             self._dw[doc.doc_id] = weight
+            self._rows[doc.doc_id] = tuple(sorted(doc.term_counts.items()))
             self.tdw += weight
             if weight < self._min_dw:
                 self._min_dw = weight
@@ -90,6 +93,7 @@ class DictStatisticsBackend:
 
     def remove(self, doc: Document) -> Tuple[float, bool]:
         weight = self._dw.pop(doc.doc_id)
+        del self._rows[doc.doc_id]
         self.tdw -= weight
         clamped = False
         if self.tdw < 0.0:
@@ -144,6 +148,22 @@ class DictStatisticsBackend:
     def min_weight_bound(self) -> float:
         return self._min_dw
 
+    def term_rows(self, doc_ids: Sequence[str]) -> TermRows:
+        rows = [self._rows[doc_id] for doc_id in doc_ids]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        return TermRows(
+            indptr=indptr,
+            term_ids=np.array([t for row in rows for t, _ in row],
+                              dtype=np.int64),
+            counts=np.array([c for row in rows for _, c in row],
+                            dtype=np.int64),
+            weights=np.array([self._dw[doc_id] for doc_id in doc_ids],
+                             dtype=np.float64),
+            lengths=np.array([sum(c for _, c in row) for row in rows],
+                             dtype=np.float64),
+        )
+
     def term_mass(self, term_id: int) -> float:
         mass = self._term_mass_raw.get(term_id, 0.0)
         if mass <= 0.0:
@@ -172,6 +192,7 @@ class DictStatisticsBackend:
         other.recorder = self.recorder
         other.tdw = self.tdw
         other._dw = dict(self._dw)
+        other._rows = dict(self._rows)
         other._term_mass_raw = dict(self._term_mass_raw)
         other._term_scale = self._term_scale
         other._min_dw = self._min_dw

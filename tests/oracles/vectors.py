@@ -37,16 +37,18 @@ def weighted_vector(
 
 
 def as_arrays(vectors: Mapping[str, SparseVector]) -> WeightedVectorArrays:
-    """The CSR batch holding ``vectors``' rows, in their order."""
-    lens = [len(vector) for vector in vectors.values()]
+    """The CSR batch holding ``vectors``' rows, in their order, each
+    row's terms ascending (as every batch holds them)."""
+    rows = [sorted(vector.items()) for vector in vectors.values()]
+    lens = [len(row) for row in rows]
     indptr = np.zeros(len(lens) + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
     term_ids = np.fromiter(
-        (t for vector in vectors.values() for t in vector.keys()),
+        (t for row in rows for t, _ in row),
         dtype=np.int64, count=int(indptr[-1]),
     )
     data = np.fromiter(
-        (v for vector in vectors.values() for v in vector.values()),
+        (v for row in rows for _, v in row),
         dtype=np.float64, count=int(indptr[-1]),
     )
     return WeightedVectorArrays(list(vectors), indptr, term_ids, data)
