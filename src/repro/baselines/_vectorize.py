@@ -59,13 +59,14 @@ def unit_tfidf_vectors(docs: Sequence[Document]) -> Dict[str, Vector]:
     """
     df: Dict[int, int] = {}
     for doc in docs:
-        for term_id in doc.term_counts:
+        for term_id in doc.term_ids.tolist():
             df[term_id] = df.get(term_id, 0) + 1
     n = len(docs)
     return {
         doc.doc_id: normalized({
             term_id: count * (1.0 + math.log(n / df[term_id]))
-            for term_id, count in doc.term_counts.items()
+            for term_id, count in zip(doc.term_ids.tolist(),
+                                      doc.counts.tolist())
         })
         for doc in docs
     }

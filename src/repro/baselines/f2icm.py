@@ -132,7 +132,8 @@ class F2ICMClusterer:
             return 0.0
         weight = statistics.dw(doc.doc_id)
         coupling = 0.0
-        for term_id, count in doc.term_counts.items():
+        for term_id, count in zip(doc.term_ids.tolist(),
+                                  doc.counts.tolist()):
             pr_t = statistics.pr_term(term_id)
             if pr_t <= 0.0:
                 continue

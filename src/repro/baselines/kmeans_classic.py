@@ -19,7 +19,7 @@ import numpy as np
 from .._typing import FloatArray, IntArray
 from .._validation import require_positive_int
 from ..core.result import ClusteringResult
-from ..corpus.document import Document
+from ..corpus.document import Document, stack_rows
 from ..exceptions import ClusteringError
 
 
@@ -97,17 +97,16 @@ class ClassicKMeans:
         self, docs: Sequence[Document]
     ) -> Tuple[FloatArray, Dict[int, int]]:
         """Unit-normalised tf·idf matrix, smooth idf = 1 + ln(n/df)."""
-        df: Dict[int, int] = {}
-        for doc in docs:
-            for term_id in doc.term_counts:
-                df[term_id] = df.get(term_id, 0) + 1
-        column = {term_id: i for i, term_id in enumerate(sorted(df))}
+        lens, term_ids, counts = stack_rows(docs)
+        # a term occurs once per row, so its occurrences are its df
+        terms, cols, df = np.unique(
+            term_ids, return_inverse=True, return_counts=True
+        )
         n = len(docs)
-        matrix = np.zeros((n, len(column)), dtype=np.float64)
-        for row, doc in enumerate(docs):
-            for term_id, count in doc.term_counts.items():
-                idf = 1.0 + math.log(n / df[term_id])
-                matrix[row, column[term_id]] = count * idf
+        idf = np.array([1.0 + math.log(n / d) for d in df.tolist()])
+        matrix = np.zeros((n, terms.size), dtype=np.float64)
+        matrix[np.repeat(np.arange(n), lens), cols] = counts * idf[cols]
+        column = {term_id: i for i, term_id in enumerate(terms.tolist())}
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return matrix / norms, column

@@ -52,7 +52,7 @@ class NoveltySimilarity:
 
     def _vector(self, document: Document) -> Vector:
         """Cached ``w⃗_i``: the document's CSR row (terms ascending),
-        keyed by term id in ``term_counts`` order, the order this
+        keyed by term id in the document's row order, the order this
         baseline's dot products have always summed in."""
         vector = self._vector_cache.get(document.doc_id)
         if vector is None:
@@ -61,7 +61,7 @@ class NoveltySimilarity:
             ).csr_parts()
             row = dict(zip(term_ids.tolist(), data.tolist()))
             vector = {term_id: row[term_id]
-                      for term_id in document.term_counts
+                      for term_id in document.term_ids.tolist()
                       if term_id in row}
             self._vector_cache[document.doc_id] = vector
         return vector
@@ -89,10 +89,12 @@ class NoveltySimilarity:
         total = 0.0
         # iterate the shorter document's terms
         small, large = first, second
-        if len(small.term_counts) > len(large.term_counts):
+        if small.term_ids.size > large.term_ids.size:
             small, large = large, small
-        for term_id, f_small in small.term_counts.items():
-            f_large = large.term_counts.get(term_id)
+        large_counts = large.term_counts
+        for term_id, f_small in zip(small.term_ids.tolist(),
+                                    small.counts.tolist()):
+            f_large = large_counts.get(term_id)
             if not f_large:
                 continue
             pr_t = stats.pr_term(term_id)

@@ -95,8 +95,9 @@ def best_affine_gain(
 ) -> Tuple[int, float]:
     """``(p, gain)`` maximising ``a_p·cr_p + b_p`` (Eq. 25-26), ties to
     the lowest ``p``; ``cr[p] = cr_sim(C_p, d_q)``, ``out`` an optional
-    K-sized buffer. The assignment sweep and snapshot queries both
-    decide through it."""
+    K-sized buffer. Engine gain queries and snapshot queries decide
+    through it; the assignment sweep inlines it to score a member's own
+    cluster with its removal-adjusted gain."""
     gains = np.multiply(gain_a, cr, out=out)
     gains += gain_b
     best = int(np.argmax(gains))

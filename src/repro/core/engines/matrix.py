@@ -25,11 +25,20 @@ answers that with one gather per document; this engine batches the
 * the Eq. 25-26 gain of document q against cluster p is affine in
   ``cr_sim(C_p, d_q)``, so per document the K gains are one
   fused multiply-add ``a ⊙ cr + b`` over incrementally maintained
-  coefficient vectors instead of the full Eq. 24 recomputation.
+  coefficient vectors instead of the full Eq. 24 recomputation,
+* each document is decided before anything moves: a member is scored
+  against its own cluster with its removal-adjusted gain, and state
+  changes only for a net mover. A document that stays where it is
+  leaves ``cr_sim``, ``ss``, ``S`` and the representatives untouched,
+  whether the sequential loop or the speculative fast path over runs
+  of stationary documents resolves it, so the output does not depend
+  on that path's lookahead (``SPECULATE_WINDOW``).
 
-The arithmetic is exactly the reference recurrence — same additions,
-same order of membership moves — so assignments match the dense oracle
-(G agrees to float-summation-order).
+The decisions are the reference recurrence's — same gains, same order
+of membership moves — so assignments match the dense oracle. ``G``
+agrees to float summation order: the oracle removes and re-adds a
+stationary member, a round trip of its aggregates through rounding
+that this engine skips.
 
 Requires :mod:`scipy`, a declared dependency of the package;
 construction fails with a clear message when it is missing.
@@ -406,7 +415,11 @@ class MatrixEngine:
         representatives (one product); every membership move inside the
         block folds the mover's Gram row into the not-yet-processed
         columns, so each document sees exactly the representative state
-        the sequential reference loop would have seen. Gram rows are
+        the sequential reference loop would have seen. A document is
+        decided before it moves: a member's own cluster is scored with
+        :meth:`_own_gain`, and only a net mover (it leaves, or joins
+        another cluster) is removed and re-added; a stationary member is
+        only restamped, as :meth:`_speculate` does. Gram rows are
         paid per mover: the rows entering the block unassigned (they
         join unless they are outliers) get theirs from one product up
         front, any other row on its first move (:meth:`_gram_row`, or
@@ -472,6 +485,29 @@ class MatrixEngine:
             row = rows_l[i]
             w2 = w2_l[i]
             current = int(assigned[row])
+            if empty_l[i]:
+                best, gain = -1, NO_GAIN
+            else:
+                # decide before moving: a member's own cluster is scored
+                # with its removal-adjusted gain, so a document that
+                # would re-join where it is changes nothing
+                np.multiply(gain_a, ST[:, i], out=gains)
+                gains += gain_b
+                if current >= 0:
+                    gains[current] = self._own_gain(
+                        current, float(ST[current, i]), w2
+                    )
+                best = int(np.argmax(gains))
+                gain = float(gains[best])
+                if best == current and gain > 0.0:
+                    best_out[i] = best
+                    gain_out[i] = gain
+                    # the reference's remove+re-add moves it to the end
+                    # of its cluster's members
+                    stamp[row] = self._clock
+                    self._clock += 1
+                    i += 1
+                    continue
             if current >= 0:
                 assigned[row] = -1
                 dot = float(ST[current, i])
@@ -483,7 +519,6 @@ class MatrixEngine:
                     ss[current] = 0.0
                     emptied.add(current)
                 refresh_coeffs(current)
-                ST[current, i] = dot - w2
                 if i + 1 < nb:
                     if not have[i]:
                         pay_gram_row(i)
@@ -491,12 +526,6 @@ class MatrixEngine:
                 move_cluster.append(current)
                 move_idx.append(i)
                 move_sign.append(-1.0)
-            if empty_l[i]:
-                best_out[i] = -1
-                gain_out[i] = NO_GAIN
-                i += 1
-                continue
-            best, gain = best_affine_gain(gain_a, gain_b, ST[:, i], gains)
             best_out[i] = best
             gain_out[i] = gain
             if gain > 0.0:
@@ -541,6 +570,21 @@ class MatrixEngine:
                 self._rep[cluster_id, :] = 0.0
         block.XT = None
 
+    def _own_gain(self, cluster_id: int, dot: float, w2: float) -> float:
+        """Gain of a member of ``cluster_id`` for re-joining it once
+        removed: the Eq. 25-26 coefficients after the removal, at
+        ``cr = dot - w2`` (``dot`` its ``cr_sim`` with the cluster as it
+        is, ``w2`` its self-similarity). Bit-equal to the gain the
+        coefficients refreshed after the removal's bookkeeping would
+        give, and to :meth:`_speculate`'s vectorised form."""
+        a, b = affine_gain_coefficients(
+            self._criterion,
+            self._sizes[cluster_id] - 1,
+            self._crpp[cluster_id] + (-2.0 * dot + w2),
+            self._ss[cluster_id] - w2,
+        )
+        return a * (dot - w2) + b
+
     def _speculate(
         self,
         block_rows: IntArray,
@@ -557,11 +601,13 @@ class MatrixEngine:
         every cluster's accounting. This path evaluates the Eq. 25-26
         gains of all remaining documents in one broadcast (each with
         its own-cluster coefficients adjusted for its removal, exactly
-        as the sequential loop computes them), records the decisions up
+        as :meth:`_own_gain` computes them), records the decisions up
         to the first document that actually changes membership, and
         returns how many were resolved; the caller's sequential loop
         takes over at the first net mover. Returns 0 when the very next
-        document moves.
+        document moves. The sequential loop leaves a stationary
+        document's state exactly as this path does, so how far it looks
+        ahead changes no output.
         """
         stop_at = min(i0 + SPECULATE_WINDOW, ST.shape[1])
         STv = ST[:, i0:stop_at]

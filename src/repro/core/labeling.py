@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .._validation import require_positive_int
-from ..corpus.document import Document
+from ..corpus.document import Document, stack_rows
 from ..forgetting.statistics import CorpusStatistics
 from ..text.vocabulary import Vocabulary
 from ..vectors.tfidf import NoveltyTfidfWeighter
@@ -81,10 +81,7 @@ def discriminative_terms(
     background words while still favouring frequent cluster terms.
     """
     require_positive_int("limit", limit)
-    totals: Dict[int, int] = {}
-    for doc in members:
-        for term_id, count in doc.term_counts.items():
-            totals[term_id] = totals.get(term_id, 0) + count
+    totals = corpus_term_counts(members)
     scored = [
         (term_id, count * count / (1.0 + corpus_counts.get(term_id, 0)))
         for term_id, count in totals.items()
@@ -100,9 +97,9 @@ def corpus_term_counts(documents: Sequence[Document]) -> Dict[int, int]:
     """Total term frequencies over ``documents`` (for the
     discriminative scorer)."""
     counts: Dict[int, int] = {}
-    for doc in documents:
-        for term_id, count in doc.term_counts.items():
-            counts[term_id] = counts.get(term_id, 0) + count
+    _, term_ids, values = stack_rows(documents)
+    for term_id, count in zip(term_ids.tolist(), values.tolist()):
+        counts[term_id] = counts.get(term_id, 0) + count
     return counts
 
 

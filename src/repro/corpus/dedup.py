@@ -24,8 +24,8 @@ _MERSENNE_PRIME = (1 << 61) - 1
 
 def jaccard(first: Document, second: Document) -> float:
     """Exact Jaccard similarity of the two documents' term sets."""
-    a = set(first.term_counts)
-    b = set(second.term_counts)
+    a = set(first.term_ids.tolist())
+    b = set(second.term_ids.tolist())
     if not a and not b:
         return 1.0
     union = len(a | b)
@@ -114,7 +114,7 @@ class NearDuplicateIndex:
 
     def candidates(self, document: Document) -> Set[str]:
         """Ids sharing at least one LSH bucket with ``document``."""
-        signature = self._hasher.signature(document.term_counts)
+        signature = self._hasher.signature(document.term_ids.tolist())
         found: Set[str] = set()
         for band, bucket_map in enumerate(self._buckets):
             key = signature[band * self.rows:(band + 1) * self.rows]
@@ -144,7 +144,7 @@ class NearDuplicateIndex:
 
     def _index(self, document: Document) -> None:
         """Insert without querying (for callers that already queried)."""
-        signature = self._hasher.signature(document.term_counts)
+        signature = self._hasher.signature(document.term_ids.tolist())
         for band, bucket_map in enumerate(self._buckets):
             key = signature[band * self.rows:(band + 1) * self.rows]
             bucket_map.setdefault(key, []).append(document.doc_id)

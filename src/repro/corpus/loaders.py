@@ -11,12 +11,32 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+
+import numpy as np
 
 from ..text import TextPipeline, Vocabulary
 from .document import Document, check_identity
 
 PathLike = Union[str, Path]
+
+
+def record_terms(doc: Document, vocabulary: Vocabulary) -> Dict[str, int]:
+    """``doc``'s row as a record's ``terms`` field: ``term -> count`` in
+    ascending term-id order. Raises ``ValueError`` naming the smallest
+    id that ``vocabulary`` does not hold (ids are never negative)."""
+    ids = doc.term_ids
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order].tolist()
+    size = len(vocabulary)
+    if sorted_ids and sorted_ids[-1] >= size:
+        term_id = next(t for t in sorted_ids if t >= size)
+        raise ValueError(
+            f"document {doc.doc_id!r} holds term id {term_id}, which is "
+            f"not in the vocabulary (size {size})"
+        )
+    return dict(zip(map(vocabulary.term, sorted_ids),
+                    doc.counts[order].tolist()))
 
 
 def save_jsonl(
@@ -34,10 +54,7 @@ def save_jsonl(
                 "topic_id": doc.topic_id,
                 "source": doc.source,
                 "title": doc.title,
-                "terms": {
-                    vocabulary.term(term_id): count_
-                    for term_id, count_ in sorted(doc.term_counts.items())
-                },
+                "terms": record_terms(doc, vocabulary),
             }
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
             count += 1

@@ -37,14 +37,13 @@ arrays and the row store that are compacted away once they dominate.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..._typing import FloatArray, IntArray
-from ...corpus.document import Document
+from ...corpus.document import Document, stack_rows
 from ...obs import NULL_RECORDER, Recorder
 from .base import SCALE_FLOOR, TermRows
 
@@ -310,15 +309,8 @@ class ColumnarStatisticsBackend:
         if lowest < self._min_dw:
             self._min_dw = lowest
         # hold the batch's term rows, each sorted by term once here
-        counts = [doc.term_counts for doc in docs]
-        lens = np.fromiter(map(len, counts), dtype=np.int64, count=n)
-        total = int(lens.sum())
-        terms = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
-                            count=total)
-        values = np.fromiter(
-            chain.from_iterable(map(methodcaller("values"), counts)),
-            dtype=np.int32, count=total,
-        )
+        lens, terms, values = stack_rows(docs)
+        total = terms.size
         # one key per component, unique within the batch: (row, term)
         # in row-major order (ids are small, as the intern table is
         # sized by the largest)

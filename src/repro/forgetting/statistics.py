@@ -482,7 +482,8 @@ class CorpusStatistics:
             if not doc.length:
                 continue
             weight = weights[doc_id]
-            for term_id, count in doc.term_counts.items():
+            for term_id, count in zip(doc.term_ids.tolist(),
+                                      doc.counts.tolist()):
                 expected_mass[term_id] = (
                     expected_mass.get(term_id, 0.0)
                     + weight * count / doc.length

@@ -50,7 +50,7 @@ from typing import (
 
 from .core.incremental import IncrementalClusterer
 from .corpus.document import Document
-from .corpus.loaders import record_to_document
+from .corpus.loaders import record_terms, record_to_document
 from .exceptions import CheckpointError
 from .forgetting.model import ForgettingModel
 from .obs import Recorder, Span, resolve
@@ -84,16 +84,12 @@ def document_record(
     id the vocabulary does not know (previously a bare ``IndexError``
     out of ``vocabulary.term``).
     """
-    terms: Dict[str, int] = {}
-    size = len(vocabulary)
-    for term_id, count in sorted(doc.term_counts.items()):
-        if not 0 <= term_id < size:
-            raise CheckpointError(
-                f"document {doc.doc_id!r} holds term id {term_id}, "
-                f"which is not in the vocabulary (size {size}); was the "
-                f"wrong vocabulary passed?"
-            )
-        terms[vocabulary.term(term_id)] = count
+    try:
+        terms = record_terms(doc, vocabulary)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"{exc}; was the wrong vocabulary passed?"
+        ) from None
     return {
         "doc_id": doc.doc_id,
         "timestamp": doc.timestamp,

@@ -12,8 +12,9 @@ queries against one committed batch:
   so queries never touch live statistics;
 * the sorted member and outlier tuples.
 
-:meth:`ClusterSnapshot.assign` scores a query with the assignment
-sweep's own :func:`~repro.core.engines.best_affine_gain`;
+:meth:`ClusterSnapshot.assign` scores a query with the engine's own
+:func:`~repro.core.engines.best_affine_gain`, the assignment sweep's
+gain arithmetic;
 :meth:`ClusterSnapshot.search` ranks clusters by the cosine between a
 text query and the same representatives.
 
@@ -42,7 +43,7 @@ from typing import (
 
 import numpy as np
 
-from .._typing import FloatArray
+from .._typing import FloatArray, IntArray
 from .._validation import require_positive_int
 from ..core.engines import EngineView, best_affine_gain
 from ..corpus.document import Document
@@ -216,22 +217,18 @@ class ClusterSnapshot:
         zero counts are dropped, and a negative or non-finite count
         raises :class:`~repro.exceptions.ConfigurationError`.
         """
-        counts, length = self._query_counts(query)
+        ids, values, length = self._query_counts(query)
         outlier = QueryAssignment(
             cluster_id=None, gain=0.0, version=self.version
         )
         term_ids = self.view.term_ids
         if (
-            not counts
+            ids.size == 0
             or length <= 0
             or self.frozen.tdw <= 0.0
             or term_ids.size == 0
         ):
             return outlier
-        ids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        values = np.fromiter(
-            counts.values(), dtype=np.float64, count=len(counts)
-        )
         positions = np.searchsorted(term_ids, ids)
         positions = np.minimum(positions, term_ids.size - 1)
         found = term_ids[positions] == ids
@@ -270,15 +267,12 @@ class ClusterSnapshot:
         cluster id, and matched-term ties to the lower term id.
         """
         require_positive_int("limit", limit)
-        counts, _ = self._query_counts(query)
-        if not counts:
+        ids, values, _ = self._query_counts(query)
+        if ids.size == 0:
             return []
-        ids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
         order = np.argsort(ids)
         ids = ids[order]
-        weights = np.fromiter(
-            counts.values(), dtype=np.float64, count=len(counts)
-        )[order] * self.frozen.idf_array(ids)
+        weights = values[order] * self.frozen.idf_array(ids)
         norm = math.sqrt(float(weights @ weights))
         view = self.view
         term_ids = view.term_ids
@@ -348,8 +342,13 @@ class ClusterSnapshot:
 
     # -- helpers ---------------------------------------------------------
 
-    def _query_counts(self, query: Query) -> Tuple[Dict[int, float], float]:
-        """Normalise a query to ``({term_id: count}, length)``.
+    def _query_counts(
+        self, query: Query
+    ) -> Tuple[IntArray, FloatArray, float]:
+        """Normalise a query to ``(term ids, counts, length)``: int64
+        ids and float64 counts, aligned and without zero counts.
+
+        A document's row is taken as it is held.
 
         Text queries run the attached pipeline and look terms up
         *without interning* (:meth:`Vocabulary.get`), so reader threads
@@ -358,8 +357,10 @@ class ClusterSnapshot:
         document whose unseen terms carry idf 0.
         """
         if isinstance(query, Document):
-            query = query.term_counts
-        elif isinstance(query, str):
+            return (query.term_ids.astype(np.int64),
+                    query.counts.astype(np.float64), float(query.length))
+        counts: Dict[int, float] = {}
+        if isinstance(query, str):
             if self.pipeline is None or self.vocabulary is None:
                 raise ConfigurationError(
                     "text queries need the snapshot's text front-end; "
@@ -368,13 +369,11 @@ class ClusterSnapshot:
                 )
             raw = self.pipeline.term_frequencies(query)
             length = float(sum(raw.values()))
-            counts: Dict[int, float] = {}
             for term, count in raw.items():
                 term_id = self.vocabulary.get(term)
                 if term_id >= 0:
                     counts[term_id] = counts.get(term_id, 0.0) + count
-            return counts, length
-        counts = {}
+            return _count_arrays(counts) + (length,)
         for term_id, count in query.items():
             value = float(count)
             if not math.isfinite(value) or value < 0.0:
@@ -384,7 +383,7 @@ class ClusterSnapshot:
                 )
             if value > 0.0:
                 counts[int(term_id)] = value
-        return counts, float(sum(counts.values()))
+        return _count_arrays(counts) + (float(sum(counts.values())),)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -393,3 +392,10 @@ class ClusterSnapshot:
             f"clusters={int((self.view.sizes > 0).sum())}/{self.k}, "
             f"G={self.clustering_index:.3e})"
         )
+
+
+def _count_arrays(counts: Dict[int, float]) -> Tuple[IntArray, FloatArray]:
+    """``counts``' keys and values as aligned int64 and float64 arrays."""
+    n = len(counts)
+    return (np.fromiter(counts.keys(), dtype=np.int64, count=n),
+            np.fromiter(counts.values(), dtype=np.float64, count=n))
