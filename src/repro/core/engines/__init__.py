@@ -23,7 +23,7 @@ from .base import (
     affine_gain_coefficients,
     best_affine_gain,
 )
-from .matrix import MatrixEngine
+from .matrix import MatrixEngine, SweepCounts
 
 __all__ = [
     "NO_GAIN",
@@ -31,6 +31,7 @@ __all__ = [
     "EngineClass",
     "EngineView",
     "MatrixEngine",
+    "SweepCounts",
     "affine_gain_coefficients",
     "best_affine_gain",
 ]

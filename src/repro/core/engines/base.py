@@ -100,7 +100,7 @@ def best_affine_gain(
     cluster with its removal-adjusted gain."""
     gains = np.multiply(gain_a, cr, out=out)
     gains += gain_b
-    best = int(np.argmax(gains))
+    best = int(gains.argmax())
     return best, float(gains[best])
 
 

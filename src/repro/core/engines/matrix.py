@@ -12,27 +12,32 @@ answers that with one gather per document; this engine batches the
   ascending), with cached self-similarities ``w⃗_d·w⃗_d`` (the Eq. 23
   summands, which already fold in the ``Pr(d)/len_d`` novelty weights
   of Eq. 12-16),
-* cluster representatives are dense accumulator rows ``R`` (K×V,
-  Eq. 19-20); the warm start (Section 5.2 step 3) loads them in bulk
-  as the one-hot assignment matrix times ``X`` (:meth:`MatrixEngine.load`),
+* cluster representatives are dense accumulator columns ``Rᵀ`` (V×K,
+  Eq. 19-20), the layout the sweep's product reads without a copy; the
+  warm start (Section 5.2 step 3) loads them in bulk as the one-hot
+  assignment matrix times ``X`` (:meth:`MatrixEngine.load`),
 * per block of documents the representative dot products arrive as one
   sparse-dense product ``S = X_blk · Rᵀ``, and the sweep's own
   membership moves are replayed into ``S`` exactly from rows of the
   intra-block Gram matrix ``X_blk · X_blkᵀ`` (when document j
   left/joined cluster p, the later rows' similarity to p changes by
-  ∓``w⃗_i·w⃗_j``). Only movers need their Gram row, so a row is paid
-  for when its document first moves, and kept for later passes,
+  ∓``w⃗_i·w⃗_j``). Only movers need their Gram row; the block keeps
+  each row it pays for across passes,
 * the Eq. 25-26 gain of document q against cluster p is affine in
-  ``cr_sim(C_p, d_q)``, so per document the K gains are one
-  fused multiply-add ``a ⊙ cr + b`` over incrementally maintained
+  ``cr_sim(C_p, d_q)``, so the K gains of a window of documents are one
+  fused multiply-add ``a ⊙ S + b`` over incrementally maintained
   coefficient vectors instead of the full Eq. 24 recomputation,
 * each document is decided before anything moves: a member is scored
   against its own cluster with its removal-adjusted gain, and state
-  changes only for a net mover. A document that stays where it is
-  leaves ``cr_sim``, ``ss``, ``S`` and the representatives untouched,
-  whether the sequential loop or the speculative fast path over runs
-  of stationary documents resolves it, so the output does not depend
-  on that path's lookahead (``SPECULATE_WINDOW``).
+  changes only for a net mover. Decisions ahead of a mover do not
+  depend on each other, and a move changes only its old and new
+  clusters, so the gain window survives it: the sweep re-scores those
+  two rows of the window and the own-cluster gains of the later
+  members of those two clusters, and reads every other decision from
+  the window as it stands. A stationary document leaves ``cr_sim``,
+  ``ss``, ``S`` and the representatives untouched, however it was
+  decided, so the output does not depend on the window's length
+  (``SPECULATE_WINDOW``).
 
 The decisions are the reference recurrence's — same gains, same order
 of membership moves — so assignments match the dense oracle. ``G``
@@ -46,6 +51,8 @@ construction fails with a clear message when it is missing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -74,18 +81,38 @@ else:
 #: small enough that the b×b Gram matrix stays cache-resident.
 DEFAULT_BLOCK_SIZE = 256
 
-#: A sweep pays a mover's Gram row with one sparse mat-vec, at about
-#: twice the cost per row of one sparse product over many rows. Every
-#: ``GRAM_CHECK_EVERY`` rows paid one by one, when more than
-#: ``GRAM_BULK_SHARE`` of the block's rows so far have needed theirs
-#: (a first pass over a reshuffled window), the block's later rows get
-#: theirs from one product instead.
-GRAM_CHECK_EVERY = 16
-GRAM_BULK_SHARE = 0.3
+#: Gram rows computed per product when paying in bulk: each costs a
+#: dense V-long operand column, so this bounds the product's scratch.
+GRAM_BULK_ROWS = 32
 
-#: Lookahead of the net-stationary fast path: bounds the work thrown
-#: away when a mover interrupts a stationary run.
+#: Length of the live gain window: the documents decided at once. It
+#: bounds the re-scoring a move costs.
 SPECULATE_WINDOW = 64
+
+
+@dataclass
+class SweepCounts:
+    """What the assignment sweeps did, summed over blocks: every swept
+    document is decided either by the vectorised window or one by one,
+    and a Gram row is paid either one by one or in bulk."""
+
+    #: Documents decided by the vectorised gain window.
+    window_docs: int = 0
+    #: Documents decided one at a time.
+    sequential_docs: int = 0
+    #: Net movers: documents that left or changed cluster.
+    movers: int = 0
+    #: Window re-scorings after a move.
+    window_patches: int = 0
+    #: Gram rows paid one mat-vec at a time.
+    gram_rows_single: int = 0
+    #: Gram rows paid by one product over many rows.
+    gram_rows_bulk: int = 0
+
+    def tags(self) -> Dict[str, int]:
+        """The counts as span tags."""
+        return {field.name: getattr(self, field.name)
+                for field in fields(self)}
 
 
 def _row_dots(indptr: IntArray, data: FloatArray) -> FloatArray:
@@ -115,37 +142,104 @@ def _row_dots(indptr: IntArray, data: FloatArray) -> FloatArray:
     return out
 
 
+def _entries(indptr: IntArray, rows: IntArray) -> Tuple[IntArray, IntArray]:
+    """Positions of the CSR entries of ``rows``, row after row, and the
+    length of each row."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    total = int(lens.sum())
+    # each entry's offset within its row, plus its row's start
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return shift + np.arange(total, dtype=shift.dtype), lens
+
+
+def _decide(
+    G: FloatArray, current: IntArray, live: Optional[BoolArray]
+) -> Tuple[IntArray, FloatArray, BoolArray]:
+    """Decide the documents of the columns of a gain window ``G``
+    (K × m) at once: each one's best cluster (ties to the lowest) and
+    gain, and whether it moves — whether where it ends up (its best
+    cluster when that gains, else nowhere; nowhere for an empty vector,
+    ``live`` False) differs from ``current``, its cluster or -1."""
+    best = G.argmax(0)
+    gain = G[best, np.arange(G.shape[1])]
+    join = gain > 0.0
+    if live is not None:
+        join &= live
+    moves: BoolArray = np.where(join, best, -1) != current
+    return best, gain, moves
+
+
+def _own_gains(
+    criterion: str,
+    n1: IntArray,
+    crpp1: FloatArray,
+    ss1: FloatArray,
+    dprime: FloatArray,
+) -> FloatArray:
+    """:meth:`MatrixEngine._own_gain` over many members at once, bit for
+    bit: ``n1``, ``crpp1`` and ``ss1`` are each member's cluster's size,
+    ``cr_sim(C_p, C_p)`` and ``ss`` after its removal, ``dprime`` its
+    ``cr_sim`` with what remains."""
+    if criterion == "g":
+        a_ = 2.0 / np.maximum(n1, 1)
+        b_ = -(crpp1 - ss1) / np.maximum(n1 * (n1 - 1), 1)
+        gains: FloatArray = np.where(
+            n1 <= 0, 0.0,
+            np.where(n1 == 1, 2.0 * dprime, a_ * dprime + b_),
+        )
+        return gains
+    diff = crpp1 - ss1
+    d1 = np.maximum(n1 * (n1 + 1), 1)
+    a_ = 2.0 / d1
+    avg_cur = np.where(n1 > 1, diff / np.maximum(n1 * (n1 - 1), 1), 0.0)
+    b_ = diff / d1 - avg_cur
+    gains = np.where(n1 <= 0, 0.0, a_ * dprime + b_)
+    return gains
+
+
 class _Block:
     """One sweep block: its rows, its slice ``Xb`` of ``X`` and the rows
     of its Gram matrix ``Xb · Xbᵀ`` computed so far.
 
-    A Gram row is paid only for a row that moves: the sweep replays a
-    mover's Gram row into the later rows' similarities, and a row that
-    stays where it is needs none. Every row is computed as a whole and
-    is bit-equal to that row of the full product.
+    A Gram row is paid only for a row that moves, or that the block's
+    entry state says will: the sweep replays a mover's Gram row into the
+    later rows' similarities, and a row that stays where it is needs
+    none. Every row is computed as a whole and is bit-equal to that row
+    of the full product.
     """
 
-    __slots__ = ("rows", "X", "XT", "gram", "have")
+    __slots__ = ("rows", "X", "gram", "have")
 
     def __init__(self, rows: IntArray, X: Any) -> None:
         self.rows = rows.copy()
         self.X = X
-        # Xbᵀ as CSR, the operand every product below converts to;
-        # kept for one sweep of the block only (later passes seldom
-        # fill, and a block's Xbᵀ is as large as its slice of X)
-        self.XT: Any = None
         self.gram: FloatArray = np.empty((rows.size, rows.size),
                                          dtype=np.float64)
         self.have: BoolArray = np.zeros(rows.size, dtype=bool)
 
-    def fill(self, positions: IntArray) -> None:
-        """Compute the Gram rows of ``positions`` in one sparse product."""
+    def fill(self, positions: IntArray) -> int:
+        """Compute the missing Gram rows of ``positions``, a few at a
+        time, as ``Xb · D`` for a dense operand ``D`` holding those rows
+        as columns; returns how many were computed.
+
+        Each entry of ``Xb · D`` sums its row's products in ascending
+        term order, as the sparse ``Xb · Xbᵀ`` does, plus exact zeros,
+        so the rows are bit-equal to the full product's, and no
+        transpose of the block is built.
+        """
         todo = positions[~self.have[positions]]
-        if todo.size:
-            if self.XT is None:
-                self.XT = self.X.T.tocsr()
-            self.gram[todo] = (self.X[todo] @ self.XT).toarray()
-            self.have[todo] = True
+        X = self.X
+        for lo in range(0, todo.size, GRAM_BULK_ROWS):
+            chunk = todo[lo:lo + GRAM_BULK_ROWS]
+            at, lens = _entries(X.indptr, chunk)
+            D = np.zeros((X.shape[1], chunk.size), dtype=np.float64)
+            D[X.indices[at], np.repeat(np.arange(chunk.size), lens)] = (
+                X.data[at]
+            )
+            self.gram[chunk] = (X @ D).T
+        self.have[todo] = True
+        return int(todo.size)
 
 
 class MatrixEngine:
@@ -156,6 +250,9 @@ class MatrixEngine:
     self-similarity, whether its vector is empty, and the stamp of its
     last append. A cluster's members are its rows in stamp order, which
     is the order the dense oracle's member dicts keep.
+
+    ``sweep_counts`` is ``None`` until a caller sets it to a
+    :class:`SweepCounts`; the sweeps then add what they did to it.
     """
 
     name: ClassVar[str] = "matrix"
@@ -177,6 +274,7 @@ class MatrixEngine:
         self.k = int(k)
         self._criterion = criterion
         self._block_size = max(1, int(block_size))
+        self.sweep_counts: Optional[SweepCounts] = None
 
         # the vectoriser's flat arrays and compact column map are
         # already the matrix layout: rows hold their terms ascending
@@ -199,7 +297,8 @@ class MatrixEngine:
         self._stamp = np.zeros(n_docs, dtype=np.int64)
         self._clock = 0
 
-        self._rep = np.zeros((k, n_terms), dtype=np.float64)
+        # Rᵀ, term-major: X_blk · Rᵀ reads it as it is
+        self._rep_t = np.zeros((n_terms, k), dtype=np.float64)
         self._crpp: List[float] = [0.0] * k
         self._ss: List[float] = [0.0] * k
         self._sizes: List[int] = [0] * k
@@ -246,10 +345,10 @@ class MatrixEngine:
     def add(self, cluster_id: int, row: int) -> None:
         ids, vals = self._row_slice(row)
         w2 = float(self._w2[row])
-        dot = float(self._rep[cluster_id, ids] @ vals)
+        dot = float(self._rep_t[ids, cluster_id] @ vals)
         self._crpp[cluster_id] += 2.0 * dot + w2
         self._ss[cluster_id] += w2
-        self._rep[cluster_id, ids] += vals
+        self._rep_t[ids, cluster_id] += vals
         self._sizes[cluster_id] += 1
         self._assigned[row] = cluster_id
         self._stamp[row] = self._clock
@@ -259,14 +358,14 @@ class MatrixEngine:
     def remove(self, cluster_id: int, row: int) -> None:
         ids, vals = self._row_slice(row)
         w2 = float(self._w2[row])
-        dot = float(self._rep[cluster_id, ids] @ vals)
+        dot = float(self._rep_t[ids, cluster_id] @ vals)
         self._crpp[cluster_id] += -2.0 * dot + w2
         self._ss[cluster_id] -= w2
-        self._rep[cluster_id, ids] -= vals
+        self._rep_t[ids, cluster_id] -= vals
         self._sizes[cluster_id] -= 1
         self._assigned[row] = -1
         if self._sizes[cluster_id] == 0:
-            self._rep[cluster_id, :] = 0.0
+            self._rep_t[:, cluster_id] = 0.0
             self._crpp[cluster_id] = 0.0
             self._ss[cluster_id] = 0.0
         self._refresh_coeffs(cluster_id)
@@ -315,8 +414,8 @@ class MatrixEngine:
             (np.ones(rows.size), by_cluster, indptr),
             shape=(self.k, n_docs),
         )
-        self._rep = np.ascontiguousarray(
-            (membership @ self._X).toarray(), dtype=np.float64
+        self._rep_t = np.ascontiguousarray(
+            (membership @ self._X).toarray().T, dtype=np.float64
         )
         self._ss = np.bincount(
             clusters, weights=self._w2[rows], minlength=self.k
@@ -338,7 +437,7 @@ class MatrixEngine:
     def best_gain(self, row: int) -> Tuple[int, float]:
         ids, vals = self._row_slice(row)
         return best_affine_gain(
-            self._gain_a, self._gain_b, self._rep[:, ids] @ vals
+            self._gain_a, self._gain_b, self._rep_t[ids].T @ vals
         )
 
     def best_gains(self, rows: IntArray) -> Tuple[IntArray, FloatArray]:
@@ -346,13 +445,11 @@ class MatrixEngine:
         n = rows.size
         best_out = np.empty(n, dtype=np.int64)
         gain_out = np.empty(n, dtype=np.float64)
-        gains = np.empty(self.k, dtype=np.float64)
         block = self._block_size
         for start in range(0, n, block):
             stop = min(start + block, n)
             self._sweep_block(
-                rows[start:stop], gains,
-                best_out[start:stop], gain_out[start:stop],
+                rows[start:stop], best_out[start:stop], gain_out[start:stop]
             )
         return best_out, gain_out
 
@@ -405,109 +502,148 @@ class MatrixEngine:
     def _sweep_block(
         self,
         block_rows: IntArray,
-        gains: FloatArray,
         best_out: IntArray,
         gain_out: FloatArray,
     ) -> None:
         """One block of the assignment sweep, answered by matmuls.
 
         ``ST[p, i]`` starts as ``c⃗_p · w⃗_i`` against the block-entry
-        representatives (one product); every membership move inside the
-        block folds the mover's Gram row into the not-yet-processed
-        columns, so each document sees exactly the representative state
-        the sequential reference loop would have seen. A document is
-        decided before it moves: a member's own cluster is scored with
-        :meth:`_own_gain`, and only a net mover (it leaves, or joins
-        another cluster) is removed and re-added; a stationary member is
-        only restamped, as :meth:`_speculate` does. Gram rows are
-        paid per mover: the rows entering the block unassigned (they
-        join unless they are outliers) get theirs from one product up
-        front, any other row on its first move (:meth:`_gram_row`, or
-        one product for the block's later rows once most rows have
-        moved); the block keeps them for later passes. Representative
-        rows themselves are updated once per block from the
-        accumulated moves (one sparse product), not per document.
+        representatives (one product with ``Rᵀ``, read in place); every
+        membership move inside the block folds the mover's Gram row into
+        the not-yet-processed columns, so each document sees exactly the
+        representative state the sequential reference loop would have
+        seen. A document is decided before it moves: a member's own
+        cluster is scored with its removal-adjusted gain, and only a net
+        mover (it leaves, or joins another cluster) changes any state. A
+        stationary member is only restamped, and stamps are written once
+        per block: every document the block ends with in a cluster took
+        its stamp in this sweep, in sweep order.
+
+        Documents are decided in a live gain window ``G = a ⊙ ST + b``
+        over the next ``SPECULATE_WINDOW`` columns (:meth:`_open_window`):
+        one argmax per column decides every document up to the first
+        net mover at once. The move then re-scores only what it changed
+        (:meth:`_patch_window`), and the window carries on from the next
+        column. A window opens only at a document that entered the block
+        in a cluster: a run of unassigned documents mostly joins, and is
+        cheaper decided one at a time from its column of ``ST`` (a first
+        pass over a batch's new documents). Both paths compute every gain
+        with the same arithmetic.
+
+        The Gram policy is chosen when the block's sweep starts. The
+        whole block is scored against its entry state (those scores are
+        its first window), and every row that would move then gets its
+        Gram row in one product (:meth:`_Block.fill`); a row that moves
+        only because of an earlier move in the block pays one by one
+        (:meth:`_gram_row`). The block keeps its Gram rows for later
+        passes. Representative rows themselves are updated once per
+        block from the accumulated moves (:meth:`_apply_moves`), not per
+        document.
         """
         nb = len(block_rows)
         block = self._block(block_rows)
         Xb = block.X
+        assigned, stamp = self._assigned, self._stamp
         empty_blk = self._empty[block_rows]
-        block.fill(np.flatnonzero(
-            (self._assigned[block_rows] < 0) & ~empty_blk
-        ))
-        gram, have = block.gram, block.have
-        paid = 0
-
-        def pay_gram_row(i: int) -> None:
-            # the first move of a row whose Gram row is not yet paid
-            nonlocal paid
-            paid += 1
-            if (paid % GRAM_CHECK_EVERY == 0
-                    and paid > GRAM_BULK_SHARE * (i + 1)):
-                block.fill(i + np.flatnonzero(~empty_blk[i:]))
-            if not have[i]:
-                self._gram_row(block, i)
-
+        cur_blk = assigned[block_rows]
         # cluster-major layout: the per-move correction touches one
         # contiguous row slice, and the Gram matrix is exactly
         # symmetric (sorted CSR indices), so its rows stand in for its
         # columns
-        ST = np.ascontiguousarray(np.asarray(Xb @ self._rep.T).T)
+        ST = np.ascontiguousarray((Xb @ self._rep_t).T)
+        G = np.empty_like(ST)
+        live_blk = ~empty_blk
+        any_empty = bool(empty_blk.any())
+        w2_blk = self._w2[block_rows]
+        # the Gram policy: the rows that would move against the
+        # block-entry state get their Gram rows in one product now, a
+        # row that moves only because of an earlier move pays one by
+        # one. The scores stand as the block's first window.
+        self._open_window(G, ST, 0, nb, cur_blk, w2_blk)
+        would_move = _decide(G, cur_blk, live_blk if any_empty else None)[2]
+        gram_bulk = block.fill((would_move & ~block.have).nonzero()[0])
+        gram, have = block.gram, block.have
+        gram_single = 0
         move_cluster: List[int] = []
         move_idx: List[int] = []
         move_sign: List[float] = []
         emptied: Set[int] = set()
-        assigned, stamp = self._assigned, self._stamp
         crpp, ss, sizes = self._crpp, self._ss, self._sizes
         gain_a, gain_b = self._gain_a, self._gain_b
         refresh_coeffs = self._refresh_coeffs
+        gains = np.empty(self.k, dtype=np.float64)
         rows_l = block_rows.tolist()
-        w2_blk = self._w2[block_rows]
+        cur_l = cur_blk.tolist()
         w2_l = w2_blk.tolist()
         empty_l = empty_blk.tolist()
+        member_pos: List[List[int]] = [[] for _ in range(self.k)]
+        for position, cluster_id in enumerate(cur_l):
+            if cluster_id >= 0:
+                member_pos[cluster_id].append(position)
+        window_docs = patches = 0
         i = 0
-        spec_fails = 0
+        # the live window is columns [i, w_end)
+        w_end = min(SPECULATE_WINDOW, nb) if cur_l[0] >= 0 else 0
         while i < nb:
-            # vectorised fast path over a run of net-stationary
-            # documents; gives up for the block after three immediate
-            # misses (e.g. the first pass, where every document moves)
-            if spec_fails < 3 and nb - i > 16:
-                advanced = self._speculate(
-                    block_rows, i, ST, w2_blk, best_out, gain_out
+            if i >= w_end and cur_l[i] >= 0:
+                w_end = min(i + SPECULATE_WINDOW, nb)
+                self._open_window(G, ST, i, w_end, cur_blk, w2_blk)
+            if i < w_end:
+                # every document of the window is decided as the window
+                # stands; the first net mover ends the stationary run
+                best_w, gain_w, mover = _decide(
+                    G[:, i:w_end], cur_blk[i:w_end],
+                    live_blk[i:w_end] if any_empty else None,
                 )
-                if advanced:
-                    spec_fails = 0
-                    i += advanced
-                    if i >= nb:
-                        break
+                k = int(mover.argmax())
+                if not mover[k]:
+                    k = w_end - i
+                if k:
+                    stop = i + k
+                    best_out[i:stop] = best_w[:k]
+                    gain_out[i:stop] = gain_w[:k]
+                    if any_empty:
+                        e = empty_blk[i:stop]
+                        best_out[i:stop][e] = -1
+                        gain_out[i:stop][e] = NO_GAIN
+                    window_docs += k
+                    i = stop
+                    if i == w_end:
+                        continue
+                window_docs += 1
+                if empty_l[i]:
+                    best, gain = -1, NO_GAIN
                 else:
-                    spec_fails += 1
-            row = rows_l[i]
-            w2 = w2_l[i]
-            current = int(assigned[row])
-            if empty_l[i]:
-                best, gain = -1, NO_GAIN
+                    best, gain = int(best_w[k]), float(gain_w[k])
             else:
-                # decide before moving: a member's own cluster is scored
-                # with its removal-adjusted gain, so a document that
-                # would re-join where it is changes nothing
-                np.multiply(gain_a, ST[:, i], out=gains)
-                gains += gain_b
-                if current >= 0:
-                    gains[current] = self._own_gain(
-                        current, float(ST[current, i]), w2
-                    )
-                best = int(np.argmax(gains))
-                gain = float(gains[best])
-                if best == current and gain > 0.0:
+                w2 = w2_l[i]
+                current = cur_l[i]
+                if empty_l[i]:
+                    best, gain = -1, NO_GAIN
+                else:
+                    np.multiply(gain_a, ST[:, i], out=gains)
+                    gains += gain_b
+                    if current >= 0:
+                        gains[current] = self._own_gain(
+                            current, float(ST[current, i]), w2
+                        )
+                    best = int(gains.argmax())
+                    gain = float(gains[best])
+                if (best if gain > 0.0 else -1) == current:
                     best_out[i] = best
                     gain_out[i] = gain
-                    # the reference's remove+re-add moves it to the end
-                    # of its cluster's members
-                    stamp[row] = self._clock
-                    self._clock += 1
                     i += 1
                     continue
+            # a net mover: leave the current cluster, join the best one
+            # when it gains
+            row = rows_l[i]
+            w2 = w2_l[i]
+            current = cur_l[i]
+            later = i + 1 < nb
+            if later and not have[i]:
+                self._gram_row(block, i)
+                gram_single += 1
+            touched: List[int] = []
             if current >= 0:
                 assigned[row] = -1
                 dot = float(ST[current, i])
@@ -519,13 +655,12 @@ class MatrixEngine:
                     ss[current] = 0.0
                     emptied.add(current)
                 refresh_coeffs(current)
-                if i + 1 < nb:
-                    if not have[i]:
-                        pay_gram_row(i)
+                if later:
                     ST[current, i + 1:] -= gram[i, i + 1:]
                 move_cluster.append(current)
                 move_idx.append(i)
                 move_sign.append(-1.0)
+                touched.append(current)
             best_out[i] = best
             gain_out[i] = gain
             if gain > 0.0:
@@ -534,41 +669,125 @@ class MatrixEngine:
                 ss[best] += w2
                 sizes[best] += 1
                 assigned[row] = best
-                stamp[row] = self._clock
-                self._clock += 1
                 refresh_coeffs(best)
-                if i + 1 < nb:
-                    if not have[i]:
-                        pay_gram_row(i)
+                if later:
                     ST[best, i + 1:] += gram[i, i + 1:]
                 move_cluster.append(best)
                 move_idx.append(i)
                 move_sign.append(1.0)
+                touched.append(best)
             i += 1
+            if i < w_end:
+                self._patch_window(G, ST, i, w_end, touched, member_pos,
+                                   w2_l)
+                patches += 1
+        # every document the block ends with in a cluster joined it or
+        # stayed in it during this sweep, and the reference's
+        # remove+re-add put it last among its cluster's members, in sweep
+        # order
+        now = block_rows[assigned[block_rows] >= 0]
+        stamp[now] = np.arange(self._clock, self._clock + now.size)
+        self._clock += now.size
         if move_idx:
-            delta = (
-                _sp.csr_matrix(
-                    (
-                        np.asarray(move_sign, dtype=np.float64),
-                        (
-                            np.asarray(move_cluster, dtype=np.int64),
-                            np.asarray(move_idx, dtype=np.int64),
-                        ),
-                    ),
-                    shape=(self.k, nb),
-                )
-                @ Xb
-            ).tocsr()
-            indptr, indices, data = delta.indptr, delta.indices, delta.data
-            for cluster_id in set(move_cluster):
-                lo, hi = indptr[cluster_id], indptr[cluster_id + 1]
-                if lo != hi:
-                    self._rep[cluster_id, indices[lo:hi]] += data[lo:hi]
+            self._apply_moves(Xb, move_cluster, move_idx, move_sign)
         for cluster_id in emptied:
             if sizes[cluster_id] == 0:
                 # clear the float residue, as the direct path does
-                self._rep[cluster_id, :] = 0.0
-        block.XT = None
+                self._rep_t[:, cluster_id] = 0.0
+        counts = self.sweep_counts
+        if counts is not None:
+            counts.window_docs += window_docs
+            counts.sequential_docs += nb - window_docs
+            counts.movers += len(set(move_idx))
+            counts.window_patches += patches
+            counts.gram_rows_single += gram_single
+            counts.gram_rows_bulk += gram_bulk
+
+    def _open_window(
+        self,
+        G: FloatArray,
+        ST: FloatArray,
+        start: int,
+        stop: int,
+        cur_blk: IntArray,
+        w2_blk: FloatArray,
+    ) -> None:
+        """Score columns ``[start, stop)`` of the gain window: ``G =
+        a ⊙ ST + b`` (Eq. 25-26), with each member's own cluster scored
+        at its removal-adjusted gain, exactly as :meth:`_own_gain`
+        computes it."""
+        window = slice(start, stop)
+        np.multiply(ST[:, window], self._gain_a[:, None], out=G[:, window])
+        G[:, window] += self._gain_b[:, None]
+        members = start + (cur_blk[window] >= 0).nonzero()[0]
+        if members.size:
+            c = cur_blk[members]
+            dots = ST[c, members]
+            w2 = w2_blk[members]
+            G[c, members] = _own_gains(
+                self._criterion,
+                np.asarray(self._sizes)[c] - 1,
+                np.asarray(self._crpp)[c] + (-2.0 * dots + w2),
+                np.asarray(self._ss)[c] - w2,
+                dots - w2,
+            )
+
+    def _patch_window(
+        self,
+        G: FloatArray,
+        ST: FloatArray,
+        start: int,
+        stop: int,
+        clusters: List[int],
+        member_pos: List[List[int]],
+        w2_l: List[float],
+    ) -> None:
+        """Bring columns ``[start, stop)`` of the gain window up to date
+        after a move that changed ``clusters``: their rows, and the
+        own-cluster gains of their members in those columns
+        (``member_pos[p]``: the block positions of ``p``'s members at
+        block entry, ascending). Every other entry still holds what
+        :meth:`_open_window` would compute now."""
+        window = slice(start, stop)
+        for p in clusters:
+            row = G[p, window]
+            np.multiply(ST[p, window], self._gain_a[p], out=row)
+            row += self._gain_b[p]
+            positions = member_pos[p]
+            lo = bisect_left(positions, start)
+            for m in positions[lo:bisect_left(positions, stop, lo)]:
+                G[p, m] = self._own_gain(p, float(ST[p, m]), w2_l[m])
+
+    def _apply_moves(
+        self,
+        Xb: Any,
+        move_cluster: List[int],
+        move_idx: List[int],
+        move_sign: List[float],
+    ) -> None:
+        """Add a block's moves to the representatives: each moved
+        cluster gains ``Σ ±x⃗_i`` over its moves.
+
+        The sum starts from zero and adds the moves' rows in sweep
+        order (one ``np.bincount`` over their entries, keyed by term and
+        cluster), the order the sparse product of the K×b signed one-hot
+        move matrix with ``Xb`` sums them in, and is then added to the
+        rows of ``Rᵀ`` the moves touch, once; the entries it leaves zero
+        add nothing.
+        """
+        at, lens = _entries(Xb.indptr, np.asarray(move_idx, dtype=np.int64))
+        n_terms, k = self._rep_t.shape
+        terms = Xb.indices[at]
+        present = np.zeros(n_terms, dtype=bool)
+        present[terms] = True
+        touched = present.nonzero()[0]
+        slot = np.cumsum(present) - 1
+        delta = np.bincount(
+            slot[terms] * k + np.repeat(move_cluster, lens),
+            weights=np.repeat(move_sign, lens) * Xb.data[at],
+            minlength=touched.size * k,
+        )
+        self._rep_t[touched] += delta.reshape(touched.size, k)
 
     def _own_gain(self, cluster_id: int, dot: float, w2: float) -> float:
         """Gain of a member of ``cluster_id`` for re-joining it once
@@ -576,7 +795,7 @@ class MatrixEngine:
         ``cr = dot - w2`` (``dot`` its ``cr_sim`` with the cluster as it
         is, ``w2`` its self-similarity). Bit-equal to the gain the
         coefficients refreshed after the removal's bookkeeping would
-        give, and to :meth:`_speculate`'s vectorised form."""
+        give, and to :func:`_own_gains`' vectorised form."""
         a, b = affine_gain_coefficients(
             self._criterion,
             self._sizes[cluster_id] - 1,
@@ -585,100 +804,16 @@ class MatrixEngine:
         )
         return a * (dot - w2) + b
 
-    def _speculate(
-        self,
-        block_rows: IntArray,
-        i0: int,
-        ST: FloatArray,
-        w2_blk: FloatArray,
-        best_out: IntArray,
-        gain_out: FloatArray,
-    ) -> int:
-        """Resolve a leading run of net-stationary documents at once.
-
-        In converged iterations almost every document is removed,
-        probed, and re-joins the cluster it came from — a net no-op on
-        every cluster's accounting. This path evaluates the Eq. 25-26
-        gains of all remaining documents in one broadcast (each with
-        its own-cluster coefficients adjusted for its removal, exactly
-        as :meth:`_own_gain` computes them), records the decisions up
-        to the first document that actually changes membership, and
-        returns how many were resolved; the caller's sequential loop
-        takes over at the first net mover. Returns 0 when the very next
-        document moves. The sequential loop leaves a stationary
-        document's state exactly as this path does, so how far it looks
-        ahead changes no output.
-        """
-        stop_at = min(i0 + SPECULATE_WINDOW, ST.shape[1])
-        STv = ST[:, i0:stop_at]
-        m = STv.shape[1]
-        rows = block_rows[i0:stop_at]
-        cur = self._assigned[rows]
-        w2v = w2_blk[i0:stop_at]
-        G = self._gain_a[:, None] * STv
-        G += self._gain_b[:, None]
-        asg = cur >= 0
-        if asg.any():
-            j = np.flatnonzero(asg)
-            c = cur[j]
-            dots = STv[c, j]
-            w2a = w2v[j]
-            crpp1 = np.asarray(self._crpp)[c] + (-2.0 * dots + w2a)
-            ss1 = np.asarray(self._ss)[c] - w2a
-            n1 = np.asarray(self._sizes)[c] - 1
-            dprime = dots - w2a
-            if self._criterion == "g":
-                a_ = 2.0 / np.maximum(n1, 1)
-                b_ = -(crpp1 - ss1) / np.maximum(n1 * (n1 - 1), 1)
-                g_own = np.where(
-                    n1 <= 0, 0.0,
-                    np.where(n1 == 1, 2.0 * dprime, a_ * dprime + b_),
-                )
-            else:
-                diff = crpp1 - ss1
-                d1 = np.maximum(n1 * (n1 + 1), 1)
-                a_ = 2.0 / d1
-                avg_cur = np.where(
-                    n1 > 1, diff / np.maximum(n1 * (n1 - 1), 1), 0.0
-                )
-                b_ = diff / d1 - avg_cur
-                g_own = np.where(n1 <= 0, 0.0, a_ * dprime + b_)
-            G[c, j] = g_own
-        best0 = np.argmax(G, axis=0)
-        gain0 = G[best0, np.arange(m)]
-        # same empty-vector gate as the sequential path
-        empty = self._empty[rows]
-        join = gain0 > 0.0
-        moved = np.where(asg, (best0 != cur) | ~join, join & ~empty)
-        movers = np.flatnonzero(moved)
-        stop = int(movers[0]) if movers.size else m
-        if stop == 0:
-            return 0
-        b_seg, g_seg = best0[:stop], gain0[:stop]
-        e = empty[:stop]
-        if e.any():
-            b_seg, g_seg = b_seg.copy(), g_seg.copy()
-            b_seg[e] = -1
-            g_seg[e] = NO_GAIN
-        best_out[i0:i0 + stop] = b_seg
-        gain_out[i0:i0 + stop] = g_seg
-        # the reference loop's remove+re-add cycles a stationary doc to
-        # the end of its cluster's members, in sweep order; new stamps
-        # keep members() identical to the dense oracle's
-        stationary = rows[:stop][asg[:stop]]
-        self._stamp[stationary] = np.arange(
-            self._clock, self._clock + stationary.size, dtype=np.int64
-        )
-        self._clock += stationary.size
-        return stop
-
     # -- global queries ---------------------------------------------------
 
     def sizes(self) -> List[int]:
         return list(self._sizes)
 
     def refresh(self) -> None:
-        fresh = np.einsum("ij,ij->i", self._rep, self._rep)
+        # the row-major copy gives each cr_sim(C_p, C_p) the summation
+        # order of a dot over one contiguous row
+        rep = np.ascontiguousarray(self._rep_t.T)
+        fresh = np.einsum("ij,ij->i", rep, rep)
         self._crpp = [float(value) for value in fresh]
         for cluster_id in range(self.k):
             self._refresh_coeffs(cluster_id)
@@ -711,17 +846,12 @@ class MatrixEngine:
 
     def _support(self) -> BoolArray:
         """``K × T`` mask of the terms some member of each cluster
-        carries: the membership matrix times ``X``'s sparsity pattern."""
-        rows = np.flatnonzero(self._assigned >= 0)
-        membership = _sp.csr_matrix(
-            (np.ones(rows.size), (self._assigned[rows], rows)),
-            shape=(self.k, self._X.shape[0]),
-        )
+        carries, scattered from the members' column indices."""
         X = self._X
-        pattern = _sp.csr_matrix(
-            (np.ones(X.nnz), X.indices, X.indptr), shape=X.shape
-        )
-        support: BoolArray = (membership @ pattern).toarray() > 0.0
+        owner = np.repeat(self._assigned, np.diff(X.indptr))
+        member = owner >= 0
+        support = np.zeros((self.k, X.shape[1]), dtype=bool)
+        support[owner[member], X.indices[member]] = True
         return support
 
     def freeze(self) -> EngineView:
@@ -730,9 +860,9 @@ class MatrixEngine:
         n_terms = self._term_ids.size
         # _remove subtracts in place, leaving float residue on terms no
         # remaining member carries; readers see those as exact zeros
-        representatives = np.where(
-            self._support()[:, :n_terms], self._rep[:, :n_terms], 0.0
-        )
+        representatives = np.ascontiguousarray(np.where(
+            self._support()[:, :n_terms], self._rep_t[:n_terms].T, 0.0
+        ))
         return EngineView(
             criterion=self._criterion,
             term_ids=self._term_ids.copy(),

@@ -55,7 +55,13 @@ from ..forgetting.statistics import CorpusStatistics
 from ..obs import Recorder, Span, resolve
 from ..vectors.arrays import WeightedVectorArrays
 from ..vectors.tfidf import NoveltyTfidfWeighter
-from .engines import Engine, EngineClass, EngineView, MatrixEngine
+from .engines import (
+    Engine,
+    EngineClass,
+    EngineView,
+    MatrixEngine,
+    SweepCounts,
+)
 from .result import ClusteringResult
 
 
@@ -240,8 +246,9 @@ class NoveltyKMeans:
         for iterations in range(1, self.max_iterations + 1):
             with Span(recorder, "kmeans.pass",
                       {"iteration": iterations,
-                       "engine": self.engine.name}):
-                outliers = self._assignment_pass(backend, len(docs))
+                       "engine": self.engine.name}) as pass_span:
+                outliers = self._assignment_pass(backend, len(docs),
+                                                 pass_span)
                 reseeded = self._reseed_empty_clusters(backend, outliers)
                 rescued = split = False
                 if self.rescue_outliers:
@@ -342,18 +349,30 @@ class NoveltyKMeans:
         keep[listed] = np.diff(vectors.indptr)[rows[listed]] > 0
         backend.load(rows[keep], clusters[keep])
 
-    def _assignment_pass(self, backend: Engine, n_rows: int) -> List[int]:
+    def _assignment_pass(
+        self, backend: Engine, n_rows: int, span: Span
+    ) -> List[int]:
         """Repetition-process step 1 over all rows; returns the outliers.
 
         The whole sweep is handed to the engine as one batched
         ``best_gains`` call (each document: leave its cluster, probe
         Eq. 26 against every cluster, join the best positive-gain one)
-        so vectorised engines can answer it with matrix products.
+        so vectorised engines can answer it with matrix products. With
+        an enabled recorder, what a :class:`MatrixEngine` sweep did
+        (:class:`~repro.core.engines.SweepCounts`) becomes tags of the
+        pass ``span``, beside the ``docs`` it swept.
         """
+        counted: Optional[MatrixEngine] = None
         if self.recorder.enabled:
             self.recorder.gauge("kmeans.batch_size", n_rows,
                                 engine=self.engine.name)
+            if isinstance(backend, MatrixEngine):
+                counted = backend
+                counted.sweep_counts = SweepCounts()
         best, gain = backend.best_gains(np.arange(n_rows, dtype=np.int64))
+        if counted is not None and counted.sweep_counts is not None:
+            span.tags.update(counted.sweep_counts.tags(), docs=n_rows)
+            counted.sweep_counts = None
         outliers: List[int] = np.flatnonzero(
             ~((best >= 0) & (gain > 0.0))
         ).tolist()

@@ -27,11 +27,14 @@ add/subtract order of the dict oracle, so the two stores' ``tdw``
 match bit-for-bit on identical histories; per-document weights and
 term masses agree to float rounding (the property suite asserts 1e-9).
 
-Term ids are interned to dense columns through a direct-index table
-(``term_id -> column``, -1 when absent) — vocabulary ids are small
-dense integers, so one fancy-indexing gather replaces a
-``searchsorted`` per lookup; removed documents leave holes in the row
-arrays and the row store that are compacted away once they dominate.
+Term ids are interned to dense columns through :class:`TermIndex`
+(``term_id -> column``, -1 when absent): a direct-index table while
+ids are small dense integers, as vocabulary ids are, so one
+fancy-indexing gather replaces a ``searchsorted`` per lookup, and a
+sorted id array once they are not (a caller-built document may carry
+any int32 id), so the index never costs more than a few words per
+interned term. Removed documents leave holes in the row arrays and the
+row store that are compacted away once they dominate.
 """
 
 from __future__ import annotations
@@ -48,6 +51,94 @@ from ...obs import NULL_RECORDER, Recorder
 from .base import SCALE_FLOOR, TermRows
 
 _MIN_CAPACITY = 64
+
+#: The direct term-index table may hold at most this many slots per
+#: interned term (8 bytes each); past that the index is a sorted array.
+DENSE_SLACK = 16
+
+
+class TermIndex:
+    """``term_id -> column`` (-1 when absent) in memory proportional
+    to the interned terms, not to the largest id.
+
+    While the largest id stays within ``DENSE_SLACK`` slots per
+    interned term it is a direct table, one gather per lookup. A larger
+    id turns it, for good, into the ascending interned ids and their
+    columns, one ``searchsorted`` per lookup.
+    """
+
+    __slots__ = ("_table", "_ids", "_cols")
+
+    def __init__(self) -> None:
+        # direct table while dense; None once sorted
+        self._table: Optional[IntArray] = np.zeros(0, dtype=np.int64)
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._cols = np.zeros(0, dtype=np.int64)
+
+    @property
+    def dense(self) -> bool:
+        return self._table is not None
+
+    def lookup(self, term_ids: IntArray) -> IntArray:
+        """Column per term id; -1 where the term is not interned."""
+        table = self._table
+        if table is not None:
+            capacity = table.size
+            if capacity == 0 or term_ids.size == 0:
+                return np.full(term_ids.shape, -1, dtype=np.int64)
+            in_range = (term_ids >= 0) & (term_ids < capacity)
+            if in_range.all():
+                return table[term_ids]
+            clipped = np.clip(term_ids, 0, capacity - 1)
+            return np.where(in_range, table[clipped], -1)
+        ids = self._ids
+        if ids.size == 0 or term_ids.size == 0:
+            return np.full(term_ids.shape, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(ids, term_ids), ids.size - 1)
+        return np.where(ids[at] == term_ids, self._cols[at], -1)
+
+    def add(self, missing: IntArray, n_terms: int) -> IntArray:
+        """Intern the distinct ids of ``missing`` (none interned yet,
+        repeats allowed) at columns ``n_terms, n_terms + 1, ...`` in
+        ascending id order; returns those ids."""
+        need = int(missing.max()) + 1
+        table = self._table
+        if table is not None and need > DENSE_SLACK * (n_terms + missing.size):
+            # ids too sparse for a table: keep the interned ones sorted
+            self._ids = np.flatnonzero(table >= 0).astype(np.int64)
+            self._cols = table[self._ids]
+            self._table = table = None
+        if table is not None:
+            if need > table.size:
+                grown = np.full(max(_MIN_CAPACITY, 2 * table.size, need),
+                                -1, dtype=np.int64)
+                grown[:table.size] = table
+                self._table = table = grown
+            # dedupe via a presence mask over the (dense) id space —
+            # cheaper than a sort over every occurrence, and yields the
+            # same ascending id order
+            seen = np.zeros(need, dtype=bool)
+            seen[missing] = True
+            new_terms = np.flatnonzero(seen).astype(np.int64)
+            table[new_terms] = np.arange(
+                n_terms, n_terms + new_terms.size, dtype=np.int64
+            )
+            return new_terms
+        new_terms = np.unique(missing).astype(np.int64)
+        ids = np.concatenate([self._ids, new_terms])
+        cols = np.concatenate([self._cols, np.arange(
+            n_terms, n_terms + new_terms.size, dtype=np.int64
+        )])
+        order = np.argsort(ids, kind="stable")
+        self._ids, self._cols = ids[order], cols[order]
+        return new_terms
+
+    def copy(self) -> "TermIndex":
+        other = TermIndex()
+        other._table = None if self._table is None else self._table.copy()
+        other._ids = self._ids.copy()
+        other._cols = self._cols.copy()
+        return other
 
 
 class ColumnarStatisticsBackend:
@@ -81,7 +172,7 @@ class ColumnarStatisticsBackend:
         self._mass_scale = 1.0
         self._n_terms = 0
         self._col_term = np.zeros(0, dtype=np.int64)   # col -> term id
-        self._term_col = np.zeros(0, dtype=np.int64)   # term id -> col, -1
+        self._index = TermIndex()                      # term id -> col
 
     # -- internal helpers --------------------------------------------------
 
@@ -130,48 +221,23 @@ class ColumnarStatisticsBackend:
             fresh[:capacity] = getattr(self, attr)
             setattr(self, attr, fresh)
 
-    def _grow_term_index(self, need: int) -> None:
-        capacity = self._term_col.size
-        if need <= capacity:
-            return
-        new_capacity = max(_MIN_CAPACITY, 2 * capacity, need)
-        fresh = np.full(new_capacity, -1, dtype=np.int64)
-        fresh[:capacity] = self._term_col
-        self._term_col = fresh
-
     def _lookup_cols(self, term_ids: IntArray) -> IntArray:
         """Column index per term id; -1 where the term is unknown."""
-        capacity = self._term_col.size
-        if capacity == 0 or term_ids.size == 0:
-            return np.full(term_ids.shape, -1, dtype=np.int64)
-        in_range = (term_ids >= 0) & (term_ids < capacity)
-        if in_range.all():
-            return self._term_col[term_ids]
-        clipped = np.clip(term_ids, 0, capacity - 1)
-        return np.where(in_range, self._term_col[clipped], -1)
+        return self._index.lookup(term_ids)
 
     def _intern(self, term_ids: IntArray) -> IntArray:
         """Column index per term id, allocating columns for new terms."""
         if term_ids.size == 0:
             return term_ids.astype(np.int64)
-        self._grow_term_index(int(term_ids.max()) + 1)
-        cols = self._term_col[term_ids]
+        cols = self._index.lookup(term_ids)
         missing = cols < 0
         if missing.any():
-            # dedupe via a presence mask over the (dense) id space —
-            # cheaper than a sort/hash unique over every occurrence,
-            # and yields the same ascending id order
-            seen = np.zeros(self._term_col.size, dtype=bool)
-            seen[term_ids[missing]] = True
-            new_terms = np.flatnonzero(seen)
             start = self._n_terms
+            new_terms = self._index.add(term_ids[missing], start)
             self._grow_cols(start + new_terms.size)
-            self._term_col[new_terms] = np.arange(
-                start, start + new_terms.size, dtype=np.int64
-            )
             self._col_term[start:start + new_terms.size] = new_terms
             self._n_terms += new_terms.size
-            cols = self._term_col[term_ids]
+            cols = self._index.lookup(term_ids)
         return cols
 
     def _reset_empty(self) -> None:
@@ -192,7 +258,7 @@ class ColumnarStatisticsBackend:
         self._mass_scale = 1.0
         self._n_terms = 0
         self._col_term = np.zeros(0, dtype=np.int64)
-        self._term_col = np.zeros(0, dtype=np.int64)
+        self._index = TermIndex()
 
     def _gather(self, slots: IntArray) -> Tuple[IntArray, IntArray]:
         """``(lens, index)``: the held row length of each of ``slots``
@@ -481,5 +547,5 @@ class ColumnarStatisticsBackend:
         other._mass_scale = self._mass_scale
         other._n_terms = self._n_terms
         other._col_term = self._col_term.copy()
-        other._term_col = self._term_col.copy()
+        other._index = self._index.copy()
         return other

@@ -25,16 +25,28 @@ import numpy as np
 
 from .._typing import FloatArray, IntArray
 
+#: Id values per entry up to which :func:`compact_columns` uses a
+#: presence mask over the id space rather than a sort.
+DENSE_SLACK = 16
+
 
 def compact_columns(term_ids: IntArray) -> Tuple[IntArray, IntArray]:
     """``(terms, cols)``: the distinct (non-negative) ids of
     ``term_ids`` ascending, and the index in ``terms`` of every entry —
-    what ``np.unique(term_ids, return_inverse=True)`` returns, from one
-    presence mask over the id space instead of a sort over the entries
-    (vocabulary ids are small dense integers)."""
+    what ``np.unique(term_ids, return_inverse=True)`` returns. While
+    the ids are dense (vocabulary ids are small dense integers) it
+    comes from one presence mask over the id space instead of a sort
+    over the entries; ids spread wider than ``DENSE_SLACK`` id values
+    per entry are sorted, so memory follows the entries, not the
+    largest id."""
     if term_ids.size == 0:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    seen = np.zeros(int(term_ids.max()) + 1, dtype=bool)
+    span = int(term_ids.max()) + 1
+    if span > DENSE_SLACK * term_ids.size:
+        terms, cols = np.unique(term_ids, return_inverse=True)
+        return (terms.astype(np.int64, copy=False),
+                cols.astype(np.int64, copy=False).reshape(term_ids.shape))
+    seen = np.zeros(span, dtype=bool)
     seen[term_ids] = True
     rank = np.cumsum(seen, dtype=np.int64) - 1
     return np.flatnonzero(seen).astype(np.int64, copy=False), rank[term_ids]

@@ -9,6 +9,7 @@ interleavings of observe/advance/expire/remove.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,3 +245,79 @@ class TestRemoveClampCounter:
                            make_document("d1", 0.0, {1: 1})], 0.0)
             stats.remove("d0")
             assert "statistics.tdw_clamped" not in recorder.counters()
+
+
+class TestTermIndexFollowsTheTerms:
+    """A caller-built ``Document`` may carry any int32 term id; the
+    columnar term index, and the fit that follows, must cost memory
+    proportional to the terms, not to the largest id."""
+
+    LARGEST = 2**31 - 1
+
+    def test_largest_int32_id_through_process_batch(self, model):
+        import tracemalloc
+
+        docs = [
+            make_document("a", 0.5, {1: 2, 3: 1}),
+            make_document("b", 0.6, {1: 1, self.LARGEST: 3}),
+            make_document("c", 0.7, {3: 2, 4: 1}),
+        ]
+        clusterer = IncrementalClusterer(model, k=2, seed=1)
+        tracemalloc.start()
+        try:
+            result = clusterer.process_batch(docs, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a table sized by the id would ask for gigabytes
+        assert peak < 2**20
+        assert sorted(d for c in result.clusters for d in c) == ["a", "b", "c"]
+        statistics = clusterer.statistics
+        assert statistics.pr_term(self.LARGEST) > 0.0
+        statistics.validate()
+
+    @pytest.mark.parametrize("ids", [
+        (0, 1, 2, 3),                         # stays a direct table
+        (5, 2**31 - 1, 7, 40_000_000),        # sorted from the start
+    ])
+    def test_sparse_ids_match_the_dict_oracle(self, model, ids):
+        # dense ids first, then a sparse one turns the index sorted
+        # part-way; lookups, removal and expiry must not notice
+        batches = [
+            [make_document("d0", 0.0, {0: 2, 1: 1}),
+             make_document("d1", 0.0, {ids[0]: 1, ids[1]: 2})],
+            [make_document("d2", 3.0, {ids[2]: 4, ids[3]: 1, 1: 1})],
+            [make_document("d3", 20.0, {ids[3]: 2, 9: 1})],
+        ]
+        stores = [CorpusStatistics(model, backend=backend)
+                  for backend in BACKENDS]
+        for at_time, batch in zip((0.0, 3.0, 20.0), batches):
+            for stats in stores:
+                stats.observe(batch, at_time)
+        stores[0].remove("d2")
+        stores[1].remove("d2")
+        dict_store, columnar = stores
+        for term_id in set(ids) | {0, 1, 9, 123}:
+            assert columnar.pr_term(term_id) == pytest.approx(
+                dict_store.pr_term(term_id), rel=1e-12, abs=0.0
+            )
+        assert sorted(columnar.term_ids()) == sorted(dict_store.term_ids())
+        columnar.validate()
+
+    def test_index_turns_sorted_only_for_sparse_ids(self):
+        from repro.forgetting.backends.columnar import TermIndex
+
+        index = TermIndex()
+        index.add(np.array([3, 0, 3, 7]), 0)
+        assert index.dense
+        assert index.lookup(np.array([0, 3, 7, 5, 10**9])).tolist() == [
+            0, 1, 2, -1, -1]
+        index.add(np.array([2**31 - 1, 5]), 3)
+        assert not index.dense
+        assert index.lookup(
+            np.array([0, 3, 7, 5, 2**31 - 1, 6])).tolist() == [
+            0, 1, 2, 3, 4, -1]
+        copy = index.copy()
+        copy.add(np.array([6]), 5)
+        assert index.lookup(np.array([6])).tolist() == [-1]
+        assert copy.lookup(np.array([6])).tolist() == [5]

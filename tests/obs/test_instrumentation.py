@@ -134,6 +134,69 @@ class TestPipelinePhases:
         assert recorder.total("pipeline.batches") == len(batches)
 
 
+class TestSweepCounts:
+    """``kmeans.pass`` tags say how the matrix engine's sweep spent
+    itself; with the NullRecorder nothing is counted."""
+
+    COUNTS = ("window_docs", "sequential_docs", "movers",
+              "window_patches", "gram_rows_single", "gram_rows_bulk")
+
+    @staticmethod
+    def counting_engine(seen):
+        from repro.core.engines import MatrixEngine
+
+        class CountingEngine(MatrixEngine):
+            name = "counting"
+
+            def best_gains(self, rows):
+                seen.append(self.sweep_counts)
+                return super().best_gains(rows)
+
+        return CountingEngine
+
+    def test_counts_add_up_to_the_documents_swept(self):
+        repo = build_topic_repository(days=21, docs_per_topic_per_day=4,
+                                      seed=3)
+        recorder = InMemoryRecorder()
+        clusterer = IncrementalClusterer(
+            ForgettingModel(half_life=7.0, life_span=14.0),
+            k=4, seed=0, recorder=recorder,
+        )
+        for week in range(3):
+            clusterer.process_batch(
+                [d for d in repo if int(d.timestamp) // 7 == week],
+                at_time=7.0 * (week + 1),
+            )
+        passes = recorder.select(name="kmeans.pass", kind=SPAN)
+        assert passes
+        totals = dict.fromkeys(self.COUNTS, 0)
+        for event in passes:
+            tags = event.tags
+            assert (tags["window_docs"] + tags["sequential_docs"]
+                    == tags["docs"])
+            assert tags["window_patches"] <= tags["movers"] <= tags["docs"]
+            assert (tags["gram_rows_single"] + tags["gram_rows_bulk"]
+                    <= tags["docs"])
+            for name in self.COUNTS:
+                totals[name] += tags[name]
+        # every way of deciding and of paying was taken somewhere
+        assert all(totals.values()), totals
+
+    def test_null_recorder_counts_nothing(self, stream):
+        _, batches = stream
+        seen = []
+        engine = self.counting_engine(seen)
+        model = ForgettingModel(half_life=7.0, life_span=14.0)
+        clusterer = IncrementalClusterer(model, k=4, seed=0, engine=engine)
+        for day, batch in enumerate(batches):
+            clusterer.process_batch(batch, at_time=float(day + 1))
+        assert seen and all(counts is None for counts in seen)
+
+        seen.clear()
+        run_incremental(InMemoryRecorder(), batches, engine=engine)
+        assert seen and all(counts is not None for counts in seen)
+
+
 class TestAmbientPickup:
     def test_clusterer_built_under_use_recorder_is_instrumented(
         self, stream

@@ -107,3 +107,35 @@ class TestZeroIdfFilter:
         vectors = as_dicts(NoveltyTfidfWeighter(stats).weighted_arrays(docs))
         for doc in docs:
             assert len(vectors[doc.doc_id]) == len(doc.term_counts)
+
+
+class TestCompactColumns:
+    @pytest.mark.parametrize("ids", [
+        [3, 0, 3, 7, 1],                     # dense: presence mask
+        [5, 2**31 - 1, 5, 0, 40_000_000],    # sparse: sorted
+        [2**31 - 1],
+    ])
+    def test_is_np_unique_with_inverse(self, ids):
+        from repro.vectors.arrays import compact_columns
+
+        term_ids = np.array(ids, dtype=np.int64)
+        terms, cols = compact_columns(term_ids)
+        expected_terms, expected_cols = np.unique(term_ids,
+                                                  return_inverse=True)
+        assert terms.dtype == cols.dtype == np.int64
+        assert terms.tolist() == expected_terms.tolist()
+        assert cols.tolist() == expected_cols.tolist()
+
+    def test_sparse_ids_cost_memory_per_entry(self):
+        import tracemalloc
+
+        from repro.vectors.arrays import compact_columns
+
+        term_ids = np.array([1, 2**31 - 1, 4], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            compact_columns(term_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
