@@ -5,17 +5,18 @@ of every batch since day one (Eq. 27-29), so losing them to a crash is
 losing the model. This package makes process death a non-event:
 
 * :mod:`~repro.durability.atomic` — temp-file + fsync + ``os.replace``
-  writes with ``.bak`` rotation and sha256 payload checksums; no crash
-  leaves a corrupt or truncated checkpoint.
-* :mod:`~repro.durability.records` — each active document's checkpoint
-  and journal fragments, encoded once for its lifetime, and the
-  composition of both files from them.
+  writes with ``.bak`` rotation, and sha256 checksums over the written
+  bytes; no crash leaves a corrupt or truncated checkpoint.
+* :mod:`~repro.durability.records` — format version 2: each active
+  document's record, in term ids and encoded once for its lifetime,
+  the term strings, encoded once, and the composition of both files
+  from them; and the reader's check of every id.
 * :mod:`~repro.durability.journal` — an append-only, fsync-per-batch
-  JSONL write-ahead log of accepted batches, tied to its base
-  checkpoint by a sequence number.
+  JSONL write-ahead log of the accepted batches no due checkpoint
+  holds, tied to its base checkpoint by a sequence number.
 * :mod:`~repro.durability.checkpointer` — periodic checkpoints during a
   run (``repro cluster --checkpoint-every N``); registered as a commit
-  hook so only committed batches are ever journaled.
+  hook so only committed batches are ever written.
 * :mod:`~repro.durability.recovery` — :func:`recover`: newest valid
   checkpoint (falling back to ``.bak``) + exact journal replay.
 

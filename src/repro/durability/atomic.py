@@ -9,12 +9,21 @@ The primitives every durable artifact in this package is built on:
   directory fsync so the rename itself is durable. A crash, a full
   disk, or a serialization error at any point leaves the previous file
   byte-identical.
-* :func:`payload_checksum` / :func:`checksum_matches` — sha256 over the
+* :func:`stamp` / :func:`text_checksum_matches` — the checksum of a
+  checkpoint or journal line (format version 2): sha256 over the
+  written bytes that come before the trailing ``, "checksum": ...``
+  member. The writer hashes the text it is about to write, with no
+  second encoding, and the reader hashes the bytes it read.
+* :func:`payload_checksum` / :func:`checksum_matches` — the checksum of
+  format version 1 and of :func:`atomic_write_json`: sha256 over the
   *canonical* JSON (sorted keys, compact separators) of a payload minus
   its ``checksum`` field. Because JSON floats round-trip exactly
   through Python's shortest-repr serialization, the checksum recomputed
-  from a parsed file equals the one computed before writing, so any
-  torn or bit-flipped state is detected on load.
+  from a parsed file equals the one computed before writing. The
+  reader accepts it where the byte form does not match, so version-1
+  files and tool-stamped rewrites still verify.
+
+Either way, any torn or bit-flipped state is detected on load.
 
 ``repro.persistence`` routes checkpoint writes through this module;
 reprolint's REP006 rule forbids checkpoint/journal writes that bypass
@@ -28,7 +37,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..exceptions import CheckpointError
 
@@ -45,23 +54,47 @@ BACKUP_SUFFIX = ".bak"
 #: written, with a prebuilt encoder for per-document use.
 PLAIN_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
-#: ``canonical_json``'s encoder: sorted keys, compact separators.
-CANONICAL_ENCODER = json.JSONEncoder(
-    sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-)
-
-
 def canonical_json(payload: Mapping[str, Any]) -> str:
-    """The deterministic JSON serialization checksums are taken over."""
-    return CANONICAL_ENCODER.encode(payload)
+    """The deterministic JSON serialization (sorted keys, compact
+    separators) version-1 checksums are taken over."""
+    return json.dumps(
+        payload, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+    )
 
 
-def chunks_checksum(chunks: Iterable[str]) -> str:
-    """``"sha256:<hex>"`` over a canonical JSON text given in pieces."""
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk.encode("utf-8"))
-    return f"sha256:{digest.hexdigest()}"
+def text_checksum(text: str) -> str:
+    """``"sha256:<hex>"`` over the UTF-8 bytes of ``text``."""
+    return f"sha256:{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+
+
+def stamp(body: str) -> str:
+    """Close the JSON object text ``body`` — every byte of it but the
+    final ``}`` — with a ``checksum`` member: sha256 over ``body``."""
+    return (
+        f'{body}, "{CHECKSUM_FIELD}": "{text_checksum(body)}"' + "}"
+    )
+
+
+def text_checksum_matches(
+    text: str, payload: Mapping[str, Any]
+) -> Optional[bool]:
+    """Verify the checksum of ``payload``, parsed from ``text``.
+
+    ``None`` when ``payload`` carries no checksum. Otherwise ``True``
+    when ``text`` ends with its checksum member and that checksum is
+    sha256 over the text before it (what :func:`stamp` writes), or when
+    it is the canonical checksum of the payload (:func:`checksum_matches`:
+    version-1 files, :func:`atomic_write_json`); ``False`` else.
+    """
+    recorded = payload.get(CHECKSUM_FIELD)
+    if recorded is None:
+        return None
+    tail = f', "{CHECKSUM_FIELD}": {PLAIN_ENCODER.encode(recorded)}' + "}"
+    if text.endswith(tail) and (
+        text_checksum(text[:-len(tail)]) == recorded
+    ):
+        return True
+    return checksum_matches(payload)
 
 
 def payload_checksum(payload: Mapping[str, Any]) -> str:
@@ -70,7 +103,7 @@ def payload_checksum(payload: Mapping[str, Any]) -> str:
         key: value for key, value in payload.items()
         if key != CHECKSUM_FIELD
     }
-    return chunks_checksum((canonical_json(body),))
+    return text_checksum(canonical_json(body))
 
 
 def checksum_matches(payload: Mapping[str, Any]) -> Optional[bool]:

@@ -3,22 +3,27 @@
 ``repro cluster --checkpoint`` used to write state once, at the very
 end of the run — a crash at window N of M lost everything. The
 :class:`Checkpointer` bounds that loss: registered as a commit hook on
-:class:`~repro.core.incremental.IncrementalClusterer`, it journals
-every accepted batch (fsynced before the hook returns) and rewrites the
+:class:`~repro.core.incremental.IncrementalClusterer`, it rewrites the
 checkpoint every ``every`` windows, rotating the journal under the new
-base. With the journal, a crash loses at most the batch *being*
-processed; even without replaying it, the checkpoint alone is at most
-``every`` windows stale.
+base, and journals every other accepted batch. Either way the batch is
+fsynced before the hook returns, so a crash loses at most the batch
+*being* processed; even without the journal, the checkpoint alone is
+at most ``every`` windows stale.
 
 Write ordering per batch (the invariant recovery relies on)::
 
-    process_batch commits  →  journal.append (fsync)
-                           →  [when due] checkpoint (atomic) → rotate
+    process_batch commits  →  checkpoint not due: journal.append (fsync)
+                           →  due: checkpoint (atomic, fsync) → rotate
+                                   (the checkpoint write failed:
+                                    journal.append, then re-raise)
 
-so on disk, at every instant, ``checkpoint.sequence`` ≤ the journal's
-last intact sequence + 1, and the journal's ``base_sequence`` never
-exceeds the newest valid checkpoint's sequence. ``recover()`` needs
-exactly that to land on a batch-prefix of the uninterrupted run.
+A due batch gets no journal line: the checkpoint that holds it is
+fsynced and renamed before the hook returns, and a snapshot is
+published only after the hook. So on disk, at every instant,
+``checkpoint.sequence`` ≤ the journal's last intact sequence + 1, and
+the journal's ``base_sequence`` never exceeds the newest valid
+checkpoint's sequence. ``recover()`` needs exactly that to land on a
+batch-prefix of the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import List, Optional, Type
 
 from ..core.incremental import IncrementalClusterer
 from ..corpus.document import Document
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, JournalError
 from ..obs import Recorder, resolve
 from ..persistence import save_checkpoint
 from ..text.vocabulary import Vocabulary
@@ -82,10 +87,11 @@ class Checkpointer:
         # a service shutting down can race its writer's final commit
         self._lock = threading.Lock()
         self._closed = False
-        # the fragments of each active document, encoded once: the
-        # journal adds each batch's, every checkpoint reuses and prunes
+        # the fragments of each active document and the term strings,
+        # encoded once: the journal adds each batch's, every checkpoint
+        # reuses and prunes them
         self._cache = RecordCache(vocabulary)
-        self._write_checkpoint()
+        self._write_checkpoint(self.sequence)
         self._journal = BatchJournal(
             (
                 Path(journal_path) if journal_path is not None
@@ -111,13 +117,31 @@ class Checkpointer:
     def record_batch(
         self, documents: List[Document], at_time: float
     ) -> None:
-        """Commit hook: journal the batch, checkpoint when due."""
+        """Commit hook: checkpoint when due, else journal the batch."""
         with self._lock:
-            self._journal.append(documents, at_time)
+            if self._journal.closed:
+                raise JournalError(
+                    f"{self._journal.path}: journal is closed"
+                )
+            if self._since_checkpoint + 1 < self.every:
+                self._append(documents, at_time)
+                return
+            try:
+                self._write_checkpoint(self.sequence + 1)
+            except BaseException:
+                # the batch is committed: it must reach the disk before
+                # the failure surfaces
+                self._append(documents, at_time)
+                raise
             self.sequence += 1
-            self._since_checkpoint += 1
-            if self._since_checkpoint >= self.every:
-                self._checkpoint_locked()
+            self._rotate()
+            if self.recorder.enabled:
+                self.recorder.counter("durability.journal_skipped")
+
+    def _append(self, documents: List[Document], at_time: float) -> None:
+        self._journal.append(documents, at_time)
+        self.sequence += 1
+        self._since_checkpoint += 1
 
     def checkpoint(self) -> None:
         """Write the checkpoint now and restart the journal against it."""
@@ -125,16 +149,19 @@ class Checkpointer:
             self._checkpoint_locked()
 
     def _checkpoint_locked(self) -> None:
-        self._write_checkpoint()
+        self._write_checkpoint(self.sequence)
+        self._rotate()
+
+    def _rotate(self) -> None:
         self._journal.rotate(
             self.sequence, self.clusterer.statistics.now
         )
         self._since_checkpoint = 0
 
-    def _write_checkpoint(self) -> None:
+    def _write_checkpoint(self, sequence: int) -> None:
         save_checkpoint(
             self.clusterer, self.vocabulary, self.checkpoint_path,
-            sequence=self.sequence, cache=self._cache,
+            sequence=sequence, cache=self._cache,
             recorder=self.recorder,
         )
         if self.recorder.enabled:

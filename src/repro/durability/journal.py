@@ -1,9 +1,11 @@
 """Append-only batch journal: a write-ahead log of accepted batches.
 
 Checkpoints alone lose everything since the last write; the journal
-closes that gap. Every batch the incremental pipeline *commits* is
-appended as one JSON line and fsynced before the call returns, so after
-a crash the state is reconstructible as::
+closes that gap. A batch the incremental pipeline *commits* while no
+checkpoint is due is appended as one JSON line and fsynced before the
+commit hook returns (a due batch goes into the fsynced checkpoint
+instead, see :mod:`~repro.durability.checkpointer`), so after a crash
+the state is reconstructible as::
 
     newest valid checkpoint  +  journaled batches beyond its sequence
 
@@ -13,17 +15,27 @@ straight from the checkpoint clock to each journaled ``at_time``
 produces bit-identical statistics to the uninterrupted run (see
 DESIGN.md).
 
-File layout (JSON Lines)::
+File layout (JSON Lines, format version 2)::
 
-    {"format": "repro-journal", "version": 1, "base_sequence": S,
+    {"format": "repro-journal", "version": 2, "base_sequence": S,
      "base_now": 42.0, "checksum": "sha256:..."}        # header
-    {"sequence": S+1, "at_time": 49.0, "documents": [...],
-     "checksum": "sha256:..."}                          # one per batch
+    {"sequence": S+1, "at_time": 49.0, "terms": ["asian", ...],
+     "documents": [{"doc_id": ..., "term_ids": [0, 7], "counts": [2, 1],
+                    ...}], "checksum": "sha256:..."}    # one per batch
+
+Each journal stands alone: its first line after a start or a rotation
+carries every vocabulary term from id 0, each later line only the terms
+added since the line before, and the documents name terms by id into
+that list (:mod:`~repro.durability.records`). Replay interns each
+line's terms in order before decoding it, which reproduces the live
+term ids. Version-1 journals (``"terms": {"word": n}`` per document, no
+term list) are still read.
 
 The header ties the journal to the checkpoint whose ``sequence`` is
-``S``; each entry carries its own checksum, so a torn final line (the
-only corruption an append-only fsynced writer can leave behind) is
-detected and discarded on read.
+``S``; each line carries its own checksum (sha256 over its bytes before
+the checksum member), so a torn final line — the only corruption an
+append-only fsynced writer can leave behind — is detected and
+discarded on read.
 """
 
 from __future__ import annotations
@@ -39,11 +51,25 @@ from ..corpus.document import Document
 from ..exceptions import JournalError
 from ..obs import Recorder, Span, resolve
 from ..text.vocabulary import Vocabulary
-from .atomic import PathLike, atomic_write_text, checksum_matches
-from .records import RecordCache, array_member, member, stamped_object
+from .atomic import (
+    PathLike,
+    atomic_write_text,
+    fsync_directory,
+    text_checksum_matches,
+)
+from .records import (
+    RecordCache,
+    array_member,
+    check_terms,
+    member,
+    resolve_record,
+    stamped_object,
+)
 
 _FORMAT = "repro-journal"
-_VERSION = 1
+_VERSION = 2
+#: The versions :func:`read_journal` reads.
+_READABLE = (1, 2)
 
 #: Every field a journal header may carry (see ``read_checkpoint_state``
 #: for why an unknown one is rejected).
@@ -60,11 +86,18 @@ def default_journal_path(checkpoint_path: PathLike) -> Path:
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One committed batch: its sequence, clock, and document records."""
+    """One committed batch: its sequence, clock, and document records.
+
+    ``records`` are string-keyed (``"terms": {"word": n}``, in row
+    order), what :func:`~repro.corpus.loaders.record_to_document`
+    decodes; ``terms`` are the vocabulary terms the line added, in id
+    order, to be interned before its records (empty in version 1).
+    """
 
     sequence: int
     at_time: float
     records: Tuple[Mapping[str, Any], ...]
+    terms: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -83,17 +116,19 @@ def read_journal(path: PathLike) -> JournalContents:
     The header must be intact (it is written atomically, so a bad
     header means real corruption) and carry no unknown field:
     :class:`JournalError` otherwise.
-    Entries are consumed in order until the first unparsable,
-    checksum-failing, or out-of-sequence line — everything from there
+    Entries are consumed in order until the first line that is not
+    UTF-8 JSON, fails its checksum, is out of sequence, or (version 2)
+    names a term id its journal has not carried — everything from there
     on is a torn append and is discarded, with ``truncated`` set.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if not lines or not lines[0].strip():
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    if not lines[0].strip():
         raise JournalError(f"{path}: empty journal (missing header)")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        head = lines[0].decode("utf-8")
+        header = json.loads(head)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise JournalError(
             f"{path}: invalid journal header: {exc}"
         ) from exc
@@ -104,17 +139,18 @@ def read_journal(path: PathLike) -> JournalContents:
             f"{path}: not a repro journal "
             f"(format={header.get('format')!r})"
         )
-    if header.get("version") != _VERSION:
+    version = header.get("version")
+    if type(version) is not int or version not in _READABLE:
         raise JournalError(
             f"{path}: unsupported journal version "
-            f"{header.get('version')!r} (expected {_VERSION})"
+            f"{version!r} (expected one of {_READABLE})"
         )
     unknown = sorted(set(header) - _HEADER_FIELDS)
     if unknown:
         raise JournalError(
             f"{path}: unknown journal header field(s) {unknown}"
         )
-    if checksum_matches(header) is False:
+    if text_checksum_matches(head, header) is False:
         raise JournalError(f"{path}: journal header checksum mismatch")
     try:
         base_sequence = int(header["base_sequence"])
@@ -126,37 +162,18 @@ def read_journal(path: PathLike) -> JournalContents:
     base_now = float(raw_now) if raw_now is not None else None
 
     entries: List[JournalEntry] = []
-    truncated = False
+    known: List[str] = []
     expected = base_sequence + 1
+    truncated = False
     for raw in lines[1:]:
-        if raw == "":
+        if raw == b"":
             continue  # the file's trailing newline
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError:
+        entry = _entry(raw, expected, version, known)
+        if entry is None:
             truncated = True
             break
-        if (
-            not isinstance(record, dict)
-            or checksum_matches(record) is not True
-            or not isinstance(record.get("documents"), list)
-        ):
-            truncated = True
-            break
-        try:
-            sequence = int(record["sequence"])
-            at_time = float(record["at_time"])
-        except (KeyError, TypeError, ValueError):
-            truncated = True
-            break
-        if sequence != expected:
-            truncated = True
-            break
-        entries.append(JournalEntry(
-            sequence=sequence,
-            at_time=at_time,
-            records=tuple(record["documents"]),
-        ))
+        entries.append(entry)
+        known += entry.terms
         expected += 1
     return JournalContents(
         base_sequence=base_sequence,
@@ -166,14 +183,59 @@ def read_journal(path: PathLike) -> JournalContents:
     )
 
 
+def _entry(
+    raw: bytes, sequence: int, version: int, known: List[str]
+) -> Optional[JournalEntry]:
+    """The intact entry ``sequence`` that ``raw`` holds, or ``None``.
+
+    ``known`` are the terms the journal's earlier lines carried.
+    """
+    try:
+        text = raw.decode("utf-8")
+        record = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if (
+        not isinstance(record, dict)
+        or text_checksum_matches(text, record) is not True
+        or not isinstance(record.get("documents"), list)
+    ):
+        return None
+    try:
+        if int(record["sequence"]) != sequence:
+            return None
+        at_time = float(record["at_time"])
+        if version == 1:
+            return JournalEntry(
+                sequence, at_time, tuple(record["documents"])
+            )
+        terms = check_terms(known + record["terms"])
+        return JournalEntry(
+            sequence,
+            at_time,
+            tuple(
+                resolve_record(document, terms)
+                for document in record["documents"]
+            ),
+            tuple(terms[len(known):]),
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 class BatchJournal:
     """Fsync-per-batch appender; one instance per run.
 
     Creating (or :meth:`rotate`-ing) a journal writes its header
     atomically — via temp file + rename, so a crash mid-rotation leaves
     either the complete old journal or the complete new header, never a
-    hybrid. :meth:`append` serializes the batch *before* touching the
-    file, writes one line, flushes, and fsyncs, so the on-disk journal
+    hybrid. The header is made durable by the first :meth:`append`
+    after it, not before: until then the journal holds no batch, so a
+    power cut that loses the header loses nothing (the checkpoint it
+    names holds every acknowledged batch), and a run that checkpoints
+    every batch pays no fsync for it. :meth:`append` serializes the
+    batch *before* touching the file, writes one line, flushes, and
+    fsyncs (the directory too, after a header), so the on-disk journal
     only ever grows by whole, checksummed records (modulo a torn final
     line, which :func:`read_journal` discards).
     """
@@ -194,9 +256,13 @@ class BatchJournal:
         self.recorder = resolve(recorder)
         # shared with the owning Checkpointer, whose checkpoints reuse
         # (and prune) the fragments encoded here; a journal of its own
-        # encodes each batch afresh, so nothing accumulates
-        self.cache = cache
+        # keeps only the last batch's fragments
+        self._shared = cache is not None
+        self.cache = cache if cache is not None else RecordCache(vocabulary)
         self.sequence = int(base_sequence)
+        #: Vocabulary terms the lines since the header have carried.
+        self._terms = 0
+        self._unsynced = False
         self._handle: Optional[IO[str]] = None
         self._start(self.sequence, base_now)
 
@@ -207,8 +273,15 @@ class BatchJournal:
             member("base_sequence", int(base_sequence)),
             member("base_now", base_now),
         ])
-        atomic_write_text(header + "\n", self.path, durable=self.durable)
+        # not fsynced yet: a header holds no batch, and until a line is
+        # appended the checkpoint it names holds every acknowledged one,
+        # so a header lost to a power cut loses nothing (the reader
+        # then ignores the journal); the first append fsyncs the file,
+        # header included, and its directory
+        atomic_write_text(header + "\n", self.path, durable=False)
+        self._unsynced = self.durable
         self.sequence = int(base_sequence)
+        self._terms = 0
         self._handle = open(self.path, "a", encoding="utf-8")
 
     def append(self, documents: Sequence[Document], at_time: float) -> int:
@@ -223,17 +296,22 @@ class BatchJournal:
             raise JournalError(f"{self.path}: journal is closed")
         with Span(self.recorder, "journal.append",
                   {"docs": len(documents)}):
-            line = self._line(documents, at_time)
+            terms = len(self.vocabulary)
+            line = self._line(documents, at_time, terms)
             try:
                 self._handle.write(line)
                 self._handle.flush()
                 if self.durable:
                     os.fsync(self._handle.fileno())
+                if self._unsynced:
+                    fsync_directory(self.path.parent)
+                    self._unsynced = False
             except BaseException:
                 # the file may now hold a torn line; stop appending to it
                 self.close()
                 raise
         self.sequence += 1
+        self._terms = terms
         if self.recorder.enabled:
             self.recorder.counter("durability.journal_batches")
             self.recorder.gauge(
@@ -241,15 +319,20 @@ class BatchJournal:
             )
         return self.sequence
 
-    def _line(self, documents: Sequence[Document], at_time: float) -> str:
+    def _line(
+        self, documents: Sequence[Document], at_time: float, terms: int
+    ) -> str:
         cache = self.cache
-        if cache is None:
-            cache = RecordCache(self.vocabulary)
         try:
+            fragments = (
+                cache.fragments(documents, terms) if self._shared
+                else cache.retain(documents, terms)
+            )
             return stamped_object([
                 member("sequence", self.sequence + 1),
                 member("at_time", float(at_time)),
-                array_member("documents", *cache.fragments(documents)),
+                array_member("terms", cache.terms(self._terms, terms)),
+                array_member("documents", fragments),
             ]) + "\n"
         except Exception as exc:
             raise JournalError(

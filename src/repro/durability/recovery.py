@@ -8,6 +8,12 @@ write), (2) restores the clusterer from it, and (3) replays every
 journaled batch beyond the checkpoint's sequence through
 ``process_batch``.
 
+Before decoding, recovery interns the checkpoint's ``terms`` and then
+each journal line's new terms, in order: into a fresh
+:class:`~repro.text.vocabulary.Vocabulary` this reproduces the live
+term ids and every document's row order (format version 2; version-1
+files carry no term list and are read as before).
+
 The replay is **exact**: a journal entry stores the batch's documents
 and its update time ``at_time``, and by Eq. 27-29 the statistics after
 ``advance_to(at_time)`` + insertion depend only on (state at the
@@ -142,6 +148,9 @@ def recover(
             if contents is not None:
                 truncated = contents.truncated
                 for entry in contents.entries:
+                    # the terms the line added, in id order: the live ids
+                    for term in entry.terms:
+                        vocabulary.add(term)
                     if entry.sequence <= sequence:
                         continue
                     batch = [

@@ -7,19 +7,28 @@ active documents and the current assignment is *sufficient* — restoring
 rebuilds statistics bit-equivalent to the live ones (the same guarantee
 the incremental-equals-from-scratch property tests establish).
 
-Format: a single JSON document, versioned::
+Format: a single JSON document, version 2::
 
-    {"format": "repro-checkpoint", "version": 1,
+    {"format": "repro-checkpoint", "version": 2,
      "model": {"half_life": 7.0, "life_span": 14.0},
      "kmeans": {"k": 24, "delta": 0.01, ...},
-     "now": 42.0, "warm_start": true, "statistics_backend": "columnar",
-     "sequence": 6, "checksum": "sha256:...",
+     "warm_start": true, "statistics_backend": "columnar", "now": 42.0,
+     "terms": ["asian", "crisi", ...],
      "documents": [{"doc_id": ..., "timestamp": ..., "topic_id": ...,
-                    "source": ..., "title": ..., "terms": {"word": n}}],
-     "assignment": {"doc_id": cluster_id, ...}}
+                    "source": ..., "title": ...,
+                    "term_ids": [1, 0], "counts": [1, 2]}],
+     "assignment": {"doc_id": cluster_id, ...},
+     "sequence": 6, "checksum": "sha256:..."}
 
-Term counts are keyed by term *string* so checkpoints are portable
-across vocabularies, exactly like :mod:`repro.corpus.loaders`.
+``terms`` is the vocabulary in id order, up to its length when the
+checkpoint starts; each document names its terms by id into it, in the
+document's own row order. Loading interns ``terms`` first, so a fresh
+vocabulary gets the live term ids, and then decodes each record through
+:func:`~repro.corpus.loaders.record_to_document` after resolving it to
+the string-keyed JSONL shape (:mod:`repro.durability.records`). The
+file stays portable: a live vocabulary re-interns the strings. Version
+1 — ``"terms": {"word": n}`` per document, sorted by id, no term list —
+is still read.
 
 Durability: :func:`save_checkpoint` composes the JSON from fragments
 encoded once per document (:mod:`repro.durability.records`) and goes
@@ -27,9 +36,9 @@ through :mod:`repro.durability.atomic` — the text is written into a
 sibling temp file, fsynced, and renamed over the target, with the
 previous checkpoint rotated to ``<path>.bak`` — so no crash or
 serialization error ever leaves a corrupt or truncated state file.
-The ``checksum`` field (sha256 over the canonical JSON of everything
-else) is verified on load; ``sequence`` counts the batches the state
-reflects and ties the checkpoint to its batch journal (see
+The ``checksum`` field, last in the file, is sha256 over the bytes
+before it, and is verified on load; ``sequence`` counts the batches the
+state reflects and ties the checkpoint to its batch journal (see
 :mod:`repro.durability`).
 """
 
@@ -62,16 +71,18 @@ if TYPE_CHECKING:
 PathLike = Union[str, Path]
 
 _FORMAT = "repro-checkpoint"
-_VERSION = 1
+_VERSION = 2
 
-#: Every top-level field a checkpoint may carry. Anything else — a
-#: ``checksum`` key with a flipped bit, say — is corruption, not a file
-#: without a checksum.
-_FIELDS = frozenset({
+_V1_FIELDS = frozenset({
     "format", "version", "model", "kmeans", "warm_start",
     "statistics_backend", "now", "documents", "assignment", "sequence",
     "checksum",
 })
+
+#: Every top-level field a checkpoint of each readable version may
+#: carry. Anything else — a ``checksum`` key with a flipped bit, say —
+#: is corruption, not a file without a checksum.
+_FIELDS = {1: _V1_FIELDS, 2: _V1_FIELDS | {"terms"}}
 
 
 def document_record(
@@ -79,7 +90,9 @@ def document_record(
 ) -> Dict[str, Any]:
     """Serialize one document with terms keyed by string.
 
-    The shared record shape of checkpoints and batch journals. Raises
+    The record shape of JSONL, ``POST /add`` and version-1 checkpoints
+    and journals (version 2 names terms by id, see
+    :mod:`repro.durability.records`). Raises
     :class:`CheckpointError` naming the document when it holds a term
     id the vocabulary does not know (previously a bare ``IndexError``
     out of ``vocabulary.term``).
@@ -119,10 +132,11 @@ def save_checkpoint(
     until the new one is fully on disk; the old file survives one
     rotation as ``<path>.bak``.
 
-    The documents come from ``cache``'s per-document fragments (see
+    The documents and terms come from ``cache``'s fragments (see
     :mod:`repro.durability.records`), which is then rebuilt from the
     active set; without one, a throwaway cache encodes them all.
-    ``checkpoint.save`` (covering the serialisation too) and
+    ``checkpoint.save`` (covering the serialisation too, tagged with
+    ``docs`` and ``new_docs``, the fragments encoded inside it) and
     ``checkpoint.bytes`` go to ``recorder``, else the ambient one.
     """
     # imported late: repro.durability builds on this module, so the
@@ -138,11 +152,12 @@ def save_checkpoint(
         )
     recorder = resolve(recorder)
     documents = clusterer.statistics.documents()
-    with Span(recorder, "checkpoint.save", {"docs": len(documents)}):
-        written = atomic_write_text(
-            _checkpoint_text(clusterer, documents, cache, sequence),
-            path, durable=True, backup=True,
-        )
+    encoded = cache.encoded
+    with Span(recorder, "checkpoint.save",
+              {"docs": len(documents)}) as span:
+        text = _checkpoint_text(clusterer, documents, cache, sequence)
+        span.tags["new_docs"] = cache.encoded - encoded
+        written = atomic_write_text(text, path, durable=True, backup=True)
     if recorder.enabled:
         recorder.counter("checkpoint.saves")
         recorder.gauge("checkpoint.bytes", written)
@@ -155,10 +170,13 @@ def _checkpoint_text(
     sequence: Optional[int],
 ) -> str:
     """The checkpoint file: only the scalars and the assignment are
-    encoded here, the documents come from ``cache`` (which is rebuilt
-    from ``documents``, the active set)."""
+    encoded here, the terms and documents come from ``cache`` (which is
+    rebuilt from ``documents``, the active set)."""
     from .durability.records import array_member, member, stamped_object
 
+    # read once: producers may intern new terms while this runs, and
+    # every active document was interned before it was committed
+    terms = len(cache.vocabulary)
     kmeans = clusterer.kmeans
     statistics = clusterer.statistics
     members = [
@@ -180,7 +198,8 @@ def _checkpoint_text(
         member("warm_start", clusterer.warm_start),
         member("statistics_backend", statistics.backend_name),
         member("now", statistics.now),
-        array_member("documents", *cache.retain(documents)),
+        array_member("terms", cache.terms(0, terms)),
+        array_member("documents", cache.retain(documents, terms)),
         member("assignment", clusterer.assignments()),
     ]
     if sequence is not None:
@@ -191,17 +210,26 @@ def _checkpoint_text(
 def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
     """Parse ``path`` and validate its envelope, returning the raw state.
 
-    Checks JSON well-formedness, the format marker, the version, that
-    no top-level field is unknown, and — when the file carries one —
-    the payload checksum. Raises :class:`CheckpointError` on any
-    mismatch; the structural fields are validated later by
-    :func:`load_checkpoint`.
+    Checks that the file is UTF-8 JSON, the format marker, the version,
+    that no top-level field is unknown, and — when the file carries one
+    — the checksum. A version-2 state comes back with each document
+    resolved to the string-keyed record of version 1 and JSONL, terms
+    in row order (:func:`~repro.durability.records.resolve_record`
+    checks every term id against ``terms``); ``terms`` stays, to be
+    interned before the records are decoded. Raises
+    :class:`CheckpointError` on any mismatch; the structural fields are
+    validated later by :func:`load_checkpoint`.
     """
-    from .durability.atomic import checksum_matches
+    from .durability.atomic import text_checksum_matches
+    from .durability.records import check_terms, resolve_record
 
+    with open(path, "rb") as handle:
+        raw = handle.read()
     try:
-        with open(path, encoding="utf-8") as handle:
-            state = json.load(handle)
+        text = raw.decode("utf-8")
+        state = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -212,23 +240,35 @@ def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
             f"{path}: not a repro checkpoint "
             f"(format={state.get('format')!r})"
         )
-    if state.get("version") != _VERSION:
+    version = state.get("version")
+    if type(version) is not int or version not in _FIELDS:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version "
-            f"{state.get('version')!r} (expected {_VERSION})"
+            f"{version!r} (expected one of {sorted(_FIELDS)})"
         )
-    unknown = sorted(set(state) - _FIELDS)
+    unknown = sorted(set(state) - _FIELDS[version])
     if unknown:
         raise CheckpointError(
             f"{path}: unknown checkpoint field(s) {unknown} — the file "
             f"is corrupt or was edited by hand"
         )
-    if checksum_matches(state) is False:
+    if text_checksum_matches(text, state) is False:
         raise CheckpointError(
             f"{path}: checksum mismatch — the file is corrupt or was "
             f"edited by hand (remove the 'checksum' field to force a "
             f"load)"
         )
+    if version == 2:
+        try:
+            terms = check_terms(state["terms"])
+            state["documents"] = [
+                resolve_record(record, terms)
+                for record in state["documents"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: malformed checkpoint ({exc!r})"
+            ) from exc
     return state
 
 
@@ -240,7 +280,9 @@ def load_checkpoint(
 
     Pass the live ``vocabulary`` to re-intern terms into an existing
     repository's id space; with ``None`` a fresh vocabulary is grown.
-    Returns ``(clusterer, vocabulary)``.
+    A version-2 checkpoint's ``terms`` are interned first, in id order,
+    so a fresh vocabulary gets the ids the writer's had, and every
+    document its row order. Returns ``(clusterer, vocabulary)``.
 
     The clusterer always runs on the library's engine and statistics
     backend. Statistics are rebuilt from the documents, so a checkpoint
@@ -290,6 +332,9 @@ def load_checkpoint(
                 kmeans_state.get("engine"), state.get("statistics_backend")
             )
 
+            # version 2: the live term ids, and the rows in live order
+            for term in state.get("terms", ()):
+                vocabulary.add(term)
             documents = [
                 record_to_document(record, vocabulary)
                 for record in state["documents"]

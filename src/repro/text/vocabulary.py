@@ -10,7 +10,7 @@ requires ("additional terms incorporated by the insertion of documents
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 from ..exceptions import VocabularyFrozenError
 
@@ -67,6 +67,10 @@ class Vocabulary:
     def term(self, term_id: int) -> str:
         """Return the term string for ``term_id``."""
         return self._id_to_term[term_id]
+
+    def terms(self, start: int = 0, stop: Optional[int] = None) -> List[str]:
+        """The term strings of ids ``start`` up to ``stop``, in id order."""
+        return self._id_to_term[start:stop]
 
     def freeze(self) -> None:
         """Disallow further growth (useful for test fixtures)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import shutil
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -66,6 +66,30 @@ def build_tdt2_batches(
     ).generate()
     documents = sorted(repo.documents(), key=lambda d: (d.timestamp, d.doc_id))
     return repo.vocabulary, list(iter_batches(documents, batch_days))
+
+
+def growing_batches(
+    vocabulary: Vocabulary, batches: List[Batch], into: Vocabulary
+) -> Iterator[Batch]:
+    """``batches`` re-interned into ``into`` one batch at a time, as
+    the iterator is advanced: the vocabulary grows between batches as a
+    live ingest's does. New terms get ids in row order, and each row is
+    then reversed, so a row with two new terms is not in id order."""
+    for at_time, batch in batches:
+        yield at_time, [
+            Document(
+                doc_id=doc.doc_id,
+                timestamp=doc.timestamp,
+                term_counts=dict(reversed([
+                    (into.add(vocabulary.term(term_id)), count)
+                    for term_id, count in doc.term_counts.items()
+                ])),
+                topic_id=doc.topic_id,
+                source=doc.source,
+                title=doc.title,
+            )
+            for doc in batch
+        ]
 
 
 def make_clusterer(**kwargs: Any) -> IncrementalClusterer:

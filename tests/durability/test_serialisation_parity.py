@@ -1,17 +1,22 @@
 """Checkpoint and journal bytes equal the dict-then-``json.dumps`` oracle.
 
-The library composes both files from per-document fragments it encodes
-once per document (:mod:`repro.durability.records`). File order carries
-meaning — recovery interns terms and rebuilds the assignment in file
-order — so the composition must be byte-identical to the oracle in
-:mod:`tests.oracles.serialisation`, after every batch, on every path
-that fills or reuses the cache.
+The library composes both files (format version 2) from fragments it
+encodes once per document and once per term
+(:mod:`repro.durability.records`). File order carries meaning —
+recovery interns terms and rebuilds the assignment in file order — so
+the composition must be byte-identical to the oracle in
+:mod:`tests.oracles.serialisation`, checksum included, after every
+batch, on every path that fills or reuses the cache. The vocabulary
+grows between batches, as a live ingest's does, so journal lines carry
+term deltas; with ``every=3`` a batch whose checkpoint is due has no
+journal line.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import pytest
 
@@ -22,7 +27,12 @@ from repro.exceptions import CheckpointError
 from repro.persistence import save_checkpoint
 from repro.text.vocabulary import Vocabulary
 
-from tests.durability.conftest import Batch, build_batches, make_clusterer
+from tests.durability.conftest import (
+    Batch,
+    build_batches,
+    growing_batches,
+    make_clusterer,
+)
 from tests.oracles.serialisation import (
     checkpoint_text,
     journal_header,
@@ -88,22 +98,34 @@ class OracleFiles:
             self.sequence, self.clusterer.statistics.now
         )
         self.since = 0
+        # terms the journal's lines have carried since its header
+        self.terms = 0
 
     def feed(self, at_time: float, batch: List[Document]) -> None:
         self.clusterer.process_batch(batch, at_time=at_time)
         self.sequence += 1
         self.since += 1
-        self.journal += journal_line(
-            self.sequence, at_time, batch, self.vocabulary
-        )
         if self.since >= self.every:
+            # due: checkpointed, and no journal line
             self.backup = self.checkpoint
             self._checkpointed()
             # the cache was rebuilt from the active set
             assert len(self.checkpointer._cache) == (
                 self.clusterer.statistics.size
             )
+        else:
+            size = len(self.vocabulary)
+            self.journal += journal_line(
+                self.sequence, at_time,
+                [self.vocabulary.term(t) for t in range(self.terms, size)],
+                batch,
+            )
+            self.terms = size
         self.assert_on_disk()
+
+    def feed_all(self, batches: Iterable[Batch]) -> None:
+        for at_time, batch in batches:
+            self.feed(at_time, batch)
 
     def close(self) -> None:
         self.checkpointer.close()
@@ -125,25 +147,28 @@ class OracleFiles:
 
 @pytest.mark.parametrize("every", [1, 3])
 def test_every_batch_matches_the_oracle(stream, tmp_path, every):
-    vocabulary, batches = stream
+    source, batches = stream
+    vocabulary = Vocabulary()
     files = OracleFiles(
         make_clusterer(), vocabulary, tmp_path / "state.json", every
     )
     files.assert_on_disk()
-    for at_time, batch in batches:
-        files.feed(at_time, batch)
+    files.feed_all(growing_batches(source, batches, vocabulary))
     refed = batches[REFED][1][-1]
-    assert files.clusterer.statistics.document(refed.doc_id) is refed
+    assert files.clusterer.statistics.document(refed.doc_id).title == (
+        refed.title
+    )
     files.close()
 
 
 @pytest.mark.parametrize("every", [1, 3])
 def test_cold_cache_over_a_recovered_clusterer(stream, tmp_path, every):
-    vocabulary, batches = stream
+    source, batches = stream
+    vocabulary = Vocabulary()
+    fed = growing_batches(source, batches, vocabulary)
     path = tmp_path / "state.json"
     files = OracleFiles(make_clusterer(), vocabulary, path, every)
-    for at_time, batch in batches[:10]:
-        files.feed(at_time, batch)
+    files.feed_all(islice(fed, 10))
     files.checkpointer.abort()
 
     recovered = recover(path, vocabulary=vocabulary)
@@ -153,8 +178,35 @@ def test_cold_cache_over_a_recovered_clusterer(stream, tmp_path, every):
         sequence=recovered.sequence,
     )
     files.assert_on_disk()
-    for at_time, batch in batches[10:]:
-        files.feed(at_time, batch)
+    files.feed_all(fed)
+    files.close()
+
+
+def test_a_fresh_vocabulary_recovers_the_live_bytes(stream, tmp_path):
+    """Recovered into a fresh vocabulary, the state writes the very
+    checkpoint the live run wrote, and the run goes on byte for byte."""
+    source, batches = stream
+    live = Vocabulary()
+    fed = growing_batches(source, batches, live)
+    path = tmp_path / "state.json"
+    files = OracleFiles(make_clusterer(), live, path, every=3)
+    files.feed_all(islice(fed, 11))  # checkpoint at 9, lines 10 and 11
+    files.checkpointer.abort()
+
+    recovered = recover(path)
+    assert recovered.sequence == 11
+    assert recovered.replayed_batches == 2
+    assert list(recovered.vocabulary) == list(live)
+    assert checkpoint_text(
+        recovered.clusterer, recovered.vocabulary, 11
+    ) == checkpoint_text(files.clusterer, live, 11)
+    files = OracleFiles(
+        recovered.clusterer, recovered.vocabulary, path, every=3,
+        sequence=11,
+    )
+    files.feed_all(growing_batches(
+        source, batches[11:], recovered.vocabulary
+    ))
     files.close()
 
 
@@ -174,15 +226,18 @@ def test_public_save_checkpoint_without_a_cache(stream, tmp_path, sequence):
 def test_a_returning_id_is_re_encoded(stream):
     vocabulary, batches = stream
     cache = RecordCache(vocabulary)
+    terms = len(vocabulary)
     first = batches[1][1][0]
     refed = batches[REFED][1][-1]
     assert refed.doc_id == first.doc_id
-    before = cache.fragments([first])
-    assert cache.fragments([first]) == before
-    after = cache.fragments([refed])
+    before = cache.fragments([first], terms)
+    assert cache.fragments([first], terms) == before
+    assert cache.encoded == 1
+    after = cache.fragments([refed], terms)
     assert after != before
-    assert cache.retain([refed]) == after
+    assert cache.retain([refed], terms) == after
     assert len(cache) == 1
+    assert cache.encoded == 2
 
 
 def test_a_cache_over_another_vocabulary_is_refused(stream, tmp_path):
@@ -191,4 +246,14 @@ def test_a_cache_over_another_vocabulary_is_refused(stream, tmp_path):
         save_checkpoint(
             make_clusterer(), vocabulary, tmp_path / "state.json",
             cache=RecordCache(Vocabulary()),
+        )
+
+
+def test_a_term_id_beyond_the_vocabulary_is_refused(stream, tmp_path):
+    vocabulary, batches = stream
+    clusterer = make_clusterer()
+    clusterer.process_batch(batches[0][1], at_time=batches[0][0])
+    with pytest.raises(CheckpointError, match="wrong vocabulary"):
+        save_checkpoint(
+            clusterer, Vocabulary(["only"]), tmp_path / "state.json"
         )

@@ -100,18 +100,20 @@ class TestOpenStream:
         # must reach the recorder handed to open_stream
         vocabulary, batches = stream
         recorder = InMemoryRecorder()
+        # the first batch is journaled, the second is checkpointed
+        # (a batch whose checkpoint is due gets no journal line)
         with use_recorder(NullRecorder()):
             with open_stream(
                 vocabulary=vocabulary, checkpoint=tmp_path / "run.ckpt",
-                recorder=recorder, **SERVICE_KWARGS,
+                checkpoint_every=2, recorder=recorder, **SERVICE_KWARGS,
             ) as session:
                 recorder.clear()
-                at_time, batch = batches[0]
-                session.add(batch, at_time=at_time)
+                for at_time, batch in batches[:2]:
+                    session.add(batch, at_time=at_time)
                 session.flush()
                 names = recorder.names()
         assert {
             "checkpoint.save", "checkpoint.bytes",
             "durability.journal_batches", "journal.append",
-            "journal.rotate",
+            "journal.rotate", "durability.journal_skipped",
         } <= names
