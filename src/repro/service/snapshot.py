@@ -49,7 +49,7 @@ from ..core.engines import EngineView, best_affine_gain
 from ..corpus.document import Document
 from ..exceptions import ConfigurationError
 from ..forgetting.frozen import FrozenStatistics
-from ..obs import Span
+from ..obs import Span, resolve
 
 if TYPE_CHECKING:
     from ..core.incremental import IncrementalClusterer
@@ -216,7 +216,16 @@ class ClusterSnapshot:
         Mapping queries follow :class:`~repro.corpus.Document`'s rule:
         zero counts are dropped, and a negative or non-finite count
         raises :class:`~repro.exceptions.ConfigurationError`.
+
+        Timed as the ``snapshot.assign`` span of the ambient recorder,
+        tagged ``query`` = ``text``, ``document`` or ``counts``.
         """
+        kind = ("text" if isinstance(query, str) else
+                "document" if isinstance(query, Document) else "counts")
+        with Span(resolve(None), "snapshot.assign", {"query": kind}):
+            return self._assign(query)
+
+    def _assign(self, query: Query) -> QueryAssignment:
         ids, values, length = self._query_counts(query)
         outlier = QueryAssignment(
             cluster_id=None, gain=0.0, version=self.version
@@ -351,7 +360,7 @@ class ClusterSnapshot:
         A document's row is taken as it is held.
 
         Text queries run the attached pipeline and look terms up
-        *without interning* (:meth:`Vocabulary.get`), so reader threads
+        *without interning* (:meth:`Vocabulary.lookup`), so reader threads
         never mutate shared state; terms the vocabulary has never seen
         still count toward the length, as they would for a real
         document whose unseen terms carry idf 0.
@@ -369,10 +378,10 @@ class ClusterSnapshot:
                 )
             raw = self.pipeline.term_frequencies(query)
             length = float(sum(raw.values()))
-            for term, count in raw.items():
-                term_id = self.vocabulary.get(term)
-                if term_id >= 0:
-                    counts[term_id] = counts.get(term_id, 0.0) + count
+            for term_id, count in zip(self.vocabulary.lookup(raw),
+                                      raw.values()):
+                if term_id is not None:
+                    counts[term_id] = float(count)
             return _count_arrays(counts) + (length,)
         for term_id, count in query.items():
             value = float(count)

@@ -4,10 +4,14 @@
 to convert document bodies to term-frequency mappings. All stages are
 pluggable so experiments can e.g. disable stemming.
 
-Every configuration runs the same loop: find the surface tokens with
-one regex, map each through a :class:`~repro.text.memo.TermMemo` to its
-final term (or ``""`` when a stage drops it), and count with
-:class:`collections.Counter`.
+Every configuration starts the same way: fold the text to its surface
+tokens as ASCII bytes (:func:`~repro.text.tokenizer.surface_tokens`),
+then answer each from a :class:`~repro.text.memo.TermMemo`, which holds
+its final term (or ``""`` when a stage drops it). Unigram counts come
+from :meth:`~repro.text.memo.TermMemo.count`, which maps and counts the
+tokens in C. With n-grams the memo returns the term sequence
+(:meth:`~repro.text.memo.TermMemo.lookup`), because a window needs the
+terms in order.
 """
 
 from __future__ import annotations
@@ -116,6 +120,8 @@ class TextPipeline:
         """Return ``{term: count}`` for ``text`` after all stages, in
         order of first occurrence; timed as the ``text.terms`` span."""
         with Span(resolve(None), "text.terms"):
+            if self.max_ngram == 1:
+                return self._memo.count(surface_tokens(text))
             return dict(Counter(self.terms(text)))
 
     def batch_term_frequencies(

@@ -10,7 +10,7 @@ requires ("additional terms incorporated by the insertion of documents
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, cast
 
 from ..exceptions import VocabularyFrozenError
 
@@ -53,8 +53,21 @@ class Vocabulary:
         return term_id
 
     def add_counts(self, counts: Mapping[str, int]) -> Dict[int, int]:
-        """Map a term->count dict to an id->count dict, adding new terms."""
-        return {self.add(term): count for term, count in counts.items()}
+        """Map a term->count dict to an id->count dict, adding new terms
+        in the order of ``counts``."""
+        mapped = dict(zip(self.lookup(counts), counts.values()))
+        if None in mapped:
+            add = self.add
+            return {add(term): count for term, count in counts.items()}
+        return cast(Dict[int, int], mapped)
+
+    def lookup(self, terms: Iterable[str]) -> Iterator[Optional[int]]:
+        """The id of each term, ``None`` where unseen; adds nothing.
+
+        >>> list(Vocabulary(["stock", "market"]).lookup(["market", "bond"]))
+        [1, None]
+        """
+        return map(self._term_to_id.get, terms)
 
     def id(self, term: str) -> int:
         """Return the id of ``term``; raise ``KeyError`` if unseen."""

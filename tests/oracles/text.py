@@ -15,7 +15,8 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional
 
 from repro.text import DEFAULT_STOPWORDS, PorterStemmer, Tokenizer
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*")
+#: The token pattern over ``str``; the library matches it over bytes.
+TOKEN_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*")
 
 _USE_DEFAULT = object()
 
@@ -24,7 +25,7 @@ def reference_tokens(tokenizer: Tokenizer, text: str) -> Iterator[str]:
     """The tokens ``tokenizer`` keeps from ``text``, in document order."""
     if not isinstance(text, str):
         raise TypeError(f"text must be str, got {type(text).__name__}")
-    for match in _TOKEN_RE.finditer(text.lower()):
+    for match in TOKEN_RE.finditer(text.lower()):
         token = match.group(0).strip("'-")
         if len(token) < tokenizer.min_length:
             continue

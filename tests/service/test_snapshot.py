@@ -12,6 +12,8 @@ from repro import ClusterSnapshot, Document
 from repro.api import build_clusterer
 from repro.core.engines import affine_gain_coefficients, best_affine_gain
 from repro.exceptions import ConfigurationError
+from repro.obs import InMemoryRecorder, use_recorder
+from repro.text import TextPipeline
 from repro.vectors.tfidf import NoveltyTfidfWeighter
 
 from .conftest import SERVICE_KWARGS, assert_snapshot_parity, probe_like
@@ -267,6 +269,49 @@ class TestAssign:
         )
         with pytest.raises(ConfigurationError, match="text front-end"):
             snapshot.assign("sports teams playing games")
+
+
+class TestTextQueries:
+    def snapshot(self, stream):
+        vocabulary, batches = stream
+        return ClusterSnapshot.from_clusterer(
+            1, run_clusterer(batches), vocabulary=vocabulary,
+            pipeline=TextPipeline(),
+        )
+
+    def test_text_query_scores_its_known_terms_over_every_term(
+        self, stream
+    ):
+        snapshot = self.snapshot(stream)
+        vocabulary = snapshot.vocabulary
+        text = "sports teams playing games zyzzyva quux"
+        raw = snapshot.pipeline.term_frequencies(text)
+        known = {vocabulary.id(term): count for term, count in raw.items()
+                 if term in vocabulary}
+        assert 0 < len(known) < len(raw)
+        ids, values, length = snapshot._query_counts(text)
+        assert dict(zip(ids.tolist(), values.tolist())) == known
+        assert length == sum(raw.values())
+        size = len(vocabulary)
+        snapshot.assign(text)
+        assert len(vocabulary) == size  # a reader interns nothing
+
+    def test_assign_emits_a_span_tagged_with_the_query_kind(self, stream):
+        snapshot = self.snapshot(stream)
+        document = stream[1][-1][1][0]
+        recorder = InMemoryRecorder()
+        with use_recorder(recorder):
+            snapshot.assign("sports teams playing games")
+            snapshot.assign(document)
+            snapshot.assign(dict(document.term_counts))
+            with pytest.raises(ConfigurationError):
+                snapshot.assign({1: -1})
+        spans = [e for e in recorder.events if e.name == "snapshot.assign"]
+        assert [e.tags["query"] for e in spans] == [
+            "text", "document", "counts", "counts",
+        ]
+        assert spans[-1].tags["error"] == "ConfigurationError"
+        assert all(e.value >= 0.0 for e in spans)
 
 
 class TestReads:

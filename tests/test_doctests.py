@@ -10,6 +10,8 @@ import pytest
 import repro.eval.contingency
 import repro.experiments.reporting
 import repro.forgetting.model
+import repro.text
+import repro.text.memo
 import repro.text.pipeline
 import repro.text.stemmer
 import repro.text.tokenizer
@@ -17,6 +19,9 @@ import repro.text.vocabulary
 import tests.oracles.sparse
 
 MODULES = [
+    repro.text,
+    repro.text.memo,
+    repro.text.tokenizer,
     repro.text.stemmer,
     repro.text.vocabulary,
     repro.text.pipeline,

@@ -25,6 +25,8 @@ EDGE_TEXTS = [
     "running runs ran runner sky skies ponies caresses relational",
     "a b c ab cd ef abc ab-cd a'b",
     "stock market crash stock market rally bank of england",
+    "\u212aELVIN \u212a-9 o'\u212a \u0130stanbul-\u0130 stra\u00dfe-ss "
+    "\u00c9cole'\u00c9 \u00c9T\u00c9 \u212a\u0130\u00df\u00c9",
 ]
 
 

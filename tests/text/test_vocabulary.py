@@ -49,6 +49,18 @@ class TestVocabulary:
         vocab.add_counts({"dog": 1})
         assert "dog" in vocab
 
+    def test_add_counts_keeps_the_order_of_counts(self):
+        vocab = Vocabulary(["dog"])
+        mapped = vocab.add_counts({"eel": 4, "dog": 1, "ant": 2})
+        assert list(mapped.items()) == [(1, 4), (0, 1), (2, 2)]
+        assert list(vocab) == ["dog", "eel", "ant"]
+
+    def test_lookup_adds_nothing(self):
+        vocab = Vocabulary(["cat", "dog"])
+        assert list(vocab.lookup(["dog", "eel", "cat"])) == [1, None, 0]
+        assert list(vocab.lookup({})) == []
+        assert len(vocab) == 2
+
     def test_duplicate_constructor_terms_deduplicated(self):
         vocab = Vocabulary(["a1", "a1", "b1"])
         assert len(vocab) == 2
@@ -65,6 +77,14 @@ class TestFreezing:
         vocab = Vocabulary(["known"])
         vocab.freeze()
         assert vocab.add("known") == 0
+
+    def test_frozen_add_counts_raises_and_adds_nothing(self):
+        vocab = Vocabulary(["known"])
+        vocab.freeze()
+        assert vocab.add_counts({"known": 3}) == {0: 3}
+        with pytest.raises(VocabularyFrozenError):
+            vocab.add_counts({"known": 1, "new": 2})
+        assert list(vocab) == ["known"]
 
     def test_frozen_property(self):
         vocab = Vocabulary()
