@@ -1,8 +1,8 @@
-"""Streaming service layer: single async writer, lock-free readers.
+"""Streaming service layer: one writer thread, lock-free readers.
 
 This package turns the batch pipeline into a long-running service:
-:class:`ClusterService` serializes ingestion through one asyncio writer
-and publishes an immutable, monotonically versioned
+:class:`ClusterService` serializes ingestion through one writer thread
+behind a bounded queue and publishes an immutable, monotonically versioned
 :class:`ClusterSnapshot` after every committed batch. Readers query the
 snapshot — :meth:`~ClusterSnapshot.assign`, :meth:`~ClusterSnapshot.search`,
 :meth:`~ClusterSnapshot.top_clusters`, :meth:`~ClusterSnapshot.members`,

@@ -1,14 +1,13 @@
-"""The streaming service: one async writer, lock-free readers.
+"""The streaming service: one writer thread, lock-free readers.
 
 :class:`ClusterService` wraps an :class:`~repro.core.incremental.
 IncrementalClusterer` in a long-running single-writer loop:
 
-* **Ingestion** is serialized through an :class:`asyncio.Queue` owned by
-  a background event-loop thread. Producers (:meth:`add`, the
+* **Ingestion** is serialized through a bounded :class:`queue.Queue`
+  drained by one writer thread. Producers (:meth:`add`, the
   :meth:`feed` windower, the :meth:`tail_jsonl` file tailer, the HTTP
-  endpoint) enqueue batches; a single writer coroutine drains them and
-  drives ``process_batch`` in a one-thread executor so the loop stays
-  responsive. The queue is bounded — a full queue blocks producers,
+  endpoint) enqueue batches; the writer runs ``process_batch`` on each
+  in arrival order, one at a time. A full queue blocks producers,
   which is the backpressure story.
 * **Publication** rides the clusterer's transactional commit hooks:
   after a batch commits (and after the optional
@@ -31,12 +30,11 @@ engine room.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -46,6 +44,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -76,7 +75,7 @@ if TYPE_CHECKING:
 
 PathLike = Union[str, Path]
 
-#: Queue sentinel telling the writer coroutine to exit.
+#: Queue sentinel telling the writer thread to exit.
 _STOP = object()
 
 
@@ -129,7 +128,6 @@ class ClusterService:
         self._vocabulary = vocabulary
         self._pipeline = pipeline
         self._window_days = window_days
-        self._queue_size = queue_size
         self._recorder = clusterer.recorder
 
         if version is None:
@@ -169,79 +167,72 @@ class ClusterService:
             clusterer.add_commit_hook(self._record_batch)
         clusterer.add_commit_hook(self._publish)
 
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional["asyncio.Queue[Any]"] = None
-        self._ready = threading.Event()
+        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_size)
         self._thread = threading.Thread(
-            target=self._run_loop, name="repro-service-writer", daemon=True
+            target=self._writer, name="repro-service-writer", daemon=True
         )
         self._thread.start()
-        self._ready.wait()
 
     # -- writer machinery -------------------------------------------------
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        # the queue must be created on the loop thread: pre-3.10
-        # asyncio primitives bind the event loop at construction
-        self._queue = asyncio.Queue(maxsize=self._queue_size)
-        self._loop = loop
-        self._ready.set()
-        try:
-            loop.run_until_complete(self._writer())
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    async def _writer(self) -> None:
-        assert self._loop is not None and self._queue is not None
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service-ingest"
-        )
-        try:
-            while True:
-                item = await self._queue.get()
+    def _writer(self) -> None:
+        while True:
+            item = self._queue.get()
+            try:
+                if item is _STOP:
+                    return
+                if self._killed or self._degraded:
+                    continue  # crashed/degraded: drop queued work
+                documents, at_time, enqueued = item
+                if self._recorder.enabled:
+                    self._recorder.gauge(
+                        "service.ingest_lag_seconds",
+                        time.monotonic() - enqueued,
+                    )
+                    self._recorder.gauge(
+                        "service.queue_depth", self._queue.qsize()
+                    )
                 try:
-                    if item is _STOP:
-                        break
-                    if self._killed or self._degraded:
-                        continue  # crashed/degraded: drop queued work
-                    documents, at_time, enqueued = item
-                    if self._recorder.enabled:
-                        self._recorder.gauge(
-                            "service.ingest_lag_seconds",
-                            time.monotonic() - enqueued,
-                        )
-                        self._recorder.gauge(
-                            "service.queue_depth", self._queue.qsize()
-                        )
-                    try:
-                        await self._loop.run_in_executor(
-                            executor, self._ingest, documents, at_time
-                        )
-                    except Exception as exc:
-                        if self._degraded:
-                            # the batch committed in memory but a
-                            # commit hook failed (_record_batch or
-                            # _publish filed the error): memory and the
-                            # journal or the published snapshot have
-                            # diverged, so ingestion stops here and
-                            # producers get ServiceDegradedError
-                            if self._recorder.enabled:
-                                self._recorder.counter("service.degraded")
-                        else:
-                            self._errors.append(exc)
-                            # the clusterer rolled the batch back; no
-                            # snapshot was (or will be) published for it
-                            if self._recorder.enabled:
-                                self._recorder.counter(
-                                    "service.batches_rejected"
-                                )
-                finally:
-                    self._queue.task_done()
-        finally:
-            executor.shutdown(wait=True)
+                    self._ingest(documents, at_time)
+                except Exception as exc:
+                    if self._degraded:
+                        # the batch committed in memory but a commit
+                        # hook failed (_record_batch or _publish filed
+                        # the error): memory and the journal or the
+                        # published snapshot have diverged, so
+                        # ingestion stops here and producers get
+                        # ServiceDegradedError
+                        if self._recorder.enabled:
+                            self._recorder.counter("service.degraded")
+                    else:
+                        self._file_error(exc)
+                        # the clusterer rolled the batch back; no
+                        # snapshot was (or will be) published for it
+                        if self._recorder.enabled:
+                            self._recorder.counter(
+                                "service.batches_rejected"
+                            )
+            finally:
+                self._queue.task_done()
+
+    def _file_error(self, exc: BaseException) -> None:
+        """File a rejected batch's or a producer's error, traceback-free.
+
+        A traceback's frames hold the batch, the pre-batch assignment
+        copy and the statistics the rollback discarded; a long-running
+        service that kept them would grow by one such state per
+        rejection. The message and the exception chain are kept.
+        """
+        pending: List[Optional[BaseException]] = [exc]
+        seen: Set[int] = set()
+        while pending:
+            link = pending.pop()
+            if link is None or id(link) in seen:
+                continue
+            seen.add(id(link))
+            link.__traceback__ = None
+            pending += (link.__cause__, link.__context__)
+        self._errors.append(exc)
 
     def _ingest(
         self, documents: Sequence[Document], at_time: float
@@ -308,11 +299,8 @@ class ClusterService:
     def _enqueue(
         self, documents: Sequence[Document], at_time: float
     ) -> None:
-        assert self._loop is not None and self._queue is not None
-        queue = self._queue
-        item = (tuple(documents), float(at_time), time.monotonic())
         # blocks (backpressure) when the bounded queue is full
-        asyncio.run_coroutine_threadsafe(queue.put(item), self._loop).result()
+        self._queue.put((tuple(documents), float(at_time), time.monotonic()))
 
     # -- ingestion API ----------------------------------------------------
 
@@ -399,10 +387,7 @@ class ClusterService:
                 end = self._window_end
                 self._window_end += self._window_days or 0.0
                 self._enqueue(batch, end)
-        assert self._loop is not None and self._queue is not None
-        asyncio.run_coroutine_threadsafe(
-            self._queue.join(), self._loop
-        ).result()
+        self._queue.join()
 
     def tail_jsonl(
         self, path: PathLike, poll_interval: float = 0.5
@@ -476,7 +461,7 @@ class ClusterService:
                     except ServiceClosedError:
                         return
                     except Exception as exc:
-                        self._errors.append(exc)
+                        self._file_error(exc)
                         if self._recorder.enabled:
                             self._recorder.counter("service.tail_errors")
                 continue  # drained something: poll again immediately
@@ -640,8 +625,10 @@ class ClusterService:
         with self._close_lock:
             if self._closed:
                 return
-            self._closed = True
+            # before `closed`: whoever sees the service closed by kill()
+            # knows its queued batches will be dropped
             self._killed = True
+            self._closed = True
         self._stop_sidecars()
         self._stop_writer()
         if self._checkpointer is not None:
@@ -657,11 +644,7 @@ class ClusterService:
             self._http_server = None
 
     def _stop_writer(self) -> None:
-        if self._loop is not None and self._queue is not None:
-            queue = self._queue
-            asyncio.run_coroutine_threadsafe(
-                queue.put(_STOP), self._loop
-            ).result()
+        self._queue.put(_STOP)
         self._thread.join()
 
     def __enter__(self) -> "ClusterService":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import socket
@@ -10,6 +11,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -645,6 +647,164 @@ class TestShutdown:
         service.close()
         # the partial window was submitted and committed during close
         assert service.version == 1
+
+
+class TestWriterThread:
+    @staticmethod
+    def held_service(**kwargs):
+        """A service whose writer blocks in a commit hook on batch 1.
+
+        The hook runs after the publish hook, so the held batch is
+        already the published version while the writer waits.
+        """
+        clusterer = build_clusterer(**SERVICE_KWARGS)
+        service = ClusterService(clusterer, **kwargs)
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def hold(documents, at_time):
+            calls.append(at_time)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(timeout=30)
+
+        clusterer.add_commit_hook(hold)
+        return service, entered, release
+
+    @pytest.mark.parametrize("stop", ["close", "kill"])
+    def test_one_writer_thread_of_its_own(self, stream, stop):
+        _, batches = stream
+        before = set(threading.enumerate())
+
+        def own_threads():
+            return sorted(
+                t.name for t in set(threading.enumerate()) - before
+            )
+
+        service = make_service()
+        assert own_threads() == ["repro-service-writer"]
+        service.add(batches[0][1], at_time=batches[0][0])
+        service.flush()
+        assert own_threads() == ["repro-service-writer"]
+        getattr(service, stop)()
+        assert own_threads() == []
+
+    def test_full_queue_blocks_the_producer(self, stream):
+        _, batches = stream
+        service, entered, release = self.held_service(queue_size=1)
+        try:
+            service.add(batches[0][1], at_time=batches[0][0])
+            assert entered.wait(timeout=30)  # batch 1 is in flight
+            service.add(batches[1][1], at_time=batches[1][0])  # fills it
+            producer = threading.Thread(
+                target=service.add,
+                args=(batches[2][1],),
+                kwargs={"at_time": batches[2][0]},
+            )
+            producer.start()
+            producer.join(timeout=0.3)
+            assert producer.is_alive()  # blocked on the full queue
+            assert service.version == 1
+            release.set()
+            producer.join(timeout=30)
+            assert not producer.is_alive()
+            assert service.flush().version == 3
+            assert service.batches_ingested == 3
+            assert not service.errors
+        finally:
+            release.set()
+            service.close()
+
+    def test_kill_drops_batches_queued_behind_the_held_one(self, stream):
+        _, batches = stream
+        service, entered, release = self.held_service()
+        service.add(batches[0][1], at_time=batches[0][0])
+        assert entered.wait(timeout=30)
+        for at_time, batch in batches[1:4]:
+            service.add(batch, at_time=at_time)
+        killer = threading.Thread(target=service.kill)
+        killer.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not service.closed and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.closed
+        finally:
+            release.set()
+            killer.join(timeout=30)
+        assert not killer.is_alive()
+        assert service.version == 1
+        assert service.batches_ingested == 1
+        assert not service.errors
+
+
+class TestRejectedErrors:
+    def test_rejected_batch_frees_the_discarded_statistics(self, stream):
+        # the rollback discards the statistics the batch mutated; the
+        # filed error must not keep them (or the batch) alive through
+        # its traceback's frames
+        _, batches = stream
+        clusterer = build_clusterer(**SERVICE_KWARGS)
+        with ClusterService(clusterer) as service:
+            service.add(batches[0][1], at_time=batches[0][0])
+            service.flush()
+            before = weakref.ref(clusterer.statistics)
+            # every id is already active: the batch is rejected
+            service.add(batches[0][1], at_time=batches[1][0])
+            service.flush()
+            gc.collect()
+            assert len(service.errors) == 1
+            assert service.version == 1
+            assert before() is None
+            assert service.errors[0].__traceback__ is None
+
+    def test_filed_chain_keeps_causes_without_tracebacks(
+        self, stream, monkeypatch
+    ):
+        _, batches = stream
+        clusterer = build_clusterer(**SERVICE_KWARGS)
+
+        def broken(documents, at_time):
+            try:
+                raise ValueError("cause")
+            except ValueError as exc:
+                cause = exc
+            try:
+                raise KeyError("context")
+            except KeyError:
+                raise RuntimeError("outer") from cause
+
+        monkeypatch.setattr(clusterer, "process_batch", broken)
+        with ClusterService(clusterer) as service:
+            service.add(batches[0][1], at_time=batches[0][0])
+            service.flush()
+            (error,) = service.errors
+        assert str(error) == "outer"
+        assert isinstance(error.__cause__, ValueError)
+        assert isinstance(error.__context__, KeyError)
+        for link in (error, error.__cause__, error.__context__):
+            assert link.__traceback__ is None
+
+    def test_tailer_error_is_filed_without_traceback(
+        self, stream, tmp_path
+    ):
+        vocabulary, _ = stream
+        path = tmp_path / "incoming.jsonl"
+        path.write_text("{not json\n", encoding="utf-8")
+        service = ClusterService(
+            build_clusterer(**SERVICE_KWARGS),
+            vocabulary=vocabulary, window_days=1.0,
+        )
+        try:
+            service.tail_jsonl(path, poll_interval=0.02)
+            deadline = time.monotonic() + 30
+            while not service.errors and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (error,) = service.errors
+            assert isinstance(error, json.JSONDecodeError)
+            assert error.__traceback__ is None
+        finally:
+            service.close()
 
 
 class TestReaderCounter:
