@@ -14,8 +14,10 @@ answers that with one gather per document; this engine batches the
   of Eq. 12-16),
 * cluster representatives are dense accumulator columns ``Rᵀ`` (V×K,
   Eq. 19-20), the layout the sweep's product reads without a copy; the
-  warm start (Section 5.2 step 3) loads them in bulk as the one-hot
-  assignment matrix times ``X`` (:meth:`MatrixEngine.load`),
+  warm start (Section 5.2 step 3) loads them in bulk with one
+  ``np.bincount`` over the members' entries of ``X``, summed as the
+  one-hot assignment matrix times ``X`` would sum them
+  (:meth:`MatrixEngine.load`),
 * per block of documents the representative dot products arrive as one
   sparse-dense product ``S = X_blk · Rᵀ``, and the sweep's own
   membership moves are replayed into ``S`` exactly from rows of the
@@ -299,6 +301,9 @@ class MatrixEngine:
 
         # Rᵀ, term-major: X_blk · Rᵀ reads it as it is
         self._rep_t = np.zeros((n_terms, k), dtype=np.float64)
+        # the row-major copy of Rᵀ the last refresh() made; None once
+        # Rᵀ has changed since
+        self._rep_rows: Optional[FloatArray] = None
         self._crpp: List[float] = [0.0] * k
         self._ss: List[float] = [0.0] * k
         self._sizes: List[int] = [0] * k
@@ -349,6 +354,7 @@ class MatrixEngine:
         self._crpp[cluster_id] += 2.0 * dot + w2
         self._ss[cluster_id] += w2
         self._rep_t[ids, cluster_id] += vals
+        self._rep_rows = None
         self._sizes[cluster_id] += 1
         self._assigned[row] = cluster_id
         self._stamp[row] = self._clock
@@ -362,6 +368,7 @@ class MatrixEngine:
         self._crpp[cluster_id] += -2.0 * dot + w2
         self._ss[cluster_id] -= w2
         self._rep_t[ids, cluster_id] -= vals
+        self._rep_rows = None
         self._sizes[cluster_id] -= 1
         self._assigned[row] = -1
         if self._sizes[cluster_id] == 0:
@@ -375,14 +382,14 @@ class MatrixEngine:
         order, on an engine holding no member: the warm start's bulk
         form of one :meth:`add` per row followed by :meth:`refresh`.
 
-        The representatives are one product of the K×N one-hot
-        assignment matrix with ``X``. Its CSR rows list each cluster's
-        members in assignment order (a COO build would sort them), so
-        every representative entry is the sum of its members' values in
-        the order the adds would make it; ``sizes`` and ``ss`` are
-        ``np.bincount``s over the same order and ``cr_sim(C_p, C_p)``
-        is :meth:`refresh`'s. Nothing is changed when an argument is
-        rejected.
+        ``Rᵀ`` is one ``np.bincount`` over the rows' ``X`` entries,
+        taken in assignment order and keyed by term and cluster, so
+        every representative entry is the sum of its members' values
+        from zero in the order the adds would make it (and the order
+        the K×N one-hot assignment matrix times ``X`` sums them in).
+        ``sizes`` and ``ss`` are ``np.bincount``s over the same order
+        and ``cr_sim(C_p, C_p)`` is :meth:`refresh`'s. Nothing is
+        changed when an argument is rejected.
         """
         rows = np.asarray(rows, dtype=np.int64)
         clusters = np.asarray(clusters, dtype=np.int64)
@@ -407,16 +414,14 @@ class MatrixEngine:
         if (self._assigned >= 0).any():
             raise ConfigurationError("load needs an engine with no member")
         sizes = np.bincount(clusters, minlength=self.k)
-        indptr = np.zeros(self.k + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        by_cluster = rows[np.argsort(clusters, kind="stable")]
-        membership = _sp.csr_matrix(
-            (np.ones(rows.size), by_cluster, indptr),
-            shape=(self.k, n_docs),
-        )
-        self._rep_t = np.ascontiguousarray(
-            (membership @ self._X).toarray().T, dtype=np.float64
-        )
+        at, lens = _entries(self._X.indptr, rows)
+        n_terms = self._X.shape[1]
+        self._rep_t = np.bincount(
+            self._X.indices[at].astype(np.int64) * self.k
+            + np.repeat(clusters, lens),
+            weights=self._X.data[at],
+            minlength=n_terms * self.k,
+        ).reshape(n_terms, self.k)
         self._ss = np.bincount(
             clusters, weights=self._w2[rows], minlength=self.k
         ).tolist()
@@ -442,6 +447,9 @@ class MatrixEngine:
 
     def best_gains(self, rows: IntArray) -> Tuple[IntArray, FloatArray]:
         rows = np.asarray(rows, dtype=np.int64)
+        # the sweep moves documents, changing Rᵀ: drop the copy before
+        # the blocks allocate
+        self._rep_rows = None
         n = rows.size
         best_out = np.empty(n, dtype=np.int64)
         gain_out = np.empty(n, dtype=np.float64)
@@ -812,7 +820,7 @@ class MatrixEngine:
     def refresh(self) -> None:
         # the row-major copy gives each cr_sim(C_p, C_p) the summation
         # order of a dot over one contiguous row
-        rep = np.ascontiguousarray(self._rep_t.T)
+        rep = self._rep_rows = np.ascontiguousarray(self._rep_t.T)
         fresh = np.einsum("ij,ij->i", rep, rep)
         self._crpp = [float(value) for value in fresh]
         for cluster_id in range(self.k):
@@ -846,22 +854,29 @@ class MatrixEngine:
 
     def _support(self) -> BoolArray:
         """``K × T`` mask of the terms some member of each cluster
-        carries, scattered from the members' column indices."""
+        carries, scattered from the members' column indices through
+        one flat index."""
         X = self._X
+        n_terms = X.shape[1]
         owner = np.repeat(self._assigned, np.diff(X.indptr))
         member = owner >= 0
-        support = np.zeros((self.k, X.shape[1]), dtype=bool)
-        support[owner[member], X.indices[member]] = True
-        return support
+        support = np.zeros(self.k * n_terms, dtype=bool)
+        support[owner[member] * n_terms + X.indices[member]] = True
+        return support.reshape(self.k, n_terms)
 
     def freeze(self) -> EngineView:
         contributions = self.contributions()
         # an empty term space is padded to one column; the view is not
         n_terms = self._term_ids.size
+        # the fit's last refresh() made the row-major copy already,
+        # unless Rᵀ changed since
+        rows = self._rep_rows
+        if rows is None:
+            rows = np.ascontiguousarray(self._rep_t.T)
         # _remove subtracts in place, leaving float residue on terms no
         # remaining member carries; readers see those as exact zeros
         representatives = np.ascontiguousarray(np.where(
-            self._support()[:, :n_terms], self._rep_t[:n_terms].T, 0.0
+            self._support()[:, :n_terms], rows[:, :n_terms], 0.0
         ))
         return EngineView(
             criterion=self._criterion,

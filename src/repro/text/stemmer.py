@@ -13,6 +13,25 @@ The implementation follows the step structure of the original article:
 * Step 4   — drop residual suffixes when the measure allows
 * Step 5   — tidy terminal ``e`` and double ``l``
 
+Like Porter's own reference code, a word is classified once: its
+consonant/vowel map is a string with one ``c`` or ``v`` per letter
+(``aeiou`` are vowels, and so is a ``y`` after a consonant). Whether a
+letter is a vowel depends only on the letters before it, so the map of
+a stem is a prefix of the word's map, and every condition is read off
+such a prefix in C: the measure m is the number of ``vc`` pairs in it,
+*v* is "has a ``v``", *d is "ends in two equal letters, the last a
+``c``", and *o is "ends ``cvc``, the last letter not w, x or y". A step
+that drops a suffix cuts the map; one that writes a new ending appends
+that ending's map, which is fixed because no replacement holds a
+``y``. Steps 2, 3 and 4 look their suffixes up by the word's
+penultimate letter, which every matching suffix shares; within a
+letter the article's order is kept, so the first suffix the word ends
+with still ends the step.
+
+The rule-by-rule form, which rescans a stem for each condition, is
+kept as the oracle in ``tests/oracles/stemmer.py``; the two give every
+word the same stem.
+
 >>> stem("relational")
 'relat'
 >>> stem("conflated")
@@ -29,7 +48,66 @@ from .tokenizer import Tokenizer
 
 __all__ = ["MemoizedStemmer", "PorterStemmer", "stem"]
 
-_VOWELS = frozenset("aeiou")
+
+class _LetterClasses(Dict[int, str]):
+    """``str.translate`` table to ``v`` (aeiou), ``y`` (not yet
+    classified) or ``c``; a letter outside ASCII is a consonant."""
+
+    def __missing__(self, code: int) -> str:
+        return "c"
+
+
+_CLASSES = _LetterClasses(
+    (code, "v" if chr(code) in "aeiou" else "y" if chr(code) == "y" else "c")
+    for code in range(128)
+)
+
+
+def _cv_map(word: str) -> str:
+    """One ``c`` or ``v`` per letter of ``word``: a ``y`` is a vowel
+    after a consonant and a consonant first or after a vowel."""
+    cv = word.translate(_CLASSES)
+    if "y" in cv:
+        if cv[0] == "y":
+            cv = "c" + cv[1:]
+        # each pass classifies at least the first y left
+        while "y" in cv:
+            cv = cv.replace("cy", "cv").replace("vy", "vc")
+    return cv
+
+
+def _by_penultimate(
+    rules: Tuple[Tuple[str, str], ...]
+) -> Dict[str, Tuple[Tuple[str, str, str], ...]]:
+    """``(suffix, replacement)`` rules grouped by the suffix's
+    penultimate letter, in their order, each with the replacement's
+    consonant/vowel map."""
+    table: Dict[str, Tuple[Tuple[str, str, str], ...]] = {}
+    for suffix, repl in rules:
+        table[suffix[-2]] = table.get(suffix[-2], ()) + (
+            (suffix, repl, _cv_map(repl)),
+        )
+    return table
+
+
+# the article's rules, in its order
+_STEP2 = _by_penultimate((
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
+    ("anci", "ance"), ("izer", "ize"), ("abli", "able"), ("alli", "al"),
+    ("entli", "ent"), ("eli", "e"), ("ousli", "ous"),
+    ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
+    ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"),
+    ("biliti", "ble"),
+))
+_STEP3 = _by_penultimate((
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+))
+_STEP4 = _by_penultimate(tuple((suffix, "") for suffix in (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)))
 
 
 class PorterStemmer:
@@ -55,7 +133,7 @@ class PorterStemmer:
             cached = self._cache.get(word)
             if cached is not None:
                 return cached
-        result = self._stem_uncached(word)
+        result = _stem_uncached(word)
         if self._cache is not None:
             self._cache[word] = result
         return result
@@ -63,218 +141,72 @@ class PorterStemmer:
     def __call__(self, word: str) -> str:
         return self.stem(word)
 
-    # -- consonant/vowel machinery ------------------------------------
 
-    @staticmethod
-    def _is_consonant(word: str, i: int) -> bool:
-        ch = word[i]
-        if ch in _VOWELS:
-            return False
-        if ch == "y":
-            return i == 0 or not PorterStemmer._is_consonant(word, i - 1)
-        return True
+def _stem_uncached(word: str) -> str:
+    """The Porter stem of a word of three letters or more. No step
+    empties the word, so ``word[-1]`` always exists."""
+    cv = _cv_map(word)
 
-    @staticmethod
-    def _measure(stem_part: str) -> int:
-        """Return m, the number of VC sequences in ``stem_part``."""
-        m = 0
-        prev_was_vowel = False
-        for i in range(len(stem_part)):
-            if PorterStemmer._is_consonant(stem_part, i):
-                if prev_was_vowel:
-                    m += 1
-                prev_was_vowel = False
-            else:
-                prev_was_vowel = True
-        return m
+    # step 1a
+    if word[-1] == "s":
+        if word.endswith(("sses", "ies")):
+            word, cv = word[:-2], cv[:-2]
+        elif word[-2] != "s":
+            word, cv = word[:-1], cv[:-1]
 
-    @staticmethod
-    def _contains_vowel(stem_part: str) -> bool:
-        return any(
-            not PorterStemmer._is_consonant(stem_part, i)
-            for i in range(len(stem_part))
-        )
-
-    @staticmethod
-    def _ends_double_consonant(word: str) -> bool:
-        return (
-            len(word) >= 2
-            and word[-1] == word[-2]
-            and PorterStemmer._is_consonant(word, len(word) - 1)
-        )
-
-    @staticmethod
-    def _ends_cvc(word: str) -> bool:
-        """*o condition: stem ends cvc where the final c is not w, x, y."""
-        if len(word) < 3:
-            return False
-        if (
-            PorterStemmer._is_consonant(word, len(word) - 3)
-            and not PorterStemmer._is_consonant(word, len(word) - 2)
-            and PorterStemmer._is_consonant(word, len(word) - 1)
-        ):
-            return word[-1] not in "wxy"
-        return False
-
-    # -- rule application ---------------------------------------------
-
-    @staticmethod
-    def _replace_if_m(word: str, suffix: str, repl: str, min_m: int) -> Tuple[str, bool]:
-        """If ``word`` ends with ``suffix`` and m(stem) > min_m, replace it.
-
-        Returns ``(new_word, rule_fired)`` where ``rule_fired`` means the
-        suffix matched (whether or not the m condition passed), which is
-        the Porter convention: the first matching suffix in a step
-        consumes the step.
-        """
-        if not word.endswith(suffix):
-            return word, False
-        stem_part = word[: len(word) - len(suffix)]
-        if PorterStemmer._measure(stem_part) > min_m:
-            return stem_part + repl, True
-        return word, True
-
-    def _stem_uncached(self, word: str) -> str:
-        word = self._step1a(word)
-        word = self._step1b(word)
-        word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
-        word = self._step4(word)
-        word = self._step5a(word)
-        word = self._step5b(word)
-        return word
-
-    @staticmethod
-    def _step1a(word: str) -> str:
-        if word.endswith("sses"):
-            return word[:-2]
-        if word.endswith("ies"):
-            return word[:-2]
-        if word.endswith("ss"):
-            return word
-        if word.endswith("s"):
-            return word[:-1]
-        return word
-
-    @staticmethod
-    def _step1b(word: str) -> str:
-        if word.endswith("eed"):
-            stem_part = word[:-3]
-            if PorterStemmer._measure(stem_part) > 0:
-                return word[:-1]
-            return word
-        fired = False
-        if word.endswith("ed"):
-            stem_part = word[:-2]
-            if PorterStemmer._contains_vowel(stem_part):
-                word = stem_part
-                fired = True
-        elif word.endswith("ing"):
-            stem_part = word[:-3]
-            if PorterStemmer._contains_vowel(stem_part):
-                word = stem_part
-                fired = True
-        if fired:
+    # step 1b
+    if word.endswith("eed"):
+        if cv.count("vc", 0, -3):
+            word, cv = word[:-1], cv[:-1]
+    else:
+        cut = 2 if word.endswith("ed") else 3 if word.endswith("ing") else 0
+        if cut and "v" in cv[:-cut]:
+            word, cv = word[:-cut], cv[:-cut]
             if word.endswith(("at", "bl", "iz")):
-                return word + "e"
-            if PorterStemmer._ends_double_consonant(word) and word[-1] not in "lsz":
-                return word[:-1]
-            if PorterStemmer._measure(word) == 1 and PorterStemmer._ends_cvc(word):
-                return word + "e"
-        return word
+                word, cv = word + "e", cv + "v"
+            elif (len(word) > 1 and word[-1] == word[-2]
+                  and cv[-1] == "c" and word[-1] not in "lsz"):
+                word, cv = word[:-1], cv[:-1]
+            elif (cv.count("vc") == 1 and cv.endswith("cvc")
+                  and word[-1] not in "wxy"):
+                word, cv = word + "e", cv + "v"
 
-    @staticmethod
-    def _step1c(word: str) -> str:
-        if word.endswith("y") and PorterStemmer._contains_vowel(word[:-1]):
-            return word[:-1] + "i"
-        return word
+    # step 1c
+    if word[-1] == "y" and "v" in cv[:-1]:
+        word, cv = word[:-1] + "i", cv[:-1] + "v"
 
-    _STEP2_RULES = (
-        ("ational", "ate"),
-        ("tional", "tion"),
-        ("enci", "ence"),
-        ("anci", "ance"),
-        ("izer", "ize"),
-        ("abli", "able"),
-        ("alli", "al"),
-        ("entli", "ent"),
-        ("eli", "e"),
-        ("ousli", "ous"),
-        ("ization", "ize"),
-        ("ation", "ate"),
-        ("ator", "ate"),
-        ("alism", "al"),
-        ("iveness", "ive"),
-        ("fulness", "ful"),
-        ("ousness", "ous"),
-        ("aliti", "al"),
-        ("iviti", "ive"),
-        ("biliti", "ble"),
-    )
-
-    @classmethod
-    def _step2(cls, word: str) -> str:
-        for suffix, repl in cls._STEP2_RULES:
-            new_word, fired = cls._replace_if_m(word, suffix, repl, 0)
-            if fired:
-                return new_word
-        return word
-
-    _STEP3_RULES = (
-        ("icate", "ic"),
-        ("ative", ""),
-        ("alize", "al"),
-        ("iciti", "ic"),
-        ("ical", "ic"),
-        ("ful", ""),
-        ("ness", ""),
-    )
-
-    @classmethod
-    def _step3(cls, word: str) -> str:
-        for suffix, repl in cls._STEP3_RULES:
-            new_word, fired = cls._replace_if_m(word, suffix, repl, 0)
-            if fired:
-                return new_word
-        return word
-
-    _STEP4_SUFFIXES = (
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-        "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    )
-
-    @classmethod
-    def _step4(cls, word: str) -> str:
-        for suffix in cls._STEP4_SUFFIXES:
+    # steps 2 and 3: the first suffix the word ends with ends the step
+    for rules in (_STEP2, _STEP3):
+        for suffix, repl, repl_cv in rules.get(word[-2:-1], ()):
             if word.endswith(suffix):
-                stem_part = word[: len(word) - len(suffix)]
-                if cls._measure(stem_part) > 1:
-                    if suffix == "ion" and (not stem_part or stem_part[-1] not in "st"):
-                        return word
-                    return stem_part
-                return word
-        return word
+                cut = len(word) - len(suffix)
+                if cv.count("vc", 0, cut):
+                    word, cv = word[:cut] + repl, cv[:cut] + repl_cv
+                break
 
-    @staticmethod
-    def _step5a(word: str) -> str:
-        if word.endswith("e"):
-            stem_part = word[:-1]
-            m = PorterStemmer._measure(stem_part)
-            if m > 1:
-                return stem_part
-            if m == 1 and not PorterStemmer._ends_cvc(stem_part):
-                return stem_part
-        return word
+    # step 4
+    for suffix, _, _ in _STEP4.get(word[-2:-1], ()):
+        if word.endswith(suffix):
+            cut = len(word) - len(suffix)
+            if cv.count("vc", 0, cut) > 1 and (
+                suffix != "ion" or word[cut - 1] in "st"
+            ):
+                word, cv = word[:cut], cv[:cut]
+            break
 
-    @staticmethod
-    def _step5b(word: str) -> str:
-        if (
-            word.endswith("ll")
-            and PorterStemmer._measure(word) > 1
+    # step 5a
+    if word[-1] == "e":
+        cut = len(word) - 1
+        m = cv.count("vc", 0, cut)
+        if m > 1 or m == 1 and not (
+            cv.endswith("cvc", 0, cut) and word[cut - 1] not in "wxy"
         ):
-            return word[:-1]
-        return word
+            word, cv = word[:cut], cv[:cut]
+
+    # step 5b
+    if word.endswith("ll") and cv.count("vc") > 1:
+        word = word[:-1]
+    return word
 
 
 _DEFAULT_STEMMER = PorterStemmer()

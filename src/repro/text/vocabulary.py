@@ -10,9 +10,31 @@ requires ("additional terms incorporated by the insertion of documents
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, cast
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 from ..exceptions import VocabularyFrozenError
+
+
+class _TermIds(Dict[str, int]):
+    """The term -> id dict. Indexing it with an unseen term interns
+    that term: it gets the next id and joins ``terms``, the id -> term
+    list. ``get`` and ``in`` add nothing."""
+
+    __slots__ = ("terms", "frozen")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.terms: List[str] = []
+        self.frozen = False
+
+    def __missing__(self, term: str) -> int:
+        if self.frozen:
+            raise VocabularyFrozenError(
+                f"cannot add term {term!r}: vocabulary is frozen"
+            )
+        term_id = self[term] = len(self.terms)
+        self.terms.append(term)
+        return term_id
 
 
 class Vocabulary:
@@ -29,37 +51,35 @@ class Vocabulary:
     'market'
     """
 
-    __slots__ = ("_term_to_id", "_id_to_term", "_frozen")
+    __slots__ = ("_term_to_id", "_id_to_term")
 
     def __init__(self, terms: Iterable[str] = ()) -> None:
-        self._term_to_id: Dict[str, int] = {}
-        self._id_to_term: List[str] = []
-        self._frozen = False
+        self._term_to_id = _TermIds()
+        self._id_to_term = self._term_to_id.terms
         for term in terms:
             self.add(term)
 
     def add(self, term: str) -> int:
         """Return the id of ``term``, assigning a new id if unseen."""
-        existing = self._term_to_id.get(term)
-        if existing is not None:
-            return existing
-        if self._frozen:
-            raise VocabularyFrozenError(
-                f"cannot add term {term!r}: vocabulary is frozen"
-            )
-        term_id = len(self._id_to_term)
-        self._term_to_id[term] = term_id
-        self._id_to_term.append(term)
-        return term_id
+        return self._term_to_id[term]
 
     def add_counts(self, counts: Mapping[str, int]) -> Dict[int, int]:
         """Map a term->count dict to an id->count dict, adding new terms
-        in the order of ``counts``."""
-        mapped = dict(zip(self.lookup(counts), counts.values()))
-        if None in mapped:
-            add = self.add
-            return {add(term): count for term, count in counts.items()}
-        return cast(Dict[int, int], mapped)
+        in the order of ``counts``.
+
+        The row is mapped in C, one ``dict`` lookup per term; only an
+        unseen term costs a Python call, which interns it, so a row's
+        new terms get the ids one :meth:`add` per term, in the row's
+        order, would give. A frozen vocabulary raises
+        :class:`~repro.exceptions.VocabularyFrozenError` at a row's
+        first unseen term, having added nothing.
+
+        >>> vocab = Vocabulary(["dog"])
+        >>> vocab.add_counts({"eel": 4, "dog": 1, "ant": 2})
+        {1: 4, 0: 1, 2: 2}
+        """
+        return dict(zip(map(self._term_to_id.__getitem__, counts),
+                        counts.values()))
 
     def lookup(self, terms: Iterable[str]) -> Iterator[Optional[int]]:
         """The id of each term, ``None`` where unseen; adds nothing.
@@ -71,7 +91,10 @@ class Vocabulary:
 
     def id(self, term: str) -> int:
         """Return the id of ``term``; raise ``KeyError`` if unseen."""
-        return self._term_to_id[term]
+        term_id = self._term_to_id.get(term)
+        if term_id is None:
+            raise KeyError(term)
+        return term_id
 
     def get(self, term: str, default: int = -1) -> int:
         """Return the id of ``term`` or ``default`` if unseen."""
@@ -87,11 +110,11 @@ class Vocabulary:
 
     def freeze(self) -> None:
         """Disallow further growth (useful for test fixtures)."""
-        self._frozen = True
+        self._term_to_id.frozen = True
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return self._term_to_id.frozen
 
     def __contains__(self, term: object) -> bool:
         return term in self._term_to_id
@@ -103,4 +126,4 @@ class Vocabulary:
         return iter(self._id_to_term)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Vocabulary(size={len(self)}, frozen={self._frozen})"
+        return f"Vocabulary(size={len(self)}, frozen={self.frozen})"

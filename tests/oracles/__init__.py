@@ -24,9 +24,12 @@ whose production form lives in ``src/repro`` on arrays:
   ``{doc_id: SparseVector}`` dicts;
 * :mod:`.serialisation` — the dict-then-``json.dumps`` writer of
   checkpoints and journal lines, the byte oracle for the library's
-  composition from per-document fragments.
+  composition from per-document fragments;
 * :mod:`.text` — the text pipeline run token by token, the oracle for
-  the memoised ``TextPipeline``.
+  the memoised ``TextPipeline``;
+* :mod:`.stemmer` — :class:`~.stemmer.ReferenceStemmer`, Porter's
+  rules one condition at a time, the oracle for the map-based
+  :class:`~repro.text.PorterStemmer`.
 
 Nothing in the library imports these (reprolint REP007 checks it). The parity suites pass the two
 oracle classes in where the library takes an engine or a backend:

@@ -55,6 +55,31 @@ class TestVocabulary:
         assert list(mapped.items()) == [(1, 4), (0, 1), (2, 2)]
         assert list(vocab) == ["dog", "eel", "ant"]
 
+    def test_add_counts_mixed_row_gets_the_ids_of_per_term_add(self):
+        rows = [{"cat": 1, "dog": 2}, {"eel": 1, "cat": 3, "ant": 1,
+                                       "dog": 1, "bee": 2},
+                {"bee": 1}, {"fox": 2, "ant": 4, "gnu": 1}]
+        bulk, single = Vocabulary(), Vocabulary()
+        for row in rows:
+            mapped = bulk.add_counts(row)
+            assert list(mapped.items()) == [
+                (single.add(term), count) for term, count in row.items()
+            ]
+        assert list(bulk) == list(single)
+
+    @given(st.lists(st.dictionaries(st.text(alphabet="abcd", min_size=1,
+                                            max_size=3),
+                                    st.integers(1, 9), max_size=8),
+                    max_size=12))
+    def test_add_counts_agrees_with_add(self, rows):
+        bulk, single = Vocabulary(), Vocabulary()
+        for row in rows:
+            assert list(bulk.add_counts(row).items()) == [
+                (single.add(term), count) for term, count in row.items()
+            ]
+        assert list(bulk) == list(single)
+        assert [bulk.id(term) for term in bulk] == list(range(len(bulk)))
+
     def test_lookup_adds_nothing(self):
         vocab = Vocabulary(["cat", "dog"])
         assert list(vocab.lookup(["dog", "eel", "cat"])) == [1, None, 0]
@@ -85,6 +110,15 @@ class TestFreezing:
         with pytest.raises(VocabularyFrozenError):
             vocab.add_counts({"known": 1, "new": 2})
         assert list(vocab) == ["known"]
+
+    def test_frozen_add_counts_names_the_first_unseen_term(self):
+        vocab = Vocabulary(["known"])
+        vocab.freeze()
+        with pytest.raises(VocabularyFrozenError, match="'new'"):
+            vocab.add_counts({"known": 1, "new": 2, "newer": 1})
+        assert list(vocab) == ["known"]
+        assert "new" not in vocab and "newer" not in vocab
+        assert vocab.get("new") == -1
 
     def test_frozen_property(self):
         vocab = Vocabulary()
