@@ -27,6 +27,7 @@ construction outside the library is linted against — reprolint REP003).
 """
 
 from .exceptions import (
+    AssignmentMismatchError,
     ClusteringError,
     ConfigurationError,
     DuplicateDocumentError,
@@ -120,6 +121,7 @@ __all__ = [
     "EmptyCorpusError",
     "UnknownDocumentError",
     "DuplicateDocumentError",
+    "AssignmentMismatchError",
     "ClusteringError",
     "NotFittedError",
     "VocabularyFrozenError",

@@ -82,16 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: serial)")
     cluster.add_argument("--top-terms", type=int, default=4)
     cluster.add_argument("--checkpoint", default=None,
-                         help="maintain a crash-safe checkpoint (plus a "
-                              "batch journal alongside) at this path; "
-                              "written atomically after every window "
+                         help="maintain a crash-safe checkpoint at this "
+                              "path: a base, rewritten atomically, plus "
+                              "an append-only log alongside that each "
+                              "window appends to (fsynced); the base is "
+                              "rewritten when the log would outgrow it "
                               "and at the end of the run")
     cluster.add_argument("--checkpoint-every", type=int, default=None,
                          metavar="N",
-                         help="with --checkpoint: rewrite the checkpoint "
-                              "every N windows instead of after every "
-                              "window (the journal still makes recovery "
-                              "exact; N only bounds checkpoint I/O)")
+                         help="with --checkpoint: rewrite the base "
+                              "checkpoint every N windows; by default it "
+                              "is rewritten when a window's log line "
+                              "would make the log larger than the base "
+                              "(the fsynced log makes recovery exact "
+                              "either way)")
     cluster.add_argument("--resume", default=None,
                          help="resume from a checkpoint written earlier; "
                               "falls back to its .bak generation and "
@@ -124,8 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "snapshot versions equal journal sequences")
     serve.add_argument("--checkpoint-every", type=int, default=None,
                        metavar="N",
-                       help="with --checkpoint: rewrite the checkpoint "
-                            "every N batches instead of every batch")
+                       help="with --checkpoint: rewrite the base "
+                            "checkpoint every N batches; by default it is "
+                            "rewritten when a batch's log line would make "
+                            "the log larger than the base")
     serve.add_argument("--resume", default=None,
                        help="recover from this checkpoint and continue "
                             "serving at the recovered snapshot version")
@@ -264,7 +270,7 @@ def _run_cluster(
     if args.checkpoint:
         checkpointer = Checkpointer(
             clusterer, vocabulary, args.checkpoint,
-            every=args.checkpoint_every or 1,
+            every=args.checkpoint_every,
             sequence=sequence,
             recorder=recorder,
         )
@@ -351,7 +357,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session = open_stream(
             resume=args.resume,
             checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every or 1,
+            checkpoint_every=args.checkpoint_every,
             window_days=args.batch_days,
         )
         if not args.quiet:
@@ -362,7 +368,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             k=args.k, seed=args.seed,
             half_life=args.half_life, life_span=args.life_span,
             checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every or 1,
+            checkpoint_every=args.checkpoint_every,
             window_days=args.batch_days,
         )
     with session:

@@ -32,10 +32,12 @@ pass ``recorder=`` or install an ambient recorder to collect them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from ..corpus.document import Document
-from ..exceptions import ClusteringError
+from ..exceptions import AssignmentMismatchError, ClusteringError
 from ..forgetting.backends import ColumnarStatisticsBackend, StatisticsBackend
 from ..forgetting.model import ForgettingModel
 from ..forgetting.statistics import CorpusStatistics
@@ -223,6 +225,64 @@ class IncrementalClusterer:
             hook(batch, at_time)
         return result
 
+    def restore_batch(
+        self,
+        documents: Iterable[Document],
+        at_time: float,
+        clusters: Sequence[int],
+        *,
+        before_expiry: bool = False,
+    ) -> int:
+        """Re-apply a committed batch from its durable record, with no
+        fit: observe ``documents`` at ``at_time``, expire, then take the
+        recorded assignment.
+
+        ``clusters`` has one cluster id per active document after the
+        expiry, in ``statistics.documents()`` order, −1 for none: what a
+        log line records. With ``before_expiry`` it has one per document
+        before the expiry instead, and the entries of the documents that
+        expire are dropped: what a checkpoint records, whose clock may
+        have moved past a document's life span with no expiry since
+        (an empty window only advances the clock). Returns how many
+        dropped entries named a cluster. The assignment is rebuilt
+        cluster by cluster, each cluster's documents in that order: the
+        order a fit lists them in, which the next warm start loads them
+        in. A restored checkpoint is one such batch over a never-fed
+        clusterer.
+
+        No commit hook runs and :attr:`history` is left alone; the view
+        is frozen from the assignment when it is next asked for
+        (:meth:`view`). Like :meth:`process_batch` this is
+        transactional: a rejected batch, or an assignment that does not
+        fit the documents (:class:`AssignmentMismatchError`), leaves the
+        state as it was.
+        """
+        snapshot = self.statistics.clone()
+        k = self.kmeans.k
+        try:
+            self.statistics.observe(documents, at_time)
+            if before_expiry:
+                assignment = _recorded_assignment(
+                    self.statistics.doc_ids(), clusters, k
+                )
+                expired = self.statistics.expire()
+            else:
+                self.statistics.expire()
+                assignment = _recorded_assignment(
+                    self.statistics.doc_ids(), clusters, k
+                )
+                expired = []
+        except Exception:
+            self.statistics = snapshot
+            raise
+        dropped = 0
+        for doc in expired:
+            if assignment.pop(doc.doc_id, None) is not None:
+                dropped += 1
+        self._assignment = assignment
+        self._view = None
+        return dropped
+
     def assignments(self) -> Dict[str, int]:
         """Current ``doc_id -> cluster_id`` map (copy)."""
         return dict(self._assignment)
@@ -240,6 +300,30 @@ class IncrementalClusterer:
         return self.kmeans.freeze_assignment(
             documents, self.statistics, self._assignment
         )
+
+
+def _recorded_assignment(
+    doc_ids: Sequence[str], clusters: Sequence[int], k: int
+) -> Dict[str, int]:
+    """The ``doc_id -> cluster_id`` map ``clusters`` records over
+    ``doc_ids`` (see :meth:`IncrementalClusterer.restore_batch`);
+    :class:`AssignmentMismatchError` unless it has one entry per id,
+    each −1 or inside ``0..k-1``."""
+    cluster_of = np.asarray(clusters, dtype=np.int64)
+    if cluster_of.shape != (len(doc_ids),):
+        raise AssignmentMismatchError(
+            f"the recorded assignment has {cluster_of.size} entries for "
+            f"{len(doc_ids)} active documents"
+        )
+    if doc_ids and not -1 <= cluster_of.min() <= cluster_of.max() < k:
+        raise AssignmentMismatchError(
+            f"a recorded cluster id is outside 0..{k - 1}"
+        )
+    rows = np.argsort(cluster_of, kind="stable")
+    rows = rows[cluster_of[rows] >= 0].tolist()
+    return dict(zip(
+        [doc_ids[row] for row in rows], cluster_of[rows].tolist()
+    ))
 
 
 class NonIncrementalClusterer:

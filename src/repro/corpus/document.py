@@ -19,6 +19,7 @@ callers that want a mapping, and hot code reads the arrays instead.
 from __future__ import annotations
 
 import struct
+import sys
 from operator import index
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -33,6 +34,10 @@ TermCounts = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
 
 _INT32_MIN = -(2 ** 31)
 _INT32_MAX = 2 ** 31 - 1
+
+#: The rows are packed in native order (``=``), which is little-endian
+#: on every common host.
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def check_identity(doc_id: object, timestamp: object) -> None:
@@ -208,6 +213,15 @@ class Document:
         """The row's counts ``f_ik`` (int32, read-only), aligned with
         :attr:`term_ids`."""
         return np.frombuffer(self._counts, dtype=np.int32)
+
+    @property
+    def row_bytes(self) -> bytes:
+        """The row as little-endian int32 bytes: the term ids, then the
+        counts (a format-version-3 record's ``row``, before base64)."""
+        if _LITTLE_ENDIAN:
+            return self._ids + self._counts
+        return (self.term_ids.astype("<i4").tobytes()
+                + self.counts.astype("<i4").tobytes())
 
     @property
     def term_counts(self) -> Dict[int, int]:

@@ -7,18 +7,22 @@ losing the model. This package makes process death a non-event:
 * :mod:`~repro.durability.atomic` — temp-file + fsync + ``os.replace``
   writes with ``.bak`` rotation, and sha256 checksums over the written
   bytes; no crash leaves a corrupt or truncated checkpoint.
-* :mod:`~repro.durability.records` — format version 2: each active
-  document's record, in term ids and encoded once for its lifetime,
-  the term strings, encoded once, and the composition of both files
-  from them; and the reader's check of every id.
-* :mod:`~repro.durability.journal` — an append-only, fsync-per-batch
-  JSONL write-ahead log of the accepted batches no due checkpoint
-  holds, tied to its base checkpoint by a sequence number.
-* :mod:`~repro.durability.checkpointer` — periodic checkpoints during a
-  run (``repro cluster --checkpoint-every N``); registered as a commit
-  hook so only committed batches are ever written.
+* :mod:`~repro.durability.records` — format version 3: each active
+  document's record, its row packed as base64 int32, encoded once for
+  its lifetime; the term strings, encoded once; the recorded assignment;
+  the composition of both files from them; and the reader's check of
+  every row.
+* :mod:`~repro.durability.journal` — the append-only, fsync-per-batch
+  JSONL log of the batches committed since the base checkpoint: each
+  line holds a batch's documents, new terms, clock and post-fit
+  assignment, and is tied to its base by a sequence number.
+* :mod:`~repro.durability.checkpointer` — registered as a commit hook,
+  it logs every committed batch and rewrites the base when a line would
+  make the log larger than the base (or every N batches,
+  ``repro cluster --checkpoint-every N``).
 * :mod:`~repro.durability.recovery` — :func:`recover`: newest valid
-  checkpoint (falling back to ``.bak``) + exact journal replay.
+  checkpoint (falling back to ``.bak``) plus its log, re-applied
+  without K-means.
 
 Quickstart::
 
@@ -27,7 +31,7 @@ Quickstart::
     checkpointer = Checkpointer(clusterer, vocabulary, "state.json")
     clusterer.add_commit_hook(checkpointer.record_batch)
     ...                      # process batches; crash whenever
-    restored = recover("state.json")   # bit-equal to a batch prefix
+    restored = recover("state.json")   # a batch prefix, no re-fit
 """
 
 from .atomic import (

@@ -2,17 +2,17 @@
 
 The primitives every durable artifact in this package is built on:
 
-* :func:`atomic_write_text` / :func:`atomic_write_json` — stream the
-  content into a sibling temp file, flush + ``fsync``, then
-  ``os.replace`` over the target (atomic on POSIX and Windows), with an
-  optional rotation of the previous file to ``<path>.bak`` and a
-  directory fsync so the rename itself is durable. A crash, a full
-  disk, or a serialization error at any point leaves the previous file
-  byte-identical.
-* :func:`stamp` / :func:`text_checksum_matches` — the checksum of a
-  checkpoint or journal line (format version 2): sha256 over the
-  written bytes that come before the trailing ``, "checksum": ...``
-  member. The writer hashes the text it is about to write, with no
+* :func:`atomic_write_text` / :func:`atomic_write_pieces` /
+  :func:`atomic_write_json` — stream the content into a sibling temp
+  file, flush + ``fsync``, then ``os.replace`` over the target (atomic
+  on POSIX and Windows), with an optional rotation of the previous file
+  to ``<path>.bak`` and a directory fsync so the rename itself is
+  durable. A crash, a full disk, or a serialization error at any point
+  leaves the previous file byte-identical.
+* :func:`stamp` / :func:`stamp_pieces` / :func:`text_checksum_matches`
+  — the checksum of a checkpoint or journal line (format versions 2
+  and 3): sha256 over the written bytes that come before the trailing
+  ``, "checksum": ...`` member. The writer hashes the text it is about to write, with no
   second encoding, and the reader hashes the bytes it read.
 * :func:`payload_checksum` / :func:`checksum_matches` — the checksum of
   format version 1 and of :func:`atomic_write_json`: sha256 over the
@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import CheckpointError
 
@@ -70,9 +70,21 @@ def text_checksum(text: str) -> str:
 def stamp(body: str) -> str:
     """Close the JSON object text ``body`` — every byte of it but the
     final ``}`` — with a ``checksum`` member: sha256 over ``body``."""
-    return (
-        f'{body}, "{CHECKSUM_FIELD}": "{text_checksum(body)}"' + "}"
+    return b"".join(stamp_pieces([body.encode("utf-8")])).decode("utf-8")
+
+
+def stamp_pieces(pieces: List[bytes]) -> List[bytes]:
+    """:func:`stamp` over the UTF-8 text ``pieces`` hold end to end:
+    ``pieces`` with the closing ``checksum`` member appended. The text
+    is never joined, so a large file costs no allocation its size."""
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    pieces.append(
+        f', "{CHECKSUM_FIELD}": "sha256:{digest.hexdigest()}"}}'
+        .encode("utf-8")
     )
+    return pieces
 
 
 def text_checksum_matches(
@@ -154,14 +166,26 @@ def atomic_write_text(
     rotation is itself an atomic rename, so at every instant at least
     one intact generation exists on disk.
     """
+    return atomic_write_pieces(
+        [text.encode("utf-8")], path, durable=durable, backup=backup
+    )
+
+
+def atomic_write_pieces(
+    pieces: Sequence[bytes],
+    path: PathLike,
+    durable: bool = True,
+    backup: bool = False,
+) -> int:
+    """:func:`atomic_write_text` of the bytes ``pieces`` hold end to
+    end, written without joining them; returns bytes written."""
     target = Path(path)
-    payload = text.encode("utf-8")
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=target.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            handle.writelines(pieces)
             handle.flush()
             if durable:
                 os.fsync(handle.fileno())
@@ -176,7 +200,7 @@ def atomic_write_text(
         raise
     if durable:
         fsync_directory(target.parent)
-    return len(payload)
+    return sum(map(len, pieces))
 
 
 def atomic_write_json(

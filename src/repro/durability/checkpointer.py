@@ -1,29 +1,40 @@
-"""Periodic checkpointing for long on-line runs.
+"""Durable batches for long on-line runs: a base plus an append-only log.
 
 ``repro cluster --checkpoint`` used to write state once, at the very
 end of the run — a crash at window N of M lost everything. The
-:class:`Checkpointer` bounds that loss: registered as a commit hook on
-:class:`~repro.core.incremental.IncrementalClusterer`, it rewrites the
-checkpoint every ``every`` windows, rotating the journal under the new
-base, and journals every other accepted batch. Either way the batch is
-fsynced before the hook returns, so a crash loses at most the batch
-*being* processed; even without the journal, the checkpoint alone is
-at most ``every`` windows stale.
+:class:`Checkpointer` makes every committed batch durable before the
+commit hook returns, writing only what the batch changed. Registered
+as a commit hook on
+:class:`~repro.core.incremental.IncrementalClusterer`, it appends one
+fsynced line per batch to the log (``<checkpoint>.journal``): the
+batch's documents, the terms they added, its clock and the assignment
+after its fit. The base checkpoint is rewritten from live state only
+to *compact* the log:
+
+* by default (``every=None``), when the batch's line would make the log
+  larger than the base — so the log never outgrows the base, and
+  recovery reads at most about twice the base;
+* with an explicit ``every=N``, on every N-th batch, as before.
+
+A compacting batch writes the base and no line. Either way the batch
+is fsynced before the hook returns, so a crash loses at most the batch
+*being* processed.
 
 Write ordering per batch (the invariant recovery relies on)::
 
-    process_batch commits  →  checkpoint not due: journal.append (fsync)
-                           →  due: checkpoint (atomic, fsync) → rotate
+    process_batch commits  →  no compaction: log.write (fsync)
+                           →  compaction: checkpoint (atomic, fsync)
+                                   → log restarted under the new base
                                    (the checkpoint write failed:
-                                    journal.append, then re-raise)
+                                    log.write, then re-raise)
 
-A due batch gets no journal line: the checkpoint that holds it is
+A compacting batch gets no log line: the checkpoint that holds it is
 fsynced and renamed before the hook returns, and a snapshot is
 published only after the hook. So on disk, at every instant,
-``checkpoint.sequence`` ≤ the journal's last intact sequence + 1, and
-the journal's ``base_sequence`` never exceeds the newest valid
-checkpoint's sequence. ``recover()`` needs exactly that to land on a
-batch-prefix of the uninterrupted run.
+``checkpoint.sequence`` ≤ the log's last intact sequence + 1, and the
+log's ``base_sequence`` never exceeds the newest valid checkpoint's
+sequence. ``recover()`` needs exactly that to land on a batch-prefix of
+the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -40,21 +51,25 @@ from ..obs import Recorder, resolve
 from ..persistence import save_checkpoint
 from ..text.vocabulary import Vocabulary
 from .atomic import PathLike, prepare_checkpoint_path
-from .journal import BatchJournal, default_journal_path
-from .records import RecordCache
+from .journal import BatchJournal, EncodedLine, default_journal_path
+from .records import RecordCache, assignment_text
 
 
 class Checkpointer:
-    """Owns the checkpoint file and batch journal of one run.
+    """Owns the checkpoint file and batch log of one run.
 
     >>> checkpointer = Checkpointer(clusterer, vocab, "state.json")  # doctest: +SKIP
     >>> clusterer.add_commit_hook(checkpointer.record_batch)  # doctest: +SKIP
     >>> ...process batches...  # doctest: +SKIP
     >>> checkpointer.close()  # doctest: +SKIP
 
+    ``every`` is the compaction rule: ``None`` (the default) rewrites
+    the base when a batch's line would make the log larger than the
+    base, an int N on every N-th batch (see the module docstring).
+
     Construction immediately anchors the pair on disk: the current
     state is checkpointed (even a fresh, never-fed clusterer — its
-    checkpoint is trivially loadable) and the journal restarted against
+    checkpoint is trivially loadable) and the log restarted against
     it, so recovery is well-defined from the first batch on. Pass
     ``sequence`` when the clusterer was itself restored by
     :func:`~repro.durability.recover` so numbering continues.
@@ -65,20 +80,20 @@ class Checkpointer:
         clusterer: IncrementalClusterer,
         vocabulary: Vocabulary,
         checkpoint_path: PathLike,
-        every: int = 1,
+        every: Optional[int] = None,
         journal_path: Optional[PathLike] = None,
         sequence: int = 0,
         durable: bool = True,
         recorder: Optional[Recorder] = None,
     ) -> None:
-        if every < 1:
+        if every is not None and every < 1:
             raise ConfigurationError(
                 f"checkpoint interval must be >= 1 window, got {every}"
             )
         self.clusterer = clusterer
         self.vocabulary = vocabulary
         self.checkpoint_path = prepare_checkpoint_path(checkpoint_path)
-        self.every = int(every)
+        self.every = every
         self.sequence = int(sequence)
         self.recorder = resolve(recorder)
         self.durable = durable
@@ -88,10 +103,10 @@ class Checkpointer:
         self._lock = threading.Lock()
         self._closed = False
         # the fragments of each active document and the term strings,
-        # encoded once: the journal adds each batch's, every checkpoint
-        # reuses and prunes them
+        # encoded once: the log adds each batch's, every checkpoint
+        # reuses them, and both prune them to the active set
         self._cache = RecordCache(vocabulary)
-        self._write_checkpoint(self.sequence)
+        self._base_bytes = self._write_checkpoint(self.sequence)
         self._journal = BatchJournal(
             (
                 Path(journal_path) if journal_path is not None
@@ -117,39 +132,57 @@ class Checkpointer:
     def record_batch(
         self, documents: List[Document], at_time: float
     ) -> None:
-        """Commit hook: checkpoint when due, else journal the batch."""
+        """Commit hook: log the batch, or compact when due."""
         with self._lock:
             if self._journal.closed:
                 raise JournalError(
                     f"{self._journal.path}: journal is closed"
                 )
-            if self._since_checkpoint + 1 < self.every:
-                self._append(documents, at_time)
-                return
+            line: Optional[EncodedLine] = None
+            if self.every is None or self._since_checkpoint + 1 < self.every:
+                active = self.clusterer.statistics.doc_ids()
+                line = self._encode(documents, at_time, active)
+                if self.every is not None or (
+                    self._journal.size + len(line.data) <= self._base_bytes
+                ):
+                    self._write(line)
+                    self._cache.prune(active)
+                    return
             try:
-                self._write_checkpoint(self.sequence + 1)
+                self._base_bytes = self._write_checkpoint(self.sequence + 1)
             except BaseException:
                 # the batch is committed: it must reach the disk before
                 # the failure surfaces
-                self._append(documents, at_time)
+                self._write(line or self._encode(
+                    documents, at_time, self.clusterer.statistics.doc_ids()
+                ))
                 raise
             self.sequence += 1
             self._rotate()
             if self.recorder.enabled:
                 self.recorder.counter("durability.journal_skipped")
 
-    def _append(self, documents: List[Document], at_time: float) -> None:
-        self._journal.append(documents, at_time)
+    def _encode(
+        self, documents: List[Document], at_time: float, active: List[str]
+    ) -> EncodedLine:
+        """The batch's log line, with the assignment after its fit over
+        the ``active`` documents' ids."""
+        return self._journal.encode(documents, at_time, assignment_text(
+            active, self.clusterer.assignments()
+        ))
+
+    def _write(self, line: EncodedLine) -> None:
+        self._journal.write(line)
         self.sequence += 1
         self._since_checkpoint += 1
 
     def checkpoint(self) -> None:
-        """Write the checkpoint now and restart the journal against it."""
+        """Write the checkpoint now and restart the log against it."""
         with self._lock:
             self._checkpoint_locked()
 
     def _checkpoint_locked(self) -> None:
-        self._write_checkpoint(self.sequence)
+        self._base_bytes = self._write_checkpoint(self.sequence)
         self._rotate()
 
     def _rotate(self) -> None:
@@ -158,14 +191,15 @@ class Checkpointer:
         )
         self._since_checkpoint = 0
 
-    def _write_checkpoint(self, sequence: int) -> None:
-        save_checkpoint(
+    def _write_checkpoint(self, sequence: int) -> int:
+        written = save_checkpoint(
             self.clusterer, self.vocabulary, self.checkpoint_path,
             sequence=sequence, cache=self._cache,
             recorder=self.recorder,
         )
         if self.recorder.enabled:
             self.recorder.counter("durability.checkpoints_written")
+        return written
 
     def close(self) -> None:
         """Flush a final checkpoint (if batches are pending) and stop.
@@ -173,7 +207,7 @@ class Checkpointer:
         Idempotent and thread-safe: concurrent or repeated calls (the
         service shutdown path and a ``with`` block both closing, or a
         close racing the writer's final ``record_batch``) serialize on
-        the internal lock and flush exactly once. The journal handle is
+        the internal lock and flush exactly once. The log handle is
         closed even when the final checkpoint write fails — its fsynced
         entries are the recovery path then.
         """
@@ -191,10 +225,9 @@ class Checkpointer:
     def abort(self) -> None:
         """Stop *without* the final checkpoint (crash simulation).
 
-        Closes the journal handle and nothing else: the on-disk state
-        is exactly what a hard kill would leave — a possibly-stale
-        checkpoint plus fsynced journal entries —
-        which is what :func:`~repro.durability.recover` replays.
+        Closes the log handle and nothing else: the on-disk state is
+        exactly what a hard kill would leave — a base plus fsynced log
+        lines — which is what :func:`~repro.durability.recover` reads.
         Idempotent, like :meth:`close`.
         """
         with self._lock:

@@ -1,39 +1,44 @@
-"""Append-only batch journal: a write-ahead log of accepted batches.
+"""The append-only batch log: one line per committed batch.
 
-Checkpoints alone lose everything since the last write; the journal
-closes that gap. A batch the incremental pipeline *commits* while no
-checkpoint is due is appended as one JSON line and fsynced before the
-commit hook returns (a due batch goes into the fsynced checkpoint
-instead, see :mod:`~repro.durability.checkpointer`), so after a crash
-the state is reconstructible as::
+A checkpoint is a *base*; the log beside it (``<checkpoint>.journal``)
+holds every committed batch since. A batch the incremental pipeline
+commits is appended as one JSON line and fsynced before the commit hook
+returns, unless the :class:`~repro.durability.checkpointer.Checkpointer`
+compacts instead (rewrites the base, which then holds the batch, and
+restarts the log). After a crash the state is::
 
-    newest valid checkpoint  +  journaled batches beyond its sequence
+    newest valid base  +  logged batches beyond its sequence
 
-replayed through ``process_batch`` — exact, not approximate, by the
-λ-multiplicativity of the forgetting model (Eq. 27-29): decaying
-straight from the checkpoint clock to each journaled ``at_time``
-produces bit-identical statistics to the uninterrupted run (see
-DESIGN.md).
+A version-3 line records the batch's documents, the terms they added,
+its clock and the assignment after its fit, so recovery re-applies it
+with no K-means (:meth:`~repro.core.incremental.IncrementalClusterer.
+restore_batch`): by the λ-multiplicativity of the forgetting model
+(Eq. 27-29) observing the batch at its ``at_time`` from the restored
+clock gives the statistics of the uninterrupted run, and the assignment
+is the one the run computed (see DESIGN.md). A line without an
+assignment (versions 1 and 2) replays through ``process_batch``.
 
-File layout (JSON Lines, format version 2)::
+File layout (JSON Lines, format version 3)::
 
-    {"format": "repro-journal", "version": 2, "base_sequence": S,
+    {"format": "repro-journal", "version": 3, "base_sequence": S,
      "base_now": 42.0, "checksum": "sha256:..."}        # header
     {"sequence": S+1, "at_time": 49.0, "terms": ["asian", ...],
-     "documents": [{"doc_id": ..., "term_ids": [0, 7], "counts": [2, 1],
-                    ...}], "checksum": "sha256:..."}    # one per batch
+     "documents": [{"doc_id": ..., "row": "AQAAAAcA...", ...}],
+     "assignment": "AAAAAP////8BAAAA...", "checksum": "sha256:..."}
 
-Each journal stands alone: its first line after a start or a rotation
+Each log stands alone: its first line after a start or a compaction
 carries every vocabulary term from id 0, each later line only the terms
 added since the line before, and the documents name terms by id into
-that list (:mod:`~repro.durability.records`). Replay interns each
-line's terms in order before decoding it, which reproduces the live
-term ids. Version-1 journals (``"terms": {"word": n}`` per document, no
-term list) are still read.
+that list (:mod:`~repro.durability.records`, which also defines the
+``row`` and ``assignment`` encodings). Replay interns each line's terms
+in order before decoding it, which reproduces the live term ids.
+Version-2 journals (``"term_ids"``/``"counts"`` rows, no assignment)
+and version-1 journals (``"terms": {"word": n}`` per document, no term
+list) are still read.
 
-The header ties the journal to the checkpoint whose ``sequence`` is
-``S``; each line carries its own checksum (sha256 over its bytes before
-the checksum member), so a torn final line — the only corruption an
+The header ties the log to the checkpoint whose ``sequence`` is ``S``;
+each line carries its own checksum (sha256 over its bytes before the
+checksum member), so a torn final line — the only corruption an
 append-only fsynced writer can leave behind — is detected and
 discarded on read.
 """
@@ -45,7 +50,17 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import IO, Any, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import (
+    IO,
+    Any,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from ..corpus.document import Document
 from ..exceptions import JournalError
@@ -53,7 +68,7 @@ from ..obs import Recorder, Span, resolve
 from ..text.vocabulary import Vocabulary
 from .atomic import (
     PathLike,
-    atomic_write_text,
+    atomic_write_pieces,
     fsync_directory,
     text_checksum_matches,
 )
@@ -63,13 +78,14 @@ from .records import (
     check_terms,
     member,
     resolve_record,
-    stamped_object,
+    stamped_pieces,
+    unpack,
 )
 
 _FORMAT = "repro-journal"
-_VERSION = 2
+_VERSION = 3
 #: The versions :func:`read_journal` reads.
-_READABLE = (1, 2)
+_READABLE = (1, 2, 3)
 
 #: Every field a journal header may carry (see ``read_checkpoint_state``
 #: for why an unknown one is rejected).
@@ -92,12 +108,25 @@ class JournalEntry:
     order), what :func:`~repro.corpus.loaders.record_to_document`
     decodes; ``terms`` are the vocabulary terms the line added, in id
     order, to be interned before its records (empty in version 1).
+    ``assignment`` is the recorded assignment after the batch's fit, one
+    cluster id per active document (see
+    :meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`),
+    or ``None`` for a version-1 or -2 line, which carries none and
+    replays through ``process_batch``.
     """
 
     sequence: int
     at_time: float
     records: Tuple[Mapping[str, Any], ...]
     terms: Tuple[str, ...] = ()
+    assignment: Optional[List[int]] = None
+
+
+class EncodedLine(NamedTuple):
+    """A composed log line and the vocabulary size it was composed at."""
+
+    data: bytes
+    terms: int
 
 
 @dataclass(frozen=True)
@@ -117,9 +146,11 @@ def read_journal(path: PathLike) -> JournalContents:
     header means real corruption) and carry no unknown field:
     :class:`JournalError` otherwise.
     Entries are consumed in order until the first line that is not
-    UTF-8 JSON, fails its checksum, is out of sequence, or (version 2)
-    names a term id its journal has not carried — everything from there
-    on is a torn append and is discarded, with ``truncated`` set.
+    UTF-8 JSON, fails its checksum, is out of sequence, holds a row
+    :func:`~repro.durability.records.resolve_record` refuses (such as a
+    term id its journal has not carried), or — in version 3 — lacks an
+    assignment or holds one that is not packed int32: everything from
+    there on is a torn append and is discarded, with ``truncated`` set.
     """
     with open(path, "rb") as handle:
         lines = handle.read().split(b"\n")
@@ -210,6 +241,11 @@ def _entry(
                 sequence, at_time, tuple(record["documents"])
             )
         terms = check_terms(known + record["terms"])
+        # a version-3 line without its assignment is not one the writer
+        # wrote: a torn or edited tail, not a batch to re-fit
+        assignment = (
+            unpack(record["assignment"], 1)[0] if version >= 3 else None
+        )
         return JournalEntry(
             sequence,
             at_time,
@@ -218,6 +254,7 @@ def _entry(
                 for document in record["documents"]
             ),
             tuple(terms[len(known):]),
+            assignment,
         )
     except (KeyError, TypeError, ValueError):
         return None
@@ -226,18 +263,19 @@ def _entry(
 class BatchJournal:
     """Fsync-per-batch appender; one instance per run.
 
-    Creating (or :meth:`rotate`-ing) a journal writes its header
+    Creating (or :meth:`rotate`-ing) a log writes its header
     atomically — via temp file + rename, so a crash mid-rotation leaves
-    either the complete old journal or the complete new header, never a
-    hybrid. The header is made durable by the first :meth:`append`
-    after it, not before: until then the journal holds no batch, so a
+    either the complete old log or the complete new header, never a
+    hybrid. The header is made durable by the first :meth:`write`
+    after it, not before: until then the log holds no batch, so a
     power cut that loses the header loses nothing (the checkpoint it
-    names holds every acknowledged batch), and a run that checkpoints
-    every batch pays no fsync for it. :meth:`append` serializes the
-    batch *before* touching the file, writes one line, flushes, and
-    fsyncs (the directory too, after a header), so the on-disk journal
-    only ever grows by whole, checksummed records (modulo a torn final
-    line, which :func:`read_journal` discards).
+    names holds every acknowledged batch), and a compaction pays no
+    fsync for it. :meth:`encode` serializes a batch *before* anything
+    touches the file; :meth:`write` appends the line, flushes, and
+    fsyncs (the directory too, after a header), so the on-disk log only
+    ever grows by whole, checksummed records (modulo a torn final line,
+    which :func:`read_journal` discards). :attr:`size` is the file's
+    length, which the checkpointer's size rule compares with its base.
     """
 
     def __init__(
@@ -254,52 +292,83 @@ class BatchJournal:
         self.vocabulary = vocabulary
         self.durable = durable
         self.recorder = resolve(recorder)
-        # shared with the owning Checkpointer, whose checkpoints reuse
-        # (and prune) the fragments encoded here; a journal of its own
-        # keeps only the last batch's fragments
+        # shared with the owning Checkpointer, which prunes it and whose
+        # checkpoints reuse the fragments encoded here; a journal of its
+        # own keeps only the last batch's fragments
         self._shared = cache is not None
         self.cache = cache if cache is not None else RecordCache(vocabulary)
         self.sequence = int(base_sequence)
+        #: Bytes in the file: the header and the lines written since.
+        self.size = 0
         #: Vocabulary terms the lines since the header have carried.
         self._terms = 0
         self._unsynced = False
-        self._handle: Optional[IO[str]] = None
+        self._handle: Optional[IO[bytes]] = None
         self._start(self.sequence, base_now)
 
     def _start(self, base_sequence: int, base_now: Optional[float]) -> None:
-        header = stamped_object([
+        header = stamped_pieces([
             member("format", _FORMAT),
             member("version", _VERSION),
             member("base_sequence", int(base_sequence)),
             member("base_now", base_now),
-        ])
+        ]) + [b"\n"]
         # not fsynced yet: a header holds no batch, and until a line is
         # appended the checkpoint it names holds every acknowledged one,
         # so a header lost to a power cut loses nothing (the reader
-        # then ignores the journal); the first append fsyncs the file,
+        # then ignores the journal); the first write fsyncs the file,
         # header included, and its directory
-        atomic_write_text(header + "\n", self.path, durable=False)
+        self.size = atomic_write_pieces(header, self.path, durable=False)
         self._unsynced = self.durable
         self.sequence = int(base_sequence)
         self._terms = 0
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = open(self.path, "ab")
 
-    def append(self, documents: Sequence[Document], at_time: float) -> int:
-        """Journal one committed batch; returns its sequence number.
+    def encode(
+        self, documents: Sequence[Document], at_time: float, assignment: str
+    ) -> EncodedLine:
+        """The line that journals ``documents`` as the next batch, with
+        ``assignment`` (:func:`~repro.durability.records.assignment_text`
+        of the state after the batch). Nothing is written."""
+        if self._handle is None:
+            raise JournalError(f"{self.path}: journal is closed")
+        cache = self.cache
+        terms = len(self.vocabulary)
+        with Span(self.recorder, "journal.encode",
+                  {"docs": len(documents)}):
+            try:
+                fragments = (
+                    cache.fragments(documents, terms) if self._shared
+                    else cache.retain(documents, terms)
+                )
+                members = [
+                    member("sequence", self.sequence + 1),
+                    member("at_time", float(at_time)),
+                    array_member("terms", cache.terms(self._terms, terms)),
+                    array_member("documents", fragments),
+                    member("assignment", assignment),
+                ]
+                data = b"".join(stamped_pieces(members) + [b"\n"])
+            except Exception as exc:
+                raise JournalError(
+                    f"{self.path}: cannot journal batch "
+                    f"{self.sequence + 1}: {exc}"
+                ) from exc
+        return EncodedLine(data, terms)
 
-        The record is fully serialized (and checksummed) before any
-        byte reaches the file. A failed write or fsync closes the
-        journal — the on-disk tail may be torn, which the reader
-        tolerates — and re-raises.
+    def write(self, line: EncodedLine) -> int:
+        """Append ``line`` (the last :meth:`encode`) and fsync; returns
+        its sequence number.
+
+        A failed write or fsync closes the journal — the on-disk tail
+        may be torn, which the reader tolerates — and re-raises.
         """
         if self._handle is None:
             raise JournalError(f"{self.path}: journal is closed")
         with Span(self.recorder, "journal.append",
-                  {"docs": len(documents)}):
-            terms = len(self.vocabulary)
-            line = self._line(documents, at_time, terms)
+                  {"bytes": len(line.data)}):
             try:
-                self._handle.write(line)
+                self._handle.write(line.data)
                 self._handle.flush()
                 if self.durable:
                     os.fsync(self._handle.fileno())
@@ -311,7 +380,8 @@ class BatchJournal:
                 self.close()
                 raise
         self.sequence += 1
-        self._terms = terms
+        self.size += len(line.data)
+        self._terms = line.terms
         if self.recorder.enabled:
             self.recorder.counter("durability.journal_batches")
             self.recorder.gauge(
@@ -319,35 +389,21 @@ class BatchJournal:
             )
         return self.sequence
 
-    def _line(
-        self, documents: Sequence[Document], at_time: float, terms: int
-    ) -> str:
-        cache = self.cache
-        try:
-            fragments = (
-                cache.fragments(documents, terms) if self._shared
-                else cache.retain(documents, terms)
-            )
-            return stamped_object([
-                member("sequence", self.sequence + 1),
-                member("at_time", float(at_time)),
-                array_member("terms", cache.terms(self._terms, terms)),
-                array_member("documents", fragments),
-            ]) + "\n"
-        except Exception as exc:
-            raise JournalError(
-                f"{self.path}: cannot journal batch "
-                f"{self.sequence + 1}: {exc}"
-            ) from exc
+    def append(
+        self, documents: Sequence[Document], at_time: float, assignment: str
+    ) -> int:
+        """Journal one committed batch (:meth:`encode`, then
+        :meth:`write`); returns its sequence number."""
+        return self.write(self.encode(documents, at_time, assignment))
 
     def rotate(
         self, base_sequence: int, base_now: Optional[float]
     ) -> None:
-        """Reset the journal under a new base checkpoint.
+        """Restart the log under a new base checkpoint.
 
         Called right *after* a checkpoint at ``base_sequence`` lands on
-        disk: the journaled batches it absorbed are obsolete, so the
-        file is restarted with a fresh header (atomically — see class
+        disk: the logged batches it absorbed are obsolete, so the file
+        is restarted with a fresh header (atomically — see class
         docstring).
         """
         with Span(self.recorder, "journal.rotate"):

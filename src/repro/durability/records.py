@@ -1,31 +1,42 @@
-"""Document records and term lists, each encoded once (format version 2).
+"""Document records, term lists and assignments, each encoded once
+(format version 3).
 
 A checkpoint holds the clock, the assignment and the active documents
 (Eq. 27-29), and every document is immutable for its whole life span
-γ. So the JSON of a document record is the same in every journal line
-and every checkpoint that carries it. A version-2 record holds its row
-in term ids — ``"term_ids"`` and ``"counts"``, two int lists in the
-:class:`Document`'s own row order — so its fragment depends on the
-document alone. The term strings travel once per file, as a ``"terms"``
-list in id order:
+γ. So the JSON of a document record is the same in every log line and
+every checkpoint that carries it. A version-3 record holds its row as
+one ``"row"`` string: base64 of the little-endian int32 term ids, then
+the counts, in the :class:`Document`'s own row order. Its fragment
+depends on the document alone, and encoding it turns no int into text.
+The term strings travel once per file, as a ``"terms"`` list in id
+order:
 
 * a checkpoint carries the vocabulary from id 0 up to its length when
   the checkpoint starts;
-* each journal stands alone: its first line after a start or a rotation
+* each log stands alone: its first line after a start or a compaction
   carries every term from id 0, each later line only the terms added
   since the line before.
 
-:class:`RecordCache` keeps one fragment per document and the encoded
-prefix of the term list, and :func:`stamped_object` composes a file or
-a journal line from pre-encoded members, byte for byte what
-``json.dumps`` of the dict writes, closed by the byte checksum
-(:func:`~repro.durability.atomic.stamp`).
+The assignment travels in the same codec (:func:`assignment_text`):
+one cluster id per active document, in ``statistics.documents()``
+order, −1 for none.
+
+:class:`RecordCache` keeps one fragment (UTF-8 bytes) per active
+document and the encoded prefix of the term list, and
+:func:`stamped_pieces` composes a file or a log line from pre-encoded
+members, byte for byte what ``json.dumps`` of the dict writes, closed
+by the byte checksum (:func:`~repro.durability.atomic.stamp_pieces`).
+A file is written piece by piece, never joined: a string the size of a
+checkpoint, freed after the write, would raise glibc's dynamic mmap
+threshold to its size, and the K-means arrays below it would then come
+from a heap that does not shrink.
 
 Reading goes the other way: :func:`resolve_record` checks a record's
 ids against the terms its file has carried so far and turns it into
 the string-keyed record of JSONL and ``POST /add``, terms in row order,
 so :func:`~repro.corpus.loaders.record_to_document` stays the one
-decoder.
+decoder. Version-2 records (``"term_ids"`` and ``"counts"``, two int
+lists) resolve the same way.
 
 The cache's invariant: a fragment is valid while its document object is
 unchanged, and the term prefix while the vocabulary's id→string map is.
@@ -38,60 +49,138 @@ its owner on a new cache; the renaming itself goes in the checkpoint's
 
 from __future__ import annotations
 
+from base64 import b64decode, b64encode
+from itertools import repeat
+from json.encoder import encode_basestring
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from ..corpus.document import Document
 from ..exceptions import CheckpointError
 from ..text.vocabulary import Vocabulary
-from .atomic import PLAIN_ENCODER, stamp
+from .atomic import PLAIN_ENCODER, stamp_pieces
 
-#: ``(key, encoded value)``: one member of a JSON object.
-Member = Tuple[str, str]
+#: ``(key, encoded value)``: one member of a JSON object, its value as
+#: UTF-8 pieces to be written end to end.
+Member = Tuple[str, List[bytes]]
 
-_Entry = Tuple[Document, str]
+_Entry = Tuple[Document, bytes]
+
+#: Array elements joined into one piece: a few tens of KB of records.
+_BLOCK = 32
+
+#: The members of a version-3 document record, no more and no fewer.
+_RECORD_FIELDS = frozenset(
+    {"doc_id", "timestamp", "topic_id", "source", "title", "row"}
+)
+
+
+def encode(value: Any) -> bytes:
+    """``value`` as ``json.dumps(value, ensure_ascii=False)`` bytes."""
+    return PLAIN_ENCODER.encode(value).encode("utf-8")
 
 
 def member(key: str, value: Any) -> Member:
     """Encode ``value`` as the member ``key``."""
-    return key, PLAIN_ENCODER.encode(value)
+    return key, [encode(value)]
 
 
-def array_member(key: str, encoded: Sequence[str]) -> Member:
-    """A JSON array member from already encoded elements."""
-    return key, "[" + ", ".join(encoded) + "]"
+def array_member(key: str, encoded: Sequence[bytes]) -> Member:
+    """A JSON array member from already encoded elements, joined
+    :data:`_BLOCK` at a time."""
+    pieces = [b"["]
+    for start in range(0, len(encoded), _BLOCK):
+        if start:
+            pieces.append(b", ")
+        pieces.append(b", ".join(encoded[start:start + _BLOCK]))
+    pieces.append(b"]")
+    return key, pieces
 
 
-def stamped_object(members: Sequence[Member]) -> str:
-    """The JSON text of ``members`` in order, closed by its checksum.
+def stamped_pieces(members: Sequence[Member]) -> List[bytes]:
+    """The JSON text of ``members`` in order, closed by its checksum,
+    as UTF-8 pieces to be written end to end.
 
     Equal to ``json.dumps(payload, ensure_ascii=False)`` for the
     payload the members encode, with a last ``checksum`` member: sha256
     over the text before it.
     """
-    return stamp("{" + ", ".join([
-        f"{PLAIN_ENCODER.encode(key)}: {value}" for key, value in members
-    ]))
+    pieces: List[bytes] = []
+    for key, value in members:
+        pieces.append((b", " if pieces else b"{") + encode(key) + b": ")
+        pieces += value
+    return stamp_pieces(pieces)
 
 
-def document_fragment(doc: Document, terms: int) -> str:
-    """``doc``'s version-2 record as JSON, for a file carrying ``terms``
-    term strings; a term id beyond them is a :class:`CheckpointError`."""
-    ids = doc.term_ids.tolist()
-    if ids and max(ids) >= terms:
-        raise CheckpointError(
-            f"document {doc.doc_id!r} holds term id {max(ids)}, which is "
-            f"not in the vocabulary (size {terms}); was the wrong "
-            f"vocabulary passed?"
+def unpack(text: Any, parts: int) -> List[List[int]]:
+    """The ``parts`` equal-length int lists packed end to end in
+    ``text``, base64 of little-endian int32 (a row: ids, then counts);
+    ``ValueError`` for anything that is not strict base64 of a whole
+    number of ``parts``-tuples."""
+    if not isinstance(text, str):
+        raise ValueError("a packed row must be a string")
+    raw = b64decode(text, validate=True)  # binascii.Error: a ValueError
+    if len(raw) % (4 * parts):
+        raise ValueError(
+            f"{len(raw)} packed bytes are not {parts} int32 lists"
         )
-    return PLAIN_ENCODER.encode({
-        "doc_id": doc.doc_id,
-        "timestamp": doc.timestamp,
-        "topic_id": doc.topic_id,
-        "source": doc.source,
-        "title": doc.title,
-        "term_ids": ids,
-        "counts": doc.counts.tolist(),
-    })
+    values = np.frombuffer(raw, dtype="<i4").tolist()
+    size = len(values) // parts
+    return [values[part * size:(part + 1) * size] for part in range(parts)]
+
+
+def document_fragment(doc: Document, terms: int) -> bytes:
+    """``doc``'s version-3 record as JSON, for a file carrying ``terms``
+    term strings; a term id beyond them is a :class:`CheckpointError`."""
+    ids = doc.term_ids
+    if ids.size and int(ids.max()) >= terms:
+        raise CheckpointError(
+            f"document {doc.doc_id!r} holds term id {int(ids.max())}, "
+            f"which is not in the vocabulary (size {terms}); was the "
+            f"wrong vocabulary passed?"
+        )
+    # json.dumps of the record, written out: one encoder call per field
+    # costs a third of one call on the dict
+    return (
+        f'{{"doc_id": {_text(doc.doc_id)}, '
+        f'"timestamp": {_number(doc.timestamp)}, '
+        f'"topic_id": {_text(doc.topic_id)}, '
+        f'"source": {_text(doc.source)}, "title": {_text(doc.title)}, '
+        f'"row": "{b64encode(doc.row_bytes).decode("ascii")}"}}'
+    ).encode("utf-8")
+
+
+def _text(value: Any) -> str:
+    """``value`` as JSON: a string through the C string encoder."""
+    if type(value) is str:
+        return encode_basestring(value)
+    return PLAIN_ENCODER.encode(value)
+
+
+def _number(value: Any) -> str:
+    """``value`` as JSON: a float as its repr, as ``json`` writes it."""
+    if type(value) is float:
+        return float.__repr__(value)
+    return PLAIN_ENCODER.encode(value)
+
+
+def assignment_text(
+    doc_ids: Sequence[str], assignment: Mapping[str, int]
+) -> str:
+    """``assignment`` over the active ``doc_ids`` (in
+    ``statistics.documents()`` order), packed: each document's cluster
+    id, −1 when it has none. Every assigned document must be active:
+    :class:`CheckpointError` otherwise."""
+    clusters = np.fromiter(
+        map(assignment.get, doc_ids, repeat(-1)),
+        dtype="<i4", count=len(doc_ids),
+    )
+    if np.count_nonzero(clusters >= 0) != len(assignment):
+        raise CheckpointError(
+            "the assignment names a document that is not active"
+        )
+    return b64encode(clusters.tobytes()).decode("ascii")
 
 
 def check_terms(terms: Any) -> List[str]:
@@ -109,27 +198,42 @@ def check_terms(terms: Any) -> List[str]:
 def resolve_record(
     record: Mapping[str, Any], terms: Sequence[str]
 ) -> Dict[str, Any]:
-    """A version-2 document record as the string-keyed record
-    :func:`~repro.corpus.loaders.record_to_document` decodes.
+    """A version-3 or version-2 document record as the string-keyed
+    record :func:`~repro.corpus.loaders.record_to_document` decodes.
 
     ``terms`` are the term strings the record's file has carried so
-    far, in id order. ``term_ids`` and ``counts`` must be lists of one
-    length, and each id an ``int`` (not a ``bool``) inside ``terms``
-    and not repeated in the row: ``ValueError`` otherwise, ``KeyError``
-    for a missing field. The terms come out in row order. No vocabulary
-    is touched, so a rejected record interns nothing.
+    far, in id order. A version-3 record carries exactly the members
+    :func:`document_fragment` writes, its ``row`` strict base64 of
+    int32 pairs and every count positive; a version-2 record's
+    ``term_ids`` and ``counts`` are lists of one length, each id an
+    ``int`` (not a ``bool``). Either way each id must lie inside
+    ``terms`` and not repeat in the row: ``ValueError`` otherwise,
+    ``KeyError`` for a missing field. The terms come out in row order.
+    No vocabulary is touched, so a rejected record interns nothing.
     """
-    ids = record["term_ids"]
-    counts = record["counts"]
-    if not isinstance(ids, list) or not isinstance(counts, list):
-        raise ValueError("term_ids and counts must be lists")
-    if len(ids) != len(counts):
-        raise ValueError(
-            f"{len(ids)} term ids but {len(counts)} counts"
-        )
-    for term_id in ids:
-        if type(term_id) is not int:  # a bool is not a term id
-            raise ValueError(f"term id {term_id!r} is not an integer")
+    if "row" in record:
+        if record.keys() != _RECORD_FIELDS:
+            raise ValueError(
+                f"record members {sorted(record)} are not "
+                f"{sorted(_RECORD_FIELDS)}"
+            )
+        ids, counts = unpack(record["row"], 2)
+        if counts and min(counts) <= 0:
+            raise ValueError(
+                f"a count of document {record['doc_id']!r} is not positive"
+            )
+    else:
+        ids = record["term_ids"]
+        counts = record["counts"]
+        if not isinstance(ids, list) or not isinstance(counts, list):
+            raise ValueError("term_ids and counts must be lists")
+        if len(ids) != len(counts):
+            raise ValueError(
+                f"{len(ids)} term ids but {len(counts)} counts"
+            )
+        for term_id in ids:
+            if type(term_id) is not int:  # a bool is not a term id
+                raise ValueError(f"term id {term_id!r} is not an integer")
     if ids and not 0 <= min(ids) <= max(ids) < len(terms):
         raise ValueError(
             f"a term id of document {record.get('doc_id')!r} is outside "
@@ -153,11 +257,12 @@ class RecordCache:
     """``doc_id → (document, fragment)``, plus the encoded term list.
 
     The fragment is :func:`document_fragment`. :meth:`fragments` adds
-    what a journal line carries; :meth:`retain` serves a checkpoint and
-    rebuilds the cache from the active set, so it holds the window plus
-    the batches journaled since the last checkpoint. :meth:`terms`
-    encodes each vocabulary term once, for the journal and the
-    checkpoints alike. See the module docstring for the invariant.
+    what a log line carries and :meth:`prune` then drops the documents
+    that left the active set; :meth:`retain` serves a checkpoint and
+    rebuilds the cache from the active set. So the cache holds the
+    active documents, and only them, after every batch. :meth:`terms`
+    encodes each vocabulary term once, for the log and the checkpoints
+    alike. See the module docstring for the invariant.
     """
 
     def __init__(self, vocabulary: Vocabulary) -> None:
@@ -165,19 +270,16 @@ class RecordCache:
         #: Fragments encoded so far (cache misses).
         self.encoded = 0
         self._entries: Dict[str, _Entry] = {}
-        self._terms: List[str] = []
+        self._terms: List[bytes] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def terms(self, start: int, stop: int) -> List[str]:
+    def terms(self, start: int, stop: int) -> List[bytes]:
         """The encoded vocabulary terms of ids ``start`` up to ``stop``."""
         encoded = self._terms
         if len(encoded) < stop:
-            encoded += map(
-                PLAIN_ENCODER.encode,
-                self.vocabulary.terms(len(encoded), stop),
-            )
+            encoded += map(encode, self.vocabulary.terms(len(encoded), stop))
         return encoded[start:stop]
 
     def _collect(
@@ -185,9 +287,9 @@ class RecordCache:
         documents: Iterable[Document],
         terms: int,
         into: Dict[str, _Entry],
-    ) -> List[str]:
+    ) -> List[bytes]:
         entries = self._entries
-        fragments: List[str] = []
+        fragments: List[bytes] = []
         for doc in documents:
             entry = entries.get(doc.doc_id)
             if entry is None or entry[0] is not doc:
@@ -199,16 +301,27 @@ class RecordCache:
 
     def fragments(
         self, documents: Iterable[Document], terms: int
-    ) -> List[str]:
+    ) -> List[bytes]:
         """The fragments of ``documents``, in order, for a file carrying
         ``terms`` term strings; added to the cache."""
         return self._collect(documents, terms, self._entries)
 
     def retain(
         self, documents: Iterable[Document], terms: int
-    ) -> List[str]:
+    ) -> List[bytes]:
         """As :meth:`fragments`, then drop every other entry."""
         kept: Dict[str, _Entry] = {}
         fragments = self._collect(documents, terms, kept)
         self._entries = kept
         return fragments
+
+    def prune(self, active: Sequence[str]) -> None:
+        """Drop every entry whose id is not in ``active``, the active
+        documents' ids, when there is one: the cache held every active
+        document, so it holds more entries exactly then."""
+        entries = self._entries
+        if len(entries) > len(active):
+            self._entries = {
+                doc_id: entries[doc_id] for doc_id in active
+                if doc_id in entries
+            }

@@ -1,25 +1,31 @@
-"""Crash recovery: newest valid checkpoint + journal replay.
+"""Crash recovery: newest valid checkpoint + its log.
 
 :func:`recover` is the single entry point a restarted deployment calls.
 It (1) picks the newest *valid* checkpoint — the primary file if its
 checksum verifies, else the ``.bak`` generation the atomic writer
 rotated out (covers a crash between the two renames of a checkpoint
-write), (2) restores the clusterer from it, and (3) replays every
-journaled batch beyond the checkpoint's sequence through
-``process_batch``.
+write), (2) restores the clusterer from it, and (3) re-applies every
+logged batch beyond the checkpoint's sequence.
 
 Before decoding, recovery interns the checkpoint's ``terms`` and then
-each journal line's new terms, in order: into a fresh
+each log line's new terms, in order: into a fresh
 :class:`~repro.text.vocabulary.Vocabulary` this reproduces the live
-term ids and every document's row order (format version 2; version-1
-files carry no term list and are read as before).
+term ids and every document's row order (format versions 2 and 3;
+version-1 files carry no term list and are read as before).
 
-The replay is **exact**: a journal entry stores the batch's documents
-and its update time ``at_time``, and by Eq. 27-29 the statistics after
-``advance_to(at_time)`` + insertion depend only on (state at the
-checkpoint clock, batch, at_time) — decay composes multiplicatively
-(λ^Δ₁·λ^Δ₂ = λ^(Δ₁+Δ₂)), so skipping the intermediate empty windows of
-the original run changes nothing. Recovery therefore lands on a state
+A version-3 base and each version-3 line carry the same two members,
+``documents`` and ``assignment``, and recovery applies both through one
+function,
+:meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`:
+observe at the recorded clock, expire, then take the recorded
+assignment. No K-means runs, and the view is frozen when a snapshot
+first asks for it. By Eq. 27-29 the statistics after observing a batch
+at its ``at_time`` depend only on (state at the previous clock, batch,
+at_time) — decay composes multiplicatively (λ^Δ₁·λ^Δ₂ = λ^(Δ₁+Δ₂)), so
+skipping the intermediate empty windows of the original run changes
+nothing — and the assignment is the run's own. A line without an
+assignment (versions 1 and 2) is replayed through ``process_batch``,
+which recomputes the same fit. Recovery therefore lands on a state
 bit-equal to some batch-prefix of the uninterrupted run — the property
 the fault-injection suite (``tests/durability/``) asserts for every
 crash point it can inject.
@@ -33,7 +39,11 @@ from typing import List, Optional
 
 from ..core.incremental import IncrementalClusterer
 from ..corpus.loaders import record_to_document
-from ..exceptions import CheckpointError, JournalError
+from ..exceptions import (
+    AssignmentMismatchError,
+    CheckpointError,
+    JournalError,
+)
 from ..obs import Recorder, Span, resolve
 from ..persistence import load_checkpoint, read_checkpoint_state
 from ..text.vocabulary import Vocabulary
@@ -53,7 +63,7 @@ class RecoveryResult:
     checkpoint_path: Path
     #: The journal the replay read.
     journal_path: Path
-    #: Journal entries replayed through ``process_batch``.
+    #: Log entries re-applied on top of the checkpoint.
     replayed_batches: int
     #: True when the primary checkpoint was unusable and ``.bak`` served.
     used_backup: bool
@@ -71,16 +81,19 @@ def recover(
 
     Tries the primary checkpoint, then its ``.bak`` rotation; raises
     :class:`CheckpointError` when neither is a valid checkpoint. The
-    journal (``journal_path``, default ``<checkpoint>.journal``) is
-    then replayed: entries already absorbed by the checkpoint are
-    skipped, a torn tail is discarded, and a journal that is
-    *unreadable* (corrupt header) is treated as absent — the checkpoint
-    alone is still a consistent prefix. A journal whose base sequence
-    is *ahead* of the recovered checkpoint is likewise discarded when
-    the ``.bak`` generation served (the journal was rotated against the
-    newer, now-lost primary), but raises for a valid primary — there it
-    means mixed-up files, and ignoring it would silently drop
-    acknowledged batches.
+    log (``journal_path``, default ``<checkpoint>.journal``) is then
+    re-applied: entries already absorbed by the checkpoint are skipped,
+    a torn tail is discarded (so is a line whose recorded assignment
+    does not fit the active documents it lands on, and what follows
+    it; any other rejection of a line raises, as through
+    ``process_batch``), and a journal that is *unreadable* (corrupt
+    header) is treated as absent — the checkpoint alone is still a
+    consistent prefix. A journal whose base sequence is *ahead* of the
+    recovered checkpoint is likewise discarded when the ``.bak``
+    generation served (the journal was rotated against the newer,
+    now-lost primary), but raises for a valid primary — there it means
+    mixed-up files, and ignoring it would silently drop acknowledged
+    batches.
     """
     rec = resolve(recorder)
     with Span(rec, "durability.recover") as span:
@@ -157,7 +170,19 @@ def recover(
                         record_to_document(record, vocabulary)
                         for record in entry.records
                     ]
-                    clusterer.process_batch(batch, at_time=entry.at_time)
+                    if entry.assignment is None:
+                        clusterer.process_batch(
+                            batch, at_time=entry.at_time
+                        )
+                    else:
+                        try:
+                            clusterer.restore_batch(
+                                batch, entry.at_time, entry.assignment
+                            )
+                        except AssignmentMismatchError:
+                            # rolled back: the intact prefix ends here
+                            truncated = True
+                            break
                     sequence = entry.sequence
                     replayed += 1
         if rec.enabled and replayed:

@@ -33,6 +33,11 @@ class DuplicateDocumentError(ReproError, ValueError):
     """A document id was added twice to the same repository."""
 
 
+class AssignmentMismatchError(ReproError, ValueError):
+    """A recorded assignment does not fit the documents it is applied to
+    (wrong length, or a cluster id outside ``-1..k-1``)."""
+
+
 class ClusteringError(ReproError):
     """The clustering procedure could not run (e.g. fewer docs than K)."""
 

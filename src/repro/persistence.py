@@ -7,28 +7,38 @@ active documents and the current assignment is *sufficient* — restoring
 rebuilds statistics bit-equivalent to the live ones (the same guarantee
 the incremental-equals-from-scratch property tests establish).
 
-Format: a single JSON document, version 2::
+Format: a single JSON document, version 3::
 
-    {"format": "repro-checkpoint", "version": 2,
+    {"format": "repro-checkpoint", "version": 3,
      "model": {"half_life": 7.0, "life_span": 14.0},
      "kmeans": {"k": 24, "delta": 0.01, ...},
      "warm_start": true, "statistics_backend": "columnar", "now": 42.0,
      "terms": ["asian", "crisi", ...],
      "documents": [{"doc_id": ..., "timestamp": ..., "topic_id": ...,
-                    "source": ..., "title": ...,
-                    "term_ids": [1, 0], "counts": [1, 2]}],
-     "assignment": {"doc_id": cluster_id, ...},
+                    "source": ..., "title": ..., "row": "AQAAAAAA..."}],
+     "assignment": "AAAAAP////8BAAAA...",
      "sequence": 6, "checksum": "sha256:..."}
 
 ``terms`` is the vocabulary in id order, up to its length when the
-checkpoint starts; each document names its terms by id into it, in the
-document's own row order. Loading interns ``terms`` first, so a fresh
-vocabulary gets the live term ids, and then decodes each record through
+checkpoint starts. Each document's ``row`` is base64 of its term ids
+(little-endian int32, naming terms by id into ``terms``, in the
+document's own row order) followed by its counts. ``assignment`` is
+base64 of one little-endian int32 cluster id per document of
+``documents``, −1 for none
+(:func:`~repro.durability.records.assignment_text`). A log line carries
+the same two members for its batch (:mod:`repro.durability.journal`).
+
+Loading interns ``terms`` first, so a fresh vocabulary gets the live
+term ids, decodes each record through
 :func:`~repro.corpus.loaders.record_to_document` after resolving it to
-the string-keyed JSONL shape (:mod:`repro.durability.records`). The
-file stays portable: a live vocabulary re-interns the strings. Version
-1 — ``"terms": {"word": n}`` per document, sorted by id, no term list —
-is still read.
+the string-keyed JSONL shape (:mod:`repro.durability.records`), and
+hands documents and assignment to
+:meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`, as
+recovery does for every log line. The file stays portable: a live
+vocabulary re-interns the strings. Version 2 (``"term_ids"`` and
+``"counts"`` int lists, a ``{doc_id: cluster}`` assignment) and version
+1 (``"terms": {"word": n}`` per document, sorted by id, no term list)
+are still read.
 
 Durability: :func:`save_checkpoint` composes the JSON from fragments
 encoded once per document (:mod:`repro.durability.records`) and goes
@@ -38,7 +48,7 @@ previous checkpoint rotated to ``<path>.bak`` — so no crash or
 serialization error ever leaves a corrupt or truncated state file.
 The ``checksum`` field, last in the file, is sha256 over the bytes
 before it, and is verified on load; ``sequence`` counts the batches the
-state reflects and ties the checkpoint to its batch journal (see
+state reflects and ties the checkpoint to its log (see
 :mod:`repro.durability`).
 """
 
@@ -51,7 +61,6 @@ from typing import (
     Any,
     Dict,
     List,
-    Mapping,
     Optional,
     Tuple,
     Union,
@@ -71,7 +80,7 @@ if TYPE_CHECKING:
 PathLike = Union[str, Path]
 
 _FORMAT = "repro-checkpoint"
-_VERSION = 2
+_VERSION = 3
 
 _V1_FIELDS = frozenset({
     "format", "version", "model", "kmeans", "warm_start",
@@ -82,7 +91,9 @@ _V1_FIELDS = frozenset({
 #: Every top-level field a checkpoint of each readable version may
 #: carry. Anything else — a ``checksum`` key with a flipped bit, say —
 #: is corruption, not a file without a checksum.
-_FIELDS = {1: _V1_FIELDS, 2: _V1_FIELDS | {"terms"}}
+_FIELDS = {
+    1: _V1_FIELDS, 2: _V1_FIELDS | {"terms"}, 3: _V1_FIELDS | {"terms"},
+}
 
 
 def document_record(
@@ -91,7 +102,7 @@ def document_record(
     """Serialize one document with terms keyed by string.
 
     The record shape of JSONL, ``POST /add`` and version-1 checkpoints
-    and journals (version 2 names terms by id, see
+    and journals (later versions name terms by id, see
     :mod:`repro.durability.records`). Raises
     :class:`CheckpointError` naming the document when it holds a term
     id the vocabulary does not know (previously a bare ``IndexError``
@@ -121,14 +132,15 @@ def save_checkpoint(
     *,
     cache: Optional["RecordCache"] = None,
     recorder: Optional[Recorder] = None,
-) -> None:
-    """Write ``clusterer``'s full state to ``path`` as JSON, atomically.
+) -> int:
+    """Write ``clusterer``'s full state to ``path`` as JSON, atomically;
+    returns the bytes written.
 
     ``vocabulary`` must be the vocabulary the clusterer's documents
     were ingested with (usually ``repository.vocabulary``).
     ``sequence`` (used by :class:`repro.durability.Checkpointer`)
     records how many batches the state reflects, pairing the checkpoint
-    with its journal. The write never touches the previous checkpoint
+    with its log. The write never touches the previous checkpoint
     until the new one is fully on disk; the old file survives one
     rotation as ``<path>.bak``.
 
@@ -141,7 +153,7 @@ def save_checkpoint(
     """
     # imported late: repro.durability builds on this module, so the
     # low-level writer cannot be a top-level import without a cycle
-    from .durability.atomic import atomic_write_text
+    from .durability.atomic import atomic_write_pieces
     from .durability.records import RecordCache
 
     if cache is None:
@@ -155,24 +167,32 @@ def save_checkpoint(
     encoded = cache.encoded
     with Span(recorder, "checkpoint.save",
               {"docs": len(documents)}) as span:
-        text = _checkpoint_text(clusterer, documents, cache, sequence)
+        pieces = _checkpoint_pieces(clusterer, documents, cache, sequence)
         span.tags["new_docs"] = cache.encoded - encoded
-        written = atomic_write_text(text, path, durable=True, backup=True)
+        written = atomic_write_pieces(
+            pieces, path, durable=True, backup=True
+        )
     if recorder.enabled:
         recorder.counter("checkpoint.saves")
         recorder.gauge("checkpoint.bytes", written)
+    return written
 
 
-def _checkpoint_text(
+def _checkpoint_pieces(
     clusterer: IncrementalClusterer,
     documents: List[Document],
     cache: "RecordCache",
     sequence: Optional[int],
-) -> str:
-    """The checkpoint file: only the scalars and the assignment are
+) -> List[bytes]:
+    """The checkpoint file, in pieces: only the scalars and the assignment are
     encoded here, the terms and documents come from ``cache`` (which is
     rebuilt from ``documents``, the active set)."""
-    from .durability.records import array_member, member, stamped_object
+    from .durability.records import (
+        array_member,
+        assignment_text,
+        member,
+        stamped_pieces,
+    )
 
     # read once: producers may intern new terms while this runs, and
     # every active document was interned before it was committed
@@ -200,11 +220,13 @@ def _checkpoint_text(
         member("now", statistics.now),
         array_member("terms", cache.terms(0, terms)),
         array_member("documents", cache.retain(documents, terms)),
-        member("assignment", clusterer.assignments()),
+        member("assignment", assignment_text(
+            [doc.doc_id for doc in documents], clusterer.assignments()
+        )),
     ]
     if sequence is not None:
         members.append(member("sequence", int(sequence)))
-    return stamped_object(members)
+    return stamped_pieces(members)
 
 
 def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
@@ -212,16 +234,18 @@ def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
 
     Checks that the file is UTF-8 JSON, the format marker, the version,
     that no top-level field is unknown, and — when the file carries one
-    — the checksum. A version-2 state comes back with each document
-    resolved to the string-keyed record of version 1 and JSONL, terms
-    in row order (:func:`~repro.durability.records.resolve_record`
-    checks every term id against ``terms``); ``terms`` stays, to be
-    interned before the records are decoded. Raises
+    — the checksum. A version-2 or -3 state comes back with each
+    document resolved to the string-keyed record of version 1 and
+    JSONL, terms in row order
+    (:func:`~repro.durability.records.resolve_record` checks every term
+    id against ``terms``); ``terms`` stays, to be interned before the
+    records are decoded. A version-3 ``assignment`` comes back unpacked,
+    as its int list. Raises
     :class:`CheckpointError` on any mismatch; the structural fields are
     validated later by :func:`load_checkpoint`.
     """
     from .durability.atomic import text_checksum_matches
-    from .durability.records import check_terms, resolve_record
+    from .durability.records import check_terms, resolve_record, unpack
 
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -258,13 +282,15 @@ def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
             f"edited by hand (remove the 'checksum' field to force a "
             f"load)"
         )
-    if version == 2:
+    if version >= 2:
         try:
             terms = check_terms(state["terms"])
             state["documents"] = [
                 resolve_record(record, terms)
                 for record in state["documents"]
             ]
+            if version >= 3:
+                state["assignment"] = unpack(state["assignment"], 1)[0]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"{path}: malformed checkpoint ({exc!r})"
@@ -280,9 +306,9 @@ def load_checkpoint(
 
     Pass the live ``vocabulary`` to re-intern terms into an existing
     repository's id space; with ``None`` a fresh vocabulary is grown.
-    A version-2 checkpoint's ``terms`` are interned first, in id order,
-    so a fresh vocabulary gets the ids the writer's had, and every
-    document its row order. Returns ``(clusterer, vocabulary)``.
+    A version-2 or -3 checkpoint's ``terms`` are interned first, in id
+    order, so a fresh vocabulary gets the ids the writer's had, and
+    every document its row order. Returns ``(clusterer, vocabulary)``.
 
     The clusterer always runs on the library's engine and statistics
     backend. Statistics are rebuilt from the documents, so a checkpoint
@@ -290,12 +316,17 @@ def load_checkpoint(
     oracle, or none at all) restores to the same state; such a load is
     counted on the ambient recorder (``checkpoint.path_migrated``).
 
-    The payload checksum (when present) is verified, and every
-    assignment entry is validated against the checkpointed ``k`` —
-    a cluster id outside ``0..k-1`` raises :class:`CheckpointError`
-    instead of warm-starting into undefined behaviour. Assignments for
-    documents that expire on restore are dropped and counted on the
-    ambient recorder (``checkpoint.assignments_dropped``).
+    A version-3 state goes through
+    :meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`,
+    the step recovery takes for every log line: observe at ``now``,
+    expire, take the recorded assignment; an assignment that does not
+    have one entry per document of the file, each inside the
+    checkpointed ``k`` (or −1), is a :class:`CheckpointError`. In
+    versions 1 and 2 every assignment entry is validated against ``k``
+    as well. In every version the entries of documents that expire on
+    restore (the clock moved past their life span after their last
+    fit) are dropped and counted on the ambient recorder
+    (``checkpoint.assignments_dropped``).
     """
     recorder = resolve(None)
     with Span(recorder, "checkpoint.load") as span:
@@ -332,17 +363,20 @@ def load_checkpoint(
                 kmeans_state.get("engine"), state.get("statistics_backend")
             )
 
-            # version 2: the live term ids, and the rows in live order
+            # versions 2 and 3: the live term ids, and the rows in live
+            # order
             for term in state.get("terms", ()):
                 vocabulary.add(term)
             documents = [
                 record_to_document(record, vocabulary)
                 for record in state["documents"]
             ]
-            assignment = {
-                str(doc_id): int(cluster_id)
-                for doc_id, cluster_id in state["assignment"].items()
-            }
+            recorded = state["assignment"]
+            if state["version"] < 3:
+                recorded = {
+                    str(doc_id): int(cluster_id)
+                    for doc_id, cluster_id in recorded.items()
+                }
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"{path}: malformed checkpoint ({exc!r})"
@@ -355,13 +389,6 @@ def load_checkpoint(
                 "checkpoint.path_migrated",
                 engine=recorded_path[0], backend=recorded_path[1],
             )
-        k = clusterer.kmeans.k
-        for doc_id, cluster_id in assignment.items():
-            if not 0 <= cluster_id < k:
-                raise CheckpointError(
-                    f"{path}: assignment for document {doc_id!r} names "
-                    f"cluster {cluster_id}, outside 0..{k - 1}"
-                )
 
         if state["now"] is None:
             # checkpoint of a clusterer that never processed a batch
@@ -372,18 +399,50 @@ def load_checkpoint(
             span.tags["docs"] = 0
             return clusterer, vocabulary
         now = float(state["now"])
-        clusterer.statistics.observe(documents, at_time=now)
-        clusterer.statistics.expire()
-
-        active = set(clusterer.statistics.doc_ids())
-        kept = {
-            doc_id: cluster_id
-            for doc_id, cluster_id in assignment.items()
-            if doc_id in active
-        }
-        dropped = len(assignment) - len(kept)
-        if dropped and recorder.enabled:
-            recorder.counter("checkpoint.assignments_dropped", dropped)
-        clusterer._assignment = kept
-        span.tags["docs"] = len(active)
+        if state["version"] >= 3:
+            try:
+                dropped = clusterer.restore_batch(
+                    documents, now, recorded, before_expiry=True
+                )
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"{path}: malformed checkpoint ({exc})"
+                ) from exc
+            if dropped and recorder.enabled:
+                recorder.counter("checkpoint.assignments_dropped", dropped)
+        else:
+            _restore_legacy(path, clusterer, documents, now, recorded)
+        span.tags["docs"] = clusterer.statistics.size
     return clusterer, vocabulary
+
+
+def _restore_legacy(
+    path: PathLike,
+    clusterer: IncrementalClusterer,
+    documents: List[Document],
+    now: float,
+    assignment: Dict[str, int],
+) -> None:
+    """Restore a version-1 or -2 state: its assignment is a
+    ``{doc_id: cluster_id}`` map, checked against ``k``, and the entries
+    of documents that expire on restore are dropped and counted."""
+    k = clusterer.kmeans.k
+    for doc_id, cluster_id in assignment.items():
+        if not 0 <= cluster_id < k:
+            raise CheckpointError(
+                f"{path}: assignment for document {doc_id!r} names "
+                f"cluster {cluster_id}, outside 0..{k - 1}"
+            )
+    clusterer.statistics.observe(documents, at_time=now)
+    clusterer.statistics.expire()
+    active = set(clusterer.statistics.doc_ids())
+    kept = {
+        doc_id: cluster_id
+        for doc_id, cluster_id in assignment.items()
+        if doc_id in active
+    }
+    dropped = len(assignment) - len(kept)
+    recorder = resolve(None)
+    if dropped and recorder.enabled:
+        recorder.counter("checkpoint.assignments_dropped", dropped)
+    clusterer._assignment = kept

@@ -359,7 +359,8 @@ class ClusterSnapshot:
 
         A document's row is taken as it is held.
 
-        Text queries run the attached pipeline and look terms up
+        Text queries run the attached pipeline with its term memo read
+        only (:meth:`TextPipeline.query_frequencies`) and look terms up
         *without interning* (:meth:`Vocabulary.lookup`), so reader threads
         never mutate shared state; terms the vocabulary has never seen
         still count toward the length, as they would for a real
@@ -376,7 +377,7 @@ class ClusterSnapshot:
                     "build the snapshot with vocabulary= and pipeline= "
                     "(repro.api.open_stream wires both)"
                 )
-            raw = self.pipeline.term_frequencies(query)
+            raw = self.pipeline.query_frequencies(query)
             length = float(sum(raw.values()))
             for term_id, count in zip(self.vocabulary.lookup(raw),
                                       raw.values()):

@@ -107,7 +107,11 @@ class TextPipeline:
         Unigrams come first in document order, followed by the
         higher-order n-grams in document order.
         """
-        unigrams = list(filter(None, self._memo.lookup(surface_tokens(text))))
+        return self._ngrams(self._memo.lookup(surface_tokens(text)))
+
+    def _ngrams(self, looked_up: List[str]) -> List[str]:
+        """The kept unigrams of ``looked_up``, then their n-grams."""
+        unigrams = list(filter(None, looked_up))
         if self.max_ngram == 1:
             return unigrams
         terms = list(unigrams)
@@ -123,6 +127,14 @@ class TextPipeline:
             if self.max_ngram == 1:
                 return self._memo.count(surface_tokens(text))
             return dict(Counter(self.terms(text)))
+
+    def query_frequencies(self, text: str) -> Dict[str, int]:
+        """:meth:`term_frequencies` for a query: the same counts, but
+        the term memo is only read (:meth:`~repro.text.memo.TermMemo.
+        peek`), so queries neither fill it nor move its hit counters."""
+        return dict(Counter(self._ngrams(
+            self._memo.peek(surface_tokens(text))
+        )))
 
     def batch_term_frequencies(
         self,

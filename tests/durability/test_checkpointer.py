@@ -46,16 +46,45 @@ class TestCadence:
         assert contents.entries == ()
         checkpointer.close()
 
-    def test_every_window_by_default(self, stream, tmp_path):
+    def test_every_window_with_every_1(self, stream, tmp_path):
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(clusterer, vocabulary, path)
+        checkpointer = Checkpointer(clusterer, vocabulary, path, every=1)
         clusterer.add_commit_hook(checkpointer.record_batch)
         for n, (at_time, batch) in enumerate(batches, start=1):
             clusterer.process_batch(batch, at_time=at_time)
             assert checkpoint_sequence(path) == n
             assert read_journal(checkpointer.journal_path).entries == ()
+        checkpointer.close()
+
+    def test_the_log_is_compacted_by_size_by_default(self, stream, tmp_path):
+        """The default: a batch is logged unless its line would make the
+        log larger than the base; then it rewrites the base and gets no
+        line."""
+        vocabulary, batches = stream
+        path = tmp_path / "state.json"
+        clusterer = make_clusterer()
+        checkpointer = Checkpointer(clusterer, vocabulary, path)
+        assert checkpointer.every is None
+        clusterer.add_commit_hook(checkpointer.record_batch)
+        journal = checkpointer.journal_path
+        compacted = logged = 0
+        for n, (at_time, batch) in enumerate(batches, start=1):
+            base = path.stat().st_size
+            clusterer.process_batch(batch, at_time=at_time)
+            contents = read_journal(journal)
+            if checkpoint_sequence(path) == n:
+                compacted += 1
+                assert contents.base_sequence == n
+                assert contents.entries == ()
+            else:
+                logged += 1
+                assert path.stat().st_size == base
+                assert contents.entries[-1].sequence == n
+                assert journal.stat().st_size <= base
+            assert journal.stat().st_size <= path.stat().st_size
+        assert compacted and logged
         checkpointer.close()
 
     def test_every_n_checkpoints_on_multiples(self, stream, tmp_path):

@@ -12,6 +12,7 @@ from repro.durability.journal import (
     default_journal_path,
     read_journal,
 )
+from repro.durability.records import assignment_text
 from repro.exceptions import JournalError
 from repro.persistence import record_to_document
 
@@ -23,10 +24,15 @@ def stream():
     return build_batches(days=4)
 
 
+def unassigned(batch):
+    """A packed assignment of ``batch``'s documents, none in a cluster."""
+    return assignment_text([doc.doc_id for doc in batch], {})
+
+
 def write_journal(path, vocabulary, batches, base_sequence=0):
     journal = BatchJournal(path, vocabulary, base_sequence=base_sequence)
     for at_time, batch in batches:
-        journal.append(batch, at_time)
+        journal.append(batch, at_time, unassigned(batch))
     journal.close()
     return journal
 
@@ -60,14 +66,19 @@ class TestRoundTrip:
             assert [d.term_counts for d in rebuilt] == [
                 d.term_counts for d in batch
             ]
+            assert entry.assignment == [-1] * len(batch)
 
     def test_rotate_restarts_under_new_base(self, stream, tmp_path):
         vocabulary, batches = stream
         path = tmp_path / "run.journal"
         journal = BatchJournal(path, vocabulary)
-        journal.append(batches[0][1], batches[0][0])
+        journal.append(
+            batches[0][1], batches[0][0], unassigned(batches[0][1])
+        )
         journal.rotate(base_sequence=1, base_now=batches[0][0])
-        journal.append(batches[1][1], batches[1][0])
+        journal.append(
+            batches[1][1], batches[1][0], unassigned(batches[1][1])
+        )
         journal.close()
 
         contents = read_journal(path)
@@ -81,21 +92,27 @@ class TestRoundTrip:
         journal.close()
         assert journal.closed
         with pytest.raises(JournalError, match="closed"):
-            journal.append(batches[0][1], batches[0][0])
+            journal.append(
+                batches[0][1], batches[0][0], unassigned(batches[0][1])
+            )
 
     def test_failed_fsync_closes_journal(
         self, stream, tmp_path, monkeypatch
     ):
         vocabulary, batches = stream
         journal = BatchJournal(tmp_path / "run.journal", vocabulary)
-        journal.append(batches[0][1], batches[0][0])
+        journal.append(
+            batches[0][1], batches[0][0], unassigned(batches[0][1])
+        )
 
         def explode(fd):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "fsync", explode)
         with pytest.raises(OSError):
-            journal.append(batches[1][1], batches[1][0])
+            journal.append(
+                batches[1][1], batches[1][0], unassigned(batches[1][1])
+            )
         monkeypatch.undo()
         assert journal.closed
         # the first entry is still intact on disk

@@ -84,7 +84,7 @@ class TestTornCheckpointWrites:
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(clusterer, vocabulary, path)
+        checkpointer = Checkpointer(clusterer, vocabulary, path, every=1)
         clusterer.add_commit_hook(checkpointer.record_batch)
         clusterer.process_batch(batches[0][1], at_time=batches[0][0])
 

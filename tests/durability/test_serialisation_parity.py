@@ -1,6 +1,6 @@
 """Checkpoint and journal bytes equal the dict-then-``json.dumps`` oracle.
 
-The library composes both files (format version 2) from fragments it
+The library composes both files (format version 3) from fragments it
 encodes once per document and once per term
 (:mod:`repro.durability.records`). File order carries meaning —
 recovery interns terms and rebuilds the assignment in file order — so
@@ -118,7 +118,7 @@ class OracleFiles:
             self.journal += journal_line(
                 self.sequence, at_time,
                 [self.vocabulary.term(t) for t in range(self.terms, size)],
-                batch,
+                batch, self.clusterer,
             )
             self.terms = size
         self.assert_on_disk()

@@ -4,7 +4,7 @@
 version-1 writer (see ``fixtures/README.md``): term strings per
 document, canonical-JSON checksums, a non-ASCII term and a re-fed id.
 Recovery must land on the same prefix of the same stream, and a run
-that goes on from there writes version 2.
+that goes on from there writes version 3.
 """
 
 from __future__ import annotations
@@ -106,14 +106,14 @@ def test_a_v1_checksum_still_catches_corruption(image):
         read_checkpoint_state(image)
 
 
-def test_a_run_resumed_from_v1_writes_v2(stream, image):
+def test_a_run_resumed_from_v1_writes_v3(stream, image):
     vocabulary, batches = stream
     recovery = recover(image, vocabulary=vocabulary)
     checkpointer = Checkpointer(
         recovery.clusterer, vocabulary, image, every=3,
         sequence=recovery.sequence,
     )
-    assert read_checkpoint_state(image)["version"] == 2
+    assert read_checkpoint_state(image)["version"] == 3
     checkpointer.close()
     again = recover(image)
     assert again.sequence == CRASHED_AT

@@ -2,15 +2,20 @@
 
 The library composes both from fragments it encodes once — one per
 document, one per term (:mod:`repro.durability.records`). This is the
-direct form of format version 2 it must match byte for byte: build the
+direct form of format version 3 it must match byte for byte: build the
 whole state as a dict, ``json.dumps`` it, and close the text with the
-checksum, sha256 over the bytes before the ``checksum`` member.
+checksum, sha256 over the bytes before the ``checksum`` member. Rows
+and the assignment are packed here with :mod:`struct`, from the
+documents' and the clusterer's public views, not with the library's
+codec.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import struct
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.incremental import IncrementalClusterer
@@ -24,17 +29,34 @@ def _stamped(payload: Mapping[str, Any]) -> str:
     return body + ", " + json.dumps({"checksum": f"sha256:{digest}"})[1:]
 
 
+def _packed(*lists: Sequence[int]) -> str:
+    values = [int(value) for values in lists for value in values]
+    return base64.b64encode(
+        struct.pack(f"<{len(values)}i", *values)
+    ).decode("ascii")
+
+
 def document_record(doc: Document) -> Dict[str, Any]:
-    """A version-2 record: the row in term ids, in the row's order."""
+    """A version-3 record: the row's term ids, then its counts, as
+    packed little-endian int32, in the row's order."""
     return {
         "doc_id": doc.doc_id,
         "timestamp": doc.timestamp,
         "topic_id": doc.topic_id,
         "source": doc.source,
         "title": doc.title,
-        "term_ids": [int(term_id) for term_id in doc.term_ids],
-        "counts": [int(count) for count in doc.counts],
+        "row": _packed(doc.term_ids, doc.counts),
     }
+
+
+def assignment_record(clusterer: IncrementalClusterer) -> str:
+    """One cluster id per active document, in ``statistics.documents()``
+    order, −1 for none, packed as the rows are."""
+    assignment = clusterer.assignments()
+    return _packed([
+        assignment.get(doc_id, -1)
+        for doc_id in clusterer.statistics.doc_ids()
+    ])
 
 
 def checkpoint_text(
@@ -47,7 +69,7 @@ def checkpoint_text(
     statistics = clusterer.statistics
     state: Dict[str, Any] = {
         "format": "repro-checkpoint",
-        "version": 2,
+        "version": 3,
         "model": {
             "half_life": clusterer.model.half_life,
             "life_span": clusterer.model.life_span,
@@ -69,7 +91,7 @@ def checkpoint_text(
         "documents": [
             document_record(doc) for doc in statistics.documents()
         ],
-        "assignment": clusterer.assignments(),
+        "assignment": assignment_record(clusterer),
     }
     if sequence is not None:
         state["sequence"] = int(sequence)
@@ -80,7 +102,7 @@ def journal_header(base_sequence: int, base_now: Optional[float]) -> str:
     """The header line a journal based at ``base_sequence`` starts with."""
     return _stamped({
         "format": "repro-journal",
-        "version": 2,
+        "version": 3,
         "base_sequence": int(base_sequence),
         "base_now": base_now,
     }) + "\n"
@@ -91,13 +113,16 @@ def journal_line(
     at_time: float,
     terms: List[str],
     documents: Sequence[Document],
+    clusterer: IncrementalClusterer,
 ) -> str:
-    """The line ``BatchJournal.append`` writes for one batch; ``terms``
-    are the vocabulary terms added since the journal's previous line
-    (every term, for its first line)."""
+    """The line the ``Checkpointer`` logs for one batch; ``terms`` are
+    the vocabulary terms added since the log's previous line (every
+    term, for its first line), and ``clusterer`` is the state after the
+    batch."""
     return _stamped({
         "sequence": int(sequence),
         "at_time": float(at_time),
         "terms": terms,
         "documents": [document_record(doc) for doc in documents],
+        "assignment": assignment_record(clusterer),
     }) + "\n"

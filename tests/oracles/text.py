@@ -74,3 +74,7 @@ class ReferencePipeline:
 
     def term_frequencies(self, text: str) -> Dict[str, int]:
         return dict(Counter(self.terms(text)))
+
+    def query_frequencies(self, text: str) -> Dict[str, int]:
+        """A query's counts: the oracle keeps no memo to leave alone."""
+        return self.term_frequencies(text)

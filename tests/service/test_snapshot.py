@@ -357,3 +357,32 @@ class TestReads:
         )
         assert stats.terms == snapshot.view.term_ids.size
         assert stats.clustering_index == snapshot.clustering_index
+
+
+class TestReadOnlyTextQueries:
+    def test_a_text_query_leaves_the_term_memo_alone(self, stream):
+        """Readers share the producer's term memo: a query answers every
+        word, seen or not, without storing it or moving the counters
+        that ``text.stemmer_hit_ratio`` reads."""
+        from repro.text import MemoizedStemmer
+
+        from tests.oracles.text import ReferencePipeline
+
+        vocabulary, batches = stream
+        stemmer = MemoizedStemmer()
+        pipeline = TextPipeline(stemmer=stemmer)
+        pipeline.term_frequencies("the goal of the team was a win")
+        snapshot = ClusterSnapshot.from_clusterer(
+            1, run_clusterer(batches), vocabulary=vocabulary,
+            pipeline=pipeline,
+        )
+        reference = dataclasses.replace(snapshot, pipeline=ReferencePipeline())
+        query = "A goal and a win for the team; zeitgeist quokkas banking"
+        before = stemmer.cache_info()
+        answer = snapshot.assign(query)
+        assert stemmer.cache_info() == before
+        assert answer == reference.assign(query)
+        assert pipeline.query_frequencies(query) == (
+            TextPipeline(stemmer=MemoizedStemmer()).term_frequencies(query)
+        )
+        assert stemmer.cache_info() == before
