@@ -29,12 +29,15 @@ def _run(daily_stream, warm_start):
     clusterer = IncrementalClusterer(
         model, k=24, seed=7, warm_start=warm_start
     )
+    results = []
     for day, batch in enumerate(daily_stream):
         if batch:
-            clusterer.process_batch(batch, at_time=float(day + 1))
+            results.append(
+                clusterer.process_batch(batch, at_time=float(day + 1))
+            )
         else:
             clusterer.statistics.advance_to(float(day + 1))
-    return clusterer
+    return results
 
 
 def bench_ablation_warm_vs_cold(benchmark, daily_stream, reporter):
@@ -43,11 +46,11 @@ def bench_ablation_warm_vs_cold(benchmark, daily_stream, reporter):
     )
     cold = _run(daily_stream, False)
 
-    def totals(clusterer):
-        history = clusterer.history[1:]  # first batch identical
+    def totals(results):
+        results = results[1:]  # first batch identical
         return (
-            sum(r.iterations for r in history),
-            sum(r.timings["clustering"] for r in history),
+            sum(r.iterations for r in results),
+            sum(r.timings["clustering"] for r in results),
         )
 
     warm_iters, warm_time = totals(warm)
@@ -57,8 +60,8 @@ def bench_ablation_warm_vs_cold(benchmark, daily_stream, reporter):
         d.doc_id: d.topic_id
         for batch in daily_stream for d in batch
     }
-    warm_f1 = evaluate_clustering(warm.last_result.clusters, truth).micro_f1
-    cold_f1 = evaluate_clustering(cold.last_result.clusters, truth).micro_f1
+    warm_f1 = evaluate_clustering(warm[-1].clusters, truth).micro_f1
+    cold_f1 = evaluate_clustering(cold[-1].clusters, truth).micro_f1
 
     table = render_table(
         ["init", "total iterations", "clustering seconds", "final micro F1"],

@@ -119,32 +119,33 @@ def bench_future_incremental_quality(benchmark, repository, reporter):
     model = ForgettingModel(half_life=7.0, life_span=14.0)
 
     def run():
-        incremental = IncrementalClusterer(model, k=24, seed=7)
-        non_incremental = NonIncrementalClusterer(model, k=24, seed=7)
+        pipelines = {
+            "incremental (warm start)":
+                IncrementalClusterer(model, k=24, seed=7),
+            "non-incremental (cold)":
+                NonIncrementalClusterer(model, k=24, seed=7),
+        }
+        results = {name: [] for name in pipelines}
         for day, batch in enumerate(batches):
             if not batch:
                 continue
-            incremental.process_batch(batch, at_time=float(day + 1))
-            non_incremental.process_batch(batch, at_time=float(day + 1))
-        return incremental, non_incremental
+            for name, clusterer in pipelines.items():
+                results[name].append(
+                    clusterer.process_batch(batch, at_time=float(day + 1))
+                )
+        return results
 
-    incremental, non_incremental = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     truth = {d.doc_id: d.topic_id for d in docs}
     rows = []
-    for name, clusterer in (
-        ("incremental (warm start)", incremental),
-        ("non-incremental (cold)", non_incremental),
-    ):
-        result = clusterer.last_result
-        evaluation = evaluate_clustering(result.clusters, truth)
+    for name, per_batch in results.items():
+        evaluation = evaluate_clustering(per_batch[-1].clusters, truth)
         rows.append([
             name,
             f"{evaluation.micro_f1:.2f}",
             f"{evaluation.macro_f1:.2f}",
-            sum(r.iterations for r in clusterer.history),
-            f"{sum(r.timings['clustering'] for r in clusterer.history):.2f}s",
+            sum(r.iterations for r in per_batch),
+            f"{sum(r.timings['clustering'] for r in per_batch):.2f}s",
         ])
     table = render_table(
         ["pipeline", "micro F1", "macro F1", "total iterations", "time"],

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Plugging your own corpus in: ingest -> dedup -> cluster -> checkpoint.
+"""Plugging your own corpus in: ingest -> cluster -> checkpoint.
 
 Everything the other examples do on the synthetic TDT2 stream works on
 any timestamped text: this script writes a small JSONL corpus (stand-in
-for your export), re-loads it, strips wire-service near-duplicates with
-the MinHash index, clusters incrementally, summarises each cluster with
-its medoid story, and checkpoints the state for the next run.
+for your export), re-loads it, clusters incrementally, summarises each
+cluster with its medoid story, and checkpoints the state for the next
+run.
 
 Run:  python examples/custom_corpus.py
 """
@@ -19,7 +19,6 @@ from repro import (
     ForgettingModel,
     IncrementalClusterer,
     Vocabulary,
-    deduplicate,
     load_jsonl,
     replay,
     save_checkpoint,
@@ -47,11 +46,10 @@ DETAIL_WORDS = [
 
 
 def write_demo_corpus(path: Path) -> None:
-    """Simulate an export: 3 stories over 6 days, with wire duplicates.
+    """Simulate an export: 3 stories over 6 days.
 
     Each day's article mixes the story's core vocabulary with
-    day-specific details, so only the second wire's redistributed copy
-    is a true near-duplicate.
+    day-specific details.
     """
     rng = random.Random(42)
     repo = DocumentRepository()
@@ -62,18 +60,11 @@ def write_demo_corpus(path: Path) -> None:
             words += rng.sample(DETAIL_WORDS, 8)
             words += rng.choices("city night report official".split(), k=4)
             rng.shuffle(words)
-            text = " ".join(words)
-            repo.add_text(f"s{serial:03d}", day + 0.25, text,
+            repo.add_text(f"s{serial:03d}", day + 0.25, " ".join(words),
                           topic_id=story, source="WIRE-A")
             serial += 1
-            # a second wire redistributes the same story lightly edited
-            if rng.random() < 0.5:
-                edited = text + " update update"
-                repo.add_text(f"s{serial:03d}", day + 0.5, edited,
-                              topic_id=story, source="WIRE-B")
-                serial += 1
     save_jsonl(repo.documents(), repo.vocabulary, path)
-    print(f"wrote {repo.size} documents (with wire duplicates) to {path}")
+    print(f"wrote {repo.size} documents to {path}")
 
 
 def main():
@@ -87,20 +78,14 @@ def main():
     vocabulary = Vocabulary()
     documents = load_jsonl(corpus_path, vocabulary)
 
-    # 2. near-duplicate removal (Jaccard >= 0.8, first copy wins)
-    kept, removed = deduplicate(documents, threshold=0.8)
-    print(f"dedup: kept {len(kept)}, removed {len(removed)} near-copies")
-    for copy_id, original_id in sorted(removed.items())[:3]:
-        print(f"   {copy_id} duplicates {original_id}")
-
-    # 3. incremental clustering, one batch per day
+    # 2. incremental clustering, one batch per day
     model = ForgettingModel(half_life=3.0, life_span=10.0)
     clusterer = IncrementalClusterer(model, k=3, seed=0)
-    results = replay(clusterer, kept, batch_days=1.0)
+    results = replay(clusterer, documents, batch_days=1.0)
     result = results[-1]
     print(f"\nclustered: {result.summary()}")
 
-    # 4. label each cluster and show its medoid story
+    # 3. label each cluster and show its medoid story
     active = clusterer.statistics.documents()
     by_id = {d.doc_id: d for d in active}
     labels = label_clustering(clusterer.view(), vocabulary)
@@ -113,7 +98,7 @@ def main():
         print(f"  [{label.size:2d} docs] {label}"
               f"   (medoid: {medoid.doc_id}, topic {medoid.topic_id})")
 
-    # 5. persist for the next run
+    # 4. persist for the next run
     save_checkpoint(clusterer, vocabulary, checkpoint_path)
     print(f"\ncheckpoint saved to {checkpoint_path}")
     print("next run: load_checkpoint(path) and keep feeding batches")

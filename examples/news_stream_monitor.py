@@ -24,7 +24,6 @@ from repro import (
     SyntheticCorpusConfig,
     TDT2Generator,
     evaluate_clustering,
-    rank_hot_clusters,
 )
 
 
@@ -70,20 +69,6 @@ def weekly_report(week, repository, clusterer, result, topic_names):
             if remaining:
                 print(f"  ... and {remaining} more marked clusters")
             break
-
-    trends = rank_hot_clusters(result, clusterer.statistics)
-    if trends:
-        print("  hottest right now (novelty × log size):")
-        for trend in trends[:3]:
-            members = result.clusters[trend.cluster_id]
-            name = "?"
-            for cluster in evaluation.marked:
-                if cluster.cluster_id == trend.cluster_id:
-                    name = topic_names.get(cluster.topic_id,
-                                           cluster.topic_id)
-            print(f"    novelty={trend.novelty:.2f} "
-                  f"momentum={trend.momentum:.2f} "
-                  f"size={trend.size:<4d} {name}")
 
 
 def main():

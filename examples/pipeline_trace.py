@@ -53,11 +53,14 @@ def build_feed(days=14, seed=7):
 def run(repo, recorder):
     model = ForgettingModel(half_life=3.0, life_span=9.0)
     clusterer = IncrementalClusterer(model, k=3, seed=0, recorder=recorder)
+    results = []
     for day in range(14):
         batch = repo.between(float(day), float(day + 1))
         if batch:
-            clusterer.process_batch(batch, at_time=float(day + 1))
-    return clusterer
+            results.append(
+                clusterer.process_batch(batch, at_time=float(day + 1))
+            )
+    return results
 
 
 def main():
@@ -65,11 +68,11 @@ def main():
 
     # 1. collect events in memory and aggregate them
     recorder = InMemoryRecorder()
-    clusterer = run(repo, recorder)
+    results = run(repo, recorder)
     summary = summarize(recorder.events)
 
     print(f"{len(recorder.events)} events over "
-          f"{len(clusterer.history)} batches\n")
+          f"{len(results)} batches\n")
 
     print("counters:")
     for name, total in sorted(summary["counters"].items()):

@@ -49,8 +49,6 @@ from .corpus import (
     TDT2Generator,
     TimeWindow,
     TopicSpec,
-    NearDuplicateIndex,
-    deduplicate,
     iter_batches,
     load_jsonl,
     replay,
@@ -66,8 +64,6 @@ from .core import (
     KEstimate,
     NonIncrementalClusterer,
     NoveltyKMeans,
-    TopicThread,
-    TopicTracker,
     estimate_k,
     label_clustering,
 )
@@ -89,13 +85,7 @@ from .service import (
     SnapshotStats,
 )
 from .api import StreamSession, build_clusterer, open_stream
-from .analysis import (
-    BurstInterval,
-    ClusterTrend,
-    cluster_novelty,
-    detect_bursts,
-    rank_hot_clusters,
-)
+from .analysis import BurstInterval, detect_bursts
 from .eval import (
     ContingencyTable,
     MarkedCluster,
@@ -143,8 +133,6 @@ __all__ = [
     "save_jsonl",
     "iter_batches",
     "replay",
-    "NearDuplicateIndex",
-    "deduplicate",
     "SyntheticCorpusConfig",
     "TDT2Generator",
     "TopicSpec",
@@ -163,8 +151,6 @@ __all__ = [
     "estimate_k",
     "ClusterLabel",
     "label_clustering",
-    "TopicTracker",
-    "TopicThread",
     # eval
     "ContingencyTable",
     "MarkedCluster",
@@ -204,9 +190,6 @@ __all__ = [
     "SnapshotStats",
     "ServiceHTTPServer",
     # analysis
-    "ClusterTrend",
-    "cluster_novelty",
-    "rank_hot_clusters",
     "BurstInterval",
     "detect_bursts",
     "__version__",

@@ -1,19 +1,8 @@
-"""Trend analysis over clustering results: novelty scores, hot-topic
-ranking, and burst detection."""
+"""Burst detection on per-topic arrival series."""
 
-from .hotness import (
-    ClusterTrend,
-    cluster_novelty,
-    cluster_trend,
-    rank_hot_clusters,
-)
 from .bursts import BurstInterval, detect_bursts
 
 __all__ = [
-    "ClusterTrend",
-    "cluster_novelty",
-    "cluster_trend",
-    "rank_hot_clusters",
     "BurstInterval",
     "detect_bursts",
 ]

@@ -1,14 +1,12 @@
 """The paper's primary contribution: the extended K-means with cluster
 representatives over novelty-based similarity, and the incremental
-clustering pipeline, plus the readers of its frozen views (labels,
-topic threads)."""
+clustering pipeline, plus the readers of its frozen views (labels)."""
 
 from .engines import Engine
 from .result import ClusteringResult
 from .kmeans import NoveltyKMeans
 from .incremental import IncrementalClusterer, NonIncrementalClusterer
 from .kestimate import KEstimate, estimate_k
-from .tracking import ThreadEvent, TopicThread, TopicTracker, TrackingSnapshot
 from .labeling import (
     ClusterLabel,
     corpus_term_counts,
@@ -32,8 +30,4 @@ __all__ = [
     "discriminative_terms",
     "corpus_term_counts",
     "medoid_document",
-    "TopicTracker",
-    "TopicThread",
-    "ThreadEvent",
-    "TrackingSnapshot",
 ]

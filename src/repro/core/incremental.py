@@ -19,7 +19,7 @@ timings on the returned :class:`~repro.core.ClusteringResult`, which is
 what the Table 1 benchmark measures.
 
 **Batch ingestion is transactional** in both pipelines: a batch either
-fully updates the state (statistics, assignments, archive, history) or
+fully updates the state (statistics, assignments, archive, last result) or
 leaves it exactly as it was. Rejections — a future-dated or duplicate
 document, the cold-start guard, a clustering failure — restore the
 pre-batch state, so the corrected batch can simply be re-sent.
@@ -101,22 +101,19 @@ class IncrementalClusterer:
         self.statistics = CorpusStatistics(
             model, recorder=self.recorder, backend=statistics_backend
         )
-        self.history: List[ClusteringResult] = []
+        #: the last committed batch's result; only this one is kept
+        self.last_result: Optional[ClusteringResult] = None
         self._assignment: Dict[str, int] = {}
         # the last committed fit's final engine state; kept here rather
-        # than on ClusteringResult so history pins no K×T matrices
+        # than on ClusteringResult so a result pins no K×T matrices
         self._view: Optional[EngineView] = None
         self._commit_hooks: List[CommitHook] = []
-
-    @property
-    def last_result(self) -> Optional[ClusteringResult]:
-        return self.history[-1] if self.history else None
 
     def add_commit_hook(self, hook: CommitHook) -> None:
         """Register ``hook(batch, at_time)``, called after a batch commits.
 
         Hooks run only once the transactional ingestion has fully
-        succeeded (statistics, assignments, and history updated), so a
+        succeeded (statistics, assignments and ``last_result`` updated), so a
         hook observes exactly the batches the in-memory state contains
         — which is what lets :class:`repro.durability.Checkpointer`
         journal accepted batches without ever journaling a rolled-back
@@ -218,7 +215,7 @@ class IncrementalClusterer:
         timings = dict(result.timings)
         timings["statistics"] = stats_span.duration
         result = dataclasses.replace(result, timings=timings)
-        self.history.append(result)
+        self.last_result = result
         if self.recorder.enabled:
             self.recorder.counter("pipeline.batches")
         for hook in self._commit_hooks:
@@ -250,8 +247,8 @@ class IncrementalClusterer:
         in. A restored checkpoint is one such batch over a never-fed
         clusterer.
 
-        No commit hook runs and :attr:`history` is left alone; the view
-        is frozen from the assignment when it is next asked for
+        No commit hook runs and :attr:`last_result` is left alone; the
+        view is frozen from the assignment when it is next asked for
         (:meth:`view`). Like :meth:`process_batch` this is
         transactional: a rejected batch, or an assignment that does not
         fit the documents (:class:`AssignmentMismatchError`), leaves the
@@ -362,11 +359,8 @@ class NonIncrementalClusterer:
         self.statistics_backend = statistics_backend
         self.archive: List[Document] = []
         self.statistics: Optional[CorpusStatistics] = None
-        self.history: List[ClusteringResult] = []
-
-    @property
-    def last_result(self) -> Optional[ClusteringResult]:
-        return self.history[-1] if self.history else None
+        #: the last committed batch's result; only this one is kept
+        self.last_result: Optional[ClusteringResult] = None
 
     def set_recorder(self, recorder: Optional[Recorder]) -> None:
         """Attach ``recorder`` to the pipeline and all its components."""
@@ -418,7 +412,7 @@ class NonIncrementalClusterer:
         timings = dict(result.timings)
         timings["statistics"] = stats_span.duration
         result = dataclasses.replace(result, timings=timings)
-        self.history.append(result)
+        self.last_result = result
         if self.recorder.enabled:
             self.recorder.counter("pipeline.batches")
         return result

@@ -6,7 +6,6 @@ from .repository import DocumentRepository
 from .timewindow import TimeWindow, split_into_windows
 from .loaders import load_jsonl, save_jsonl
 from .streams import iter_batches, replay
-from .dedup import MinHasher, NearDuplicateIndex, deduplicate, jaccard
 from .synthetic import SyntheticCorpusConfig, TDT2Generator, TopicSpec
 
 __all__ = [
@@ -18,10 +17,6 @@ __all__ = [
     "save_jsonl",
     "iter_batches",
     "replay",
-    "MinHasher",
-    "NearDuplicateIndex",
-    "deduplicate",
-    "jaccard",
     "SyntheticCorpusConfig",
     "TDT2Generator",
     "TopicSpec",

@@ -185,12 +185,12 @@ def read_journal(path: PathLike) -> JournalContents:
         raise JournalError(f"{path}: journal header checksum mismatch")
     try:
         base_sequence = int(header["base_sequence"])
+        raw_now = header.get("base_now")
+        base_now = float(raw_now) if raw_now is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise JournalError(
             f"{path}: malformed journal header ({exc!r})"
         ) from exc
-    raw_now = header.get("base_now")
-    base_now = float(raw_now) if raw_now is not None else None
 
     entries: List[JournalEntry] = []
     known: List[str] = []

@@ -373,6 +373,8 @@ def load_checkpoint(
             ]
             recorded = state["assignment"]
             if state["version"] < 3:
+                if not isinstance(recorded, dict):
+                    raise TypeError("the assignment is not an object")
                 recorded = {
                     str(doc_id): int(cluster_id)
                     for doc_id, cluster_id in recorded.items()

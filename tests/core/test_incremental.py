@@ -1,6 +1,8 @@
 """Tests for the incremental/non-incremental clustering pipelines (§5.2)."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -30,9 +32,12 @@ class TestIncrementalClusterer:
         repo, batches = stream
         model = ForgettingModel(half_life=7.0, life_span=14.0)
         clusterer = IncrementalClusterer(model, k=4, seed=0)
-        for day, batch in enumerate(batches):
-            result = clusterer.process_batch(batch, at_time=float(day + 1))
-        assert len(clusterer.history) == 8
+        results = [
+            clusterer.process_batch(batch, at_time=float(day + 1))
+            for day, batch in enumerate(batches)
+        ]
+        assert len(results) == 8
+        result = results[-1]
         assert clusterer.last_result is result
         covered = result.n_documents + len(result.outliers)
         assert covered == repo.size  # nothing expired within 8 days
@@ -81,11 +86,16 @@ class TestIncrementalClusterer:
 
         warm = IncrementalClusterer(model, k=4, seed=0, warm_start=True)
         cold = IncrementalClusterer(model, k=4, seed=0, warm_start=False)
+        warm_results, cold_results = [], []
         for day, batch in enumerate(batches):
-            warm_result = warm.process_batch(batch, at_time=float(day + 1))
-            cold_result = cold.process_batch(batch, at_time=float(day + 1))
-        total_warm = sum(r.iterations for r in warm.history[1:])
-        total_cold = sum(r.iterations for r in cold.history[1:])
+            warm_results.append(
+                warm.process_batch(batch, at_time=float(day + 1))
+            )
+            cold_results.append(
+                cold.process_batch(batch, at_time=float(day + 1))
+            )
+        total_warm = sum(r.iterations for r in warm_results[1:])
+        total_cold = sum(r.iterations for r in cold_results[1:])
         assert total_warm <= total_cold
 
     def test_statistics_stay_consistent(self, stream):
@@ -128,6 +138,24 @@ class TestNonIncrementalClusterer:
                     inc.pr_term(term_id), non.pr_term(term_id),
                     rel_tol=1e-9,
                 )
+
+
+@pytest.mark.parametrize(
+    "pipeline", [IncrementalClusterer, NonIncrementalClusterer]
+)
+def test_only_the_last_result_is_kept(stream, pipeline):
+    """A committed result is freed once a later batch replaces it: the
+    pipeline's state follows the window, not the whole stream."""
+    _, batches = stream
+    model = ForgettingModel(half_life=7.0, life_span=14.0)
+    clusterer = pipeline(model, k=4, seed=0)
+    assert clusterer.last_result is None
+    first = weakref.ref(clusterer.process_batch(batches[0], at_time=1.0))
+    for day in range(1, 4):
+        last = clusterer.process_batch(batches[day], at_time=float(day + 1))
+    gc.collect()
+    assert first() is None
+    assert clusterer.last_result is last
 
 
 class TestFailedBatchSafety:

@@ -1,12 +1,11 @@
 """Readers of the frozen engine view agree with a view built from scratch.
 
 Search (:meth:`ClusterSnapshot.search`), labels
-(:func:`~repro.core.label_clustering`), topic threads
-(:class:`~repro.core.TopicTracker`) and medoids read the representatives
-the fit already holds. After every batch of a seeded TDT2-like stream,
-each reader runs on the published ``clusterer.view()`` and on an oracle
-view rebuilt from the final members alone — one
-:class:`tests.oracles.Cluster` per slot, so it carries no residue of
+(:func:`~repro.core.label_clustering`) and medoids read the
+representatives the fit already holds. After every batch of a seeded
+TDT2-like stream, each reader runs on the published
+``clusterer.view()`` and on an oracle view rebuilt from the final
+members alone — one :class:`tests.oracles.Cluster` per slot, so it carries no residue of
 members that came and went — and both must give the same answers.
 
 The view's support is pinned too: an entry is non-zero exactly when a
@@ -23,7 +22,6 @@ from repro import (
     ClusterSnapshot,
     SyntheticCorpusConfig,
     TDT2Generator,
-    TopicTracker,
     build_clusterer,
     label_clustering,
 )
@@ -177,25 +175,6 @@ def test_search_matches_oracle(stream):
                                             rel_tol=TIE), (at_time, query)
             hits_seen += len(got)
     assert hits_seen > 0
-
-
-def test_tracking_matches_oracle(stream):
-    _, _, states = stream
-    fast, reference = TopicTracker(), TopicTracker()
-    for at_time, snapshot, oracle, _ in states:
-        got = fast.update(snapshot.view, at_time)
-        want = reference.update(oracle, at_time)
-        assert (got.born, got.continued, got.retired) == (
-            want.born, want.continued, want.retired), at_time
-        assert got.cluster_to_thread == want.cluster_to_thread, at_time
-    assert len(fast.threads) > K  # threads were born and retired
-    for thread_id, thread in fast.threads.items():
-        expected = reference.threads[thread_id]
-        assert [(e.at_time, e.cluster_id, e.size) for e in thread.events] \
-            == [(e.at_time, e.cluster_id, e.size) for e in expected.events]
-        for g, w in zip(thread.events, expected.events):
-            assert math.isclose(g.similarity, w.similarity, rel_tol=TOL,
-                                abs_tol=TOL)
 
 
 def test_labels_match_oracle(stream):

@@ -142,10 +142,10 @@ class TestIncrementalColdStartGuard:
         )
         with pytest.raises(ClusteringError):
             clusterer.process_batch(batch, at_time=20.0)
-        # full rollback: corpus empty again, clock reset, no history
+        # full rollback: corpus empty again, clock reset, no result
         assert clusterer.statistics.size == 0
         assert clusterer.statistics.now is None
-        assert clusterer.history == []
+        assert clusterer.last_result is None
         assert clusterer.assignments() == {}
         clusterer.statistics.validate()
 
@@ -187,13 +187,13 @@ class TestIncrementalColdStartGuard:
         clusterer.process_batch(repo.documents(), at_time=3.0)
         size_before = clusterer.statistics.size
         assignments_before = clusterer.assignments()
-        history_before = len(clusterer.history)
+        result_before = clusterer.last_result
         bad = [make_document("future", 99.0, {0: 1})]
         with pytest.raises(ConfigurationError):
             clusterer.process_batch(bad, at_time=4.0)
         assert clusterer.statistics.size == size_before
         assert clusterer.assignments() == assignments_before
-        assert len(clusterer.history) == history_before
+        assert clusterer.last_result is result_before
         clusterer.statistics.validate()
         # and the stream continues as if the bad batch never happened
         result = clusterer.process_batch(
@@ -207,7 +207,7 @@ class TestNonFiniteBatchTime:
     def test_nan_batch_time_is_rolled_back(self, model):
         clusterer = IncrementalClusterer(model, k=2, seed=0)
         clusterer.process_batch(fresh_docs("a", 4, 0.0), at_time=0.0)
-        before = clusterer.history[-1].clustering_index
+        before = clusterer.last_result.clustering_index
         with pytest.raises(ConfigurationError, match="finite"):
             clusterer.process_batch(fresh_docs("b", 4, 0.5),
                                     at_time=math.nan)
@@ -253,7 +253,7 @@ class TestNonIncrementalRollback:
             clusterer.process_batch(fresh_docs("d", 3, 0.0), at_time=0.0)
         assert clusterer.statistics is None
         assert clusterer.archive == []
-        assert clusterer.history == []
+        assert clusterer.last_result is None
 
     def test_failed_batch_is_resendable(self, model):
         repo = build_topic_repository(days=2, docs_per_topic_per_day=2,
@@ -282,18 +282,20 @@ class TestEngineParityThroughPipeline:
             [d for d in repo if int(d.timestamp) == day]
             for day in range(4)
         ]
-        runs = {}
+        runs, results = {}, {}
         for engine in (MatrixEngine, DenseEngine):
             clusterer = IncrementalClusterer(
                 model, k=3, seed=13, engine=engine
             )
             clusterer.kmeans.criterion = criterion
-            for day, batch in enumerate(batches):
+            results[engine.name] = [
                 clusterer.process_batch(batch, at_time=float(day + 1))
+                for day, batch in enumerate(batches)
+            ]
             runs[engine.name] = clusterer
         for day in range(4):
-            matrix = runs["matrix"].history[day]
-            dense = runs["dense"].history[day]
+            matrix = results["matrix"][day]
+            dense = results["dense"][day]
             assert matrix.assignments() == dense.assignments(), (
                 f"engines diverge at batch {day} "
                 f"(criterion={criterion!r})"

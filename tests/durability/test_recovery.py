@@ -4,6 +4,7 @@ run — with the surviving checkpoint never corrupt or truncated."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -174,12 +175,20 @@ class TestJournalFaults:
         images = crash_images(tmp_path, vocabulary, batches[:4], every=2)
         image = images[3]  # checkpoint at 2, journal holds batch 3
         journal = image.with_name(image.name + ".journal")
-        journal.write_text("{torn")
-
-        recovery = recover(image)
-        assert recovery.sequence == 2
-        assert recovery.replayed_batches == 0
-        assert_state_matches(recovery.clusterer, references[2])
+        header, _, lines = journal.read_text().partition("\n")
+        header = json.loads(header)
+        del header["checksum"]
+        # a torn header, or an intact one whose base time is no number
+        hostile = ["{torn"] + [
+            json.dumps(dict(header, base_now=value)) + "\n" + lines
+            for value in ([1], {"a": 1}, "x")
+        ]
+        for text in hostile:
+            journal.write_text(text)
+            recovery = recover(image)
+            assert recovery.sequence == 2, text
+            assert recovery.replayed_batches == 0
+            assert_state_matches(recovery.clusterer, references[2])
 
     def test_missing_journal_recovers_checkpoint_alone(
         self, stream, references, tmp_path

@@ -18,7 +18,7 @@ import pytest
 
 from repro import Checkpointer, Document, Vocabulary, recover
 from repro.exceptions import CheckpointError
-from repro.persistence import read_checkpoint_state
+from repro.persistence import load_checkpoint, read_checkpoint_state
 
 from tests.durability.conftest import (
     Batch,
@@ -104,6 +104,15 @@ def test_a_v1_checksum_still_catches_corruption(image):
     image.write_bytes(raw[:at] + b"9" + raw[at + 1:])
     with pytest.raises(CheckpointError, match="checksum mismatch"):
         read_checkpoint_state(image)
+    # with no checksum to catch it, an assignment that is not an object
+    # is still a malformed checkpoint
+    state = json.loads(raw)
+    del state["checksum"]
+    for assignment in ([], "x", 5):
+        image.write_text(json.dumps(dict(state, assignment=assignment)))
+        for load in (load_checkpoint, recover):
+            with pytest.raises(CheckpointError, match="malformed"):
+                load(image)
 
 
 def test_a_run_resumed_from_v1_writes_v3(stream, image):

@@ -33,9 +33,10 @@ def run_incremental(recorder, batches, **kwargs):
     clusterer = IncrementalClusterer(
         model, k=4, seed=0, recorder=recorder, **kwargs
     )
-    for day, batch in enumerate(batches):
+    return [
         clusterer.process_batch(batch, at_time=float(day + 1))
-    return clusterer
+        for day, batch in enumerate(batches)
+    ]
 
 
 class TestPipelinePhases:
@@ -69,8 +70,8 @@ class TestPipelinePhases:
     def test_one_pass_span_per_iteration(self, stream):
         _, batches = stream
         recorder = InMemoryRecorder()
-        clusterer = run_incremental(recorder, batches)
-        iterations = sum(r.iterations for r in clusterer.history)
+        results = run_incremental(recorder, batches)
+        iterations = sum(r.iterations for r in results)
         assert len(recorder.select(name="kmeans.pass", kind=SPAN)) \
             == iterations
         assert len(recorder.select(name="kmeans.g", kind=GAUGE)) \
@@ -79,13 +80,13 @@ class TestPipelinePhases:
     def test_fit_setup_spans_nest_in_each_fit(self, stream):
         _, batches = stream
         recorder = InMemoryRecorder()
-        clusterer = run_incremental(recorder, batches)
+        results = run_incremental(recorder, batches)
         setup = ("kmeans.engine_build", "kmeans.warm_start", "kmeans.fit")
         # a span is emitted when it closes: each fit's two setup spans
         # close, in order, before the fit itself does
         closed = [event.name for event in recorder.select(kind=SPAN)
                   if event.name in setup]
-        assert closed == list(setup) * len(clusterer.history)
+        assert closed == list(setup) * len(results)
 
     def test_docs_observed_counts_whole_stream(self, stream):
         repo, batches = stream
@@ -226,8 +227,7 @@ class TestAmbientPickup:
 class TestTimingsBackwardCompat:
     def test_legacy_keys_still_populated(self, stream):
         _, batches = stream
-        clusterer = run_incremental(None, batches)
-        result = clusterer.last_result
+        result = run_incremental(None, batches)[-1]
         assert result.timings["statistics"] > 0.0
         assert result.timings["clustering"] > 0.0
         assert result.timings["vectorisation"] >= 0.0

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args, expected", [
-    ("topic_tracking.py", ["--weeks", "3", "--k", "8"], "thread summary"),
     ("custom_corpus.py", [], "medoid:"),
 ])
 def test_example_runs(script, args, expected, tmp_path):
