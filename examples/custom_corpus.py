@@ -81,8 +81,8 @@ def main():
     # 2. incremental clustering, one batch per day
     model = ForgettingModel(half_life=3.0, life_span=10.0)
     clusterer = IncrementalClusterer(model, k=3, seed=0)
-    results = replay(clusterer, documents, batch_days=1.0)
-    result = results[-1]
+    result = replay(clusterer, documents, batch_days=1.0)
+    assert result is not None  # the demo corpus is never empty
     print(f"\nclustered: {result.summary()}")
 
     # 3. label each cluster and show its medoid story

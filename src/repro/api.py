@@ -95,7 +95,6 @@ def open_stream(
     pipeline: Optional[TextPipeline] = None,
     window_days: Optional[float] = None,
     checkpoint: Optional[PathLike] = None,
-    checkpoint_every: Optional[int] = None,
     resume: Optional[PathLike] = None,
     queue_size: int = 64,
 ) -> "StreamSession":
@@ -114,15 +113,13 @@ def open_stream(
     window_days:
         Enables :meth:`StreamSession.feed` windowing (same half-open
         windows as :func:`repro.corpus.streams.iter_batches`).
-    checkpoint / checkpoint_every:
+    checkpoint:
         Path of the durable base checkpoint. Every committed batch is
         made durable before it is published: one fsynced line in the
         log beside the base (its documents, new terms, clock and
-        assignment), or a rewrite of the base. With
-        ``checkpoint_every=None`` (the default) the base is rewritten
-        when a batch's line would make the log larger than the base;
-        an int N rewrites it on every N-th batch instead. Snapshot
-        versions equal log sequences.
+        assignment), or — when that line would make the log larger
+        than the base — a rewrite of the base. Snapshot versions equal
+        log sequences.
     resume:
         Path of an existing checkpoint to :func:`~repro.durability.
         recover` from. The session resumes at the recovered journal
@@ -162,8 +159,7 @@ def open_stream(
     if checkpoint is not None:
         checkpointer = Checkpointer(
             clusterer, vocabulary, checkpoint,
-            every=checkpoint_every, sequence=sequence,
-            recorder=recorder,
+            sequence=sequence, recorder=recorder,
         )
 
     service = ClusterService(

@@ -6,7 +6,7 @@
     repro cluster  --input stream.jsonl [--k N] [--half-life D]
                    [--life-span D] [--batch-days D]
                    [--jobs N]
-                   [--checkpoint state.json] [--checkpoint-every N]
+                   [--checkpoint state.json]
                    [--resume state.json] [--trace trace.jsonl]
     repro serve    --input stream.jsonl [--k N] [--batch-days D]
                    [--checkpoint state.json] [--resume state.json]
@@ -22,6 +22,11 @@ labels are present); ``serve`` runs the streaming service
 file for appended records and exposing the snapshot query API over
 HTTP; the experiment commands regenerate the paper's Table 1 and
 Tables 2/4 from the command line.
+
+With ``--checkpoint``, ``cluster`` and ``serve`` keep the run durable
+(:mod:`repro.durability`): every committed batch is appended to a log
+beside a base checkpoint, and the base is rewritten when the batch's
+line would make the log larger than the base.
 """
 
 from __future__ import annotations
@@ -88,14 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "window appends to (fsynced); the base is "
                               "rewritten when the log would outgrow it "
                               "and at the end of the run")
-    cluster.add_argument("--checkpoint-every", type=int, default=None,
-                         metavar="N",
-                         help="with --checkpoint: rewrite the base "
-                              "checkpoint every N windows; by default it "
-                              "is rewritten when a window's log line "
-                              "would make the log larger than the base "
-                              "(the fsynced log makes recovery exact "
-                              "either way)")
     cluster.add_argument("--resume", default=None,
                          help="resume from a checkpoint written earlier; "
                               "falls back to its .bak generation and "
@@ -126,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="journal every committed batch and keep a "
                             "crash-safe checkpoint at this path; "
                             "snapshot versions equal journal sequences")
-    serve.add_argument("--checkpoint-every", type=int, default=None,
-                       metavar="N",
-                       help="with --checkpoint: rewrite the base "
-                            "checkpoint every N batches; by default it is "
-                            "rewritten when a batch's log line would make "
-                            "the log larger than the base")
     serve.add_argument("--resume", default=None,
                        help="recover from this checkpoint and continue "
                             "serving at the recovered snapshot version")
@@ -206,14 +197,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _run_cluster(
     args: argparse.Namespace, recorder: Optional["Recorder"]
 ) -> int:
-    if args.checkpoint_every is not None:
-        if not args.checkpoint:
-            raise ValueError("--checkpoint-every requires --checkpoint")
-        if args.checkpoint_every < 1:
-            raise ValueError(
-                f"--checkpoint-every must be >= 1, "
-                f"got {args.checkpoint_every}"
-            )
     if args.checkpoint:
         # fail before the first batch, not after hours of clustering:
         # creates missing parent directories, rejects unwritable paths
@@ -270,9 +253,7 @@ def _run_cluster(
     if args.checkpoint:
         checkpointer = Checkpointer(
             clusterer, vocabulary, args.checkpoint,
-            every=args.checkpoint_every,
-            sequence=sequence,
-            recorder=recorder,
+            sequence=sequence, recorder=recorder,
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
     try:
@@ -289,11 +270,10 @@ def _run_cluster(
             # resume continues the original batch grid from the
             # checkpoint clock; a fresh run anchors at the first document
             origin = clusterer.statistics.now if args.resume else None
-            results = replay(
+            result = replay(
                 clusterer, documents, args.batch_days,
                 origin=origin, on_batch=report,
             )
-            result = results[-1] if results else None
         else:
             # resumed past the whole stream: re-cluster the carried state
             print("no new documents beyond the checkpoint; re-clustering "
@@ -344,10 +324,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
     import time
 
-    if args.checkpoint_every is not None and not (
-        args.checkpoint or args.resume
-    ):
-        raise ValueError("--checkpoint-every requires --checkpoint")
     if not args.input and args.http is None:
         raise ValueError("serve needs --input and/or --http")
     if args.follow and not args.input:
@@ -357,7 +333,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session = open_stream(
             resume=args.resume,
             checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
             window_days=args.batch_days,
         )
         if not args.quiet:
@@ -368,7 +343,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             k=args.k, seed=args.seed,
             half_life=args.half_life, life_span=args.life_span,
             checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
             window_days=args.batch_days,
         )
     with session:

@@ -59,39 +59,6 @@ class DocumentRepository:
         )
         return self.add(document)
 
-    def add_texts(
-        self,
-        records: Iterable[Dict[str, object]],
-        jobs: Optional[int] = None,
-    ) -> List[Document]:
-        """Bulk :meth:`add_text` from record dicts.
-
-        Each record needs ``doc_id``, ``timestamp`` and ``text``;
-        ``topic_id``/``source``/``title`` are optional. The bodies run
-        through :meth:`TextPipeline.batch_term_frequencies`, so ``jobs``
-        > 1 parallelises the tokenise/stem stage across processes while
-        vocabulary interning and storage stay in arrival order here.
-        """
-        record_list = list(records)
-        counts_list = self.pipeline.batch_term_frequencies(
-            [str(record["text"]) for record in record_list], jobs=jobs
-        )
-        added: List[Document] = []
-        for record, counts in zip(record_list, counts_list):
-            added.append(
-                self.add(
-                    Document(
-                        doc_id=str(record["doc_id"]),
-                        timestamp=float(record["timestamp"]),  # type: ignore[arg-type]
-                        term_counts=self.vocabulary.add_counts(counts),
-                        topic_id=record.get("topic_id"),  # type: ignore[arg-type]
-                        source=record.get("source"),  # type: ignore[arg-type]
-                        title=record.get("title"),  # type: ignore[arg-type]
-                    )
-                )
-            )
-        return added
-
     def add(self, document: Document) -> Document:
         """Store a pre-built :class:`Document`; ids must be unique."""
         if document.doc_id in self._documents:

@@ -9,7 +9,7 @@ that shape:
 
 or in one call::
 
-    results = replay(clusterer, docs, batch_days=1.0)
+    last = replay(clusterer, docs, batch_days=1.0)
 """
 
 from __future__ import annotations
@@ -78,14 +78,15 @@ def replay(
     on_batch: Optional[
         Callable[[float, List[Document], "ClusteringResult"], None]
     ] = None,
-) -> List["ClusteringResult"]:
+) -> Optional["ClusteringResult"]:
     """Drive ``clusterer`` over ``documents`` in ``batch_days`` slices.
 
     Empty slices advance the clusterer's clock without re-clustering.
     ``on_batch(at_time, batch, result)`` is invoked after each
-    non-empty batch. Returns the per-batch results.
+    non-empty batch. Returns the last batch's result, ``None`` when no
+    slice held a document; collect the others through ``on_batch``.
     """
-    results: List["ClusteringResult"] = []
+    result: Optional["ClusteringResult"] = None
     for at_time, batch in iter_batches(
         documents, batch_days, origin=origin, include_empty=True
     ):
@@ -93,7 +94,6 @@ def replay(
             clusterer.statistics.advance_to(at_time)
             continue
         result = clusterer.process_batch(batch, at_time=at_time)
-        results.append(result)
         if on_batch is not None:
             on_batch(at_time, batch, result)
-    return results
+    return result

@@ -4,9 +4,9 @@ The paper's clusterer is *long-lived*: its statistics are the product
 of every batch since day one (Eq. 27-29), so losing them to a crash is
 losing the model. This package makes process death a non-event:
 
-* :mod:`~repro.durability.atomic` — temp-file + fsync + ``os.replace``
-  writes with ``.bak`` rotation, and sha256 checksums over the written
-  bytes; no crash leaves a corrupt or truncated checkpoint.
+* :mod:`~repro.durability.atomic` — the one writer, temp-file + fsync +
+  ``os.replace`` with ``.bak`` rotation, and sha256 checksums over the
+  written bytes; no crash leaves a corrupt or truncated checkpoint.
 * :mod:`~repro.durability.records` — format version 3: each active
   document's record, its row packed as base64 int32, encoded once for
   its lifetime; the term strings, encoded once; the recorded assignment;
@@ -18,8 +18,7 @@ losing the model. This package makes process death a non-event:
   assignment, and is tied to its base by a sequence number.
 * :mod:`~repro.durability.checkpointer` — registered as a commit hook,
   it logs every committed batch and rewrites the base when a line would
-  make the log larger than the base (or every N batches,
-  ``repro cluster --checkpoint-every N``).
+  make the log larger than the base, its one compaction rule.
 * :mod:`~repro.durability.recovery` — :func:`recover`: newest valid
   checkpoint (falling back to ``.bak``) plus its log, re-applied
   without K-means.
@@ -37,8 +36,6 @@ Quickstart::
 from .atomic import (
     BACKUP_SUFFIX,
     CHECKSUM_FIELD,
-    atomic_write_json,
-    atomic_write_text,
     backup_path,
     canonical_json,
     checksum_matches,
@@ -58,8 +55,6 @@ from .recovery import RecoveryResult, recover
 __all__ = [
     "BACKUP_SUFFIX",
     "CHECKSUM_FIELD",
-    "atomic_write_json",
-    "atomic_write_text",
     "backup_path",
     "canonical_json",
     "checksum_matches",

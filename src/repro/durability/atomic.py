@@ -2,26 +2,26 @@
 
 The primitives every durable artifact in this package is built on:
 
-* :func:`atomic_write_text` / :func:`atomic_write_pieces` /
-  :func:`atomic_write_json` — stream the content into a sibling temp
+* :func:`atomic_write_pieces` — stream the content into a sibling temp
   file, flush + ``fsync``, then ``os.replace`` over the target (atomic
   on POSIX and Windows), with an optional rotation of the previous file
   to ``<path>.bak`` and a directory fsync so the rename itself is
   durable. A crash, a full disk, or a serialization error at any point
   leaves the previous file byte-identical.
-* :func:`stamp` / :func:`stamp_pieces` / :func:`text_checksum_matches`
-  — the checksum of a checkpoint or journal line (format versions 2
-  and 3): sha256 over the written bytes that come before the trailing
-  ``, "checksum": ...`` member. The writer hashes the text it is about to write, with no
-  second encoding, and the reader hashes the bytes it read.
+* :func:`stamp_pieces` / :func:`text_checksum_matches` — the checksum
+  of a checkpoint or journal line (format versions 2 and 3): sha256
+  over the written bytes that come before the trailing
+  ``, "checksum": ...`` member. The writer hashes the text it is about
+  to write, with no second encoding, and the reader hashes the bytes it
+  read.
 * :func:`payload_checksum` / :func:`checksum_matches` — the checksum of
-  format version 1 and of :func:`atomic_write_json`: sha256 over the
-  *canonical* JSON (sorted keys, compact separators) of a payload minus
-  its ``checksum`` field. Because JSON floats round-trip exactly
-  through Python's shortest-repr serialization, the checksum recomputed
-  from a parsed file equals the one computed before writing. The
-  reader accepts it where the byte form does not match, so version-1
-  files and tool-stamped rewrites still verify.
+  format version 1: sha256 over the *canonical* JSON (sorted keys,
+  compact separators) of a payload minus its ``checksum`` field.
+  Because JSON floats round-trip exactly through Python's
+  shortest-repr serialization, the checksum recomputed from a parsed
+  file equals the one computed before writing. The reader accepts it
+  where the byte form does not match, so version-1 files and
+  tool-stamped rewrites still verify.
 
 Either way, any torn or bit-flipped state is detected on load.
 
@@ -67,16 +67,12 @@ def text_checksum(text: str) -> str:
     return f"sha256:{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
 
 
-def stamp(body: str) -> str:
-    """Close the JSON object text ``body`` — every byte of it but the
-    final ``}`` — with a ``checksum`` member: sha256 over ``body``."""
-    return b"".join(stamp_pieces([body.encode("utf-8")])).decode("utf-8")
-
-
 def stamp_pieces(pieces: List[bytes]) -> List[bytes]:
-    """:func:`stamp` over the UTF-8 text ``pieces`` hold end to end:
-    ``pieces`` with the closing ``checksum`` member appended. The text
-    is never joined, so a large file costs no allocation its size."""
+    """Close the JSON object text that ``pieces`` hold end to end —
+    every byte of it but the final ``}``, UTF-8 — with a ``checksum``
+    member, sha256 over those bytes: ``pieces`` with the member
+    appended. The text is never joined, so a large file costs no
+    allocation its size."""
     digest = hashlib.sha256()
     for piece in pieces:
         digest.update(piece)
@@ -94,9 +90,9 @@ def text_checksum_matches(
 
     ``None`` when ``payload`` carries no checksum. Otherwise ``True``
     when ``text`` ends with its checksum member and that checksum is
-    sha256 over the text before it (what :func:`stamp` writes), or when
-    it is the canonical checksum of the payload (:func:`checksum_matches`:
-    version-1 files, :func:`atomic_write_json`); ``False`` else.
+    sha256 over the text before it (what :func:`stamp_pieces` writes),
+    or when it is the canonical checksum of the payload
+    (:func:`checksum_matches`: version-1 files); ``False`` else.
     """
     recorded = payload.get(CHECKSUM_FIELD)
     if recorded is None:
@@ -151,34 +147,22 @@ def fsync_directory(directory: PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write_text(
-    text: str,
-    path: PathLike,
-    durable: bool = True,
-    backup: bool = False,
-) -> int:
-    """Write ``text`` to ``path`` atomically; returns bytes written.
-
-    The content goes into a temp file in the *same directory* (so the
-    final ``os.replace`` never crosses a filesystem), is flushed and —
-    with ``durable`` — fsynced before the rename. With ``backup`` the
-    previous target survives one rotation as ``<path>.bak``; the
-    rotation is itself an atomic rename, so at every instant at least
-    one intact generation exists on disk.
-    """
-    return atomic_write_pieces(
-        [text.encode("utf-8")], path, durable=durable, backup=backup
-    )
-
-
 def atomic_write_pieces(
     pieces: Sequence[bytes],
     path: PathLike,
     durable: bool = True,
     backup: bool = False,
 ) -> int:
-    """:func:`atomic_write_text` of the bytes ``pieces`` hold end to
-    end, written without joining them; returns bytes written."""
+    """Write the bytes ``pieces`` hold end to end to ``path``
+    atomically, without joining them; returns bytes written.
+
+    The content goes into a temp file in the *same directory* (so the
+    final ``os.replace`` never crosses a filesystem), is flushed and —
+    with ``durable`` — fsynced before the rename, and the directory
+    after it. With ``backup`` the previous target survives one rotation
+    as ``<path>.bak``; the rotation is itself an atomic rename, so at
+    every instant at least one intact generation exists on disk.
+    """
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=target.name + ".", suffix=".tmp"
@@ -201,30 +185,6 @@ def atomic_write_pieces(
     if durable:
         fsync_directory(target.parent)
     return sum(map(len, pieces))
-
-
-def atomic_write_json(
-    payload: Mapping[str, Any],
-    path: PathLike,
-    durable: bool = True,
-    backup: bool = False,
-    add_checksum: bool = False,
-) -> int:
-    """Atomically write ``payload`` as JSON; returns bytes written.
-
-    With ``add_checksum`` a ``checksum`` field (sha256 over the
-    canonical form of the rest) is stamped into the object so loaders
-    can detect torn or corrupted files.
-    """
-    body: Mapping[str, Any] = payload
-    if add_checksum:
-        stamped = dict(payload)
-        stamped[CHECKSUM_FIELD] = payload_checksum(payload)
-        body = stamped
-    return atomic_write_text(
-        json.dumps(body, ensure_ascii=False), path,
-        durable=durable, backup=backup,
-    )
 
 
 def prepare_checkpoint_path(path: PathLike) -> Path:

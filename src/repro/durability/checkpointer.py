@@ -9,12 +9,9 @@ as a commit hook on
 fsynced line per batch to the log (``<checkpoint>.journal``): the
 batch's documents, the terms they added, its clock and the assignment
 after its fit. The base checkpoint is rewritten from live state only
-to *compact* the log:
-
-* by default (``every=None``), when the batch's line would make the log
-  larger than the base — so the log never outgrows the base, and
-  recovery reads at most about twice the base;
-* with an explicit ``every=N``, on every N-th batch, as before.
+to *compact* the log, when the batch's line would make the log larger
+than the base — so the log never outgrows the base, and recovery reads
+at most about twice the base.
 
 A compacting batch writes the base and no line. Either way the batch
 is fsynced before the hook returns, so a crash loses at most the batch
@@ -46,7 +43,7 @@ from typing import List, Optional, Type
 
 from ..core.incremental import IncrementalClusterer
 from ..corpus.document import Document
-from ..exceptions import ConfigurationError, JournalError
+from ..exceptions import JournalError
 from ..obs import Recorder, resolve
 from ..persistence import save_checkpoint
 from ..text.vocabulary import Vocabulary
@@ -63,10 +60,6 @@ class Checkpointer:
     >>> ...process batches...  # doctest: +SKIP
     >>> checkpointer.close()  # doctest: +SKIP
 
-    ``every`` is the compaction rule: ``None`` (the default) rewrites
-    the base when a batch's line would make the log larger than the
-    base, an int N on every N-th batch (see the module docstring).
-
     Construction immediately anchors the pair on disk: the current
     state is checkpointed (even a fresh, never-fed clusterer — its
     checkpoint is trivially loadable) and the log restarted against
@@ -80,26 +73,18 @@ class Checkpointer:
         clusterer: IncrementalClusterer,
         vocabulary: Vocabulary,
         checkpoint_path: PathLike,
-        every: Optional[int] = None,
         journal_path: Optional[PathLike] = None,
         sequence: int = 0,
-        durable: bool = True,
         recorder: Optional[Recorder] = None,
     ) -> None:
-        if every is not None and every < 1:
-            raise ConfigurationError(
-                f"checkpoint interval must be >= 1 window, got {every}"
-            )
         self.clusterer = clusterer
         self.vocabulary = vocabulary
         self.checkpoint_path = prepare_checkpoint_path(checkpoint_path)
-        self.every = every
         self.sequence = int(sequence)
         self.recorder = resolve(recorder)
-        self.durable = durable
         self._since_checkpoint = 0
-        # serializes record_batch/checkpoint against close()/abort():
-        # a service shutting down can race its writer's final commit
+        # serializes record_batch against close()/abort(): a service
+        # shutting down can race its writer's final commit
         self._lock = threading.Lock()
         self._closed = False
         # the fragments of each active document and the term strings,
@@ -112,12 +97,9 @@ class Checkpointer:
                 Path(journal_path) if journal_path is not None
                 else default_journal_path(self.checkpoint_path)
             ),
-            vocabulary,
+            self._cache,
             base_sequence=self.sequence,
-            base_now=clusterer.statistics.now,
-            durable=durable,
             recorder=self.recorder,
-            cache=self._cache,
         )
 
     @property
@@ -138,57 +120,38 @@ class Checkpointer:
                 raise JournalError(
                     f"{self._journal.path}: journal is closed"
                 )
-            line: Optional[EncodedLine] = None
-            if self.every is None or self._since_checkpoint + 1 < self.every:
-                active = self.clusterer.statistics.doc_ids()
-                line = self._encode(documents, at_time, active)
-                if self.every is not None or (
-                    self._journal.size + len(line.data) <= self._base_bytes
-                ):
-                    self._write(line)
-                    self._cache.prune(active)
-                    return
+            active = self.clusterer.statistics.doc_ids()
+            line = self._journal.encode(documents, at_time, assignment_text(
+                active, self.clusterer.assignments()
+            ))
+            if not self._compaction_due(line):
+                self._write(line)
+                self._cache.prune(active)
+                return
             try:
                 self._base_bytes = self._write_checkpoint(self.sequence + 1)
             except BaseException:
                 # the batch is committed: it must reach the disk before
                 # the failure surfaces
-                self._write(line or self._encode(
-                    documents, at_time, self.clusterer.statistics.doc_ids()
-                ))
+                self._write(line)
                 raise
             self.sequence += 1
             self._rotate()
             if self.recorder.enabled:
                 self.recorder.counter("durability.journal_skipped")
 
-    def _encode(
-        self, documents: List[Document], at_time: float, active: List[str]
-    ) -> EncodedLine:
-        """The batch's log line, with the assignment after its fit over
-        the ``active`` documents' ids."""
-        return self._journal.encode(documents, at_time, assignment_text(
-            active, self.clusterer.assignments()
-        ))
+    def _compaction_due(self, line: EncodedLine) -> bool:
+        """The compaction rule: rewrite the base instead of logging
+        ``line`` when it would make the log larger than the base."""
+        return self._journal.size + len(line.data) > self._base_bytes
 
     def _write(self, line: EncodedLine) -> None:
         self._journal.write(line)
         self.sequence += 1
         self._since_checkpoint += 1
 
-    def checkpoint(self) -> None:
-        """Write the checkpoint now and restart the log against it."""
-        with self._lock:
-            self._checkpoint_locked()
-
-    def _checkpoint_locked(self) -> None:
-        self._base_bytes = self._write_checkpoint(self.sequence)
-        self._rotate()
-
     def _rotate(self) -> None:
-        self._journal.rotate(
-            self.sequence, self.clusterer.statistics.now
-        )
+        self._journal.rotate(self.sequence)
         self._since_checkpoint = 0
 
     def _write_checkpoint(self, sequence: int) -> int:
@@ -218,7 +181,8 @@ class Checkpointer:
             if not self._journal.closed:
                 try:
                     if self._since_checkpoint:
-                        self._checkpoint_locked()
+                        self._write_checkpoint(self.sequence)
+                        self._rotate()
                 finally:
                     self._journal.close()
 

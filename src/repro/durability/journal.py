@@ -21,7 +21,7 @@ assignment (versions 1 and 2) replays through ``process_batch``.
 File layout (JSON Lines, format version 3)::
 
     {"format": "repro-journal", "version": 3, "base_sequence": S,
-     "base_now": 42.0, "checksum": "sha256:..."}        # header
+     "checksum": "sha256:..."}                          # header
     {"sequence": S+1, "at_time": 49.0, "terms": ["asian", ...],
      "documents": [{"doc_id": ..., "row": "AQAAAAcA...", ...}],
      "assignment": "AAAAAP////8BAAAA...", "checksum": "sha256:..."}
@@ -36,11 +36,13 @@ Version-2 journals (``"term_ids"``/``"counts"`` rows, no assignment)
 and version-1 journals (``"terms": {"word": n}`` per document, no term
 list) are still read.
 
-The header ties the log to the checkpoint whose ``sequence`` is ``S``;
-each line carries its own checksum (sha256 over its bytes before the
-checksum member), so a torn final line — the only corruption an
-append-only fsynced writer can leave behind — is detected and
-discarded on read.
+The header ties the log to the checkpoint whose ``sequence`` is ``S``.
+Headers written before this layout also carry ``base_now``, the base's
+clock; nothing uses it, but it is still read and must be a number or
+``null``. Each line carries its own checksum (sha256 over its bytes
+before the checksum member), so a torn final line — the only
+corruption an append-only fsynced writer can leave behind — is
+detected and discarded on read.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from typing import (
 from ..corpus.document import Document
 from ..exceptions import JournalError
 from ..obs import Recorder, Span, resolve
-from ..text.vocabulary import Vocabulary
 from .atomic import (
     PathLike,
     atomic_write_pieces,
@@ -88,7 +89,7 @@ _VERSION = 3
 _READABLE = (1, 2, 3)
 
 #: Every field a journal header may carry (see ``read_checkpoint_state``
-#: for why an unknown one is rejected).
+#: for why an unknown one is rejected); older headers carry ``base_now``.
 _HEADER_FIELDS = frozenset(
     {"format", "version", "base_sequence", "base_now", "checksum"}
 )
@@ -134,7 +135,6 @@ class JournalContents:
     """A parsed journal: header fields plus the intact entry prefix."""
 
     base_sequence: int
-    base_now: Optional[float]
     entries: Tuple[JournalEntry, ...]
     truncated: bool
 
@@ -185,8 +185,9 @@ def read_journal(path: PathLike) -> JournalContents:
         raise JournalError(f"{path}: journal header checksum mismatch")
     try:
         base_sequence = int(header["base_sequence"])
-        raw_now = header.get("base_now")
-        base_now = float(raw_now) if raw_now is not None else None
+        base_now = header.get("base_now")
+        if base_now is not None:
+            float(base_now)  # an older header's: checked, not used
     except (KeyError, TypeError, ValueError) as exc:
         raise JournalError(
             f"{path}: malformed journal header ({exc!r})"
@@ -208,7 +209,6 @@ def read_journal(path: PathLike) -> JournalContents:
         expected += 1
     return JournalContents(
         base_sequence=base_sequence,
-        base_now=base_now,
         entries=tuple(entries),
         truncated=truncated,
     )
@@ -276,27 +276,23 @@ class BatchJournal:
     ever grows by whole, checksummed records (modulo a torn final line,
     which :func:`read_journal` discards). :attr:`size` is the file's
     length, which the checkpointer's size rule compares with its base.
+
+    ``cache`` is the owning
+    :class:`~repro.durability.checkpointer.Checkpointer`'s: the lines
+    add each batch's fragments to it, its checkpoints reuse them, and
+    the checkpointer prunes it to the active set.
     """
 
     def __init__(
         self,
         path: PathLike,
-        vocabulary: Vocabulary,
+        cache: RecordCache,
         base_sequence: int = 0,
-        base_now: Optional[float] = None,
-        durable: bool = True,
         recorder: Optional[Recorder] = None,
-        cache: Optional[RecordCache] = None,
     ) -> None:
         self.path = Path(path)
-        self.vocabulary = vocabulary
-        self.durable = durable
+        self.cache = cache
         self.recorder = resolve(recorder)
-        # shared with the owning Checkpointer, which prunes it and whose
-        # checkpoints reuse the fragments encoded here; a journal of its
-        # own keeps only the last batch's fragments
-        self._shared = cache is not None
-        self.cache = cache if cache is not None else RecordCache(vocabulary)
         self.sequence = int(base_sequence)
         #: Bytes in the file: the header and the lines written since.
         self.size = 0
@@ -304,14 +300,13 @@ class BatchJournal:
         self._terms = 0
         self._unsynced = False
         self._handle: Optional[IO[bytes]] = None
-        self._start(self.sequence, base_now)
+        self._start(self.sequence)
 
-    def _start(self, base_sequence: int, base_now: Optional[float]) -> None:
+    def _start(self, base_sequence: int) -> None:
         header = stamped_pieces([
             member("format", _FORMAT),
             member("version", _VERSION),
             member("base_sequence", int(base_sequence)),
-            member("base_now", base_now),
         ]) + [b"\n"]
         # not fsynced yet: a header holds no batch, and until a line is
         # appended the checkpoint it names holds every acknowledged one,
@@ -319,7 +314,7 @@ class BatchJournal:
         # then ignores the journal); the first write fsyncs the file,
         # header included, and its directory
         self.size = atomic_write_pieces(header, self.path, durable=False)
-        self._unsynced = self.durable
+        self._unsynced = True
         self.sequence = int(base_sequence)
         self._terms = 0
         self._handle = open(self.path, "ab")
@@ -333,19 +328,17 @@ class BatchJournal:
         if self._handle is None:
             raise JournalError(f"{self.path}: journal is closed")
         cache = self.cache
-        terms = len(self.vocabulary)
+        terms = len(cache.vocabulary)
         with Span(self.recorder, "journal.encode",
                   {"docs": len(documents)}):
             try:
-                fragments = (
-                    cache.fragments(documents, terms) if self._shared
-                    else cache.retain(documents, terms)
-                )
                 members = [
                     member("sequence", self.sequence + 1),
                     member("at_time", float(at_time)),
                     array_member("terms", cache.terms(self._terms, terms)),
-                    array_member("documents", fragments),
+                    array_member(
+                        "documents", cache.fragments(documents, terms)
+                    ),
                     member("assignment", assignment),
                 ]
                 data = b"".join(stamped_pieces(members) + [b"\n"])
@@ -370,8 +363,7 @@ class BatchJournal:
             try:
                 self._handle.write(line.data)
                 self._handle.flush()
-                if self.durable:
-                    os.fsync(self._handle.fileno())
+                os.fsync(self._handle.fileno())
                 if self._unsynced:
                     fsync_directory(self.path.parent)
                     self._unsynced = False
@@ -389,16 +381,7 @@ class BatchJournal:
             )
         return self.sequence
 
-    def append(
-        self, documents: Sequence[Document], at_time: float, assignment: str
-    ) -> int:
-        """Journal one committed batch (:meth:`encode`, then
-        :meth:`write`); returns its sequence number."""
-        return self.write(self.encode(documents, at_time, assignment))
-
-    def rotate(
-        self, base_sequence: int, base_now: Optional[float]
-    ) -> None:
+    def rotate(self, base_sequence: int) -> None:
         """Restart the log under a new base checkpoint.
 
         Called right *after* a checkpoint at ``base_sequence`` lands on
@@ -408,7 +391,7 @@ class BatchJournal:
         """
         with Span(self.recorder, "journal.rotate"):
             self.close()
-            self._start(base_sequence, base_now)
+            self._start(base_sequence)
 
     def close(self) -> None:
         if self._handle is not None:

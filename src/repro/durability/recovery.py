@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.incremental import IncrementalClusterer
 from ..corpus.loaders import record_to_document
@@ -45,7 +45,7 @@ from ..exceptions import (
     JournalError,
 )
 from ..obs import Recorder, Span, resolve
-from ..persistence import load_checkpoint, read_checkpoint_state
+from ..persistence import _restore_state, read_checkpoint_state
 from ..text.vocabulary import Vocabulary
 from .atomic import PathLike, backup_path
 from .journal import default_journal_path, read_journal
@@ -99,7 +99,7 @@ def recover(
     with Span(rec, "durability.recover") as span:
         target = Path(checkpoint_path)
         chosen: Optional[Path] = None
-        sequence = 0
+        state: Dict[str, Any] = {}
         failures: List[str] = []
         for candidate in (target, backup_path(target)):
             if not candidate.exists():
@@ -111,7 +111,6 @@ def recover(
                 failures.append(str(exc))
                 continue
             chosen = candidate
-            sequence = int(state.get("sequence", 0))
             break
         if chosen is None:
             raise CheckpointError(
@@ -122,7 +121,12 @@ def recover(
         if used_backup and rec.enabled:
             rec.counter("durability.checkpoint_fallback")
 
-        clusterer, vocabulary = load_checkpoint(chosen, vocabulary)
+        sequence = int(state.get("sequence", 0))
+        with Span(resolve(None), "checkpoint.load") as load:
+            clusterer, vocabulary = _restore_state(
+                chosen, state, vocabulary
+            )
+            load.tags["docs"] = clusterer.statistics.size
         if recorder is not None:
             clusterer.set_recorder(rec)
 

@@ -239,12 +239,11 @@ def run_window_incremental(
         model, k=k, delta=delta, max_iterations=max_iterations,
         seed=seed,
     )
-    results = replay(
+    result = replay(
         clusterer, documents, batch_days=batch_days, origin=window_start
     )
-    if not results:
+    if result is None:
         raise ValueError("window contained no documents")
-    result = results[-1]
     truth = {doc.doc_id: doc.topic_id for doc in documents}
     evaluation = evaluate_clustering(result.clusters, truth)
     return result, evaluation

@@ -328,93 +328,106 @@ def load_checkpoint(
     fit) are dropped and counted on the ambient recorder
     (``checkpoint.assignments_dropped``).
     """
-    recorder = resolve(None)
-    with Span(recorder, "checkpoint.load") as span:
-        state = read_checkpoint_state(path)
-        for field in ("model", "kmeans", "now", "documents", "assignment"):
-            if field not in state:
-                raise CheckpointError(f"{path}: missing field {field!r}")
-
-        if vocabulary is None:
-            vocabulary = Vocabulary()
-
-        try:
-            model = ForgettingModel(
-                half_life=state["model"]["half_life"],
-                life_span=state["model"]["life_span"],
-            )
-            kmeans_state = state["kmeans"]
-            clusterer = IncrementalClusterer(
-                model,
-                k=kmeans_state["k"],
-                delta=kmeans_state["delta"],
-                max_iterations=kmeans_state["max_iterations"],
-                seed=kmeans_state["seed"],
-                warm_start=state.get("warm_start", True),
-                rescue_outliers=kmeans_state.get("rescue_outliers", True),
-            )
-            criterion = kmeans_state.get("criterion", "g")
-            if criterion not in ("g", "avg"):
-                raise CheckpointError(
-                    f"{path}: unknown criterion {criterion!r} in checkpoint"
-                )
-            clusterer.kmeans.criterion = criterion
-            recorded_path = (
-                kmeans_state.get("engine"), state.get("statistics_backend")
-            )
-
-            # versions 2 and 3: the live term ids, and the rows in live
-            # order
-            for term in state.get("terms", ()):
-                vocabulary.add(term)
-            documents = [
-                record_to_document(record, vocabulary)
-                for record in state["documents"]
-            ]
-            recorded = state["assignment"]
-            if state["version"] < 3:
-                if not isinstance(recorded, dict):
-                    raise TypeError("the assignment is not an object")
-                recorded = {
-                    str(doc_id): int(cluster_id)
-                    for doc_id, cluster_id in recorded.items()
-                }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path}: malformed checkpoint ({exc!r})"
-            ) from exc
-
-        if recorder.enabled and recorded_path != (
-            clusterer.kmeans.engine.name, clusterer.statistics.backend_name
-        ):
-            recorder.counter(
-                "checkpoint.path_migrated",
-                engine=recorded_path[0], backend=recorded_path[1],
-            )
-
-        if state["now"] is None:
-            # checkpoint of a clusterer that never processed a batch
-            if documents:
-                raise CheckpointError(
-                    f"{path}: documents present but clock is null"
-                )
-            span.tags["docs"] = 0
-            return clusterer, vocabulary
-        now = float(state["now"])
-        if state["version"] >= 3:
-            try:
-                dropped = clusterer.restore_batch(
-                    documents, now, recorded, before_expiry=True
-                )
-            except ValueError as exc:
-                raise CheckpointError(
-                    f"{path}: malformed checkpoint ({exc})"
-                ) from exc
-            if dropped and recorder.enabled:
-                recorder.counter("checkpoint.assignments_dropped", dropped)
-        else:
-            _restore_legacy(path, clusterer, documents, now, recorded)
+    with Span(resolve(None), "checkpoint.load") as span:
+        clusterer, vocabulary = _restore_state(
+            path, read_checkpoint_state(path), vocabulary
+        )
         span.tags["docs"] = clusterer.statistics.size
+    return clusterer, vocabulary
+
+
+def _restore_state(
+    path: PathLike,
+    state: Dict[str, Any],
+    vocabulary: Optional[Vocabulary] = None,
+) -> Tuple[IncrementalClusterer, Vocabulary]:
+    """The restore step of :func:`load_checkpoint`, over ``state``, what
+    :func:`read_checkpoint_state` parsed from ``path`` (named in
+    errors). :func:`~repro.durability.recover` reads each candidate
+    once and restores the one it picks through here."""
+    recorder = resolve(None)
+    for field in ("model", "kmeans", "now", "documents", "assignment"):
+        if field not in state:
+            raise CheckpointError(f"{path}: missing field {field!r}")
+
+    if vocabulary is None:
+        vocabulary = Vocabulary()
+
+    try:
+        model = ForgettingModel(
+            half_life=state["model"]["half_life"],
+            life_span=state["model"]["life_span"],
+        )
+        kmeans_state = state["kmeans"]
+        clusterer = IncrementalClusterer(
+            model,
+            k=kmeans_state["k"],
+            delta=kmeans_state["delta"],
+            max_iterations=kmeans_state["max_iterations"],
+            seed=kmeans_state["seed"],
+            warm_start=state.get("warm_start", True),
+            rescue_outliers=kmeans_state.get("rescue_outliers", True),
+        )
+        criterion = kmeans_state.get("criterion", "g")
+        if criterion not in ("g", "avg"):
+            raise CheckpointError(
+                f"{path}: unknown criterion {criterion!r} in checkpoint"
+            )
+        clusterer.kmeans.criterion = criterion
+        recorded_path = (
+            kmeans_state.get("engine"), state.get("statistics_backend")
+        )
+
+        # versions 2 and 3: the live term ids, and the rows in live
+        # order
+        for term in state.get("terms", ()):
+            vocabulary.add(term)
+        documents = [
+            record_to_document(record, vocabulary)
+            for record in state["documents"]
+        ]
+        recorded = state["assignment"]
+        if state["version"] < 3:
+            if not isinstance(recorded, dict):
+                raise TypeError("the assignment is not an object")
+            recorded = {
+                str(doc_id): int(cluster_id)
+                for doc_id, cluster_id in recorded.items()
+            }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: malformed checkpoint ({exc!r})"
+        ) from exc
+
+    if recorder.enabled and recorded_path != (
+        clusterer.kmeans.engine.name, clusterer.statistics.backend_name
+    ):
+        recorder.counter(
+            "checkpoint.path_migrated",
+            engine=recorded_path[0], backend=recorded_path[1],
+        )
+
+    if state["now"] is None:
+        # checkpoint of a clusterer that never processed a batch
+        if documents:
+            raise CheckpointError(
+                f"{path}: documents present but clock is null"
+            )
+        return clusterer, vocabulary
+    now = float(state["now"])
+    if state["version"] >= 3:
+        try:
+            dropped = clusterer.restore_batch(
+                documents, now, recorded, before_expiry=True
+            )
+        except ValueError as exc:
+            raise CheckpointError(
+                f"{path}: malformed checkpoint ({exc})"
+            ) from exc
+        if dropped and recorder.enabled:
+            recorder.counter("checkpoint.assignments_dropped", dropped)
+    else:
+        _restore_legacy(path, clusterer, documents, now, recorded)
     return clusterer, vocabulary
 
 

@@ -1,5 +1,8 @@
 """Tests for stream batching/replay helpers."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,9 +83,13 @@ class TestReplay:
             manual.process_batch(batch, at_time=float(day + 1))
 
         driven = IncrementalClusterer(model, k=3, seed=1)
-        results = replay(driven, repo.documents(), batch_days=1.0,
-                         origin=0.0)
+        results = []
+        last = replay(driven, repo.documents(), batch_days=1.0,
+                      origin=0.0,
+                      on_batch=lambda t, batch, result: results.append(
+                          result))
         assert len(results) == 6
+        assert last is results[-1]
         assert (
             sorted(map(sorted, results[-1].clusters))
             == sorted(map(sorted, manual.last_result.clusters))
@@ -98,6 +105,27 @@ class TestReplay:
                    (t, len(batch), result.n_documents)))
         assert len(seen) == 3
         assert seen[0][0] == 1.0
+
+    def test_only_the_last_result_is_kept(self):
+        """``on_batch`` sees every batch's result; replay returns the
+        last and holds none of the others."""
+        repo = build_topic_repository(days=4, seed=5)
+        clusterer = IncrementalClusterer(ForgettingModel(half_life=7.0),
+                                         k=2, seed=1)
+        seen = []
+        last = replay(clusterer, repo.documents(), batch_days=1.0,
+                      origin=0.0,
+                      on_batch=lambda t, batch, result: seen.append(
+                          weakref.ref(result)))
+        gc.collect()
+        assert len(seen) == 4
+        assert seen[-1]() is last
+        assert [ref() for ref in seen[:-1]] == [None] * 3
+
+    def test_no_documents_returns_none(self):
+        clusterer = IncrementalClusterer(ForgettingModel(half_life=7.0),
+                                         k=1, seed=0)
+        assert replay(clusterer, [], batch_days=1.0) is None
 
     def test_quiet_gaps_advance_clock(self):
         docs = [

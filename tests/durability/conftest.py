@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import shutil
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
@@ -29,6 +29,7 @@ from repro import (
 )
 from repro.corpus.streams import iter_batches
 from repro.corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
+from repro.durability.journal import EncodedLine
 from tests.conftest import build_topic_repository
 
 Batch = Tuple[float, List[Document]]
@@ -92,6 +93,22 @@ def growing_batches(
         ]
 
 
+class CadenceCheckpointer(Checkpointer):
+    """A :class:`Checkpointer` that compacts on every ``every``-th batch
+    since its last base instead of by size: the fixed cadence the suites
+    use to put compactions at known batches (``every=1`` rewrites the
+    base after each batch, a large ``every`` keeps every batch in the
+    log). A test oracle of the compaction rule, not a production mode.
+    """
+
+    def __init__(self, *args: Any, every: int, **kwargs: Any) -> None:
+        self.every = every
+        super().__init__(*args, **kwargs)
+
+    def _compaction_due(self, line: EncodedLine) -> bool:
+        return self._since_checkpoint + 1 >= self.every
+
+
 def make_clusterer(**kwargs: Any) -> IncrementalClusterer:
     """The durability suites' clusterer; ``kwargs`` are
     :class:`IncrementalClusterer` keywords."""
@@ -149,11 +166,13 @@ def crash_images(
     workdir: Path,
     vocabulary: Vocabulary,
     batches: List[Batch],
-    every: int = 1,
+    every: Optional[int] = 1,
     **kwargs: Any,
 ) -> List[Path]:
-    """Run the stream under a :class:`Checkpointer`, photographing the
-    on-disk artifacts after every commit.
+    """Run the stream under a :class:`CadenceCheckpointer` compacting
+    every ``every`` batches (a :class:`Checkpointer`, compacting by
+    size, with ``None``), photographing the on-disk artifacts after
+    every commit.
 
     Each returned path is the checkpoint inside an independent copy of
     the run directory exactly as a crash at that instant would leave it
@@ -163,8 +182,10 @@ def crash_images(
     live = workdir / "live"
     live.mkdir(parents=True)
     clusterer = make_clusterer(**kwargs)
-    checkpointer = Checkpointer(
-        clusterer, vocabulary, live / "state.json", every=every
+    path = live / "state.json"
+    checkpointer = (
+        Checkpointer(clusterer, vocabulary, path) if every is None
+        else CadenceCheckpointer(clusterer, vocabulary, path, every=every)
     )
     clusterer.add_commit_hook(checkpointer.record_batch)
     images: List[Path] = []

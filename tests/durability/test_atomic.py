@@ -8,13 +8,13 @@ import os
 import pytest
 
 from repro.durability.atomic import (
-    atomic_write_json,
-    atomic_write_text,
+    atomic_write_pieces,
     backup_path,
     canonical_json,
     checksum_matches,
     payload_checksum,
     prepare_checkpoint_path,
+    text_checksum_matches,
 )
 from repro.exceptions import CheckpointError
 
@@ -47,35 +47,41 @@ class TestChecksums:
         )
 
 
+def write_atomically(text, path, backup=False):
+    return atomic_write_pieces([text.encode("utf-8")], path, backup=backup)
+
+
 class TestAtomicWrite:
     def test_writes_and_counts_bytes(self, tmp_path):
         target = tmp_path / "out.txt"
-        written = atomic_write_text("héllo", target)
+        written = atomic_write_pieces(
+            ["hé".encode("utf-8"), b"llo"], target
+        )
         assert target.read_text(encoding="utf-8") == "héllo"
         assert written == len("héllo".encode("utf-8"))
 
     def test_backup_rotation_keeps_previous_generation(self, tmp_path):
         target = tmp_path / "state.json"
-        atomic_write_text("one", target, backup=True)
+        write_atomically("one", target, backup=True)
         assert not backup_path(target).exists()
-        atomic_write_text("two", target, backup=True)
+        write_atomically("two", target, backup=True)
         assert target.read_text() == "two"
         assert backup_path(target).read_text() == "one"
-        atomic_write_text("three", target, backup=True)
+        write_atomically("three", target, backup=True)
         assert backup_path(target).read_text() == "two"
 
     def test_fsync_failure_leaves_target_untouched(
         self, tmp_path, monkeypatch
     ):
         target = tmp_path / "state.json"
-        atomic_write_text("good", target)
+        write_atomically("good", target)
 
         def explode(fd):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "fsync", explode)
         with pytest.raises(OSError):
-            atomic_write_text("evil", target)
+            write_atomically("evil", target)
         monkeypatch.undo()
         assert target.read_text() == "good"
         assert list(tmp_path.glob("*.tmp")) == []
@@ -84,7 +90,7 @@ class TestAtomicWrite:
         self, tmp_path, monkeypatch
     ):
         target = tmp_path / "state.json"
-        atomic_write_text("good", target)
+        write_atomically("good", target)
         real_replace = os.replace
 
         def torn(src, dst):
@@ -92,22 +98,33 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", torn)
         with pytest.raises(OSError):
-            atomic_write_text("evil", target)
+            write_atomically("evil", target)
         monkeypatch.setattr(os, "replace", real_replace)
         assert target.read_text() == "good"
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_json_adds_verifiable_checksum(self, tmp_path):
+        """A file stamped with the canonical (version-1) checksum still
+        verifies through the reader's check."""
         target = tmp_path / "state.json"
-        atomic_write_json({"a": 1}, target, add_checksum=True)
-        state = json.loads(target.read_text())
-        assert checksum_matches(state) is True
+        payload = {"a": 1, "b": "naïve"}
+        write_atomically(json.dumps(
+            dict(payload, checksum=payload_checksum(payload)),
+            ensure_ascii=False,
+        ), target)
+        text = target.read_text(encoding="utf-8")
+        state = json.loads(text)
+        assert text_checksum_matches(text, state) is True
         assert state["a"] == 1
+        state["a"] = 2
+        assert text_checksum_matches(text, state) is False
 
     def test_json_without_checksum(self, tmp_path):
         target = tmp_path / "plain.json"
-        atomic_write_json({"a": 1}, target)
-        assert json.loads(target.read_text()) == {"a": 1}
+        write_atomically(json.dumps({"a": 1}), target)
+        text = target.read_text()
+        assert json.loads(text) == {"a": 1}
+        assert text_checksum_matches(text, json.loads(text)) is None
 
 
 class TestPrepareCheckpointPath:

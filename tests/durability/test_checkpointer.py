@@ -1,4 +1,5 @@
-"""Periodic checkpointing cadence and commit-hook integration."""
+"""The compaction rule, the fixed test cadence, and commit-hook
+integration."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from repro.exceptions import ConfigurationError
 from repro.persistence import read_checkpoint_state
 
 from tests.durability.conftest import (
+    CadenceCheckpointer,
     assert_state_matches,
     build_batches,
     fingerprint,
@@ -28,14 +30,6 @@ def checkpoint_sequence(path):
 
 
 class TestCadence:
-    def test_interval_must_be_positive(self, stream, tmp_path):
-        vocabulary, _ = stream
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            Checkpointer(
-                make_clusterer(), vocabulary,
-                tmp_path / "state.json", every=0,
-            )
-
     def test_construction_anchors_pair_on_disk(self, stream, tmp_path):
         vocabulary, _ = stream
         path = tmp_path / "state.json"
@@ -50,7 +44,7 @@ class TestCadence:
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(clusterer, vocabulary, path, every=1)
+        checkpointer = CadenceCheckpointer(clusterer, vocabulary, path, every=1)
         clusterer.add_commit_hook(checkpointer.record_batch)
         for n, (at_time, batch) in enumerate(batches, start=1):
             clusterer.process_batch(batch, at_time=at_time)
@@ -59,14 +53,13 @@ class TestCadence:
         checkpointer.close()
 
     def test_the_log_is_compacted_by_size_by_default(self, stream, tmp_path):
-        """The default: a batch is logged unless its line would make the
+        """The rule: a batch is logged unless its line would make the
         log larger than the base; then it rewrites the base and gets no
         line."""
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
         checkpointer = Checkpointer(clusterer, vocabulary, path)
-        assert checkpointer.every is None
         clusterer.add_commit_hook(checkpointer.record_batch)
         journal = checkpointer.journal_path
         compacted = logged = 0
@@ -91,7 +84,7 @@ class TestCadence:
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, path, every=3
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -108,7 +101,7 @@ class TestCadence:
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        with Checkpointer(
+        with CadenceCheckpointer(
             clusterer, vocabulary, path, every=100
         ) as checkpointer:
             clusterer.add_commit_hook(checkpointer.record_batch)
@@ -129,7 +122,7 @@ class TestCadence:
     def test_final_checkpoint_matches_live_state(self, stream, tmp_path):
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        with Checkpointer(
+        with CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=4
         ) as checkpointer:
             clusterer.add_commit_hook(checkpointer.record_batch)
@@ -148,7 +141,7 @@ class TestCommitHookContract:
         not reach the journal — replaying it would poison recovery."""
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -171,7 +164,7 @@ class TestCommitHookContract:
         vocabulary, batches = stream
         clusterer = make_clusterer()
         path = tmp_path / "state.json"
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, path, every=100
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -194,7 +187,7 @@ class TestShutdown:
     def test_close_is_idempotent(self, stream, tmp_path):
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=3
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -212,7 +205,7 @@ class TestShutdown:
         batches exist only in the journal."""
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=3
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -231,7 +224,7 @@ class TestShutdown:
     ):
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=1
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -247,7 +240,7 @@ class TestShutdown:
 
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -279,7 +272,7 @@ class TestShutdown:
 
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         clusterer.add_commit_hook(checkpointer.record_batch)
@@ -326,7 +319,7 @@ class TestShutdown:
 
         vocabulary, batches = stream
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         clusterer.add_commit_hook(checkpointer.record_batch)

@@ -23,8 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Checkpointer, Document, Vocabulary, recover
-from repro.durability.atomic import stamp
+from repro import Document, Vocabulary, recover
 from repro.durability.journal import read_journal
 from repro.durability.records import resolve_record
 from repro.exceptions import CheckpointError, JournalError
@@ -37,6 +36,7 @@ from repro.persistence import (
 
 from tests.durability.conftest import (
     Batch,
+    CadenceCheckpointer,
     Fingerprint,
     assert_state_matches,
     build_batches,
@@ -44,6 +44,7 @@ from tests.durability.conftest import (
     make_clusterer,
     reference_states,
 )
+from tests.oracles.serialisation import stamped
 
 DAYS = 6
 TERMS = ["alpha", "beta", "gamma"]
@@ -104,7 +105,7 @@ def run_images(
     live.mkdir(parents=True)
     vocabulary = Vocabulary()
     clusterer = make_clusterer()
-    checkpointer = Checkpointer(
+    checkpointer = CadenceCheckpointer(
         clusterer, vocabulary, live / "state.json", every=every
     )
     clusterer.add_commit_hook(checkpointer.record_batch)
@@ -182,19 +183,19 @@ class TestResolver:
         vocabulary, batches = build_batches(days=3)
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(clusterer, vocabulary, path, every=100)
+        checkpointer = CadenceCheckpointer(clusterer, vocabulary, path, every=100)
         clusterer.add_commit_hook(checkpointer.record_batch)
         for at_time, batch in batches[:2]:
             clusterer.process_batch(batch, at_time=at_time)
         checkpointer.abort()
         journal = checkpointer.journal_path
         # a validly stamped third line naming terms by bad ids
-        line = json.dumps({
+        line = stamped({
             "sequence": 3, "at_time": batches[2][0], "terms": [],
             "documents": [record(*row)],
-        }, ensure_ascii=False)
+        })
         with open(journal, "a", encoding="utf-8") as handle:
-            handle.write(stamp(line[:-1]) + "\n")
+            handle.write(line + "\n")
 
         contents = read_journal(journal)
         assert contents.truncated
@@ -252,7 +253,7 @@ class TestObservability:
         vocabulary, batches = build_batches(days=6)
         recorder = InMemoryRecorder()
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=3,
             recorder=recorder,
         )
@@ -265,16 +266,23 @@ class TestObservability:
         assert counters["durability.journal_batches"] == 4
         assert counters["durability.journal_skipped"] == 2
         assert len(read_journal(checkpointer.journal_path).entries) == 0
-        # the journal encoded batches 1, 2, 4 and 5 into the shared
-        # cache; a due checkpoint encodes only its own batch
+        # every batch, due or not, is encoded into the shared cache
+        # before the rule decides, so a due checkpoint encodes nothing
         saves = recorder.select("checkpoint.save")
-        assert [save.tags["new_docs"] for save in saves] == [
-            0, len(batches[2][1]), len(batches[5][1]),
-        ]
+        assert [save.tags["new_docs"] for save in saves] == [0, 0, 0]
         assert [save.tags["docs"] for save in saves] == [
             0, sum(len(b) for _, b in batches[:3]),
             clusterer.statistics.size,
         ]
+        # a checkpointer over a fed clusterer encodes its whole anchor
+        CadenceCheckpointer(
+            clusterer, vocabulary, tmp_path / "again.json", every=3,
+            recorder=recorder,
+        ).abort()
+        anchor = recorder.select("checkpoint.save")[-1]
+        assert anchor.tags["new_docs"] == anchor.tags["docs"] == (
+            clusterer.statistics.size
+        )
 
 
 @pytest.fixture(scope="module")

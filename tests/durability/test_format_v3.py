@@ -10,8 +10,10 @@ by size.
   assignment, in the live order.
 * A base written after the clock passed a document's life span, with
   no expiry since, loads with that document's assignment dropped.
-* Under the default size rule the log is never larger than the base,
-  and a batch whose line would outgrow the base compacts instead.
+* Under the size rule the log is never larger than the base, and a
+  batch whose line would outgrow the base compacts instead.
+* A journal header carries no ``base_now``; one that does, as earlier
+  writers of this version wrote it, still recovers.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Checkpointer, Vocabulary, recover
-from repro.durability.atomic import stamp
 from repro.durability.journal import read_journal
 from repro.durability.records import resolve_record
 from repro.exceptions import CheckpointError, ConfigurationError
@@ -42,6 +43,7 @@ from repro.persistence import (
 
 from tests.durability.conftest import (
     Batch,
+    CadenceCheckpointer,
     assert_state_matches,
     build_batches,
     crash_images,
@@ -49,7 +51,7 @@ from tests.durability.conftest import (
     make_clusterer,
     reference_states,
 )
-from tests.oracles.serialisation import journal_line
+from tests.oracles.serialisation import journal_line, stamped
 
 DAYS = 6
 TERMS = ["alpha", "beta", "gamma"]
@@ -100,7 +102,7 @@ def logged_run(path: Path, batches: List[Batch], vocabulary: Vocabulary):
     """Two logged batches and a crash: the base holds none of them.
     Returns the log."""
     clusterer = make_clusterer()
-    checkpointer = Checkpointer(clusterer, vocabulary, path, every=100)
+    checkpointer = CadenceCheckpointer(clusterer, vocabulary, path, every=100)
     clusterer.add_commit_hook(checkpointer.record_batch)
     for at_time, batch in batches[:2]:
         clusterer.process_batch(batch, at_time=at_time)
@@ -110,9 +112,8 @@ def logged_run(path: Path, batches: List[Batch], vocabulary: Vocabulary):
 
 def append_line(journal: Path, line: Dict[str, Any]) -> None:
     """Append ``line``, validly stamped, as the log's next line."""
-    text = json.dumps(line, ensure_ascii=False)
     with open(journal, "a", encoding="utf-8") as handle:
-        handle.write(stamp(text[:-1]) + "\n")
+        handle.write(stamped(line) + "\n")
 
 
 def third_line(batches: List[Batch], **members: Any) -> Dict[str, Any]:
@@ -323,7 +324,7 @@ class TestExpiryBehindTheClock:
         vocabulary, batches = build_batches(days=DAYS)
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(clusterer, vocabulary, path, every=100)
+        checkpointer = CadenceCheckpointer(clusterer, vocabulary, path, every=100)
         clusterer.add_commit_hook(checkpointer.record_batch)
         for at_time, batch in batches:
             clusterer.process_batch(batch, at_time=at_time)
@@ -380,7 +381,7 @@ class TestRecoveryWithoutAFit:
         vocabulary, batches = build_batches(days=DAYS)
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(clusterer, vocabulary, path, every=100)
+        checkpointer = CadenceCheckpointer(clusterer, vocabulary, path, every=100)
         clusterer.add_commit_hook(checkpointer.record_batch)
         for at_time, batch in batches:
             clusterer.process_batch(batch, at_time=at_time)
@@ -404,7 +405,7 @@ class TestRecoveryWithoutAFit:
         vocabulary, batches = build_batches(days=10)
         path = tmp_path / "state.json"
         crashed = make_clusterer()
-        checkpointer = Checkpointer(crashed, vocabulary, path, every=100)
+        checkpointer = CadenceCheckpointer(crashed, vocabulary, path, every=100)
         crashed.add_commit_hook(checkpointer.record_batch)
         for at_time, batch in batches[:6]:
             crashed.process_batch(batch, at_time=at_time)
@@ -472,6 +473,51 @@ class TestSizeRule:
         assert 0 in replayed[1:] and max(replayed) > 1
 
 
+class TestJournalHeader:
+    """A new header names its base by sequence alone; a header that also
+    carries the base's clock (``base_now``), as earlier writers of this
+    version wrote it, still reads and recovers."""
+
+    def test_a_new_header_carries_no_base_clock(self, tmp_path):
+        vocabulary, batches = build_batches(days=DAYS)
+        references = reference_states(batches)
+        images = crash_images(tmp_path, vocabulary, batches, every=2)
+        for n, image in enumerate(images):
+            journal = image.with_name(image.name + ".journal")
+            header = json.loads(journal.read_bytes().split(b"\n")[0])
+            assert set(header) == {
+                "format", "version", "base_sequence", "checksum",
+            }
+            assert header["base_sequence"] == n - n % 2
+            recovery = recover(image)
+            assert recovery.sequence == n
+            assert recovery.replayed_batches == n % 2
+            assert_state_matches(recovery.clusterer, references[n])
+
+    def test_a_header_with_a_base_clock_still_recovers(self, tmp_path):
+        vocabulary, batches = build_batches(days=DAYS)
+        references = reference_states(batches)
+        images = crash_images(tmp_path, vocabulary, batches, every=2)
+        for n, image in enumerate(images):
+            base = n - n % 2
+            journal = image.with_name(image.name + ".journal")
+            _, lines = journal.read_bytes().split(b"\n", 1)
+            journal.write_bytes(stamped({
+                "format": "repro-journal",
+                "version": 3,
+                "base_sequence": base,
+                "base_now": references[base]["now"],
+            }).encode("utf-8") + b"\n" + lines)
+            contents = read_journal(journal)
+            assert contents.base_sequence == base
+            assert len(contents.entries) == n - base
+            recovery = recover(image)
+            assert recovery.sequence == n
+            assert recovery.replayed_batches == n - base
+            assert not recovery.journal_truncated
+            assert_state_matches(recovery.clusterer, references[n])
+
+
 # -- mutated bytes and torn tails ------------------------------------------
 
 
@@ -488,7 +534,7 @@ def mutation_run(tmp_path_factory):
         vocabulary = Vocabulary()
         live = tmp_path_factory.mktemp(f"every{every}")
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, live / "state.json", every=every
         )
         clusterer.add_commit_hook(checkpointer.record_batch)

@@ -12,7 +12,7 @@ from repro.durability.journal import (
     default_journal_path,
     read_journal,
 )
-from repro.durability.records import assignment_text
+from repro.durability.records import RecordCache, assignment_text
 from repro.exceptions import JournalError
 from repro.persistence import record_to_document
 
@@ -29,10 +29,22 @@ def unassigned(batch):
     return assignment_text([doc.doc_id for doc in batch], {})
 
 
+def open_journal(path, vocabulary, base_sequence=0):
+    return BatchJournal(
+        path, RecordCache(vocabulary), base_sequence=base_sequence
+    )
+
+
+def append(journal, batch, at_time):
+    """Log ``batch`` as the next line, none of its documents assigned;
+    returns its sequence."""
+    return journal.write(journal.encode(batch, at_time, unassigned(batch)))
+
+
 def write_journal(path, vocabulary, batches, base_sequence=0):
-    journal = BatchJournal(path, vocabulary, base_sequence=base_sequence)
+    journal = open_journal(path, vocabulary, base_sequence)
     for at_time, batch in batches:
-        journal.append(batch, at_time, unassigned(batch))
+        append(journal, batch, at_time)
     journal.close()
     return journal
 
@@ -71,48 +83,42 @@ class TestRoundTrip:
     def test_rotate_restarts_under_new_base(self, stream, tmp_path):
         vocabulary, batches = stream
         path = tmp_path / "run.journal"
-        journal = BatchJournal(path, vocabulary)
-        journal.append(
-            batches[0][1], batches[0][0], unassigned(batches[0][1])
-        )
-        journal.rotate(base_sequence=1, base_now=batches[0][0])
-        journal.append(
-            batches[1][1], batches[1][0], unassigned(batches[1][1])
-        )
+        journal = open_journal(path, vocabulary)
+        append(journal, batches[0][1], batches[0][0])
+        journal.rotate(base_sequence=1)
+        append(journal, batches[1][1], batches[1][0])
         journal.close()
 
         contents = read_journal(path)
         assert contents.base_sequence == 1
-        assert contents.base_now == batches[0][0]
         assert [e.sequence for e in contents.entries] == [2]
 
     def test_append_after_close_raises(self, stream, tmp_path):
         vocabulary, batches = stream
-        journal = BatchJournal(tmp_path / "run.journal", vocabulary)
+        journal = open_journal(tmp_path / "run.journal", vocabulary)
+        line = journal.encode(
+            batches[0][1], batches[0][0], unassigned(batches[0][1])
+        )
         journal.close()
         assert journal.closed
         with pytest.raises(JournalError, match="closed"):
-            journal.append(
-                batches[0][1], batches[0][0], unassigned(batches[0][1])
-            )
+            append(journal, batches[0][1], batches[0][0])
+        with pytest.raises(JournalError, match="closed"):
+            journal.write(line)
 
     def test_failed_fsync_closes_journal(
         self, stream, tmp_path, monkeypatch
     ):
         vocabulary, batches = stream
-        journal = BatchJournal(tmp_path / "run.journal", vocabulary)
-        journal.append(
-            batches[0][1], batches[0][0], unassigned(batches[0][1])
-        )
+        journal = open_journal(tmp_path / "run.journal", vocabulary)
+        append(journal, batches[0][1], batches[0][0])
 
         def explode(fd):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "fsync", explode)
         with pytest.raises(OSError):
-            journal.append(
-                batches[1][1], batches[1][0], unassigned(batches[1][1])
-            )
+            append(journal, batches[1][1], batches[1][0])
         monkeypatch.undo()
         assert journal.closed
         # the first entry is still intact on disk
@@ -190,7 +196,7 @@ class TestHeaderValidation:
     def test_header_checksum_mismatch(self, stream, tmp_path):
         vocabulary, _ = stream
         path = tmp_path / "run.journal"
-        BatchJournal(path, vocabulary, base_sequence=3).close()
+        open_journal(path, vocabulary, base_sequence=3).close()
         text = path.read_text().replace(
             '"base_sequence":3', '"base_sequence":4'
         ).replace('"base_sequence": 3', '"base_sequence": 4')

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import Checkpointer, recover
+from repro import recover
 from repro.durability.atomic import backup_path
 from repro.exceptions import CheckpointError
 from repro.persistence import read_checkpoint_state
 
 from tests.durability.conftest import (
+    CadenceCheckpointer,
     assert_state_matches,
     crash_images,
     make_clusterer,
@@ -62,7 +63,7 @@ class TestCrashAtEveryCommit:
         recovery = recover(images[3])
         clusterer = recovery.clusterer
         path = tmp_path / "second" / "state.json"
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, recovery.vocabulary, path,
             every=2, sequence=recovery.sequence,
         )
@@ -85,7 +86,7 @@ class TestTornCheckpointWrites:
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(clusterer, vocabulary, path, every=1)
+        checkpointer = CadenceCheckpointer(clusterer, vocabulary, path, every=1)
         clusterer.add_commit_hook(checkpointer.record_batch)
         clusterer.process_batch(batches[0][1], at_time=batches[0][0])
 
@@ -141,6 +142,51 @@ class TestTornCheckpointWrites:
     def test_missing_everything_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             recover(tmp_path / "never-written.json")
+
+
+class TestCheckpointReads:
+    """Recovery parses each candidate checkpoint once: the one it picks
+    is restored from that parse, not read again."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        import repro.durability.recovery as recovery_module
+        import repro.persistence as persistence_module
+
+        calls = []
+        real = persistence_module.read_checkpoint_state
+
+        def counting(path):
+            calls.append(Path(path).name)
+            return real(path)
+
+        for module in (recovery_module, persistence_module):
+            monkeypatch.setattr(module, "read_checkpoint_state", counting)
+        return calls
+
+    def test_a_valid_primary_is_read_once(
+        self, stream, references, tmp_path, monkeypatch
+    ):
+        vocabulary, batches = stream
+        images = crash_images(tmp_path, vocabulary, batches[:3], every=2)
+        calls = self.spy(monkeypatch)
+        recovery = recover(images[3])
+        assert calls == ["state.json"]
+        assert recovery.sequence == 3
+        assert_state_matches(recovery.clusterer, references[3])
+
+    def test_each_candidate_is_read_once(
+        self, stream, references, tmp_path, monkeypatch
+    ):
+        vocabulary, batches = stream
+        images = crash_images(tmp_path, vocabulary, batches[:3], every=1)
+        images[3].write_text("{torn")
+        calls = self.spy(monkeypatch)
+        recovery = recover(images[3])
+        assert calls == ["state.json", "state.json.bak"]
+        assert recovery.used_backup
+        assert recovery.sequence == 2
+        assert_state_matches(recovery.clusterer, references[2])
 
 
 class TestJournalFaults:
@@ -225,7 +271,7 @@ class TestJournalFaults:
         vocabulary, batches = stream
         path = tmp_path / "state.json"
         clusterer = make_clusterer()
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, path, every=100
         )
         clusterer.add_commit_hook(checkpointer.record_batch)

@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import pytest
 
-from repro import Checkpointer, Document, IncrementalClusterer, recover
+from repro import Document, IncrementalClusterer, recover
 from repro.durability.atomic import backup_path
 from repro.durability.records import RecordCache
 from repro.exceptions import CheckpointError
@@ -29,6 +29,7 @@ from repro.text.vocabulary import Vocabulary
 
 from tests.durability.conftest import (
     Batch,
+    CadenceCheckpointer,
     build_batches,
     growing_batches,
     make_clusterer,
@@ -83,7 +84,7 @@ class OracleFiles:
         self.path = path
         self.every = every
         self.sequence = sequence
-        self.checkpointer = Checkpointer(
+        self.checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, path, every=every, sequence=sequence
         )
         clusterer.add_commit_hook(self.checkpointer.record_batch)
@@ -94,9 +95,7 @@ class OracleFiles:
         self.checkpoint = checkpoint_text(
             self.clusterer, self.vocabulary, self.sequence
         )
-        self.journal = journal_header(
-            self.sequence, self.clusterer.statistics.now
-        )
+        self.journal = journal_header(self.sequence)
         self.since = 0
         # terms the journal's lines have carried since its header
         self.terms = 0

@@ -16,12 +16,13 @@ from typing import List, Tuple
 
 import pytest
 
-from repro import Checkpointer, Document, Vocabulary, recover
+from repro import Document, Vocabulary, recover
 from repro.exceptions import CheckpointError
 from repro.persistence import load_checkpoint, read_checkpoint_state
 
 from tests.durability.conftest import (
     Batch,
+    CadenceCheckpointer,
     assert_state_matches,
     build_batches,
     reference_states,
@@ -118,7 +119,7 @@ def test_a_v1_checksum_still_catches_corruption(image):
 def test_a_run_resumed_from_v1_writes_v3(stream, image):
     vocabulary, batches = stream
     recovery = recover(image, vocabulary=vocabulary)
-    checkpointer = Checkpointer(
+    checkpointer = CadenceCheckpointer(
         recovery.clusterer, vocabulary, image, every=3,
         sequence=recovery.sequence,
     )

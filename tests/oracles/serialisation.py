@@ -23,7 +23,9 @@ from repro.corpus.document import Document
 from repro.text.vocabulary import Vocabulary
 
 
-def _stamped(payload: Mapping[str, Any]) -> str:
+def stamped(payload: Mapping[str, Any]) -> str:
+    """``payload`` as ``json.dumps`` writes it, closed with its byte
+    checksum member."""
     body = json.dumps(payload, ensure_ascii=False)[:-1]
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + ", " + json.dumps({"checksum": f"sha256:{digest}"})[1:]
@@ -95,16 +97,15 @@ def checkpoint_text(
     }
     if sequence is not None:
         state["sequence"] = int(sequence)
-    return _stamped(state)
+    return stamped(state)
 
 
-def journal_header(base_sequence: int, base_now: Optional[float]) -> str:
+def journal_header(base_sequence: int) -> str:
     """The header line a journal based at ``base_sequence`` starts with."""
-    return _stamped({
+    return stamped({
         "format": "repro-journal",
         "version": 3,
         "base_sequence": int(base_sequence),
-        "base_now": base_now,
     }) + "\n"
 
 
@@ -119,7 +120,7 @@ def journal_line(
     the vocabulary terms added since the log's previous line (every
     term, for its first line), and ``clusterer`` is the state after the
     batch."""
-    return _stamped({
+    return stamped({
         "sequence": int(sequence),
         "at_time": float(at_time),
         "terms": terms,

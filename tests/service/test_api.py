@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro import IncrementalClusterer
+from repro import IncrementalClusterer, api
 from repro.api import StreamSession, build_clusterer, open_stream
 from repro.durability import read_journal
 from repro.exceptions import ConfigurationError
 from repro.obs import InMemoryRecorder, NullRecorder, use_recorder
+from tests.durability.conftest import CadenceCheckpointer
 
 from .conftest import SERVICE_KWARGS, assert_snapshot_parity, reference_snapshot
 
@@ -95,17 +98,22 @@ class TestOpenStream:
             )
             assert journal.base_sequence + len(journal.entries) == 4
 
-    def test_passed_recorder_sees_durability_metrics(self, stream, tmp_path):
+    def test_passed_recorder_sees_durability_metrics(
+        self, stream, tmp_path, monkeypatch
+    ):
         # the ambient recorder stays the Null one: everything durable
         # must reach the recorder handed to open_stream
         vocabulary, batches = stream
         recorder = InMemoryRecorder()
         # the first batch is journaled, the second is checkpointed
         # (a batch whose checkpoint is due gets no journal line)
+        monkeypatch.setattr(
+            api, "Checkpointer", partial(CadenceCheckpointer, every=2)
+        )
         with use_recorder(NullRecorder()):
             with open_stream(
                 vocabulary=vocabulary, checkpoint=tmp_path / "run.ckpt",
-                checkpoint_every=2, recorder=recorder, **SERVICE_KWARGS,
+                recorder=recorder, **SERVICE_KWARGS,
             ) as session:
                 recorder.clear()
                 for at_time, batch in batches[:2]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro import ClusterService
 from repro.api import build_clusterer, open_stream
-from repro.durability import Checkpointer
+from tests.durability.conftest import CadenceCheckpointer
 
 from .conftest import (
     SERVICE_KWARGS,
@@ -218,7 +218,7 @@ class TestVersionContinuity:
         published: list = []
 
         clusterer = build_clusterer(**SERVICE_KWARGS)
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, path, every=2
         )
         service = ClusterService(

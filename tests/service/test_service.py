@@ -19,7 +19,7 @@ import pytest
 from repro import ClusterService, ClusterSnapshot, Document
 from repro.api import build_clusterer
 from repro.corpus.streams import iter_batches
-from repro.durability import Checkpointer, read_journal
+from repro.durability import read_journal
 from repro.exceptions import (
     ConfigurationError,
     ServiceClosedError,
@@ -27,6 +27,8 @@ from repro.exceptions import (
 )
 from repro.obs import InMemoryRecorder
 from repro.persistence import document_record
+
+from tests.durability.conftest import CadenceCheckpointer
 
 from .conftest import SERVICE_KWARGS, assert_snapshot_parity, reference_snapshot
 
@@ -155,7 +157,7 @@ class TestDurabilityWiring:
     def test_snapshot_version_equals_journal_sequence(self, stream, tmp_path):
         vocabulary, batches = stream
         clusterer = build_clusterer(**SERVICE_KWARGS)
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         with ClusterService(clusterer, checkpointer=checkpointer) as service:
@@ -169,7 +171,7 @@ class TestDurabilityWiring:
     def test_close_takes_final_checkpoint(self, stream, tmp_path):
         vocabulary, batches = stream
         clusterer = build_clusterer(**SERVICE_KWARGS)
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         service = ClusterService(clusterer, checkpointer=checkpointer)
@@ -186,7 +188,7 @@ class TestDurabilityWiring:
         # claims a journal sequence the journal does not hold.
         vocabulary, batches = stream
         clusterer = build_clusterer(**SERVICE_KWARGS)
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         service = ClusterService(clusterer, checkpointer=checkpointer)
@@ -223,7 +225,7 @@ class TestDurabilityWiring:
     def test_kill_skips_final_checkpoint(self, stream, tmp_path):
         vocabulary, batches = stream
         clusterer = build_clusterer(**SERVICE_KWARGS)
-        checkpointer = Checkpointer(
+        checkpointer = CadenceCheckpointer(
             clusterer, vocabulary, tmp_path / "state.json", every=100
         )
         service = ClusterService(clusterer, checkpointer=checkpointer)

@@ -1,10 +1,14 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+from functools import partial
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.corpus.loaders import save_jsonl
 from tests.conftest import build_topic_repository
+from tests.durability.conftest import CadenceCheckpointer
 
 
 @pytest.fixture
@@ -119,6 +123,14 @@ class TestCluster:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+def compact_every(monkeypatch, every):
+    """Make ``repro cluster --checkpoint`` rewrite its base on every
+    ``every``-th batch instead of by size (the suites' fixed cadence)."""
+    monkeypatch.setattr(
+        cli, "Checkpointer", partial(CadenceCheckpointer, every=every)
+    )
+
+
 class TestDurability:
     def test_checkpoint_creates_missing_parent_dirs(
         self, stream_file, tmp_path, capsys
@@ -147,38 +159,17 @@ class TestDurability:
         assert "cannot create checkpoint directory" in captured.err
         assert "t=" not in captured.out  # no batch ever ran
 
-    def test_checkpoint_every_requires_checkpoint(
-        self, stream_file, capsys
-    ):
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--checkpoint-every", "2",
-        ])
-        assert code == 2
-        assert "requires --checkpoint" in capsys.readouterr().err
-
-    def test_checkpoint_every_must_be_positive(
-        self, stream_file, tmp_path, capsys
-    ):
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--checkpoint", str(tmp_path / "state.json"),
-            "--checkpoint-every", "0",
-        ])
-        assert code == 2
-        assert "must be >= 1" in capsys.readouterr().err
-
     def test_periodic_checkpoints_and_journal_on_disk(
-        self, stream_file, tmp_path, capsys
+        self, stream_file, tmp_path, capsys, monkeypatch
     ):
         import json
 
+        compact_every(monkeypatch, 2)
         state = tmp_path / "state.json"
         code = main([
             "cluster", "--input", str(stream_file),
             "--k", "4", "--batch-days", "2",
-            "--checkpoint", str(state), "--checkpoint-every", "2",
-            "--quiet",
+            "--checkpoint", str(state), "--quiet",
         ])
         assert code == 0
         final = json.loads(state.read_text())
@@ -208,16 +199,16 @@ class TestDurability:
         assert "state.json.bak" in out
 
     def test_resume_replays_journaled_batches(
-        self, stream_file, tmp_path, capsys
+        self, stream_file, tmp_path, capsys, monkeypatch
     ):
         """With a sparse checkpoint cadence, the tail of the run lives
         only in the journal — resume must replay it."""
+        compact_every(monkeypatch, 100)
         state = tmp_path / "state.json"
         code = main([
             "cluster", "--input", str(stream_file),
             "--k", "4", "--batch-days", "2",
-            "--checkpoint", str(state), "--checkpoint-every", "100",
-            "--quiet",
+            "--checkpoint", str(state), "--quiet",
         ])
         assert code == 0
         capsys.readouterr()

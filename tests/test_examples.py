@@ -16,6 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, args, expected", [
     ("custom_corpus.py", [], "medoid:"),
+    ("quickstart.py", [], "topics detected:"),
+    ("pipeline_trace.py", [], "JSONL trace:"),
+    ("news_stream_monitor.py", ["--weeks", "3"], "as their coverage ends"),
+    ("hot_topic_detection.py", [], "macro F1"),
+    # window 4 (the default) is the smallest; GAC takes most of the run
+    ("baseline_comparison.py", [], "F2ICM (predecessor)"),
 ])
 def test_example_runs(script, args, expected, tmp_path):
     env = dict(os.environ)

@@ -244,12 +244,15 @@ class TestStatisticsBackendField:
 
 
 def _rewrite(path, edit):
-    from repro.durability.atomic import atomic_write_json
+    """Edit the checkpoint and re-stamp it with the canonical checksum
+    a tool (or a version-1 writer) stamps."""
+    from repro.durability.atomic import payload_checksum
 
     state = json.load(open(path))
     del state["checksum"]
     edit(state)
-    atomic_write_json(state, path, add_checksum=True)
+    state["checksum"] = payload_checksum(state)
+    path.write_text(json.dumps(state, ensure_ascii=False))
 
 
 def _load_counting(path, vocabulary):
