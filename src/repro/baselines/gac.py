@@ -22,7 +22,8 @@ Implementation:
 
 The group-average similarity of a merge uses the unit-vector identity
 ``avg_pair_sim(C) = (‖Σv‖² - |C|) / (|C|(|C|-1))`` so candidate scoring
-needs only summed vectors.
+needs only summed vectors. A pair's score never changes, so each
+agglomeration scores every pair once and keeps the scores.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 import time as time_module
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from .._validation import (
     require_in_open_interval,
@@ -45,8 +48,8 @@ class _Unit:
     """A work unit: one cluster-in-progress (initially a single doc).
 
     ``norm_sq`` (the self dot of the vector sum) is cached per unit —
-    the agglomeration loop scores O(b²) candidate pairs per merge and
-    each score needs both self dots, which never change for a unit.
+    every candidate score needs both self dots, which never change for
+    a unit.
     """
 
     __slots__ = ("doc_ids", "vector_sum", "first_timestamp", "norm_sq")
@@ -177,25 +180,45 @@ class GACClusterer:
 
     @staticmethod
     def _agglomerate(bucket: List[_Unit], goal: int) -> List[_Unit]:
-        """Greedy group-average agglomeration until ``goal`` units remain."""
-        units = list(bucket)
-        while len(units) > goal:
-            best_pair = None
-            best_score = -1.0
-            for i in range(len(units)):
-                for j in range(i + 1, len(units)):
-                    score = GACClusterer._merge_score(units[i], units[j])
-                    if score > best_score:
-                        best_score = score
-                        best_pair = (i, j)
-            if best_pair is None:
-                break
-            i, j = best_pair
-            merged = units[i].merged_with(units[j])
-            units = (
-                units[:i] + units[i + 1:j] + units[j + 1:] + [merged]
-            )
-        return units
+        """Greedy group-average agglomeration until ``goal`` units remain.
+
+        Each step merges the first pair, in list order, with the highest
+        :meth:`_merge_score` above -1.0, drops the two from the list and
+        appends the merged unit. Units get slots in order of creation,
+        so the list order is the slot order, and ``scores[a, b]`` holds
+        the score of slots ``a < b``: the first maximum of the row-major
+        matrix is the list's first best pair. A merge retires two slots
+        and scores one new column. Retired slots, the diagonal and the
+        lower triangle hold -inf.
+        """
+        if len(bucket) <= goal:
+            return list(bucket)
+        units: List[Optional[_Unit]] = list(bucket)
+        slots = 2 * len(bucket) - goal  # the bucket, then one per merge
+        scores = np.full((slots, slots), -math.inf)
+        for b in range(1, len(bucket)):
+            scores[:b, b] = [
+                GACClusterer._merge_score(first, bucket[b])
+                for first in bucket[:b]
+            ]
+        for _ in range(len(bucket) - goal):
+            i, j = divmod(int(scores.argmax()), slots)
+            if scores[i, j] <= -1.0:
+                break  # no pair may merge
+            first, second = units[i], units[j]
+            assert first is not None and second is not None
+            merged = first.merged_with(second)
+            units[i] = units[j] = None
+            scores[[i, j], :] = -math.inf
+            scores[:, [i, j]] = -math.inf
+            new = len(units)
+            scores[:new, new] = [
+                -math.inf if unit is None
+                else GACClusterer._merge_score(unit, merged)
+                for unit in units
+            ]
+            units.append(merged)
+        return [unit for unit in units if unit is not None]
 
     @staticmethod
     def _merge_score(first: _Unit, second: _Unit) -> float:

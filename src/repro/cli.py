@@ -5,7 +5,6 @@
     repro generate --output stream.jsonl [--seed N] [--total-docs N]
     repro cluster  --input stream.jsonl [--k N] [--half-life D]
                    [--life-span D] [--batch-days D]
-                   [--jobs N]
                    [--checkpoint state.json]
                    [--resume state.json] [--trace trace.jsonl]
     repro serve    --input stream.jsonl [--k N] [--batch-days D]
@@ -81,10 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--life-span", type=float, default=14.0)
     cluster.add_argument("--batch-days", type=float, default=7.0)
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the text front-end "
-                              "when the input carries raw text bodies "
-                              "(default: serial)")
     cluster.add_argument("--top-terms", type=int, default=4)
     cluster.add_argument("--checkpoint", default=None,
                          help="maintain a crash-safe checkpoint at this "
@@ -236,9 +231,9 @@ def _run_cluster(
         from .obs import use_recorder
 
         with use_recorder(recorder):
-            documents = load_jsonl(args.input, vocabulary, jobs=args.jobs)
+            documents = load_jsonl(args.input, vocabulary)
     else:
-        documents = load_jsonl(args.input, vocabulary, jobs=args.jobs)
+        documents = load_jsonl(args.input, vocabulary)
     documents.sort(key=lambda d: d.timestamp)
     if not documents:
         print("no documents in input", file=sys.stderr)

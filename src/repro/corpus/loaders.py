@@ -110,7 +110,6 @@ def load_jsonl(
     path: PathLike,
     vocabulary: Vocabulary,
     pipeline: Optional[TextPipeline] = None,
-    jobs: Optional[int] = None,
 ) -> List[Document]:
     """Read documents from a JSONL file produced by :func:`save_jsonl`.
 
@@ -119,9 +118,7 @@ def load_jsonl(
 
     Records may carry pre-counted ``terms`` or a raw ``text`` body;
     bodies are tokenised through ``pipeline`` (a default
-    :class:`~repro.text.TextPipeline` if not given). ``jobs`` > 1
-    parallelises that text stage across processes — it has no effect
-    on ``terms`` records.
+    :class:`~repro.text.TextPipeline` if not given).
     """
     documents: List[Document] = []
     raw_texts: List[str] = []
@@ -157,7 +154,7 @@ def load_jsonl(
     if raw_texts:
         if pipeline is None:
             pipeline = TextPipeline()
-        counts_list = pipeline.batch_term_frequencies(raw_texts, jobs=jobs)
+        counts_list = pipeline.batch_term_frequencies(raw_texts)
         for slot, counts in zip(raw_slots, counts_list):
             stale = documents[slot]
             documents[slot] = Document(

@@ -359,12 +359,12 @@ class ClusterSnapshot:
 
         A document's row is taken as it is held.
 
-        Text queries run the attached pipeline with its term memo read
-        only (:meth:`TextPipeline.query_frequencies`) and look terms up
-        *without interning* (:meth:`Vocabulary.lookup`), so reader threads
-        never mutate shared state; terms the vocabulary has never seen
-        still count toward the length, as they would for a real
-        document whose unseen terms carry idf 0.
+        Text queries run the attached pipeline through its query memo
+        (:meth:`TextPipeline.query_frequencies`), never the producer's,
+        and look terms up *without interning* (:meth:`Vocabulary.lookup`),
+        so reader threads never mutate the producer's state; terms the
+        vocabulary has never seen still count toward the length, as they
+        would for a real document whose unseen terms carry idf 0.
         """
         if isinstance(query, Document):
             return (query.term_ids.astype(np.int64),

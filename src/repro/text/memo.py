@@ -44,8 +44,8 @@ class TermMemo:
     {'cats': 2, 'cat': 1}
     >>> memo.hits, memo.misses
     (2, 6)
-    >>> memo.peek([b"dogs", b"cat"]), memo.hits, memo.misses, len(memo)
-    (['dogs', 'cat'], 2, 6, 4)
+    >>> len(memo), memo.lookup([b"cats"]), memo.hits
+    (4, ['cats'], 3)
     """
 
     __slots__ = ("tokenizer", "stopwords", "stem", "maxsize", "terms",
@@ -107,20 +107,6 @@ class TermMemo:
             counts = Counter(self._fill(list(map(terms.get, tokens)), tokens))
         counts.pop("", None)
         return cast(Dict[str, int], dict(counts))  # no None is left
-
-    def peek(self, tokens: List[bytes]) -> List[str]:
-        """:meth:`lookup` without side effects: a miss is answered with
-        its term but neither stored nor counted, and the counters do not
-        move. For lookups that must not shape the memo, such as reader
-        queries beside a producer that shares it."""
-        terms = self.terms
-        found = list(map(terms.get, tokens))
-        if None in found:
-            found = [
-                self.term(token.decode("ascii")) if term is None else term
-                for term, token in zip(found, tokens)
-            ]
-        return cast(List[str], found)
 
     def _fill(self, found: List[Optional[str]],
               tokens: List[bytes]) -> List[Optional[str]]:

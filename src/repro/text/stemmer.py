@@ -40,7 +40,6 @@ word the same stem.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .memo import DEFAULT_MAXSIZE, TermMemo
@@ -111,17 +110,8 @@ _STEP4 = _by_penultimate(tuple((suffix, "") for suffix in (
 
 
 class PorterStemmer:
-    """Stateless Porter stemmer with an internal memo cache.
-
-    The cache makes repeated stemming of a Zipfian token stream cheap;
-    it is bounded only by vocabulary size, which for news corpora is
-    small (tens of thousands of surface forms).
-    """
-
-    def __init__(self, cache: bool = True) -> None:
-        self._cache: Optional[Dict[str, str]] = {} if cache else None
-
-    # -- public API --------------------------------------------------
+    """Stateless Porter stemmer; a memo belongs in front of it
+    (:class:`MemoizedStemmer`), not inside."""
 
     def stem(self, word: str) -> str:
         """Return the Porter stem of ``word`` (expects lowercase input)."""
@@ -129,14 +119,7 @@ class PorterStemmer:
             raise TypeError(f"word must be str, got {type(word).__name__}")
         if len(word) <= 2:
             return word
-        if self._cache is not None:
-            cached = self._cache.get(word)
-            if cached is not None:
-                return cached
-        result = _stem_uncached(word)
-        if self._cache is not None:
-            self._cache[word] = result
-        return result
+        return _stem_uncached(word)
 
     def __call__(self, word: str) -> str:
         return self.stem(word)
@@ -218,34 +201,23 @@ def stem(word: str) -> str:
 
 
 class MemoizedStemmer:
-    """Bounded LRU memo around any ``token -> stem`` callable.
+    """A ``token -> stem`` callable and the term memos that stem with it.
 
-    Token streams are Zipfian, so a small cache absorbs almost every
-    lookup (hit rates around 99% on news text). Unlike
-    ``PorterStemmer``'s built-in memo — a plain dict that grows with
-    the surface vocabulary and keeps no statistics — this wrapper
-    evicts least-recently-used entries at ``maxsize`` and counts
-    hits/misses, which the text pipeline exports as gauges.
-
-    It also owns the :class:`~repro.text.memo.TermMemo` of every
+    Token streams are Zipfian, so a memo absorbs almost every lookup
+    (hit rates around 99% on news text). This class owns the
+    :class:`~repro.text.memo.TermMemo` of every
     :class:`~repro.text.TextPipeline` that stems with it, one per set
-    of filter settings (:meth:`term_memo`). Each is bounded by
-    ``maxsize``; :meth:`cache_info` counts their lookups with its own,
-    and :meth:`cache_clear` empties them all.
-
-    Picklable, so a pipeline carrying one can cross a process-pool
-    boundary (each worker starts with a copy of the cache as of the
-    fork; hit counters are per-process).
+    of filter settings (:meth:`term_memo`), each bounded by
+    ``maxsize``. :meth:`cache_info` sums their counters and sizes,
+    which the text pipeline exports as gauges, and :meth:`cache_clear`
+    empties them all.
 
     >>> stemmer = MemoizedStemmer(maxsize=4096)
-    >>> stemmer("relational")
-    'relat'
-    >>> stemmer.cache_info()["misses"]
-    1
-    >>> stemmer("relational") == stemmer("relational")
-    True
-    >>> stemmer.cache_info()["hits"]
-    2
+    >>> memo = stemmer.term_memo(Tokenizer(), frozenset())
+    >>> memo.lookup([b"relational"]), memo.lookup([b"relational"])
+    (['relat'], ['relat'])
+    >>> stemmer.cache_info()
+    {'hits': 1, 'misses': 1, 'maxsize': 4096, 'currsize': 1}
     """
 
     def __init__(
@@ -257,31 +229,10 @@ class MemoizedStemmer:
             raise ValueError(
                 f"maxsize must be an int >= 1, got {maxsize!r}"
             )
-        # wrap a cache-less Porter by default: double-caching would
-        # just hold every stem twice
-        self.stemmer = (
-            stemmer if stemmer is not None else PorterStemmer(cache=False)
-        )
+        self.stemmer = stemmer if stemmer is not None else PorterStemmer()
         self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._cache: "OrderedDict[str, str]" = OrderedDict()
         self._memos: Dict[Tuple[Tuple[int, bool, int], FrozenSet[str]],
                           TermMemo] = {}
-
-    def __call__(self, word: str) -> str:
-        cache = self._cache
-        stemmed = cache.get(word)
-        if stemmed is not None:
-            self.hits += 1
-            cache.move_to_end(word)
-            return stemmed
-        self.misses += 1
-        stemmed = self.stemmer(word)
-        cache[word] = stemmed
-        if len(cache) > self.maxsize:
-            cache.popitem(last=False)
-        return stemmed
 
     def term_memo(
         self, tokenizer: Tokenizer, stopwords: FrozenSet[str]
@@ -289,7 +240,7 @@ class MemoizedStemmer:
         """The term memo for these filter settings, made on first use.
 
         Pipelines with equal settings share one memo. It stems with the
-        wrapped callable directly, so each token looked up counts once.
+        wrapped callable, so each token looked up counts once.
         """
         return self._memos.setdefault(
             (tokenizer.settings, stopwords),
@@ -297,22 +248,17 @@ class MemoizedStemmer:
         )
 
     def cache_info(self) -> Dict[str, int]:
-        """``{hits, misses, maxsize, currsize}`` — for gauges and tests.
-
-        Counts and sizes cover the term memos too.
-        """
+        """``{hits, misses, maxsize, currsize}`` over the term memos —
+        for gauges and tests."""
         memos = list(self._memos.values())
         return {
-            "hits": self.hits + sum(memo.hits for memo in memos),
-            "misses": self.misses + sum(memo.misses for memo in memos),
+            "hits": sum(memo.hits for memo in memos),
+            "misses": sum(memo.misses for memo in memos),
             "maxsize": self.maxsize,
-            "currsize": len(self._cache) + sum(map(len, memos)),
+            "currsize": sum(map(len, memos)),
         }
 
     def cache_clear(self) -> None:
-        """Empty the cache and every term memo, and reset the counters."""
-        self._cache.clear()
+        """Empty every term memo and reset its counters."""
         for memo in list(self._memos.values()):
             memo.clear()
-        self.hits = 0
-        self.misses = 0

@@ -30,6 +30,9 @@ whose production form lives in ``src/repro`` on arrays:
 * :mod:`.stemmer` — :class:`~.stemmer.ReferenceStemmer`, Porter's
   rules one condition at a time, the oracle for the map-based
   :class:`~repro.text.PorterStemmer`.
+* :mod:`.gac` — GAC's agglomeration rescoring every pair after every
+  merge, the oracle for ``GACClusterer._agglomerate``, which scores
+  each pair once.
 
 Nothing in the library imports these (reprolint REP007 checks it). The parity suites pass the two
 oracle classes in where the library takes an engine or a backend:

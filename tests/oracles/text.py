@@ -50,26 +50,20 @@ class ReferencePipeline:
         tokenizer: Optional[Tokenizer] = None,
         stopwords: Optional[FrozenSet[str]] = None,
         stemmer: Optional[Callable[[str], str]] = _USE_DEFAULT,  # type: ignore[assignment]
-        max_ngram: int = 1,
     ) -> None:
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
         self.stemmer = PorterStemmer() if stemmer is _USE_DEFAULT else stemmer
-        self.max_ngram = max_ngram
 
     def terms(self, text: str) -> List[str]:
-        unigrams: List[str] = []
+        terms: List[str] = []
         for token in reference_tokens(self.tokenizer, text):
             if token in self.stopwords:
                 continue
             if self.stemmer is not None:
                 token = self.stemmer(token)
             if token:
-                unigrams.append(token)
-        terms = list(unigrams)
-        for n in range(2, self.max_ngram + 1):
-            for start in range(len(unigrams) - n + 1):
-                terms.append("_".join(unigrams[start:start + n]))
+                terms.append(token)
         return terms
 
     def term_frequencies(self, text: str) -> Dict[str, int]:

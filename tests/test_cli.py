@@ -421,14 +421,7 @@ class TestStatsBackendFlag:
             ])
 
 
-class TestJobsFlag:
-    def test_jobs_flag_accepted_on_terms_input(self, stream_file, capsys):
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "2", "--jobs", "2", "--quiet",
-        ])
-        assert code == 0
-
+class TestRawText:
     def test_raw_text_records_cluster_end_to_end(self, tmp_path, capsys):
         import json
 
@@ -445,11 +438,9 @@ class TestJobsFlag:
                     "timestamp": float(i % 5),
                     "text": topics[i % 3] + f" filler{i % 3}",
                 }) + "\n")
-        for jobs in ("1", "2"):
-            code = main([
-                "cluster", "--input", str(path),
-                "--k", "3", "--batch-days", "2",
-                "--jobs", jobs, "--quiet",
-            ])
-            assert code == 0
-            assert "final clusters:" in capsys.readouterr().out
+        code = main([
+            "cluster", "--input", str(path),
+            "--k", "3", "--batch-days", "2", "--quiet",
+        ])
+        assert code == 0
+        assert "final clusters:" in capsys.readouterr().out

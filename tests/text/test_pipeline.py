@@ -1,6 +1,5 @@
 """Unit tests for repro.text.TextPipeline."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -52,43 +51,6 @@ class TestPipelineStages:
         assert batch[0]["market"] == 1
 
 
-class TestNgrams:
-    def test_bigrams_appended(self):
-        pipeline = TextPipeline(stemmer=None, max_ngram=2)
-        assert pipeline.terms("stock market crash") == [
-            "stock", "market", "crash", "stock_market", "market_crash",
-        ]
-
-    def test_trigram(self):
-        pipeline = TextPipeline(stemmer=None, max_ngram=3)
-        terms = pipeline.terms("big bad wolf")
-        assert "big_bad_wolf" in terms
-        assert "big_bad" in terms
-
-    def test_stopword_breaks_window_semantics(self):
-        pipeline = TextPipeline(stemmer=None, max_ngram=2)
-        # "of" is removed, the bigram bridges the gap by design
-        assert "bank_england" in pipeline.terms("bank of england")
-
-    def test_short_text_no_ngrams(self):
-        pipeline = TextPipeline(stemmer=None, max_ngram=2)
-        assert pipeline.terms("solo") == ["solo"]
-
-    def test_ngrams_stemmed_components(self):
-        pipeline = TextPipeline(max_ngram=2)
-        assert "market_ralli" in pipeline.terms("markets rallied")
-
-    def test_invalid_max_ngram(self):
-        with pytest.raises(ValueError):
-            TextPipeline(max_ngram=0)
-
-    def test_counts_include_ngrams(self):
-        pipeline = TextPipeline(stemmer=None, max_ngram=2)
-        counts = pipeline.term_frequencies("ab cd ab cd")
-        assert counts["ab_cd"] == 2
-        assert counts["cd_ab"] == 1
-
-
 class TestPipelineProperties:
     @given(st.text(max_size=300))
     def test_counts_sum_to_term_sequence_length(self, text):
@@ -116,32 +78,6 @@ class TestBatchTermFrequencies:
     def test_serial_matches_per_text_calls(self):
         pipeline = TextPipeline()
         assert pipeline.batch_term_frequencies(self.TEXTS) == [
-            pipeline.term_frequencies(text) for text in self.TEXTS
-        ]
-
-    def test_parallel_matches_serial(self):
-        pipeline = TextPipeline()
-        serial = pipeline.batch_term_frequencies(self.TEXTS)
-        parallel = pipeline.batch_term_frequencies(
-            self.TEXTS, jobs=2, chunk_size=16
-        )
-        assert parallel == serial
-
-    def test_jobs_one_and_zero_stay_serial(self):
-        pipeline = TextPipeline()
-        expected = pipeline.batch_term_frequencies(self.TEXTS[:5])
-        assert pipeline.batch_term_frequencies(self.TEXTS[:5], jobs=1) \
-            == expected
-        assert pipeline.batch_term_frequencies(self.TEXTS[:5], jobs=0) \
-            == expected
-
-    def test_unpicklable_stage_falls_back_to_serial(self):
-        stems = {}
-        pipeline = TextPipeline(stemmer=lambda w: stems.setdefault(w, w))
-        result = pipeline.batch_term_frequencies(
-            self.TEXTS, jobs=2, chunk_size=16
-        )
-        assert result == [
             pipeline.term_frequencies(text) for text in self.TEXTS
         ]
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text import PorterStemmer, stem
+from repro.text import MemoizedStemmer, PorterStemmer, Tokenizer, stem
 
 # (input, expected stem) — spot checks across all algorithm steps.
 KNOWN_PAIRS = [
@@ -126,16 +126,16 @@ class TestEdgeCases:
             stem(123)  # type: ignore[arg-type]
 
     def test_cache_returns_same_result(self):
-        stemmer = PorterStemmer(cache=True)
-        first = stemmer.stem("relational")
-        second = stemmer.stem("relational")
+        memo = memo_of(MemoizedStemmer())
+        first = memo_stem(memo, "relational")
+        second = memo_stem(memo, "relational")
         assert first == second == "relat"
 
     def test_uncached_matches_cached(self):
-        cached = PorterStemmer(cache=True)
-        uncached = PorterStemmer(cache=False)
+        memo = memo_of(MemoizedStemmer())
+        uncached = PorterStemmer()
         for word, _ in KNOWN_PAIRS:
-            assert cached.stem(word) == uncached.stem(word)
+            assert memo_stem(memo, word) == uncached.stem(word)
 
     def test_callable_protocol(self):
         stemmer = PorterStemmer()
@@ -172,80 +172,48 @@ class TestStemmerProperties:
 
 class TestMemoizedStemmer:
     def test_same_stems_as_wrapped(self):
-        from repro.text.stemmer import MemoizedStemmer
-
-        memo = MemoizedStemmer()
+        memo = memo_of(MemoizedStemmer())
         porter = PorterStemmer()
         for word in ("relational", "conflated", "caresses", "sky", "ab"):
-            assert memo(word) == porter(word)
+            assert memo_stem(memo, word) == porter(word)
 
     def test_hit_miss_accounting(self):
-        from repro.text.stemmer import MemoizedStemmer
-
-        memo = MemoizedStemmer()
-        memo("running")
-        memo("running")
-        memo("jumping")
-        info = memo.cache_info()
+        stemmer = MemoizedStemmer()
+        memo = memo_of(stemmer)
+        memo_stem(memo, "running")
+        memo_stem(memo, "running")
+        memo_stem(memo, "jumping")
+        info = stemmer.cache_info()
         assert info["hits"] == 1
         assert info["misses"] == 2
         assert info["currsize"] == 2
 
-    def test_lru_eviction_bounds_cache(self):
-        from repro.text.stemmer import MemoizedStemmer
-
-        memo = MemoizedStemmer(maxsize=3)
-        for word in ("alpha", "bravo", "charlie", "delta"):
-            memo(word)
-        info = memo.cache_info()
-        assert info["currsize"] == 3
-        memo("alpha")  # evicted (least recent) -> a fresh miss
-        assert memo.cache_info()["misses"] == 5
-
-    def test_recently_used_survives_eviction(self):
-        from repro.text.stemmer import MemoizedStemmer
-
-        memo = MemoizedStemmer(maxsize=2)
-        memo("alpha")
-        memo("bravo")
-        memo("alpha")  # refresh alpha
-        memo("charlie")  # evicts bravo, not alpha
-        hits_before = memo.cache_info()["hits"]
-        memo("alpha")
-        assert memo.cache_info()["hits"] == hits_before + 1
-
     def test_cache_clear_resets(self):
-        from repro.text.stemmer import MemoizedStemmer
-
-        memo = MemoizedStemmer()
-        memo("running")
-        memo.cache_clear()
-        info = memo.cache_info()
+        stemmer = MemoizedStemmer()
+        memo_stem(memo_of(stemmer), "running")
+        stemmer.cache_clear()
+        info = stemmer.cache_info()
         assert info == {"hits": 0, "misses": 0,
                         "maxsize": 1 << 16, "currsize": 0}
 
     def test_invalid_maxsize_rejected(self):
-        from repro.text.stemmer import MemoizedStemmer
-
         with pytest.raises(ValueError, match="maxsize"):
             MemoizedStemmer(maxsize=0)
-
-    def test_picklable(self):
-        import pickle
-
-        from repro.text.stemmer import MemoizedStemmer
-
-        memo = MemoizedStemmer()
-        memo("running")
-        clone = pickle.loads(pickle.dumps(memo))
-        assert clone("running") == memo("running")
 
     @given(st.text(alphabet=st.characters(min_codepoint=97,
                                           max_codepoint=122),
                    min_size=1, max_size=12))
     def test_memo_never_changes_the_answer(self, word):
-        from repro.text.stemmer import MemoizedStemmer
+        memo = memo_of(MemoizedStemmer(maxsize=8))
+        uncached = PorterStemmer()
+        assert memo_stem(memo, word) == uncached(word) == memo_stem(memo, word)
 
-        memo = MemoizedStemmer(maxsize=8)
-        uncached = PorterStemmer(cache=False)
-        assert memo(word) == uncached(word) == memo(word)
+
+def memo_of(stemmer: MemoizedStemmer):
+    """``stemmer``'s term memo for a tokenizer and stop list that keep
+    every word, so each lookup answers with the word's stem."""
+    return stemmer.term_memo(Tokenizer(min_length=1), frozenset())
+
+
+def memo_stem(memo, word: str) -> str:
+    return memo.lookup([word.encode("ascii")])[0]

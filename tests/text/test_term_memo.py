@@ -30,7 +30,7 @@ class TestCounters:
         self, stream_texts
     ):
         stemmer = MemoizedStemmer()
-        pipeline = TextPipeline(stemmer=stemmer, max_ngram=2)
+        pipeline = TextPipeline(stemmer=stemmer)
         texts = EDGE_TEXTS + stream_texts[:500]
         for text in texts:
             pipeline.terms(text)
@@ -59,13 +59,6 @@ class TestCounters:
         assert info["hits"] == 0
         assert info["misses"] == len(surface_tokens(text)) > 0
 
-    def test_memo_lookups_and_direct_calls_count_together(self):
-        stemmer = MemoizedStemmer()
-        TextPipeline(stemmer=stemmer).terms("markets rallied markets")
-        stemmer("running")
-        info = stemmer.cache_info()
-        assert (info["hits"], info["misses"]) == (0, 4)
-
     def test_stemmer_runs_once_per_unseen_surface_form(self):
         calls = []
 
@@ -83,8 +76,7 @@ class TestSharing:
     def test_equal_settings_share_one_memo(self):
         stemmer = MemoizedStemmer()
         first = TextPipeline(stemmer=stemmer)
-        second = TextPipeline(stemmer=stemmer, max_ngram=2,
-                              tokenizer=Tokenizer())
+        second = TextPipeline(stemmer=stemmer, tokenizer=Tokenizer())
         assert memo_of(first) is memo_of(second)
 
     def test_different_settings_keep_separate_memos(self):
@@ -112,6 +104,36 @@ class TestSharing:
         pipeline = TextPipeline(tokenizer=tokenizer, stemmer=None)
         tokenizer.min_length = 10
         assert pipeline.terms("market fell") == ["market", "fell"]
+
+
+class TestQueryMemo:
+    def test_a_repeated_unseen_query_word_is_stemmed_once(self):
+        calls = []
+
+        def stem(word: str) -> str:
+            calls.append(word)
+            return word[:3]
+
+        stemmer = MemoizedStemmer(stem)
+        pipeline = TextPipeline(stemmer=stemmer)
+        pipeline.term_frequencies("alpha beta")
+        before = stemmer.cache_info()
+        for _ in range(3):
+            assert pipeline.query_frequencies("gamma alpha gamma") == {
+                "gam": 2, "alp": 1,
+            }
+        # the query memo is the pipeline's own: "alpha" is stemmed
+        # again there, once, and the document memo never sees a query
+        assert calls == ["alpha", "beta", "gamma", "alpha"]
+        assert stemmer.cache_info() == before
+
+    def test_query_memo_is_bounded_by_maxsize(self, stream_texts):
+        pipeline = TextPipeline(stemmer=MemoizedStemmer(maxsize=16))
+        for text in stream_texts[:50]:
+            assert pipeline.query_frequencies(text) == (
+                pipeline.term_frequencies(text)
+            )
+            assert len(pipeline._query_memo) <= 16
 
 
 class TestSpan:

@@ -30,9 +30,8 @@ JOIN_TIMEOUT_S = 120.0
 
 def test_shared_pipeline_under_forced_switching():
     texts = generated_texts(7, total=150)
-    pipeline = TextPipeline(stemmer=MemoizedStemmer(maxsize=4),
-                            max_ngram=2)
-    oracle = ReferencePipeline(max_ngram=2)
+    pipeline = TextPipeline(stemmer=MemoizedStemmer(maxsize=4))
+    oracle = ReferencePipeline()
 
     repository = DocumentRepository(pipeline=pipeline)
     clusterer = build_clusterer(k=4, seed=1, half_life=7.0,

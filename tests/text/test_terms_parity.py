@@ -23,19 +23,15 @@ def _first_four_or_nothing(word: str) -> str:
 
 #: (id, TextPipeline/ReferencePipeline keyword arguments)
 CONFIGURATIONS = [
-    ("bigrams", dict(max_ngram=2)),
-    ("trigrams", dict(max_ngram=3)),
     ("no-stemmer", dict(stemmer=None)),
     ("custom-stemmer", dict(stemmer=_first_four_or_nothing)),
-    ("custom-stemmer-bigrams",
-     dict(stemmer=_first_four_or_nothing, max_ngram=2)),
     ("min-length-3-no-numbers",
      dict(tokenizer=Tokenizer(min_length=3, keep_numbers=False))),
     ("min-number-length-2", dict(tokenizer=Tokenizer(min_number_length=2))),
     ("no-stopwords", dict(stopwords=frozenset())),
     ("plain-set-stopwords", dict(stopwords={"market", "the"})),
     ("everything", dict(tokenizer=Tokenizer(min_length=1),
-                        stopwords=frozenset(), stemmer=None, max_ngram=2)),
+                        stopwords=frozenset(), stemmer=None)),
 ]
 
 
@@ -71,9 +67,8 @@ def test_configuration_matches_oracle(kwargs, stream_texts):
 
 @pytest.mark.parametrize("maxsize", [1, 2, 7])
 def test_eviction_changes_no_output(maxsize, stream_texts):
-    pipeline = TextPipeline(stemmer=MemoizedStemmer(maxsize=maxsize),
-                            max_ngram=2)
-    assert_parity(pipeline, ReferencePipeline(max_ngram=2),
+    pipeline = TextPipeline(stemmer=MemoizedStemmer(maxsize=maxsize))
+    assert_parity(pipeline, ReferencePipeline(),
                   EDGE_TEXTS + stream_texts[:200])
 
 
