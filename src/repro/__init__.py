@@ -90,13 +90,10 @@ from .eval import (
     ContingencyTable,
     MarkedCluster,
     WindowEvaluation,
-    adjusted_rand_index,
     evaluate_clustering,
-    inverse_purity,
     mark_clusters,
     normalized_mutual_information,
     purity,
-    rand_index,
     recency_weighted_micro_f1,
 )
 from .eval.significance import BootstrapInterval, bootstrap_micro_f1
@@ -158,10 +155,7 @@ __all__ = [
     "mark_clusters",
     "evaluate_clustering",
     "purity",
-    "inverse_purity",
     "normalized_mutual_information",
-    "rand_index",
-    "adjusted_rand_index",
     "recency_weighted_micro_f1",
     "BootstrapInterval",
     "bootstrap_micro_f1",

@@ -37,9 +37,6 @@ from .atomic import (
     BACKUP_SUFFIX,
     CHECKSUM_FIELD,
     backup_path,
-    canonical_json,
-    checksum_matches,
-    payload_checksum,
     prepare_checkpoint_path,
 )
 from .checkpointer import Checkpointer
@@ -56,9 +53,6 @@ __all__ = [
     "BACKUP_SUFFIX",
     "CHECKSUM_FIELD",
     "backup_path",
-    "canonical_json",
-    "checksum_matches",
-    "payload_checksum",
     "prepare_checkpoint_path",
     "BatchJournal",
     "JournalContents",

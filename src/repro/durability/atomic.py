@@ -9,21 +9,13 @@ The primitives every durable artifact in this package is built on:
   durable. A crash, a full disk, or a serialization error at any point
   leaves the previous file byte-identical.
 * :func:`stamp_pieces` / :func:`text_checksum_matches` — the checksum
-  of a checkpoint or journal line (format versions 2 and 3): sha256
-  over the written bytes that come before the trailing
-  ``, "checksum": ...`` member. The writer hashes the text it is about
-  to write, with no second encoding, and the reader hashes the bytes it
-  read.
-* :func:`payload_checksum` / :func:`checksum_matches` — the checksum of
-  format version 1: sha256 over the *canonical* JSON (sorted keys,
-  compact separators) of a payload minus its ``checksum`` field.
-  Because JSON floats round-trip exactly through Python's
-  shortest-repr serialization, the checksum recomputed from a parsed
-  file equals the one computed before writing. The reader accepts it
-  where the byte form does not match, so version-1 files and
-  tool-stamped rewrites still verify.
-
-Either way, any torn or bit-flipped state is detected on load.
+  of a checkpoint, a journal header or a journal line: sha256 over the
+  written bytes that come before the trailing ``, "checksum": ...``
+  member. The writer hashes the text it is about to write, with no
+  second encoding, and the reader hashes the bytes it read, so any torn
+  or bit-flipped state is detected on load. A file without a
+  ``checksum`` member loads unverified: the documented way to force a
+  load after a hand edit.
 
 ``repro.persistence`` routes checkpoint writes through this module;
 reprolint's REP006 rule forbids checkpoint/journal writes that bypass
@@ -54,13 +46,6 @@ BACKUP_SUFFIX = ".bak"
 #: written, with a prebuilt encoder for per-document use.
 PLAIN_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
-def canonical_json(payload: Mapping[str, Any]) -> str:
-    """The deterministic JSON serialization (sorted keys, compact
-    separators) version-1 checksums are taken over."""
-    return json.dumps(
-        payload, sort_keys=True, ensure_ascii=False, separators=(",", ":")
-    )
-
 
 def text_checksum(text: str) -> str:
     """``"sha256:<hex>"`` over the UTF-8 bytes of ``text``."""
@@ -90,41 +75,16 @@ def text_checksum_matches(
 
     ``None`` when ``payload`` carries no checksum. Otherwise ``True``
     when ``text`` ends with its checksum member and that checksum is
-    sha256 over the text before it (what :func:`stamp_pieces` writes),
-    or when it is the canonical checksum of the payload
-    (:func:`checksum_matches`: version-1 files); ``False`` else.
+    sha256 over the text before it (what :func:`stamp_pieces` writes);
+    ``False`` else.
     """
     recorded = payload.get(CHECKSUM_FIELD)
     if recorded is None:
         return None
     tail = f', "{CHECKSUM_FIELD}": {PLAIN_ENCODER.encode(recorded)}' + "}"
-    if text.endswith(tail) and (
+    return text.endswith(tail) and (
         text_checksum(text[:-len(tail)]) == recorded
-    ):
-        return True
-    return checksum_matches(payload)
-
-
-def payload_checksum(payload: Mapping[str, Any]) -> str:
-    """``"sha256:<hex>"`` over the payload minus its checksum field."""
-    body = {
-        key: value for key, value in payload.items()
-        if key != CHECKSUM_FIELD
-    }
-    return text_checksum(canonical_json(body))
-
-
-def checksum_matches(payload: Mapping[str, Any]) -> Optional[bool]:
-    """Verify a payload's recorded checksum.
-
-    Returns ``True``/``False`` when a checksum field is present, and
-    ``None`` when the payload carries none (legacy files written before
-    checksums existed are accepted by callers).
-    """
-    recorded = payload.get(CHECKSUM_FIELD)
-    if recorded is None:
-        return None
-    return bool(recorded == payload_checksum(payload))
+    )
 
 
 def backup_path(path: PathLike) -> Path:

@@ -15,8 +15,7 @@ with no K-means (:meth:`~repro.core.incremental.IncrementalClusterer.
 restore_batch`): by the λ-multiplicativity of the forgetting model
 (Eq. 27-29) observing the batch at its ``at_time`` from the restored
 clock gives the statistics of the uninterrupted run, and the assignment
-is the one the run computed (see DESIGN.md). A line without an
-assignment (versions 1 and 2) replays through ``process_batch``.
+is the one the run computed (see DESIGN.md).
 
 File layout (JSON Lines, format version 3)::
 
@@ -32,9 +31,10 @@ added since the line before, and the documents name terms by id into
 that list (:mod:`~repro.durability.records`, which also defines the
 ``row`` and ``assignment`` encodings). Replay interns each line's terms
 in order before decoding it, which reproduces the live term ids.
-Version-2 journals (``"term_ids"``/``"counts"`` rows, no assignment)
-and version-1 journals (``"terms": {"word": n}`` per document, no term
-list) are still read.
+Version 3 is the only version read: a version-1 or -2 journal is a
+:class:`~repro.exceptions.JournalError`, and recovery then treats it as
+absent (its base checkpoint was written before the log restarted, so
+it holds every batch such a journal could add).
 
 The header ties the log to the checkpoint whose ``sequence`` is ``S``.
 Headers written before this layout also carry ``base_now``, the base's
@@ -81,12 +81,11 @@ from .records import (
     resolve_record,
     stamped_pieces,
     unpack,
+    version_error,
 )
 
 _FORMAT = "repro-journal"
 _VERSION = 3
-#: The versions :func:`read_journal` reads.
-_READABLE = (1, 2, 3)
 
 #: Every field a journal header may carry (see ``read_checkpoint_state``
 #: for why an unknown one is rejected); older headers carry ``base_now``.
@@ -103,24 +102,23 @@ def default_journal_path(checkpoint_path: PathLike) -> Path:
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One committed batch: its sequence, clock, and document records.
+    """One committed batch: its sequence, clock, document records, new
+    terms and assignment.
 
     ``records`` are string-keyed (``"terms": {"word": n}``, in row
     order), what :func:`~repro.corpus.loaders.record_to_document`
     decodes; ``terms`` are the vocabulary terms the line added, in id
-    order, to be interned before its records (empty in version 1).
-    ``assignment`` is the recorded assignment after the batch's fit, one
-    cluster id per active document (see
-    :meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`),
-    or ``None`` for a version-1 or -2 line, which carries none and
-    replays through ``process_batch``.
+    order, to be interned before its records. ``assignment`` is the
+    recorded assignment after the batch's fit, one cluster id per
+    active document (see
+    :meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`).
     """
 
     sequence: int
     at_time: float
     records: Tuple[Mapping[str, Any], ...]
-    terms: Tuple[str, ...] = ()
-    assignment: Optional[List[int]] = None
+    terms: Tuple[str, ...]
+    assignment: List[int]
 
 
 class EncodedLine(NamedTuple):
@@ -143,14 +141,15 @@ def read_journal(path: PathLike) -> JournalContents:
     """Parse a journal, tolerating a torn tail.
 
     The header must be intact (it is written atomically, so a bad
-    header means real corruption) and carry no unknown field:
-    :class:`JournalError` otherwise.
+    header means real corruption), of version 3 and carry no unknown
+    field: :class:`JournalError` otherwise (for a version-1 or -2
+    journal, with the migration).
     Entries are consumed in order until the first line that is not
     UTF-8 JSON, fails its checksum, is out of sequence, holds a row
     :func:`~repro.durability.records.resolve_record` refuses (such as a
-    term id its journal has not carried), or — in version 3 — lacks an
-    assignment or holds one that is not packed int32: everything from
-    there on is a torn append and is discarded, with ``truncated`` set.
+    term id its journal has not carried), or lacks an assignment or
+    holds one that is not packed int32: everything from there on is a
+    torn append and is discarded, with ``truncated`` set.
     """
     with open(path, "rb") as handle:
         lines = handle.read().split(b"\n")
@@ -171,11 +170,8 @@ def read_journal(path: PathLike) -> JournalContents:
             f"(format={header.get('format')!r})"
         )
     version = header.get("version")
-    if type(version) is not int or version not in _READABLE:
-        raise JournalError(
-            f"{path}: unsupported journal version "
-            f"{version!r} (expected one of {_READABLE})"
-        )
+    if type(version) is not int or version != _VERSION:
+        raise JournalError(version_error(path, "journal", version))
     unknown = sorted(set(header) - _HEADER_FIELDS)
     if unknown:
         raise JournalError(
@@ -200,7 +196,7 @@ def read_journal(path: PathLike) -> JournalContents:
     for raw in lines[1:]:
         if raw == b"":
             continue  # the file's trailing newline
-        entry = _entry(raw, expected, version, known)
+        entry = _entry(raw, expected, known)
         if entry is None:
             truncated = True
             break
@@ -215,7 +211,7 @@ def read_journal(path: PathLike) -> JournalContents:
 
 
 def _entry(
-    raw: bytes, sequence: int, version: int, known: List[str]
+    raw: bytes, sequence: int, known: List[str]
 ) -> Optional[JournalEntry]:
     """The intact entry ``sequence`` that ``raw`` holds, or ``None``.
 
@@ -236,16 +232,10 @@ def _entry(
         if int(record["sequence"]) != sequence:
             return None
         at_time = float(record["at_time"])
-        if version == 1:
-            return JournalEntry(
-                sequence, at_time, tuple(record["documents"])
-            )
         terms = check_terms(known + record["terms"])
-        # a version-3 line without its assignment is not one the writer
-        # wrote: a torn or edited tail, not a batch to re-fit
-        assignment = (
-            unpack(record["assignment"], 1)[0] if version >= 3 else None
-        )
+        # a line without its assignment is not one the writer wrote: a
+        # torn or edited tail
+        assignment = unpack(record["assignment"], 1)[0]
         return JournalEntry(
             sequence,
             at_time,

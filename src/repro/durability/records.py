@@ -35,8 +35,9 @@ Reading goes the other way: :func:`resolve_record` checks a record's
 ids against the terms its file has carried so far and turns it into
 the string-keyed record of JSONL and ``POST /add``, terms in row order,
 so :func:`~repro.corpus.loaders.record_to_document` stays the one
-decoder. Version-2 records (``"term_ids"`` and ``"counts"``, two int
-lists) resolve the same way.
+decoder. Version 3 is the only version read; :func:`version_error`
+words the refusal of any other, with the migration of a version-1 or
+-2 file.
 
 The cache's invariant: a fragment is valid while its document object is
 unchanged, and the term prefix while the vocabulary's id→string map is.
@@ -59,7 +60,7 @@ import numpy as np
 from ..corpus.document import Document
 from ..exceptions import CheckpointError
 from ..text.vocabulary import Vocabulary
-from .atomic import PLAIN_ENCODER, stamp_pieces
+from .atomic import PLAIN_ENCODER, PathLike, stamp_pieces
 
 #: ``(key, encoded value)``: one member of a JSON object, its value as
 #: UTF-8 pieces to be written end to end.
@@ -74,6 +75,22 @@ _BLOCK = 32
 _RECORD_FIELDS = frozenset(
     {"doc_id", "timestamp", "topic_id", "source", "title", "row"}
 )
+
+#: The last commit of this repository that reads format versions 1
+#: and 2 (term strings per record, or ``term_ids``/``counts`` lists).
+LAST_V2_READER = "0850c5c"
+
+
+def version_error(path: PathLike, kind: str, version: Any) -> str:
+    """Why the ``kind`` file (``"checkpoint"`` or ``"journal"``) at
+    ``path``, of format ``version`` (any but 3), is not read, with the
+    migration of a version-1 or -2 file."""
+    return (
+        f"{path}: {kind} format version {version!r} is not read "
+        f"(expected 3); a version-1 or -2 file migrates through commit "
+        f"{LAST_V2_READER}, the last that reads it: load it with a "
+        f"checkout of that commit, then save it there to write version 3"
+    )
 
 
 def encode(value: Any) -> bytes:
@@ -198,42 +215,29 @@ def check_terms(terms: Any) -> List[str]:
 def resolve_record(
     record: Mapping[str, Any], terms: Sequence[str]
 ) -> Dict[str, Any]:
-    """A version-3 or version-2 document record as the string-keyed
-    record :func:`~repro.corpus.loaders.record_to_document` decodes.
+    """A version-3 document record as the string-keyed record
+    :func:`~repro.corpus.loaders.record_to_document` decodes.
 
     ``terms`` are the term strings the record's file has carried so
-    far, in id order. A version-3 record carries exactly the members
+    far, in id order. The record is an object with exactly the members
     :func:`document_fragment` writes, its ``row`` strict base64 of
-    int32 pairs and every count positive; a version-2 record's
-    ``term_ids`` and ``counts`` are lists of one length, each id an
-    ``int`` (not a ``bool``). Either way each id must lie inside
-    ``terms`` and not repeat in the row: ``ValueError`` otherwise,
-    ``KeyError`` for a missing field. The terms come out in row order.
-    No vocabulary is touched, so a rejected record interns nothing.
+    int32 pairs and every count positive; each id must lie inside
+    ``terms`` and not repeat in the row: ``ValueError`` otherwise. The
+    terms come out in row order. No vocabulary is touched, so a
+    rejected record interns nothing.
     """
-    if "row" in record:
-        if record.keys() != _RECORD_FIELDS:
-            raise ValueError(
-                f"record members {sorted(record)} are not "
-                f"{sorted(_RECORD_FIELDS)}"
-            )
-        ids, counts = unpack(record["row"], 2)
-        if counts and min(counts) <= 0:
-            raise ValueError(
-                f"a count of document {record['doc_id']!r} is not positive"
-            )
-    else:
-        ids = record["term_ids"]
-        counts = record["counts"]
-        if not isinstance(ids, list) or not isinstance(counts, list):
-            raise ValueError("term_ids and counts must be lists")
-        if len(ids) != len(counts):
-            raise ValueError(
-                f"{len(ids)} term ids but {len(counts)} counts"
-            )
-        for term_id in ids:
-            if type(term_id) is not int:  # a bool is not a term id
-                raise ValueError(f"term id {term_id!r} is not an integer")
+    if not isinstance(record, dict):
+        raise ValueError("a document record must be an object")
+    if record.keys() != _RECORD_FIELDS:
+        raise ValueError(
+            f"record members {sorted(record)} are not "
+            f"{sorted(_RECORD_FIELDS)}"
+        )
+    ids, counts = unpack(record["row"], 2)
+    if counts and min(counts) <= 0:
+        raise ValueError(
+            f"a count of document {record['doc_id']!r} is not positive"
+        )
     if ids and not 0 <= min(ids) <= max(ids) < len(terms):
         raise ValueError(
             f"a term id of document {record.get('doc_id')!r} is outside "

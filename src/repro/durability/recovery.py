@@ -10,12 +10,17 @@ logged batch beyond the checkpoint's sequence.
 Before decoding, recovery interns the checkpoint's ``terms`` and then
 each log line's new terms, in order: into a fresh
 :class:`~repro.text.vocabulary.Vocabulary` this reproduces the live
-term ids and every document's row order (format versions 2 and 3;
-version-1 files carry no term list and are read as before).
+term ids and every document's row order.
 
-A version-3 base and each version-3 line carry the same two members,
-``documents`` and ``assignment``, and recovery applies both through one
-function,
+Only format version 3 is read. A version-1 or -2 checkpoint is a
+:class:`~repro.exceptions.CheckpointError` whose message gives the
+migration; a version-1 or -2 journal beside a version-3 base is
+treated as absent, as is any unreadable journal (the base was written
+before the log restarted, so it holds every batch such a journal could
+add).
+
+The base and each log line carry the same two members, ``documents``
+and ``assignment``, and recovery applies both through one function,
 :meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`:
 observe at the recorded clock, expire, then take the recorded
 assignment. No K-means runs, and the view is frozen when a snapshot
@@ -23,12 +28,10 @@ first asks for it. By Eq. 27-29 the statistics after observing a batch
 at its ``at_time`` depend only on (state at the previous clock, batch,
 at_time) — decay composes multiplicatively (λ^Δ₁·λ^Δ₂ = λ^(Δ₁+Δ₂)), so
 skipping the intermediate empty windows of the original run changes
-nothing — and the assignment is the run's own. A line without an
-assignment (versions 1 and 2) is replayed through ``process_batch``,
-which recomputes the same fit. Recovery therefore lands on a state
-bit-equal to some batch-prefix of the uninterrupted run — the property
-the fault-injection suite (``tests/durability/``) asserts for every
-crash point it can inject.
+nothing — and the assignment is the run's own. Recovery therefore
+lands on a state bit-equal to some batch-prefix of the uninterrupted
+run — the property the fault-injection suite (``tests/durability/``)
+asserts for every crash point it can inject.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ def recover(
     a torn tail is discarded (so is a line whose recorded assignment
     does not fit the active documents it lands on, and what follows
     it; any other rejection of a line raises, as through
-    ``process_batch``), and a journal that is *unreadable* (corrupt
-    header) is treated as absent — the checkpoint alone is still a
-    consistent prefix. A journal whose base sequence is *ahead* of the
+    ``process_batch``), and a journal that is *unreadable* (a corrupt
+    header, or a version other than 3) is treated as absent — the
+    checkpoint alone is still a consistent prefix. A journal whose base sequence is *ahead* of the
     recovered checkpoint is likewise discarded when the ``.bak``
     generation served (the journal was rotated against the newer,
     now-lost primary), but raises for a valid primary — there it means
@@ -174,19 +177,14 @@ def recover(
                         record_to_document(record, vocabulary)
                         for record in entry.records
                     ]
-                    if entry.assignment is None:
-                        clusterer.process_batch(
-                            batch, at_time=entry.at_time
+                    try:
+                        clusterer.restore_batch(
+                            batch, entry.at_time, entry.assignment
                         )
-                    else:
-                        try:
-                            clusterer.restore_batch(
-                                batch, entry.at_time, entry.assignment
-                            )
-                        except AssignmentMismatchError:
-                            # rolled back: the intact prefix ends here
-                            truncated = True
-                            break
+                    except AssignmentMismatchError:
+                        # rolled back: the intact prefix ends here
+                        truncated = True
+                        break
                     sequence = entry.sequence
                     replayed += 1
         if rec.enabled and replayed:

@@ -12,11 +12,8 @@ from .latency import (
     first_arrivals,
 )
 from .external import (
-    adjusted_rand_index,
-    inverse_purity,
     normalized_mutual_information,
     purity,
-    rand_index,
     recency_weighted_micro_f1,
 )
 
@@ -27,10 +24,7 @@ __all__ = [
     "WindowEvaluation",
     "evaluate_clustering",
     "purity",
-    "inverse_purity",
     "normalized_mutual_information",
-    "rand_index",
-    "adjusted_rand_index",
     "recency_weighted_micro_f1",
     "BootstrapInterval",
     "bootstrap_micro_f1",

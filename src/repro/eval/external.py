@@ -1,9 +1,8 @@
 """External clustering-quality measures beyond the paper's F1 protocol.
 
 The paper evaluates only with marked-cluster precision/recall/F1
-(Section 6.2.3). For a usable library we also provide the standard
-external measures — purity, inverse purity, normalised mutual
-information, Rand index and adjusted Rand index — plus a
+(Section 6.2.3). For a usable library we also provide two standard
+external measures — purity and normalised mutual information — plus a
 **recency-weighted micro F1** that scores what the novelty method
 actually optimises: contingency cells weighted by each document's
 forgetting weight, so mistakes on stale documents matter less.
@@ -58,8 +57,8 @@ def purity(
     """Fraction of clustered documents matching their cluster majority.
 
     ``purity = (1/N) Σ_p max_t |C_p ∩ T_t|``. 1.0 when every cluster is
-    topic-pure; trivially maximised by singleton clusters (see
-    :func:`inverse_purity` for the counterweight).
+    topic-pure; trivially maximised by singleton clusters (read it
+    beside :func:`normalized_mutual_information`).
     """
     pairs = _labelled_assignments(clusters, truth)
     if not pairs:
@@ -69,29 +68,6 @@ def purity(
     for (cluster_id, _), count in joint.items():
         best[cluster_id] = max(best.get(cluster_id, 0), count)
     return sum(best.values()) / len(pairs)
-
-
-def inverse_purity(
-    clusters: Sequence[Sequence[str]],
-    truth: Mapping[str, Optional[str]],
-) -> float:
-    """Fraction of documents whose topic majority-lands in one cluster.
-
-    ``inverse_purity = (1/N) Σ_t max_p |C_p ∩ T_t|``. Trivially
-    maximised by one giant cluster; combine with :func:`purity`.
-    Documents of a topic that were all left outliers contribute 0.
-    """
-    pairs = _labelled_assignments(clusters, truth)
-    labelled_total = sum(
-        1 for topic in truth.values() if topic is not None
-    )
-    if not pairs or labelled_total == 0:
-        return 0.0
-    joint, _, _ = _contingency_counts(pairs)
-    best: Dict[str, int] = {}
-    for (_, topic), count in joint.items():
-        best[topic] = max(best.get(topic, 0), count)
-    return sum(best.values()) / labelled_total
 
 
 def normalized_mutual_information(
@@ -127,56 +103,6 @@ def normalized_mutual_information(
         p_t = by_topic[topic] / n
         mutual += p_joint * math.log(p_joint / (p_c * p_t))
     return max(0.0, 2.0 * mutual / (h_c + h_t))
-
-
-def rand_index(
-    clusters: Sequence[Sequence[str]],
-    truth: Mapping[str, Optional[str]],
-) -> float:
-    """Fraction of document pairs on which clustering and truth agree."""
-    pairs = _labelled_assignments(clusters, truth)
-    n = len(pairs)
-    if n < 2:
-        return 1.0
-    joint, by_cluster, by_topic = _contingency_counts(pairs)
-
-    def comb2(x: int) -> int:
-        return x * (x - 1) // 2
-
-    total_pairs = comb2(n)
-    same_both = sum(comb2(count) for count in joint.values())
-    same_cluster = sum(comb2(count) for count in by_cluster.values())
-    same_topic = sum(comb2(count) for count in by_topic.values())
-    agreements = (
-        same_both
-        + (total_pairs - same_cluster - same_topic + same_both)
-    )
-    return agreements / total_pairs
-
-
-def adjusted_rand_index(
-    clusters: Sequence[Sequence[str]],
-    truth: Mapping[str, Optional[str]],
-) -> float:
-    """Rand index corrected for chance (Hubert & Arabie); 0 ≈ random."""
-    pairs = _labelled_assignments(clusters, truth)
-    n = len(pairs)
-    if n < 2:
-        return 1.0
-    joint, by_cluster, by_topic = _contingency_counts(pairs)
-
-    def comb2(x: int) -> int:
-        return x * (x - 1) // 2
-
-    index = sum(comb2(count) for count in joint.values())
-    sum_cluster = sum(comb2(count) for count in by_cluster.values())
-    sum_topic = sum(comb2(count) for count in by_topic.values())
-    total = comb2(n)
-    expected = sum_cluster * sum_topic / total if total else 0.0
-    maximum = (sum_cluster + sum_topic) / 2.0
-    if maximum == expected:
-        return 1.0
-    return (index - expected) / (maximum - expected)
 
 
 def recency_weighted_micro_f1(

@@ -35,10 +35,9 @@ the string-keyed JSONL shape (:mod:`repro.durability.records`), and
 hands documents and assignment to
 :meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`, as
 recovery does for every log line. The file stays portable: a live
-vocabulary re-interns the strings. Version 2 (``"term_ids"`` and
-``"counts"`` int lists, a ``{doc_id: cluster}`` assignment) and version
-1 (``"terms": {"word": n}`` per document, sorted by id, no term list)
-are still read.
+vocabulary re-interns the strings. Version 3 is the only version read:
+a file of version 1 or 2 is a :class:`CheckpointError` whose message
+gives the migration (:func:`~repro.durability.records.version_error`).
 
 Durability: :func:`save_checkpoint` composes the JSON from fragments
 encoded once per document (:mod:`repro.durability.records`) and goes
@@ -82,18 +81,14 @@ PathLike = Union[str, Path]
 _FORMAT = "repro-checkpoint"
 _VERSION = 3
 
-_V1_FIELDS = frozenset({
+#: Every top-level field a checkpoint may carry. Anything else — a
+#: ``checksum`` key with a flipped bit, say — is corruption, not a file
+#: without a checksum.
+_FIELDS = frozenset({
     "format", "version", "model", "kmeans", "warm_start",
-    "statistics_backend", "now", "documents", "assignment", "sequence",
-    "checksum",
+    "statistics_backend", "now", "terms", "documents", "assignment",
+    "sequence", "checksum",
 })
-
-#: Every top-level field a checkpoint of each readable version may
-#: carry. Anything else — a ``checksum`` key with a flipped bit, say —
-#: is corruption, not a file without a checksum.
-_FIELDS = {
-    1: _V1_FIELDS, 2: _V1_FIELDS | {"terms"}, 3: _V1_FIELDS | {"terms"},
-}
 
 
 def document_record(
@@ -101,9 +96,9 @@ def document_record(
 ) -> Dict[str, Any]:
     """Serialize one document with terms keyed by string.
 
-    The record shape of JSONL, ``POST /add`` and version-1 checkpoints
-    and journals (later versions name terms by id, see
-    :mod:`repro.durability.records`). Raises
+    The record shape of JSONL and ``POST /add`` (checkpoints and
+    journals name terms by id, see :mod:`repro.durability.records`).
+    Raises
     :class:`CheckpointError` naming the document when it holds a term
     id the vocabulary does not know (previously a bare ``IndexError``
     out of ``vocabulary.term``).
@@ -232,20 +227,25 @@ def _checkpoint_pieces(
 def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
     """Parse ``path`` and validate its envelope, returning the raw state.
 
-    Checks that the file is UTF-8 JSON, the format marker, the version,
-    that no top-level field is unknown, and — when the file carries one
-    — the checksum. A version-2 or -3 state comes back with each
-    document resolved to the string-keyed record of version 1 and
-    JSONL, terms in row order
+    Checks that the file is UTF-8 JSON, the format marker, the version
+    (3; a version-1 or -2 file is refused with the migration, see
+    :func:`~repro.durability.records.version_error`), that no top-level
+    field is unknown, and — when the file carries one — the checksum.
+    The state comes back with each document resolved to the
+    string-keyed record of JSONL, terms in row order
     (:func:`~repro.durability.records.resolve_record` checks every term
     id against ``terms``); ``terms`` stays, to be interned before the
-    records are decoded. A version-3 ``assignment`` comes back unpacked,
-    as its int list. Raises
-    :class:`CheckpointError` on any mismatch; the structural fields are
-    validated later by :func:`load_checkpoint`.
+    records are decoded. The ``assignment`` comes back unpacked, as its
+    int list. Raises :class:`CheckpointError` on any mismatch; the
+    structural fields are validated later by :func:`load_checkpoint`.
     """
     from .durability.atomic import text_checksum_matches
-    from .durability.records import check_terms, resolve_record, unpack
+    from .durability.records import (
+        check_terms,
+        resolve_record,
+        unpack,
+        version_error,
+    )
 
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -265,12 +265,9 @@ def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
             f"(format={state.get('format')!r})"
         )
     version = state.get("version")
-    if type(version) is not int or version not in _FIELDS:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version "
-            f"{version!r} (expected one of {sorted(_FIELDS)})"
-        )
-    unknown = sorted(set(state) - _FIELDS[version])
+    if type(version) is not int or version != _VERSION:
+        raise CheckpointError(version_error(path, "checkpoint", version))
+    unknown = sorted(set(state) - _FIELDS)
     if unknown:
         raise CheckpointError(
             f"{path}: unknown checkpoint field(s) {unknown} — the file "
@@ -282,19 +279,16 @@ def read_checkpoint_state(path: PathLike) -> Dict[str, Any]:
             f"edited by hand (remove the 'checksum' field to force a "
             f"load)"
         )
-    if version >= 2:
-        try:
-            terms = check_terms(state["terms"])
-            state["documents"] = [
-                resolve_record(record, terms)
-                for record in state["documents"]
-            ]
-            if version >= 3:
-                state["assignment"] = unpack(state["assignment"], 1)[0]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path}: malformed checkpoint ({exc!r})"
-            ) from exc
+    try:
+        terms = check_terms(state["terms"])
+        state["documents"] = [
+            resolve_record(record, terms) for record in state["documents"]
+        ]
+        state["assignment"] = unpack(state["assignment"], 1)[0]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: malformed checkpoint ({exc!r})"
+        ) from exc
     return state
 
 
@@ -306,27 +300,24 @@ def load_checkpoint(
 
     Pass the live ``vocabulary`` to re-intern terms into an existing
     repository's id space; with ``None`` a fresh vocabulary is grown.
-    A version-2 or -3 checkpoint's ``terms`` are interned first, in id
-    order, so a fresh vocabulary gets the ids the writer's had, and
-    every document its row order. Returns ``(clusterer, vocabulary)``.
+    The checkpoint's ``terms`` are interned first, in id order, so a
+    fresh vocabulary gets the ids the writer's had, and every document
+    its row order. Returns ``(clusterer, vocabulary)``.
 
     The clusterer always runs on the library's engine and statistics
     backend. Statistics are rebuilt from the documents, so a checkpoint
     that names another engine or backend (one since removed, a test
-    oracle, or none at all) restores to the same state; such a load is
-    counted on the ambient recorder (``checkpoint.path_migrated``).
+    oracle, or none at all) restores to the same state.
 
-    A version-3 state goes through
+    The state goes through
     :meth:`~repro.core.incremental.IncrementalClusterer.restore_batch`,
     the step recovery takes for every log line: observe at ``now``,
     expire, take the recorded assignment; an assignment that does not
     have one entry per document of the file, each inside the
-    checkpointed ``k`` (or −1), is a :class:`CheckpointError`. In
-    versions 1 and 2 every assignment entry is validated against ``k``
-    as well. In every version the entries of documents that expire on
-    restore (the clock moved past their life span after their last
-    fit) are dropped and counted on the ambient recorder
-    (``checkpoint.assignments_dropped``).
+    checkpointed ``k`` (or −1), is a :class:`CheckpointError`. The
+    entries of documents that expire on restore (the clock moved past
+    their life span after their last fit) are dropped and counted on
+    the ambient recorder (``checkpoint.assignments_dropped``).
     """
     with Span(resolve(None), "checkpoint.load") as span:
         clusterer, vocabulary = _restore_state(
@@ -374,38 +365,18 @@ def _restore_state(
                 f"{path}: unknown criterion {criterion!r} in checkpoint"
             )
         clusterer.kmeans.criterion = criterion
-        recorded_path = (
-            kmeans_state.get("engine"), state.get("statistics_backend")
-        )
 
-        # versions 2 and 3: the live term ids, and the rows in live
-        # order
-        for term in state.get("terms", ()):
+        # the live term ids, and the rows in live order
+        for term in state["terms"]:
             vocabulary.add(term)
         documents = [
             record_to_document(record, vocabulary)
             for record in state["documents"]
         ]
-        recorded = state["assignment"]
-        if state["version"] < 3:
-            if not isinstance(recorded, dict):
-                raise TypeError("the assignment is not an object")
-            recorded = {
-                str(doc_id): int(cluster_id)
-                for doc_id, cluster_id in recorded.items()
-            }
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint ({exc!r})"
         ) from exc
-
-    if recorder.enabled and recorded_path != (
-        clusterer.kmeans.engine.name, clusterer.statistics.backend_name
-    ):
-        recorder.counter(
-            "checkpoint.path_migrated",
-            engine=recorded_path[0], backend=recorded_path[1],
-        )
 
     if state["now"] is None:
         # checkpoint of a clusterer that never processed a batch
@@ -415,49 +386,15 @@ def _restore_state(
             )
         return clusterer, vocabulary
     now = float(state["now"])
-    if state["version"] >= 3:
-        try:
-            dropped = clusterer.restore_batch(
-                documents, now, recorded, before_expiry=True
-            )
-        except ValueError as exc:
-            raise CheckpointError(
-                f"{path}: malformed checkpoint ({exc})"
-            ) from exc
-        if dropped and recorder.enabled:
-            recorder.counter("checkpoint.assignments_dropped", dropped)
-    else:
-        _restore_legacy(path, clusterer, documents, now, recorded)
-    return clusterer, vocabulary
-
-
-def _restore_legacy(
-    path: PathLike,
-    clusterer: IncrementalClusterer,
-    documents: List[Document],
-    now: float,
-    assignment: Dict[str, int],
-) -> None:
-    """Restore a version-1 or -2 state: its assignment is a
-    ``{doc_id: cluster_id}`` map, checked against ``k``, and the entries
-    of documents that expire on restore are dropped and counted."""
-    k = clusterer.kmeans.k
-    for doc_id, cluster_id in assignment.items():
-        if not 0 <= cluster_id < k:
-            raise CheckpointError(
-                f"{path}: assignment for document {doc_id!r} names "
-                f"cluster {cluster_id}, outside 0..{k - 1}"
-            )
-    clusterer.statistics.observe(documents, at_time=now)
-    clusterer.statistics.expire()
-    active = set(clusterer.statistics.doc_ids())
-    kept = {
-        doc_id: cluster_id
-        for doc_id, cluster_id in assignment.items()
-        if doc_id in active
-    }
-    dropped = len(assignment) - len(kept)
-    recorder = resolve(None)
+    try:
+        dropped = clusterer.restore_batch(
+            documents, now, state["assignment"], before_expiry=True
+        )
+    except ValueError as exc:
+        raise CheckpointError(
+            f"{path}: malformed checkpoint ({exc})"
+        ) from exc
     if dropped and recorder.enabled:
         recorder.counter("checkpoint.assignments_dropped", dropped)
-    clusterer._assignment = kept
+    return clusterer, vocabulary
+

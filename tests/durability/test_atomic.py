@@ -10,10 +10,8 @@ import pytest
 from repro.durability.atomic import (
     atomic_write_pieces,
     backup_path,
-    canonical_json,
-    checksum_matches,
-    payload_checksum,
     prepare_checkpoint_path,
+    stamp_pieces,
     text_checksum_matches,
 )
 from repro.exceptions import CheckpointError
@@ -21,30 +19,24 @@ from repro.exceptions import CheckpointError
 
 class TestChecksums:
     def test_round_trips_through_json(self):
-        """The checksum recomputed after parsing the written file must
-        equal the one stamped before writing (float shortest-repr)."""
-        payload = {"a": 0.1 + 0.2, "b": [1e-300, "naïve"], "now": 42.0}
-        stamped = dict(payload, checksum=payload_checksum(payload))
-        parsed = json.loads(json.dumps(stamped, ensure_ascii=False))
-        assert checksum_matches(parsed) is True
+        """The checksum the writer stamps verifies on the text it wrote
+        (floats, exponents and non-ASCII text included)."""
+        body = '{"a": 0.30000000000000004, "b": [1e-300, "naïve"]'
+        text = b"".join(
+            stamp_pieces([body.encode("utf-8"), b', "now": 42.0'])
+        ).decode("utf-8")
+        parsed = json.loads(text)
+        assert parsed["b"] == [1e-300, "naïve"]
+        assert text_checksum_matches(text, parsed) is True
 
     def test_detects_any_change(self):
-        payload = {"a": 1, "checksum": None}
-        payload["checksum"] = payload_checksum(payload)
-        assert checksum_matches(payload) is True
-        payload["a"] = 2
-        assert checksum_matches(payload) is False
+        text = b"".join(stamp_pieces([b'{"a": 1'])).decode("utf-8")
+        assert text_checksum_matches(text, json.loads(text)) is True
+        edited = text.replace('"a": 1', '"a": 2')
+        assert text_checksum_matches(edited, json.loads(edited)) is False
 
     def test_absent_checksum_is_none(self):
-        assert checksum_matches({"a": 1}) is None
-
-    def test_canonical_form_is_order_independent(self):
-        assert canonical_json({"b": 1, "a": 2}) == canonical_json(
-            {"a": 2, "b": 1}
-        )
-        assert payload_checksum({"b": 1, "a": 2}) == payload_checksum(
-            {"a": 2, "b": 1}
-        )
+        assert text_checksum_matches('{"a": 1}', {"a": 1}) is None
 
 
 def write_atomically(text, path, backup=False):
@@ -104,20 +96,18 @@ class TestAtomicWrite:
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_json_adds_verifiable_checksum(self, tmp_path):
-        """A file stamped with the canonical (version-1) checksum still
-        verifies through the reader's check."""
+        """A file stamped with its byte checksum verifies through the
+        reader's check after the round trip through the disk."""
         target = tmp_path / "state.json"
-        payload = {"a": 1, "b": "naïve"}
-        write_atomically(json.dumps(
-            dict(payload, checksum=payload_checksum(payload)),
-            ensure_ascii=False,
-        ), target)
+        atomic_write_pieces(
+            stamp_pieces(['{"a": 1, "b": "naïve"'.encode("utf-8")]), target
+        )
         text = target.read_text(encoding="utf-8")
         state = json.loads(text)
         assert text_checksum_matches(text, state) is True
         assert state["a"] == 1
-        state["a"] = 2
-        assert text_checksum_matches(text, state) is False
+        edited = text.replace('"a": 1', '"a": 2')
+        assert text_checksum_matches(edited, json.loads(edited)) is False
 
     def test_json_without_checksum(self, tmp_path):
         target = tmp_path / "plain.json"

@@ -14,6 +14,12 @@ by size.
   batch whose line would outgrow the base compacts instead.
 * A journal header carries no ``base_now``; one that does, as earlier
   writers of this version wrote it, still recovers.
+* Recovery into a fresh vocabulary reproduces the live term ids and
+  every active document's row, in row order, when each log line
+  carries its own term delta (non-ASCII terms included); mutated bytes
+  of such a run verify whole or are rejected too.
+* A batch the rule compacts for gets no log line, and is counted; each
+  ``checkpoint.save`` span says how many fragments it encoded.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Checkpointer, Vocabulary, recover
+from repro import Checkpointer, Document, Vocabulary, recover
 from repro.durability.journal import read_journal
 from repro.durability.records import resolve_record
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError, JournalError
 from repro.obs import InMemoryRecorder, use_recorder
 from repro.persistence import (
     load_checkpoint,
@@ -44,6 +51,7 @@ from repro.persistence import (
 from tests.durability.conftest import (
     Batch,
     CadenceCheckpointer,
+    Fingerprint,
     assert_state_matches,
     build_batches,
     crash_images,
@@ -129,6 +137,66 @@ def third_line(batches: List[Batch], **members: Any) -> Dict[str, Any]:
     return line
 
 
+def stream_with_new_terms(
+    days: int,
+) -> Tuple[Vocabulary, List[Batch]]:
+    """The two-topic stream plus one document a day with a term no
+    earlier day had (one of them non-ASCII), so every journal line
+    carries a term delta."""
+    vocabulary, batches = build_batches(days=days)
+    for day, (at_time, batch) in enumerate(batches):
+        batch.append(Document(
+            doc_id=f"new-{day}", timestamp=at_time - 0.5,
+            term_counts={
+                vocabulary.add(f"fresh{day}"): 1,
+                vocabulary.add(f"ünïcode{day}"): 2,
+                vocabulary.add("goal"): 1,
+            },
+            topic_id="sports",
+        ))
+    return vocabulary, batches
+
+
+def growing_references(
+    source: Vocabulary, batches: List[Batch]
+) -> List[Fingerprint]:
+    return reference_states(
+        list(growing_batches(source, batches, Vocabulary()))
+    )
+
+
+def run_images(
+    workdir: Path, source: Vocabulary, batches: List[Batch], every: int
+) -> Tuple[Vocabulary, List[Tuple[Path, List[str], Dict[str, Document]]]]:
+    """Crash images of a growing-vocabulary run: after each commit, the
+    run directory, the live vocabulary's terms and the active
+    documents."""
+    live = workdir / "live"
+    live.mkdir(parents=True)
+    vocabulary = Vocabulary()
+    clusterer = make_clusterer()
+    checkpointer = CadenceCheckpointer(
+        clusterer, vocabulary, live / "state.json", every=every
+    )
+    clusterer.add_commit_hook(checkpointer.record_batch)
+    images = []
+
+    def snap() -> None:
+        dest = workdir / f"crash{len(images)}"
+        shutil.copytree(live, dest)
+        active = {
+            doc.doc_id: doc for doc in clusterer.statistics.documents()
+        }
+        images.append((dest / "state.json", list(vocabulary), active))
+
+    snap()
+    for at_time, batch in growing_batches(source, batches, vocabulary):
+        clusterer.process_batch(batch, at_time=at_time)
+        snap()
+    checkpointer.abort()
+    return vocabulary, images
+
+
 class TestResolver:
     @pytest.mark.parametrize(
         "row", HOSTILE_ROWS.values(), ids=list(HOSTILE_ROWS)
@@ -136,6 +204,11 @@ class TestResolver:
     def test_rejects(self, row):
         with pytest.raises(ValueError):
             resolve_record(record(row), TERMS)
+
+    @pytest.mark.parametrize("shape", [["row"], "row"], ids=["list", "string"])
+    def test_rejects_a_record_that_is_not_an_object(self, shape):
+        with pytest.raises(ValueError, match="object"):
+            resolve_record(shape, TERMS)
 
     def test_rejects_a_member_it_does_not_know(self):
         with pytest.raises(ValueError, match="members"):
@@ -161,6 +234,20 @@ class TestResolver:
         with pytest.raises(CheckpointError, match="malformed"):
             load_checkpoint(path, target)
         assert list(target) == ["unrelated"]
+
+    @pytest.mark.parametrize("terms", [
+        ["alpha", "alpha"], ["alpha", 7], "alpha",
+    ], ids=["repeated", "not-a-string", "not-a-list"])
+    def test_a_hostile_term_list_is_rejected(self, tmp_path, terms):
+        vocabulary, batches = build_batches(days=1)
+        path = tmp_path / "state.json"
+        save_checkpoint(make_clusterer(), vocabulary, path)
+        state = json.loads(path.read_text(encoding="utf-8"))
+        state["terms"] = terms
+        del state["checksum"]
+        path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="malformed"):
+            read_checkpoint_state(path)
 
     @pytest.mark.parametrize(
         "row", HOSTILE_ROWS.values(), ids=list(HOSTILE_ROWS)
@@ -318,7 +405,7 @@ class TestExpiryBehindTheClock:
     """An empty window advances the clock with no expiry, so a base can
     be written after a document's life span has passed: its assignment
     is recorded over the documents it holds, and the expired ones'
-    entries are dropped on load, as in versions 1 and 2."""
+    entries are dropped on load."""
 
     def test_a_base_past_a_life_span_loads_and_recovers(self, tmp_path):
         vocabulary, batches = build_batches(days=DAYS)
@@ -518,6 +605,85 @@ class TestJournalHeader:
             assert_state_matches(recovery.clusterer, references[n])
 
 
+def test_a_tail_torn_inside_a_character_is_discarded(tmp_path):
+    """An append cut inside a multi-byte UTF-8 character leaves bytes
+    that do not decode; the reader discards them as a torn line (it
+    used to raise ``UnicodeDecodeError`` out of ``recover()``)."""
+    source, batches = stream_with_new_terms(3)
+    _, images = run_images(tmp_path, source, batches, every=100)
+    image = images[3][0]
+    journal = image.with_name(image.name + ".journal")
+    raw = journal.read_bytes()
+    last = raw.rindex("ü".encode("utf-8"))
+    assert last > raw.rindex(b"\n", 0, len(raw) - 1)  # in the last line
+    journal.write_bytes(raw[:last + 1])
+
+    contents = read_journal(journal)
+    assert contents.truncated
+    assert len(contents.entries) == 2
+    recovery = recover(image)
+    assert recovery.sequence == 2
+    assert recovery.journal_truncated
+
+
+class TestExactRecovery:
+    def test_fresh_vocabulary_gets_the_live_ids_and_rows(self, tmp_path):
+        """every=3: each image holds a checkpoint plus zero, one or two
+        journal lines, each line with its own term delta."""
+        source, batches = stream_with_new_terms(8)
+        references = growing_references(source, batches)
+        _, images = run_images(tmp_path, source, batches, every=3)
+        for n, (image, live_terms, active) in enumerate(images):
+            recovery = recover(image, vocabulary=Vocabulary())
+            assert recovery.sequence == n
+            assert recovery.replayed_batches == n % 3
+            assert list(recovery.vocabulary) == live_terms
+            statistics = recovery.clusterer.statistics
+            assert set(statistics.doc_ids()) == set(active)
+            for doc_id, live in active.items():
+                restored = statistics.document(doc_id)
+                assert np.array_equal(restored.term_ids, live.term_ids)
+                assert np.array_equal(restored.counts, live.counts)
+            assert_state_matches(recovery.clusterer, references[n])
+
+
+class TestObservability:
+    def test_due_batches_are_counted_and_saves_tagged(self, tmp_path):
+        vocabulary, batches = build_batches(days=6)
+        recorder = InMemoryRecorder()
+        clusterer = make_clusterer()
+        checkpointer = CadenceCheckpointer(
+            clusterer, vocabulary, tmp_path / "state.json", every=3,
+            recorder=recorder,
+        )
+        clusterer.add_commit_hook(checkpointer.record_batch)
+        for at_time, batch in batches:
+            clusterer.process_batch(batch, at_time=at_time)
+        checkpointer.abort()
+
+        counters = recorder.counters()
+        assert counters["durability.journal_batches"] == 4
+        assert counters["durability.journal_skipped"] == 2
+        assert len(read_journal(checkpointer.journal_path).entries) == 0
+        # every batch, due or not, is encoded into the shared cache
+        # before the rule decides, so a due checkpoint encodes nothing
+        saves = recorder.select("checkpoint.save")
+        assert [save.tags["new_docs"] for save in saves] == [0, 0, 0]
+        assert [save.tags["docs"] for save in saves] == [
+            0, sum(len(b) for _, b in batches[:3]),
+            clusterer.statistics.size,
+        ]
+        # a checkpointer over a fed clusterer encodes its whole anchor
+        CadenceCheckpointer(
+            clusterer, vocabulary, tmp_path / "again.json", every=3,
+            recorder=recorder,
+        ).abort()
+        anchor = recorder.select("checkpoint.save")[-1]
+        assert anchor.tags["new_docs"] == anchor.tags["docs"] == (
+            clusterer.statistics.size
+        )
+
+
 # -- mutated bytes and torn tails ------------------------------------------
 
 
@@ -626,6 +792,77 @@ class TestMutatedBytes:
         recovery = recover(image)
         whole_lines = journal.read_bytes().count(b"\n") - 1
         assert recovery.sequence == whole_lines
+        assert_state_matches(
+            recovery.clusterer, references[recovery.sequence]
+        )
+        shutil.rmtree(image.parent.parent)
+
+
+class TestMutatedBytesWithTermDeltas:
+    """As :class:`TestMutatedBytes`, over the stream whose every log
+    line carries new terms, with more examples."""
+
+    @pytest.fixture(scope="class")
+    def mutation_run(self, tmp_path_factory):
+        source, batches = stream_with_new_terms(DAYS)
+        references = growing_references(source, batches)
+        _, checkpointed = run_images(
+            tmp_path_factory.mktemp("every1"), source, batches, every=1
+        )
+        _, journaled = run_images(
+            tmp_path_factory.mktemp("every100"), source, batches, every=100
+        )
+        return references, checkpointed[DAYS][0], journaled[DAYS][0]
+
+    @given(flips=FLIPS)
+    @settings(
+        derandomize=True, max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_checkpoint(self, mutation_run, flips):
+        references, image, _ = mutation_run
+        image = scratch_copy(image)
+        raw = image.read_bytes()
+        original = read_checkpoint_state(image)
+        image.write_bytes(mutate(raw, flips))
+        try:
+            state = read_checkpoint_state(image)
+        except CheckpointError:
+            state = None
+        if state is not None:
+            assert state == original  # verified whole
+        recovery = recover(image)
+        assert recovery.sequence == (DAYS if state else DAYS - 1)
+        assert recovery.used_backup is (state is None)
+        assert_state_matches(
+            recovery.clusterer, references[recovery.sequence]
+        )
+        shutil.rmtree(image.parent.parent)
+
+    @given(flips=FLIPS)
+    @settings(
+        derandomize=True, max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_journal(self, mutation_run, flips):
+        references, _, image = mutation_run
+        image = scratch_copy(image)
+        journal = image.with_name(image.name + ".journal")
+        raw = journal.read_bytes()
+        header_end = raw.index(b"\n") + 1
+        original = read_journal(journal).entries
+        assert len(original) == DAYS
+        # flip bytes of the lines, never of the header
+        journal.write_bytes(raw[:header_end] + mutate(
+            raw[header_end:], flips
+        ))
+        try:
+            entries = read_journal(journal).entries
+        except JournalError:  # pragma: no cover - the header is intact
+            entries = ()
+        assert entries == original[:len(entries)]
+        recovery = recover(image)
+        assert recovery.sequence == len(entries)
         assert_state_matches(
             recovery.clusterer, references[recovery.sequence]
         )

@@ -1,16 +1,12 @@
-"""Tests for the external clustering measures (purity, NMI, ARI, ...)."""
+"""Tests for the external clustering measures (purity, NMI and the
+recency-weighted micro F1)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import ForgettingModel
 from repro.eval import (
-    adjusted_rand_index,
-    inverse_purity,
     normalized_mutual_information,
     purity,
-    rand_index,
     recency_weighted_micro_f1,
 )
 from tests.conftest import make_document
@@ -29,14 +25,11 @@ SINGLETONS = [[d] for d in TRUTH]
 class TestPurity:
     def test_perfect(self):
         assert purity(PERFECT, TRUTH) == 1.0
-        assert inverse_purity(PERFECT, TRUTH) == 1.0
 
     def test_singletons_gam_purity_but_not_inverse(self):
         assert purity(SINGLETONS, TRUTH) == 1.0
-        assert inverse_purity(SINGLETONS, TRUTH) == pytest.approx(3 / 9)
 
     def test_one_blob_gams_inverse_but_not_purity(self):
-        assert inverse_purity(ONE_BLOB, TRUTH) == 1.0
         assert purity(ONE_BLOB, TRUTH) == pytest.approx(4 / 9)
 
     def test_unlabelled_and_outliers_ignored(self):
@@ -46,12 +39,6 @@ class TestPurity:
 
     def test_empty(self):
         assert purity([], TRUTH) == 0.0
-        assert inverse_purity([], TRUTH) == 0.0
-
-    def test_outlier_topics_hurt_inverse_purity(self):
-        # topic t3 entirely unclustered
-        clusters = [["a1", "a2", "a3", "a4"], ["b1", "b2"]]
-        assert inverse_purity(clusters, TRUTH) == pytest.approx(6 / 9)
 
 
 class TestNMI:
@@ -68,40 +55,6 @@ class TestNMI:
 
     def test_empty(self):
         assert normalized_mutual_information([], TRUTH) == 0.0
-
-
-class TestRand:
-    def test_perfect(self):
-        assert rand_index(PERFECT, TRUTH) == 1.0
-        assert adjusted_rand_index(PERFECT, TRUTH) == pytest.approx(1.0)
-
-    def test_rand_of_singletons(self):
-        # singletons agree on all cross-topic pairs, disagree within
-        expected_disagreements = 6 + 1 + 3  # same-topic pairs
-        total = 9 * 8 // 2
-        assert rand_index(SINGLETONS, TRUTH) == pytest.approx(
-            (total - expected_disagreements) / total
-        )
-
-    def test_ari_near_zero_for_random_like(self):
-        mixed = [["a1", "b1", "c1"], ["a2", "b2", "c2"], ["a3", "a4", "c3"]]
-        assert abs(adjusted_rand_index(mixed, TRUTH)) < 0.3
-
-    def test_small_input(self):
-        assert rand_index([["a1"]], TRUTH) == 1.0
-        assert adjusted_rand_index([["a1"]], TRUTH) == 1.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 3), min_size=2, max_size=24))
-    def test_ari_upper_bounded_by_one(self, labels):
-        truth = {f"d{i}": f"t{label}" for i, label in enumerate(labels)}
-        # arbitrary clustering: by index parity
-        clusters = [
-            [f"d{i}" for i in range(len(labels)) if i % 2 == 0],
-            [f"d{i}" for i in range(len(labels)) if i % 2 == 1],
-        ]
-        value = adjusted_rand_index(clusters, truth)
-        assert value <= 1.0 + 1e-12
 
 
 class TestRecencyWeightedF1:

@@ -361,9 +361,10 @@ class TestReads:
 
 class TestReadOnlyTextQueries:
     def test_a_text_query_leaves_the_term_memo_alone(self, stream):
-        """Readers share the producer's term memo: a query answers every
-        word, seen or not, without storing it or moving the counters
-        that ``text.stemmer_hit_ratio`` reads."""
+        """Readers count through the pipeline's own query memo: a query
+        answers every word, seen or not, without storing it in the
+        producer's term memo or moving the counters that
+        ``text.stemmer_hit_ratio`` reads."""
         from repro.text import MemoizedStemmer
 
         from tests.oracles.text import ReferencePipeline

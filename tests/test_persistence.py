@@ -13,8 +13,8 @@ from repro import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.obs import InMemoryRecorder, use_recorder
 from tests.conftest import build_topic_repository
+from tests.oracles.serialisation import stamped
 
 
 def run_stream(clusterer, repo, days, start=0):
@@ -173,8 +173,9 @@ class TestErrors:
     def test_missing_field(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(
-            {"format": "repro-checkpoint", "version": 1,
-             "model": {"half_life": 7.0, "life_span": None}}
+            {"format": "repro-checkpoint", "version": 3,
+             "model": {"half_life": 7.0, "life_span": None},
+             "terms": [], "documents": [], "assignment": ""}
         ))
         with pytest.raises(CheckpointError, match="missing field"):
             load_checkpoint(path)
@@ -188,9 +189,10 @@ class TestMalformedNested:
     def test_missing_nested_key_raises_checkpoint_error(self, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text(json.dumps({
-            "format": "repro-checkpoint", "version": 1,
+            "format": "repro-checkpoint", "version": 3,
             "model": {"half_life": 7.0},  # life_span missing
-            "kmeans": {}, "now": 0.0, "documents": [], "assignment": {},
+            "kmeans": {}, "now": 0.0, "terms": [], "documents": [],
+            "assignment": "",
         }))
         with pytest.raises(CheckpointError, match="malformed"):
             load_checkpoint(path)
@@ -244,27 +246,17 @@ class TestStatisticsBackendField:
 
 
 def _rewrite(path, edit):
-    """Edit the checkpoint and re-stamp it with the canonical checksum
-    a tool (or a version-1 writer) stamps."""
-    from repro.durability.atomic import payload_checksum
-
+    """Edit the checkpoint and re-stamp it with its byte checksum, as
+    the writer stamps it."""
     state = json.load(open(path))
     del state["checksum"]
     edit(state)
-    state["checksum"] = payload_checksum(state)
-    path.write_text(json.dumps(state, ensure_ascii=False))
-
-
-def _load_counting(path, vocabulary):
-    recorder = InMemoryRecorder()
-    with use_recorder(recorder):
-        restored, _ = load_checkpoint(path, vocabulary)
-    return restored, recorder.counters().get("checkpoint.path_migrated", 0)
+    path.write_text(stamped(state), encoding="utf-8")
 
 
 class TestRemovedPathMigration:
     """Checkpoints naming a removed engine or backend, or none, load onto
-    the production pair with a ``checkpoint.path_migrated`` count."""
+    the production pair."""
 
     @pytest.mark.parametrize("edit", [
         lambda state: state["kmeans"].update(engine="sparse"),
@@ -285,10 +277,8 @@ class TestRemovedPathMigration:
         save_checkpoint(clusterer, stream.vocabulary, old_path)
         _rewrite(old_path, edit)
 
-        fresh, fresh_migrations = _load_counting(fresh_path,
-                                                 stream.vocabulary)
-        old, migrations = _load_counting(old_path, stream.vocabulary)
-        assert (fresh_migrations, migrations) == (0, 1)
+        fresh, _ = load_checkpoint(fresh_path, stream.vocabulary)
+        old, _ = load_checkpoint(old_path, stream.vocabulary)
         assert old.kmeans.engine.name == "matrix"
         assert old.statistics.backend_name == "columnar"
 
