@@ -8,7 +8,8 @@ answers that with one gather per document; this engine batches the
 *whole sweep*:
 
 * all weighted document vectors live in one CSR matrix ``X`` (N×V),
-  taken as the vectoriser built it (rows already hold their terms
+  held as three arrays (``indptr``, ``indices``, ``data``) in the
+  layout the vectoriser built (rows already hold their terms
   ascending), with cached self-similarities ``w⃗_d·w⃗_d`` (the Eq. 23
   summands, which already fold in the ``Pr(d)/len_d`` novelty weights
   of Eq. 12-16),
@@ -23,8 +24,15 @@ answers that with one gather per document; this engine batches the
   membership moves are replayed into ``S`` exactly from rows of the
   intra-block Gram matrix ``X_blk · X_blkᵀ`` (when document j
   left/joined cluster p, the later rows' similarity to p changes by
-  ∓``w⃗_i·w⃗_j``). Only movers need their Gram row; the block keeps
-  each row it pays for across passes,
+  ∓``w⃗_i·w⃗_j``). Only movers need their Gram row, and a mover at
+  block position ``i`` reads only its entries right of ``i``, so only
+  those are computed; the block keeps each row it pays for across
+  passes. Every sparse product of the sweep is one call of scipy's own
+  CSR × dense kernel (:func:`_csr_dot`, the routine a scipy sparse
+  matrix's ``@`` runs) on views of ``X``'s arrays: no sparse matrix
+  object is built, sliced or dispatched per block or per mover,
+* a block's moves reach ``Rᵀ`` as one T×K ``np.bincount`` of the
+  movers' entries, added in one dense add (:meth:`_apply_moves`),
 * the Eq. 25-26 gain of document q against cluster p is affine in
   ``cr_sim(C_p, d_q)``, so the K gains of a window of documents are one
   fused multiply-add ``a ⊙ S + b`` over incrementally maintained
@@ -47,8 +55,9 @@ agrees to float summation order: the oracle removes and re-adds a
 stationary member, a round trip of its aggregates through rounding
 that this engine skips.
 
-Requires :mod:`scipy`, a declared dependency of the package;
-construction fails with a clear message when it is missing.
+Requires :mod:`scipy`, a declared dependency of the package, for its
+CSR kernel; construction fails with a clear message when it is
+missing.
 """
 
 from __future__ import annotations
@@ -69,15 +78,16 @@ from .base import (
     best_affine_gain,
 )
 
-# typed Any rather than a module so both the ImportError fallback and
-# the attribute accesses below type-check with or without scipy stubs
+# scipy's compiled sparse routines, the CSR kernels of _csr_dot; typed
+# Any rather than a module so both the ImportError fallback and the
+# attribute accesses below type-check with or without scipy stubs
 _sp: Any = None
 try:  # pragma: no cover - exercised implicitly on import
-    from scipy import sparse as _scipy_sparse
+    from scipy.sparse import _sparsetools as _scipy_sparsetools
 except ImportError:  # pragma: no cover - scipy is present in CI/dev envs
     pass
 else:
-    _sp = _scipy_sparse
+    _sp = _scipy_sparsetools
 
 #: Documents per sweep block: large enough to amortise the two matmuls,
 #: small enough that the b×b Gram matrix stays cache-resident.
@@ -96,7 +106,8 @@ SPECULATE_WINDOW = 64
 class SweepCounts:
     """What the assignment sweeps did, summed over blocks: every swept
     document is decided either by the vectorised window or one by one,
-    and a Gram row is paid either one by one or in bulk."""
+    a Gram row is paid either one by one or in bulk, and each paid row
+    computes some of its entries."""
 
     #: Documents decided by the vectorised gain window.
     window_docs: int = 0
@@ -110,6 +121,9 @@ class SweepCounts:
     gram_rows_single: int = 0
     #: Gram rows paid by one product over many rows.
     gram_rows_bulk: int = 0
+    #: Gram entries computed, one by one and in bulk: each row's
+    #: entries right of its own column.
+    gram_entries: int = 0
 
     def tags(self) -> Dict[str, int]:
         """The counts as span tags."""
@@ -141,6 +155,39 @@ def _row_dots(indptr: IntArray, data: FloatArray) -> FloatArray:
         rows = order[lo:hi]
         group = data[indptr[rows][:, None] + np.arange(length)]
         out[rows] = np.matmul(group[:, None, :], group[:, :, None]).ravel()
+    return out
+
+
+def _csr_dot(
+    indptr: IntArray, indices: IntArray, data: FloatArray, dense: FloatArray
+) -> FloatArray:
+    """``A · dense`` for the CSR rows ``A`` of ``indptr``, ``indices`` and
+    ``data``, by the kernel a scipy CSR matrix's ``@`` dispatches to,
+    so bit for bit what that product gives: a 1-D or one-column
+    ``dense`` takes ``csr_matvec``, a wider one ``csr_matvecs``, and
+    each output entry sums its row's products in stored order from
+    zero.
+
+    ``indptr`` need not start at 0: its offsets index ``indices`` and
+    ``data`` directly, so a run of rows of a larger matrix is a slice of
+    its ``indptr`` over its whole ``indices`` and ``data``, with no copy.
+    ``indptr`` and ``indices`` should share one integer dtype (the
+    kernel casts, and so copies, otherwise).
+    """
+    n_rows = indptr.size - 1
+    n_cols = dense.shape[0]
+    if dense.ndim == 1 or dense.shape[1] == 1:
+        out = np.zeros(n_rows, dtype=np.float64)
+        _sp.csr_matvec(
+            n_rows, n_cols, indptr, indices, data, dense.ravel(), out
+        )
+        return out if dense.ndim == 1 else out.reshape(n_rows, 1)
+    n_vecs = dense.shape[1]
+    out = np.zeros((n_rows, n_vecs), dtype=np.float64)
+    _sp.csr_matvecs(
+        n_rows, n_cols, n_vecs, indptr, indices, data, dense.ravel(),
+        out.ravel(),
+    )
     return out
 
 
@@ -201,47 +248,72 @@ def _own_gains(
 
 
 class _Block:
-    """One sweep block: its rows, its slice ``Xb`` of ``X`` and the rows
-    of its Gram matrix ``Xb · Xbᵀ`` computed so far.
+    """One sweep block: its rows, its rows ``Xb`` of ``X`` as CSR arrays
+    (``indptr`` with one offset per row and one past the last, into
+    ``indices`` and ``data``) and the Gram rows ``Xb · Xbᵀ`` computed so
+    far.
+
+    A block of consecutive rows holds views of ``X``'s own arrays: a
+    slice of its ``indptr`` over its whole ``indices`` and ``data``.
+    Any other row set gathers its rows' entries into arrays of its own.
 
     A Gram row is paid only for a row that moves, or that the block's
     entry state says will: the sweep replays a mover's Gram row into the
     later rows' similarities, and a row that stays where it is needs
-    none. Every row is computed as a whole and is bit-equal to that row
-    of the full product.
+    none. The replay of row ``i`` reads only its entries right of column
+    ``i``, so ``have[i]`` says that ``gram[i, i+1:]`` holds them; each
+    is bit-equal to that entry of the full product. Block positions are
+    fixed for the block's life, so a row kept once serves every later
+    pass.
     """
 
-    __slots__ = ("rows", "X", "gram", "have")
+    __slots__ = ("rows", "indptr", "indices", "data", "n_terms", "gram",
+                 "have")
 
-    def __init__(self, rows: IntArray, X: Any) -> None:
+    def __init__(
+        self,
+        rows: IntArray,
+        indptr: IntArray,
+        indices: IntArray,
+        data: FloatArray,
+        n_terms: int,
+    ) -> None:
         self.rows = rows.copy()
-        self.X = X
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.n_terms = n_terms
         self.gram: FloatArray = np.empty((rows.size, rows.size),
                                          dtype=np.float64)
         self.have: BoolArray = np.zeros(rows.size, dtype=bool)
 
-    def fill(self, positions: IntArray) -> int:
-        """Compute the missing Gram rows of ``positions``, a few at a
-        time, as ``Xb · D`` for a dense operand ``D`` holding those rows
-        as columns; returns how many were computed.
+    def fill(self, positions: IntArray) -> Tuple[int, int]:
+        """Compute the missing Gram rows of ``positions`` (ascending), a
+        few at a time, as the block rows right of the chunk's first
+        position times a dense operand ``D`` holding the chunk's rows as
+        columns; returns how many rows and entries were computed.
 
-        Each entry of ``Xb · D`` sums its row's products in ascending
+        Each entry of that product sums its row's products in ascending
         term order, as the sparse ``Xb · Xbᵀ`` does, plus exact zeros,
-        so the rows are bit-equal to the full product's, and no
+        so the entries are bit-equal to the full product's, and no
         transpose of the block is built.
         """
         todo = positions[~self.have[positions]]
-        X = self.X
+        indptr, indices, data = self.indptr, self.indices, self.data
+        entries = 0
         for lo in range(0, todo.size, GRAM_BULK_ROWS):
             chunk = todo[lo:lo + GRAM_BULK_ROWS]
-            at, lens = _entries(X.indptr, chunk)
-            D = np.zeros((X.shape[1], chunk.size), dtype=np.float64)
-            D[X.indices[at], np.repeat(np.arange(chunk.size), lens)] = (
-                X.data[at]
+            first = int(chunk[0]) + 1
+            at, lens = _entries(indptr, chunk)
+            D = np.zeros((self.n_terms, chunk.size), dtype=np.float64)
+            D[indices[at], np.repeat(np.arange(chunk.size), lens)] = (
+                data[at]
             )
-            self.gram[chunk] = (X @ D).T
+            part = _csr_dot(indptr[first:], indices, data, D)
+            self.gram[chunk, first:] = part.T
+            entries += part.size
         self.have[todo] = True
-        return int(todo.size)
+        return int(todo.size), entries
 
 
 class MatrixEngine:
@@ -286,9 +358,17 @@ class MatrixEngine:
         lens = np.diff(indptr)
         self._term_ids = np.asarray(term_ids, dtype=np.int64)
         n_terms = max(1, len(term_ids))
-        self._X = _sp.csr_matrix(
-            (vectors.data, cols, indptr), shape=(n_docs, n_terms)
+        # X (n_docs × n_terms) as CSR arrays with one index dtype for
+        # the kernel: int32 while every offset and column fits, as
+        # scipy's own sparse matrices choose, which halves the index
+        # traffic of the sweep's products and temporaries
+        index_dtype = (
+            np.int32 if max(int(indptr[-1]), n_terms) < 2**31 else np.int64
         )
+        self._n_terms = n_terms
+        self._indptr = indptr.astype(index_dtype)
+        self._indices = np.asarray(cols, dtype=index_dtype)
+        self._data = np.asarray(vectors.data, dtype=np.float64)
         self._w2 = _row_dots(indptr, vectors.data)
         # exactly the empty-vector rows decide (-1, NO_GAIN); gating on
         # the stored length rather than `w2 <= 0.0` keeps parity with
@@ -344,8 +424,8 @@ class MatrixEngine:
     # -- membership (direct path: warm start, reseed, rescue, split) -----
 
     def _row_slice(self, row: int) -> Tuple[IntArray, FloatArray]:
-        start, stop = self._X.indptr[row], self._X.indptr[row + 1]
-        return self._X.indices[start:stop], self._X.data[start:stop]
+        start, stop = self._indptr[row], self._indptr[row + 1]
+        return self._indices[start:stop], self._data[start:stop]
 
     def add(self, cluster_id: int, row: int) -> None:
         ids, vals = self._row_slice(row)
@@ -393,7 +473,7 @@ class MatrixEngine:
         """
         rows = np.asarray(rows, dtype=np.int64)
         clusters = np.asarray(clusters, dtype=np.int64)
-        n_docs = self._X.shape[0]
+        n_docs = self._assigned.size
         if rows.ndim != 1 or rows.shape != clusters.shape:
             raise ConfigurationError(
                 "load needs one cluster id per row, as two 1-d arrays"
@@ -414,12 +494,12 @@ class MatrixEngine:
         if (self._assigned >= 0).any():
             raise ConfigurationError("load needs an engine with no member")
         sizes = np.bincount(clusters, minlength=self.k)
-        at, lens = _entries(self._X.indptr, rows)
-        n_terms = self._X.shape[1]
+        at, lens = _entries(self._indptr, rows)
+        n_terms = self._n_terms
         self._rep_t = np.bincount(
-            self._X.indices[at].astype(np.int64) * self.k
+            self._indices[at].astype(np.int64) * self.k
             + np.repeat(clusters, lens),
-            weights=self._X.data[at],
+            weights=self._data[at],
             minlength=n_terms * self.k,
         ).reshape(n_terms, self.k)
         self._ss = np.bincount(
@@ -466,7 +546,7 @@ class MatrixEngine:
 
         ``X`` is immutable for the engine's lifetime and every
         assignment pass sweeps the documents in the same order, so a
-        block's slice and the Gram rows its movers have paid for are
+        block's arrays and the Gram rows its movers have paid for are
         reused by every later pass. The cache is LRU — bounded to one
         full sweep's block count — so probing shifting document
         subsets over a long-lived engine recycles entries instead of
@@ -481,29 +561,34 @@ class MatrixEngine:
         if first + nb - 1 == int(block_rows[-1]) and np.array_equal(
             block_rows, np.arange(first, first + nb, dtype=np.int64)
         ):
-            # the usual case (pass order == matrix order): a cheap slice
-            # instead of the fancy-index extraction product
-            Xb = self._X[first:first + nb]
+            # the usual case (pass order == matrix order): views of X
+            indptr = self._indptr[first:first + nb + 1]
+            indices, data = self._indices, self._data
         else:
-            Xb = self._X[block_rows]
+            at, lens = _entries(self._indptr, block_rows)
+            indptr = np.zeros(nb + 1, dtype=self._indptr.dtype)
+            np.cumsum(lens, out=indptr[1:])
+            indices, data = self._indices[at], self._data[at]
         while (
             first not in self._block_cache
             and len(self._block_cache) >= self._block_cache_limit
         ):
             self._block_cache.pop(next(iter(self._block_cache)))
-        block = _Block(block_rows, Xb)
+        block = _Block(block_rows, indptr, indices, data, self._n_terms)
         self._block_cache[first] = block
         return block
 
     def _gram_row(self, block: _Block, i: int) -> None:
-        """Compute row ``i`` of the block's Gram matrix as ``Xb · x⃗_i``:
-        one sparse mat-vec whose every entry sums the same products in
-        the same (ascending term) order as the full ``Xb · Xbᵀ``, plus
-        exact zeros."""
+        """Compute row ``i`` of the block's Gram matrix right of column
+        ``i`` as the later block rows times ``x⃗_i``: one sparse mat-vec
+        whose every entry sums the same products in the same (ascending
+        term) order as the full ``Xb · Xbᵀ``, plus exact zeros."""
         ids, vals = self._row_slice(int(block.rows[i]))
         dense = self._dense_row
         dense[ids] = vals
-        block.gram[i] = block.X @ dense
+        block.gram[i, i + 1:] = _csr_dot(
+            block.indptr[i + 1:], block.indices, block.data, dense
+        )
         dense[ids] = 0.0
         block.have[i] = True
 
@@ -550,7 +635,6 @@ class MatrixEngine:
         """
         nb = len(block_rows)
         block = self._block(block_rows)
-        Xb = block.X
         assigned, stamp = self._assigned, self._stamp
         empty_blk = self._empty[block_rows]
         cur_blk = assigned[block_rows]
@@ -558,7 +642,9 @@ class MatrixEngine:
         # contiguous row slice, and the Gram matrix is exactly
         # symmetric (sorted CSR indices), so its rows stand in for its
         # columns
-        ST = np.ascontiguousarray((Xb @ self._rep_t).T)
+        ST = np.ascontiguousarray(_csr_dot(
+            block.indptr, block.indices, block.data, self._rep_t
+        ).T)
         G = np.empty_like(ST)
         live_blk = ~empty_blk
         any_empty = bool(empty_blk.any())
@@ -569,7 +655,9 @@ class MatrixEngine:
         # one. The scores stand as the block's first window.
         self._open_window(G, ST, 0, nb, cur_blk, w2_blk)
         would_move = _decide(G, cur_blk, live_blk if any_empty else None)[2]
-        gram_bulk = block.fill((would_move & ~block.have).nonzero()[0])
+        gram_bulk, gram_entries = block.fill(
+            (would_move & ~block.have).nonzero()[0]
+        )
         gram, have = block.gram, block.have
         gram_single = 0
         move_cluster: List[int] = []
@@ -651,6 +739,7 @@ class MatrixEngine:
             if later and not have[i]:
                 self._gram_row(block, i)
                 gram_single += 1
+                gram_entries += nb - i - 1
             touched: List[int] = []
             if current >= 0:
                 assigned[row] = -1
@@ -697,7 +786,7 @@ class MatrixEngine:
         stamp[now] = np.arange(self._clock, self._clock + now.size)
         self._clock += now.size
         if move_idx:
-            self._apply_moves(Xb, move_cluster, move_idx, move_sign)
+            self._apply_moves(block, move_cluster, move_idx, move_sign)
         for cluster_id in emptied:
             if sizes[cluster_id] == 0:
                 # clear the float residue, as the direct path does
@@ -710,6 +799,7 @@ class MatrixEngine:
             counts.window_patches += patches
             counts.gram_rows_single += gram_single
             counts.gram_rows_bulk += gram_bulk
+            counts.gram_entries += gram_entries
 
     def _open_window(
         self,
@@ -768,7 +858,7 @@ class MatrixEngine:
 
     def _apply_moves(
         self,
-        Xb: Any,
+        block: _Block,
         move_cluster: List[int],
         move_idx: List[int],
         move_sign: List[float],
@@ -776,26 +866,22 @@ class MatrixEngine:
         """Add a block's moves to the representatives: each moved
         cluster gains ``Σ ±x⃗_i`` over its moves.
 
-        The sum starts from zero and adds the moves' rows in sweep
-        order (one ``np.bincount`` over their entries, keyed by term and
-        cluster), the order the sparse product of the K×b signed one-hot
-        move matrix with ``Xb`` sums them in, and is then added to the
-        rows of ``Rᵀ`` the moves touch, once; the entries it leaves zero
-        add nothing.
+        The sum is one T×K ``np.bincount`` over the moves' entries in
+        sweep order, keyed ``term·K + cluster``: each entry starts from
+        zero and adds the moves' values in the order the sparse product
+        of the K×b signed one-hot move matrix with ``Xb`` sums them in.
+        It is added to ``Rᵀ`` in one dense add; the entries it leaves
+        zero add nothing.
         """
-        at, lens = _entries(Xb.indptr, np.asarray(move_idx, dtype=np.int64))
+        at, lens = _entries(block.indptr,
+                            np.asarray(move_idx, dtype=np.int64))
         n_terms, k = self._rep_t.shape
-        terms = Xb.indices[at]
-        present = np.zeros(n_terms, dtype=bool)
-        present[terms] = True
-        touched = present.nonzero()[0]
-        slot = np.cumsum(present) - 1
-        delta = np.bincount(
-            slot[terms] * k + np.repeat(move_cluster, lens),
-            weights=np.repeat(move_sign, lens) * Xb.data[at],
-            minlength=touched.size * k,
-        )
-        self._rep_t[touched] += delta.reshape(touched.size, k)
+        self._rep_t += np.bincount(
+            block.indices[at].astype(np.int64) * k
+            + np.repeat(move_cluster, lens),
+            weights=np.repeat(move_sign, lens) * block.data[at],
+            minlength=n_terms * k,
+        ).reshape(n_terms, k)
 
     def _own_gain(self, cluster_id: int, dot: float, w2: float) -> float:
         """Gain of a member of ``cluster_id`` for re-joining it once
@@ -856,12 +942,11 @@ class MatrixEngine:
         """``K × T`` mask of the terms some member of each cluster
         carries, scattered from the members' column indices through
         one flat index."""
-        X = self._X
-        n_terms = X.shape[1]
-        owner = np.repeat(self._assigned, np.diff(X.indptr))
+        n_terms = self._n_terms
+        owner = np.repeat(self._assigned, np.diff(self._indptr))
         member = owner >= 0
         support = np.zeros(self.k * n_terms, dtype=bool)
-        support[owner[member] * n_terms + X.indices[member]] = True
+        support[owner[member] * n_terms + self._indices[member]] = True
         return support.reshape(self.k, n_terms)
 
     def freeze(self) -> EngineView:

@@ -1,11 +1,11 @@
 """Crash recovery: newest valid checkpoint + its log.
 
 :func:`recover` is the single entry point a restarted deployment calls.
-It (1) picks the newest *valid* checkpoint — the primary file if its
-checksum verifies, else the ``.bak`` generation the atomic writer
-rotated out (covers a crash between the two renames of a checkpoint
-write), (2) restores the clusterer from it, and (3) re-applies every
-logged batch beyond the checkpoint's sequence.
+It (1) restores the clusterer from the newest *valid* checkpoint — the
+primary file if its checksum verifies and it restores, else the
+``.bak`` generation the atomic writer rotated out (covers a crash
+between the two renames of a checkpoint write), and (2) re-applies
+every logged batch beyond the checkpoint's sequence.
 
 Before decoding, recovery interns the checkpoint's ``terms`` and then
 each log line's new terms, in order: into a fresh
@@ -83,7 +83,9 @@ def recover(
     """Restore the newest recoverable state for ``checkpoint_path``.
 
     Tries the primary checkpoint, then its ``.bak`` rotation; raises
-    :class:`CheckpointError` when neither is a valid checkpoint. The
+    :class:`CheckpointError` when neither is a valid checkpoint. A file
+    that parses but does not restore (a clock that is not a number, an
+    assignment that does not fit its documents) is not valid. The
     log (``journal_path``, default ``<checkpoint>.journal``) is then
     re-applied: entries already absorbed by the checkpoint are skipped,
     a torn tail is discarded (so is a line whose recorded assignment
@@ -108,8 +110,15 @@ def recover(
             if not candidate.exists():
                 failures.append(f"{candidate}: not found")
                 continue
+            # a file that parses but does not restore is as unusable as
+            # one that does not parse
             try:
                 state = read_checkpoint_state(candidate)
+                with Span(resolve(None), "checkpoint.load") as load:
+                    clusterer, restored = _restore_state(
+                        candidate, state, vocabulary
+                    )
+                    load.tags["docs"] = clusterer.statistics.size
             except CheckpointError as exc:
                 failures.append(str(exc))
                 continue
@@ -120,16 +129,12 @@ def recover(
                 f"no recoverable checkpoint for {target}: "
                 + "; ".join(failures)
             )
+        vocabulary = restored
         used_backup = chosen != target
         if used_backup and rec.enabled:
             rec.counter("durability.checkpoint_fallback")
 
         sequence = int(state.get("sequence", 0))
-        with Span(resolve(None), "checkpoint.load") as load:
-            clusterer, vocabulary = _restore_state(
-                chosen, state, vocabulary
-            )
-            load.tags["docs"] = clusterer.statistics.size
         if recorder is not None:
             clusterer.set_recorder(rec)
 

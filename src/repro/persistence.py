@@ -345,6 +345,9 @@ def _restore_state(
         vocabulary = Vocabulary()
 
     try:
+        # the clock first: a bad one is refused before any term is
+        # interned
+        now = None if state["now"] is None else float(state["now"])
         model = ForgettingModel(
             half_life=state["model"]["half_life"],
             life_span=state["model"]["life_span"],
@@ -378,19 +381,18 @@ def _restore_state(
             f"{path}: malformed checkpoint ({exc!r})"
         ) from exc
 
-    if state["now"] is None:
+    if now is None:
         # checkpoint of a clusterer that never processed a batch
         if documents:
             raise CheckpointError(
                 f"{path}: documents present but clock is null"
             )
         return clusterer, vocabulary
-    now = float(state["now"])
     try:
         dropped = clusterer.restore_batch(
             documents, now, state["assignment"], before_expiry=True
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint ({exc})"
         ) from exc

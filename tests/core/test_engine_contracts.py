@@ -16,15 +16,17 @@ clustering loop:
   ``add`` per row, in the listed order, followed by ``refresh``, and
   the matrix engine's self-similarities are the dense oracle's per-row
   ``np.dot`` bit for bit;
-* every Gram row the matrix engine's sweep reads, whether paid one
-  mover at a time or for many rows at once, is bit-equal to that row
-  of the block's full Gram matrix.
+* every Gram entry the matrix engine's sweep can read (row ``i``
+  right of column ``i``), whether paid one mover at a time or for many
+  rows at once, is bit-equal to that entry of the block's full Gram
+  matrix.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from repro import (
     CorpusStatistics,
@@ -330,8 +332,9 @@ class TestBulkLoad:
 
 class GramCheckedEngine(MatrixEngine):
     """The matrix engine in blocks of 32, checking after every sweep of
-    a block that each Gram row it holds — every row the sweep can have
-    read — equals that row of the block's full ``Xb @ Xb.T``."""
+    a block that each Gram row it holds equals, right of its own column
+    (every entry the sweep can have read), that row of the block's full
+    ``Xb @ Xb.T`` built from the block's CSR arrays."""
 
     name = "gram-checked"
     paid = {"one by one": 0, "in bulk": 0}
@@ -352,8 +355,16 @@ class GramCheckedEngine(MatrixEngine):
             int(block.have.sum()) - had
             - (GramCheckedEngine.paid["one by one"] - one_by_one)
         )
-        full = (block.X @ block.X.T).toarray()
-        assert np.array_equal(block.gram[block.have], full[block.have])
+        lo, hi = int(block.indptr[0]), int(block.indptr[-1])
+        Xb = scipy.sparse.csr_matrix(
+            (block.data[lo:hi], block.indices[lo:hi],
+             block.indptr - lo),
+            shape=(block.rows.size, block.n_terms),
+        )
+        full = (Xb @ Xb.T).toarray()
+        right = np.triu(np.ones(full.shape, dtype=bool), 1)
+        held = block.have[:, None] & right
+        assert np.array_equal(block.gram[held], full[held])
 
 
 class TestGramRows:

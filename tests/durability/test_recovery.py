@@ -13,7 +13,7 @@ import pytest
 from repro import recover
 from repro.durability.atomic import backup_path
 from repro.exceptions import CheckpointError
-from repro.persistence import read_checkpoint_state
+from repro.persistence import load_checkpoint, read_checkpoint_state
 
 from tests.durability.conftest import (
     CadenceCheckpointer,
@@ -126,6 +126,30 @@ class TestTornCheckpointWrites:
         assert recovery.used_backup
         # the .bak holds sequence 2; its journal (base 3) is from the
         # rotted primary's future and is rightly discarded
+        assert recovery.sequence == 2
+        assert recovery.replayed_batches == 0
+        assert_state_matches(recovery.clusterer, references[2])
+
+    @pytest.mark.parametrize("now", ["x", [1]], ids=["string", "list"])
+    def test_unrestorable_primary_falls_back_to_backup(
+        self, stream, references, tmp_path, now
+    ):
+        """A primary edited by hand, without its checksum, whose clock is
+        not a number parses but does not restore: loading it is a
+        CheckpointError, and recovery serves the .bak generation."""
+        vocabulary, batches = stream
+        images = crash_images(tmp_path, vocabulary, batches[:3], every=1)
+        image = images[3]
+        state = json.loads(image.read_text(encoding="utf-8"))
+        del state["checksum"]
+        state["now"] = now
+        image.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            load_checkpoint(image)
+
+        recovery = recover(image)
+        assert recovery.used_backup
+        assert recovery.checkpoint_path == backup_path(image)
         assert recovery.sequence == 2
         assert recovery.replayed_batches == 0
         assert_state_matches(recovery.clusterer, references[2])

@@ -15,6 +15,7 @@ from repro import (
     NonIncrementalClusterer,
     NoveltyKMeans,
 )
+from repro.core.engines.matrix import DEFAULT_BLOCK_SIZE
 from repro.obs import GAUGE, SPAN, InMemoryRecorder, use_recorder
 from tests.conftest import build_topic_repository, make_document
 
@@ -140,7 +141,8 @@ class TestSweepCounts:
     itself; with the NullRecorder nothing is counted."""
 
     COUNTS = ("window_docs", "sequential_docs", "movers",
-              "window_patches", "gram_rows_single", "gram_rows_bulk")
+              "window_patches", "gram_rows_single", "gram_rows_bulk",
+              "gram_entries")
 
     @staticmethod
     def counting_engine(seen):
@@ -178,6 +180,14 @@ class TestSweepCounts:
             assert tags["window_patches"] <= tags["movers"] <= tags["docs"]
             assert (tags["gram_rows_single"] + tags["gram_rows_bulk"]
                     <= tags["docs"])
+            # a paid row computes only the block rows right of its
+            # position (a bulk chunk: right of its first row's), never
+            # a whole block row
+            paid = tags["gram_rows_single"] + tags["gram_rows_bulk"]
+            if paid:
+                assert tags["gram_entries"] < paid * DEFAULT_BLOCK_SIZE
+            else:
+                assert tags["gram_entries"] == 0
             for name in self.COUNTS:
                 totals[name] += tags[name]
         # every way of deciding and of paying was taken somewhere
