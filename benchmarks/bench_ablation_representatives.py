@@ -80,7 +80,7 @@ def bench_brute_force_avg_sim(benchmark, cluster_and_vectors, reporter):
                 ["brute force (Eq. 18)",
                  "all O(|C|^2) pairwise sims per query"],
             ],
-            title="Ablation — avg_sim computation (see benchmark timings; "
+            title="Ablation — avg_sim computation (see the benchmark times; "
                   "results identical to 1e-9)",
         ),
     )

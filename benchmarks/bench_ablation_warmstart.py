@@ -13,6 +13,7 @@ import pytest
 
 from repro import ForgettingModel, IncrementalClusterer, evaluate_clustering
 from repro.experiments import render_table
+from repro.obs import InMemoryRecorder
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +26,12 @@ def daily_stream(repository):
 
 
 def _run(daily_stream, warm_start):
+    """Per-batch results, and each batch's ``pipeline.clustering``
+    seconds."""
     model = ForgettingModel(half_life=7.0, life_span=14.0)
+    recorder = InMemoryRecorder()
     clusterer = IncrementalClusterer(
-        model, k=24, seed=7, warm_start=warm_start
+        model, k=24, seed=7, warm_start=warm_start, recorder=recorder
     )
     results = []
     for day, batch in enumerate(daily_stream):
@@ -37,24 +41,23 @@ def _run(daily_stream, warm_start):
             )
         else:
             clusterer.statistics.advance_to(float(day + 1))
-    return results
+    seconds = [event.value
+               for event in recorder.select("pipeline.clustering")]
+    return results, seconds
 
 
 def bench_ablation_warm_vs_cold(benchmark, daily_stream, reporter):
-    warm = benchmark.pedantic(
+    warm, warm_seconds = benchmark.pedantic(
         _run, args=(daily_stream, True), rounds=1, iterations=1
     )
-    cold = _run(daily_stream, False)
+    cold, cold_seconds = _run(daily_stream, False)
 
-    def totals(results):
-        results = results[1:]  # first batch identical
-        return (
-            sum(r.iterations for r in results),
-            sum(r.timings["clustering"] for r in results),
-        )
+    def totals(results, seconds):
+        # the first batch is identical
+        return sum(r.iterations for r in results[1:]), sum(seconds[1:])
 
-    warm_iters, warm_time = totals(warm)
-    cold_iters, cold_time = totals(cold)
+    warm_iters, warm_time = totals(warm, warm_seconds)
+    cold_iters, cold_time = totals(cold, cold_seconds)
 
     truth = {
         d.doc_id: d.topic_id

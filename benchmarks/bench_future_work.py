@@ -25,6 +25,7 @@ from repro import (
 from repro.forgetting import CorpusStatistics
 from repro.experiments import render_table
 from repro.experiments.experiment2 import run_window
+from repro.obs import InMemoryRecorder
 
 
 def bench_future_k_estimation(benchmark, windows, reporter):
@@ -120,10 +121,10 @@ def bench_future_incremental_quality(benchmark, repository, reporter):
 
     def run():
         pipelines = {
-            "incremental (warm start)":
-                IncrementalClusterer(model, k=24, seed=7),
-            "non-incremental (cold)":
-                NonIncrementalClusterer(model, k=24, seed=7),
+            "incremental (warm start)": IncrementalClusterer(
+                model, k=24, seed=7, recorder=InMemoryRecorder()),
+            "non-incremental (cold)": NonIncrementalClusterer(
+                model, k=24, seed=7, recorder=InMemoryRecorder()),
         }
         results = {name: [] for name in pipelines}
         for day, batch in enumerate(batches):
@@ -133,19 +134,20 @@ def bench_future_incremental_quality(benchmark, repository, reporter):
                 results[name].append(
                     clusterer.process_batch(batch, at_time=float(day + 1))
                 )
-        return results
+        return pipelines, results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    pipelines, results = benchmark.pedantic(run, rounds=1, iterations=1)
     truth = {d.doc_id: d.topic_id for d in docs}
     rows = []
     for name, per_batch in results.items():
         evaluation = evaluate_clustering(per_batch[-1].clusters, truth)
+        seconds = pipelines[name].recorder.total("pipeline.clustering")
         rows.append([
             name,
             f"{evaluation.micro_f1:.2f}",
             f"{evaluation.macro_f1:.2f}",
             sum(r.iterations for r in per_batch),
-            f"{sum(r.timings['clustering'] for r in per_batch):.2f}s",
+            f"{seconds:.2f}s",
         ])
     table = render_table(
         ["pipeline", "micro F1", "macro F1", "total iterations", "time"],

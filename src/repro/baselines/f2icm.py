@@ -17,7 +17,6 @@ an already-chosen seed.
 
 from __future__ import annotations
 
-import time as time_module
 from typing import List, Sequence
 
 from .._validation import require_positive_int, require_probability
@@ -56,7 +55,6 @@ class F2ICMClusterer:
         statistics: CorpusStatistics,
     ) -> ClusteringResult:
         """One seed-selection pass plus one assignment pass."""
-        start = time_module.perf_counter()
         docs = list(documents)
         if len(docs) < self.k:
             raise ClusteringError(
@@ -83,7 +81,6 @@ class F2ICMClusterer:
             else:
                 outliers.append(doc.doc_id)
 
-        elapsed = time_module.perf_counter() - start
         return ClusteringResult(
             clusters=tuple(tuple(c) for c in clusters),
             outliers=tuple(outliers),
@@ -91,7 +88,6 @@ class F2ICMClusterer:
             index_history=(),
             iterations=1,
             converged=True,
-            timings={"clustering": elapsed},
         )
 
     # -- seed selection ------------------------------------------------------

@@ -29,7 +29,6 @@ agglomeration scores every pair once and keeps the scores.
 from __future__ import annotations
 
 import math
-import time as time_module
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -128,7 +127,6 @@ class GACClusterer:
         self.recluster_period = recluster_period
 
     def fit(self, documents: Sequence[Document]) -> ClusteringResult:
-        start = time_module.perf_counter()
         docs = sorted(
             (doc for doc in documents if doc.length > 0),
             key=lambda d: (d.timestamp, d.doc_id),
@@ -155,7 +153,6 @@ class GACClusterer:
                 break  # no progress; buckets cannot shrink further
 
         empty_docs = [doc.doc_id for doc in documents if doc.length == 0]
-        elapsed = time_module.perf_counter() - start
         total_avg = sum(u.size * u.group_average() for u in units)
         return ClusteringResult(
             clusters=tuple(tuple(u.doc_ids) for u in units),
@@ -164,7 +161,6 @@ class GACClusterer:
             index_history=(total_avg,),
             iterations=level,
             converged=len(units) <= self.target_clusters,
-            timings={"clustering": elapsed},
         )
 
     # -- internals ----------------------------------------------------------

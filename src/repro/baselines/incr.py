@@ -18,7 +18,6 @@ scrolled out of the window can no longer absorb documents.
 
 from __future__ import annotations
 
-import time as time_module
 from typing import List, Optional, Sequence
 
 from .._validation import require_positive, require_positive_int
@@ -75,7 +74,6 @@ class INCRClusterer:
 
     def fit(self, documents: Sequence[Document]) -> ClusteringResult:
         """Single pass over ``documents`` in timestamp order."""
-        start = time_module.perf_counter()
         docs = sorted(
             (doc for doc in documents if doc.length > 0),
             key=lambda d: (d.timestamp, d.doc_id),
@@ -112,7 +110,6 @@ class INCRClusterer:
                 active.append(fresh)
 
         empty_docs = [doc.doc_id for doc in documents if doc.length == 0]
-        elapsed = time_module.perf_counter() - start
         return ClusteringResult(
             clusters=tuple(tuple(c.members) for c in clusters),
             outliers=tuple(empty_docs),
@@ -120,6 +117,5 @@ class INCRClusterer:
             index_history=(float(len(clusters)),),
             iterations=1,
             converged=True,
-            timings={"clustering": elapsed},
         )
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-import time as time_module
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +49,6 @@ class ClassicKMeans:
         objective (total cosine of documents to their centroid), not the
         paper's G; the two are not comparable across methods.
         """
-        start = time_module.perf_counter()
         docs = [doc for doc in documents if doc.length > 0]
         if len(docs) < self.k:
             raise ClusteringError(
@@ -82,7 +80,6 @@ class ClassicKMeans:
         for row, doc in enumerate(docs):
             clusters[int(labels[row])].append(doc.doc_id)
         empty_docs = [doc.doc_id for doc in documents if doc.length == 0]
-        elapsed = time_module.perf_counter() - start
         return ClusteringResult(
             clusters=tuple(tuple(c) for c in clusters),
             outliers=tuple(empty_docs),
@@ -90,7 +87,6 @@ class ClassicKMeans:
             index_history=tuple(history),
             iterations=iterations,
             converged=converged,
-            timings={"clustering": elapsed},
         )
 
     def _vectorize(

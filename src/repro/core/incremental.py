@@ -14,9 +14,9 @@ Experiment 1: at every batch it recomputes all statistics from scratch
 over the full (non-expired) archive and cold-starts the clustering from
 random seeds.
 
-Both expose the same ``process_batch`` interface and record per-phase
-timings on the returned :class:`~repro.core.ClusteringResult`, which is
-what the Table 1 benchmark measures.
+Both expose the same ``process_batch`` interface and time their two
+phases with the ``pipeline.statistics`` and ``pipeline.clustering``
+spans of :mod:`repro.obs`, which is what the Table 1 benchmark measures.
 
 **Batch ingestion is transactional** in both pipelines: a batch either
 fully updates the state (statistics, assignments, archive, last result) or
@@ -31,7 +31,6 @@ pass ``recorder=`` or install an ambient recorder to collect them.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -138,10 +137,9 @@ class IncrementalClusterer:
     ) -> ClusteringResult:
         """Ingest a batch arriving at ``at_time`` and re-cluster.
 
-        Returns the new clustering; ``result.timings`` holds the
-        ``"statistics"`` (incremental update + expiry),
-        ``"vectorisation"``, and ``"clustering"`` phase durations in
-        seconds.
+        Returns the new clustering. The ``pipeline.statistics`` span
+        times the incremental update and expiry, ``pipeline.clustering``
+        the warm-started fit (with ``kmeans.vectorise`` inside it).
 
         The ingestion is transactional: if the batch is invalid, the
         cold-start guard fires, or the clustering itself fails, the
@@ -167,7 +165,7 @@ class IncrementalClusterer:
         previous_assignment = dict(self._assignment)
         try:
             with Span(self.recorder, "pipeline.statistics",
-                      {"batch": len(batch)}) as stats_span:
+                      {"batch": len(batch)}):
                 self.statistics.observe(batch, at_time)
                 expired = self.statistics.expire()
                 for doc in expired:
@@ -212,9 +210,6 @@ class IncrementalClusterer:
         self._assignment = result.assignments()
         self._view = view
 
-        timings = dict(result.timings)
-        timings["statistics"] = stats_span.duration
-        result = dataclasses.replace(result, timings=timings)
         self.last_result = result
         if self.recorder.enabled:
             self.recorder.counter("pipeline.batches")
@@ -386,7 +381,7 @@ class NonIncrementalClusterer:
 
         try:
             with Span(self.recorder, "pipeline.statistics",
-                      {"batch": len(batch)}) as stats_span:
+                      {"batch": len(batch)}):
                 self.statistics = CorpusStatistics.from_scratch(
                     self.model, self.archive, at_time,
                     recorder=self.recorder,
@@ -409,9 +404,6 @@ class NonIncrementalClusterer:
                 self.recorder.counter("pipeline.batches_rejected")
             raise
 
-        timings = dict(result.timings)
-        timings["statistics"] = stats_span.duration
-        result = dataclasses.replace(result, timings=timings)
         self.last_result = result
         if self.recorder.enabled:
             self.recorder.counter("pipeline.batches")

@@ -28,7 +28,6 @@ back once, when the :class:`~repro.core.ClusteringResult` is built.
 from __future__ import annotations
 
 import random
-import time as time_module
 from itertools import islice, repeat
 from typing import (
     Callable,
@@ -213,7 +212,6 @@ class NoveltyKMeans:
         initial_assignment: Optional[Mapping[str, int]],
         span: Span,
     ) -> Tuple[ClusteringResult, Engine]:
-        start = time_module.perf_counter()
         docs = list(documents)
         if not docs:
             raise ClusteringError("cannot cluster an empty document set")
@@ -223,8 +221,7 @@ class NoveltyKMeans:
                 f"initialisation, got {len(docs)}"
             )
         recorder = self.recorder
-        with Span(recorder, "kmeans.vectorise",
-                  {"docs": len(docs)}) as vectorise_span:
+        with Span(recorder, "kmeans.vectorise", {"docs": len(docs)}):
             # one CSR batch: the engine consumes its flat rows, and
             # rescue and split repair work on them too
             vectors = NoveltyTfidfWeighter(statistics).weighted_arrays(docs)
@@ -277,7 +274,6 @@ class NoveltyKMeans:
                 break
             g_old = g_new
 
-        elapsed = time_module.perf_counter() - start
         span.tags.update(engine=self.engine.name, criterion=self.criterion,
                          docs=len(docs), iterations=iterations,
                          converged=converged)
@@ -292,8 +288,6 @@ class NoveltyKMeans:
             index_history=tuple(history),
             iterations=iterations,
             converged=converged,
-            timings={"clustering": elapsed,
-                     "vectorisation": vectorise_span.duration},
         ), backend
 
     # -- phases ------------------------------------------------------------

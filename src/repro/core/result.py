@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -26,8 +26,6 @@ class ClusteringResult:
         Number of repetition-process iterations executed.
     converged:
         True when the ΔG/G < δ criterion fired (vs. the iteration cap).
-    timings:
-        Phase name -> seconds (``"statistics"``, ``"clustering"``...).
     """
 
     clusters: Tuple[Tuple[str, ...], ...]
@@ -36,7 +34,6 @@ class ClusteringResult:
     index_history: Tuple[float, ...]
     iterations: int
     converged: bool
-    timings: Dict[str, float] = field(default_factory=dict)
 
     @property
     def k(self) -> int:

@@ -84,8 +84,9 @@ def recover(
 
     Tries the primary checkpoint, then its ``.bak`` rotation; raises
     :class:`CheckpointError` when neither is a valid checkpoint. A file
-    that parses but does not restore (a clock that is not a number, an
-    assignment that does not fit its documents) is not valid. The
+    that parses but does not restore (a clock that is not a number, a
+    sequence that is not an integer, an assignment that does not fit
+    its documents) is not valid; a missing sequence is 0. The
     log (``journal_path``, default ``<checkpoint>.journal``) is then
     re-applied: entries already absorbed by the checkpoint are skipped,
     a torn tail is discarded (so is a line whose recorded assignment
@@ -114,6 +115,7 @@ def recover(
             # one that does not parse
             try:
                 state = read_checkpoint_state(candidate)
+                sequence = _checkpoint_sequence(candidate, state)
                 with Span(resolve(None), "checkpoint.load") as load:
                     clusterer, restored = _restore_state(
                         candidate, state, vocabulary
@@ -134,7 +136,6 @@ def recover(
         if used_backup and rec.enabled:
             rec.counter("durability.checkpoint_fallback")
 
-        sequence = int(state.get("sequence", 0))
         if recorder is not None:
             clusterer.set_recorder(rec)
 
@@ -206,3 +207,15 @@ def recover(
         used_backup=used_backup,
         journal_truncated=truncated,
     )
+
+
+def _checkpoint_sequence(path: Path, state: Dict[str, Any]) -> int:
+    """The batches checkpoint ``path`` reflects: its integer
+    ``sequence``, or 0 when it has none."""
+    sequence = state.get("sequence", 0)
+    if isinstance(sequence, bool) or not isinstance(sequence, int):
+        raise CheckpointError(
+            f"{path}: malformed checkpoint: sequence {sequence!r} is not "
+            f"an integer"
+        )
+    return sequence

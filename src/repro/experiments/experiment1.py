@@ -16,13 +16,13 @@ phases) are the reproduction target.
 
 from __future__ import annotations
 
-import time as time_module
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
 from ..core.incremental import IncrementalClusterer, NonIncrementalClusterer
 from ..forgetting.model import ForgettingModel
+from ..obs import InMemoryRecorder
 from .reporting import format_seconds, render_table
 
 #: Paper Table 1 (for side-by-side reporting): seconds.
@@ -58,7 +58,7 @@ class ExperimentOneConfig:
 
 @dataclass
 class ExperimentOneResult:
-    """Measured timings plus the run metadata behind them."""
+    """Measured phase times plus the run metadata behind them."""
 
     total_documents: int
     last_day_documents: int
@@ -142,91 +142,52 @@ def run_experiment1(
     last_day = config.days - 1
 
     # Non-incremental: statistics + clustering from scratch over all days.
+    non_recorder = InMemoryRecorder()
     non_incremental = NonIncrementalClusterer(
         model,
         k=config.k,
         delta=config.delta,
         max_iterations=config.max_iterations,
         seed=config.seed,
+        recorder=non_recorder,
     )
     non_incremental.process_batch(docs, at_time=float(config.days))
-    non_result = non_incremental.last_result
-    assert non_result is not None
 
     # Incremental: build state through day N-1, then time day N only.
+    recorder = InMemoryRecorder()
     incremental = IncrementalClusterer(
         model,
         k=config.k,
         delta=config.delta,
         max_iterations=config.max_iterations,
         seed=config.seed,
+        recorder=recorder,
     )
-    warm_stats = warm_cluster = 0.0
     for day in range(last_day):
         if not day_batches[day]:
             incremental.statistics.advance_to(float(day + 1))
             continue
-        warm = incremental.process_batch(
-            day_batches[day], at_time=float(day + 1)
-        )
-        warm_stats += warm.timings["statistics"]
-        warm_cluster += warm.timings["clustering"]
-    final = incremental.process_batch(
+        incremental.process_batch(day_batches[day], at_time=float(day + 1))
+    warmup = _phase_seconds(recorder)
+    recorder.clear()
+    incremental.process_batch(
         day_batches[last_day], at_time=float(config.days)
     )
 
     return ExperimentOneResult(
         total_documents=len(docs),
         last_day_documents=len(day_batches[last_day]),
-        non_incremental={
-            "statistics": non_result.timings["statistics"],
-            "clustering": non_result.timings["clustering"],
-        },
-        incremental={
-            "statistics": final.timings["statistics"],
-            "clustering": final.timings["clustering"],
-        },
+        non_incremental=_phase_seconds(non_recorder),
+        incremental=_phase_seconds(recorder),
         last_day=last_day,
-        incremental_warmup={
-            "statistics": warm_stats,
-            "clustering": warm_cluster,
-        },
+        incremental_warmup=warmup,
     )
 
 
-def statistics_update_timings(
-    config: Optional[ExperimentOneConfig] = None,
-) -> Tuple[float, float]:
-    """Micro-version of Experiment 1 timing only the statistics phase.
-
-    Returns ``(non_incremental_seconds, incremental_seconds)``; used by
-    the pytest-benchmark harness where clustering would dominate.
-    """
-    if config is None:
-        config = ExperimentOneConfig()
-    generator = TDT2Generator(config.corpus_config())
-    repository = generator.generate()
-    docs = [
-        doc for doc in repository.documents()
-        if doc.timestamp < config.days
-    ]
-    model = ForgettingModel(
-        half_life=config.half_life, life_span=config.life_span
-    )
-    last_day = config.days - 1
-
-    from ..forgetting.statistics import CorpusStatistics
-
-    begin = time_module.perf_counter()
-    CorpusStatistics.from_scratch(model, docs, at_time=float(config.days))
-    non_incremental_seconds = time_module.perf_counter() - begin
-
-    stats = CorpusStatistics(model)
-    old_docs = [d for d in docs if d.timestamp < last_day]
-    new_docs = [d for d in docs if d.timestamp >= last_day]
-    stats.observe(old_docs, at_time=float(last_day))
-    begin = time_module.perf_counter()
-    stats.observe(new_docs, at_time=float(config.days))
-    stats.expire()
-    incremental_seconds = time_module.perf_counter() - begin
-    return non_incremental_seconds, incremental_seconds
+def _phase_seconds(recorder: InMemoryRecorder) -> Dict[str, float]:
+    """Seconds per Table 1 phase: the ``pipeline.statistics`` and
+    ``pipeline.clustering`` spans ``recorder`` has collected."""
+    return {
+        phase: recorder.total(f"pipeline.{phase}")
+        for phase in ("statistics", "clustering")
+    }

@@ -1,7 +1,7 @@
 """Aggregation of raw event streams into a report-friendly summary.
 
 :func:`summarize` turns an :class:`~repro.obs.recorder.InMemoryRecorder`'s
-event list into counter totals, gauge ranges and span timings (with
+event list into counter totals, gauge ranges and span durations (with
 percentiles), for ad-hoc inspection of a traced run.
 """
 

@@ -1,10 +1,13 @@
 """Timed spans.
 
-A :class:`Span` always measures wall time (``time.perf_counter``) so
-pipeline code can read ``span.duration`` to populate the legacy
-``ClusteringResult.timings`` dict, but it only *emits* an event when
-the recorder is enabled — instrumentation stays near-free under the
-default :class:`~repro.obs.recorder.NullRecorder`.
+A :class:`Span` reads the wall clock (``time.perf_counter``) only when
+its recorder is enabled, and emits the phase's duration as a ``span``
+event on exit. Under the default
+:class:`~repro.obs.recorder.NullRecorder` entering and leaving a span
+does nothing, so instrumentation costs no clock reads. Spans are the
+one way the library reports how long a phase took: to read phase times,
+collect the events with an
+:class:`~repro.obs.recorder.InMemoryRecorder`.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ if TYPE_CHECKING:
 class Span:
     """Context manager timing one phase; emits a ``span`` event on exit.
 
-    >>> with Span(recorder, "statistics.observe", {"batch": 12}) as sp:
+    >>> recorder = InMemoryRecorder()
+    >>> with Span(recorder, "statistics.observe", {"batch": 12}):
     ...     do_work()
-    >>> sp.duration  # seconds, measured even with a NullRecorder
+    >>> recorder.total("statistics.observe")  # seconds
     """
 
-    __slots__ = ("_recorder", "name", "tags", "duration", "_start")
+    __slots__ = ("_recorder", "name", "tags", "_start")
 
     def __init__(
         self,
@@ -38,11 +42,11 @@ class Span:
         self._recorder = recorder
         self.name = name
         self.tags = tags if tags is not None else {}
-        self.duration = 0.0
         self._start = 0.0
 
     def __enter__(self) -> "Span":
-        self._start = time.perf_counter()
+        if self._recorder.enabled:
+            self._start = time.perf_counter()
         return self
 
     def __exit__(
@@ -51,10 +55,10 @@ class Span:
         exc: Optional[BaseException],
         tb: Optional[TracebackType],
     ) -> bool:
-        self.duration = time.perf_counter() - self._start
         if self._recorder.enabled:
+            duration = time.perf_counter() - self._start
             tags = dict(self.tags)
             if exc_type is not None:
                 tags["error"] = exc_type.__name__
-            self._recorder.emit(Event(self.name, SPAN, self.duration, tags))
+            self._recorder.emit(Event(self.name, SPAN, duration, tags))
         return False

@@ -62,14 +62,6 @@ class TestIncrementalClusterer:
         assignments = clusterer.assignments()
         assert set(assignments) <= set(clusterer.statistics.doc_ids())
 
-    def test_timings_present(self, stream):
-        _, batches = stream
-        model = ForgettingModel(half_life=7.0, life_span=14.0)
-        clusterer = IncrementalClusterer(model, k=3, seed=0)
-        result = clusterer.process_batch(batches[0], at_time=1.0)
-        assert "statistics" in result.timings
-        assert "clustering" in result.timings
-
     def test_all_expired_raises(self):
         repo = build_topic_repository(days=1, topics=["sports"])
         model = ForgettingModel(half_life=1.0, life_span=2.0)

@@ -84,10 +84,6 @@ class TestResultShape:
         assert len(result.index_history) == result.iterations
         assert result.clustering_index == result.index_history[-1]
 
-    def test_timings_recorded(self, fitted):
-        _, _, result = fitted
-        assert result.timings["clustering"] > 0.0
-
     def test_separable_topics_recovered(self, fitted):
         """Each non-empty cluster should be topic-pure on this stream."""
         repo, _, result = fitted

@@ -154,6 +154,33 @@ class TestTornCheckpointWrites:
         assert recovery.replayed_batches == 0
         assert_state_matches(recovery.clusterer, references[2])
 
+    @pytest.mark.parametrize("sequence", ["x", [1], 1.5],
+                             ids=["string", "list", "float"])
+    def test_non_integer_sequence_falls_back_to_backup(
+        self, stream, references, tmp_path, sequence
+    ):
+        """A primary edited by hand, without its checksum, whose sequence
+        is not an integer is refused whole, never truncated: the .bak
+        generation serves, and with no .bak recovery raises."""
+        vocabulary, batches = stream
+        images = crash_images(tmp_path, vocabulary, batches[:3], every=1)
+        image = images[3]
+        state = json.loads(image.read_text(encoding="utf-8"))
+        del state["checksum"]
+        state["sequence"] = sequence
+        image.write_text(json.dumps(state), encoding="utf-8")
+
+        recovery = recover(image)
+        assert recovery.used_backup
+        assert recovery.checkpoint_path == backup_path(image)
+        assert recovery.sequence == 2
+        assert recovery.replayed_batches == 0
+        assert_state_matches(recovery.clusterer, references[2])
+
+        backup_path(image).unlink()
+        with pytest.raises(CheckpointError, match="is not an integer"):
+            recover(image)
+
     def test_both_generations_corrupt_raises(self, stream, tmp_path):
         vocabulary, batches = stream
         images = crash_images(tmp_path, vocabulary, batches[:2], every=1)

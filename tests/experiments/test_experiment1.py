@@ -4,7 +4,6 @@ import pytest
 
 from repro.corpus.synthetic import SyntheticCorpusConfig, TDT2_TOPIC_CATALOG
 from repro.experiments import ExperimentOneConfig, run_experiment1
-from repro.experiments.experiment1 import statistics_update_timings
 
 
 def small_config():
@@ -52,8 +51,3 @@ class TestExperimentOne:
         assert "paper" in text
         assert "speedup" in text
 
-
-class TestStatisticsMicroTiming:
-    def test_incremental_statistics_much_faster(self):
-        non_inc, inc = statistics_update_timings(small_config())
-        assert non_inc > inc

@@ -77,10 +77,17 @@ class TestInMemoryRecorder:
 
 
 class TestSpan:
-    def test_measures_even_with_null_recorder(self):
-        with Span(NullRecorder(), "phase") as span:
+    def test_null_recorder_reads_no_clock(self, monkeypatch):
+        def perf_counter():
+            raise AssertionError("a null span read the clock")
+
+        monkeypatch.setattr("repro.obs.timing.time.perf_counter",
+                            perf_counter)
+        with Span(NullRecorder(), "phase"):
             pass
-        assert span.duration >= 0.0
+        with pytest.raises(RuntimeError):
+            with Span(NullRecorder(), "phase"):
+                raise RuntimeError("boom")
 
     def test_emits_on_enabled_recorder(self):
         recorder = InMemoryRecorder()
