@@ -17,10 +17,13 @@ whose readers query immutable versioned snapshots::
         print(snap.stats())
         print(session.assign({3: 2, 17: 1}))
 
-Resuming a durable stream after a crash or restart::
+Resuming a durable stream after a crash or restart (what the recovered
+state holds is skipped)::
 
-    with repro.open_stream(resume="state/run.ckpt") as session:
-        session.add(next_batch, at_time=42.0)
+    with repro.open_stream(resume="state/run.ckpt",
+                           window_days=1.0) as session:
+        for doc in documents:
+            session.feed(doc)
 
 Ad-hoc construction of ``IncrementalClusterer``/``NonIncrementalClusterer``
 outside the library is linted against (reprolint REP003); batch
@@ -35,7 +38,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 from .core.incremental import IncrementalClusterer
 from .corpus.document import Document
 from .durability.checkpointer import Checkpointer
-from .durability.recovery import recover
+from .durability.recovery import RecoveryResult, recover
 from .exceptions import ConfigurationError
 from .forgetting.model import ForgettingModel
 from .obs import Recorder
@@ -111,8 +114,8 @@ def open_stream(
         durability layer and ``assign("text")`` both need one); the
         pipeline defaults to a standard :class:`TextPipeline`.
     window_days:
-        Enables :meth:`StreamSession.feed` windowing (same half-open
-        windows as :func:`repro.corpus.streams.iter_batches`).
+        Enables :meth:`StreamSession.feed` windowing, on the grid of
+        :func:`repro.corpus.streams.iter_batches` (see ``resume``).
     checkpoint:
         Path of the durable base checkpoint. Every committed batch is
         made durable before it is published: one fsynced line in the
@@ -125,7 +128,9 @@ def open_stream(
         recover` from. The session resumes at the recovered journal
         sequence — snapshot versions continue, gapless, where the
         crashed process stopped. Implies ``checkpoint=resume`` unless
-        ``checkpoint`` names a different path.
+        ``checkpoint`` names a different path. ``feed()`` continues
+        the grid from the recovered clock and skips each document
+        before it or already held (``service.resume_skipped``).
     queue_size:
         Ingestion queue bound; full queues block producers
         (backpressure).
@@ -136,15 +141,16 @@ def open_stream(
         pipeline = TextPipeline()
 
     sequence = 0
+    recovery: Optional[RecoveryResult] = None
     if resume is not None:
         if k is not None:
             raise ConfigurationError(
                 "resume= restores the pipeline from the checkpoint; "
                 "do not also pass k="
             )
-        result = recover(resume, vocabulary=vocabulary, recorder=recorder)
-        clusterer = result.clusterer
-        sequence = result.sequence
+        recovery = recover(resume, vocabulary=vocabulary, recorder=recorder)
+        clusterer = recovery.clusterer
+        sequence = recovery.sequence
         if checkpoint is None:
             checkpoint = resume
     else:
@@ -171,7 +177,9 @@ def open_stream(
         queue_size=queue_size,
         version=sequence,
     )
-    return StreamSession(service)
+    session = StreamSession(service)
+    session.recovery = recovery
+    return session
 
 
 class StreamSession:
@@ -187,6 +195,9 @@ class StreamSession:
 
     def __init__(self, service: ClusterService) -> None:
         self._service = service
+        #: What :func:`~repro.durability.recover` restored when the
+        #: session was opened with ``resume=``; ``None`` otherwise.
+        self.recovery: Optional[RecoveryResult] = None
 
     @property
     def service(self) -> ClusterService:

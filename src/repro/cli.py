@@ -14,18 +14,23 @@
     repro experiment2 [--windows 1,4] [--betas 7,30]
 
 ``generate`` writes the synthetic TDT2-like stream as JSON Lines;
-``cluster`` replays any JSONL stream through the incremental clusterer,
-printing a report per batch (and an evaluation when ground-truth topic
-labels are present); ``serve`` runs the streaming service
-(:func:`repro.api.open_stream`) over a stream — optionally tailing the
-file for appended records and exposing the snapshot query API over
-HTTP; the experiment commands regenerate the paper's Table 1 and
-Tables 2/4 from the command line.
+``cluster`` and ``serve`` both feed a JSONL stream through one
+streaming session (:func:`repro.api.open_stream`) in ``--batch-days``
+windows. ``cluster`` prints a report per batch and the final clusters
+(with an evaluation when ground-truth topic labels are present);
+``serve`` can also tail the file for appended records and expose the
+snapshot query API over HTTP. The experiment commands regenerate the
+paper's Table 1 and Tables 2/4 from the command line.
 
 With ``--checkpoint``, ``cluster`` and ``serve`` keep the run durable
 (:mod:`repro.durability`): every committed batch is appended to a log
 beside a base checkpoint, and the base is rewritten when the batch's
-line would make the log larger than the base.
+line would make the log larger than the base. ``--resume PATH``
+recovers that state and keeps checkpointing to ``PATH``; the input can
+be fed again whole, since the session skips each document before the
+recovered clock or already held, and continues the recovered window
+grid. Both commands exit 2 when a batch was rejected or the session
+degraded.
 """
 
 from __future__ import annotations
@@ -35,18 +40,14 @@ import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import __version__
-from .api import build_clusterer, open_stream
-from .corpus.loaders import load_jsonl, save_jsonl
-from .corpus.streams import replay
-from .corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
+from .api import StreamSession, open_stream
 from .core.labeling import label_clustering
+from .corpus.loaders import load_jsonl, save_jsonl
+from .corpus.synthetic import SyntheticCorpusConfig, TDT2Generator
 from .eval.metrics import evaluate_clustering
-from .durability import Checkpointer, recover
-from .durability.atomic import prepare_checkpoint_path
-from .text.vocabulary import Vocabulary
+from .obs import get_recorder, use_recorder
 
 if TYPE_CHECKING:
-    from .core.result import ClusteringResult
     from .corpus.document import Document
     from .obs import Recorder
 
@@ -89,10 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "rewritten when the log would outgrow it "
                               "and at the end of the run")
     cluster.add_argument("--resume", default=None,
-                         help="resume from a checkpoint written earlier; "
-                              "falls back to its .bak generation and "
-                              "replays the batch journal when the run "
-                              "was interrupted")
+                         help="resume from a checkpoint written earlier "
+                              "(falling back to its .bak generation and "
+                              "replaying the batch journal) and keep "
+                              "checkpointing to it unless --checkpoint "
+                              "names another path; input documents it "
+                              "holds or that precede its clock are "
+                              "skipped")
     cluster.add_argument("--quiet", action="store_true",
                          help="only print the final report")
     cluster.add_argument("--trace", default=None, metavar="PATH",
@@ -189,130 +193,108 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return _run_cluster(args, None)
 
 
+def _open_session(
+    args: argparse.Namespace,
+    recorder: Optional["Recorder"],
+    announce: bool,
+) -> StreamSession:
+    """The one session both ingesting commands drive: fresh from the
+    pipeline flags, or recovered from ``--resume`` (which implies
+    ``--checkpoint`` at the same path unless another is given)."""
+    if not args.resume:
+        return open_stream(
+            k=args.k, seed=args.seed,
+            half_life=args.half_life, life_span=args.life_span,
+            checkpoint=args.checkpoint, window_days=args.batch_days,
+            recorder=recorder,
+        )
+    session = open_stream(
+        resume=args.resume, checkpoint=args.checkpoint,
+        window_days=args.batch_days, recorder=recorder,
+    )
+    if announce:
+        recovery = session.recovery
+        assert recovery is not None
+        stats = session.snapshot().stats()
+        print(f"resumed from {args.resume} at snapshot version "
+              f"{stats.version}: {stats.active_documents} active "
+              f"documents at t={stats.at_time}"
+              + (f" (primary checkpoint unreadable; recovered from "
+                 f"{recovery.checkpoint_path})"
+                 if recovery.used_backup else "")
+              + f" (replayed {recovery.replayed_batches} journaled "
+              f"batches; checkpoint parameters take precedence over "
+              f"--k/--half-life/--life-span/--seed; documents before "
+              f"the checkpoint clock or already held are skipped)")
+    return session
+
+
+def _load_sorted(
+    path: str, session: StreamSession, recorder: Optional["Recorder"]
+) -> List["Document"]:
+    """Load ``path`` into the session's vocabulary, in the
+    ``(timestamp, doc_id)`` order of :func:`repro.iter_batches`."""
+    # an ambient --trace recorder catches the text front-end's span
+    # and stemmer-cache gauges
+    with use_recorder(recorder if recorder is not None else get_recorder()):
+        documents = load_jsonl(path, session.vocabulary)
+    documents.sort(key=lambda d: (d.timestamp, d.doc_id))
+    return documents
+
+
+def _exit_status(session: StreamSession) -> int:
+    """The exit rule of both commands: 2 once the session rejected a
+    batch or degraded, else 0."""
+    errors = session.errors
+    if not errors:
+        return 0
+    print(f"{len(errors)} batches rejected (first: {errors[0]})",
+          file=sys.stderr)
+    return 2
+
+
 def _run_cluster(
     args: argparse.Namespace, recorder: Optional["Recorder"]
 ) -> int:
-    if args.checkpoint:
-        # fail before the first batch, not after hours of clustering:
-        # creates missing parent directories, rejects unwritable paths
-        prepare_checkpoint_path(args.checkpoint)
+    with _open_session(args, recorder, announce=True) as session:
+        documents = _load_sorted(args.input, session, recorder)
+        if not documents:
+            print("no documents in input", file=sys.stderr)
+            return 1
+        if not args.quiet:
+            clusterer = session.clusterer
 
-    vocabulary = Vocabulary()
-    sequence = 0
-    if args.resume:
-        recovery = recover(args.resume, vocabulary, recorder=recorder)
-        clusterer = recovery.clusterer
-        sequence = recovery.sequence
-        recovered = ""
-        if recovery.used_backup:
-            recovered += (f" (primary checkpoint unreadable; recovered "
-                          f"from {recovery.checkpoint_path})")
-        if recovery.replayed_batches:
-            recovered += (f" (replayed {recovery.replayed_batches} "
-                          f"journaled batches)")
-        print(f"resumed from {args.resume}: "
-              f"{clusterer.statistics.size} active documents at "
-              f"t={clusterer.statistics.now}"
-              f"{recovered} "
-              f"(checkpoint parameters take precedence over "
-              f"--k/--half-life/--life-span/--seed; documents older "
-              f"than the checkpoint clock are treated as already "
-              f"processed)")
-    else:
-        clusterer = build_clusterer(
-            k=args.k, seed=args.seed,
-            half_life=args.half_life, life_span=args.life_span,
-            recorder=recorder,
-        )
+            def report(batch: List["Document"], at_time: float) -> None:
+                assert clusterer.last_result is not None
+                print(f"t={at_time:8.1f}  +{len(batch):5d} docs  "
+                      f"{clusterer.last_result.summary()}")
 
-    if recorder is not None:
-        # make the recorder ambient during loading so the text
-        # front-end's span and stemmer-cache gauges land in --trace
-        from .obs import use_recorder
-
-        with use_recorder(recorder):
-            documents = load_jsonl(args.input, vocabulary)
-    else:
-        documents = load_jsonl(args.input, vocabulary)
-    documents.sort(key=lambda d: d.timestamp)
-    if not documents:
-        print("no documents in input", file=sys.stderr)
-        return 1
-    already = (
-        clusterer.statistics.now
-        if clusterer.statistics.now is not None else float("-inf")
-    )
-    documents = [d for d in documents if d.timestamp >= already]
-
-    checkpointer: Optional[Checkpointer] = None
-    if args.checkpoint:
-        checkpointer = Checkpointer(
-            clusterer, vocabulary, args.checkpoint,
-            sequence=sequence, recorder=recorder,
-        )
-        clusterer.add_commit_hook(checkpointer.record_batch)
-    try:
-        if documents:
-            def report(
-                at_time: float,
-                batch: List["Document"],
-                batch_result: "ClusteringResult",
-            ) -> None:
-                if not args.quiet:
-                    print(f"t={at_time:8.1f}  +{len(batch):5d} docs  "
-                          f"{batch_result.summary()}")
-
-            # resume continues the original batch grid from the
-            # checkpoint clock; a fresh run anchors at the first document
-            origin = clusterer.statistics.now if args.resume else None
-            result = replay(
-                clusterer, documents, args.batch_days,
-                origin=origin, on_batch=report,
-            )
-        else:
-            # resumed past the whole stream: re-cluster the carried state
-            print("no new documents beyond the checkpoint; re-clustering "
-                  "the carried state")
-            at_time = clusterer.statistics.now
-            if at_time is None:
-                # a fresh (never-fed) clusterer has no clock to
-                # re-cluster at; previously this leaked ``None`` into
-                # process_batch
-                print("no batches processed", file=sys.stderr)
-                return 1
-            result = clusterer.process_batch([], at_time=at_time)
-    finally:
-        # flushes a final checkpoint when batches are pending and closes
-        # the journal handle, even when replay dies mid-stream — the
-        # whole point of this PR
-        if checkpointer is not None:
-            checkpointer.close()
-
-    if result is None:
-        print("no batches processed", file=sys.stderr)
-        return 1
+            clusterer.add_commit_hook(report)
+        for document in documents:
+            session.feed(document)
+        snapshot = session.flush()
 
     print("\nfinal clusters:")
-    active = clusterer.statistics.documents()
     labels = label_clustering(
-        clusterer.view(), vocabulary, limit=args.top_terms
+        snapshot.view, session.vocabulary, limit=args.top_terms
     )
     for label in sorted(labels, key=lambda l: -l.size):
         print(f"  [{label.size:5d} docs] {label}")
-    if result.outliers:
-        print(f"  ({len(result.outliers)} outliers)")
+    if snapshot.outliers:
+        print(f"  ({len(snapshot.outliers)} outliers)")
 
-    truth = {d.doc_id: d.topic_id for d in active}
+    held = set(snapshot.outliers).union(*snapshot.clusters)
+    truth = {d.doc_id: d.topic_id for d in documents if d.doc_id in held}
     if any(topic is not None for topic in truth.values()):
-        evaluation = evaluate_clustering(result.clusters, truth)
+        evaluation = evaluate_clustering(snapshot.clusters, truth)
         print(f"\nevaluation vs ground-truth labels: "
               f"micro F1 {evaluation.micro_f1:.2f}, "
               f"macro F1 {evaluation.macro_f1:.2f}, "
               f"{evaluation.n_marked} marked clusters")
 
-    if args.checkpoint:
-        print(f"\ncheckpoint written to {args.checkpoint}")
-    return 0
+    if args.checkpoint or args.resume:
+        print(f"\ncheckpoint written to {args.checkpoint or args.resume}")
+    return _exit_status(session)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -324,23 +306,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.follow and not args.input:
         raise ValueError("--follow requires --input")
 
-    if args.resume:
-        session = open_stream(
-            resume=args.resume,
-            checkpoint=args.checkpoint,
-            window_days=args.batch_days,
-        )
-        if not args.quiet:
-            print(f"resumed from {args.resume} at snapshot "
-                  f"version {session.version}")
-    else:
-        session = open_stream(
-            k=args.k, seed=args.seed,
-            half_life=args.half_life, life_span=args.life_span,
-            checkpoint=args.checkpoint,
-            window_days=args.batch_days,
-        )
-    with session:
+    with _open_session(args, None, announce=not args.quiet) as session:
         server = None
         if args.http is not None:
             server = session.serve_http(port=args.http)
@@ -352,8 +318,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"tailing {args.input} "
                       f"(windows of {args.batch_days} days)")
         elif args.input:
-            documents = load_jsonl(args.input, session.vocabulary)
-            documents.sort(key=lambda d: d.timestamp)
+            documents = _load_sorted(args.input, session, None)
             if not documents:
                 print("no documents in input", file=sys.stderr)
                 return 1
@@ -362,7 +327,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             snapshot = session.flush()
             if not args.quiet:
                 stats = snapshot.stats()
-                print(f"ingested {len(documents)} documents; snapshot "
+                print(f"read {len(documents)} documents; snapshot "
                       f"v{stats.version}: {stats.active_documents} active "
                       f"docs in {stats.non_empty_clusters} clusters, "
                       f"G={stats.clustering_index:.4f}")
@@ -383,14 +348,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"final snapshot v{final.version}: "
                       f"{final.active_documents} active docs in "
                       f"{final.non_empty_clusters} clusters")
-        if session.errors:
-            print(f"{len(session.errors)} batches rejected "
-                  f"(first: {session.errors[0]})", file=sys.stderr)
-    if args.checkpoint or args.resume:
-        target = args.checkpoint or args.resume
-        if not args.quiet:
-            print(f"checkpoint written to {target}")
-    return 0
+    if (args.checkpoint or args.resume) and not args.quiet:
+        print(f"checkpoint written to {args.checkpoint or args.resume}")
+    return _exit_status(session)
 
 
 def _cmd_experiment1(args: argparse.Namespace) -> int:

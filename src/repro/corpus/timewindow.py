@@ -12,8 +12,10 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .._validation import require_positive
 from ..exceptions import ConfigurationError
 from .document import Document
+from .streams import window_end
 
 
 @dataclass(frozen=True)
@@ -90,38 +92,34 @@ def split_into_windows(
 ) -> List[TimeWindow]:
     """Partition ``documents`` into consecutive fixed-width windows.
 
-    Documents are bucketed by ``floor((t - origin) / window_days)``.
-    Windows are produced contiguously from ``origin`` through the last
-    document (or ``end`` when given), including empty ones, so window
-    indexes always correspond to calendar position.
+    The grid starts at ``origin`` and steps by
+    :func:`~repro.corpus.streams.window_end`, the rule every other
+    window grid uses; each document lands in the window whose
+    ``[start, end)`` holds it. Windows are produced contiguously through
+    the last document and on until one reaches ``end`` (when given),
+    including empty ones, so window indexes always correspond to
+    calendar position.
     """
-    if window_days <= 0:
-        raise ConfigurationError(f"window_days must be > 0, got {window_days}")
+    require_positive("window_days", window_days)
     docs = sorted(documents, key=lambda d: d.timestamp)
     if not docs:
         return []
-    last_time = docs[-1].timestamp if end is None else end
-    count = max(1, int((last_time - origin) / window_days) + 1)
-    if end is not None and (end - origin) / window_days == int(
-        (end - origin) / window_days
-    ):
-        # end falls exactly on a boundary: it opens no new window
-        count = max(1, int((end - origin) / window_days))
-    buckets: List[List[Document]] = [[] for _ in range(count)]
-    for doc in docs:
-        index = int((doc.timestamp - origin) / window_days)
-        if index < 0 or index >= count:
-            raise ConfigurationError(
-                f"document {doc.doc_id!r} at t={doc.timestamp} outside "
-                f"[{origin}, {origin + count * window_days})"
-            )
-        buckets[index].append(doc)
-    return [
-        TimeWindow(
-            index=i,
-            start=origin + i * window_days,
-            end=origin + (i + 1) * window_days,
-            documents=tuple(bucket),
+    if docs[0].timestamp < origin:
+        raise ConfigurationError(
+            f"document {docs[0].doc_id!r} at t={docs[0].timestamp} is "
+            f"before the origin {origin}"
         )
-        for i, bucket in enumerate(buckets)
-    ]
+    windows: List[TimeWindow] = []
+    index = 0
+    start = origin
+    while index < len(docs) or (end is not None and start < end):
+        stop = window_end(start, start, window_days)
+        first = index
+        while index < len(docs) and docs[index].timestamp < stop:
+            index += 1
+        windows.append(TimeWindow(
+            index=len(windows), start=start, end=stop,
+            documents=tuple(docs[first:index]),
+        ))
+        start = stop
+    return windows

@@ -52,6 +52,7 @@ from typing import (
 from .._validation import require_finite, require_positive
 from ..corpus.document import Document
 from ..corpus.loaders import record_to_document
+from ..corpus.streams import window_end
 from ..exceptions import (
     ConfigurationError,
     ServiceClosedError,
@@ -99,9 +100,10 @@ class ClusterService:
         ``assign("raw text")``; also required by :meth:`tail_jsonl`.
     window_days:
         Width of the logical-time window :meth:`feed` accumulates into
-        (same half-open semantics as
-        :func:`repro.corpus.streams.iter_batches`). ``None`` disables
-        :meth:`feed`; :meth:`add` is always available.
+        (the grid of :func:`repro.corpus.streams.iter_batches`; on
+        state that already has a clock, the grid continues from that
+        clock). ``None`` disables :meth:`feed`; :meth:`add` is always
+        available.
     queue_size:
         Bound of the ingestion queue (producers block when full).
     version:
@@ -145,10 +147,15 @@ class ClusterService:
         self._batches_ingested = 0
         self._errors: List[BaseException] = []
 
-        # feed() windowing state, guarded by _feed_lock
+        # feed() windowing state, guarded by _feed_lock. State that
+        # already has a clock (recover()'s) continues its grid from
+        # that clock; the clock and the ids it holds are read once,
+        # here, never from the writer's live statistics
         self._feed_lock = threading.Lock()
         self._window: List[Document] = []
-        self._window_end: Optional[float] = None
+        self._resume_clock = clusterer.statistics.now
+        self._resume_held = frozenset(clusterer.statistics.doc_ids())
+        self._window_end: Optional[float] = self._resume_clock
 
         # Vocabulary.add is check-then-act; every producer-side intern
         # (HTTP handler threads, the tailer) serializes on this lock so
@@ -324,11 +331,18 @@ class ClusterService:
         """Stream one document through the service's time windower.
 
         Documents accumulate into half-open ``window_days``-wide
-        windows anchored at the first document's timestamp (exactly
+        windows anchored at the first document's timestamp and stepped
+        by :func:`~repro.corpus.streams.window_end` (exactly
         :func:`~repro.corpus.streams.iter_batches`); a window is
         submitted with ``at_time`` = its end as soon as a document
         beyond it arrives, or on :meth:`flush`/:meth:`close`. Feed in
         timestamp order from a single producer.
+
+        On state that already has a clock (a recovered checkpoint) the
+        grid is anchored at that clock instead, and each document
+        before the clock or already held is skipped (counted as
+        ``service.resume_skipped``, not an error): re-feeding a whole
+        input after a restart ingests only what is new.
         """
         self._require_open()
         if self._window_days is None:
@@ -337,36 +351,30 @@ class ClusterService:
                 "use add() with explicit batch times"
             )
         with self._feed_lock:
+            if self._resume_clock is not None and (
+                document.timestamp < self._resume_clock
+                or document.doc_id in self._resume_held
+            ):
+                if self._recorder.enabled:
+                    self._recorder.counter("service.resume_skipped")
+                return
             if self._window_end is None:
-                self._window_end = document.timestamp + self._window_days
-            elif document.timestamp >= self._window_end:
-                self._submit_window_locked()
-                if document.timestamp >= self._window_end:
-                    # jump the empty gap in one step: stepping a window
-                    # at a time would iterate billions of times for a
-                    # far-future timestamp — and never terminate once
-                    # `+= window_days` is a float no-op
-                    steps = (
-                        (document.timestamp - self._window_end)
-                        // self._window_days
-                    ) + 1.0
-                    self._window_end += steps * self._window_days
-                    if self._window_end <= document.timestamp:
-                        # float saturation: re-anchor off the grid
-                        # rather than loop forever
-                        self._window_end = (
-                            document.timestamp + self._window_days
-                        )
+                self._window_end = document.timestamp
+            if document.timestamp >= self._window_end:
+                self._submit_window_locked(document.timestamp)
             self._window.append(document)
 
-    def _submit_window_locked(self) -> None:
-        """Submit the current window (if any) and advance one window."""
+    def _submit_window_locked(self, timestamp: float) -> None:
+        """Submit the current window (if any) and step the grid on to
+        the window that holds ``timestamp``."""
         assert self._window_days is not None and self._window_end is not None
         if self._window:
             batch = self._window
             self._window = []
             self._enqueue(batch, self._window_end)
-        self._window_end += self._window_days
+        self._window_end = window_end(
+            self._window_end, timestamp, self._window_days
+        )
 
     def flush(self) -> ClusterSnapshot:
         """Submit any partial window, drain the queue, return the result.
@@ -381,12 +389,9 @@ class ClusterService:
 
     def _drain(self) -> None:
         with self._feed_lock:
-            if self._window and self._window_end is not None:
-                batch = self._window
-                self._window = []
-                end = self._window_end
-                self._window_end += self._window_days or 0.0
-                self._enqueue(batch, end)
+            if self._window:
+                assert self._window_end is not None
+                self._submit_window_locked(self._window_end)
         self._queue.join()
 
     def tail_jsonl(
@@ -579,9 +584,9 @@ class ClusterService:
     def _require_open(self) -> None:
         if self._degraded:
             raise ServiceDegradedError(
-                "service is degraded: a commit hook failed after "
-                "its batch committed (see .errors); ingestion is "
-                "stopped to keep snapshots journal-consistent"
+                f"service is degraded: a commit hook failed after "
+                f"its batch committed ({self._errors[-1]}); ingestion "
+                f"is stopped to keep snapshots journal-consistent"
             )
         if self._closed:
             raise ServiceClosedError("service is closed")

@@ -1,6 +1,7 @@
 """Tests for stream batching/replay helpers."""
 
 import gc
+import time
 import weakref
 
 import pytest
@@ -27,12 +28,17 @@ class TestIterBatches:
         batches = list(iter_batches(docs_at([0.0, 5.5]), 1.0))
         assert len(batches) == 2
 
-    def test_include_empty_keeps_clock_ticks(self):
-        batches = list(
-            iter_batches(docs_at([0.0, 5.5]), 1.0, include_empty=True)
-        )
-        assert len(batches) == 6
-        assert sum(1 for _, b in batches if not b) == 4
+    @pytest.mark.parametrize("width, far", [(2.0, 4.0e9), (1.0, 1.0e17)])
+    def test_far_future_gap_returns(self, width, far):
+        # a gap of billions of windows is jumped in one step, and at
+        # 1e17 (where `+ 1.0` is a float no-op) the grid re-anchors
+        # instead of looping; feed() shares the rule
+        start = time.monotonic()
+        batches = list(iter_batches(docs_at([0.0, far]), width))
+        assert time.monotonic() - start < 5.0
+        assert [len(b) for _, b in batches] == [1, 1]
+        assert batches[0][0] == width
+        assert batches[1][0] >= far
 
     def test_unsorted_input_ordered(self):
         batches = list(iter_batches(docs_at([2.5, 0.5]), 1.0))

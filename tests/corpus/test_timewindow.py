@@ -94,6 +94,15 @@ class TestSplitIntoWindows:
         windows = split_into_windows(docs_at([0.5]), 10.0, end=30.0)
         assert len(windows) == 3
 
+    def test_document_lands_in_the_window_that_holds_it(self):
+        # 4.3 / 0.1 is 42.99999999999999, so floor bucketing put the
+        # document in [4.2, 4.3), which does not hold it
+        windows = split_into_windows(docs_at([4.3]), 0.1)
+        last = windows[-1]
+        assert [d.timestamp for d in last.documents] == [4.3]
+        assert last.start <= 4.3 < last.end
+        assert all(len(w) == 0 for w in windows[:-1])
+
     def test_origin_offset(self):
         windows = split_into_windows(docs_at([5.5]), 10.0, origin=5.0)
         assert windows[0].start == 5.0

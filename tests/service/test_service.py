@@ -72,19 +72,15 @@ class TestIngestion:
             service.add(batches[2][1], at_time=6.0)
             assert service.flush().version == 2
 
-    def test_feed_windows_match_iter_batches(self, stream):
-        _, batches = stream
-        documents = sorted(
-            (doc for _, batch in batches for doc in batch),
-            key=lambda d: d.timestamp,
-        )
-        with make_service(window_days=2.0) as service:
+    @staticmethod
+    def assert_feed_matches_iter_batches(documents, window_days):
+        with make_service(window_days=window_days) as service:
             for document in documents:
                 service.feed(document)
             snapshot = service.flush()
 
         reference = build_clusterer(**SERVICE_KWARGS)
-        expected_batches = list(iter_batches(documents, 2.0))
+        expected_batches = list(iter_batches(documents, window_days))
         for at_time, batch in expected_batches:
             reference.process_batch(list(batch), at_time=at_time)
         assert snapshot.version == len(expected_batches)
@@ -94,6 +90,38 @@ class TestIngestion:
                 len(expected_batches), reference
             ),
         )
+
+    def test_feed_windows_match_iter_batches(self, stream):
+        _, batches = stream
+        documents = sorted(
+            (doc for _, batch in batches for doc in batch),
+            key=lambda d: d.timestamp,
+        )
+        self.assert_feed_matches_iter_batches(documents, 2.0)
+
+    def test_feed_windows_match_iter_batches_across_gaps(self, stream):
+        # day d moves to [6d, 6d + 1): quiet gaps of several 1.1-day
+        # windows, which feed() and iter_batches must jump alike (one
+        # stepping window by window and the other jumping in one
+        # multiplication land on ends an ulp apart)
+        _, batches = stream
+        documents = sorted(
+            (
+                Document(
+                    doc_id=doc.doc_id,
+                    timestamp=doc.timestamp + 5.0 * day,
+                    term_counts=dict(doc.term_counts),
+                    topic_id=doc.topic_id,
+                )
+                for day, (_, batch) in enumerate(batches)
+                for doc in batch
+            ),
+            key=lambda d: d.timestamp,
+        )
+        at_times = [at for at, _ in iter_batches(documents, 1.1)]
+        # some batch follows three or more empty windows
+        assert max(b - a for a, b in zip(at_times, at_times[1:])) > 4.0
+        self.assert_feed_matches_iter_batches(documents, 1.1)
 
     def test_feed_requires_window_days(self, stream):
         _, batches = stream

@@ -1,14 +1,17 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import json
 from functools import partial
 
 import pytest
 
-from repro import cli
+from repro import ClusterSnapshot, Vocabulary, api, iter_batches
 from repro.cli import main
-from repro.corpus.loaders import save_jsonl
+from repro.corpus.loaders import load_jsonl, save_jsonl
+from repro.durability import recover
 from tests.conftest import build_topic_repository
 from tests.durability.conftest import CadenceCheckpointer
+from tests.service.conftest import assert_snapshot_parity
 
 
 @pytest.fixture
@@ -17,6 +20,82 @@ def stream_file(tmp_path):
     path = tmp_path / "stream.jsonl"
     save_jsonl(repo.documents(), repo.vocabulary, path)
     return path
+
+
+#: Pipeline flags of the resume tests: one-day windows over the 6-day
+#: stream, which is shorter than the default 14-day life span, so no
+#: document expires and every input id ends active.
+RUN = ["--k", "4", "--seed", "0", "--batch-days", "1"]
+
+
+def input_ids(path):
+    return {json.loads(line)["doc_id"] for line in open(path)}
+
+
+def write_prefix(stream_file, prefix, windows):
+    """Write the records of the first ``windows`` one-day batches of
+    ``stream_file`` to ``prefix``: a run over it stops on the grid."""
+    documents = load_jsonl(stream_file, Vocabulary())
+    batches = list(iter_batches(documents, 1.0))
+    kept = {d.doc_id for _, batch in batches[:windows] for d in batch}
+    with open(stream_file) as source, open(prefix, "w") as target:
+        target.writelines(
+            line for line in source if json.loads(line)["doc_id"] in kept
+        )
+    return len(batches)
+
+
+def recovered(path):
+    recovery = recover(path)
+    return ClusterSnapshot.from_clusterer(
+        recovery.sequence, recovery.clusterer
+    )
+
+
+def held_ids(snapshot):
+    return {d for cluster in snapshot.clusters for d in cluster} | set(
+        snapshot.outliers
+    )
+
+
+def run_clean(capsys, argv):
+    """Run one command; it must exit 0 and print nothing to stderr."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "")
+
+
+def assert_resume_continues_the_run(command, stream_file, tmp_path, capsys):
+    """A run over a prefix, resumed over the whole input, ends where
+    one uninterrupted run ends."""
+    whole = tmp_path / "whole.json"
+    run_clean(capsys, [command, "--input", str(stream_file), *RUN,
+                       "--checkpoint", str(whole)])
+    prefix = tmp_path / "prefix.jsonl"
+    batches = write_prefix(stream_file, prefix, 3)
+    state = tmp_path / "state.json"
+    run_clean(capsys, [command, "--input", str(prefix), *RUN,
+                       "--checkpoint", str(state)])
+    assert recovered(state).version == 3
+    run_clean(capsys, [command, "--input", str(stream_file),
+                       "--resume", str(state), "--batch-days", "1"])
+    expected = recovered(whole)
+    assert expected.version == batches
+    assert held_ids(expected) == input_ids(stream_file)
+    assert_snapshot_parity(recovered(state), expected)
+
+
+def assert_resume_loses_no_id(command, stream_file, tmp_path, capsys):
+    """Resumed with another window width, the grid shifts; every
+    document after the recovered clock still lands."""
+    prefix = tmp_path / "prefix.jsonl"
+    write_prefix(stream_file, prefix, 3)
+    state = tmp_path / "state.json"
+    run_clean(capsys, [command, "--input", str(prefix), *RUN,
+                       "--checkpoint", str(state)])
+    run_clean(capsys, [command, "--input", str(stream_file),
+                       "--resume", str(state), "--batch-days", "0.75"])
+    assert held_ids(recovered(state)) == input_ids(stream_file)
 
 
 class TestGenerate:
@@ -61,6 +140,10 @@ class TestCluster:
         ])
         assert code == 0
         assert state.exists()
+        written = json.loads(state.read_text())
+        # the one production pair, named in the checkpoint
+        assert written["kmeans"]["engine"] == "matrix"
+        assert written["statistics_backend"] == "columnar"
         code = main([
             "cluster", "--input", str(stream_file),
             "--resume", str(state), "--batch-days", "3", "--quiet",
@@ -68,31 +151,17 @@ class TestCluster:
         assert code == 0
         assert "resumed from" in capsys.readouterr().out
 
-    def test_engine_flag_roundtrips_checkpoint(self, stream_file, tmp_path,
-                                               capsys):
-        import json
+    def test_resume_over_whole_input_after_prefix(
+        self, stream_file, tmp_path, capsys
+    ):
+        assert_resume_continues_the_run(
+            "cluster", stream_file, tmp_path, capsys
+        )
 
-        state = tmp_path / "state.json"
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "3",
-            "--checkpoint", str(state), "--quiet",
-        ])
-        assert code == 0
-        assert json.loads(state.read_text())["kmeans"]["engine"] == "matrix"
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--resume", str(state), "--batch-days", "3", "--quiet",
-        ])
-        assert code == 0
-        assert "resumed from" in capsys.readouterr().out
-
-    def test_unknown_engine_rejected(self, stream_file):
-        with pytest.raises(SystemExit):
-            main([
-                "cluster", "--input", str(stream_file),
-                "--engine", "no-such-engine",
-            ])
+    def test_resume_on_a_shifted_grid_loses_no_id(
+        self, stream_file, tmp_path, capsys
+    ):
+        assert_resume_loses_no_id("cluster", stream_file, tmp_path, capsys)
 
     def test_empty_input_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -125,9 +194,10 @@ class TestCluster:
 
 def compact_every(monkeypatch, every):
     """Make ``repro cluster --checkpoint`` rewrite its base on every
-    ``every``-th batch instead of by size (the suites' fixed cadence)."""
+    ``every``-th batch instead of by size (the suites' fixed cadence).
+    The command's session builds its checkpointer in ``open_stream``."""
     monkeypatch.setattr(
-        cli, "Checkpointer", partial(CadenceCheckpointer, every=every)
+        api, "Checkpointer", partial(CadenceCheckpointer, every=every)
     )
 
 
@@ -162,7 +232,6 @@ class TestDurability:
     def test_periodic_checkpoints_and_journal_on_disk(
         self, stream_file, tmp_path, capsys, monkeypatch
     ):
-        import json
 
         compact_every(monkeypatch, 2)
         state = tmp_path / "state.json"
@@ -214,7 +283,6 @@ class TestDurability:
         capsys.readouterr()
         # drop the final flush back to the anchor: the journal alone
         # must carry the whole run
-        import json
 
         from repro.durability.journal import read_journal
 
@@ -262,9 +330,49 @@ class TestDurability:
         assert "final clusters:" in out
 
 
+class TestServe:
+    def test_one_shot_run_with_checkpoint(
+        self, stream_file, tmp_path, capsys
+    ):
+        state = tmp_path / "state.json"
+        code = main(["serve", "--input", str(stream_file), *RUN,
+                     "--checkpoint", str(state)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "checkpoint written to" in captured.out
+        snapshot = recovered(state)
+        documents = load_jsonl(stream_file, Vocabulary())
+        assert snapshot.version == len(list(iter_batches(documents, 1.0)))
+        assert held_ids(snapshot) == input_ids(stream_file)
+
+    def test_resume_over_whole_input_after_prefix(
+        self, stream_file, tmp_path, capsys
+    ):
+        assert_resume_continues_the_run(
+            "serve", stream_file, tmp_path, capsys
+        )
+
+    def test_resume_on_a_shifted_grid_loses_no_id(
+        self, stream_file, tmp_path, capsys
+    ):
+        assert_resume_loses_no_id("serve", stream_file, tmp_path, capsys)
+
+    def test_journal_failure_in_the_final_flush_exits_2(
+        self, stream_file, tmp_path, capsys, monkeypatch
+    ):
+        # one 7-day window: the only batch is submitted by the flush
+        def disk_gone(self, documents, at_time):
+            raise OSError("journal disk gone")
+
+        monkeypatch.setattr(api.Checkpointer, "record_batch", disk_gone)
+        code = main(["serve", "--input", str(stream_file), "--k", "4",
+                     "--checkpoint", str(tmp_path / "state.json")])
+        assert code == 2
+        assert "journal disk gone" in capsys.readouterr().err
+
+
 class TestTrace:
     def test_trace_writes_valid_jsonl(self, stream_file, tmp_path, capsys):
-        import json
 
         trace = tmp_path / "trace.jsonl"
         code = main([
@@ -393,37 +501,9 @@ class TestParser:
         assert excinfo.value.code == 2
 
 
-class TestStatsBackendFlag:
-    def test_backend_flag_round_trips_checkpoint(self, stream_file,
-                                                 tmp_path, capsys):
-        import json
-
-        state = tmp_path / "state.json"
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--k", "4", "--batch-days", "2", "--quiet",
-            "--checkpoint", str(state),
-        ])
-        assert code == 0
-        assert json.load(open(state))["statistics_backend"] == "columnar"
-
-        code = main([
-            "cluster", "--input", str(stream_file),
-            "--resume", str(state), "--quiet",
-        ])
-        assert code == 0
-
-    def test_unknown_backend_rejected(self, stream_file, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "cluster", "--input", str(stream_file),
-                "--stats-backend", "nope",
-            ])
-
 
 class TestRawText:
     def test_raw_text_records_cluster_end_to_end(self, tmp_path, capsys):
-        import json
 
         path = tmp_path / "raw.jsonl"
         topics = [
