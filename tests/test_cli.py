@@ -140,10 +140,23 @@ class TestCluster:
         ])
         assert code == 0
         assert state.exists()
-        written = json.loads(state.read_text())
-        # the one production pair, named in the checkpoint
-        assert written["kmeans"]["engine"] == "matrix"
-        assert written["statistics_backend"] == "columnar"
+        code = main([
+            "cluster", "--input", str(stream_file),
+            "--resume", str(state), "--batch-days", "3", "--quiet",
+        ])
+        assert code == 0
+        assert "resumed from" in capsys.readouterr().out
+
+    def test_engine_flag_roundtrips_checkpoint(self, stream_file, tmp_path,
+                                               capsys):
+        state = tmp_path / "state.json"
+        code = main([
+            "cluster", "--input", str(stream_file),
+            "--k", "4", "--batch-days", "3",
+            "--checkpoint", str(state), "--quiet",
+        ])
+        assert code == 0
+        assert json.loads(state.read_text())["kmeans"]["engine"] == "matrix"
         code = main([
             "cluster", "--input", str(stream_file),
             "--resume", str(state), "--batch-days", "3", "--quiet",
@@ -500,6 +513,25 @@ class TestParser:
             main([])
         assert excinfo.value.code == 2
 
+
+
+class TestStatsBackendFlag:
+    def test_backend_flag_round_trips_checkpoint(self, stream_file,
+                                                 tmp_path, capsys):
+        state = tmp_path / "state.json"
+        code = main([
+            "cluster", "--input", str(stream_file),
+            "--k", "4", "--batch-days", "2", "--quiet",
+            "--checkpoint", str(state),
+        ])
+        assert code == 0
+        assert json.load(open(state))["statistics_backend"] == "columnar"
+
+        code = main([
+            "cluster", "--input", str(stream_file),
+            "--resume", str(state), "--quiet",
+        ])
+        assert code == 0
 
 
 class TestRawText:
